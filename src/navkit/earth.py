@@ -16,7 +16,7 @@ from typing import Union
 
 import numpy as np
 
-from .se23 import so3_exp
+from .se23 import KernelDomainError, so3_exp
 
 __all__ = [
     "SingularRadius",
@@ -37,7 +37,7 @@ _MIN_RADIUS = 1e5  # m; spherical field is singular at the center
 _I3 = np.eye(3)
 
 
-class SingularRadius(ValueError):
+class SingularRadius(KernelDomainError):
     """Spherical gravitation evaluated too close to the earth center."""
 
 
@@ -108,7 +108,8 @@ def _radius(r: np.ndarray) -> np.ndarray:
     if np.minimum.reduce(rn, axis=None) <= _MIN_RADIUS:
         i = int(np.argmin(rn))
         raise SingularRadius(
-            f"element {i} of the stack: radius {rn.flat[i]:.1f} m is inside the {_MIN_RADIUS:.0e} m guard"
+            f"element {i} of the stack: radius {rn.flat[i]:.1f} m is inside the {_MIN_RADIUS:.0e} m guard",
+            element=i,
         )
     return rn
 

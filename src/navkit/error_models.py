@@ -136,14 +136,6 @@ def apply_correction(est: NavState, xi: TangentVector, conv: ErrorConvention) ->
     return NavState(est.frame, est.grouping, x, est.r0.copy(), est.dv0.copy())
 
 
-def _w1_matrix(imu: ImuSample) -> np.ndarray:
-    W1 = np.zeros((5, 5))
-    W1[0:3, 0:3] = skew(imu.omega_ib_b)
-    W1[0:3, 3] = imu.f_ib_b
-    W1[3, 4] = 1.0
-    return W1
-
-
 def exact_error_derivative(
     eta: SE23,
     true: NavState,
@@ -154,7 +146,6 @@ def exact_error_derivative(
     gravity_model: GravityModel,
     world: WorldFrameDef | None,
     conv: ErrorConvention,
-    t: float = 0.0,
 ) -> np.ndarray:
     """d(eta)/dt as a 5x5 matrix along twin true/estimated trajectories.
 
@@ -165,8 +156,8 @@ def exact_error_derivative(
     dependence), each W evaluated along its own trajectory.
     """
     _check_compatible(true, est)
-    _, w_true = derivative(true, imu_true, earth, gravity_model, world, t)
-    _, w_est = derivative(est, imu_meas, earth, gravity_model, world, t)
+    _, w_true = derivative(true, imu_true, earth, gravity_model, world)
+    _, w_est = derivative(est, imu_meas, earth, gravity_model, world)
     E = eta.as_matrix()
     Xe = est.x.as_matrix()
     Xe_inv = est.x.inverse().as_matrix()

@@ -245,7 +245,6 @@ def derivative(
     earth: EarthParams,
     gravity_model: GravityModel,
     world: WorldFrameDef | None = None,
-    t: float = 0.0,
 ) -> tuple[np.ndarray, WDecomposition]:
     """dX/dt as a dense 5x5 matrix together with its W-decomposition."""
     W1 = np.zeros((5, 5))
@@ -289,7 +288,6 @@ def step(
     earth: EarthParams,
     gravity_model: GravityModel,
     world: WorldFrameDef | None = None,
-    t: float = 0.0,
     method: str = "midpoint",
 ) -> NavState:
     """Advance one IMU interval.
@@ -397,8 +395,10 @@ def nav_from_physical(
 
     With r0/dv0 omitted the state is anchored at its current position
     (fresh t=0 anchors); pass stored anchors to express a later epoch of
-    the same run.
+    the same run; dv0 without r0 is a ValueError.
     """
+    if r0 is None and dv0 is not None:
+        raise ValueError("dv0 needs r0: a state anchored at its current position sets its own dv0")
     if frame is Frame.E:
         C_f, v_f, r_f = np.asarray(C_b_e, float), np.asarray(v_eb_e, float), np.asarray(r_eb_e, float)
     elif frame is Frame.W:

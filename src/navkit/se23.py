@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "KernelDomainError",
     "NotARotation",
     "AngleAtPi",
     "skew",
@@ -47,11 +48,20 @@ _SMALL_ANGLE = 1e-8  # series branch threshold for exp-family coefficients
 _PI_GUARD = 1e-6  # se23_log refuses angles this close to pi
 
 
-class NotARotation(ValueError):
+class KernelDomainError(ValueError):
+    """Kernel input outside its domain; element is the flat index of the
+    failing element of a stack (None for a single element)."""
+
+    def __init__(self, message: str, element: int | None = None):
+        super().__init__(message)
+        self.element = element
+
+
+class NotARotation(KernelDomainError):
     """Matrix fails the orthonormality / det(+1) test beyond tolerance."""
 
 
-class AngleAtPi(ValueError):
+class AngleAtPi(KernelDomainError):
     """Logarithm requested within the guard band of the angle-pi cut."""
 
 
@@ -111,7 +121,8 @@ def _check_rotation(R: np.ndarray) -> None:
         i = int(bad[0])
         raise NotARotation(
             f"element {i} of the stack: orthonormality defect {defect.flat[i]:.3e} "
-            f"exceeds {_ORTHO_TOL:.0e}"
+            f"exceeds {_ORTHO_TOL:.0e}",
+            element=i,
         )
 
 
@@ -358,7 +369,8 @@ def se23_log(x: SE23) -> TangentVector:
             i = int(near_pi[0])
             raise AngleAtPi(
                 f"element {i} of the stack: rotation angle {theta.flat[i]:.9f} "
-                f"is within {_PI_GUARD:.0e} of pi"
+                f"is within {_PI_GUARD:.0e} of pi",
+                element=i,
             )
     Jinv = so3_left_jacobian_inv(phi)
     return TangentVector(phi, matvec(Jinv, x.v), matvec(Jinv, x.p))

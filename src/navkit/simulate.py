@@ -20,6 +20,7 @@ twin-propagation autonomy experiments.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -37,6 +38,7 @@ from .earth import (
 from .error_models import (
     ErrorConvention,
     ModelVariant,
+    _check_compatible,
     apply_correction,
     classify_autonomy,
     error_from_states,
@@ -49,7 +51,6 @@ from .mechanization import (
     ImuSample,
     NavState,
     derivative,
-    make_nav_state,
     nav_from_physical,
     physical_from_nav,
     step,
@@ -65,7 +66,9 @@ from .rng import (
     GaussianStream,
     substream,
 )
-from .se23 import SE23, TangentVector, matvec, se23_exp, se23_log, skew, so3_exp, so3_log, transpose
+from .se23 import (
+    SE23, KernelDomainError, TangentVector, matvec, se23_exp, se23_log, skew, so3_exp, so3_log, transpose,
+)
 
 __all__ = [
     "SpecInvalid",
@@ -97,6 +100,18 @@ _GRID_TOL = 1e-9
 
 class SpecInvalid(ValueError):
     """A trajectory spec that cannot be realized."""
+
+
+@contextmanager
+def _naming_elements(where):
+    """Re-raise a stacked kernel's KernelDomainError as its own type, the
+    message prefixed with where(element): the run or trajectory and epoch."""
+    try:
+        yield
+    except KernelDomainError as exc:
+        if exc.element is None:
+            raise
+        raise type(exc)(f"{where(exc.element)}: {exc}", element=exc.element) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -355,9 +370,6 @@ class TruthSeries:
         r0 = self.r_w[0]
         x = SE23(self.C_b_w[k].copy(), self.v_wb_w[k].copy(), self.r_w[k] - r0)
         return NavState(Frame.W, Grouping.TRADITIONAL, x, r0.copy())
-
-    def as_states(self) -> list[NavState]:
-        return [self.state(k) for k in range(len(self.t))]
 
 
 def _grid_times(spec: TrajectorySpec) -> np.ndarray:
@@ -689,11 +701,6 @@ class RunResult:
     innovation_whitened: np.ndarray  # (M,3)
     updated: np.ndarray  # (M,) bool
 
-    @property
-    def rmse_per_axis(self) -> np.ndarray:
-        err = np.hstack([self.att_err, self.vel_err, self.pos_err])
-        return np.sqrt(np.mean(err * err, axis=0))
-
     def _rmse_norm(self, block: np.ndarray) -> float:
         return float(np.sqrt(np.mean(np.sum(block * block, axis=1))))
 
@@ -715,25 +722,15 @@ class RunResult:
         return float(np.mean(self.nees[mask]))
 
 
-def _truth_in_filter_coords(
-    truth: TruthSeries,
-    k: int,
-    fs: FilterState,
-    earth: EarthParams,
-    world: WorldFrameDef,
+def _truth_nav(
+    truth: TruthSeries, k: int, cfg: RunConfig, world: WorldFrameDef, anchors: NavState | None = None
 ) -> NavState:
+    """Truth epoch k in the configured frame/grouping, against the r0/dv0
+    anchors of a state of the run, or with fresh anchors when none is given."""
     t = float(truth.t[k])
-    trip = physical_from_nav(truth.state(k), earth, world, t)
-    return nav_from_physical(
-        fs.nav.frame,
-        fs.nav.grouping,
-        *trip,
-        earth,
-        world,
-        t=t,
-        r0=fs.nav.r0,
-        dv0=fs.nav.dv0,
-    )
+    trip = physical_from_nav(truth.state(k), cfg.earth, world, t)
+    r0, dv0 = (None, None) if anchors is None else (anchors.r0, anchors.dv0)
+    return nav_from_physical(cfg.frame, cfg.grouping, *trip, cfg.earth, world, t=t, r0=r0, dv0=dv0)
 
 
 def _nees(e: np.ndarray, P: np.ndarray) -> np.ndarray:
@@ -841,7 +838,7 @@ def _run_lockstep(
         odo_meas[:, i] = _odo_measurements(truth, cfg.noise, cfg.seed, cfg.odo_rate, k)[1]
         xi0[i] = state_sigma * GaussianStream(cfg.seed, substream(STREAM_INIT_STATE, k)).normals(9)
 
-    truth0 = _state_in_frame(truth, 0, cfg, world)
+    truth0 = _truth_nav(truth, 0, cfg, world)
     fs = FilterState(
         nav=apply_correction(truth0, TangentVector.from_vector(-xi0), cfg.convention),
         bias_g=bias_hat0[:, 0:3].copy(),
@@ -858,22 +855,23 @@ def _run_lockstep(
     innov = np.zeros((M, N, 3))
     white = np.zeros((M, N, 3))
     updated = np.zeros((M, N), dtype=bool)
-    for k in range(n):
-        fs = predict(fs, ImuSample(omega_meas[k], f_meas[k], float(dts[k])), cfg.noise,
-                     cfg.earth, cfg.gravity, world, method=cfg.integrator)
-        j = slot[k + 1]
-        if j < 0:
-            continue
-        if len(odo_idx) > 0:
-            z = OdoSample(odo_meas[j], float(truth.t[k + 1]))
-            fs, innov[j], white[j], updated[j] = fuse(
-                fs, z, cfg.noise, cfg.earth, world,
-                gate_sigma=cfg.gate_sigma, imu_period=float(dts[k]),
-            )
-        truth_f = _truth_in_filter_coords(truth, k + 1, fs, cfg.earth, world)
-        xi[j] = error_to_vector(error_from_states(truth_f, fs.nav, fs.conv), fs.conv).as_vector()
-        e15 = np.concatenate([xi[j], fs.bias_g - bias_true[j, :, 0:3], fs.bias_a - bias_true[j, :, 3:6]], axis=1)
-        nees[j] = _nees(e15, fs.P)
+    with _naming_elements(lambda i: f"run {runs[i]}, t={truth.t[k + 1]:.3f} s"):
+        for k in range(n):
+            fs = predict(fs, ImuSample(omega_meas[k], f_meas[k], float(dts[k])), cfg.noise,
+                         cfg.earth, cfg.gravity, world, method=cfg.integrator)
+            j = slot[k + 1]
+            if j < 0:
+                continue
+            if len(odo_idx) > 0:
+                z = OdoSample(odo_meas[j], float(truth.t[k + 1]))
+                fs, innov[j], white[j], updated[j] = fuse(
+                    fs, z, cfg.noise, cfg.earth, world,
+                    gate_sigma=cfg.gate_sigma, imu_period=float(dts[k]),
+                )
+            truth_f = _truth_nav(truth, k + 1, cfg, world, anchors=fs.nav)
+            xi[j] = error_to_vector(error_from_states(truth_f, fs.nav, fs.conv), fs.conv).as_vector()
+            e15 = np.concatenate([xi[j], fs.bias_g - bias_true[j, :, 0:3], fs.bias_a - bias_true[j, :, 3:6]], axis=1)
+            nees[j] = _nees(e15, fs.P)
 
     t = truth.t[sample_idx]
     return _aggregate([
@@ -889,14 +887,6 @@ def _run_lockstep(
         )
         for i in range(N)
     ])
-
-
-def _state_in_frame(truth: TruthSeries, k: int, cfg: RunConfig, world: WorldFrameDef) -> NavState:
-    """Truth epoch k re-expressed in the configured frame/grouping with
-    fresh anchors (used for run initialization)."""
-    t = float(truth.t[k])
-    trip = physical_from_nav(truth.state(k), cfg.earth, world, t)
-    return nav_from_physical(cfg.frame, cfg.grouping, *trip, cfg.earth, world, t=t)
 
 
 # ---------------------------------------------------------------------------
@@ -1003,45 +993,6 @@ class AutonomyResult:
     xi_b: np.ndarray  # (M,9)
 
 
-def _twin_error_logs(
-    variant: ModelVariant,
-    conv: ErrorConvention,
-    traj: TrajectorySpec,
-    xi0: np.ndarray,
-    settings: AutonomySettings,
-    world: WorldFrameDef,
-) -> tuple[np.ndarray, np.ndarray, NavState, ImuSample]:
-    truth_w = gen_truth(traj, settings.earth, settings.gravity, world)
-    imu_true = inverse_imu(truth_w, settings.earth, settings.gravity, world)
-
-    # Canonical anchors shared by every trajectory: dv0=0 keeps the velocity
-    # column of the affine part identical across runs, so two flows started
-    # from the same group error really do see the same model.
-    trip = physical_from_nav(truth_w.state(0), settings.earth, world, 0.0)
-    truth = nav_from_physical(
-        variant.frame, variant.grouping, *trip, settings.earth, world, t=0.0,
-        dv0=np.zeros(3),
-    )
-    state0, imu0 = truth, imu_true[0]
-    eta0 = se23_exp(TangentVector.from_vector(np.asarray(xi0, dtype=float)))
-    if conv is ErrorConvention.RIGHT:
-        est_x = eta0.inverse().compose(truth.x)
-    else:
-        est_x = truth.x.compose(eta0.inverse())
-    est = replace(truth, x=est_x)
-
-    d_om = np.asarray(settings.gyro_input_error, dtype=float)
-    d_f = np.asarray(settings.accel_input_error, dtype=float)
-    logs = np.empty((len(truth_w.t), 9))
-    logs[0] = se23_log(error_from_states(truth, est, conv)).as_vector()
-    for k, imu in enumerate(imu_true):
-        imu_est = ImuSample(imu.omega_ib_b + d_om, imu.f_ib_b + d_f, imu.dt)
-        truth = step(truth, imu, settings.earth, settings.gravity, world, method=settings.integrator)
-        est = step(est, imu_est, settings.earth, settings.gravity, world, method=settings.integrator)
-        logs[k + 1] = se23_log(error_from_states(truth, est, conv)).as_vector()
-    return truth_w.t, logs, state0, imu0
-
-
 def autonomy_experiment(
     variant: ModelVariant,
     conv: ErrorConvention,
@@ -1057,21 +1008,57 @@ def autonomy_experiment(
     integration noise; input errors or a position-dependent gravity
     column make it small but nonzero; a model whose equation folds the
     trajectory in through conjugation diverges visibly.
-    """
-    world = ned_world(np.asarray(settings.origin_e, dtype=float), settings.earth)
-    t_a, xi_a, state0, imu0 = _twin_error_logs(variant, conv, traj_a, xi0, settings, world)
-    t_b, xi_b, _, _ = _twin_error_logs(variant, conv, traj_b, xi0, settings, world)
-    m = min(len(t_a), len(t_b))
-    if abs(t_a[m - 1] - t_b[m - 1]) > 1e-9:
-        raise SpecInvalid("autonomy trajectories must share their time grid")
-    metric = float(np.max(np.linalg.norm(xi_a[:m] - xi_b[:m], axis=1)))
 
-    _, w = derivative(state0, imu0, settings.earth, settings.gravity, world)
-    label = classify_autonomy(
-        w,
-        include_input_errors=bool(
-            np.any(settings.gyro_input_error) or np.any(settings.accel_input_error)
-        ),
-        include_gravity_error=isinstance(settings.gravity, SphericalGravity),
+    The four flows (truth and estimate along a, truth and estimate along b)
+    advance in lock step as one stacked state over the epochs the two time
+    grids share.  Both trajectories start at the world origin, so the four
+    flows share their r0/dv0 anchors.
+    """
+    earth, gravity = settings.earth, settings.gravity
+    world = ned_world(np.asarray(settings.origin_e, dtype=float), earth)
+    truths = [gen_truth(traj, earth, gravity, world) for traj in (traj_a, traj_b)]
+    m = min(len(truths[0].t), len(truths[1].t))
+    t, dts = truths[0].t[:m], np.diff(truths[0].t[:m])
+    if np.any(np.abs(t - truths[1].t[:m]) > _GRID_TOL):
+        raise SpecInvalid("autonomy trajectories must share their time grid")
+
+    imus = [_imu_arrays(inverse_imu(truth_w, earth, gravity, world)[: m - 1]) for truth_w in truths]
+    om_true, f_true = (np.stack([imu[i] for imu in imus], axis=1) for i in (0, 1))
+    omega = np.concatenate([om_true, om_true + settings.gyro_input_error], axis=1)
+    f = np.concatenate([f_true, f_true + settings.accel_input_error], axis=1)
+    starts = [
+        nav_from_physical(variant.frame, variant.grouping, *physical_from_nav(truth_w.state(0), earth, world, 0.0),
+                          earth, world, t=0.0)
+        for truth_w in truths
+    ]
+    _check_compatible(*starts)
+    x0 = SE23(*(np.stack([getattr(st.x, c) for st in starts]) for c in "Rvp"))
+    eta0_inv = se23_exp(TangentVector.from_vector(np.asarray(xi0, dtype=float))).inverse()
+    est0 = eta0_inv.compose(x0) if conv is ErrorConvention.RIGHT else x0.compose(eta0_inv)
+
+    # The four flows step as one stack: truth a, truth b, estimate a, estimate b.
+    # Stored as (truth/estimate, epoch, trajectory), each side's epochs are one
+    # (m*2) stack ordered (epoch, trajectory) without a copy.
+    R, v, p = np.empty((2, m, 2, 3, 3)), np.empty((2, m, 2, 3)), np.empty((2, m, 2, 3))
+    for arr, c in ((R, "R"), (v, "v"), (p, "p")):
+        arr[:, 0] = getattr(x0, c), getattr(est0, c)
+    state = replace(starts[0], x=SE23(R[:, 0].reshape(4, 3, 3), v[:, 0].reshape(4, 3), p[:, 0].reshape(4, 3)))
+    with _naming_elements(lambda i: f"trajectory {'ab'[i % 2]}, t={t[k + 1]:.3f} s"):
+        for k in range(m - 1):
+            state = step(state, ImuSample(omega[k], f[k], float(dts[k])), earth, gravity, world,
+                         method=settings.integrator)
+            R[:, k + 1], v[:, k + 1], p[:, k + 1] = (
+                a.reshape((2, 2) + a.shape[1:]) for a in (state.x.R, state.x.v, state.x.p)
+            )
+    truth, est = (
+        replace(state, x=SE23(R[j].reshape(-1, 3, 3), v[j].reshape(-1, 3), p[j].reshape(-1, 3))) for j in (0, 1)
     )
-    return AutonomyResult(label, metric, t_a[:m], xi_a[:m], xi_b[:m])
+    with _naming_elements(lambda i: f"trajectory {'ab'[i % 2]}, t={t[i // 2]:.3f} s"):
+        xi = se23_log(error_from_states(truth, est, conv)).as_vector().reshape(m, 2, 9)
+    xi_a, xi_b = xi[:, 0].copy(), xi[:, 1].copy()
+    metric = float(np.max(np.linalg.norm(xi_a - xi_b, axis=1)))
+
+    _, w = derivative(starts[0], ImuSample(om_true[0, 0], f_true[0, 0], float(dts[0])), earth, gravity, world)
+    input_errors = bool(np.any(settings.gyro_input_error) or np.any(settings.accel_input_error))
+    label = classify_autonomy(w, input_errors, include_gravity_error=isinstance(gravity, SphericalGravity))
+    return AutonomyResult(label, metric, t, xi_a, xi_b)

@@ -187,5 +187,6 @@ def test_stacked_gravitation_matches_scalar(earth, world):
     for k in range(5):
         assert np.allclose(g[k], gravitation(r[k], model, earth), rtol=1e-15, atol=0.0)
         assert np.allclose(G[k], gravitation_gradient(r[k], model, earth), rtol=1e-14, atol=1e-22)
-    with pytest.raises(SingularRadius, match="element 5"):
+    with pytest.raises(SingularRadius, match="element 5") as info:
         gravitation(np.vstack([r, np.zeros((1, 3))]), model, earth)
+    assert info.value.element == 5

@@ -292,6 +292,12 @@ def test_physical_roundtrip(frame, grouping, earth, world):
         assert np.allclose(st2.dv0, st.dv0)
 
 
+def test_dv0_without_r0_rejected(earth, world):
+    C_b_e, v_eb_e, r_eb_e = np.eye(3), np.zeros(3), world.r_ew_e
+    with pytest.raises(ValueError, match="dv0 needs r0"):
+        nav_from_physical(Frame.E, Grouping.PROPOSED, C_b_e, v_eb_e, r_eb_e, earth, world, dv0=np.zeros(3))
+
+
 def test_body_velocity_definitions(earth, world):
     rng = np.random.default_rng(40)
     st = random_nav_state(rng, Frame.E, Grouping.TRADITIONAL, earth, world)

@@ -269,8 +269,13 @@ def test_stacked_kernels_do_not_depend_on_stack_size():
 def test_stacked_errors_name_the_element():
     R = so3_exp(np.array([[0.1, 0.0, 0.0], [0.0, 0.2, 0.0]]))
     R[1, 0, 0] += 1e-3
-    with pytest.raises(NotARotation, match="element 1"):
+    with pytest.raises(NotARotation, match="element 1") as info:
         so3_log(R)
+    assert info.value.element == 1
     X = SE23(so3_exp(np.array([[0.0, 0.0, 0.1], [0.0, 0.0, np.pi - 1e-7]])), np.zeros((2, 3)), np.zeros((2, 3)))
-    with pytest.raises(AngleAtPi, match="element 1"):
+    with pytest.raises(AngleAtPi, match="element 1") as info:
         se23_log(X)
+    assert info.value.element == 1
+    with pytest.raises(AngleAtPi) as info:
+        se23_log(SE23(X.R[1], X.v[1], X.p[1]))
+    assert info.value.element is None

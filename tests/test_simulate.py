@@ -1,36 +1,50 @@
 """Trajectory synthesis, inverse IMU, sensor corruption, runs, autonomy."""
 from __future__ import annotations
 
+import itertools
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import navkit.simulate as sim
 from navkit import (
+    AngleAtPi,
     AutonomySettings,
     Climb,
     EarthParams,
     ErrorConvention,
     Frame,
     Grouping,
+    ImuSample,
     ModelVariant,
     NoiseConfig,
     Rest,
     RunConfig,
     SensorErrors,
+    SingularRadius,
     SpecInvalid,
     SphericalGravity,
     Straight,
+    TangentVector,
     TrajectorySpec,
     Turn,
     UniformGravity,
     autonomy_experiment,
     corrupt,
+    error_from_states,
     gen_odometer,
     gen_truth,
+    gravitation,
     gravity,
     inverse_imu,
+    nav_from_physical,
     ned_world,
+    physical_from_nav,
     run_monte_carlo,
     run_single,
+    se23_exp,
+    se23_log,
     so3_log,
     step,
     true_bias_series,
@@ -284,6 +298,22 @@ def _quiet_cfg(**kw):
     return RunConfig(**base)
 
 
+def test_stacked_kernel_error_names_the_run(monkeypatch):
+    calls = []
+    real_predict = sim.predict
+
+    def predict_failing_at_third_step(fs, *args, **kw):
+        calls.append(fs.t)
+        if len(calls) == 3:
+            gravitation(np.zeros((1, 3)), GRAV, EARTH)  # a batch of one: element 0
+        return real_predict(fs, *args, **kw)
+
+    monkeypatch.setattr(sim, "predict", predict_failing_at_third_step)
+    with pytest.raises(SingularRadius, match=r"^run 4, t=0\.030 s: element 0 of the stack") as info:
+        run_single(_quiet_cfg(traj=TrajectorySpec((Straight(1.0, 10.0),), 100.0)), 4)
+    assert info.value.element == 0
+
+
 def test_perfect_sensors_track_truth():
     res = run_single(_quiet_cfg())
     assert res.rmse_att < 1e-5
@@ -445,6 +475,81 @@ def test_autonomy_mismatched_grids_rejected():
             TrajectorySpec((Rest(10.0),), 100.0), TrajectorySpec((Rest(10.0),), 80.0),
             XI0, UNIFORM,
         )
+    # 99.5 Hz over 1 s ends on a short interval: both grids have 101 epochs
+    # and end at t=1, but disagree at every epoch in between.
+    a, b = TrajectorySpec((Rest(1.0),), 100.0), TrajectorySpec((Rest(1.0),), 99.5)
+    t_a, t_b = gen_truth(a, EARTH, GRAV, WORLD).t, gen_truth(b, EARTH, GRAV, WORLD).t
+    assert len(t_a) == len(t_b) and t_a[-1] == t_b[-1]
+    with pytest.raises(SpecInvalid):
+        autonomy_experiment(ModelVariant(Frame.I, Grouping.TRADITIONAL), ErrorConvention.RIGHT,
+                            a, b, XI0, UNIFORM)
+
+
+def _scalar_twin_logs(variant, conv, traj, xi0, settings):
+    """One trajectory's error logs from a per-flow loop of scalar steps."""
+    world = ned_world(settings.origin_e, settings.earth)
+    truth_w = gen_truth(traj, settings.earth, settings.gravity, world)
+    trip = physical_from_nav(truth_w.state(0), settings.earth, world, 0.0)
+    truth = nav_from_physical(variant.frame, variant.grouping, *trip, settings.earth, world, t=0.0)
+    eta0_inv = se23_exp(TangentVector.from_vector(xi0)).inverse()
+    x = eta0_inv.compose(truth.x) if conv is ErrorConvention.RIGHT else truth.x.compose(eta0_inv)
+    est = replace(truth, x=x)
+    logs = [se23_log(error_from_states(truth, est, conv)).as_vector()]
+    for imu in inverse_imu(truth_w, settings.earth, settings.gravity, world):
+        imu_est = ImuSample(imu.omega_ib_b + settings.gyro_input_error,
+                            imu.f_ib_b + settings.accel_input_error, imu.dt)
+        args = (settings.earth, settings.gravity, world)
+        truth = step(truth, imu, *args, method=settings.integrator)
+        est = step(est, imu_est, *args, method=settings.integrator)
+        logs.append(se23_log(error_from_states(truth, est, conv)).as_vector())
+    return np.array(logs)
+
+
+CRITERION_5_VARIANTS = [
+    ModelVariant(Frame.I, Grouping.TRADITIONAL),
+    ModelVariant(Frame.E, Grouping.TRADITIONAL),
+    ModelVariant(Frame.E, Grouping.PROPOSED),
+    ModelVariant(Frame.W, Grouping.PROPOSED),
+]
+
+
+@pytest.mark.parametrize(
+    "variant,conv,integrator,input_errors",
+    list(itertools.product(CRITERION_5_VARIANTS, ErrorConvention, ("rk4", "midpoint"), (False, True))),
+    ids=lambda c: getattr(c, "name", getattr(c, "value", str(c))),
+)
+def test_autonomy_stacked_flows_match_scalar_loop(variant, conv, integrator, input_errors):
+    settings = AutonomySettings(
+        origin_e=ORIGIN, gravity=UniformGravity(np.array([0.0, 0.0, 9.8])), integrator=integrator,
+        gyro_input_error=np.array([1e-5, -2e-5, 3e-5]) if input_errors else np.zeros(3),
+        accel_input_error=np.array([1e-3, 2e-3, -1e-3]) if input_errors else np.zeros(3),
+    )
+    traj_a = TrajectorySpec((Rest(2.0),), 100.0)
+    traj_b = TrajectorySpec((Straight(1.0, 30.0), Turn(1.0, 0.2, 30.0)), 100.0)
+    res = autonomy_experiment(variant, conv, traj_a, traj_b, XI0, settings)
+    for traj, xi in ((traj_a, res.xi_a), (traj_b, res.xi_b)):
+        ref = _scalar_twin_logs(variant, conv, traj, XI0, settings)
+        assert np.allclose(xi, ref, rtol=1e-12, atol=1e-13)
+
+
+def test_autonomy_unequal_durations_share_the_common_epochs():
+    traj_a = TrajectorySpec((Rest(2.0),), 100.0)
+    traj_b = TrajectorySpec((Straight(1.0, 30.0),), 100.0)
+    variant = ModelVariant(Frame.E, Grouping.PROPOSED)
+    res = autonomy_experiment(variant, ErrorConvention.RIGHT, traj_a, traj_b, XI0, UNIFORM)
+    assert res.t.shape == (101,) and res.xi_a.shape == res.xi_b.shape == (101, 9)
+    assert res.t[-1] == pytest.approx(1.0, abs=1e-12)
+    ref = _scalar_twin_logs(variant, ErrorConvention.RIGHT, traj_a, XI0, UNIFORM)
+    assert np.allclose(res.xi_a, ref[:101], rtol=1e-12, atol=1e-13)
+
+
+def test_autonomy_log_error_names_trajectory_and_epoch():
+    xi0 = XI0.copy()
+    xi0[0:3] = [np.pi - 1e-7, 0.0, 0.0]
+    with pytest.raises(AngleAtPi, match=r"^trajectory a, t=0\.000 s: ") as info:
+        autonomy_experiment(ModelVariant(Frame.I, Grouping.TRADITIONAL), ErrorConvention.RIGHT,
+                            REST20, FAST20, xi0, UNIFORM)
+    assert info.value.element == 0
 
 
 def test_nees_singular_run_falls_back_alone():
