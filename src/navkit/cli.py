@@ -34,8 +34,9 @@ from .config import (
 from .error_models import ErrorConvention
 from .lgekf import CovarianceNotPSD, SingularInnovation
 from .mechanization import Grouping
-from .se23 import AngleAtPi, NotARotation
+from .se23 import KernelDomainError
 from .simulate import (
+    NewtonNotConverged,
     SensorErrors,
     SpecInvalid,
     _odo_indices,
@@ -54,10 +55,9 @@ _NEES_DIVERGENCE = 1e6
 _NUMERICAL_FAILURES = (
     CovarianceNotPSD,
     SingularInnovation,
-    NotARotation,
-    AngleAtPi,
+    KernelDomainError,
+    NewtonNotConverged,
     np.linalg.LinAlgError,
-    RuntimeError,
     FloatingPointError,
 )
 

@@ -10,13 +10,12 @@ cross-frame physics.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
 
-from .se23 import KernelDomainError, so3_exp
+from .se23 import KernelDomainError, _domain_error, so3_exp
 
 __all__ = [
     "SingularRadius",
@@ -106,30 +105,24 @@ def _radius(r: np.ndarray) -> np.ndarray:
     """||r|| over the last axis, guarded against the earth center."""
     rn = np.sqrt(np.add.reduce(r * r, axis=-1))
     if np.minimum.reduce(rn, axis=None) <= _MIN_RADIUS:
-        i = int(np.argmin(rn))
-        raise SingularRadius(
-            f"element {i} of the stack: radius {rn.flat[i]:.1f} m is inside the {_MIN_RADIUS:.0e} m guard",
-            element=i,
+        raise _domain_error(
+            SingularRadius, rn <= _MIN_RADIUS, r.ndim == 1,
+            lambda i: f"radius {rn.flat[i]:.1f} m is inside the {_MIN_RADIUS:.0e} m guard",
         )
     return rn
 
 
 def gravitation(r: np.ndarray, model: GravityModel, params: EarthParams) -> np.ndarray:
-    """Gravitational acceleration at earth-centered radius vector r.
+    """Gravitational acceleration at earth-centered radius vectors r, (..., 3).
 
-    r may carry leading batch axes, (..., 3); a uniform field returns its
-    single gamma0 vector, which broadcasts against any batch.
+    A uniform field returns its single gamma0 vector, which broadcasts
+    against any batch.
     """
     if isinstance(model, UniformGravity):
         return np.asarray(model.gamma0, dtype=float)
     r = np.asarray(r, dtype=float)
-    if r.ndim > 1:
-        rn = _radius(r)
-        return r * (-params.mu / (rn * rn * rn))[..., None]
-    rn = math.sqrt(r[0] * r[0] + r[1] * r[1] + r[2] * r[2])
-    if rn <= _MIN_RADIUS:
-        raise SingularRadius(f"radius {rn:.1f} m is inside the {_MIN_RADIUS:.0e} m guard")
-    return r * (-params.mu / rn**3)
+    rn = _radius(r)
+    return r * (-params.mu / (rn * rn * rn))[..., None]
 
 
 def gravity(
@@ -150,24 +143,18 @@ def gravity(
 
 
 def gravitation_gradient(r: np.ndarray, model: GravityModel, params: EarthParams) -> np.ndarray:
-    """Jacobian of gravitation w.r.t. position (zero for Uniform).
+    """Jacobian of gravitation w.r.t. position at r, (..., 3).
 
-    r may carry leading batch axes, (..., 3); the uniform field's zero
-    gradient is a single 3x3 matrix that broadcasts against any batch.
+    The uniform field's zero gradient is a single 3x3 matrix that
+    broadcasts against any batch.
     """
     if isinstance(model, UniformGravity):
         return np.zeros((3, 3))
     r = np.asarray(r, dtype=float)
-    if r.ndim > 1:
-        rn = _radius(r)
-        rhat = r / rn[..., None]
-        outer = rhat[..., :, None] * rhat[..., None, :]
-        return (-params.mu / (rn * rn * rn))[..., None, None] * (_I3 - 3.0 * outer)
-    rn = float(np.linalg.norm(r))
-    if rn <= _MIN_RADIUS:
-        raise SingularRadius(f"radius {rn:.1f} m is inside the {_MIN_RADIUS:.0e} m guard")
-    rhat = r / rn
-    return -params.mu / rn**3 * (_I3 - 3.0 * np.outer(rhat, rhat))
+    rn = _radius(r)
+    rhat = r / rn[..., None]
+    outer = rhat[..., :, None] * rhat[..., None, :]
+    return (-params.mu / (rn * rn * rn))[..., None, None] * (_I3 - 3.0 * outer)
 
 
 def frame_transform(

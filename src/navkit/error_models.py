@@ -20,7 +20,7 @@ batch of estimates.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -47,7 +47,6 @@ from .se23 import SE23, TangentVector, matvec, se23_exp, se23_log, skew, transpo
 __all__ = [
     "ErrorConvention",
     "ModelVariant",
-    "ErrorState",
     "AutonomyClass",
     "error_from_states",
     "error_to_vector",
@@ -80,18 +79,6 @@ class ModelVariant:
     @property
     def name(self) -> str:
         return f"{self.grouping.value}-{self.frame.value}"
-
-
-@dataclass(frozen=True)
-class ErrorState:
-    """15-dim error: group chart xi plus gyro/accel bias errors."""
-
-    xi: TangentVector
-    bias_g: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    bias_a: np.ndarray = field(default_factory=lambda: np.zeros(3))
-
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate([self.xi.as_vector(), self.bias_g, self.bias_a])
 
 
 def _check_compatible(a: NavState, b: NavState) -> None:
@@ -284,10 +271,5 @@ def classify_autonomy(
     """
     if w.has_w34:
         return AutonomyClass.WEAK
-    perturbed = (
-        include_input_errors
-        or include_gravity_error
-        or float(np.abs(w.dW1).max(initial=0.0)) > 0.0
-        or float(np.abs(w.dW2).max(initial=0.0)) > 0.0
-    )
+    perturbed = include_input_errors or include_gravity_error
     return AutonomyClass.APPROXIMATE if perturbed else AutonomyClass.PERFECT

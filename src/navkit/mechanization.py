@@ -10,9 +10,12 @@ two groupings of the state columns:
   the group-level differential equation.
 
 The position column always holds r - r0 (anchored at the initial position).
-step, frame_velocity and body_velocity also take states whose R, v and p
-carry a leading batch axis (one element per Monte-Carlo run, sharing the
-anchors r0/dv0) together with inputs of matching shape.
+step, frame_velocity and body_velocity run one batch-shaped path: a state's
+R, v and p may carry leading batch axes (one element per Monte-Carlo run or
+per interval, sharing the anchors r0/dv0), with inputs of matching shape,
+and a single state is a stack with no leading axis. step's rk4 also takes
+one dt per element, which is how inverse_imu steps all of a grid's
+intervals (the last one may be shorter) at once.
 Each derivative is exposed both as a dense 5x5 matrix and as its
 W-decomposition  dX/dt = X W1 + W2 X (+ W3 X W4),  whose structure drives
 the autonomy classification of the error dynamics.
@@ -55,20 +58,6 @@ __all__ = [
 _MAX_DT = 0.1  # s; piecewise-constant-input assumption guard
 
 
-def _cross3(a, b):
-    """a x b for a single vector a and b with optional leading batch axes."""
-    if b.ndim > 1:
-        return matvec(skew(a), b)
-    # np.cross carries ~10x axis-normalization overhead for plain 3-vectors
-    return np.array(
-        (
-            a[1] * b[2] - a[2] * b[1],
-            a[2] * b[0] - a[0] * b[2],
-            a[0] * b[1] - a[1] * b[0],
-        )
-    )
-
-
 class Frame(Enum):
     I = "i"
     E = "e"
@@ -86,11 +75,15 @@ class FrameMismatch(ValueError):
 
 @dataclass(frozen=True)
 class ImuSample:
-    """Body-frame gyro/accelerometer sample held constant over dt."""
+    """Body-frame gyro/accelerometer sample held constant over dt.
+
+    For a stack of states the inputs are (..., 3) and dt is one float or,
+    for step's rk4, an array with one dt per element.
+    """
 
     omega_ib_b: np.ndarray
     f_ib_b: np.ndarray
-    dt: float
+    dt: float | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -113,8 +106,6 @@ class WDecomposition:
     W3: np.ndarray
     W4: np.ndarray
     has_w34: bool
-    dW1: np.ndarray = field(default_factory=lambda: np.zeros((5, 5)))
-    dW2: np.ndarray = field(default_factory=lambda: np.zeros((5, 5)))
 
 
 _HALF_EXP_CACHE: dict[bytes, np.ndarray] = {}
@@ -180,7 +171,7 @@ def frame_velocity(state: NavState, earth: EarthParams, world: WorldFrameDef | N
         return state.x.v.copy()
     omega = _conversion_rate(state.frame, earth, world)
     r_center = _earth_center_offset(state.frame, world) + state.r0 + state.x.p
-    return state.x.v + state.dv0 - _cross3(omega, r_center)
+    return state.x.v + state.dv0 - matvec(skew(omega), r_center)
 
 
 def body_velocity(state: NavState, earth: EarthParams, world: WorldFrameDef | None = None) -> np.ndarray:
@@ -188,7 +179,7 @@ def body_velocity(state: NavState, earth: EarthParams, world: WorldFrameDef | No
     v = frame_velocity(state, earth, world)
     if state.frame is Frame.I:
         omega = earth_rate("i", earth)
-        v = v - _cross3(omega, state.r0 + state.x.p)
+        v = v - matvec(skew(omega), state.r0 + state.x.p)
     return matvec(transpose(state.x.R), v)
 
 
@@ -215,7 +206,7 @@ class _Dynamics:
 
     def cross(self, x):
         """omega x x, for x with or without leading batch axes."""
-        return _cross3(self.omega, x) if x.ndim == 1 else matvec(self.Om, x)
+        return matvec(self.Om, x)
 
     def rates(self, C, v, p, W_b, f_b):
         """Component right-hand side at (C, v, p); W_b = skew(omega_ib_b)."""
@@ -231,11 +222,7 @@ class _Dynamics:
         if self.omega is None:
             return f_f + gam, v
         if self.trad:
-            if p.ndim == 1:
-                g = gam - _cross3(self.omega, _cross3(self.omega, r_center))
-            else:
-                g = gam - matvec(self.OmOm, r_center)
-            return f_f + g - 2.0 * self.cross(v), v
+            return f_f + (gam - matvec(self.OmOm, r_center)) - 2.0 * self.cross(v), v
         return f_f + gam - self.cross(v + self.dv0), v - self.cross(p)
 
 
@@ -296,10 +283,18 @@ def step(
     for the constant inputs plus a midpoint step for velocity/position
     (O(dt^2) global). method="rk4" is the truth-grade 4-stage Runge-Kutta
     on the same component ODEs.
+
+    For a stacked state imu.dt is one float for every element or, with
+    rk4 only, an array of one dt per element; element k then advances as
+    a one-element stack stepped with dt[k] would.
     """
-    dt = imu.dt
-    if dt > _MAX_DT:
-        raise ValueError(f"dt {dt} exceeds the {_MAX_DT} s piecewise-constant guard")
+    dt = dt_m = longest = imu.dt  # dt_m scales the (..., 3, 3) attitude terms
+    if isinstance(dt, np.ndarray) and dt.ndim:
+        if method != "rk4":
+            raise ValueError(f"a dt per element needs method='rk4', not {method!r}")
+        dt, dt_m, longest = dt[..., None], dt[..., None, None], dt.max()
+    if longest > _MAX_DT:
+        raise ValueError(f"dt {longest} exceeds the {_MAX_DT} s piecewise-constant guard")
     C, v, p = state.x.R, state.x.v, state.x.p
     om_b = np.asarray(imu.omega_ib_b, dtype=float)
     f_b = np.asarray(imu.f_ib_b, dtype=float)
@@ -307,12 +302,12 @@ def step(
 
     if method == "rk4":
         W_b = skew(om_b)
-        h = 0.5 * dt
+        h, h_m = 0.5 * dt, 0.5 * dt_m
         k1 = dyn.rates(C, v, p, W_b, f_b)
-        k2 = dyn.rates(C + h * k1[0], v + h * k1[1], p + h * k1[2], W_b, f_b)
-        k3 = dyn.rates(C + h * k2[0], v + h * k2[1], p + h * k2[2], W_b, f_b)
-        k4 = dyn.rates(C + dt * k3[0], v + dt * k3[1], p + dt * k3[2], W_b, f_b)
-        C1 = C + dt / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
+        k2 = dyn.rates(C + h_m * k1[0], v + h * k1[1], p + h * k1[2], W_b, f_b)
+        k3 = dyn.rates(C + h_m * k2[0], v + h * k2[1], p + h * k2[2], W_b, f_b)
+        k4 = dyn.rates(C + dt_m * k3[0], v + dt * k3[1], p + dt * k3[2], W_b, f_b)
+        C1 = C + dt_m / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
         v1 = v + dt / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
         p1 = p + dt / 6.0 * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
         return NavState(state.frame, state.grouping, SE23(C1, v1, p1), state.r0, state.dv0)

@@ -10,12 +10,14 @@ position column into a 5x5 matrix
 Every operation here is a pure function over immutable values; the 9-vector
 tangent ordering is (phi, rho_v, rho_r) throughout the package.
 
-The kernels also accept stacks with leading batch axes -- vectors of shape
-(..., 3) and matrices of shape (..., 3, 3) -- which is how the Monte-Carlo
-filter propagates all of its runs in lock step.  A single element takes the
-scalar branch; a stack takes a vectorized branch of the same closed forms
-(the two may differ in the last bit), whose result for one element does not
-depend on the size of the stack around it.
+Each kernel has one batch-shaped implementation: vectors are (..., 3) and
+matrices (..., 3, 3), and a single element is a stack with no leading axis.
+The closed forms (Sola et al., "A micro Lie theory for state estimation in
+robotics", arXiv:1812.01537) hold elementwise over the batch axes, so the
+Monte-Carlo filter propagates all of its runs in lock step on the same code
+as one run, and an element's result does not depend on the stack around
+it.  Only so3_log's axis extraction near the angle-pi cut runs element by
+element.
 """
 from __future__ import annotations
 
@@ -46,6 +48,7 @@ __all__ = [
 _ORTHO_TOL = 1e-6  # orthonormality defect beyond this is an error
 _SMALL_ANGLE = 1e-8  # series branch threshold for exp-family coefficients
 _PI_GUARD = 1e-6  # se23_log refuses angles this close to pi
+_JACOBIAN_SERIES = 1e-4  # series branch threshold for the left Jacobians
 
 
 class KernelDomainError(ValueError):
@@ -65,39 +68,36 @@ class AngleAtPi(KernelDomainError):
     """Logarithm requested within the guard band of the angle-pi cut."""
 
 
+def _domain_error(cls, bad: np.ndarray, single: bool, describe) -> KernelDomainError:
+    """cls for the first element flagged in bad, described by describe(i).
+    A stack's error names the element (its flat index); a single one's does not."""
+    i = int(np.flatnonzero(bad)[0])
+    if single:
+        return cls(describe(i))
+    return cls(f"element {i} of the stack: {describe(i)}", element=i)
+
+
+# skew(w) flattened row-major is w @ _SKEW_BASIS: one product of exact +-1/0 terms.
+_SKEW_BASIS = np.zeros((3, 9))
+_SKEW_BASIS[[0, 1, 2], [7, 2, 3]] = 1.0
+_SKEW_BASIS[[0, 1, 2], [5, 6, 1]] = -1.0
+_I3 = np.eye(3)
+
+
 def skew(w: np.ndarray) -> np.ndarray:
     """Skew-symmetric matrix such that skew(w) @ u == cross(w, u)."""
     w = np.asarray(w, dtype=float)
-    if w.ndim == 1:
-        return np.array(
-            [
-                [0.0, -w[2], w[1]],
-                [w[2], 0.0, -w[0]],
-                [-w[1], w[0], 0.0],
-            ]
-        )
-    out = np.zeros(w.shape[:-1] + (9,))
-    out[..., _SKEW_POS] = w
-    out[..., _SKEW_NEG] = -w
-    return out.reshape(w.shape[:-1] + (3, 3))
-
-
-# Row-major slots of skew(w) holding +w and -w.
-_SKEW_POS = np.array([7, 2, 3])
-_SKEW_NEG = np.array([5, 6, 1])
-_I3 = np.eye(3)
+    return (w @ _SKEW_BASIS).reshape(w.shape[:-1] + (3, 3))
 
 
 def matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
     """A @ x over leading batch axes: (..., n, m) times (..., m)."""
-    if A.ndim == 2 and x.ndim == 1:
-        return A @ x
     return (A @ x[..., None])[..., 0]
 
 
 def transpose(A: np.ndarray) -> np.ndarray:
     """Swap the last two axes (the matrix transpose of every element)."""
-    return A.T if A.ndim == 2 else A.swapaxes(-1, -2)
+    return A.swapaxes(-1, -2)
 
 
 def _sq_norm(phi: np.ndarray) -> np.ndarray:
@@ -105,24 +105,17 @@ def _sq_norm(phi: np.ndarray) -> np.ndarray:
 
 
 def unskew(W: np.ndarray) -> np.ndarray:
-    """Inverse of skew for an (assumed) antisymmetric 3x3 matrix."""
-    return np.array([W[2, 1], W[0, 2], W[1, 0]])
+    """Inverse of skew for (assumed) antisymmetric 3x3 matrices."""
+    return W[..., [2, 0, 1], [1, 2, 0]]
 
 
 def _check_rotation(R: np.ndarray) -> None:
-    if R.ndim == 2:
-        defect = np.linalg.norm(R.T @ R - _I3)
-        if defect > _ORTHO_TOL or np.linalg.det(R) < 0.0:
-            raise NotARotation(f"orthonormality defect {defect:.3e} exceeds {_ORTHO_TOL:.0e}")
-        return
     defect = np.linalg.norm(transpose(R) @ R - _I3, axis=(-2, -1))
-    bad = np.flatnonzero((defect > _ORTHO_TOL) | (np.linalg.det(R) < 0.0))
-    if bad.size:
-        i = int(bad[0])
-        raise NotARotation(
-            f"element {i} of the stack: orthonormality defect {defect.flat[i]:.3e} "
-            f"exceeds {_ORTHO_TOL:.0e}",
-            element=i,
+    bad = (defect > _ORTHO_TOL) | (np.linalg.det(R) < 0.0)
+    if bad.any():
+        raise _domain_error(
+            NotARotation, bad, R.ndim == 2,
+            lambda i: f"orthonormality defect {defect.flat[i]:.3e} exceeds {_ORTHO_TOL:.0e}",
         )
 
 
@@ -134,25 +127,14 @@ def so3_exp(phi: np.ndarray) -> np.ndarray:
     """
     phi = np.asarray(phi, dtype=float)
     W = skew(phi)
-    if phi.ndim > 1:
-        theta2 = _sq_norm(phi)
-        theta = np.sqrt(theta2)
-        small = theta < _SMALL_ANGLE
-        safe = np.where(small, 1.0, theta)
-        s = np.sin(0.5 * safe)
-        a = np.where(small, 1.0 - theta2 / 6.0, np.sin(safe) / safe)
-        b = np.where(small, 0.5 - theta2 / 24.0, 2.0 * s * s / (safe * safe))
-        return _I3 + a[..., None, None] * W + b[..., None, None] * (W @ W)
-    theta2 = float(phi @ phi)
+    theta2 = _sq_norm(phi)
     theta = np.sqrt(theta2)
-    if theta < _SMALL_ANGLE:
-        a = 1.0 - theta2 / 6.0
-        b = 0.5 - theta2 / 24.0
-    else:
-        a = np.sin(theta) / theta
-        s = np.sin(0.5 * theta)
-        b = 2.0 * s * s / theta2
-    return _I3 + a * W + b * (W @ W)
+    small = theta < _SMALL_ANGLE
+    safe = np.maximum(theta, _SMALL_ANGLE)  # the series covers the elements below
+    s = np.sin(0.5 * safe)
+    a = np.where(small, 1.0 - theta2 / 6.0, np.sin(safe) / safe)
+    b = np.where(small, 0.5 - theta2 / 24.0, 2.0 * s * s / (safe * safe))
+    return _I3 + a[..., None, None] * W + b[..., None, None] * (W @ W)
 
 
 def so3_log(R: np.ndarray) -> np.ndarray:
@@ -167,103 +149,66 @@ def so3_log(R: np.ndarray) -> np.ndarray:
     """
     R = np.asarray(R, dtype=float)
     _check_rotation(R)
-    if R.ndim > 2:
-        return _so3_log_stack(R)
-    cos_theta = np.clip((np.trace(R) - 1.0) / 2.0, -1.0, 1.0)
-    theta = float(np.arccos(cos_theta))
-    w = unskew(R - R.T) / 2.0  # = axis * sin(theta)
+    cos_theta = np.clip((np.trace(R, axis1=-2, axis2=-1) - 1.0) / 2.0, -1.0, 1.0)
+    theta = np.arccos(cos_theta)
+    w = unskew(R - transpose(R)) / 2.0  # = axis * sin(theta)
+    regular = theta >= _SMALL_ANGLE
+    sin_theta = np.where(regular, np.sin(theta), 1.0)
+    out = np.where(regular, theta / sin_theta, 1.0)[..., None] * w
+    flat = out.reshape(-1, 3)  # a view: out is a fresh array
+    for i in np.flatnonzero(theta >= np.pi - 1e-3):
+        flat[i] = _log_near_pi(R.reshape(-1, 3, 3)[i], cos_theta.flat[i], theta.flat[i], w.reshape(-1, 3)[i])
+    return out
 
-    if theta < _SMALL_ANGLE:
-        return w
-    if theta < np.pi - 1e-3:
-        return w * (theta / np.sin(theta))
 
-    # Axis extraction from the symmetric part: S = cos I + (1-cos) a a^T.
+def _log_near_pi(R: np.ndarray, cos_theta: float, theta: float, w: np.ndarray) -> np.ndarray:
+    """so3_log of one rotation within 1e-3 of the pi cut.
+
+    The axis comes from the symmetric part S = cos I + (1-cos) a a^T; its
+    off-diagonal entries carry the relative signs a_i a_j (1-cos).
+    """
     S = (R + R.T) / 2.0
-    one_minus = 1.0 - cos_theta
-    a2 = np.clip((np.diag(S) - cos_theta) / one_minus, 0.0, 1.0)
+    a2 = np.clip((np.diag(S) - cos_theta) / (1.0 - cos_theta), 0.0, 1.0)
     axis = np.sqrt(a2)
     k = int(np.argmax(axis))
-    # Off-diagonal entries carry the relative signs a_i a_j (1-cos).
     for i in range(3):
         if i != k and axis[i] > 0.0:
             axis[i] = np.copysign(axis[i], S[min(i, k), max(i, k)])
     axis /= np.linalg.norm(axis)
-    sin_theta = np.sin(theta)
-    if abs(sin_theta) > 1e-12 and np.linalg.norm(w) > 1e-12:
+    if abs(np.sin(theta)) > 1e-12 and np.linalg.norm(w) > 1e-12:
         if float(w @ axis) < 0.0:
             axis = -axis
     else:
-        nz = np.nonzero(np.abs(axis) > 1e-12)[0]
+        nz = np.flatnonzero(np.abs(axis) > 1e-12)
         if nz.size and axis[nz[0]] < 0.0:
             axis = -axis
     return axis * theta
 
 
-def _so3_log_stack(R: np.ndarray) -> np.ndarray:
-    """so3_log of a (checked) stack; elements near the pi cut take the
-    scalar branch one by one."""
-    cos_theta = np.clip((np.trace(R, axis1=-2, axis2=-1) - 1.0) / 2.0, -1.0, 1.0)
-    theta = np.arccos(cos_theta)
-    A = R - transpose(R)
-    w = 0.5 * np.stack([A[..., 2, 1], A[..., 0, 2], A[..., 1, 0]], axis=-1)
-    regular = theta >= _SMALL_ANGLE
-    sin_theta = np.where(regular, np.sin(theta), 1.0)
-    out = np.where(regular, theta / sin_theta, 1.0)[..., None] * w
-    for idx in zip(*np.nonzero(theta >= np.pi - 1e-3)):
-        out[idx] = so3_log(R[idx])
-    return out
-
-
 def _jacobian_angles(phi: np.ndarray):
-    """(W, theta^2, theta, series mask, safe theta) for a stack of vectors."""
+    """(W, theta^2, series mask, theta floored at the series threshold)
+    for vectors phi (..., 3)."""
+    phi = np.asarray(phi, dtype=float)
     theta2 = _sq_norm(phi)
     theta = np.sqrt(theta2)
-    small = theta < 1e-4
-    return skew(phi), theta2, theta, small, np.where(small, 1.0, theta)
+    return skew(phi), theta2, theta < _JACOBIAN_SERIES, np.maximum(theta, _JACOBIAN_SERIES)
 
 
 def so3_left_jacobian(phi: np.ndarray) -> np.ndarray:
     """Left Jacobian J of SO(3): d(exp)/d(phi) transport of tangent columns."""
-    phi = np.asarray(phi, dtype=float)
-    if phi.ndim > 1:
-        W, theta2, theta, small, safe = _jacobian_angles(phi)
-        s = np.sin(0.5 * safe)
-        b = np.where(small, 0.5 - theta2 / 24.0, 2.0 * s * s / (safe * safe))
-        c = np.where(small, 1.0 / 6.0 - theta2 / 120.0, (safe - np.sin(safe)) / (safe * safe * safe))
-        return _I3 + b[..., None, None] * W + c[..., None, None] * (W @ W)
-    theta2 = float(phi @ phi)
-    theta = np.sqrt(theta2)
-    W = skew(phi)
-    if theta < 1e-4:
-        b = 0.5 - theta2 / 24.0
-        c = 1.0 / 6.0 - theta2 / 120.0
-    else:
-        s = np.sin(0.5 * theta)
-        b = 2.0 * s * s / theta2
-        c = (theta - np.sin(theta)) / (theta2 * theta)
-    return _I3 + b * W + c * (W @ W)
+    W, theta2, small, safe = _jacobian_angles(phi)
+    s = np.sin(0.5 * safe)
+    b = np.where(small, 0.5 - theta2 / 24.0, 2.0 * s * s / (safe * safe))
+    c = np.where(small, 1.0 / 6.0 - theta2 / 120.0, (safe - np.sin(safe)) / (safe * safe * safe))
+    return _I3 + b[..., None, None] * W + c[..., None, None] * (W @ W)
 
 
 def so3_left_jacobian_inv(phi: np.ndarray) -> np.ndarray:
     """Inverse left Jacobian, stable on ||phi|| < pi."""
-    phi = np.asarray(phi, dtype=float)
-    if phi.ndim > 1:
-        W, theta2, theta, small, safe = _jacobian_angles(phi)
-        half = 0.5 * safe
-        c = np.where(
-            small, 1.0 / 12.0 + theta2 / 720.0, (1.0 - half * np.cos(half) / np.sin(half)) / (safe * safe)
-        )
-        return _I3 - 0.5 * W + c[..., None, None] * (W @ W)
-    theta2 = float(phi @ phi)
-    theta = np.sqrt(theta2)
-    W = skew(phi)
-    if theta < 1e-4:
-        c = 1.0 / 12.0 + theta2 / 720.0
-    else:
-        half = 0.5 * theta
-        c = (1.0 - half * np.cos(half) / np.sin(half)) / theta2
-    return _I3 - 0.5 * W + c * (W @ W)
+    W, theta2, small, safe = _jacobian_angles(phi)
+    half = 0.5 * safe
+    c = np.where(small, 1.0 / 12.0 + theta2 / 720.0, (1.0 - half * np.cos(half) / np.sin(half)) / (safe * safe))
+    return _I3 - 0.5 * W + c[..., None, None] * (W @ W)
 
 
 @dataclass(frozen=True)
@@ -358,19 +303,12 @@ def se23_exp(xi: TangentVector) -> SE23:
 def se23_log(x: SE23) -> TangentVector:
     """Group logarithm; raises AngleAtPi within 1e-6 of the pi cut."""
     phi = so3_log(x.R)
-    if phi.ndim == 1:
-        theta = float(np.linalg.norm(phi))
-        if theta > np.pi - _PI_GUARD:
-            raise AngleAtPi(f"rotation angle {theta:.9f} is within {_PI_GUARD:.0e} of pi")
-    else:
-        theta = np.sqrt(_sq_norm(phi))
-        near_pi = np.flatnonzero(theta > np.pi - _PI_GUARD)
-        if near_pi.size:
-            i = int(near_pi[0])
-            raise AngleAtPi(
-                f"element {i} of the stack: rotation angle {theta.flat[i]:.9f} "
-                f"is within {_PI_GUARD:.0e} of pi",
-                element=i,
-            )
+    theta = np.sqrt(_sq_norm(phi))
+    near_pi = theta > np.pi - _PI_GUARD
+    if near_pi.any():
+        raise _domain_error(
+            AngleAtPi, near_pi, phi.ndim == 1,
+            lambda i: f"rotation angle {theta.flat[i]:.9f} is within {_PI_GUARD:.0e} of pi",
+        )
     Jinv = so3_left_jacobian_inv(phi)
     return TangentVector(phi, matvec(Jinv, x.v), matvec(Jinv, x.p))

@@ -67,7 +67,7 @@ from .rng import (
     substream,
 )
 from .se23 import (
-    SE23, KernelDomainError, TangentVector, matvec, se23_exp, se23_log, skew, so3_exp, so3_log, transpose,
+    SE23, KernelDomainError, TangentVector, matvec, se23_exp, se23_log, so3_exp, so3_log, transpose,
 )
 
 __all__ = [
@@ -80,6 +80,7 @@ __all__ = [
     "TruthSeries",
     "gen_truth",
     "inverse_imu",
+    "NewtonNotConverged",
     "SensorErrors",
     "true_bias_series",
     "corrupt",
@@ -417,39 +418,12 @@ def gen_truth(
 # inverse IMU (batched Newton on the one-step integrator)
 
 
-class _BatchWFrame:
-    """Vectorized w-frame traditional rates/RK4 over a batch of intervals."""
-
-    def __init__(self, earth: EarthParams, gravity_model: GravityModel, world: WorldFrameDef):
-        self.omega = earth_rate("w", earth, world)
-        self.omega_mat = skew(self.omega)
-        self.r_off = world.C_e_w @ world.r_ew_e
-        self.model = gravity_model
-        self.earth = earth
-
-    def rates(self, C, v, r, om_b, f_b):
-        dC = C @ skew(om_b) - self.omega_mat @ C
-        r_c = r + self.r_off
-        g = gravitation(r_c, self.model, self.earth) - np.cross(
-            self.omega, np.cross(self.omega, r_c)
-        )
-        dv = np.einsum("nij,nj->ni", C, f_b) + g - 2.0 * np.cross(self.omega, v)
-        return dC, dv, v
-
-    def rk4(self, C, v, r, om_b, f_b, dts):
-        h = dts[:, None]
-        hm = dts[:, None, None]
-        k1 = self.rates(C, v, r, om_b, f_b)
-        k2 = self.rates(C + 0.5 * hm * k1[0], v + 0.5 * h * k1[1], r + 0.5 * h * k1[2], om_b, f_b)
-        k3 = self.rates(C + 0.5 * hm * k2[0], v + 0.5 * h * k2[1], r + 0.5 * h * k2[2], om_b, f_b)
-        k4 = self.rates(C + hm * k3[0], v + h * k3[1], r + h * k3[2], om_b, f_b)
-        C1 = C + hm / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-        v1 = v + h / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-        r1 = r + h / 6.0 * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
-        return C1, v1, r1
+class NewtonNotConverged(RuntimeError):
+    """inverse_imu's Newton iteration left a residual above tolerance."""
 
 
 _NEWTON_DELTAS = np.array([1e-7, 1e-7, 1e-7, 1e-5, 1e-5, 1e-5])
+_NEWTON_ITERATIONS = 8
 _NEWTON_TOL_ATT = 1e-13
 _NEWTON_TOL_VEL = 1e-12
 
@@ -471,8 +445,8 @@ def inverse_imu(
     C, v, r, t = truth.C_b_w, truth.v_wb_w, truth.r_w, truth.t
     n = len(t) - 1
     dts = np.diff(t)
-    batch = _BatchWFrame(earth, gravity_model, world)
-    omega_w = batch.omega
+    omega_w = earth_rate("w", earth, world)
+    r_off = world.C_e_w @ world.r_ew_e
 
     # Seed attitude rate from the earth-rate-compensated attitude increment.
     E = so3_exp(np.broadcast_to(omega_w, (n, 3)) * dts[:, None])
@@ -484,7 +458,7 @@ def inverse_imu(
     R_half = so3_exp(0.5 * om0 * dts[:, None])
     C_mid = E_half @ C[:-1] @ R_half
     v_mid = 0.5 * (v[:-1] + v[1:])
-    r_c_mid = 0.5 * (r[:-1] + r[1:]) + batch.r_off
+    r_c_mid = 0.5 * (r[:-1] + r[1:]) + r_off
     accel = (v[1:] - v[:-1]) / dts[:, None]
     f_w = (
         accel
@@ -495,24 +469,32 @@ def inverse_imu(
     f0 = np.einsum("nij,ni->nj", C_mid, f_w)
 
     u = np.concatenate([om0, f0], axis=1)
+    # Every interval's start as one stacked w-frame state, anchored at r[0].
+    starts = NavState(Frame.W, Grouping.TRADITIONAL, SE23(C[:-1], v[:-1], r[:-1] - r[0]), r[0])
 
     def residual(inputs: np.ndarray) -> np.ndarray:
-        C1, v1, _ = batch.rk4(C[:-1], v[:-1], r[:-1], inputs[:, 0:3], inputs[:, 3:6], dts)
-        Mres = np.einsum("nji,njk->nik", C1, C[1:])
+        imu = ImuSample(inputs[:, 0:3], inputs[:, 3:6], dts)
+        end = step(starts, imu, earth, gravity_model, world, method="rk4").x
+        Mres = np.einsum("nji,njk->nik", end.R, C[1:])
         res = np.empty((n, 6))
         res[:, 0] = 0.5 * (Mres[:, 2, 1] - Mres[:, 1, 2])
         res[:, 1] = 0.5 * (Mres[:, 0, 2] - Mres[:, 2, 0])
         res[:, 2] = 0.5 * (Mres[:, 1, 0] - Mres[:, 0, 1])
-        res[:, 3:6] = v1 - v[1:]
+        res[:, 3:6] = end.v - v[1:]
         return res
 
     res = residual(u)
-    for _ in range(8):
-        if (
-            np.abs(res[:, 0:3]).max() < _NEWTON_TOL_ATT
-            and np.abs(res[:, 3:6]).max() < _NEWTON_TOL_VEL
-        ):
+    for iteration in range(_NEWTON_ITERATIONS + 1):
+        att, vel = np.abs(res[:, 0:3]).max(axis=1), np.abs(res[:, 3:6]).max(axis=1)
+        if att.max() < _NEWTON_TOL_ATT and vel.max() < _NEWTON_TOL_VEL:
             break
+        if iteration == _NEWTON_ITERATIONS:
+            k = int(np.argmax(att if att.max() >= _NEWTON_TOL_ATT else vel))
+            raise NewtonNotConverged(
+                f"inverse_imu: Newton iteration did not converge in {_NEWTON_ITERATIONS} iterations; "
+                f"worst residual on the interval at t={t[k]:.3f} s "
+                f"(attitude {att[k]:.3e} rad, velocity {vel[k]:.3e} m/s)"
+            )
         J = np.empty((n, 6, 6))
         for j in range(6):
             up = u.copy()
@@ -520,8 +502,6 @@ def inverse_imu(
             J[:, :, j] = (residual(up) - res) / _NEWTON_DELTAS[j]
         u = u + np.linalg.solve(J, -res[:, :, None])[:, :, 0]
         res = residual(u)
-    else:
-        raise RuntimeError("inverse_imu Newton iteration failed to converge")
 
     return [ImuSample(u[k, 0:3].copy(), u[k, 3:6].copy(), float(dts[k])) for k in range(n)]
 

@@ -11,6 +11,7 @@ import sys
 import numpy as np
 import pytest
 
+from navkit import cli, simulate
 from navkit.cli import main
 
 HASH_LINE = re.compile(r"^# config_sha256=[0-9a-f]{64}$")
@@ -168,6 +169,22 @@ def test_gated_single_run_exits_0(tmp_path):
     assert len(rows_n) == 600
     assert any(r[10] == "0" for r in rows_e)  # the gate fired
     assert all(np.isfinite(float(r[1])) for r in rows_n)
+
+
+def test_inverse_imu_non_convergence_exits_3(tmp_path, cfg_file, capsys, monkeypatch):
+    monkeypatch.setattr(simulate, "_NEWTON_TOL_ATT", 0.0)
+    assert main(["simulate", "--config", cfg_file, "--out", str(tmp_path / "sim")]) == 3
+    err = capsys.readouterr().err
+    assert re.search(r"numerical failure: inverse_imu: Newton iteration did not converge .* t=\d+\.\d{3} s", err), err
+
+
+def test_runtime_error_is_not_a_numerical_failure(tmp_path, cfg_file, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("a bug, not a numerical failure")
+
+    monkeypatch.setattr(cli, "_run_lockstep", broken)
+    with pytest.raises(RuntimeError, match="a bug"):
+        main(["run", "--config", cfg_file, "--out", str(tmp_path / "out"), "--runs", "2"])
 
 
 def test_autonomy_output(tmp_path, cfg_file):

@@ -190,3 +190,7 @@ def test_stacked_gravitation_matches_scalar(earth, world):
     with pytest.raises(SingularRadius, match="element 5") as info:
         gravitation(np.vstack([r, np.zeros((1, 3))]), model, earth)
     assert info.value.element == 5
+    with pytest.raises(SingularRadius) as info:
+        gravitation(np.zeros(3), model, earth)
+    assert info.value.element is None
+    assert "element" not in str(info.value)

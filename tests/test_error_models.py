@@ -10,7 +10,6 @@ from navkit import (
     SE23,
     AutonomyClass,
     ErrorConvention,
-    ErrorState,
     Frame,
     FrameMismatch,
     Grouping,
@@ -19,7 +18,6 @@ from navkit import (
     SphericalGravity,
     TangentVector,
     UniformGravity,
-    WDecomposition,
     apply_correction,
     classify_autonomy,
     derivative,
@@ -345,12 +343,3 @@ def test_classify_autonomy(earth, world):
     assert classify_autonomy(w_for(Frame.W, Grouping.TRADITIONAL)) is AutonomyClass.WEAK
     assert classify_autonomy(w_for(Frame.I, Grouping.TRADITIONAL), include_input_errors=True) is AutonomyClass.APPROXIMATE
     assert classify_autonomy(w_for(Frame.E, Grouping.PROPOSED), include_gravity_error=True) is AutonomyClass.APPROXIMATE
-    w = w_for(Frame.E, Grouping.PROPOSED)
-    w_pert = WDecomposition(w.W1, w.W2, w.W3, w.W4, w.has_w34, dW1=np.full((5, 5), 1e-8))
-    assert classify_autonomy(w_pert) is AutonomyClass.APPROXIMATE
-
-
-def test_error_state_vector_layout():
-    xi = TangentVector(np.array([1.0, 2, 3]), np.array([4.0, 5, 6]), np.array([7.0, 8, 9]))
-    es = ErrorState(xi, np.array([10.0, 11, 12]), np.array([13.0, 14, 15]))
-    assert np.allclose(es.as_vector(), np.arange(1.0, 16.0))

@@ -226,6 +226,13 @@ def test_midpoint_attitude_exact_for_constant_rate(earth, world):
     assert np.abs(st.x.R - C0 @ so3_exp(omega * 1.0)).max() < 1e-12
 
 
+def _stacked_state(rng, frame, grouping, earth, world, n):
+    """n states of one anchored run, stacked along a leading axis."""
+    base = random_nav_state(rng, frame, grouping, earth, world)
+    states = [wander(base, rng) for _ in range(n)]
+    return replace(base, x=SE23(*(np.stack([getattr(st.x, c) for st in states]) for c in "Rvp")))
+
+
 def test_step_guards(earth, world):
     rng = np.random.default_rng(36)
     st = random_nav_state(rng, Frame.E, Grouping.TRADITIONAL, earth, world)
@@ -233,6 +240,31 @@ def test_step_guards(earth, world):
         step(st, ImuSample(np.zeros(3), np.zeros(3), 0.2), earth, SphericalGravity(), world)
     with pytest.raises(ValueError):
         step(st, ImuSample(np.zeros(3), np.zeros(3), 0.01), earth, SphericalGravity(), world, method="euler")
+    # One dt per element: a single element over the guard is enough.
+    stack = _stacked_state(rng, Frame.E, Grouping.TRADITIONAL, earth, world, 3)
+    zeros = np.zeros((3, 3))
+    with pytest.raises(ValueError, match="exceeds"):
+        step(stack, ImuSample(zeros, zeros, np.array([0.01, 0.2, 0.01])), earth, SphericalGravity(), world,
+             method="rk4")
+    # Midpoint takes one dt; at n=3 a (3,) dt would broadcast against the (3, 3) vectors unnoticed.
+    with pytest.raises(ValueError, match="rk4"):
+        step(stack, ImuSample(zeros, zeros, np.full(3, 0.01)), earth, SphericalGravity(), world)
+
+
+@pytest.mark.parametrize("frame,grouping", ALL_COMBOS)
+def test_rk4_dt_per_element_matches_one_element_stacks(frame, grouping, earth, world):
+    rng = np.random.default_rng(40)
+    n = 5
+    st = _stacked_state(rng, frame, grouping, earth, world, n)
+    om, f = rng.normal(scale=0.2, size=(n, 3)), rng.normal(scale=3.0, size=(n, 3))
+    dt = np.array([0.01, 0.01, 0.01, 0.01, 0.0037])  # the last grid interval is shorter
+    out = step(st, ImuSample(om, f, dt), earth, SphericalGravity(), world, method="rk4").x
+    for k in range(n):
+        one = replace(st, x=SE23(st.x.R[k : k + 1], st.x.v[k : k + 1], st.x.p[k : k + 1]))
+        ref = step(one, ImuSample(om[k : k + 1], f[k : k + 1], float(dt[k])), earth, SphericalGravity(), world,
+                   method="rk4").x
+        for a, b in ((out.R[k], ref.R[0]), (out.v[k], ref.v[0]), (out.p[k], ref.p[0])):
+            assert np.array_equal(a, b), k
 
 
 @pytest.mark.parametrize("frame", [Frame.I, Frame.E, Frame.W])

@@ -272,6 +272,10 @@ def test_stacked_errors_name_the_element():
     with pytest.raises(NotARotation, match="element 1") as info:
         so3_log(R)
     assert info.value.element == 1
+    with pytest.raises(NotARotation) as info:
+        so3_log(R[1])
+    assert info.value.element is None
+    assert "element" not in str(info.value)
     X = SE23(so3_exp(np.array([[0.0, 0.0, 0.1], [0.0, 0.0, np.pi - 1e-7]])), np.zeros((2, 3)), np.zeros((2, 3)))
     with pytest.raises(AngleAtPi, match="element 1") as info:
         se23_log(X)
