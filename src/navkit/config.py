@@ -181,18 +181,19 @@ _SENSOR_DEFAULTS = {
 def _resolve_sensors(raw, path):
     obj = _expect_obj(raw, path)
     _check_keys(obj, path, set(_SENSOR_DEFAULTS))
+    given = {**_SENSOR_DEFAULTS, **obj}
     out = {}
     for key in ("gyro_noise_psd", "accel_noise_psd", "gyro_bias_rw_psd", "accel_bias_rw_psd"):
-        out[key] = _expect_num(obj.get(key, _SENSOR_DEFAULTS[key]), f"{path}.{key}", minimum=0.0)
-    var = obj.get("odo_noise_var", _SENSOR_DEFAULTS["odo_noise_var"])
+        out[key] = _expect_num(given[key], f"{path}.{key}", minimum=0.0)
+    var = given["odo_noise_var"]
     if isinstance(var, list):
         out["odo_noise_var"] = _expect_vec(var, f"{path}.odo_noise_var", 3)
     else:
         out["odo_noise_var"] = _expect_num(var, f"{path}.odo_noise_var", minimum=0.0)
-    out["odo_rate"] = _expect_num(obj.get("odo_rate", 10.0), f"{path}.odo_rate", minimum=0.0)
-    out["gyro_bias"] = _expect_vec(obj.get("gyro_bias", [0.0] * 3), f"{path}.gyro_bias", 3)
-    out["accel_bias"] = _expect_vec(obj.get("accel_bias", [0.0] * 3), f"{path}.accel_bias", 3)
-    out["bias_known"] = _expect_bool(obj.get("bias_known", True), f"{path}.bias_known")
+    out["odo_rate"] = _expect_num(given["odo_rate"], f"{path}.odo_rate", minimum=0.0)
+    for key in ("gyro_bias", "accel_bias"):
+        out[key] = _expect_vec(given[key], f"{path}.{key}", 3)
+    out["bias_known"] = _expect_bool(given["bias_known"], f"{path}.bias_known")
     return out
 
 
@@ -210,14 +211,13 @@ _FILTER_DEFAULTS = {
 def _resolve_filter(raw, path):
     obj = _expect_obj(raw, path)
     _check_keys(obj, path, set(_FILTER_DEFAULTS))
+    given = {**_FILTER_DEFAULTS, **obj}
     out = {}
     for key in ("p0_att", "p0_vel", "p0_pos", "p0_gyro_bias", "p0_accel_bias"):
-        out[key] = _expect_num(obj.get(key, _FILTER_DEFAULTS[key]), f"{path}.{key}", minimum=0.0)
-    gate = obj.get("gate_sigma", None)
+        out[key] = _expect_num(given[key], f"{path}.{key}", minimum=0.0)
+    gate = given["gate_sigma"]
     out["gate_sigma"] = None if gate is None else _expect_num(gate, f"{path}.gate_sigma", minimum=0.0)
-    out["integrator"] = _expect_choice(
-        obj.get("integrator", "midpoint"), f"{path}.integrator", {"midpoint", "rk4"}
-    )
+    out["integrator"] = _expect_choice(given["integrator"], f"{path}.integrator", {"midpoint", "rk4"})
     return out
 
 

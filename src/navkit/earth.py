@@ -104,9 +104,9 @@ def earth_rate(frame: str, params: EarthParams, world: WorldFrameDef | None = No
 def _radius(r: np.ndarray) -> np.ndarray:
     """||r|| over the last axis, guarded against the earth center."""
     rn = np.sqrt(np.add.reduce(r * r, axis=-1))
-    if np.minimum.reduce(rn, axis=None) <= _MIN_RADIUS:
+    if not np.minimum.reduce(rn, axis=None) > _MIN_RADIUS:  # a NaN minimum fails too
         raise _domain_error(
-            SingularRadius, rn <= _MIN_RADIUS, r.ndim == 1,
+            SingularRadius, ~(rn > _MIN_RADIUS), r.ndim == 1,
             lambda i: f"radius {rn.flat[i]:.1f} m is inside the {_MIN_RADIUS:.0e} m guard",
         )
     return rn

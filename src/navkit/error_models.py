@@ -25,14 +25,7 @@ from enum import Enum
 
 import numpy as np
 
-from .earth import (
-    EarthParams,
-    GravityModel,
-    WorldFrameDef,
-    earth_rate,
-    gravitation,
-    gravitation_gradient,
-)
+from .earth import EarthParams, GravityModel, WorldFrameDef
 from .mechanization import (
     Frame,
     FrameMismatch,
@@ -40,6 +33,7 @@ from .mechanization import (
     ImuSample,
     NavState,
     WDecomposition,
+    _Dynamics,
     derivative,
 )
 from .se23 import SE23, TangentVector, matvec, se23_exp, se23_log, skew, transpose
@@ -188,28 +182,11 @@ def linearized_F_G(
     C = est.x.R
     v = est.x.v
     p = est.x.p
-    trad_rot = est.grouping is Grouping.TRADITIONAL and est.frame is not Frame.I
-
-    if est.frame is Frame.I:
-        omega = np.zeros(3)
-        r_center = est.r0 + p
-    else:
-        omega = earth_rate(est.frame.value, earth, world)
-        r_center = est.r0 + p
-        if est.frame is Frame.W:
-            r_center = world.C_e_w @ world.r_ew_e + r_center
-    Om = skew(omega)
-    gam = gravitation(r_center, gravity_model, earth)
-    Gamma = gravitation_gradient(r_center, gravity_model, earth)
-    if trad_rot:
-        u = gam - matvec(Om @ Om, r_center)  # gravity column
-        Gg = Gamma - Om @ Om
-    elif est.grouping is Grouping.PROPOSED and est.frame is not Frame.I:
-        u = gam - Om @ est.dv0
-        Gg = Gamma
-    else:
-        u = gam
-        Gg = Gamma
+    model = _Dynamics.of(est, earth, world, gravity_model)
+    r_center = model.r_base + p
+    u = model.column(r_center)
+    Gg = model.gradient(r_center)
+    Om = model.Om
 
     batch = C.shape[:-2]
     F = np.zeros(batch + (15, 15))
@@ -219,13 +196,14 @@ def linearized_F_G(
     if conv is ErrorConvention.RIGHT:
         S_p = skew(p)
         S_v = skew(v)
-        F[..., 0:3, 0:3] = -Om
         F[..., 3:6, 0:3] = skew(u) - Gg @ S_p
-        F[..., 3:6, 3:6] = -Om
         F[..., 3:6, 6:9] = Gg
         F[..., 6:9, 3:6] = I3
-        F[..., 6:9, 6:9] = -Om
-        if trad_rot:
+        if Om is not None:
+            F[..., 0:3, 0:3] = -Om
+            F[..., 3:6, 3:6] = -Om
+            F[..., 6:9, 6:9] = -Om
+        if model.fold:
             F[..., 3:6, 0:3] += S_v @ Om
             F[..., 3:6, 3:6] += -Om
             F[..., 6:9, 0:3] = -S_p @ Om
@@ -246,8 +224,8 @@ def linearized_F_G(
         F[..., 3:6, 6:9] = transpose(C) @ Gg @ C
         F[..., 6:9, 3:6] = I3
         F[..., 6:9, 6:9] = -Wb
-        if trad_rot:
-            Om_b = skew(matvec(transpose(C), omega))
+        if model.fold:
+            Om_b = skew(matvec(transpose(C), model.omega))
             F[..., 3:6, 3:6] += -Om_b
             F[..., 6:9, 6:9] += Om_b
         F[..., 0:3, 9:12] = -I3

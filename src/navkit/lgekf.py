@@ -29,9 +29,9 @@ from .error_models import (
 )
 from .mechanization import (
     Frame,
-    Grouping,
     ImuSample,
     NavState,
+    _Dynamics,
     body_velocity,
     step,
 )
@@ -210,13 +210,14 @@ def odo_H(
     omega = earth_rate(est.frame.value, earth, world)
     Om = skew(omega)
     Ct = transpose(C)
+    fold = _Dynamics.folds(est.frame, est.grouping)
 
     if conv is ErrorConvention.LEFT:
         H[..., 0:3] = skew(vb)
         H[..., 3:6] = -np.eye(3)
-        if not (est.frame is not Frame.I and est.grouping is Grouping.TRADITIONAL):
-            # i-frame and both proposed models carry the earth-rate fold on
-            # the position block; traditional rotating frames do not.
+        if not fold:
+            # The models without the Coriolis fold (i-frame and both
+            # proposed) carry the earth rate on the position block.
             H[..., 6:9] = skew(matvec(Ct, omega))
         return H, vb
 
@@ -225,10 +226,10 @@ def odo_H(
         r_ib = est.r0 + p
         H[..., 0:3] = Ct @ (skew(matvec(Om, r_ib)) - Om @ skew(p))
         H[..., 6:9] = Ct @ Om
-    elif est.grouping is Grouping.PROPOSED:
+    elif not fold:
         H[..., 0:3] = -Ct @ skew(p) @ Om
         H[..., 6:9] = Ct @ Om
-    # traditional e/w: attitude and position blocks stay zero.
+    # the fold models (traditional e/w): attitude and position blocks stay zero.
     return H, vb
 
 

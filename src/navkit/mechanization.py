@@ -10,6 +10,11 @@ two groupings of the state columns:
   the group-level differential equation.
 
 The position column always holds r - r0 (anchored at the initial position).
+_Dynamics is the one definition of a (frame, grouping) model: its earth
+rate, earth-centered base point, velocity anchor dv0, velocity equation,
+gravity column and gradient, and whether it keeps the Coriolis fold.
+step, derivative, the grouping conversions, error_models.linearized_F_G,
+lgekf.odo_H and simulate.inverse_imu all read it.
 step, frame_velocity and body_velocity run one batch-shaped path: a state's
 R, v and p may carry leading batch axes (one element per Monte-Carlo run or
 per interval, sharing the anchors r0/dv0), with inputs of matching shape,
@@ -22,6 +27,7 @@ the autonomy classification of the error dynamics.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -34,6 +40,7 @@ from .earth import (
     earth_rate,
     frame_transform,
     gravitation,
+    gravitation_gradient,
 )
 from .se23 import SE23, matvec, skew, so3_exp, transpose
 
@@ -108,35 +115,108 @@ class WDecomposition:
     has_w34: bool
 
 
-_HALF_EXP_CACHE: dict[bytes, np.ndarray] = {}
+class _Dynamics:
+    """One (frame, grouping) navigation model (see the module docstring).
+
+    omega is the frame's earth rate (None in i, which does not rotate),
+    Om and OmOm its skew matrix and that matrix squared; offset is the
+    frame origin seen from the earth center and r_base = offset + r0 the
+    earth-centered point the position column is measured from; fold marks
+    the models whose velocity column keeps the Coriolis fold W3 X W4; dv0
+    is the state's velocity anchor.  accel is the velocity equation;
+    column, its value at zero specific force and velocity, is W2's gravity
+    column.
+    """
+
+    __slots__ = ("fold", "dv0", "omega", "Om", "OmOm", "offset", "r_base", "earth", "gravity_model")
+
+    def __init__(self, frame, grouping, r0, earth, world=None, gravity_model=None, dv0=None):
+        self.fold = self.folds(frame, grouping)
+        self.dv0 = dv0
+        self.earth = earth
+        self.gravity_model = gravity_model
+        if frame is Frame.I:
+            self.omega = self.Om = self.OmOm = None
+        else:
+            self.omega = earth_rate(frame.value, earth, world)
+            self.Om = skew(self.omega)
+            self.OmOm = self.Om @ self.Om
+        self.offset = world.C_e_w @ world.r_ew_e if frame is Frame.W else 0.0
+        self.r_base = self.offset + r0
+
+    @classmethod
+    def of(cls, state, earth, world=None, gravity_model=None):
+        return cls(state.frame, state.grouping, state.r0, earth, world, gravity_model, state.dv0)
+
+    @staticmethod
+    def folds(frame, grouping) -> bool:
+        """The traditional grouping in a rotating frame keeps the fold."""
+        return grouping is Grouping.TRADITIONAL and frame is not Frame.I
+
+    def cross(self, x):
+        """omega x x, for x with or without leading batch axes."""
+        return matvec(self.Om, x)
+
+    def anchor(self, r):
+        """dv0 of a proposed state anchored at frame position r: omega x (offset + r)."""
+        if self.omega is None:
+            return np.zeros(3)
+        return np.cross(self.omega, self.offset + r)
+
+    def column(self, r_center):
+        """Gravity column of W2 at earth-centered positions r_center:
+        gamma - Om^2 r with the fold, gamma - Om dv0 in a rotating frame
+        without it, gamma in i."""
+        gam = gravitation(r_center, self.gravity_model, self.earth)
+        if self.omega is None:
+            return gam
+        if self.fold:
+            return gam - matvec(self.OmOm, r_center)
+        return gam - self.cross(self.dv0)
+
+    def accel(self, f_f, r_center, v):
+        """Rate of the velocity column v at specific force f_f (frame axes):
+        f_f plus the gravity column minus the Coriolis term (2 Om v with the
+        fold, Om v without); at f_f = 0, v = 0 it is the column."""
+        if self.omega is not None and not self.fold:
+            # -Om dv0 of the column and -Om v share one product.
+            return f_f + gravitation(r_center, self.gravity_model, self.earth) - self.cross(v + self.dv0)
+        a = f_f + self.column(r_center)
+        return a - 2.0 * self.cross(v) if self.fold else a
+
+    def gradient(self, r_center):
+        """Jacobian of the gravity column with respect to the position."""
+        Gamma = gravitation_gradient(r_center, self.gravity_model, self.earth)
+        return Gamma - self.OmOm if self.fold else Gamma
+
+    def half_exp(self, dt):
+        """exp(-dt/2 (omega x)) in closed form from Om and OmOm:
+        I - sin(a)/w Om + 2 sin^2(a/2)/w^2 Om^2 with w = |omega|, a = w dt/2."""
+        h = 0.5 * dt
+        w = math.sqrt(-0.5 * (self.OmOm[0, 0] + self.OmOm[1, 1] + self.OmOm[2, 2]))  # tr(Om^2) = -2 w^2
+        s = _sinc(h * w) * h
+        s2 = _sinc(0.5 * h * w) * h
+        return _I3 - s * self.Om + (0.5 * s2 * s2) * self.OmOm
+
+    def rates(self, C, v, p, W_b, f_b):
+        """Component right-hand side at (C, v, p); W_b = skew(omega_ib_b)."""
+        dC = C @ W_b
+        if self.Om is not None:
+            dC = dC - self.Om @ C
+        return (dC, *self.vel_pos_rates(C, v, p, f_b))
+
+    def vel_pos_rates(self, C, v, p, f_b):
+        dv = self.accel(matvec(C, f_b), self.r_base + p, v)
+        if self.omega is None or self.fold:
+            return dv, v
+        return dv, v - self.cross(p)
 
 
-def _cached_half_exp(omega: np.ndarray, dt: float) -> np.ndarray:
-    """exp(-dt/2 (omega x)) memoized; the earth rate repeats every step."""
-    key = omega.tobytes() + np.float64(dt).tobytes()
-    out = _HALF_EXP_CACHE.get(key)
-    if out is None:
-        if len(_HALF_EXP_CACHE) > 64:
-            _HALF_EXP_CACHE.clear()
-        out = so3_exp(-0.5 * dt * omega)
-        _HALF_EXP_CACHE[key] = out
-    return out
+_I3 = np.eye(3)
 
 
-def _conversion_rate(frame: Frame, earth: EarthParams, world: WorldFrameDef | None) -> np.ndarray:
-    """Earth rate used in v_ib = v_frame + omega x r relations (zero in i)."""
-    if frame is Frame.I:
-        return np.zeros(3)
-    return earth_rate(frame.value, earth, world)
-
-
-def _earth_center_offset(frame: Frame, world: WorldFrameDef | None) -> np.ndarray:
-    """Vector from earth center to the frame origin, frame coords."""
-    if frame is Frame.W:
-        if world is None:
-            raise ValueError("w-frame mechanization needs a WorldFrameDef")
-        return world.C_e_w @ world.r_ew_e
-    return np.zeros(3)
+def _sinc(x: float) -> float:
+    return math.sin(x) / x if x else 1.0
 
 
 def make_nav_state(
@@ -159,8 +239,7 @@ def make_nav_state(
     r = np.asarray(r, dtype=float)
     if grouping is Grouping.TRADITIONAL:
         return NavState(frame, grouping, SE23(C_b_f, v.copy(), np.zeros(3)), r.copy())
-    omega = _conversion_rate(frame, earth, world)
-    dv0 = np.cross(omega, _earth_center_offset(frame, world) + r)
+    dv0 = _Dynamics(frame, grouping, r, earth, world).anchor(r)
     # v_ib(0) - dv0 reduces exactly to the frame velocity at the anchor
     return NavState(frame, grouping, SE23(C_b_f, v.copy(), np.zeros(3)), r.copy(), dv0)
 
@@ -169,9 +248,11 @@ def frame_velocity(state: NavState, earth: EarthParams, world: WorldFrameDef | N
     """Conventional frame velocity (v_ib^i / v_eb^e / v_wb^w) of the state."""
     if state.grouping is Grouping.TRADITIONAL:
         return state.x.v.copy()
-    omega = _conversion_rate(state.frame, earth, world)
-    r_center = _earth_center_offset(state.frame, world) + state.r0 + state.x.p
-    return state.x.v + state.dv0 - matvec(skew(omega), r_center)
+    model = _Dynamics.of(state, earth, world)
+    v = state.x.v + state.dv0
+    if model.omega is None:
+        return v
+    return v - model.cross(model.r_base + state.x.p)
 
 
 def body_velocity(state: NavState, earth: EarthParams, world: WorldFrameDef | None = None) -> np.ndarray:
@@ -183,49 +264,6 @@ def body_velocity(state: NavState, earth: EarthParams, world: WorldFrameDef | No
     return matvec(transpose(state.x.R), v)
 
 
-class _Dynamics:
-    """The parts of a model's component ODE that stay fixed over a step:
-    the frame's earth rate (None in i), its skew matrix, and the
-    earth-centered point the position column is measured from."""
-
-    __slots__ = ("trad", "dv0", "omega", "Om", "OmOm", "r_base", "earth", "gravity_model")
-
-    def __init__(self, state, earth, gravity_model, world):
-        self.trad = state.grouping is Grouping.TRADITIONAL
-        self.dv0 = state.dv0
-        self.earth = earth
-        self.gravity_model = gravity_model
-        if state.frame is Frame.I:
-            self.omega = self.Om = self.OmOm = None
-            self.r_base = state.r0
-        else:
-            self.omega = earth_rate(state.frame.value, earth, world)
-            self.Om = skew(self.omega)
-            self.OmOm = self.Om @ self.Om
-            self.r_base = _earth_center_offset(state.frame, world) + state.r0
-
-    def cross(self, x):
-        """omega x x, for x with or without leading batch axes."""
-        return matvec(self.Om, x)
-
-    def rates(self, C, v, p, W_b, f_b):
-        """Component right-hand side at (C, v, p); W_b = skew(omega_ib_b)."""
-        dC = C @ W_b
-        if self.Om is not None:
-            dC = dC - self.Om @ C
-        return (dC, *self.vel_pos_rates(C, v, p, f_b))
-
-    def vel_pos_rates(self, C, v, p, f_b):
-        f_f = matvec(C, f_b)
-        r_center = self.r_base + p
-        gam = gravitation(r_center, self.gravity_model, self.earth)
-        if self.omega is None:
-            return f_f + gam, v
-        if self.trad:
-            return f_f + (gam - matvec(self.OmOm, r_center)) - 2.0 * self.cross(v), v
-        return f_f + gam - self.cross(v + self.dv0), v - self.cross(p)
-
-
 def derivative(
     state: NavState,
     imu: ImuSample,
@@ -234,6 +272,7 @@ def derivative(
     world: WorldFrameDef | None = None,
 ) -> tuple[np.ndarray, WDecomposition]:
     """dX/dt as a dense 5x5 matrix together with its W-decomposition."""
+    model = _Dynamics.of(state, earth, world, gravity_model)
     W1 = np.zeros((5, 5))
     W1[0:3, 0:3] = skew(imu.omega_ib_b)
     W1[0:3, 3] = imu.f_ib_b
@@ -241,32 +280,21 @@ def derivative(
 
     W2 = np.zeros((5, 5))
     W2[3, 4] = -1.0
+    W2[0:3, 3] = model.column(model.r_base + state.x.p)
     W3 = np.zeros((5, 5))
     W4 = np.zeros((5, 5))
-    has_w34 = False
-
-    if state.frame is Frame.I:
-        gam = gravitation(state.r0 + state.x.p, gravity_model, earth)
-        W2[0:3, 3] = gam
-    else:
-        omega = earth_rate(state.frame.value, earth, world)
-        r_center = _earth_center_offset(state.frame, world) + state.r0 + state.x.p
-        gam = gravitation(r_center, gravity_model, earth)
-        W2[0:3, 0:3] = -skew(omega)
-        if state.grouping is Grouping.TRADITIONAL:
-            W2[0:3, 3] = gam - np.cross(omega, np.cross(omega, r_center))
-            W3[0:3, 0:3] = -skew(omega)
-            W4[3, 3] = 1.0
-            W4[4, 4] = -1.0
-            has_w34 = True
-        else:
-            W2[0:3, 3] = gam - np.cross(omega, state.dv0)
+    if model.Om is not None:
+        W2[0:3, 0:3] = -model.Om
+    if model.fold:
+        W3[0:3, 0:3] = -model.Om
+        W4[3, 3] = 1.0
+        W4[4, 4] = -1.0
 
     X = state.x.as_matrix()
     dX = X @ W1 + W2 @ X
-    if has_w34:
+    if model.fold:
         dX = dX + W3 @ X @ W4
-    return dX, WDecomposition(W1, W2, W3, W4, has_w34)
+    return dX, WDecomposition(W1, W2, W3, W4, model.fold)
 
 
 def step(
@@ -298,7 +326,7 @@ def step(
     C, v, p = state.x.R, state.x.v, state.x.p
     om_b = np.asarray(imu.omega_ib_b, dtype=float)
     f_b = np.asarray(imu.f_ib_b, dtype=float)
-    dyn = _Dynamics(state, earth, gravity_model, world)
+    dyn = _Dynamics.of(state, earth, world, gravity_model)
 
     if method == "rk4":
         W_b = skew(om_b)
@@ -320,7 +348,7 @@ def step(
         C_mid = C @ body_half
         C_end = C_mid @ body_half
     else:
-        left_half = _cached_half_exp(dyn.omega, dt)
+        left_half = dyn.half_exp(dt)
         C_mid = left_half @ C @ body_half
         C_end = left_half @ C_mid @ body_half
 
@@ -335,20 +363,20 @@ def to_proposed(state: NavState, earth: EarthParams, world: WorldFrameDef | None
     """Regroup a traditional state into the proposed inertial-velocity form."""
     if state.grouping is not Grouping.TRADITIONAL or np.any(state.dv0 != 0.0):
         raise FrameMismatch("to_proposed expects a traditional state with zero dv0")
-    omega = _conversion_rate(state.frame, earth, world)
-    r_center0 = _earth_center_offset(state.frame, world) + state.r0
-    dv0 = np.cross(omega, r_center0)
-    v_prop = state.x.v + np.cross(omega, state.x.p)
-    return NavState(state.frame, Grouping.PROPOSED, SE23(state.x.R, v_prop, state.x.p.copy()), state.r0.copy(), dv0)
+    model = _Dynamics.of(state, earth, world)
+    v_prop = state.x.v if model.omega is None else state.x.v + model.cross(state.x.p)
+    x = SE23(state.x.R, v_prop.copy(), state.x.p.copy())
+    return NavState(state.frame, Grouping.PROPOSED, x, state.r0.copy(), model.anchor(state.r0))
 
 
 def from_proposed(state: NavState, earth: EarthParams, world: WorldFrameDef | None = None) -> NavState:
     """Inverse of to_proposed."""
     if state.grouping is not Grouping.PROPOSED:
         raise FrameMismatch("from_proposed expects a proposed-grouping state")
-    omega = _conversion_rate(state.frame, earth, world)
-    v_trad = state.x.v - np.cross(omega, state.x.p)
-    return NavState(state.frame, Grouping.TRADITIONAL, SE23(state.x.R, v_trad, state.x.p.copy()), state.r0.copy())
+    model = _Dynamics.of(state, earth, world)
+    v_trad = state.x.v if model.omega is None else state.x.v - model.cross(state.x.p)
+    x = SE23(state.x.R, v_trad.copy(), state.x.p.copy())
+    return NavState(state.frame, Grouping.TRADITIONAL, x, state.r0.copy())
 
 
 def physical_from_nav(
@@ -414,10 +442,7 @@ def nav_from_physical(
     p = r_f - r0
     if grouping is Grouping.TRADITIONAL:
         return NavState(frame, grouping, SE23(C_f, v_f, p), r0.copy())
-    omega = _conversion_rate(frame, earth, world)
-    r_center = _earth_center_offset(frame, world) + r_f
-    v_ib = v_f + np.cross(omega, r_center)
-    if dv0 is None:
-        dv0 = np.cross(omega, _earth_center_offset(frame, world) + r0)
-    dv0 = np.asarray(dv0, dtype=float)
+    model = _Dynamics(frame, grouping, r0, earth, world)
+    v_ib = v_f + model.anchor(r_f)
+    dv0 = model.anchor(r0) if dv0 is None else np.asarray(dv0, dtype=float)
     return NavState(frame, grouping, SE23(C_f, v_ib - dv0, p), r0.copy(), dv0.copy())

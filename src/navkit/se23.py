@@ -111,7 +111,9 @@ def unskew(W: np.ndarray) -> np.ndarray:
 
 def _check_rotation(R: np.ndarray) -> None:
     defect = np.linalg.norm(transpose(R) @ R - _I3, axis=(-2, -1))
-    bad = (defect > _ORTHO_TOL) | (np.linalg.det(R) < 0.0)
+    bad = ~(defect <= _ORTHO_TOL)  # a NaN defect fails too
+    if not bad.any():
+        bad = np.linalg.det(R) < 0.0
     if bad.any():
         raise _domain_error(
             NotARotation, bad, R.ndim == 2,

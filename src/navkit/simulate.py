@@ -31,8 +31,6 @@ from .earth import (
     GravityModel,
     SphericalGravity,
     WorldFrameDef,
-    earth_rate,
-    gravitation,
     ned_world,
 )
 from .error_models import (
@@ -50,6 +48,7 @@ from .mechanization import (
     Grouping,
     ImuSample,
     NavState,
+    _Dynamics,
     derivative,
     nav_from_physical,
     physical_from_nav,
@@ -226,9 +225,10 @@ class _Profile:
     def _seg_index(self, t: np.ndarray) -> np.ndarray:
         return np.clip(np.searchsorted(self.edges, t, side="right") - 1, 0, len(self.values) - 1)
 
-    def value(self, t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        out = self.values[self._seg_index(t)].astype(float)
+    def _blends(self, t: np.ndarray):
+        """(mask, x, a, c - a, b, w) for each blend window holding some of t:
+        the boundary b, its half-width w, the values a and c either side of
+        it, and x in (0, 1), the place of t[mask] across the window."""
         for j, w in enumerate(self.windows):
             a, c = self.values[j], self.values[j + 1]
             if a == c:
@@ -236,22 +236,20 @@ class _Profile:
             b = self.edges[j + 1]
             mask = (t > b - w) & (t < b + w)
             if np.any(mask):
-                x = (t[mask] - (b - w)) / (2.0 * w)
-                out[mask] = a + (c - a) * _smoothstep(x)
+                yield mask, (t[mask] - (b - w)) / (2.0 * w), a, c - a, b, w
+
+    def value(self, t: np.ndarray) -> np.ndarray:
+        t = np.asarray(t, dtype=float)
+        out = self.values[self._seg_index(t)].astype(float)
+        for mask, x, a, jump, _, _ in self._blends(t):
+            out[mask] = a + jump * _smoothstep(x)
         return out
 
     def derivative(self, t: np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=float)
         out = np.zeros_like(t)
-        for j, w in enumerate(self.windows):
-            a, c = self.values[j], self.values[j + 1]
-            if a == c:
-                continue
-            b = self.edges[j + 1]
-            mask = (t > b - w) & (t < b + w)
-            if np.any(mask):
-                x = (t[mask] - (b - w)) / (2.0 * w)
-                out[mask] = (c - a) * _smoothstep_deriv(x) / (2.0 * w)
+        for mask, x, _, jump, _, w in self._blends(t):
+            out[mask] = jump * _smoothstep_deriv(x) / (2.0 * w)
         return out
 
     def integral(self, t: np.ndarray) -> np.ndarray:
@@ -259,17 +257,8 @@ class _Profile:
         t = np.asarray(t, dtype=float)
         idx = self._seg_index(t)
         out = self._cum[idx] + self.values[idx] * (t - self.edges[idx])
-        for j, w in enumerate(self.windows):
-            a, c = self.values[j], self.values[j + 1]
-            if a == c:
-                continue
-            b = self.edges[j + 1]
-            mask = (t > b - w) & (t < b + w)
-            if np.any(mask):
-                tm = t[mask]
-                x = (tm - (b - w)) / (2.0 * w)
-                corr = (c - a) * (2.0 * w * _smoothstep_integral(x) - np.maximum(tm - b, 0.0))
-                out[mask] = out[mask] + corr
+        for mask, x, _, jump, b, w in self._blends(t):
+            out[mask] = out[mask] + jump * (2.0 * w * _smoothstep_integral(x) - np.maximum(t[mask] - b, 0.0))
         return out
 
 
@@ -445,32 +434,26 @@ def inverse_imu(
     C, v, r, t = truth.C_b_w, truth.v_wb_w, truth.r_w, truth.t
     n = len(t) - 1
     dts = np.diff(t)
-    omega_w = earth_rate("w", earth, world)
-    r_off = world.C_e_w @ world.r_ew_e
+    # Every interval's start as one stacked w-frame state, anchored at r[0].
+    starts = NavState(Frame.W, Grouping.TRADITIONAL, SE23(C[:-1], v[:-1], r[:-1] - r[0]), r[0])
+    model = _Dynamics.of(starts, earth, world, gravity_model)
 
     # Seed attitude rate from the earth-rate-compensated attitude increment.
-    E = so3_exp(np.broadcast_to(omega_w, (n, 3)) * dts[:, None])
+    E = so3_exp(model.omega * dts[:, None])
     M = np.einsum("nji,njk,nkl->nil", C[:-1], E, C[1:])
     om0 = so3_log(M) / dts[:, None]
 
-    # Seed specific force from midpoint finite differences.
-    E_half = so3_exp(np.broadcast_to(-omega_w, (n, 3)) * (0.5 * dts[:, None]))
+    # Seed specific force: the one whose velocity rate at the interval's
+    # midpoint matches the finite-difference acceleration.
+    E_half = so3_exp(-model.omega * (0.5 * dts[:, None]))
     R_half = so3_exp(0.5 * om0 * dts[:, None])
     C_mid = E_half @ C[:-1] @ R_half
     v_mid = 0.5 * (v[:-1] + v[1:])
-    r_c_mid = 0.5 * (r[:-1] + r[1:]) + r_off
     accel = (v[1:] - v[:-1]) / dts[:, None]
-    f_w = (
-        accel
-        + 2.0 * np.cross(omega_w, v_mid)
-        - gravitation(r_c_mid, gravity_model, earth)
-        + np.cross(omega_w, np.cross(omega_w, r_c_mid))
-    )
+    f_w = accel - model.accel(0.0, model.offset + 0.5 * (r[:-1] + r[1:]), v_mid)
     f0 = np.einsum("nij,ni->nj", C_mid, f_w)
 
     u = np.concatenate([om0, f0], axis=1)
-    # Every interval's start as one stacked w-frame state, anchored at r[0].
-    starts = NavState(Frame.W, Grouping.TRADITIONAL, SE23(C[:-1], v[:-1], r[:-1] - r[0]), r[0])
 
     def residual(inputs: np.ndarray) -> np.ndarray:
         imu = ImuSample(inputs[:, 0:3], inputs[:, 3:6], dts)

@@ -194,3 +194,11 @@ def test_stacked_gravitation_matches_scalar(earth, world):
         gravitation(np.zeros(3), model, earth)
     assert info.value.element is None
     assert "element" not in str(info.value)
+    # NaN fails the radius guard too, single and stacked, for both kernels.
+    for kernel in (gravitation, gravitation_gradient):
+        with pytest.raises(SingularRadius) as info:
+            kernel(np.full(3, np.nan), model, earth)
+        assert info.value.element is None
+        with pytest.raises(SingularRadius, match="element 3") as info:
+            kernel(np.vstack([r[:3], [np.nan, 0.0, 0.0], r[3:]]), model, earth)
+        assert info.value.element == 3

@@ -30,6 +30,7 @@ from navkit import (
     step,
     to_proposed,
 )
+from navkit.mechanization import _Dynamics
 from conftest import random_nav_state, random_rotation
 
 ALL_COMBOS = [
@@ -215,15 +216,31 @@ def test_midpoint_second_order(earth, world):
 
 
 def test_midpoint_attitude_exact_for_constant_rate(earth, world):
-    # Constant body rate in the i-frame: the discrete attitude equals the
-    # single closed-form exponential no matter how the interval is split.
+    # Constant body rate: the discrete attitude equals the closed form
+    # exp(-T omega_frame x) C0 exp(T omega_b x) no matter how the interval
+    # is split, in every frame and grouping (the i-frame does not rotate).
     model = UniformGravity(np.zeros(3))
     omega = np.array([0.3, -0.2, 0.5])
     C0 = random_rotation(np.random.default_rng(35))
-    st = make_nav_state(Frame.I, Grouping.TRADITIONAL, C0, np.zeros(3), np.zeros(3), earth)
-    for _ in range(400):
-        st = step(st, ImuSample(omega, np.zeros(3), 0.0025), earth, model, method="midpoint")
-    assert np.abs(st.x.R - C0 @ so3_exp(omega * 1.0)).max() < 1e-12
+    for frame, grouping in ALL_COMBOS:
+        st = make_nav_state(frame, grouping, C0, np.zeros(3), np.zeros(3), earth, world)
+        for _ in range(400):
+            st = step(st, ImuSample(omega, np.zeros(3), 0.0025), earth, model, world, method="midpoint")
+        omega_frame = np.zeros(3) if frame is Frame.I else earth_rate(frame.value, earth, world)
+        expected = so3_exp(-1.0 * omega_frame) @ C0 @ so3_exp(omega * 1.0)
+        assert np.abs(st.x.R - expected).max() < 1e-12, (frame, grouping)
+
+
+def test_gravity_column_is_the_velocity_rate_at_rest(earth, world):
+    # Every model's velocity equation at zero specific force and zero
+    # velocity is its W2 gravity column, over a stack of positions too.
+    rng = np.random.default_rng(41)
+    for frame, grouping in ALL_COMBOS:
+        st = random_nav_state(rng, frame, grouping, earth, world)
+        model = _Dynamics.of(st, earth, world, SphericalGravity())
+        r = model.r_base + rng.normal(scale=200.0, size=(4, 3))
+        rest = model.accel(np.zeros((4, 3)), r, np.zeros((4, 3)))
+        assert np.array_equal(rest, model.column(r)), (frame, grouping)
 
 
 def _stacked_state(rng, frame, grouping, earth, world, n):

@@ -276,6 +276,13 @@ def test_stacked_errors_name_the_element():
         so3_log(R[1])
     assert info.value.element is None
     assert "element" not in str(info.value)
+    # NaN fails the test too, single and stacked.
+    with pytest.raises(NotARotation) as info:
+        so3_log(np.full((3, 3), np.nan))
+    assert info.value.element is None
+    with pytest.raises(NotARotation, match="element 2") as info:
+        so3_log(np.stack([R[0], R[0], np.full((3, 3), np.nan)]))
+    assert info.value.element == 2
     X = SE23(so3_exp(np.array([[0.0, 0.0, 0.1], [0.0, 0.0, np.pi - 1e-7]])), np.zeros((2, 3)), np.zeros((2, 3)))
     with pytest.raises(AngleAtPi, match="element 1") as info:
         se23_log(X)
