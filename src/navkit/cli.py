@@ -249,11 +249,15 @@ def cmd_autonomy(resolved, out_dir):
 def cmd_compare(resolved, out_dir):
     base = build_run_config(resolved)
     h = config_hash(resolved)
+    # The four cells differ only in the filter model: they share one truth.
+    world = ned_world(base.origin_e, base.earth)
+    truth = gen_truth(base.traj, base.earth, base.gravity, world)
+    imu_true = inverse_imu(truth, base.earth, base.gravity, world)
     rows = []
     for grouping in (Grouping.TRADITIONAL, Grouping.PROPOSED):
         for conv in (ErrorConvention.LEFT, ErrorConvention.RIGHT):
             cfg = replace(base, grouping=grouping, convention=conv)
-            mc = _run_lockstep(cfg, range(cfg.n_runs))
+            mc = _run_lockstep(cfg, range(cfg.n_runs), truth, imu_true)
             rows.append(
                 [
                     f"{grouping.value}-{base.frame.value}",

@@ -25,15 +25,14 @@ from enum import Enum
 
 import numpy as np
 
-from .earth import EarthParams, GravityModel, WorldFrameDef
 from .mechanization import (
     Frame,
     FrameMismatch,
     Grouping,
     ImuSample,
+    NavModel,
     NavState,
     WDecomposition,
-    _Dynamics,
     derivative,
 )
 from .se23 import SE23, TangentVector, matvec, se23_exp, se23_log, skew, transpose
@@ -123,12 +122,11 @@ def exact_error_derivative(
     est: NavState,
     imu_true: ImuSample,
     imu_meas: ImuSample,
-    earth: EarthParams,
-    gravity_model: GravityModel,
-    world: WorldFrameDef | None,
+    model: NavModel,
     conv: ErrorConvention,
 ) -> np.ndarray:
-    """d(eta)/dt as a 5x5 matrix along twin true/estimated trajectories.
+    """d(eta)/dt as a 5x5 matrix along twin true/estimated trajectories
+    that share their anchors and so their model.
 
     Right:  W2 eta - eta W2~ - eta (X~ dW1 X~^-1) + (W3 eta - eta W3) X~ W4 X~^-1
     Left:   eta W1 - W1~ eta - (X~^-1 dW2 X~) eta + (X~^-1 W3 X~)(eta W4 - W4 eta)
@@ -137,8 +135,8 @@ def exact_error_derivative(
     dependence), each W evaluated along its own trajectory.
     """
     _check_compatible(true, est)
-    _, w_true = derivative(true, imu_true, earth, gravity_model, world)
-    _, w_est = derivative(est, imu_meas, earth, gravity_model, world)
+    _, w_true = derivative(true, imu_true, model)
+    _, w_est = derivative(est, imu_meas, model)
     E = eta.as_matrix()
     Xe = est.x.as_matrix()
     Xe_inv = est.x.inverse().as_matrix()
@@ -161,13 +159,7 @@ _I3 = np.eye(3)
 
 
 def linearized_F_G(
-    variant: ModelVariant,
-    conv: ErrorConvention,
-    est: NavState,
-    imu: ImuSample,
-    earth: EarthParams,
-    gravity_model: GravityModel,
-    world: WorldFrameDef | None = None,
+    conv: ErrorConvention, est: NavState, imu: ImuSample, model: NavModel
 ) -> tuple[np.ndarray, np.ndarray]:
     """First-order error model: 15x15 F and 15x6 white-noise input G.
 
@@ -175,14 +167,12 @@ def linearized_F_G(
     imu is the current bias-corrected sample (the left-convention blocks
     need it; the right-convention ones do not). Biases are random walks
     (zero F rows); the gravity perturbation enters through the gravitation
-    gradient at the estimated position.
+    gradient at the estimated position, under the state's model.
     """
-    if variant.frame is not est.frame or variant.grouping is not est.grouping:
-        raise FrameMismatch(f"variant {variant.name} does not match the state")
+    model.check(est)
     C = est.x.R
     v = est.x.v
     p = est.x.p
-    model = _Dynamics.of(est, earth, world, gravity_model)
     r_center = model.r_base + p
     u = model.column(r_center)
     Gg = model.gradient(r_center)

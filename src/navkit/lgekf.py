@@ -20,21 +20,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .earth import EarthParams, GravityModel, WorldFrameDef, earth_rate
-from .error_models import (
-    ErrorConvention,
-    ModelVariant,
-    apply_correction,
-    linearized_F_G,
-)
-from .mechanization import (
-    Frame,
-    ImuSample,
-    NavState,
-    _Dynamics,
-    body_velocity,
-    step,
-)
+from .error_models import ErrorConvention, apply_correction, linearized_F_G
+from .mechanization import Frame, ImuSample, NavModel, NavState, step
 from .se23 import SE23, TangentVector, matvec, skew, transpose
 
 __all__ = [
@@ -112,6 +99,8 @@ class OdoSample:
 class FilterState:
     """Estimate, bias estimates and the 15x15 error covariance.
 
+    model is the navigation model of nav's frame, grouping and anchors,
+    built once for the filter (or the batch) and read by predict and fuse.
     For a lock-step batch the arrays carry a leading run axis and runs
     holds the Monte-Carlo run index of each element (error messages name
     it); a single filter leaves runs as None.
@@ -122,7 +111,7 @@ class FilterState:
     bias_a: np.ndarray
     P: np.ndarray
     conv: ErrorConvention
-    variant: ModelVariant
+    model: NavModel
     t: float = 0.0
     runs: tuple | None = None
 
@@ -155,24 +144,17 @@ def check_covariance(P: np.ndarray, runs: tuple | None = None) -> None:
         )
 
 
-def predict(
-    fs: FilterState,
-    imu: ImuSample,
-    noise: NoiseConfig,
-    earth: EarthParams,
-    gravity_model: GravityModel,
-    world: WorldFrameDef | None = None,
-    method: str = "midpoint",
-) -> FilterState:
+def predict(fs: FilterState, imu: ImuSample, noise: NoiseConfig, method: str = "midpoint") -> FilterState:
     """One strapdown + covariance propagation step over imu.dt (for a
-    batch, imu holds one sample per run)."""
+    batch, imu holds one sample per run); the linearization and the step
+    share the filter's model."""
     corrected = ImuSample(
         np.asarray(imu.omega_ib_b, dtype=float) - fs.bias_g,
         np.asarray(imu.f_ib_b, dtype=float) - fs.bias_a,
         imu.dt,
     )
-    F, G = linearized_F_G(fs.variant, fs.conv, fs.nav, corrected, earth, gravity_model, world)
-    nav = step(fs.nav, corrected, earth, gravity_model, world, method=method)
+    F, G = linearized_F_G(fs.conv, fs.nav, corrected, fs.model)
+    nav = step(fs.nav, corrected, fs.model, method=method)
 
     # Qd = dt/2 (Phi M Phi^T + M) with M = G Q G^T, folded into one sandwich:
     # P+ = Phi (P + dt/2 M) Phi^T + dt/2 M + bias random walks.
@@ -182,7 +164,7 @@ def predict(
     half_M = (0.5 * dt) * ((G * np.diagonal(noise.input_psd())) @ transpose(G))
     P = Phi @ (fs.P + half_M) @ transpose(Phi) + (half_M + noise.bias_walk_psd() * dt)
     P = 0.5 * (P + transpose(P))
-    return FilterState(nav, fs.bias_g, fs.bias_a, P, fs.conv, fs.variant, fs.t + dt, fs.runs)
+    return FilterState(nav, fs.bias_g, fs.bias_a, P, fs.conv, fs.model, fs.t + dt, fs.runs)
 
 
 _I15 = np.eye(15)
@@ -190,27 +172,21 @@ _GYRO_BIAS = np.arange(9, 12)
 _ACCEL_BIAS = np.arange(12, 15)
 
 
-def odo_H(
-    variant: ModelVariant,
-    conv: ErrorConvention,
-    est: NavState,
-    earth: EarthParams,
-    world: WorldFrameDef | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+def odo_H(conv: ErrorConvention, est: NavState, model: NavModel) -> tuple[np.ndarray, np.ndarray]:
     """Measurement matrix and predicted body velocity for the odometer.
 
     Returns (H, v_ins_b) where the innovation is v_ins_b - z.v_odo_b and
     H maps the 15-dim error vector to that innovation to first order. The
     bias columns are zero.
     """
+    model.check(est)
     C = est.x.R
     p = est.x.p
-    vb = body_velocity(est, earth, world)
+    vb = model.body_velocity(est.x)
     H = np.zeros(C.shape[:-2] + (3, 15))
-    omega = earth_rate(est.frame.value, earth, world)
-    Om = skew(omega)
+    omega, Om = model.earth_omega, model.earth_Om
     Ct = transpose(C)
-    fold = _Dynamics.folds(est.frame, est.grouping)
+    fold = model.fold
 
     if conv is ErrorConvention.LEFT:
         H[..., 0:3] = skew(vb)
@@ -237,9 +213,6 @@ def update(
     fs: FilterState,
     z: OdoSample,
     noise: NoiseConfig,
-    earth: EarthParams,
-    gravity_model: GravityModel,
-    world: WorldFrameDef | None = None,
     gate_sigma: float | None = None,
     imu_period: float = 0.01,
 ) -> FilterState:
@@ -248,15 +221,13 @@ def update(
     A sample the gate rejects leaves its run's state untouched; when every
     run rejects, the input state itself is returned.
     """
-    return fuse(fs, z, noise, earth, world, gate_sigma, imu_period)[0]
+    return fuse(fs, z, noise, gate_sigma, imu_period)[0]
 
 
 def fuse(
     fs: FilterState,
     z: OdoSample,
     noise: NoiseConfig,
-    earth: EarthParams,
-    world: WorldFrameDef | None = None,
     gate_sigma: float | None = None,
     imu_period: float = 0.01,
 ) -> tuple[FilterState, np.ndarray, np.ndarray, np.ndarray]:
@@ -265,7 +236,7 @@ def fuse(
     filter)."""
     if abs(z.t - fs.t) > imu_period + 1e-9:
         raise ValueError(f"odo sample at t={z.t} not aligned with filter t={fs.t}")
-    H, vb = odo_H(fs.variant, fs.conv, fs.nav, earth, world)
+    H, vb = odo_H(fs.conv, fs.nav, fs.model)
     y = vb - np.asarray(z.v_odo_b, dtype=float)
 
     R = noise.odo_noise_cov
@@ -309,4 +280,4 @@ def fuse(
         bias_a = np.where(keep[:, None], fs.bias_a, bias_a)
         P = np.where(keep[:, None, None], fs.P, P)
     check_covariance(P, fs.runs)
-    return FilterState(nav, bias_g, bias_a, P, fs.conv, fs.variant, fs.t, fs.runs), y, white, applied
+    return FilterState(nav, bias_g, bias_a, P, fs.conv, fs.model, fs.t, fs.runs), y, white, applied

@@ -10,11 +10,13 @@ two groupings of the state columns:
   the group-level differential equation.
 
 The position column always holds r - r0 (anchored at the initial position).
-_Dynamics is the one definition of a (frame, grouping) model: its earth
+NavModel is the one definition of a (frame, grouping) model: its earth
 rate, earth-centered base point, velocity anchor dv0, velocity equation,
-gravity column and gradient, and whether it keeps the Coriolis fold.
-step, derivative, the grouping conversions, error_models.linearized_F_G,
-lgekf.odo_H and simulate.inverse_imu all read it.
+gravity column and gradient, and whether it keeps the Coriolis fold.  It
+is built once per batch of states sharing the anchors (NavModel.of) and
+every kernel reads it: step, derivative, error_models.linearized_F_G and
+exact_error_derivative, lgekf.predict/odo_H/fuse (through the FilterState)
+and simulate.inverse_imu.  The grouping conversions build their own.
 step, frame_velocity and body_velocity run one batch-shaped path: a state's
 R, v and p may carry leading batch axes (one element per Monte-Carlo run or
 per interval, sharing the anchors r0/dv0), with inputs of matching shape,
@@ -23,7 +25,13 @@ one dt per element, which is how inverse_imu steps all of a grid's
 intervals (the last one may be shorter) at once.
 Each derivative is exposed both as a dense 5x5 matrix and as its
 W-decomposition  dX/dt = X W1 + W2 X (+ W3 X W4),  whose structure drives
-the autonomy classification of the error dynamics.
+the autonomy classification of the error dynamics.  step's rk4 integrates
+that decomposition directly on the top 3x5 block K = [C | v | p] of the
+group matrix: each stage is  K W1 - Om (K d) + column,  with W1 the input
+matrix, d the fold weight (1, 1, 1, 2, 0) of the traditional e/w models
+(all ones otherwise) and the gravity column added to v's rate.  The
+midpoint rule keeps its closed-form attitude and column-wise velocity and
+position rates.
 """
 from __future__ import annotations
 
@@ -35,7 +43,6 @@ import numpy as np
 
 from .earth import (
     EarthParams,
-    GravityModel,
     WorldFrameDef,
     earth_rate,
     frame_transform,
@@ -51,6 +58,7 @@ __all__ = [
     "ImuSample",
     "NavState",
     "WDecomposition",
+    "NavModel",
     "make_nav_state",
     "derivative",
     "step",
@@ -115,11 +123,15 @@ class WDecomposition:
     has_w34: bool
 
 
-class _Dynamics:
-    """One (frame, grouping) navigation model (see the module docstring).
+class NavModel:
+    """One (frame, grouping) navigation model (see the module docstring),
+    bound to a run's anchors, earth, gravity model and world frame.
 
-    omega is the frame's earth rate (None in i, which does not rotate),
-    Om and OmOm its skew matrix and that matrix squared; offset is the
+    Build it once per batch of states sharing those anchors (NavModel.of)
+    and hand it to every kernel that steps or linearizes them.  earth_omega
+    is the earth rate resolved in the frame, and omega the frame's own
+    rotation rate (earth_omega in e/w, None in i, which does not rotate),
+    with Om and OmOm its skew matrix and that matrix squared; offset is the
     frame origin seen from the earth center and r_base = offset + r0 the
     earth-centered point the position column is measured from; fold marks
     the models whose velocity column keeps the Coriolis fold W3 X W4; dv0
@@ -128,30 +140,41 @@ class _Dynamics:
     column.
     """
 
-    __slots__ = ("fold", "dv0", "omega", "Om", "OmOm", "offset", "r_base", "earth", "gravity_model")
+    __slots__ = (
+        "frame", "grouping", "fold", "dv0", "earth", "gravity_model", "earth_omega", "earth_Om",
+        "omega", "Om", "OmOm", "offset", "r_base",
+    )
 
-    def __init__(self, frame, grouping, r0, earth, world=None, gravity_model=None, dv0=None):
-        self.fold = self.folds(frame, grouping)
+    def __init__(self, frame, grouping, r0, earth, gravity_model=None, world=None, dv0=None):
+        self.frame = frame
+        self.grouping = grouping
+        # The traditional grouping in a rotating frame keeps the fold.
+        self.fold = grouping is Grouping.TRADITIONAL and frame is not Frame.I
         self.dv0 = dv0
         self.earth = earth
         self.gravity_model = gravity_model
+        self.earth_omega = earth_rate(frame.value, earth, world)
+        self.earth_Om = skew(self.earth_omega)
         if frame is Frame.I:
             self.omega = self.Om = self.OmOm = None
         else:
-            self.omega = earth_rate(frame.value, earth, world)
-            self.Om = skew(self.omega)
+            self.omega, self.Om = self.earth_omega, self.earth_Om
             self.OmOm = self.Om @ self.Om
         self.offset = world.C_e_w @ world.r_ew_e if frame is Frame.W else 0.0
         self.r_base = self.offset + r0
 
     @classmethod
-    def of(cls, state, earth, world=None, gravity_model=None):
-        return cls(state.frame, state.grouping, state.r0, earth, world, gravity_model, state.dv0)
+    def of(cls, state, earth, gravity_model=None, world=None):
+        """The model of state's frame, grouping and anchors."""
+        return cls(state.frame, state.grouping, state.r0, earth, gravity_model, world, state.dv0)
 
-    @staticmethod
-    def folds(frame, grouping) -> bool:
-        """The traditional grouping in a rotating frame keeps the fold."""
-        return grouping is Grouping.TRADITIONAL and frame is not Frame.I
+    def check(self, state) -> None:
+        """FrameMismatch unless state is of this model's frame and grouping."""
+        if state.frame is not self.frame or state.grouping is not self.grouping:
+            raise FrameMismatch(
+                f"{state.grouping.value}-{state.frame.value} state given to the "
+                f"{self.grouping.value}-{self.frame.value} model"
+            )
 
     def cross(self, x):
         """omega x x, for x with or without leading batch axes."""
@@ -198,18 +221,51 @@ class _Dynamics:
         s2 = _sinc(0.5 * h * w) * h
         return _I3 - s * self.Om + (0.5 * s2 * s2) * self.OmOm
 
-    def rates(self, C, v, p, W_b, f_b):
-        """Component right-hand side at (C, v, p); W_b = skew(omega_ib_b)."""
-        dC = C @ W_b
+    def rate(self, K, W1):
+        """Rate of the packed block K = [C | v | p] (rows 0-2 of the group
+        matrix) under input matrix W1:  K W1 - Om (K d) + column,  where the
+        fold weight d = (1, 1, 1, 2, 0) doubles the Coriolis term on v and
+        drops it on p, and the gravity column lands on the v column."""
+        dK = K @ W1
         if self.Om is not None:
-            dC = dC - self.Om @ C
-        return (dC, *self.vel_pos_rates(C, v, p, f_b))
+            dK -= self.Om @ (K * _FOLD_WEIGHTS if self.fold else K)
+        dK[..., 3] += self.column(self.r_base + K[..., 4])
+        return dK
 
     def vel_pos_rates(self, C, v, p, f_b):
         dv = self.accel(matvec(C, f_b), self.r_base + p, v)
         if self.omega is None or self.fold:
             return dv, v
         return dv, v - self.cross(p)
+
+    def frame_velocity(self, x: SE23) -> np.ndarray:
+        """Conventional frame velocity of a state x of this model."""
+        if self.grouping is Grouping.TRADITIONAL:
+            return x.v
+        v = x.v + self.dv0
+        if self.omega is None:
+            return v
+        return v - self.cross(self.r_base + x.p)
+
+    def body_velocity(self, x: SE23) -> np.ndarray:
+        """Earth-relative velocity of a state x of this model, body axes."""
+        v = self.frame_velocity(x)
+        if self.frame is Frame.I:
+            v = v - matvec(self.earth_Om, self.r_base + x.p)
+        return matvec(transpose(x.R), v)
+
+
+_FOLD_WEIGHTS = np.array([1.0, 1.0, 1.0, 2.0, 0.0])
+
+
+def _input_matrix(omega_ib_b: np.ndarray, f_ib_b: np.ndarray) -> np.ndarray:
+    """W1 of the inputs, (..., 5, 5): skew(omega) and f in rows 0-2, W1[3, 4] = 1."""
+    omega_ib_b = np.asarray(omega_ib_b, dtype=float)
+    W1 = np.zeros(omega_ib_b.shape[:-1] + (5, 5))
+    W1[..., 0:3, 0:3] = skew(omega_ib_b)
+    W1[..., 0:3, 3] = f_ib_b
+    W1[..., 3, 4] = 1.0
+    return W1
 
 
 _I3 = np.eye(3)
@@ -239,7 +295,7 @@ def make_nav_state(
     r = np.asarray(r, dtype=float)
     if grouping is Grouping.TRADITIONAL:
         return NavState(frame, grouping, SE23(C_b_f, v.copy(), np.zeros(3)), r.copy())
-    dv0 = _Dynamics(frame, grouping, r, earth, world).anchor(r)
+    dv0 = NavModel(frame, grouping, r, earth, world=world).anchor(r)
     # v_ib(0) - dv0 reduces exactly to the frame velocity at the anchor
     return NavState(frame, grouping, SE23(C_b_f, v.copy(), np.zeros(3)), r.copy(), dv0)
 
@@ -248,36 +304,19 @@ def frame_velocity(state: NavState, earth: EarthParams, world: WorldFrameDef | N
     """Conventional frame velocity (v_ib^i / v_eb^e / v_wb^w) of the state."""
     if state.grouping is Grouping.TRADITIONAL:
         return state.x.v.copy()
-    model = _Dynamics.of(state, earth, world)
-    v = state.x.v + state.dv0
-    if model.omega is None:
-        return v
-    return v - model.cross(model.r_base + state.x.p)
+    return NavModel.of(state, earth, world=world).frame_velocity(state.x)
 
 
 def body_velocity(state: NavState, earth: EarthParams, world: WorldFrameDef | None = None) -> np.ndarray:
     """Earth-relative velocity resolved in the body frame."""
-    v = frame_velocity(state, earth, world)
-    if state.frame is Frame.I:
-        omega = earth_rate("i", earth)
-        v = v - matvec(skew(omega), state.r0 + state.x.p)
-    return matvec(transpose(state.x.R), v)
+    return NavModel.of(state, earth, world=world).body_velocity(state.x)
 
 
-def derivative(
-    state: NavState,
-    imu: ImuSample,
-    earth: EarthParams,
-    gravity_model: GravityModel,
-    world: WorldFrameDef | None = None,
-) -> tuple[np.ndarray, WDecomposition]:
-    """dX/dt as a dense 5x5 matrix together with its W-decomposition."""
-    model = _Dynamics.of(state, earth, world, gravity_model)
-    W1 = np.zeros((5, 5))
-    W1[0:3, 0:3] = skew(imu.omega_ib_b)
-    W1[0:3, 3] = imu.f_ib_b
-    W1[3, 4] = 1.0
-
+def derivative(state: NavState, imu: ImuSample, model: NavModel) -> tuple[np.ndarray, WDecomposition]:
+    """dX/dt of a single state as a dense 5x5 matrix together with its
+    W-decomposition, under the state's model."""
+    model.check(state)
+    W1 = _input_matrix(imu.omega_ib_b, imu.f_ib_b)
     W2 = np.zeros((5, 5))
     W2[3, 4] = -1.0
     W2[0:3, 3] = model.column(model.r_base + state.x.p)
@@ -297,65 +336,58 @@ def derivative(
     return dX, WDecomposition(W1, W2, W3, W4, model.fold)
 
 
-def step(
-    state: NavState,
-    imu: ImuSample,
-    earth: EarthParams,
-    gravity_model: GravityModel,
-    world: WorldFrameDef | None = None,
-    method: str = "midpoint",
-) -> NavState:
-    """Advance one IMU interval.
+def step(state: NavState, imu: ImuSample, model: NavModel, method: str = "midpoint") -> NavState:
+    """Advance one IMU interval under the state's model.
 
     method="midpoint" is the filter-grade rule: exact attitude exponential
     for the constant inputs plus a midpoint step for velocity/position
     (O(dt^2) global). method="rk4" is the truth-grade 4-stage Runge-Kutta
-    on the same component ODEs.
+    on the group field itself: it steps the packed block K = [C | v | p]
+    with NavModel.rate, whose stages are one product with W1 each.
 
     For a stacked state imu.dt is one float for every element or, with
     rk4 only, an array of one dt per element; element k then advances as
     a one-element stack stepped with dt[k] would.
     """
-    dt = dt_m = longest = imu.dt  # dt_m scales the (..., 3, 3) attitude terms
+    model.check(state)
+    dt = longest = imu.dt
     if isinstance(dt, np.ndarray) and dt.ndim:
         if method != "rk4":
             raise ValueError(f"a dt per element needs method='rk4', not {method!r}")
-        dt, dt_m, longest = dt[..., None], dt[..., None, None], dt.max()
+        dt, longest = dt[..., None, None], dt.max()
     if longest > _MAX_DT:
         raise ValueError(f"dt {longest} exceeds the {_MAX_DT} s piecewise-constant guard")
     C, v, p = state.x.R, state.x.v, state.x.p
-    om_b = np.asarray(imu.omega_ib_b, dtype=float)
-    f_b = np.asarray(imu.f_ib_b, dtype=float)
-    dyn = _Dynamics.of(state, earth, world, gravity_model)
 
     if method == "rk4":
-        W_b = skew(om_b)
-        h, h_m = 0.5 * dt, 0.5 * dt_m
-        k1 = dyn.rates(C, v, p, W_b, f_b)
-        k2 = dyn.rates(C + h_m * k1[0], v + h * k1[1], p + h * k1[2], W_b, f_b)
-        k3 = dyn.rates(C + h_m * k2[0], v + h * k2[1], p + h * k2[2], W_b, f_b)
-        k4 = dyn.rates(C + dt_m * k3[0], v + dt * k3[1], p + dt * k3[2], W_b, f_b)
-        C1 = C + dt_m / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-        v1 = v + dt / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-        p1 = p + dt / 6.0 * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
-        return NavState(state.frame, state.grouping, SE23(C1, v1, p1), state.r0, state.dv0)
+        K = np.concatenate((C, v[..., None], p[..., None]), axis=-1)
+        W1 = _input_matrix(imu.omega_ib_b, imu.f_ib_b)
+        h = 0.5 * dt
+        k1 = model.rate(K, W1)
+        k2 = model.rate(K + h * k1, W1)
+        k3 = model.rate(K + h * k2, W1)
+        k4 = model.rate(K + dt * k3, W1)
+        K1 = K + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        return NavState(state.frame, state.grouping, SE23(K1[..., 0:3], K1[..., 3], K1[..., 4]), state.r0, state.dv0)
 
     if method != "midpoint":
         raise ValueError(f"unknown integration method {method!r}")
+    om_b = np.asarray(imu.omega_ib_b, dtype=float)
+    f_b = np.asarray(imu.f_ib_b, dtype=float)
 
     body_half = so3_exp(0.5 * dt * om_b)
-    if dyn.omega is None:
+    if model.omega is None:
         C_mid = C @ body_half
         C_end = C_mid @ body_half
     else:
-        left_half = dyn.half_exp(dt)
+        left_half = model.half_exp(dt)
         C_mid = left_half @ C @ body_half
         C_end = left_half @ C_mid @ body_half
 
-    dv1, dp1 = dyn.vel_pos_rates(C, v, p, f_b)
+    dv1, dp1 = model.vel_pos_rates(C, v, p, f_b)
     v_mid = v + 0.5 * dt * dv1
     p_mid = p + 0.5 * dt * dp1
-    dv2, dp2 = dyn.vel_pos_rates(C_mid, v_mid, p_mid, f_b)
+    dv2, dp2 = model.vel_pos_rates(C_mid, v_mid, p_mid, f_b)
     return NavState(state.frame, state.grouping, SE23(C_end, v + dt * dv2, p + dt * dp2), state.r0, state.dv0)
 
 
@@ -363,7 +395,7 @@ def to_proposed(state: NavState, earth: EarthParams, world: WorldFrameDef | None
     """Regroup a traditional state into the proposed inertial-velocity form."""
     if state.grouping is not Grouping.TRADITIONAL or np.any(state.dv0 != 0.0):
         raise FrameMismatch("to_proposed expects a traditional state with zero dv0")
-    model = _Dynamics.of(state, earth, world)
+    model = NavModel.of(state, earth, world=world)
     v_prop = state.x.v if model.omega is None else state.x.v + model.cross(state.x.p)
     x = SE23(state.x.R, v_prop.copy(), state.x.p.copy())
     return NavState(state.frame, Grouping.PROPOSED, x, state.r0.copy(), model.anchor(state.r0))
@@ -373,7 +405,7 @@ def from_proposed(state: NavState, earth: EarthParams, world: WorldFrameDef | No
     """Inverse of to_proposed."""
     if state.grouping is not Grouping.PROPOSED:
         raise FrameMismatch("from_proposed expects a proposed-grouping state")
-    model = _Dynamics.of(state, earth, world)
+    model = NavModel.of(state, earth, world=world)
     v_trad = state.x.v if model.omega is None else state.x.v - model.cross(state.x.p)
     x = SE23(state.x.R, v_trad.copy(), state.x.p.copy())
     return NavState(state.frame, Grouping.TRADITIONAL, x, state.r0.copy())
@@ -442,7 +474,7 @@ def nav_from_physical(
     p = r_f - r0
     if grouping is Grouping.TRADITIONAL:
         return NavState(frame, grouping, SE23(C_f, v_f, p), r0.copy())
-    model = _Dynamics(frame, grouping, r0, earth, world)
+    model = NavModel(frame, grouping, r0, earth, world=world)
     v_ib = v_f + model.anchor(r_f)
     dv0 = model.anchor(r0) if dv0 is None else np.asarray(dv0, dtype=float)
     return NavState(frame, grouping, SE23(C_f, v_ib - dv0, p), r0.copy(), dv0.copy())

@@ -112,12 +112,16 @@ def unskew(W: np.ndarray) -> np.ndarray:
 def _check_rotation(R: np.ndarray) -> None:
     defect = np.linalg.norm(transpose(R) @ R - _I3, axis=(-2, -1))
     bad = ~(defect <= _ORTHO_TOL)  # a NaN defect fails too
-    if not bad.any():
-        bad = np.linalg.det(R) < 0.0
     if bad.any():
         raise _domain_error(
             NotARotation, bad, R.ndim == 2,
             lambda i: f"orthonormality defect {defect.flat[i]:.3e} exceeds {_ORTHO_TOL:.0e}",
+        )
+    det = np.linalg.det(R)
+    if (det < 0.0).any():
+        raise _domain_error(
+            NotARotation, det < 0.0, R.ndim == 2,
+            lambda i: f"determinant {det.flat[i]:.3f} is negative: a reflection, not a rotation",
         )
 
 
@@ -159,25 +163,25 @@ def so3_log(R: np.ndarray) -> np.ndarray:
     out = np.where(regular, theta / sin_theta, 1.0)[..., None] * w
     flat = out.reshape(-1, 3)  # a view: out is a fresh array
     for i in np.flatnonzero(theta >= np.pi - 1e-3):
-        flat[i] = _log_near_pi(R.reshape(-1, 3, 3)[i], cos_theta.flat[i], theta.flat[i], w.reshape(-1, 3)[i])
+        flat[i] = _log_near_pi(R.reshape(-1, 3, 3)[i], cos_theta.flat[i], w.reshape(-1, 3)[i])
     return out
 
 
-def _log_near_pi(R: np.ndarray, cos_theta: float, theta: float, w: np.ndarray) -> np.ndarray:
+def _log_near_pi(R: np.ndarray, cos_theta: float, w: np.ndarray) -> np.ndarray:
     """so3_log of one rotation within 1e-3 of the pi cut.
 
-    The axis comes from the symmetric part S = cos I + (1-cos) a a^T; its
-    off-diagonal entries carry the relative signs a_i a_j (1-cos).
+    The angle is pi - asin|w|, as |w| = sin(theta): arccos of the trace
+    resolves it only to about sqrt(eps) here.  The axis is the column of
+    B = S - cos I = (1-cos) a a^T (S the symmetric part) through B's largest
+    diagonal entry: its off-diagonal entries carry a_i a_k linearly, so a
+    small axis component keeps its digits.
     """
-    S = (R + R.T) / 2.0
-    a2 = np.clip((np.diag(S) - cos_theta) / (1.0 - cos_theta), 0.0, 1.0)
-    axis = np.sqrt(a2)
-    k = int(np.argmax(axis))
-    for i in range(3):
-        if i != k and axis[i] > 0.0:
-            axis[i] = np.copysign(axis[i], S[min(i, k), max(i, k)])
-    axis /= np.linalg.norm(axis)
-    if abs(np.sin(theta)) > 1e-12 and np.linalg.norm(w) > 1e-12:
+    sin_theta = min(float(np.linalg.norm(w)), 1.0)
+    theta = np.pi - np.arcsin(sin_theta)
+    B = (R + R.T) / 2.0 - cos_theta * _I3
+    col = B[:, int(np.argmax(np.diag(B)))]
+    axis = col / np.linalg.norm(col)
+    if sin_theta > 1e-14:  # w's rounding (~1e-16) cannot flip its sign
         if float(w @ axis) < 0.0:
             axis = -axis
     else:

@@ -47,8 +47,8 @@ from .mechanization import (
     Frame,
     Grouping,
     ImuSample,
+    NavModel,
     NavState,
-    _Dynamics,
     derivative,
     nav_from_physical,
     physical_from_nav,
@@ -436,7 +436,7 @@ def inverse_imu(
     dts = np.diff(t)
     # Every interval's start as one stacked w-frame state, anchored at r[0].
     starts = NavState(Frame.W, Grouping.TRADITIONAL, SE23(C[:-1], v[:-1], r[:-1] - r[0]), r[0])
-    model = _Dynamics.of(starts, earth, world, gravity_model)
+    model = NavModel.of(starts, earth, gravity_model, world)
 
     # Seed attitude rate from the earth-rate-compensated attitude increment.
     E = so3_exp(model.omega * dts[:, None])
@@ -457,7 +457,7 @@ def inverse_imu(
 
     def residual(inputs: np.ndarray) -> np.ndarray:
         imu = ImuSample(inputs[:, 0:3], inputs[:, 3:6], dts)
-        end = step(starts, imu, earth, gravity_model, world, method="rk4").x
+        end = step(starts, imu, model, method="rk4").x
         Mres = np.einsum("nji,njk->nik", end.R, C[1:])
         res = np.empty((n, 6))
         res[:, 0] = 0.5 * (Mres[:, 2, 1] - Mres[:, 1, 2])
@@ -802,13 +802,14 @@ def _run_lockstep(
         xi0[i] = state_sigma * GaussianStream(cfg.seed, substream(STREAM_INIT_STATE, k)).normals(9)
 
     truth0 = _truth_nav(truth, 0, cfg, world)
+    # The estimates keep truth0's anchors, so one model serves the whole loop.
     fs = FilterState(
         nav=apply_correction(truth0, TangentVector.from_vector(-xi0), cfg.convention),
         bias_g=bias_hat0[:, 0:3].copy(),
         bias_a=bias_hat0[:, 3:6].copy(),
         P=np.broadcast_to(np.diag(cfg.p0_diag()), (N, 15, 15)).copy(),
         conv=cfg.convention,
-        variant=cfg.variant,
+        model=NavModel.of(truth0, cfg.earth, cfg.gravity, world),
         t=0.0,
         runs=runs,
     )
@@ -820,16 +821,14 @@ def _run_lockstep(
     updated = np.zeros((M, N), dtype=bool)
     with _naming_elements(lambda i: f"run {runs[i]}, t={truth.t[k + 1]:.3f} s"):
         for k in range(n):
-            fs = predict(fs, ImuSample(omega_meas[k], f_meas[k], float(dts[k])), cfg.noise,
-                         cfg.earth, cfg.gravity, world, method=cfg.integrator)
+            fs = predict(fs, ImuSample(omega_meas[k], f_meas[k], float(dts[k])), cfg.noise, method=cfg.integrator)
             j = slot[k + 1]
             if j < 0:
                 continue
             if len(odo_idx) > 0:
                 z = OdoSample(odo_meas[j], float(truth.t[k + 1]))
                 fs, innov[j], white[j], updated[j] = fuse(
-                    fs, z, cfg.noise, cfg.earth, world,
-                    gate_sigma=cfg.gate_sigma, imu_period=float(dts[k]),
+                    fs, z, cfg.noise, gate_sigma=cfg.gate_sigma, imu_period=float(dts[k])
                 )
             truth_f = _truth_nav(truth, k + 1, cfg, world, anchors=fs.nav)
             xi[j] = error_to_vector(error_from_states(truth_f, fs.nav, fs.conv), fs.conv).as_vector()
@@ -1006,10 +1005,10 @@ def autonomy_experiment(
     for arr, c in ((R, "R"), (v, "v"), (p, "p")):
         arr[:, 0] = getattr(x0, c), getattr(est0, c)
     state = replace(starts[0], x=SE23(R[:, 0].reshape(4, 3, 3), v[:, 0].reshape(4, 3), p[:, 0].reshape(4, 3)))
+    model = NavModel.of(state, earth, gravity, world)
     with _naming_elements(lambda i: f"trajectory {'ab'[i % 2]}, t={t[k + 1]:.3f} s"):
         for k in range(m - 1):
-            state = step(state, ImuSample(omega[k], f[k], float(dts[k])), earth, gravity, world,
-                         method=settings.integrator)
+            state = step(state, ImuSample(omega[k], f[k], float(dts[k])), model, method=settings.integrator)
             R[:, k + 1], v[:, k + 1], p[:, k + 1] = (
                 a.reshape((2, 2) + a.shape[1:]) for a in (state.x.R, state.x.v, state.x.p)
             )
@@ -1021,7 +1020,7 @@ def autonomy_experiment(
     xi_a, xi_b = xi[:, 0].copy(), xi[:, 1].copy()
     metric = float(np.max(np.linalg.norm(xi_a - xi_b, axis=1)))
 
-    _, w = derivative(starts[0], ImuSample(om_true[0, 0], f_true[0, 0], float(dts[0])), earth, gravity, world)
+    _, w = derivative(starts[0], ImuSample(om_true[0, 0], f_true[0, 0], float(dts[0])), model)
     input_errors = bool(np.any(settings.gyro_input_error) or np.any(settings.accel_input_error))
     label = classify_autonomy(w, input_errors, include_gravity_error=isinstance(gravity, SphericalGravity))
     return AutonomyResult(label, metric, t, xi_a, xi_b)

@@ -23,6 +23,7 @@ from navkit import (
     Grouping,
     ImuSample,
     ModelVariant,
+    NavModel,
     Rest,
     RunConfig,
     SE23,
@@ -121,9 +122,9 @@ def test_criterion_1_group_axioms():
 # 2. mechanization derivatives vs central finite difference
 
 
-def _flow_fd(state, imu, h=1e-2):
+def _flow_fd(state, imu, model, h=1e-2):
     def at(dt):
-        return step(state, replace(imu, dt=dt), EARTH, GRAV, WORLD, method="rk4").x.as_matrix()
+        return step(state, replace(imu, dt=dt), model, method="rk4").x.as_matrix()
 
     def central(hh):
         return (at(hh) - at(-hh)) / (2.0 * hh)
@@ -139,8 +140,9 @@ def test_criterion_2_derivatives_match_finite_difference():
         for _ in range(100):
             st = random_nav_state(rng, var.frame, var.grouping, EARTH, WORLD)
             imu = ImuSample(rng.normal(scale=0.2, size=3), rng.normal(scale=3.0, size=3), 0.01)
-            dX, _ = derivative(st, imu, EARTH, GRAV, WORLD)
-            fd = _flow_fd(st, imu)
+            model = NavModel.of(st, EARTH, GRAV, WORLD)
+            dX, _ = derivative(st, imu, model)
+            fd = _flow_fd(st, imu, model)
             rel = np.linalg.norm(dX - fd) / max(1.0, np.linalg.norm(dX))
             worst = max(worst, float(rel))
     elapsed = time.perf_counter() - t0
@@ -166,11 +168,12 @@ def test_criterion_3_frame_consistency():
         "e": nav_from_physical(Frame.E, Grouping.TRADITIONAL, *trip0, EARTH, WORLD, t=0.0),
         "w": truth.state(0),
     }
+    models = {f: NavModel.of(st, EARTH, GRAV, WORLD) for f, st in states.items()}
     worst = {"i-vs-e": np.zeros(3), "e-vs-w": np.zeros(3)}
     for k, s in enumerate(imu):
         t = float(truth.t[k + 1])
         for f in states:
-            states[f] = step(states[f], s, EARTH, GRAV, WORLD, method="rk4")
+            states[f] = step(states[f], s, models[f], method="rk4")
         trips = {f: physical_from_nav(states[f], EARTH, WORLD, t) for f in states}
         for pair, (a, b) in (("i-vs-e", ("i", "e")), ("e-vs-w", ("e", "w"))):
             Ca, va, ra = trips[a]
@@ -209,14 +212,15 @@ def test_criterion_4_linearization_second_order():
     summaries = []
     for var in PAPER_VARIANTS:
         est0 = nav_from_physical(var.frame, var.grouping, *trip0, EARTH, WORLD, t=0.0)
+        model = NavModel.of(est0, EARTH, GRAV, WORLD)  # every state below keeps est0's anchors
         est_path = [est0]
         for s in imu:
-            est_path.append(step(est_path[-1], s, EARTH, GRAV, WORLD, method="rk4"))
+            est_path.append(step(est_path[-1], s, model, method="rk4"))
         for conv in CONVS:
             Xi = np.eye(15)
             for k, s in enumerate(imu):
-                Fa, _ = linearized_F_G(var, conv, est_path[k], s, EARTH, GRAV, WORLD)
-                Fb, _ = linearized_F_G(var, conv, est_path[k + 1], s, EARTH, GRAV, WORLD)
+                Fa, _ = linearized_F_G(conv, est_path[k], s, model)
+                Fb, _ = linearized_F_G(conv, est_path[k + 1], s, model)
                 Xi = expm(0.5 * s.dt * (Fa + Fb)) @ Xi
             d = []
             for eps in epsilons:
@@ -224,7 +228,7 @@ def test_criterion_4_linearization_second_order():
                 tr = apply_correction(est0, TangentVector.from_vector(e0[:9]), conv)
                 for s in imu:
                     s_true = ImuSample(s.omega_ib_b + e0[9:12], s.f_ib_b + e0[12:15], s.dt)
-                    tr = step(tr, s_true, EARTH, GRAV, WORLD, method="rk4")
+                    tr = step(tr, s_true, model, method="rk4")
                 chart = error_to_vector(error_from_states(tr, est_path[-1], conv), conv)
                 d.append(np.linalg.norm(chart.as_vector() - (Xi @ e0)[:9]))
             ratios = np.array(d[:-1]) / np.array(d[1:])
@@ -299,7 +303,7 @@ def test_criterion_6_measurement_models():
             for conv in CONVS:
                 for _ in range(100):
                     est = random_nav_state(rng, frame, grouping, EARTH, WORLD)
-                    H, vb = odo_H(ModelVariant(frame, grouping), conv, est, EARTH, WORLD)
+                    H, vb = odo_H(conv, est, NavModel.of(est, EARTH, world=WORLD))
                     assert np.allclose(H[:, 9:15], 0.0)
                     Hn = _numerical_H(est, conv)
                     rel = np.linalg.norm(Hn - H[:, 0:9]) / max(1.0, np.linalg.norm(H[:, 0:9]))

@@ -225,6 +225,34 @@ def test_compare_grid(tmp_path, cfg_file):
         assert all(np.isfinite(float(x)) for x in r[2:])
 
 
+def test_compare_shares_one_truth_across_cells(tmp_path, cfg_file, monkeypatch):
+    calls = {"gen_truth": 0, "inverse_imu": 0}
+
+    def counted(name):
+        real = getattr(simulate, name)
+
+        def wrapper(*args, **kw):
+            calls[name] += 1
+            return real(*args, **kw)
+
+        return wrapper
+
+    for name in calls:  # wherever the command or the filter loop looks them up
+        wrapper = counted(name)
+        monkeypatch.setattr(cli, name, wrapper)
+        monkeypatch.setattr(simulate, name, wrapper)
+    shared = tmp_path / "shared"
+    assert main(["compare", "--config", cfg_file, "--out", str(shared), "--runs", "2"]) == 0
+    assert calls == {"gen_truth": 1, "inverse_imu": 1}
+
+    # Each cell generating its own truth and inputs writes the same bytes.
+    real_lockstep = cli._run_lockstep
+    monkeypatch.setattr(cli, "_run_lockstep", lambda cfg, runs, truth=None, imu_true=None: real_lockstep(cfg, runs))
+    own = tmp_path / "own"
+    assert main(["compare", "--config", cfg_file, "--out", str(own), "--runs", "2"]) == 0
+    assert (shared / "compare.csv").read_bytes() == (own / "compare.csv").read_bytes()
+
+
 def test_missing_config_exits_2(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 2
     assert "no such file" in capsys.readouterr().err

@@ -14,7 +14,7 @@ from navkit import (
     FrameMismatch,
     Grouping,
     ImuSample,
-    ModelVariant,
+    NavModel,
     SphericalGravity,
     TangentVector,
     UniformGravity,
@@ -125,15 +125,15 @@ def test_apply_correction_and_sampling_identity(conv, earth, world):
         assert np.allclose(xi_back.as_vector(), xi_s.as_vector(), atol=1e-10)
 
 
-def _chart_series(true0, est0, imu_true, imu_est, earth, model, world, conv, hh):
-    t1 = step(true0, replace(imu_true, dt=hh), earth, model, world, method="rk4")
-    e1 = step(est0, replace(imu_est, dt=hh), earth, model, world, method="rk4")
+def _chart_series(true0, est0, imu_true, imu_est, model, hh):
+    t1 = step(true0, replace(imu_true, dt=hh), model, method="rk4")
+    e1 = step(est0, replace(imu_est, dt=hh), model, method="rk4")
     return t1, e1
 
 
-def _eta_rate_fd(true0, est0, imu_true, imu_est, earth, model, world, conv, h=2e-3):
+def _eta_rate_fd(true0, est0, imu_true, imu_est, model, conv, h=2e-3):
     def at(hh):
-        t1, e1 = _chart_series(true0, est0, imu_true, imu_est, earth, model, world, conv, hh)
+        t1, e1 = _chart_series(true0, est0, imu_true, imu_est, model, hh)
         return error_from_states(t1, e1, conv).as_matrix()
 
     def central(hh):
@@ -146,10 +146,10 @@ def _eta_rate_fd(true0, est0, imu_true, imu_est, earth, model, world, conv, h=2e
 @pytest.mark.parametrize("frame,grouping", ALL_COMBOS, ids=lambda c: getattr(c, "value", c))
 def test_exact_error_derivative_vs_twin_fd(frame, grouping, conv, earth, world):
     rng = np.random.default_rng(54)
-    model = SphericalGravity()
     for _ in range(5):
         truth = wander(random_nav_state(rng, frame, grouping, earth, world), rng)
         est = apply_correction(truth, random_chart(rng), conv)  # large error
+        model = NavModel.of(truth, earth, SphericalGravity(), world)
         imu_true = ImuSample(rng.normal(scale=0.2, size=3), rng.normal(scale=3.0, size=3), 0.01)
         imu_est = ImuSample(
             imu_true.omega_ib_b + rng.normal(scale=0.01, size=3),
@@ -157,14 +157,14 @@ def test_exact_error_derivative_vs_twin_fd(frame, grouping, conv, earth, world):
             0.01,
         )
         eta = error_from_states(truth, est, conv)
-        d_exact = exact_error_derivative(eta, truth, est, imu_true, imu_est, earth, model, world, conv)
-        d_fd = _eta_rate_fd(truth, est, imu_true, imu_est, earth, model, world, conv)
+        d_exact = exact_error_derivative(eta, truth, est, imu_true, imu_est, model, conv)
+        d_fd = _eta_rate_fd(truth, est, imu_true, imu_est, model, conv)
         assert np.linalg.norm(d_exact - d_fd) < 1e-6 * max(1.0, np.linalg.norm(d_fd))
 
 
-def _chart_rate_fd(true0, est0, imu_true, imu_est, earth, model, world, conv, h=5e-3):
+def _chart_rate_fd(true0, est0, imu_true, imu_est, model, conv, h=5e-3):
     def at(hh):
-        t1, e1 = _chart_series(true0, est0, imu_true, imu_est, earth, model, world, conv, hh)
+        t1, e1 = _chart_series(true0, est0, imu_true, imu_est, model, hh)
         return error_to_vector(error_from_states(t1, e1, conv), conv).as_vector()
 
     def central(hh):
@@ -176,7 +176,7 @@ def _chart_rate_fd(true0, est0, imu_true, imu_est, earth, model, world, conv, h=
 _DIR_SCALE = np.array([0.5] * 3 + [5.0] * 3 + [50.0] * 3 + [0.02] * 3 + [0.2] * 3)
 
 
-def numerical_F(est, imu_hat, earth, model, world, conv, delta=1e-4):
+def numerical_F(est, imu_hat, model, conv, delta=1e-4):
     """Column-by-column Jacobian of the error-chart rate at zero error."""
     cols = []
     for j in range(15):
@@ -188,7 +188,7 @@ def numerical_F(est, imu_hat, earth, model, world, conv, delta=1e-4):
             truth = apply_correction(est, TangentVector.from_vector(xi[:9]), conv)
             # db = b_hat - b_true, so the truth feels inputs omega_hat + db_g.
             imu_true = ImuSample(imu_hat.omega_ib_b + xi[9:12], imu_hat.f_ib_b + xi[12:15], imu_hat.dt)
-            rates.append(_chart_rate_fd(truth, est, imu_true, imu_hat, earth, model, world, conv))
+            rates.append(_chart_rate_fd(truth, est, imu_true, imu_hat, model, conv))
         cols.append((rates[0] - rates[1]) / (2.0 * step_j))
     return np.column_stack(cols)
 
@@ -197,11 +197,11 @@ def numerical_F(est, imu_hat, earth, model, world, conv, delta=1e-4):
 @pytest.mark.parametrize("frame,grouping", ALL_COMBOS, ids=lambda c: getattr(c, "value", c))
 def test_linearized_F_matches_numerical_jacobian(frame, grouping, conv, earth, world):
     rng = np.random.default_rng(55)
-    model = SphericalGravity()
     est = wander(random_nav_state(rng, frame, grouping, earth, world), rng)
     imu = ImuSample(rng.normal(scale=0.2, size=3), rng.normal(scale=3.0, size=3), 0.01)
-    F, _ = linearized_F_G(ModelVariant(frame, grouping), conv, est, imu, earth, model, world)
-    Fn = numerical_F(est, imu, earth, model, world, conv)
+    model = NavModel.of(est, earth, SphericalGravity(), world)
+    F, _ = linearized_F_G(conv, est, imu, model)
+    Fn = numerical_F(est, imu, model, conv)
     for j in range(15):
         tol = 1e-5 * max(1.0, np.linalg.norm(F[0:9, j]))
         assert np.linalg.norm(Fn[0:9, j] - F[0:9, j]) < tol, f"column {j}"
@@ -211,9 +211,10 @@ def test_linearized_F_matches_numerical_jacobian(frame, grouping, conv, earth, w
 def test_linearized_F_variant_guard(earth, world):
     rng = np.random.default_rng(56)
     est = random_nav_state(rng, Frame.E, Grouping.PROPOSED, earth, world)
+    other = random_nav_state(rng, Frame.E, Grouping.TRADITIONAL, earth, world)
     imu = ImuSample(np.zeros(3), np.zeros(3), 0.01)
     with pytest.raises(FrameMismatch):
-        linearized_F_G(ModelVariant(Frame.E, Grouping.TRADITIONAL), ErrorConvention.RIGHT, est, imu, earth, SphericalGravity(), world)
+        linearized_F_G(ErrorConvention.RIGHT, est, imu, NavModel.of(other, earth, SphericalGravity(), world))
 
 
 def test_right_F_published_blocks(earth, world):
@@ -225,7 +226,7 @@ def test_right_F_published_blocks(earth, world):
     # Inertial frame: [[0,0,0],[(gam x),0,Gamma],[0,I,0]].
     st = random_nav_state(rng, Frame.I, Grouping.TRADITIONAL, earth, world)
     imu = ImuSample(rng.normal(scale=0.1, size=3), rng.normal(scale=1.0, size=3), 0.01)
-    F, _ = linearized_F_G(ModelVariant(Frame.I, Grouping.TRADITIONAL), ErrorConvention.RIGHT, st, imu, earth, model, world)
+    F, _ = linearized_F_G(ErrorConvention.RIGHT, st, imu, NavModel.of(st, earth, model, world))
     gam = gravitation(st.r0, model, earth)
     Gam = gravitation_gradient(st.r0, model, earth)
     assert np.allclose(F[0:3, 0:3], 0.0)
@@ -237,7 +238,7 @@ def test_right_F_published_blocks(earth, world):
     # Proposed e-frame: every diagonal block -(Omega x), gravity column
     # gam - Omega x dv0, and no velocity/position folds.
     st = random_nav_state(rng, Frame.E, Grouping.PROPOSED, earth, world)
-    F, _ = linearized_F_G(ModelVariant(Frame.E, Grouping.PROPOSED), ErrorConvention.RIGHT, st, imu, earth, model, world)
+    F, _ = linearized_F_G(ErrorConvention.RIGHT, st, imu, NavModel.of(st, earth, model, world))
     Om = skew(earth_rate("e", earth))
     u = gravitation(st.r0, model, earth) - Om @ st.dv0
     for k in range(3):
@@ -248,7 +249,7 @@ def test_right_F_published_blocks(earth, world):
     # Traditional e-frame: Coriolis -2(Omega x) on velocity, zero net
     # position diagonal, centrifugal folded into the gravity column.
     st = random_nav_state(rng, Frame.E, Grouping.TRADITIONAL, earth, world)
-    F, _ = linearized_F_G(ModelVariant(Frame.E, Grouping.TRADITIONAL), ErrorConvention.RIGHT, st, imu, earth, model, world)
+    F, _ = linearized_F_G(ErrorConvention.RIGHT, st, imu, NavModel.of(st, earth, model, world))
     g = gravitation(st.r0, model, earth) - Om @ Om @ st.r0
     assert np.allclose(F[3:6, 3:6], -2.0 * Om, atol=1e-18)
     assert np.allclose(F[6:9, 6:9], 0.0, atol=1e-18)
@@ -276,13 +277,13 @@ def test_left_F_common_form_under_uniform_gravity(earth, world):
         (Frame.W, Grouping.PROPOSED),
     ]:
         st = wander(random_nav_state(rng, frame, grouping, earth, world), rng)
-        F, _ = linearized_F_G(ModelVariant(frame, grouping), ErrorConvention.LEFT, st, imu, earth, model, world)
+        F, _ = linearized_F_G(ErrorConvention.LEFT, st, imu, NavModel.of(st, earth, model, world))
         assert np.abs(F[0:9, 0:9] - expect).max() < 1e-15, (frame, grouping)
 
     # The traditional rotating-frame models do not share it: an earth-rate
     # fold remains on the velocity and position diagonals.
     st = wander(random_nav_state(rng, Frame.E, Grouping.TRADITIONAL, earth, world), rng)
-    F, _ = linearized_F_G(ModelVariant(Frame.E, Grouping.TRADITIONAL), ErrorConvention.LEFT, st, imu, earth, model, world)
+    F, _ = linearized_F_G(ErrorConvention.LEFT, st, imu, NavModel.of(st, earth, model, world))
     Om_b = skew(st.x.R.T @ earth_rate("e", earth))
     assert np.allclose(F[3:6, 3:6], -Wb - Om_b, atol=1e-18)
     assert np.allclose(F[6:9, 6:9], -Wb + Om_b, atol=1e-18)
@@ -292,7 +293,7 @@ def test_left_bias_blocks_are_identity(earth, world):
     rng = np.random.default_rng(59)
     st = random_nav_state(rng, Frame.W, Grouping.PROPOSED, earth, world)
     imu = ImuSample(rng.normal(scale=0.2, size=3), rng.normal(scale=3.0, size=3), 0.01)
-    F, G = linearized_F_G(ModelVariant(Frame.W, Grouping.PROPOSED), ErrorConvention.LEFT, st, imu, earth, SphericalGravity(), world)
+    F, G = linearized_F_G(ErrorConvention.LEFT, st, imu, NavModel.of(st, earth, SphericalGravity(), world))
     assert np.allclose(F[0:3, 9:12], -np.eye(3))
     assert np.allclose(F[3:6, 12:15], np.eye(3))
     assert np.allclose(G[0:3, 0:3], np.eye(3))
@@ -301,16 +302,15 @@ def test_left_bias_blocks_are_identity(earth, world):
 
 
 def _f_along_trajectory(frame, grouping, conv, earth, world, n=100):
-    model = UniformGravity(np.array([0.0, 0.0, -9.81]))
     rng = np.random.default_rng(60)
     st = make_nav_state(frame, grouping, random_rotation(rng), np.array([30.0, 5.0, -1.0]), np.zeros(3) if frame is Frame.W else world.r_ew_e.copy(), earth, world)
     imu = ImuSample(np.array([0.02, -0.01, 0.05]), np.array([0.5, -0.3, 9.9]), 0.05)
-    variant = ModelVariant(frame, grouping)
+    model = NavModel.of(st, earth, UniformGravity(np.array([0.0, 0.0, -9.81])), world)
     out = []
     for _ in range(n):
-        F, _ = linearized_F_G(variant, conv, st, imu, earth, model, world)
+        F, _ = linearized_F_G(conv, st, imu, model)
         out.append(F)
-        st = step(st, imu, earth, model, world, method="rk4")
+        st = step(st, imu, model, method="rk4")
     return np.array(out)
 
 
@@ -333,7 +333,7 @@ def test_classify_autonomy(earth, world):
 
     def w_for(frame, grouping):
         st = random_nav_state(rng, frame, grouping, earth, world)
-        _, w = derivative(st, imu, earth, model, world)
+        _, w = derivative(st, imu, NavModel.of(st, earth, model, world))
         return w
 
     assert classify_autonomy(w_for(Frame.I, Grouping.TRADITIONAL)) is AutonomyClass.PERFECT

@@ -12,7 +12,7 @@ from navkit import (
     Frame,
     Grouping,
     ImuSample,
-    ModelVariant,
+    NavModel,
     NoiseConfig,
     OdoSample,
     SingularInnovation,
@@ -89,7 +89,7 @@ def test_H_perturbation_oracle(frame, grouping, conv, earth, world):
     rng = np.random.default_rng(70)
     for _ in range(10):
         est = wander(random_nav_state(rng, frame, grouping, earth, world), rng)
-        H, vb = odo_H(ModelVariant(frame, grouping), conv, est, earth, world)
+        H, vb = odo_H(conv, est, NavModel.of(est, earth, world=world))
         assert np.allclose(vb, body_velocity(est, earth, world))
         Hn = numerical_H(est, conv, earth, world)
         scale = max(1.0, np.linalg.norm(H[:, 0:9]))
@@ -102,7 +102,7 @@ def test_H_printed_forms(earth, world):
     # Left convention, traditional e-frame, at rest: innovation blind to
     # attitude, velocity block -I.
     st = make_nav_state(Frame.E, Grouping.TRADITIONAL, random_rotation(rng), np.zeros(3), world.r_ew_e.copy(), earth, world)
-    H, vb = odo_H(ModelVariant(Frame.E, Grouping.TRADITIONAL), ErrorConvention.LEFT, st, earth, world)
+    H, vb = odo_H(ErrorConvention.LEFT, st, NavModel.of(st, earth, world=world))
     assert np.allclose(vb, 0.0)
     assert np.allclose(H[:, 0:3], 0.0)
     assert np.allclose(H[:, 3:6], -np.eye(3))
@@ -112,7 +112,7 @@ def test_H_printed_forms(earth, world):
     # [0, -C^T, C^T (omega x)].
     C = random_rotation(rng)
     st = make_nav_state(Frame.E, Grouping.PROPOSED, C, rng.normal(size=3), world.r_ew_e.copy(), earth, world)
-    H, _ = odo_H(ModelVariant(Frame.E, Grouping.PROPOSED), ErrorConvention.RIGHT, st, earth, world)
+    H, _ = odo_H(ErrorConvention.RIGHT, st, NavModel.of(st, earth, world=world))
     Om = skew(earth_rate("e", earth))
     assert np.allclose(H[:, 0:3], 0.0)
     assert np.allclose(H[:, 3:6], -C.T)
@@ -128,36 +128,35 @@ def _static_filter(conv=ErrorConvention.RIGHT):
         bias_a=np.zeros(3),
         P=np.zeros((15, 15)),
         conv=conv,
-        variant=ModelVariant(Frame.I, Grouping.TRADITIONAL),
+        model=NavModel.of(nav, earth, UniformGravity(np.zeros(3))),
         t=0.0,
     )
-    return fs, earth
+    return fs
 
 
 def test_predict_zero_noise_tracks_truth(earth, world):
     rng = np.random.default_rng(73)
     nav = random_nav_state(rng, Frame.E, Grouping.PROPOSED, earth, world)
     noise = NoiseConfig(gyro_noise_psd=0.0, accel_noise_psd=0.0, gyro_bias_rw_psd=0.0, accel_bias_rw_psd=0.0)
-    fs = FilterState(nav, np.zeros(3), np.zeros(3), np.zeros((15, 15)), ErrorConvention.RIGHT, ModelVariant(Frame.E, Grouping.PROPOSED), 0.0)
-    model = SphericalGravity()
+    model = NavModel.of(nav, earth, SphericalGravity(), world)
+    fs = FilterState(nav, np.zeros(3), np.zeros(3), np.zeros((15, 15)), ErrorConvention.RIGHT, model, 0.0)
     truth = nav
     imu = ImuSample(np.array([0.02, -0.01, 0.05]), np.array([0.5, -0.2, 9.7]), 0.01)
     for _ in range(200):
-        fs = predict(fs, imu, noise, earth, model, world)
-        truth = step(truth, imu, earth, model, world, method="midpoint")
+        fs = predict(fs, imu, noise)
+        truth = step(truth, imu, model, method="midpoint")
     assert np.allclose(fs.nav.x.as_matrix(), truth.x.as_matrix(), atol=1e-12)
     assert np.abs(fs.P).max() == 0.0
     assert np.isclose(fs.t, 2.0)
 
 
 def test_predict_attitude_random_walk():
-    fs, earth = _static_filter()
+    fs = _static_filter()
     psd = 4e-8
     noise = NoiseConfig(gyro_noise_psd=psd, accel_noise_psd=0.0, gyro_bias_rw_psd=0.0, accel_bias_rw_psd=0.0)
-    model = UniformGravity(np.zeros(3))
     imu = ImuSample(np.zeros(3), np.zeros(3), 0.01)
     for _ in range(1000):
-        fs = predict(fs, imu, noise, earth, model)
+        fs = predict(fs, imu, noise)
     t = 10.0
     for k in range(3):
         assert abs(fs.P[k, k] - psd * t) < 0.05 * psd * t
@@ -169,7 +168,7 @@ def test_phi_truncation_third_order(earth, world):
     rng = np.random.default_rng(74)
     nav = wander(random_nav_state(rng, Frame.E, Grouping.TRADITIONAL, earth, world), rng)
     imu = ImuSample(rng.normal(scale=0.2, size=3), rng.normal(scale=3.0, size=3), 0.01)
-    F, _ = linearized_F_G(ModelVariant(Frame.E, Grouping.TRADITIONAL), ErrorConvention.RIGHT, nav, imu, earth, SphericalGravity(), world)
+    F, _ = linearized_F_G(ErrorConvention.RIGHT, nav, imu, NavModel.of(nav, earth, SphericalGravity(), world))
 
     def trunc_err(dt):
         Fdt = F * dt
@@ -184,7 +183,7 @@ def _surface_filter(earth, world, conv, P0=None):
     rng = np.random.default_rng(75)
     nav = make_nav_state(Frame.E, Grouping.TRADITIONAL, np.eye(3), np.array([5.0, 1.0, 0.0]), world.r_ew_e.copy(), earth, world)
     P = np.zeros((15, 15)) if P0 is None else P0
-    return FilterState(nav, np.zeros(3), np.zeros(3), P, conv, ModelVariant(Frame.E, Grouping.TRADITIONAL), 0.0)
+    return FilterState(nav, np.zeros(3), np.zeros(3), P, conv, NavModel.of(nav, earth, SphericalGravity(), world), 0.0)
 
 
 def test_update_scalar_gain(earth, world):
@@ -194,7 +193,7 @@ def test_update_scalar_gain(earth, world):
     noise = NoiseConfig(odo_noise_cov=np.eye(3))
     vb = fs.nav.x.v.copy()  # C = I so body velocity is the frame velocity
     z = OdoSample(vb - np.array([1.0, 0.0, 0.0]), t=0.0)
-    out = update(fs, z, noise, earth, SphericalGravity(), world)
+    out = update(fs, z, noise)
     # Kalman gain p/(p+r) = 2/3 on each axis; posterior pr/(p+r) = 2/3.
     assert np.allclose(out.nav.x.v, vb - np.array([2.0 / 3.0, 0.0, 0.0]), atol=1e-12)
     assert abs(out.P[3, 3] - 2.0 / 3.0) < 1e-12
@@ -207,10 +206,10 @@ def test_update_zero_innovation_no_op(conv, earth, world):
     A = rng.normal(size=(15, 15))
     P0 = A @ A.T * 1e-4
     nav = random_nav_state(rng, Frame.W, Grouping.PROPOSED, earth, world)
-    fs = FilterState(nav, np.zeros(3), np.zeros(3), P0, conv, ModelVariant(Frame.W, Grouping.PROPOSED), 0.0)
+    fs = FilterState(nav, np.zeros(3), np.zeros(3), P0, conv, NavModel.of(nav, earth, SphericalGravity(), world), 0.0)
     noise = NoiseConfig()
-    _, vb = odo_H(fs.variant, conv, nav, earth, world)
-    out = update(fs, OdoSample(vb.copy(), t=0.0), noise, earth, SphericalGravity(), world)
+    _, vb = odo_H(conv, nav, fs.model)
+    out = update(fs, OdoSample(vb.copy(), t=0.0), noise)
     assert np.allclose(out.nav.x.as_matrix(), nav.x.as_matrix(), atol=1e-12)
     assert np.allclose(out.bias_g, 0.0) and np.allclose(out.bias_a, 0.0)
     assert np.trace(out.P) < np.trace(P0)
@@ -224,10 +223,11 @@ def test_update_joseph_keeps_psd(earth, world):
         A = rng.normal(size=(15, 15))
         P0 = A @ A.T * 1e-3
         nav = wander(random_nav_state(rng, Frame.E, Grouping.PROPOSED, earth, world), rng)
-        fs = FilterState(nav, np.zeros(3), np.zeros(3), P0, ErrorConvention.LEFT, ModelVariant(Frame.E, Grouping.PROPOSED), 0.0)
-        _, vb = odo_H(fs.variant, fs.conv, nav, earth, world)
+        fs = FilterState(nav, np.zeros(3), np.zeros(3), P0, ErrorConvention.LEFT,
+                         NavModel.of(nav, earth, SphericalGravity(), world), 0.0)
+        _, vb = odo_H(fs.conv, nav, fs.model)
         z = OdoSample(vb + rng.normal(scale=0.1, size=3), t=0.0)
-        out = update(fs, z, noise, earth, SphericalGravity(), world)
+        out = update(fs, z, noise)
         check_covariance(out.P)
         assert np.abs(out.P - out.P.T).max() < 1e-12
 
@@ -236,11 +236,11 @@ def test_update_gating_rejects_outlier(earth, world):
     P0 = np.eye(15) * 1e-6
     fs = _surface_filter(earth, world, ErrorConvention.RIGHT, P0)
     noise = NoiseConfig(odo_noise_cov=np.eye(3) * 1e-4)
-    _, vb = odo_H(fs.variant, fs.conv, fs.nav, earth, world)
+    _, vb = odo_H(fs.conv, fs.nav, fs.model)
     z = OdoSample(vb + np.array([50.0, 0.0, 0.0]), t=0.0)
-    out = update(fs, z, noise, earth, SphericalGravity(), world, gate_sigma=5.0)
+    out = update(fs, z, noise, gate_sigma=5.0)
     assert out is fs  # rejected wholesale
-    accepted = update(fs, z, noise, earth, SphericalGravity(), world)
+    accepted = update(fs, z, noise)
     assert not np.allclose(accepted.nav.x.v, fs.nav.x.v)
 
 
@@ -248,14 +248,14 @@ def test_update_time_alignment_guard(earth, world):
     fs = _surface_filter(earth, world, ErrorConvention.RIGHT)
     noise = NoiseConfig()
     with pytest.raises(ValueError):
-        update(fs, OdoSample(np.zeros(3), t=0.5), noise, earth, SphericalGravity(), world)
+        update(fs, OdoSample(np.zeros(3), t=0.5), noise)
 
 
 def test_update_singular_innovation(earth, world):
     fs = _surface_filter(earth, world, ErrorConvention.RIGHT)  # P = 0
     noise = NoiseConfig(odo_noise_cov=np.diag([1e-4, 1e-4, 1e-320]))
     with pytest.raises(SingularInnovation):
-        update(fs, OdoSample(fs.nav.x.v.copy(), t=0.0), noise, earth, SphericalGravity(), world)
+        update(fs, OdoSample(fs.nav.x.v.copy(), t=0.0), noise)
 
 
 def test_check_covariance_raises():
@@ -273,18 +273,18 @@ def test_perfect_sensor_closed_loop_stays_put(earth, world):
     # With exact IMU, exact odometer and zero biases the closed loop must
     # not inject error.
     rng = np.random.default_rng(78)
-    model = SphericalGravity()
     nav = make_nav_state(Frame.W, Grouping.PROPOSED, random_rotation(rng), np.array([10.0, 0.0, 0.0]), np.zeros(3), earth, world)
+    model = NavModel.of(nav, earth, SphericalGravity(), world)
     truth = nav
     noise = NoiseConfig()
-    fs = FilterState(nav, np.zeros(3), np.zeros(3), np.eye(15) * 1e-4, ErrorConvention.RIGHT, ModelVariant(Frame.W, Grouping.PROPOSED), 0.0)
+    fs = FilterState(nav, np.zeros(3), np.zeros(3), np.eye(15) * 1e-4, ErrorConvention.RIGHT, model, 0.0)
     imu = ImuSample(np.array([0.0, 0.0, 0.05]), np.array([0.3, 0.0, 9.8]), 0.01)
     for k in range(500):
-        fs = predict(fs, imu, noise, earth, model, world)
-        truth = step(truth, imu, earth, model, world, method="midpoint")
+        fs = predict(fs, imu, noise)
+        truth = step(truth, imu, model, method="midpoint")
         if (k + 1) % 10 == 0:
             vb = body_velocity(truth, earth, world)
-            fs = update(fs, OdoSample(vb, t=fs.t), noise, earth, model, world)
+            fs = update(fs, OdoSample(vb, t=fs.t), noise)
     dv = fs.nav.x.v - truth.x.v
     dp = fs.nav.x.p - truth.x.p
     assert np.linalg.norm(dv) < 1e-6
@@ -304,18 +304,18 @@ def _stack(fs, n, runs=None):
 
     nav = NavState(fs.nav.frame, fs.nav.grouping, SE23(rep(fs.nav.x.R), rep(fs.nav.x.v), rep(fs.nav.x.p)),
                    fs.nav.r0, fs.nav.dv0)
-    return FilterState(nav, rep(fs.bias_g), rep(fs.bias_a), rep(fs.P), fs.conv, fs.variant, fs.t, runs)
+    return FilterState(nav, rep(fs.bias_g), rep(fs.bias_a), rep(fs.P), fs.conv, fs.model, fs.t, runs)
 
 
 def test_batched_update_gates_each_run(earth, world):
     P0 = np.eye(15) * 1e-6
     fs = _stack(_surface_filter(earth, world, ErrorConvention.RIGHT, P0), 2, runs=(4, 9))
     noise = NoiseConfig(odo_noise_cov=np.eye(3) * 1e-4)
-    _, vb = odo_H(fs.variant, fs.conv, fs.nav, earth, world)
+    _, vb = odo_H(fs.conv, fs.nav, fs.model)
     v = vb.copy()
     v[0, 0] += 50.0  # run 4 sees an outlier, run 9 a plausible sample
     v[1, 0] += 0.01
-    out, innov, white, applied = fuse(fs, OdoSample(v, t=0.0), noise, earth, world, gate_sigma=5.0)
+    out, innov, white, applied = fuse(fs, OdoSample(v, t=0.0), noise, gate_sigma=5.0)
     assert applied.tolist() == [False, True]
     assert np.array_equal(out.nav.x.v[0], fs.nav.x.v[0])
     assert np.array_equal(out.P[0], fs.P[0])
@@ -323,7 +323,7 @@ def test_batched_update_gates_each_run(earth, world):
     assert np.allclose(innov, vb - v)
     # the run that applied its sample matches a filter of its own
     single = _surface_filter(earth, world, ErrorConvention.RIGHT, P0)
-    alone = update(single, OdoSample(v[1], t=0.0), noise, earth, SphericalGravity(), world, gate_sigma=5.0)
+    alone = update(single, OdoSample(v[1], t=0.0), noise, gate_sigma=5.0)
     assert np.allclose(out.nav.x.v[1], alone.nav.x.v, atol=1e-12)
     assert np.allclose(out.P[1], alone.P, atol=1e-15)
 
@@ -333,9 +333,9 @@ def test_batched_update_names_the_singular_run(earth, world):
     noise = NoiseConfig(odo_noise_cov=np.diag([1e-4, 1e-4, 1e-320]))
     batch = _stack(fs, 3, runs=(5, 6, 7))
     with pytest.raises(SingularInnovation, match="run 5"):
-        update(batch, OdoSample(batch.nav.x.v.copy(), t=0.0), noise, earth, SphericalGravity(), world)
+        update(batch, OdoSample(batch.nav.x.v.copy(), t=0.0), noise)
     with pytest.raises(ValueError):
-        update(batch, OdoSample(batch.nav.x.v.copy(), t=0.5), noise, earth, SphericalGravity(), world)
+        update(batch, OdoSample(batch.nav.x.v.copy(), t=0.5), noise)
 
 
 def test_check_covariance_names_the_bad_run():
@@ -352,31 +352,27 @@ def test_check_covariance_names_the_bad_run():
 def test_batched_predict_matches_single_filters(earth, world):
     rng = np.random.default_rng(79)
     noise = NoiseConfig()
-    model = SphericalGravity()
-    singles = []
+    navs, draws = [], []
     for _ in range(3):
-        nav = random_nav_state(rng, Frame.E, Grouping.TRADITIONAL, earth, world)
+        navs.append(random_nav_state(rng, Frame.E, Grouping.TRADITIONAL, earth, world))
         A = rng.normal(size=(15, 15))
-        singles.append(FilterState(nav, rng.normal(scale=1e-5, size=3), rng.normal(scale=1e-4, size=3),
-                                   A @ A.T * 1e-4, ErrorConvention.LEFT,
-                                   ModelVariant(Frame.E, Grouping.TRADITIONAL), 0.0))
+        draws.append((rng.normal(scale=1e-5, size=3), rng.normal(scale=1e-4, size=3), A @ A.T * 1e-4))
     from navkit import SE23, NavState
 
-    nav = NavState(Frame.E, Grouping.TRADITIONAL,
-                   SE23(*(np.stack([getattr(s.nav.x, k) for s in singles]) for k in "Rvp")),
-                   singles[0].nav.r0, singles[0].nav.dv0)
     # random_nav_state anchors each state at its own position; share run 0's
     # anchor so the batch is one model.
-    singles = [FilterState(NavState(Frame.E, Grouping.TRADITIONAL, s.nav.x, nav.r0, nav.dv0),
-                           s.bias_g, s.bias_a, s.P, s.conv, s.variant, 0.0) for s in singles]
+    nav = NavState(Frame.E, Grouping.TRADITIONAL,
+                   SE23(*(np.stack([getattr(n.x, k) for n in navs]) for k in "Rvp")), navs[0].r0, navs[0].dv0)
+    model = NavModel.of(nav, earth, SphericalGravity(), world)
+    singles = [FilterState(NavState(Frame.E, Grouping.TRADITIONAL, n.x, nav.r0, nav.dv0), bg, ba, P,
+                           ErrorConvention.LEFT, model, 0.0) for n, (bg, ba, P) in zip(navs, draws)]
     batch = FilterState(nav, np.stack([s.bias_g for s in singles]), np.stack([s.bias_a for s in singles]),
-                        np.stack([s.P for s in singles]), ErrorConvention.LEFT,
-                        ModelVariant(Frame.E, Grouping.TRADITIONAL), 0.0)
+                        np.stack([s.P for s in singles]), ErrorConvention.LEFT, model, 0.0)
     om = rng.normal(scale=0.1, size=(3, 3))
     f = rng.normal(scale=2.0, size=(3, 3))
-    out = predict(batch, ImuSample(om, f, 0.01), noise, earth, model, world, method="rk4")
+    out = predict(batch, ImuSample(om, f, 0.01), noise, method="rk4")
     for i, s in enumerate(singles):
-        ref = predict(s, ImuSample(om[i], f[i], 0.01), noise, earth, model, world, method="rk4")
+        ref = predict(s, ImuSample(om[i], f[i], 0.01), noise, method="rk4")
         assert np.allclose(out.nav.x.R[i], ref.nav.x.R, atol=1e-14)
         assert np.allclose(out.nav.x.p[i], ref.nav.x.p, atol=1e-9)
         assert np.allclose(out.P[i], ref.P, rtol=1e-12, atol=1e-18)

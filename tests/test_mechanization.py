@@ -30,7 +30,7 @@ from navkit import (
     step,
     to_proposed,
 )
-from navkit.mechanization import _Dynamics
+from navkit.mechanization import NavModel, _input_matrix
 from conftest import random_nav_state, random_rotation
 
 ALL_COMBOS = [
@@ -92,11 +92,10 @@ def expected_rates(state, imu, earth, world):
 @pytest.mark.parametrize("frame,grouping", ALL_COMBOS, ids=lambda c: getattr(c, "value", c))
 def test_derivative_matches_component_ode(frame, grouping, earth, world):
     rng = np.random.default_rng(30)
-    model = SphericalGravity()
     for _ in range(20):
         st = wander(random_nav_state(rng, frame, grouping, earth, world), rng)
         imu = random_imu(rng)
-        dX, w = derivative(st, imu, earth, model, world)
+        dX, w = derivative(st, imu, NavModel.of(st, earth, SphericalGravity(), world))
         dC, dv, dp = expected_rates(st, imu, earth, world)
         assert np.allclose(dX[0:3, 0:3], dC, atol=1e-10)
         assert np.allclose(dX[0:3, 3], dv, atol=1e-9)
@@ -115,7 +114,7 @@ def test_w_decomposition_structure(frame, grouping, earth, world):
     rng = np.random.default_rng(31)
     st = random_nav_state(rng, frame, grouping, earth, world)
     imu = random_imu(rng)
-    _, w = derivative(st, imu, earth, SphericalGravity(), world)
+    _, w = derivative(st, imu, NavModel.of(st, earth, SphericalGravity(), world))
     assert np.allclose(w.W1[0:3, 0:3], skew(imu.omega_ib_b))
     assert np.allclose(w.W1[0:3, 3], imu.f_ib_b)
     assert w.W1[3, 4] == 1.0
@@ -126,11 +125,11 @@ def test_w_decomposition_structure(frame, grouping, earth, world):
         assert np.allclose(w.W3, 0.0) and np.allclose(w.W4, 0.0)
 
 
-def _flow_fd(state, imu, earth, model, world, h=1e-2):
+def _flow_fd(state, imu, model, h=1e-2):
     """Richardson-extrapolated central difference of the rk4 flow."""
 
     def at(dt):
-        s = step(state, replace(imu, dt=dt), earth, model, world, method="rk4")
+        s = step(state, replace(imu, dt=dt), model, method="rk4")
         return s.x.as_matrix()
 
     def central(hh):
@@ -142,12 +141,12 @@ def _flow_fd(state, imu, earth, model, world, h=1e-2):
 @pytest.mark.parametrize("frame,grouping", ALL_COMBOS, ids=lambda c: getattr(c, "value", c))
 def test_derivative_is_flow_jacobian(frame, grouping, earth, world):
     rng = np.random.default_rng(32)
-    model = SphericalGravity()
     for _ in range(10):
         st = wander(random_nav_state(rng, frame, grouping, earth, world), rng)
         imu = random_imu(rng)
-        dX, _ = derivative(st, imu, earth, model, world)
-        fd = _flow_fd(st, imu, earth, model, world)
+        model = NavModel.of(st, earth, SphericalGravity(), world)
+        dX, _ = derivative(st, imu, model)
+        fd = _flow_fd(st, imu, model)
         assert np.linalg.norm(dX - fd) < 1e-6 * max(1.0, np.linalg.norm(dX))
 
 
@@ -166,8 +165,9 @@ def test_static_equilibrium_is_fixed_point(frame, earth, world):
     g = gravity(r_center, SphericalGravity(), earth, omega=omega)
     imu = ImuSample(omega_ib_b=C0.T @ omega, f_ib_b=-C0.T @ g, dt=0.01)
     st = make_nav_state(frame, Grouping.TRADITIONAL, C0, np.zeros(3), r, earth, world)
+    model = NavModel.of(st, earth, SphericalGravity(), world)
     for _ in range(1000):
-        st = step(st, imu, earth, SphericalGravity(), world, method="rk4")
+        st = step(st, imu, model, method="rk4")
     assert np.linalg.norm(st.x.v) < 1e-12
     assert np.linalg.norm(st.x.p) < 1e-12
     assert np.abs(st.x.R - C0).max() < 1e-12
@@ -177,11 +177,11 @@ def test_pure_rotation_angle():
     from navkit import EarthParams
 
     earth = EarthParams()
-    model = UniformGravity(np.zeros(3))
     imu = ImuSample(omega_ib_b=np.array([0.0, 0.0, 0.1]), f_ib_b=np.zeros(3), dt=0.01)
     st = make_nav_state(Frame.I, Grouping.TRADITIONAL, np.eye(3), np.zeros(3), np.zeros(3), earth)
+    model = NavModel.of(st, earth, UniformGravity(np.zeros(3)))
     for _ in range(1000):
-        st = step(st, imu, earth, model, method="midpoint")
+        st = step(st, imu, model, method="midpoint")
     phi = so3_log(st.x.R)
     assert abs(np.linalg.norm(phi) - 1.0) < 1e-9
     assert np.allclose(st.x.v, 0.0) and np.allclose(st.x.p, 0.0)
@@ -192,8 +192,9 @@ def _final_state(frame, earth, world, dt, n, method):
     C0 = random_rotation(rng)
     st = make_nav_state(frame, Grouping.TRADITIONAL, C0, np.array([30.0, 5.0, -2.0]), world.r_ew_e.copy(), earth, world)
     imu = ImuSample(omega_ib_b=np.array([0.02, -0.05, 0.1]), f_ib_b=np.array([1.0, -2.0, 9.8]), dt=dt)
+    model = NavModel.of(st, earth, SphericalGravity(), world)
     for _ in range(n):
-        st = step(st, imu, earth, SphericalGravity(), world, method=method)
+        st = step(st, imu, model, method=method)
     return st
 
 
@@ -219,13 +220,13 @@ def test_midpoint_attitude_exact_for_constant_rate(earth, world):
     # Constant body rate: the discrete attitude equals the closed form
     # exp(-T omega_frame x) C0 exp(T omega_b x) no matter how the interval
     # is split, in every frame and grouping (the i-frame does not rotate).
-    model = UniformGravity(np.zeros(3))
     omega = np.array([0.3, -0.2, 0.5])
     C0 = random_rotation(np.random.default_rng(35))
     for frame, grouping in ALL_COMBOS:
         st = make_nav_state(frame, grouping, C0, np.zeros(3), np.zeros(3), earth, world)
+        model = NavModel.of(st, earth, UniformGravity(np.zeros(3)), world)
         for _ in range(400):
-            st = step(st, ImuSample(omega, np.zeros(3), 0.0025), earth, model, world, method="midpoint")
+            st = step(st, ImuSample(omega, np.zeros(3), 0.0025), model, method="midpoint")
         omega_frame = np.zeros(3) if frame is Frame.I else earth_rate(frame.value, earth, world)
         expected = so3_exp(-1.0 * omega_frame) @ C0 @ so3_exp(omega * 1.0)
         assert np.abs(st.x.R - expected).max() < 1e-12, (frame, grouping)
@@ -237,7 +238,7 @@ def test_gravity_column_is_the_velocity_rate_at_rest(earth, world):
     rng = np.random.default_rng(41)
     for frame, grouping in ALL_COMBOS:
         st = random_nav_state(rng, frame, grouping, earth, world)
-        model = _Dynamics.of(st, earth, world, SphericalGravity())
+        model = NavModel.of(st, earth, SphericalGravity(), world)
         r = model.r_base + rng.normal(scale=200.0, size=(4, 3))
         rest = model.accel(np.zeros((4, 3)), r, np.zeros((4, 3)))
         assert np.array_equal(rest, model.column(r)), (frame, grouping)
@@ -253,19 +254,44 @@ def _stacked_state(rng, frame, grouping, earth, world, n):
 def test_step_guards(earth, world):
     rng = np.random.default_rng(36)
     st = random_nav_state(rng, Frame.E, Grouping.TRADITIONAL, earth, world)
+    model = NavModel.of(st, earth, SphericalGravity(), world)
     with pytest.raises(ValueError):
-        step(st, ImuSample(np.zeros(3), np.zeros(3), 0.2), earth, SphericalGravity(), world)
+        step(st, ImuSample(np.zeros(3), np.zeros(3), 0.2), model)
     with pytest.raises(ValueError):
-        step(st, ImuSample(np.zeros(3), np.zeros(3), 0.01), earth, SphericalGravity(), world, method="euler")
+        step(st, ImuSample(np.zeros(3), np.zeros(3), 0.01), model, method="euler")
+    # A model of another frame or grouping is refused.
+    with pytest.raises(FrameMismatch, match="proposed-e state given to the traditional-e model"):
+        step(to_proposed(st, earth, world), ImuSample(np.zeros(3), np.zeros(3), 0.01), model)
     # One dt per element: a single element over the guard is enough.
     stack = _stacked_state(rng, Frame.E, Grouping.TRADITIONAL, earth, world, 3)
     zeros = np.zeros((3, 3))
     with pytest.raises(ValueError, match="exceeds"):
-        step(stack, ImuSample(zeros, zeros, np.array([0.01, 0.2, 0.01])), earth, SphericalGravity(), world,
-             method="rk4")
+        step(stack, ImuSample(zeros, zeros, np.array([0.01, 0.2, 0.01])), model, method="rk4")
     # Midpoint takes one dt; at n=3 a (3,) dt would broadcast against the (3, 3) vectors unnoticed.
     with pytest.raises(ValueError, match="rk4"):
-        step(stack, ImuSample(zeros, zeros, np.full(3, 0.01)), earth, SphericalGravity(), world)
+        step(stack, ImuSample(zeros, zeros, np.full(3, 0.01)), model)
+
+
+@pytest.mark.parametrize(
+    "grav", [SphericalGravity(), UniformGravity(np.array([0.0, 0.0, 9.8]))], ids=["spherical", "uniform"]
+)
+def test_packed_rate_is_the_dense_field(grav, earth, world):
+    # rk4's stage rate on K = [C | v | p] is rows 0-2 of derivative's dX,
+    # for every model, on a stack and on each element alone.
+    rng = np.random.default_rng(42)
+    n = 4
+    for frame, grouping in ALL_COMBOS:
+        st = _stacked_state(rng, frame, grouping, earth, world, n)
+        model = NavModel.of(st, earth, grav, world)
+        om, f = rng.normal(scale=0.2, size=(n, 3)), rng.normal(scale=3.0, size=(n, 3))
+        K = np.concatenate((st.x.R, st.x.v[..., None], st.x.p[..., None]), axis=-1)
+        stacked = model.rate(K, _input_matrix(om, f))
+        for k in range(n):
+            one = replace(st, x=SE23(st.x.R[k], st.x.v[k], st.x.p[k]))
+            dX, _ = derivative(one, ImuSample(om[k], f[k], 0.01), model)
+            single = model.rate(K[k], _input_matrix(om[k], f[k]))
+            assert np.abs(single - dX[0:3]).max() <= 1e-12, (frame, grouping, k)
+            assert np.abs(stacked[k] - dX[0:3]).max() <= 1e-12, (frame, grouping, k)
 
 
 @pytest.mark.parametrize("frame,grouping", ALL_COMBOS)
@@ -275,11 +301,11 @@ def test_rk4_dt_per_element_matches_one_element_stacks(frame, grouping, earth, w
     st = _stacked_state(rng, frame, grouping, earth, world, n)
     om, f = rng.normal(scale=0.2, size=(n, 3)), rng.normal(scale=3.0, size=(n, 3))
     dt = np.array([0.01, 0.01, 0.01, 0.01, 0.0037])  # the last grid interval is shorter
-    out = step(st, ImuSample(om, f, dt), earth, SphericalGravity(), world, method="rk4").x
+    model = NavModel.of(st, earth, SphericalGravity(), world)
+    out = step(st, ImuSample(om, f, dt), model, method="rk4").x
     for k in range(n):
         one = replace(st, x=SE23(st.x.R[k : k + 1], st.x.v[k : k + 1], st.x.p[k : k + 1]))
-        ref = step(one, ImuSample(om[k : k + 1], f[k : k + 1], float(dt[k])), earth, SphericalGravity(), world,
-                   method="rk4").x
+        ref = step(one, ImuSample(om[k : k + 1], f[k : k + 1], float(dt[k])), model, method="rk4").x
         for a, b in ((out.R[k], ref.R[0]), (out.v[k], ref.v[0]), (out.p[k], ref.p[0])):
             assert np.array_equal(a, b), k
 
@@ -308,14 +334,13 @@ def test_regrouping_roundtrip(frame, earth, world):
 def test_regrouped_derivatives_agree(frame, earth, world):
     # d/dt of the conversion identities: same dp, and dv_prop = dv_trad + w x v.
     rng = np.random.default_rng(38)
-    model = SphericalGravity()
     omega = earth_rate(frame.value, earth, world)
     for _ in range(20):
         st = wander(random_nav_state(rng, frame, Grouping.TRADITIONAL, earth, world), rng)
         prop = to_proposed(st, earth, world)
         imu = random_imu(rng)
-        dX_t, _ = derivative(st, imu, earth, model, world)
-        dX_p, _ = derivative(prop, imu, earth, model, world)
+        dX_t, _ = derivative(st, imu, NavModel.of(st, earth, SphericalGravity(), world))
+        dX_p, _ = derivative(prop, imu, NavModel.of(prop, earth, SphericalGravity(), world))
         assert np.allclose(dX_p[0:3, 4], dX_t[0:3, 4], atol=1e-10)
         assert np.allclose(dX_p[0:3, 3], dX_t[0:3, 3] + np.cross(omega, st.x.v), atol=1e-9)
         assert np.allclose(dX_p[0:3, 0:3], dX_t[0:3, 0:3], atol=1e-12)
@@ -366,15 +391,15 @@ def test_cross_frame_consistency_short(earth, world):
     v_eb_e = np.array([12.0, -3.0, 1.5])
     r_eb_e = world.r_ew_e + np.array([100.0, 50.0, -20.0])
     imu = ImuSample(np.array([0.05, -0.02, 0.3]), np.array([0.5, -1.0, 9.0]), 0.01)
-    model = SphericalGravity()
     n = 200
     t_end = n * imu.dt
 
     states = {}
     for frame in (Frame.I, Frame.E, Frame.W):
         st = nav_from_physical(frame, Grouping.TRADITIONAL, C_b_e, v_eb_e, r_eb_e, earth, world, t=0.0)
+        model = NavModel.of(st, earth, SphericalGravity(), world)
         for _ in range(n):
-            st = step(st, imu, earth, model, world, method="rk4")
+            st = step(st, imu, model, method="rk4")
         states[frame] = physical_from_nav(st, earth, world, t=t_end)
 
     for other in (Frame.E, Frame.W):

@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from navkit import (
     SE23,
@@ -283,6 +285,13 @@ def test_stacked_errors_name_the_element():
     with pytest.raises(NotARotation, match="element 2") as info:
         so3_log(np.stack([R[0], R[0], np.full((3, 3), np.nan)]))
     assert info.value.element == 2
+    # A reflection is orthonormal; its message names the determinant.
+    with pytest.raises(NotARotation, match=r"^determinant -1\.000 is negative: a reflection") as info:
+        so3_log(np.diag([1.0, 1.0, -1.0]))
+    assert info.value.element is None
+    with pytest.raises(NotARotation, match=r"^element 1 of the stack: determinant -1\.000") as info:
+        so3_log(np.stack([R[0], np.diag([-1.0, 1.0, 1.0])]))
+    assert info.value.element == 1
     X = SE23(so3_exp(np.array([[0.0, 0.0, 0.1], [0.0, 0.0, np.pi - 1e-7]])), np.zeros((2, 3)), np.zeros((2, 3)))
     with pytest.raises(AngleAtPi, match="element 1") as info:
         se23_log(X)
@@ -290,3 +299,55 @@ def test_stacked_errors_name_the_element():
     with pytest.raises(AngleAtPi) as info:
         se23_log(SE23(X.R[1], X.v[1], X.p[1]))
     assert info.value.element is None
+
+
+# ---------------------------------------------------------------------------
+# property tests of the branchy numerics (hypothesis)
+
+_PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+_UNIT_AXIS = st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3).map(np.array).filter(
+    lambda a: np.linalg.norm(a) > 0.1
+).map(lambda a: a / np.linalg.norm(a))
+
+
+@_PROPERTY
+@given(axis=_UNIT_AXIS, gap=st.floats(0.0, 1e-3))
+def test_so3_log_within_1e3_of_pi(axis, gap):
+    # The near-pi branch: the log lands back on the rotation, with the
+    # angle pi - gap; below the pi cut it is the one rotation vector of
+    # that angle (either sign once the sine is lost to rounding).
+    theta = np.pi - gap
+    R = so3_exp(theta * axis)
+    phi = so3_log(R)
+    assert abs(np.linalg.norm(phi) - theta) <= 1e-12
+    assert np.abs(so3_exp(phi) - R).max() <= 1e-12
+    assert min(np.abs(phi - theta * axis).max(), np.abs(phi + theta * axis).max()) <= 1e-12
+
+
+@_PROPERTY
+@given(axis=_UNIT_AXIS, theta=st.floats(0.0, 1e-8, exclude_max=True))
+def test_so3_log_below_1e8(axis, theta):
+    # The series branch: exp then log returns the rotation vector.
+    phi = theta * axis
+    back = so3_log(so3_exp(phi))
+    assert np.abs(back - phi).max() <= 1e-12 * theta
+    assert np.abs(so3_exp(back) - so3_exp(phi)).max() <= 1e-15
+
+
+@_PROPERTY
+@given(
+    axis=_UNIT_AXIS,
+    theta=st.one_of(st.floats(0.0, 1e-8), st.floats(1e-8, 1e-3), st.floats(1e-3, np.pi - 1e-3)),
+    rho=st.lists(st.floats(-1e3, 1e3), min_size=6, max_size=6).map(np.array),
+)
+def test_se23_exp_log_round_trip(axis, theta, rho):
+    # Across the small-angle and Jacobian-series switches up to the pi
+    # guard.  The regular branch takes the angle from arccos of the trace,
+    # which near the guard resolves it to about 1e-11 rad.
+    xi = TangentVector(theta * axis, rho[0:3], rho[3:6])
+    X = se23_exp(xi)
+    back = se23_log(X)
+    scale = max(1.0, np.abs(rho).max())
+    assert np.abs(back.phi - xi.phi).max() <= 1e-10
+    assert np.abs(np.concatenate([back.rho_v, back.rho_r]) - rho).max() <= 1e-9 * scale
+    assert np.abs(se23_exp(back).as_matrix() - X.as_matrix()).max() <= 1e-10 * scale

@@ -18,6 +18,7 @@ from navkit import (
     Grouping,
     ImuSample,
     ModelVariant,
+    NavModel,
     NoiseConfig,
     Rest,
     RunConfig,
@@ -171,9 +172,10 @@ def test_inverse_imu_roundtrip_closure():
     tr = gen_truth(GENTLE, EARTH, GRAV, WORLD)
     imu = inverse_imu(tr, EARTH, GRAV, WORLD)
     st = tr.state(0)
+    model = NavModel.of(st, EARTH, GRAV, WORLD)
     worst_r, worst_v, worst_att = 0.0, 0.0, 0.0
     for k, s in enumerate(imu):
-        st = step(st, s, EARTH, GRAV, WORLD, method="rk4")
+        st = step(st, s, model, method="rk4")
         worst_r = max(worst_r, np.linalg.norm(st.r0 + st.x.p - tr.r_w[k + 1]))
         worst_v = max(worst_v, np.linalg.norm(st.x.v - tr.v_wb_w[k + 1]))
         ang = np.linalg.norm(so3_log(st.x.R.T @ tr.C_b_w[k + 1]))
@@ -495,12 +497,12 @@ def _scalar_twin_logs(variant, conv, traj, xi0, settings):
     x = eta0_inv.compose(truth.x) if conv is ErrorConvention.RIGHT else truth.x.compose(eta0_inv)
     est = replace(truth, x=x)
     logs = [se23_log(error_from_states(truth, est, conv)).as_vector()]
+    model = NavModel.of(truth, settings.earth, settings.gravity, world)
     for imu in inverse_imu(truth_w, settings.earth, settings.gravity, world):
         imu_est = ImuSample(imu.omega_ib_b + settings.gyro_input_error,
                             imu.f_ib_b + settings.accel_input_error, imu.dt)
-        args = (settings.earth, settings.gravity, world)
-        truth = step(truth, imu, *args, method=settings.integrator)
-        est = step(est, imu_est, *args, method=settings.integrator)
+        truth = step(truth, imu, model, method=settings.integrator)
+        est = step(est, imu_est, model, method=settings.integrator)
         logs.append(se23_log(error_from_states(truth, est, conv)).as_vector())
     return np.array(logs)
 
