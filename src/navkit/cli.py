@@ -39,7 +39,6 @@ from .simulate import (
     NewtonNotConverged,
     SensorErrors,
     SpecInvalid,
-    _odo_indices,
     _run_lockstep,
     autonomy_experiment,
     corrupt,
@@ -120,9 +119,8 @@ def cmd_simulate(resolved, out_dir):
 
     _, true_bg, true_ba = draw_biases(cfg, 0)
     errors = SensorErrors(true_bg, true_ba, cfg.noise, cfg.seed, 0)
-    imu_meas = corrupt(imu_true, errors)
-    odo = gen_odometer(truth, cfg.noise, cfg.seed, cfg.odo_rate, 0)
-    odo_idx = _odo_indices(truth, cfg.odo_rate)
+    imu_meas, _, _ = corrupt(imu_true, errors)
+    odo_idx, odo_v = gen_odometer(truth, cfg.noise, cfg.seed, cfg.odo_rate, 0)
 
     rows = []
     for k in range(len(truth.t)):
@@ -141,13 +139,8 @@ def cmd_simulate(resolved, out_dir):
     )
 
     rows = []
-    for k, s in enumerate(imu_meas):
-        rows.append(
-            [_fmt_t(truth.t[k])]
-            + [_fmt(x) for x in s.omega_ib_b]
-            + [_fmt(x) for x in s.f_ib_b]
-            + [_fmt(s.dt)]
-        )
+    for k, (omega, f, dt) in enumerate(zip(imu_meas.omega_ib_b, imu_meas.f_ib_b, imu_meas.dt)):
+        rows.append([_fmt_t(truth.t[k])] + [_fmt(x) for x in omega] + [_fmt(x) for x in f] + [_fmt(dt)])
     _write_csv(
         os.path.join(out_dir, "imu.csv"),
         h,
@@ -155,9 +148,7 @@ def cmd_simulate(resolved, out_dir):
         rows,
     )
 
-    rows = []
-    for idx, z in zip(odo_idx, odo):
-        rows.append([_fmt_t(truth.t[idx])] + [_fmt(x) for x in z.v_odo_b])
+    rows = [[_fmt_t(truth.t[idx])] + [_fmt(x) for x in v] for idx, v in zip(odo_idx, odo_v)]
     _write_csv(os.path.join(out_dir, "odo.csv"), h, ["t", "v_x", "v_y", "v_z"], rows)
     return 0
 

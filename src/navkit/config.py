@@ -56,7 +56,10 @@ def _check_keys(obj, path, allowed):
 def _expect_num(value, path, minimum=None):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(path, f"expected a number, got {type(value).__name__}")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an integer beyond the float range
+        value = np.inf
     if not np.isfinite(value):
         _fail(path, "expected a finite number")
     if minimum is not None and value < minimum:
@@ -79,7 +82,7 @@ def _expect_bool(value, path):
 
 
 def _expect_choice(value, path, options):
-    if value not in options:
+    if not isinstance(value, str) or value not in options:
         _fail(path, f"expected one of {sorted(options)}, got {value!r}")
     return value
 

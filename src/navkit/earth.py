@@ -15,7 +15,7 @@ from typing import Union
 
 import numpy as np
 
-from .se23 import KernelDomainError, _domain_error, so3_exp
+from .se23 import KernelDomainError, _domain_error, matvec, so3_exp, transpose
 
 __all__ = [
     "SingularRadius",
@@ -162,11 +162,13 @@ def frame_transform(
     to: str,
     params: EarthParams,
     world: WorldFrameDef | None = None,
-    t: float = 0.0,
+    t: float | np.ndarray = 0.0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(C, o) with r_to = C @ r_from + o for point positions.
 
-    Positions are earth-centered in i/e and w-origin-relative in w.
+    Positions are earth-centered in i/e and w-origin-relative in w.  An
+    array t gives one i-frame rotation per time, C (..., 3, 3), and an o
+    that broadcasts against it.
     """
     for f in (frm, to):
         if f not in ("i", "e", "w"):
@@ -179,12 +181,12 @@ def frame_transform(
         if f == "e":
             return np.eye(3), np.zeros(3)
         if f == "i":
-            return so3_exp(np.array([0.0, 0.0, -params.omega_ie * t])), np.zeros(3)
+            phi = np.zeros(np.shape(t) + (3,))
+            phi[..., 2] = -params.omega_ie * t
+            return so3_exp(phi), np.zeros(3)
         return world.C_e_w.T, world.r_ew_e
 
     C_fe, o_fe = to_e(frm)
     C_te, o_te = to_e(to)
     # x_to = C_te^T (x_e - o_te), x_e = C_fe x_from + o_fe
-    C = C_te.T @ C_fe
-    o = C_te.T @ (o_fe - o_te)
-    return C, o
+    return transpose(C_te) @ C_fe, matvec(transpose(C_te), o_fe - o_te)

@@ -3,14 +3,14 @@
 The 15-dim error state is (phi, rho_v, rho_r, db_g, db_a) in either the
 right (eta = X X~^-1) or left (eta = X~^-1 X) convention. predict runs the
 bias-corrected strapdown step and the discretized covariance propagation;
-update fuses a body-frame velocity (odometer with non-holonomic lateral and
+fuse fuses a body-frame velocity (odometer with non-holonomic lateral and
 vertical pseudo-measurements) through the Joseph form and retracts the
 estimated error onto the group.
 
 Every function here also runs a batch of filters in lock step: a
 FilterState whose navigation arrays, biases and covariance carry a leading
 run axis (R (N,3,3), v/p/biases (N,3), P (N,15,15)) and shares one clock.
-predict advances every run; update applies each run's odometer sample
+predict advances every run; fuse applies each run's odometer sample
 under that run's own gate, and the checks (singular innovation covariance,
 covariance health) are made per run and name the run that failed.
 """
@@ -32,7 +32,6 @@ __all__ = [
     "OdoSample",
     "predict",
     "odo_H",
-    "update",
     "fuse",
     "check_covariance",
 ]
@@ -209,21 +208,6 @@ def odo_H(conv: ErrorConvention, est: NavState, model: NavModel) -> tuple[np.nda
     return H, vb
 
 
-def update(
-    fs: FilterState,
-    z: OdoSample,
-    noise: NoiseConfig,
-    gate_sigma: float | None = None,
-    imu_period: float = 0.01,
-) -> FilterState:
-    """Fuse one odometer sample (nearest-epoch alignment, no interpolation).
-
-    A sample the gate rejects leaves its run's state untouched; when every
-    run rejects, the input state itself is returned.
-    """
-    return fuse(fs, z, noise, gate_sigma, imu_period)[0]
-
-
 def fuse(
     fs: FilterState,
     z: OdoSample,
@@ -231,9 +215,15 @@ def fuse(
     gate_sigma: float | None = None,
     imu_period: float = 0.01,
 ) -> tuple[FilterState, np.ndarray, np.ndarray, np.ndarray]:
-    """update, also returning what it saw: (state, innovation, whitened
-    innovation, applied), the last a bool per run (a 0-d array for a single
-    filter)."""
+    """Fuse one odometer sample (nearest-epoch alignment, no interpolation).
+
+    Returns (state, innovation, whitened innovation, applied), the last a
+    bool per run (a 0-d array for a single filter).  A sample the gate
+    rejects leaves its run's state untouched; when every run rejects, the
+    input state itself is returned.  One Cholesky factor L of the
+    innovation covariance S = L L^T gives the whitened innovation L^-1 y,
+    the NIS |L^-1 y|^2 the gate tests, and the gain P H^T L^-T L^-1.
+    """
     if abs(z.t - fs.t) > imu_period + 1e-9:
         raise ValueError(f"odo sample at t={z.t} not aligned with filter t={fs.t}")
     H, vb = odo_H(fs.conv, fs.nav, fs.model)
@@ -251,16 +241,16 @@ def fuse(
         raise SingularInnovation(
             f"{_run_label(fs.P, i, fs.runs)}innovation covariance conditioning {lo:.3e}/{hi:.3e}"
         )
-    white = np.linalg.solve(np.linalg.cholesky(S), y[..., None])[..., 0]
-    Sinv = np.linalg.inv(S)
+    Linv = np.linalg.inv(np.linalg.cholesky(S))
+    white = matvec(Linv, y)
     applied = np.ones(y.shape[:-1], dtype=bool)
     if gate_sigma is not None:
-        nis = (y[..., None, :] @ Sinv @ y[..., :, None])[..., 0, 0]
+        nis = np.add.reduce(white * white, axis=-1)
         applied = nis <= gate_sigma**2  # a rejected sample carries the state through
         if not np.any(applied):
             return fs, y, white, applied
 
-    K = fs.P @ Ht @ Sinv
+    K = fs.P @ Ht @ (transpose(Linv) @ Linv)
     dx = matvec(K, y)
     nav = apply_correction(fs.nav, TangentVector.from_vector(dx[..., :9]), fs.conv)
     bias_g = fs.bias_g - dx[..., 9:12]

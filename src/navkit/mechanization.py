@@ -415,9 +415,10 @@ def physical_from_nav(
     state: NavState,
     earth: EarthParams,
     world: WorldFrameDef | None = None,
-    t: float = 0.0,
+    t: float | np.ndarray = 0.0,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Canonical physical triplet (C_b_e, v_eb_e, r_eb_e) at time t."""
+    """Canonical physical triplet (C_b_e, v_eb_e, r_eb_e) at time t; a
+    stacked state takes one t for all its elements or an array of one each."""
     C_f = state.x.R
     r_f = state.r0 + state.x.p
     v_f = frame_velocity(state, earth, world)
@@ -427,11 +428,11 @@ def physical_from_nav(
         if world is None:
             raise ValueError("w-frame state needs a WorldFrameDef")
         C_w_e = world.C_e_w.T
-        return C_w_e @ C_f, C_w_e @ v_f, world.r_ew_e + C_w_e @ r_f
+        return C_w_e @ C_f, matvec(C_w_e, v_f), world.r_ew_e + matvec(C_w_e, r_f)
     C_i_e, _ = frame_transform("i", "e", earth, world, t)
     omega_i = earth_rate("i", earth)
     v_eb_i = v_f - np.cross(omega_i, r_f)
-    return C_i_e @ C_f, C_i_e @ v_eb_i, C_i_e @ r_f
+    return C_i_e @ C_f, matvec(C_i_e, v_eb_i), matvec(C_i_e, r_f)
 
 
 def nav_from_physical(
@@ -442,7 +443,7 @@ def nav_from_physical(
     r_eb_e: np.ndarray,
     earth: EarthParams,
     world: WorldFrameDef | None = None,
-    t: float = 0.0,
+    t: float | np.ndarray = 0.0,
     r0: np.ndarray | None = None,
     dv0: np.ndarray | None = None,
 ) -> NavState:
@@ -450,24 +451,26 @@ def nav_from_physical(
 
     With r0/dv0 omitted the state is anchored at its current position
     (fresh t=0 anchors); pass stored anchors to express a later epoch of
-    the same run; dv0 without r0 is a ValueError.
+    the same run, or a stack of its epochs (triplet (M, 3, 3), (M, 3),
+    (M, 3) with an array t of M times); dv0 without r0 is a ValueError.
     """
     if r0 is None and dv0 is not None:
         raise ValueError("dv0 needs r0: a state anchored at its current position sets its own dv0")
+    C_b_e, v_eb_e, r_eb_e = (np.asarray(a, dtype=float) for a in (C_b_e, v_eb_e, r_eb_e))
     if frame is Frame.E:
-        C_f, v_f, r_f = np.asarray(C_b_e, float), np.asarray(v_eb_e, float), np.asarray(r_eb_e, float)
+        C_f, v_f, r_f = C_b_e, v_eb_e, r_eb_e
     elif frame is Frame.W:
         if world is None:
             raise ValueError("w-frame state needs a WorldFrameDef")
         C_f = world.C_e_w @ C_b_e
-        v_f = world.C_e_w @ v_eb_e
-        r_f = world.C_e_w @ (np.asarray(r_eb_e, float) - world.r_ew_e)
+        v_f = matvec(world.C_e_w, v_eb_e)
+        r_f = matvec(world.C_e_w, r_eb_e - world.r_ew_e)
     else:
         C_e_i, _ = frame_transform("e", "i", earth, world, t)
         omega_i = earth_rate("i", earth)
-        r_f = C_e_i @ r_eb_e
+        r_f = matvec(C_e_i, r_eb_e)
         C_f = C_e_i @ C_b_e
-        v_f = C_e_i @ v_eb_e + np.cross(omega_i, r_f)
+        v_f = matvec(C_e_i, v_eb_e) + np.cross(omega_i, r_f)
     if r0 is None:
         return make_nav_state(frame, grouping, C_f, v_f, r_f, earth, world)
     r0 = np.asarray(r0, dtype=float)

@@ -146,18 +146,22 @@ def so3_exp(phi: np.ndarray) -> np.ndarray:
 def so3_log(R: np.ndarray) -> np.ndarray:
     """Rotation vector of R with norm <= pi.
 
-    Near the angle-pi cut the axis is recovered from the symmetric part
-    (well conditioned there); the sign is matched to the antisymmetric part
-    when it is informative and fixed canonically (first nonzero component
-    positive) at exactly pi, where both signs are equivalent.
+    The angle is atan2(|w|, cos theta), with w = axis sin(theta) from the
+    antisymmetric part and cos theta from the trace: full precision at
+    every angle, where arccos of the trace alone loses digits as sin(theta)
+    shrinks.  Near the angle-pi cut the axis is recovered from the
+    symmetric part (well conditioned there); the sign is matched to the
+    antisymmetric part when it is informative and fixed canonically (first
+    nonzero component positive) at exactly pi, where both signs are
+    equivalent.
 
     Raises NotARotation if R is not orthonormal with det +1 to 1e-6.
     """
     R = np.asarray(R, dtype=float)
     _check_rotation(R)
     cos_theta = np.clip((np.trace(R, axis1=-2, axis2=-1) - 1.0) / 2.0, -1.0, 1.0)
-    theta = np.arccos(cos_theta)
     w = unskew(R - transpose(R)) / 2.0  # = axis * sin(theta)
+    theta = np.arctan2(np.sqrt(_sq_norm(w)), cos_theta)
     regular = theta >= _SMALL_ANGLE
     sin_theta = np.where(regular, np.sin(theta), 1.0)
     out = np.where(regular, theta / sin_theta, 1.0)[..., None] * w

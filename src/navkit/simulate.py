@@ -16,6 +16,12 @@ synthesizer, and the run harness: one filter loop that propagates a batch
 of runs in lock step (a single run is a batch of one) with error / NEES /
 innovation bookkeeping and bit-reproducible per-run substreams, and the
 twin-propagation autonomy experiments.
+
+Every series is one stacked array value, built once: inverse_imu's inputs
+are one ImuSample (omega, f (n, 3), dt (n,)), corrupt maps that stack to
+the measured one, gen_odometer gives (grid indices, body velocities), and
+the filter loop converts the truth at every scored epoch into the
+filter's frame and grouping in one batch-shaped call.
 """
 
 from __future__ import annotations
@@ -344,7 +350,8 @@ class TruthSeries:
     """True trajectory on the IMU grid, w-frame coordinates.
 
     Positions are measured from the w-frame origin.  state(k) views epoch
-    k as a traditional-grouping NavState sharing the run's anchors.
+    k as a traditional-grouping NavState sharing the run's anchors; an
+    array of epochs gives them as one stacked state.
     """
 
     t: np.ndarray  # (N+1,)
@@ -356,7 +363,7 @@ class TruthSeries:
     def __len__(self) -> int:
         return len(self.t)
 
-    def state(self, k: int) -> NavState:
+    def state(self, k: int | np.ndarray) -> NavState:
         r0 = self.r_w[0]
         x = SE23(self.C_b_w[k].copy(), self.v_wb_w[k].copy(), self.r_w[k] - r0)
         return NavState(Frame.W, Grouping.TRADITIONAL, x, r0.copy())
@@ -422,14 +429,15 @@ def inverse_imu(
     earth: EarthParams,
     gravity_model: GravityModel,
     world: WorldFrameDef,
-) -> list[ImuSample]:
+) -> ImuSample:
     """Recover per-interval inertial inputs consistent with the grid.
 
     Solves, for every interval at once, the six-unknown system "RK4 step
     with constant (omega, f) lands on the next grid attitude/velocity",
-    by Newton iteration with a finite-difference Jacobian.  Feeding the
-    result back through the forward integrator reproduces the grid to
-    navigation precision.
+    by Newton iteration with a finite-difference Jacobian.  Returns the
+    inputs as one stack, omega and f (n, 3) and dt (n,), the form
+    step(method="rk4") takes; feeding it back through the forward
+    integrator reproduces the grid to navigation precision.
     """
     C, v, r, t = truth.C_b_w, truth.v_wb_w, truth.r_w, truth.t
     n = len(t) - 1
@@ -486,7 +494,7 @@ def inverse_imu(
         u = u + np.linalg.solve(J, -res[:, :, None])[:, :, 0]
         res = residual(u)
 
-    return [ImuSample(u[k, 0:3].copy(), u[k, 3:6].copy(), float(dts[k])) for k in range(n)]
+    return ImuSample(u[:, 0:3], u[:, 3:6], dts)
 
 
 # ---------------------------------------------------------------------------
@@ -523,33 +531,22 @@ def true_bias_series(errors: SensorErrors, dts: np.ndarray) -> tuple[np.ndarray,
     return out[0], out[1]
 
 
-def _measured_imu(
-    omega: np.ndarray, f: np.ndarray, dts: np.ndarray, errors: SensorErrors
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(measured omega, measured f, true gyro bias, true accel bias), each
-    (n, 3), for true inputs given as (n, 3) arrays."""
+def corrupt(imu: ImuSample, errors: SensorErrors) -> tuple[ImuSample, np.ndarray, np.ndarray]:
+    """Measured IMU: the true stack (as inverse_imu returns it) plus bias
+    (random-walking if configured) plus white noise at the sample rate.
+
+    Returns (measured stack, true gyro bias, true accel bias), the biases
+    (n, 3) per interval.  Deterministic in (seed, run_index).
+    """
+    dts = imu.dt
     n = len(dts)
     bias_g, bias_a = true_bias_series(errors, dts)
     ng = GaussianStream(errors.seed, substream(STREAM_GYRO_NOISE, errors.run_index)).normal_matrix(n, 3)
     na = GaussianStream(errors.seed, substream(STREAM_ACCEL_NOISE, errors.run_index)).normal_matrix(n, 3)
     sig_g = np.sqrt(errors.noise.gyro_noise_psd / dts)[:, None]
     sig_a = np.sqrt(errors.noise.accel_noise_psd / dts)[:, None]
-    return omega + bias_g + sig_g * ng, f + bias_a + sig_a * na, bias_g, bias_a
-
-
-def _imu_arrays(imu_series: Sequence[ImuSample]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(omega (n,3), f (n,3), dt (n,)) of a list of samples."""
-    omega = np.array([s.omega_ib_b for s in imu_series], dtype=float).reshape(-1, 3)
-    f = np.array([s.f_ib_b for s in imu_series], dtype=float).reshape(-1, 3)
-    return omega, f, np.array([s.dt for s in imu_series], dtype=float)
-
-
-def corrupt(imu_series: Sequence[ImuSample], errors: SensorErrors) -> list[ImuSample]:
-    """Measured IMU: truth plus bias (random-walking if configured) plus
-    white noise at the sample rate.  Deterministic in (seed, run_index)."""
-    omega, f, dts = _imu_arrays(imu_series)
-    om_meas, f_meas, _, _ = _measured_imu(omega, f, dts, errors)
-    return [ImuSample(om_meas[k], f_meas[k], s.dt) for k, s in enumerate(imu_series)]
+    measured = ImuSample(imu.omega_ib_b + bias_g + sig_g * ng, imu.f_ib_b + bias_a + sig_a * na, dts)
+    return measured, bias_g, bias_a
 
 
 def _odo_indices(truth: TruthSeries, odo_rate: float) -> np.ndarray:
@@ -566,10 +563,18 @@ def _odo_indices(truth: TruthSeries, odo_rate: float) -> np.ndarray:
     return idx[aligned]
 
 
-def _odo_measurements(
-    truth: TruthSeries, noise: NoiseConfig, seed: int, odo_rate: float, run_index: int
+def gen_odometer(
+    truth: TruthSeries,
+    noise: NoiseConfig,
+    seed: int,
+    odo_rate: float = 10.0,
+    run_index: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(grid indices, measured body velocities (m, 3)) of a run's odometer."""
+    """Body-frame odometer track: true forward speed on the body x-axis,
+    non-holonomic zeros elsewhere, plus noise drawn from odo_noise_cov.
+
+    Returns (grid indices (m,), measured body velocities (m, 3)).
+    """
     idx = _odo_indices(truth, odo_rate)
     L = np.linalg.cholesky(noise.odo_noise_cov)
     draws = GaussianStream(seed, substream(STREAM_ODOMETER, run_index)).normal_matrix(len(idx), 3)
@@ -577,19 +582,6 @@ def _odo_measurements(
     v_meas = np.zeros((len(idx), 3))
     v_meas[:, 0] = vb[:, 0]
     return idx, v_meas + matvec(L, draws)
-
-
-def gen_odometer(
-    truth: TruthSeries,
-    noise: NoiseConfig,
-    seed: int,
-    odo_rate: float = 10.0,
-    run_index: int = 0,
-) -> list[OdoSample]:
-    """Body-frame odometer track: true forward speed on the body x-axis,
-    non-holonomic zeros elsewhere, plus noise drawn from odo_noise_cov."""
-    idx, v_meas = _odo_measurements(truth, noise, seed, odo_rate, run_index)
-    return [OdoSample(v, float(truth.t[k])) for v, k in zip(v_meas, idx)]
 
 
 # ---------------------------------------------------------------------------
@@ -685,17 +677,6 @@ class RunResult:
         return float(np.mean(self.nees[mask]))
 
 
-def _truth_nav(
-    truth: TruthSeries, k: int, cfg: RunConfig, world: WorldFrameDef, anchors: NavState | None = None
-) -> NavState:
-    """Truth epoch k in the configured frame/grouping, against the r0/dv0
-    anchors of a state of the run, or with fresh anchors when none is given."""
-    t = float(truth.t[k])
-    trip = physical_from_nav(truth.state(k), cfg.earth, world, t)
-    r0, dv0 = (None, None) if anchors is None else (anchors.r0, anchors.dv0)
-    return nav_from_physical(cfg.frame, cfg.grouping, *trip, cfg.earth, world, t=t, r0=r0, dv0=dv0)
-
-
 def _nees(e: np.ndarray, P: np.ndarray) -> np.ndarray:
     """e^T P^-1 e for every run of a batch, (N, 15) errors against (N, 15, 15)
     covariances.  A run whose P is singular falls back to the pseudo-inverse;
@@ -738,9 +719,12 @@ def run_single(
     cfg: RunConfig,
     run_index: int = 0,
     truth: TruthSeries | None = None,
-    imu_true: list[ImuSample] | None = None,
+    imu_true: ImuSample | None = None,
 ) -> RunResult:
     """One filtered run: corrupt the truth, run the filter, score it.
+
+    truth and imu_true (inverse_imu's stack) are built from cfg when not
+    given; pass them to share one truth between runs of different models.
 
     The true initial state, true biases, and every noise sequence come
     from streams keyed by (seed, run_index), so results are reproducible
@@ -755,7 +739,7 @@ def _run_lockstep(
     cfg: RunConfig,
     run_indices: Sequence[int],
     truth: TruthSeries | None = None,
-    imu_true: list[ImuSample] | None = None,
+    imu_true: ImuSample | None = None,
 ) -> MonteCarloResult:
     """The filter loop: every run in run_indices propagated in lock step.
 
@@ -770,10 +754,9 @@ def _run_lockstep(
         truth = gen_truth(cfg.traj, cfg.earth, cfg.gravity, world)
     if imu_true is None:
         imu_true = inverse_imu(truth, cfg.earth, cfg.gravity, world)
-    omega_true, f_true, _ = _imu_arrays(imu_true)
 
     n = len(truth.t) - 1
-    dts = np.diff(truth.t)
+    dts = imu_true.dt
     odo_idx = _odo_indices(truth, cfg.odo_rate)
     if len(odo_idx) > 0:
         sample_idx = odo_idx
@@ -795,14 +778,23 @@ def _run_lockstep(
     for i, k in enumerate(runs):
         bias_hat0[i], true_gyro_bias, true_accel_bias = draw_biases(cfg, k)
         errors = SensorErrors(true_gyro_bias, true_accel_bias, cfg.noise, cfg.seed, k)
-        omega_meas[:, i], f_meas[:, i], bias_g, bias_a = _measured_imu(omega_true, f_true, dts, errors)
+        imu_meas, bias_g, bias_a = corrupt(imu_true, errors)
+        omega_meas[:, i], f_meas[:, i] = imu_meas.omega_ib_b, imu_meas.f_ib_b
         bias_true[:, i, 0:3] = bias_g[sample_idx - 1]
         bias_true[:, i, 3:6] = bias_a[sample_idx - 1]
-        odo_meas[:, i] = _odo_measurements(truth, cfg.noise, cfg.seed, cfg.odo_rate, k)[1]
+        odo_meas[:, i] = gen_odometer(truth, cfg.noise, cfg.seed, cfg.odo_rate, k)[1]
         xi0[i] = state_sigma * GaussianStream(cfg.seed, substream(STREAM_INIT_STATE, k)).normals(9)
 
-    truth0 = _truth_nav(truth, 0, cfg, world)
-    # The estimates keep truth0's anchors, so one model serves the whole loop.
+    truth0 = nav_from_physical(
+        cfg.frame, cfg.grouping, *physical_from_nav(truth.state(0), cfg.earth, world), cfg.earth, world
+    )
+    # The estimates keep truth0's anchors, so one model serves the whole loop,
+    # and the truth is scored against them: every scored epoch converted at once.
+    t = truth.t[sample_idx]
+    truth_f = nav_from_physical(
+        cfg.frame, cfg.grouping, *physical_from_nav(truth.state(sample_idx), cfg.earth, world, t),
+        cfg.earth, world, t=t, r0=truth0.r0, dv0=truth0.dv0,
+    )
     fs = FilterState(
         nav=apply_correction(truth0, TangentVector.from_vector(-xi0), cfg.convention),
         bias_g=bias_hat0[:, 0:3].copy(),
@@ -830,12 +822,11 @@ def _run_lockstep(
                 fs, innov[j], white[j], updated[j] = fuse(
                     fs, z, cfg.noise, gate_sigma=cfg.gate_sigma, imu_period=float(dts[k])
                 )
-            truth_f = _truth_nav(truth, k + 1, cfg, world, anchors=fs.nav)
-            xi[j] = error_to_vector(error_from_states(truth_f, fs.nav, fs.conv), fs.conv).as_vector()
+            truth_j = replace(truth_f, x=SE23(truth_f.x.R[j], truth_f.x.v[j], truth_f.x.p[j]))
+            xi[j] = error_to_vector(error_from_states(truth_j, fs.nav, fs.conv), fs.conv).as_vector()
             e15 = np.concatenate([xi[j], fs.bias_g - bias_true[j, :, 0:3], fs.bias_a - bias_true[j, :, 3:6]], axis=1)
             nees[j] = _nees(e15, fs.P)
 
-    t = truth.t[sample_idx]
     return _aggregate([
         RunResult(
             t=t,
@@ -984,8 +975,9 @@ def autonomy_experiment(
     if np.any(np.abs(t - truths[1].t[:m]) > _GRID_TOL):
         raise SpecInvalid("autonomy trajectories must share their time grid")
 
-    imus = [_imu_arrays(inverse_imu(truth_w, earth, gravity, world)[: m - 1]) for truth_w in truths]
-    om_true, f_true = (np.stack([imu[i] for imu in imus], axis=1) for i in (0, 1))
+    imus = [inverse_imu(truth_w, earth, gravity, world) for truth_w in truths]
+    om_true = np.stack([imu.omega_ib_b[: m - 1] for imu in imus], axis=1)
+    f_true = np.stack([imu.f_ib_b[: m - 1] for imu in imus], axis=1)
     omega = np.concatenate([om_true, om_true + settings.gyro_input_error], axis=1)
     f = np.concatenate([f_true, f_true + settings.accel_input_error], axis=1)
     starts = [

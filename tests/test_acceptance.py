@@ -161,7 +161,8 @@ def test_criterion_3_frame_consistency():
         (Straight(20.0, 10.0), Turn(20.0, 0.005, 10.0), Climb(20.0, 0.002, 10.0)), 100.0
     )
     truth = gen_truth(traj, EARTH, GRAV, WORLD)
-    imu = inverse_imu(truth, EARTH, GRAV, WORLD)
+    stack = inverse_imu(truth, EARTH, GRAV, WORLD)
+    imu = [ImuSample(*s) for s in zip(stack.omega_ib_b, stack.f_ib_b, stack.dt.tolist())]
     trip0 = physical_from_nav(truth.state(0), EARTH, WORLD, 0.0)
     states = {
         "i": nav_from_physical(Frame.I, Grouping.TRADITIONAL, *trip0, EARTH, WORLD, t=0.0),
@@ -205,7 +206,8 @@ def test_criterion_4_linearization_second_order():
     epsilons = [1e-2 * 2.0 ** (-j) for j in range(11)]  # 1e-2 down to ~1e-5
     traj = TrajectorySpec((Turn(10.0, 0.02, 20.0),), 100.0)
     truth = gen_truth(traj, EARTH, GRAV, WORLD)
-    imu = inverse_imu(truth, EARTH, GRAV, WORLD)
+    stack = inverse_imu(truth, EARTH, GRAV, WORLD)
+    imu = [ImuSample(*s) for s in zip(stack.omega_ib_b, stack.f_ib_b, stack.dt.tolist())]
     trip0 = physical_from_nav(truth.state(0), EARTH, WORLD, 0.0)
 
     t0 = time.perf_counter()

@@ -272,6 +272,14 @@ def test_schema_error_exits_2(tmp_path, capsys):
     assert "$.frame" in capsys.readouterr().err
 
 
+def test_non_string_choice_exits_2(tmp_path, capsys):
+    # A list where a name belongs is a schema error, not a TypeError traceback.
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(_config(frame=[])))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert "config: $.frame: expected one of" in capsys.readouterr().err
+
+
 def test_bad_variant_exits_2(tmp_path, cfg_file, capsys):
     code = main(["run", "--config", cfg_file, "--out", str(tmp_path), "--variant", "inertial"])
     assert code == 2

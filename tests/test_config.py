@@ -6,6 +6,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from navkit import (
     ConfigError,
@@ -234,3 +236,65 @@ def test_load_config_round_trip(tmp_path):
         load_config(str(bad))
     with pytest.raises(FileNotFoundError):
         load_config(str(tmp_path / "absent.json"))
+
+
+# ---------------------------------------------------------------------------
+# property: arbitrary JSON raises only ConfigError
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=8,
+)
+
+
+def _full():
+    cfg = _base()
+    cfg.update(
+        frame="e", grouping="traditional", convention="left", seed=3,
+        gravity={"model": "uniform", "gamma0": [0.0, 0.0, 9.8]},
+        sensors={"gyro_bias": [1e-5, 0.0, 0.0], "odo_noise_var": [1e-4, 1e-4, 1e-4], "bias_known": False},
+        filter={"gate_sigma": 3.0, "integrator": "rk4", "p0_att": 1e-6},
+        monte_carlo={"n_runs": 2},
+        autonomy={"xi0": [0.0] * 9, "trajectory_b": {"segments": [{"type": "rest", "duration": 1.0}]}},
+    )
+    cfg["trajectory"]["segments"].append({"type": "climb", "duration": 1.0, "pitch": 0.1, "speed": 2.0})
+    return cfg
+
+
+def _paths(node, path=()):
+    """Every key path into node, the root included."""
+    yield path
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _paths(child, path + (key,))
+
+
+_FULL_PATHS = list(_paths(_full()))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(path=st.sampled_from(_FULL_PATHS), value=_JSON)
+@example(path=("frame",), value=[])
+@example(path=("trajectory", "segments", 0, "type"), value={})
+@example(path=("gravity", "model"), value=[1])
+@example(path=("filter", "integrator"), value=["rk4"])
+@example(path=("seed",), value=10**400)
+@example(path=("trajectory", "imu_rate"), value=10**400)
+def test_resolve_on_arbitrary_json_raises_only_config_error(path, value):
+    # A valid config with one subtree (or the whole of it) replaced by any
+    # JSON value either resolves or raises ConfigError naming a path.
+    if not path:
+        raw = value
+    else:
+        raw = _full()
+        node = raw
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    try:
+        out = resolve(raw)
+    except ConfigError as exc:
+        assert str(exc).startswith("$")
+    else:
+        json.dumps(out, allow_nan=False)  # the resolved form is plain, finite JSON

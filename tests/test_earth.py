@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from navkit import (
     EarthParams,
@@ -145,6 +147,15 @@ def test_frame_transform_i_to_e_sidereal(earth):
     assert np.allclose(C, so3_exp([0.0, 0.0, -earth.omega_ie * t]), atol=1e-12)
 
 
+def test_frame_transform_takes_an_array_of_times(earth, world):
+    t = np.array([0.0, 10.0, 4000.0])
+    C, o = frame_transform("i", "w", earth, world, t=t)
+    assert C.shape == (3, 3, 3)
+    for k, tk in enumerate(t):
+        Ck, ok = frame_transform("i", "w", earth, world, t=tk)
+        assert np.array_equal(C[k], Ck) and np.array_equal(np.broadcast_to(o, (3, 3))[k], ok)
+
+
 def test_frame_transform_e_w_roundtrip(earth, world):
     rng = np.random.default_rng(23)
     r_e = world.r_ew_e + rng.normal(scale=1e4, size=3)
@@ -202,3 +213,31 @@ def test_stacked_gravitation_matches_scalar(earth, world):
         with pytest.raises(SingularRadius, match="element 3") as info:
             kernel(np.vstack([r[:3], [np.nan, 0.0, 0.0], r[3:]]), model, earth)
         assert info.value.element == 3
+
+
+_POLE_BAND = 1e-6  # ned_world refuses origins whose horizontal radius is below this share of |origin|
+
+
+def _near_pole(colatitude, longitude, north, earth):
+    s, z = np.sin(colatitude), np.cos(colatitude) if north else -np.cos(colatitude)
+    return earth.re * np.array([s * np.cos(longitude), s * np.sin(longitude), z])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    colatitude=st.floats(0.0, 0.99 * _POLE_BAND) | st.floats(1.01 * _POLE_BAND, 1e-3),
+    longitude=st.floats(0.0, 2.0 * np.pi),
+    north=st.booleans(),
+)
+def test_ned_world_near_the_poles(colatitude, longitude, north):
+    earth = EarthParams()
+    origin = _near_pole(colatitude, longitude, north, earth)
+    if colatitude < _POLE_BAND:
+        with pytest.raises(ValueError, match="poles"):
+            ned_world(origin, earth)
+        return
+    C = ned_world(origin, earth).C_e_w
+    assert np.abs(C @ C.T - np.eye(3)).max() <= 1e-12
+    assert np.linalg.det(C) == pytest.approx(1.0, abs=1e-12)  # right-handed
+    assert np.abs(C[2] + origin / np.linalg.norm(origin)).max() <= 1e-15  # down
+    assert np.abs(C[1, 2]) <= 1e-15  # east is horizontal

@@ -30,7 +30,6 @@ from navkit import (
     predict,
     skew,
     step,
-    update,
 )
 from conftest import random_nav_state, random_rotation
 
@@ -193,7 +192,7 @@ def test_update_scalar_gain(earth, world):
     noise = NoiseConfig(odo_noise_cov=np.eye(3))
     vb = fs.nav.x.v.copy()  # C = I so body velocity is the frame velocity
     z = OdoSample(vb - np.array([1.0, 0.0, 0.0]), t=0.0)
-    out = update(fs, z, noise)
+    out = fuse(fs, z, noise)[0]
     # Kalman gain p/(p+r) = 2/3 on each axis; posterior pr/(p+r) = 2/3.
     assert np.allclose(out.nav.x.v, vb - np.array([2.0 / 3.0, 0.0, 0.0]), atol=1e-12)
     assert abs(out.P[3, 3] - 2.0 / 3.0) < 1e-12
@@ -209,7 +208,7 @@ def test_update_zero_innovation_no_op(conv, earth, world):
     fs = FilterState(nav, np.zeros(3), np.zeros(3), P0, conv, NavModel.of(nav, earth, SphericalGravity(), world), 0.0)
     noise = NoiseConfig()
     _, vb = odo_H(conv, nav, fs.model)
-    out = update(fs, OdoSample(vb.copy(), t=0.0), noise)
+    out = fuse(fs, OdoSample(vb.copy(), t=0.0), noise)[0]
     assert np.allclose(out.nav.x.as_matrix(), nav.x.as_matrix(), atol=1e-12)
     assert np.allclose(out.bias_g, 0.0) and np.allclose(out.bias_a, 0.0)
     assert np.trace(out.P) < np.trace(P0)
@@ -227,7 +226,7 @@ def test_update_joseph_keeps_psd(earth, world):
                          NavModel.of(nav, earth, SphericalGravity(), world), 0.0)
         _, vb = odo_H(fs.conv, nav, fs.model)
         z = OdoSample(vb + rng.normal(scale=0.1, size=3), t=0.0)
-        out = update(fs, z, noise)
+        out = fuse(fs, z, noise)[0]
         check_covariance(out.P)
         assert np.abs(out.P - out.P.T).max() < 1e-12
 
@@ -238,9 +237,9 @@ def test_update_gating_rejects_outlier(earth, world):
     noise = NoiseConfig(odo_noise_cov=np.eye(3) * 1e-4)
     _, vb = odo_H(fs.conv, fs.nav, fs.model)
     z = OdoSample(vb + np.array([50.0, 0.0, 0.0]), t=0.0)
-    out = update(fs, z, noise, gate_sigma=5.0)
+    out = fuse(fs, z, noise, gate_sigma=5.0)[0]
     assert out is fs  # rejected wholesale
-    accepted = update(fs, z, noise)
+    accepted = fuse(fs, z, noise)[0]
     assert not np.allclose(accepted.nav.x.v, fs.nav.x.v)
 
 
@@ -248,14 +247,14 @@ def test_update_time_alignment_guard(earth, world):
     fs = _surface_filter(earth, world, ErrorConvention.RIGHT)
     noise = NoiseConfig()
     with pytest.raises(ValueError):
-        update(fs, OdoSample(np.zeros(3), t=0.5), noise)
+        fuse(fs, OdoSample(np.zeros(3), t=0.5), noise)
 
 
 def test_update_singular_innovation(earth, world):
     fs = _surface_filter(earth, world, ErrorConvention.RIGHT)  # P = 0
     noise = NoiseConfig(odo_noise_cov=np.diag([1e-4, 1e-4, 1e-320]))
     with pytest.raises(SingularInnovation):
-        update(fs, OdoSample(fs.nav.x.v.copy(), t=0.0), noise)
+        fuse(fs, OdoSample(fs.nav.x.v.copy(), t=0.0), noise)
 
 
 def test_check_covariance_raises():
@@ -284,7 +283,7 @@ def test_perfect_sensor_closed_loop_stays_put(earth, world):
         truth = step(truth, imu, model, method="midpoint")
         if (k + 1) % 10 == 0:
             vb = body_velocity(truth, earth, world)
-            fs = update(fs, OdoSample(vb, t=fs.t), noise)
+            fs = fuse(fs, OdoSample(vb, t=fs.t), noise)[0]
     dv = fs.nav.x.v - truth.x.v
     dp = fs.nav.x.p - truth.x.p
     assert np.linalg.norm(dv) < 1e-6
@@ -323,7 +322,7 @@ def test_batched_update_gates_each_run(earth, world):
     assert np.allclose(innov, vb - v)
     # the run that applied its sample matches a filter of its own
     single = _surface_filter(earth, world, ErrorConvention.RIGHT, P0)
-    alone = update(single, OdoSample(v[1], t=0.0), noise, gate_sigma=5.0)
+    alone = fuse(single, OdoSample(v[1], t=0.0), noise, gate_sigma=5.0)[0]
     assert np.allclose(out.nav.x.v[1], alone.nav.x.v, atol=1e-12)
     assert np.allclose(out.P[1], alone.P, atol=1e-15)
 
@@ -333,9 +332,9 @@ def test_batched_update_names_the_singular_run(earth, world):
     noise = NoiseConfig(odo_noise_cov=np.diag([1e-4, 1e-4, 1e-320]))
     batch = _stack(fs, 3, runs=(5, 6, 7))
     with pytest.raises(SingularInnovation, match="run 5"):
-        update(batch, OdoSample(batch.nav.x.v.copy(), t=0.0), noise)
+        fuse(batch, OdoSample(batch.nav.x.v.copy(), t=0.0), noise)
     with pytest.raises(ValueError):
-        update(batch, OdoSample(batch.nav.x.v.copy(), t=0.5), noise)
+        fuse(batch, OdoSample(batch.nav.x.v.copy(), t=0.5), noise)
 
 
 def test_check_covariance_names_the_bad_run():

@@ -366,6 +366,31 @@ def test_physical_roundtrip(frame, grouping, earth, world):
         assert np.allclose(st2.dv0, st.dv0)
 
 
+@pytest.mark.parametrize("frame,grouping", ALL_COMBOS, ids=lambda c: getattr(c, "value", c))
+def test_stacked_physical_conversion_is_elementwise(frame, grouping, earth, world):
+    # A stack of epochs with one t each converts, both ways, bit for bit as
+    # each epoch converted alone against the same anchors.
+    rng = np.random.default_rng(42)
+    t = np.array([0.0, 0.01, 137.25, 3600.0])
+    C_b_e = np.stack([random_rotation(rng) for _ in t])
+    v_eb_e = rng.normal(scale=10.0, size=(len(t), 3))
+    r_eb_e = world.r_ew_e + rng.normal(scale=1e3, size=(len(t), 3))
+    anchor = nav_from_physical(frame, grouping, C_b_e[0], v_eb_e[0], r_eb_e[0], earth, world)
+    stack = nav_from_physical(
+        frame, grouping, C_b_e, v_eb_e, r_eb_e, earth, world, t=t, r0=anchor.r0, dv0=anchor.dv0
+    )
+    back = physical_from_nav(stack, earth, world, t)
+    for k, tk in enumerate(t):
+        one = nav_from_physical(
+            frame, grouping, C_b_e[k], v_eb_e[k], r_eb_e[k], earth, world, t=tk, r0=anchor.r0, dv0=anchor.dv0
+        )
+        for a, b in ((stack.x.R[k], one.x.R), (stack.x.v[k], one.x.v), (stack.x.p[k], one.x.p)):
+            assert np.array_equal(a, b)
+        assert np.array_equal(stack.dv0, one.dv0)
+        for a, b in zip(back, physical_from_nav(one, earth, world, tk)):
+            assert np.array_equal(a[k], b)
+
+
 def test_dv0_without_r0_rejected(earth, world):
     C_b_e, v_eb_e, r_eb_e = np.eye(3), np.zeros(3), world.r_ew_e
     with pytest.raises(ValueError, match="dv0 needs r0"):

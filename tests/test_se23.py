@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from navkit import (
@@ -340,14 +340,40 @@ def test_so3_log_below_1e8(axis, theta):
     theta=st.one_of(st.floats(0.0, 1e-8), st.floats(1e-8, 1e-3), st.floats(1e-3, np.pi - 1e-3)),
     rho=st.lists(st.floats(-1e3, 1e3), min_size=6, max_size=6).map(np.array),
 )
+# Just outside the near-pi branch, where an angle from arccos of the trace
+# alone was off by about 1e-9.
+@example(axis=np.array([0.0, 0.0, 1.0]), theta=np.pi - 1.0097e-3, rho=np.zeros(6))
 def test_se23_exp_log_round_trip(axis, theta, rho):
     # Across the small-angle and Jacobian-series switches up to the pi
-    # guard.  The regular branch takes the angle from arccos of the trace,
-    # which near the guard resolves it to about 1e-11 rad.
+    # guard.  The regular branch takes the angle as atan2(|w|, cos), which
+    # keeps it to about 1e-13 rad everywhere.
     xi = TangentVector(theta * axis, rho[0:3], rho[3:6])
     X = se23_exp(xi)
     back = se23_log(X)
     scale = max(1.0, np.abs(rho).max())
-    assert np.abs(back.phi - xi.phi).max() <= 1e-10
+    assert np.abs(back.phi - xi.phi).max() <= 1e-12
     assert np.abs(np.concatenate([back.rho_v, back.rho_r]) - rho).max() <= 1e-9 * scale
     assert np.abs(se23_exp(back).as_matrix() - X.as_matrix()).max() <= 1e-10 * scale
+
+
+def _jacobian_series(phi):
+    """(J, J^-1) from their series to theta^4, exact to rounding for theta <= 2e-4."""
+    W, t2 = skew(phi), float(phi @ phi)
+    J = np.eye(3) + (0.5 - t2 / 24.0 + t2 * t2 / 720.0) * W + (1.0 / 6.0 - t2 / 120.0 + t2 * t2 / 5040.0) * (W @ W)
+    Jinv = np.eye(3) - 0.5 * W + (1.0 / 12.0 + t2 / 720.0 + t2 * t2 / 30240.0) * (W @ W)
+    return J, Jinv
+
+
+@_PROPERTY
+@given(axis=_UNIT_AXIS, theta=st.floats(0.5e-4, 2e-4))
+@example(axis=np.array([0.0, 0.0, 1.0]), theta=np.nextafter(1e-4, 0.0))
+@example(axis=np.array([0.0, 0.0, 1.0]), theta=1e-4)
+def test_left_jacobian_across_the_series_switch(axis, theta):
+    # Both sides of the 1e-4 switch (series below, closed form above) agree
+    # with the longer series, and J J^-1 = I there.
+    phi = theta * axis
+    J, Jinv = so3_left_jacobian(phi), so3_left_jacobian_inv(phi)
+    J_ref, Jinv_ref = _jacobian_series(phi)
+    assert np.abs(J - J_ref).max() <= 1e-15
+    assert np.abs(Jinv - Jinv_ref).max() <= 1e-15
+    assert np.abs(J @ Jinv - np.eye(3)).max() <= 1e-15

@@ -151,9 +151,9 @@ def test_rest_inputs_balance_gravity_and_earth_rate():
     w_expect = C_b_e.T @ omega_e
     g_e = gravity(ORIGIN, GRAV, EARTH, omega=omega_e)
     f_expect = -C_b_e.T @ g_e
-    for s in imu:
-        assert np.linalg.norm(s.omega_ib_b - w_expect) < 1e-12
-        assert np.linalg.norm(s.f_ib_b - f_expect) < 1e-9
+    assert imu.omega_ib_b.shape == imu.f_ib_b.shape == (200, 3) and imu.dt.shape == (200,)
+    assert np.linalg.norm(imu.omega_ib_b - w_expect, axis=1).max() < 1e-12
+    assert np.linalg.norm(imu.f_ib_b - f_expect, axis=1).max() < 1e-9
 
 
 def test_free_space_straight_needs_no_inputs():
@@ -162,9 +162,8 @@ def test_free_space_straight_needs_no_inputs():
     grav = UniformGravity(np.zeros(3))
     tr = gen_truth(TrajectorySpec((Straight(5.0, 10.0),), 100.0), quiet_earth, grav, world)
     imu = inverse_imu(tr, quiet_earth, grav, world)
-    for s in imu:
-        assert np.linalg.norm(s.omega_ib_b) < 1e-12
-        assert np.linalg.norm(s.f_ib_b) < 1e-10
+    assert np.linalg.norm(imu.omega_ib_b, axis=1).max() < 1e-12
+    assert np.linalg.norm(imu.f_ib_b, axis=1).max() < 1e-10
 
 
 def test_inverse_imu_roundtrip_closure():
@@ -174,8 +173,8 @@ def test_inverse_imu_roundtrip_closure():
     st = tr.state(0)
     model = NavModel.of(st, EARTH, GRAV, WORLD)
     worst_r, worst_v, worst_att = 0.0, 0.0, 0.0
-    for k, s in enumerate(imu):
-        st = step(st, s, model, method="rk4")
+    for k, dt in enumerate(imu.dt):
+        st = step(st, ImuSample(imu.omega_ib_b[k], imu.f_ib_b[k], dt), model, method="rk4")
         worst_r = max(worst_r, np.linalg.norm(st.r0 + st.x.p - tr.r_w[k + 1]))
         worst_v = max(worst_v, np.linalg.norm(st.x.v - tr.v_wb_w[k + 1]))
         ang = np.linalg.norm(so3_log(st.x.R.T @ tr.C_b_w[k + 1]))
@@ -197,11 +196,12 @@ def _imu_series(spec=None):
 def test_corrupt_is_deterministic():
     _, imu = _imu_series()
     errs = SensorErrors(np.array([1e-4, 0, 0]), np.zeros(3), NoiseConfig(), seed=9)
-    a = corrupt(imu, errs)
-    b = corrupt(imu, errs)
-    for x, y in zip(a, b):
-        assert np.array_equal(x.omega_ib_b, y.omega_ib_b)
-        assert np.array_equal(x.f_ib_b, y.f_ib_b)
+    a, bias_g, _ = corrupt(imu, errs)
+    b, _, _ = corrupt(imu, errs)
+    assert np.array_equal(a.omega_ib_b, b.omega_ib_b)
+    assert np.array_equal(a.f_ib_b, b.f_ib_b)
+    assert np.array_equal(a.dt, imu.dt)
+    assert np.array_equal(bias_g, true_bias_series(errs, imu.dt)[0])
 
 
 def test_corrupt_zero_noise_is_pure_bias():
@@ -210,18 +210,18 @@ def test_corrupt_zero_noise_is_pure_bias():
                        gyro_bias_rw_psd=0.0, accel_bias_rw_psd=0.0)
     bg = np.array([1e-4, -2e-4, 3e-4])
     ba = np.array([1e-3, 2e-3, -1e-3])
-    out = corrupt(imu, SensorErrors(bg, ba, zero, seed=1))
-    for raw, meas in zip(imu, out):
-        assert np.allclose(meas.omega_ib_b - raw.omega_ib_b, bg, atol=1e-15)
-        assert np.allclose(meas.f_ib_b - raw.f_ib_b, ba, atol=1e-15)
+    out, bias_g, bias_a = corrupt(imu, SensorErrors(bg, ba, zero, seed=1))
+    assert np.allclose(out.omega_ib_b - imu.omega_ib_b, bg, atol=1e-15)
+    assert np.allclose(out.f_ib_b - imu.f_ib_b, ba, atol=1e-15)
+    assert np.all(bias_g == bg) and np.all(bias_a == ba)
 
 
 def test_corrupt_bias_recns_within_3_sigma():
     tr, imu = _imu_series(TrajectorySpec((Straight(60.0, 10.0),), 100.0))
     noise = NoiseConfig(gyro_bias_rw_psd=0.0, accel_bias_rw_psd=0.0)
     bg = np.array([2e-4, -1e-4, 5e-5])
-    out = corrupt(imu, SensorErrors(bg, np.zeros(3), noise, seed=21))
-    resid = np.array([m.omega_ib_b - r.omega_ib_b for r, m in zip(imu, out)])
+    out, _, _ = corrupt(imu, SensorErrors(bg, np.zeros(3), noise, seed=21))
+    resid = out.omega_ib_b - imu.omega_ib_b
     n = len(resid)
     sigma = np.sqrt(noise.gyro_noise_psd * 100.0)  # discrete-sample std
     assert np.all(np.abs(resid.mean(axis=0) - bg) < 3.0 * sigma / np.sqrt(n))
@@ -248,33 +248,34 @@ def test_bias_series_walks_and_reproduces():
 def test_odometer_rest_near_zero_noise_zero_samples():
     tr = gen_truth(TrajectorySpec((Rest(5.0),), 100.0), EARTH, GRAV, WORLD)
     quiet = NoiseConfig(odo_noise_cov=np.diag([1e-30] * 3))
-    for z in gen_odometer(tr, quiet, seed=0):
-        assert np.linalg.norm(z.v_odo_b) < 1e-12
+    _, v = gen_odometer(tr, quiet, seed=0)
+    assert np.linalg.norm(v, axis=1).max() < 1e-12
 
 
 def test_odometer_straight_reads_forward_speed():
     tr = gen_truth(TrajectorySpec((Straight(5.0, 10.0),), 100.0), EARTH, GRAV, WORLD)
     quiet = NoiseConfig(odo_noise_cov=np.diag([1e-30] * 3))
-    samples = gen_odometer(tr, quiet, seed=0)
-    assert len(samples) == 50
-    for z in samples:
-        assert np.allclose(z.v_odo_b, [10.0, 0.0, 0.0], atol=1e-12)
+    idx, v = gen_odometer(tr, quiet, seed=0)
+    assert np.array_equal(idx, np.arange(10, 501, 10))
+    assert v.shape == (50, 3)
+    assert np.allclose(v, [10.0, 0.0, 0.0], atol=1e-12)
 
 
 def test_odometer_seeded_and_per_run():
     tr = gen_truth(TrajectorySpec((Straight(2.0, 10.0),), 100.0), EARTH, GRAV, WORLD)
-    a = gen_odometer(tr, NoiseConfig(), seed=5)
-    b = gen_odometer(tr, NoiseConfig(), seed=5)
-    c = gen_odometer(tr, NoiseConfig(), seed=5, run_index=1)
-    assert all(np.array_equal(x.v_odo_b, y.v_odo_b) for x, y in zip(a, b))
-    assert any(not np.array_equal(x.v_odo_b, y.v_odo_b) for x, y in zip(a, c))
+    _, a = gen_odometer(tr, NoiseConfig(), seed=5)
+    _, b = gen_odometer(tr, NoiseConfig(), seed=5)
+    _, c = gen_odometer(tr, NoiseConfig(), seed=5, run_index=1)
+    assert np.array_equal(a, b)
+    assert np.all(a != c)
 
 
 def test_odometer_rate_must_divide():
     tr = gen_truth(TrajectorySpec((Straight(2.0, 10.0),), 100.0), EARTH, GRAV, WORLD)
     with pytest.raises(ValueError):
         gen_odometer(tr, NoiseConfig(), seed=0, odo_rate=30.0)
-    assert gen_odometer(tr, NoiseConfig(), seed=0, odo_rate=0.0) == []
+    idx, v = gen_odometer(tr, NoiseConfig(), seed=0, odo_rate=0.0)
+    assert idx.shape == (0,) and v.shape == (0, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -379,6 +380,22 @@ def test_monte_carlo_deterministic_and_aggregated():
     assert np.all(np.isfinite(mc1.mean_nees_series))
     assert np.all(np.abs(mc1.innovation_lag1) <= 1.0)
     assert 3.0 < mc1.time_avg_nees < 40.0
+
+
+@pytest.mark.parametrize("frame", list(Frame), ids=lambda f: f.value)
+def test_monte_carlo_builds_each_model_once(frame, monkeypatch):
+    # inverse_imu's model, truth0's anchor, the filter's model and the anchor
+    # of the scored truth: four builds per batch, none per epoch.
+    builds = []
+    real_init = NavModel.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(args[:2])
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(NavModel, "__init__", counting_init)
+    run_monte_carlo(_quiet_cfg(traj=TrajectorySpec((Straight(2.0, 10.0),), 100.0), frame=frame), n_runs=3)
+    assert len(builds) == 4, builds
 
 
 def test_monte_carlo_parallel_path_matches_serial():
@@ -498,9 +515,10 @@ def _scalar_twin_logs(variant, conv, traj, xi0, settings):
     est = replace(truth, x=x)
     logs = [se23_log(error_from_states(truth, est, conv)).as_vector()]
     model = NavModel.of(truth, settings.earth, settings.gravity, world)
-    for imu in inverse_imu(truth_w, settings.earth, settings.gravity, world):
-        imu_est = ImuSample(imu.omega_ib_b + settings.gyro_input_error,
-                            imu.f_ib_b + settings.accel_input_error, imu.dt)
+    stack = inverse_imu(truth_w, settings.earth, settings.gravity, world)
+    for omega, f, dt in zip(stack.omega_ib_b, stack.f_ib_b, stack.dt.tolist()):
+        imu = ImuSample(omega, f, dt)
+        imu_est = ImuSample(omega + settings.gyro_input_error, f + settings.accel_input_error, dt)
         truth = step(truth, imu, model, method=settings.integrator)
         est = step(est, imu_est, model, method=settings.integrator)
         logs.append(se23_log(error_from_states(truth, est, conv)).as_vector())
