@@ -32,7 +32,6 @@ from .config import (
     load_config,
 )
 from .error_models import ErrorConvention
-from .lgekf import CovarianceNotPSD, SingularInnovation
 from .mechanization import Grouping
 from .se23 import KernelDomainError
 from .simulate import (
@@ -52,8 +51,6 @@ from .earth import ned_world
 _NEES_DIVERGENCE = 1e6
 
 _NUMERICAL_FAILURES = (
-    CovarianceNotPSD,
-    SingularInnovation,
     KernelDomainError,
     NewtonNotConverged,
     np.linalg.LinAlgError,
@@ -194,7 +191,7 @@ def cmd_run(resolved, out_dir):
         "rmse_att": mc.rmse_att,
         "rmse_vel": mc.rmse_vel,
         "rmse_pos": mc.rmse_pos,
-        "per_run_mean_nees": [r.mean_nees for r in mc.runs],
+        "per_run_mean_nees": [r.time_avg_nees for r in mc.runs],
     }
     _write_json(os.path.join(out_dir, "summary.json"), summary)
 

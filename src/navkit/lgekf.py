@@ -12,7 +12,9 @@ FilterState whose navigation arrays, biases and covariance carry a leading
 run axis (R (N,3,3), v/p/biases (N,3), P (N,15,15)) and shares one clock.
 predict advances every run; fuse applies each run's odometer sample
 under that run's own gate, and the checks (singular innovation covariance,
-covariance health) are made per run and name the run that failed.
+covariance health) are made per run.  Their failures are KernelDomainErrors
+that name the failing element of the stack, as the group kernels' do; the
+filter loop adds that element's run and epoch.
 """
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ import numpy as np
 
 from .error_models import ErrorConvention, apply_correction, linearized_F_G
 from .mechanization import Frame, ImuSample, NavModel, NavState, step
-from .se23 import SE23, TangentVector, matvec, skew, transpose
+from .se23 import SE23, KernelDomainError, TangentVector, _domain_error, matvec, skew, transpose
 
 __all__ = [
     "CovarianceNotPSD",
@@ -41,11 +43,11 @@ _EIG_TOL = 1e-9
 _COND_FLOOR = 1e-12
 
 
-class CovarianceNotPSD(ValueError):
+class CovarianceNotPSD(KernelDomainError):
     """Covariance lost symmetry or positive semidefiniteness."""
 
 
-class SingularInnovation(ValueError):
+class SingularInnovation(KernelDomainError):
     """Innovation covariance is numerically singular."""
 
 
@@ -100,9 +102,7 @@ class FilterState:
 
     model is the navigation model of nav's frame, grouping and anchors,
     built once for the filter (or the batch) and read by predict and fuse.
-    For a lock-step batch the arrays carry a leading run axis and runs
-    holds the Monte-Carlo run index of each element (error messages name
-    it); a single filter leaves runs as None.
+    For a lock-step batch the arrays carry a leading run axis.
     """
 
     nav: NavState
@@ -112,34 +112,25 @@ class FilterState:
     conv: ErrorConvention
     model: NavModel
     t: float = 0.0
-    runs: tuple | None = None
 
 
-def _run_label(P: np.ndarray, i: int, runs: tuple | None) -> str:
-    """'run k: ' for element i of a batch, '' for a single filter."""
-    if P.ndim == 2:
-        return ""
-    return f"run {runs[i] if runs is not None else i}: "
-
-
-def check_covariance(P: np.ndarray, runs: tuple | None = None) -> None:
+def check_covariance(P: np.ndarray) -> None:
     """Raise CovarianceNotPSD when P, or any element of a stack of them, is
-    asymmetric or indefinite; for a stack the message names the run."""
+    asymmetric or indefinite; for a stack the error names the element."""
+    single = P.ndim == 2
     flat = P.reshape(-1, 15, 15)
-    if not np.isfinite(flat).all():
-        i = int(np.flatnonzero(~np.isfinite(flat).all(axis=(1, 2)))[0])
-        raise CovarianceNotPSD(f"{_run_label(P, i, runs)}covariance has non-finite entries")
-    asym = np.abs(flat - transpose(flat))
-    if asym.max() > _SYM_TOL:
-        i = int(np.flatnonzero(asym.max(axis=(1, 2)) > _SYM_TOL)[0])
-        raise CovarianceNotPSD(f"{_run_label(P, i, runs)}covariance asymmetry exceeds 1e-9")
+    finite = np.isfinite(flat).all(axis=(1, 2))
+    if not finite.all():
+        raise _domain_error(CovarianceNotPSD, ~finite, single, lambda i: "covariance has non-finite entries")
+    asym = np.abs(flat - transpose(flat)).max(axis=(1, 2)) > _SYM_TOL
+    if asym.any():
+        raise _domain_error(CovarianceNotPSD, asym, single, lambda i: "covariance asymmetry exceeds 1e-9")
     eig_min = np.linalg.eigvalsh(flat)[:, 0]
     trace = np.trace(flat, axis1=1, axis2=2)
     bad = eig_min < -_EIG_TOL * np.maximum(trace, 1e-300)
     if bad.any():
-        i = int(np.flatnonzero(bad)[0])
-        raise CovarianceNotPSD(
-            f"{_run_label(P, i, runs)}covariance indefinite (min eig {eig_min[i]:.3e})"
+        raise _domain_error(
+            CovarianceNotPSD, bad, single, lambda i: f"covariance indefinite (min eig {eig_min[i]:.3e})"
         )
 
 
@@ -163,12 +154,10 @@ def predict(fs: FilterState, imu: ImuSample, noise: NoiseConfig, method: str = "
     half_M = (0.5 * dt) * ((G * np.diagonal(noise.input_psd())) @ transpose(G))
     P = Phi @ (fs.P + half_M) @ transpose(Phi) + (half_M + noise.bias_walk_psd() * dt)
     P = 0.5 * (P + transpose(P))
-    return FilterState(nav, fs.bias_g, fs.bias_a, P, fs.conv, fs.model, fs.t + dt, fs.runs)
+    return FilterState(nav, fs.bias_g, fs.bias_a, P, fs.conv, fs.model, fs.t + dt)
 
 
 _I15 = np.eye(15)
-_GYRO_BIAS = np.arange(9, 12)
-_ACCEL_BIAS = np.arange(12, 15)
 
 
 def odo_H(conv: ErrorConvention, est: NavState, model: NavModel) -> tuple[np.ndarray, np.ndarray]:
@@ -234,12 +223,12 @@ def fuse(
     S = H @ fs.P @ Ht + R
     S = 0.5 * (S + transpose(S))
     eig = np.linalg.eigvalsh(S)
-    singular = np.flatnonzero(eig[..., 0] <= _COND_FLOOR * np.maximum(eig[..., -1], 0.0))
-    if singular.size:
-        i = int(singular[0])
-        lo, hi = eig.reshape(-1, 3)[i, [0, -1]]
-        raise SingularInnovation(
-            f"{_run_label(fs.P, i, fs.runs)}innovation covariance conditioning {lo:.3e}/{hi:.3e}"
+    singular = eig[..., 0] <= _COND_FLOOR * np.maximum(eig[..., -1], 0.0)
+    if singular.any():
+        lo, hi = eig[..., 0].reshape(-1), eig[..., -1].reshape(-1)
+        raise _domain_error(
+            SingularInnovation, singular, S.ndim == 2,
+            lambda i: f"innovation covariance conditioning {lo[i]:.3e}/{hi[i]:.3e}",
         )
     Linv = np.linalg.inv(np.linalg.cholesky(S))
     white = matvec(Linv, y)
@@ -269,5 +258,5 @@ def fuse(
         bias_g = np.where(keep[:, None], fs.bias_g, bias_g)
         bias_a = np.where(keep[:, None], fs.bias_a, bias_a)
         P = np.where(keep[:, None, None], fs.P, P)
-    check_covariance(P, fs.runs)
-    return FilterState(nav, bias_g, bias_a, P, fs.conv, fs.model, fs.t, fs.runs), y, white, applied
+    check_covariance(P)
+    return FilterState(nav, bias_g, bias_a, P, fs.conv, fs.model, fs.t), y, white, applied

@@ -272,13 +272,6 @@ class SE23:
         M[0:3, 4] = self.p
         return M
 
-    @staticmethod
-    def from_matrix(M: np.ndarray) -> "SE23":
-        M = np.asarray(M, dtype=float)
-        R = M[0:3, 0:3].copy()
-        _check_rotation(R)
-        return SE23(R, M[0:3, 3].copy(), M[0:3, 4].copy())
-
     def adjoint(self) -> np.ndarray:
         """9x9 adjoint: vee5(X wedge5(xi) X^-1) == adjoint(X) @ xi."""
         A = np.zeros((9, 9))

@@ -21,13 +21,15 @@ Every series is one stacked array value, built once: inverse_imu's inputs
 are one ImuSample (omega, f (n, 3), dt (n,)), corrupt maps that stack to
 the measured one, gen_odometer gives (grid indices, body velocities), and
 the filter loop converts the truth at every scored epoch into the
-filter's frame and grouping in one batch-shaped call.
+filter's frame and grouping in one batch-shaped call.  Its result is one
+batch-shaped RunResult, a run per row, whose consistency aggregates pool
+over every run it holds; a failure inside the loop names its run and epoch.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -93,7 +95,6 @@ __all__ = [
     "RunConfig",
     "RunResult",
     "run_single",
-    "MonteCarloResult",
     "run_monte_carlo",
     "AutonomySettings",
     "AutonomyResult",
@@ -623,10 +624,6 @@ class RunConfig:
     bias_known: bool = True
     integrator: str = "midpoint"
 
-    @property
-    def variant(self) -> ModelVariant:
-        return ModelVariant(self.frame, self.grouping)
-
     def p0_diag(self) -> np.ndarray:
         return np.array(
             [self.p0_att] * 3
@@ -639,42 +636,81 @@ class RunConfig:
 
 @dataclass(frozen=True, eq=False)
 class RunResult:
-    """Error, NEES and innovation series of one filtered run.
+    """Error, NEES and innovation series of one filtered run or of a batch.
 
-    Error rows are the true-relative-to-estimate chart in the run's
-    convention; all series share the same epochs.  Rows where no update
-    was applied have updated=False: with the odometer off their innovation
-    entries are zero; a sample the gate rejected keeps its innovation.
+    t is (M,); every other field is (..., M[, 3]): a single run has no run
+    axis, a batch has a leading run axis.  Error rows are the
+    true-relative-to-estimate chart in the run's convention; all series
+    share the same epochs.  Rows where no update was applied have
+    updated=False: with the odometer off their innovation entries are
+    zero; a sample the gate rejected keeps its innovation.
+
+    The aggregates pool over every run and epoch the result holds, so a
+    batch of one reads its run's own numbers.  Where an update was
+    applied, NEES is averaged over the updated rows only; where none was,
+    over all of them (per epoch for mean_nees_series, over the whole
+    result for time_avg_nees).
     """
 
-    t: np.ndarray  # (M,)
-    att_err: np.ndarray  # (M,3)
-    vel_err: np.ndarray  # (M,3)
-    pos_err: np.ndarray  # (M,3)
-    nees: np.ndarray  # (M,)
-    innovation: np.ndarray  # (M,3)
-    innovation_whitened: np.ndarray  # (M,3)
-    updated: np.ndarray  # (M,) bool
+    t: np.ndarray
+    att_err: np.ndarray
+    vel_err: np.ndarray
+    pos_err: np.ndarray
+    nees: np.ndarray
+    innovation: np.ndarray
+    innovation_whitened: np.ndarray
+    updated: np.ndarray  # bool
 
-    def _rmse_norm(self, block: np.ndarray) -> float:
-        return float(np.sqrt(np.mean(np.sum(block * block, axis=1))))
+    @property
+    def runs(self) -> list[RunResult]:
+        """One view per run; a single run gives one view of itself."""
+        series = [getattr(self, f.name) for f in fields(self) if f.name != "t"]
+        return [RunResult(self.t, *(a[i] for a in series)) for i in np.ndindex(self.nees.shape[:-1])]
+
+    def _rms(self, block: np.ndarray) -> float:
+        # Each run's sum of squares, added in run order.
+        per_run = np.sum(block * block, axis=(-2, -1)).reshape(-1)
+        return float(np.sqrt(sum(per_run.tolist()) / max(per_run.size * len(self.t), 1)))
 
     @property
     def rmse_att(self) -> float:
-        return self._rmse_norm(self.att_err)
+        return self._rms(self.att_err)
 
     @property
     def rmse_vel(self) -> float:
-        return self._rmse_norm(self.vel_err)
+        return self._rms(self.vel_err)
 
     @property
     def rmse_pos(self) -> float:
-        return self._rmse_norm(self.pos_err)
+        return self._rms(self.pos_err)
+
+    def _counted(self, axis: int | None) -> np.ndarray:
+        """(runs, M) mask of the NEES rows averaged: the updated ones, or
+        every row along axis where none was updated."""
+        upd = np.atleast_2d(self.updated)
+        return np.where(np.any(upd, axis=axis, keepdims=True), upd, True)
 
     @property
-    def mean_nees(self) -> float:
-        mask = self.updated if np.any(self.updated) else np.ones(len(self.t), dtype=bool)
-        return float(np.mean(self.nees[mask]))
+    def mean_nees_series(self) -> np.ndarray:
+        counted = self._counted(axis=0)
+        return np.sum(np.where(counted, np.atleast_2d(self.nees), 0.0), axis=0) / np.sum(counted, axis=0)
+
+    @property
+    def time_avg_nees(self) -> float:
+        return float(np.mean(np.atleast_2d(self.nees)[self._counted(axis=None)]))
+
+    @property
+    def innovation_lag1(self) -> np.ndarray:
+        """(3,) whitened lag-1 autocorrelation over consecutive updates,
+        pooled over the runs."""
+        num = np.zeros(3)
+        den = np.zeros(3)
+        for r in self.runs:
+            w = r.innovation_whitened[r.updated]
+            if len(w) > 1:
+                num += np.sum(w[:-1] * w[1:], axis=0)
+                den += np.sum(w * w, axis=0)
+        return num / np.where(den == 0.0, 1.0, den)
 
 
 def _nees(e: np.ndarray, P: np.ndarray) -> np.ndarray:
@@ -740,13 +776,15 @@ def _run_lockstep(
     run_indices: Sequence[int],
     truth: TruthSeries | None = None,
     imu_true: ImuSample | None = None,
-) -> MonteCarloResult:
+) -> RunResult:
     """The filter loop: every run in run_indices propagated in lock step.
 
     Each run's noise is drawn up front from its own (seed, channel,
     run_index) substreams, so a run does not depend on the batch around it.
     The state, covariance and scoring arrays carry a leading run axis;
-    odometer updates apply under each run's own gate.
+    odometer updates apply under each run's own gate.  A failure inside the
+    loop names its run and epoch.  The result is batch-shaped, one row per
+    run in run_indices.
     """
     runs = tuple(int(k) for k in run_indices)
     world = ned_world(cfg.origin_e, cfg.earth)
@@ -803,14 +841,14 @@ def _run_lockstep(
         conv=cfg.convention,
         model=NavModel.of(truth0, cfg.earth, cfg.gravity, world),
         t=0.0,
-        runs=runs,
     )
 
-    xi = np.empty((M, N, 9))
-    nees = np.empty((M, N))
-    innov = np.zeros((M, N, 3))
-    white = np.zeros((M, N, 3))
-    updated = np.zeros((M, N), dtype=bool)
+    # Scored series, stored run-major: each run's series is contiguous.
+    xi = np.empty((N, M, 9))
+    nees = np.empty((N, M))
+    innov = np.zeros((N, M, 3))
+    white = np.zeros((N, M, 3))
+    updated = np.zeros((N, M), dtype=bool)
     with _naming_elements(lambda i: f"run {runs[i]}, t={truth.t[k + 1]:.3f} s"):
         for k in range(n):
             fs = predict(fs, ImuSample(omega_meas[k], f_meas[k], float(dts[k])), cfg.noise, method=cfg.integrator)
@@ -819,99 +857,39 @@ def _run_lockstep(
                 continue
             if len(odo_idx) > 0:
                 z = OdoSample(odo_meas[j], float(truth.t[k + 1]))
-                fs, innov[j], white[j], updated[j] = fuse(
+                fs, innov[:, j], white[:, j], updated[:, j] = fuse(
                     fs, z, cfg.noise, gate_sigma=cfg.gate_sigma, imu_period=float(dts[k])
                 )
             truth_j = replace(truth_f, x=SE23(truth_f.x.R[j], truth_f.x.v[j], truth_f.x.p[j]))
-            xi[j] = error_to_vector(error_from_states(truth_j, fs.nav, fs.conv), fs.conv).as_vector()
-            e15 = np.concatenate([xi[j], fs.bias_g - bias_true[j, :, 0:3], fs.bias_a - bias_true[j, :, 3:6]], axis=1)
-            nees[j] = _nees(e15, fs.P)
+            xi[:, j] = error_to_vector(error_from_states(truth_j, fs.nav, fs.conv), fs.conv).as_vector()
+            e15 = np.concatenate([xi[:, j], fs.bias_g - bias_true[j, :, 0:3], fs.bias_a - bias_true[j, :, 3:6]], axis=1)
+            nees[:, j] = _nees(e15, fs.P)
 
-    return _aggregate([
-        RunResult(
-            t=t,
-            att_err=xi[:, i, 0:3].copy(),
-            vel_err=xi[:, i, 3:6].copy(),
-            pos_err=xi[:, i, 6:9].copy(),
-            nees=nees[:, i].copy(),
-            innovation=innov[:, i].copy(),
-            innovation_whitened=white[:, i].copy(),
-            updated=updated[:, i].copy(),
-        )
-        for i in range(N)
-    ])
+    return RunResult(
+        t=t,
+        att_err=xi[..., 0:3].copy(),
+        vel_err=xi[..., 3:6].copy(),
+        pos_err=xi[..., 6:9].copy(),
+        nees=nees,
+        innovation=innov,
+        innovation_whitened=white,
+        updated=updated,
+    )
 
 
 # ---------------------------------------------------------------------------
 # Monte Carlo
 
 
-@dataclass(frozen=True, eq=False)
-class MonteCarloResult:
-    """Per-run results plus the consistency aggregates."""
-
-    runs: list
-    mean_nees_series: np.ndarray  # (M,) mean over the runs updated at each epoch (all if none)
-    time_avg_nees: float  # grand mean over runs and epochs
-    innovation_lag1: np.ndarray  # (3,) pooled whitened lag-1 autocorrelation
-    rmse_att: float
-    rmse_vel: float
-    rmse_pos: float
-
-
-def _aggregate(runs: list) -> MonteCarloResult:
-    """Consistency aggregates of a batch of runs sharing one epoch grid.
-
-    At an epoch where some run applied an update, the mean NEES is over
-    those runs; where no run did (odometer off, or every run gated), it is
-    over all runs -- the same fallback the time average and
-    RunResult.mean_nees use when nothing was updated at all.
-    """
-    nees = np.stack([r.nees for r in runs])
-    upd = np.stack([r.updated for r in runs])
-    counted = np.where(np.any(upd, axis=0), upd, True)
-    mean_series = np.sum(np.where(counted, nees, 0.0), axis=0) / np.sum(counted, axis=0)
-    if not np.any(upd):
-        upd = np.ones_like(upd, dtype=bool)
-    time_avg = float(np.mean(nees[upd]))
-
-    num = np.zeros(3)
-    den = np.zeros(3)
-    for r in runs:
-        w = r.innovation_whitened[r.updated]
-        if len(w) > 1:
-            num += np.sum(w[:-1] * w[1:], axis=0)
-            den += np.sum(w * w, axis=0)
-    lag1 = num / np.where(den == 0.0, 1.0, den)
-
-    def pooled(block_name: str) -> float:
-        total = 0.0
-        count = 0
-        for r in runs:
-            block = getattr(r, block_name)
-            total += float(np.sum(block * block))
-            count += block.shape[0]
-        return float(np.sqrt(total / max(count, 1)))
-
-    return MonteCarloResult(
-        runs=runs,
-        mean_nees_series=mean_series,
-        time_avg_nees=time_avg,
-        innovation_lag1=lag1,
-        rmse_att=pooled("att_err"),
-        rmse_vel=pooled("vel_err"),
-        rmse_pos=pooled("pos_err"),
-    )
-
-
-def run_monte_carlo(cfg: RunConfig, n_runs: int | None = None) -> MonteCarloResult:
+def run_monte_carlo(cfg: RunConfig, n_runs: int | None = None) -> RunResult:
     """Monte-Carlo batch sharing one truth; runs differ only in their
     keyed substreams, so the batch is reproducible and order-independent.
 
     All runs go through the filter loop together, in lock step on one
     process: the state and covariance arrays carry a run axis, so the
-    per-step cost is paid once per batch rather than once per run.  Run k
-    equals run_single(cfg, k) bit for bit, whatever the batch size.
+    per-step cost is paid once per batch rather than once per run.  The
+    result has a leading run axis, and its runs[k] equals run_single(cfg, k)
+    bit for bit, whatever the batch size.
     """
     n = cfg.n_runs if n_runs is None else int(n_runs)
     if n < 2:

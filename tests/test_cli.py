@@ -178,6 +178,21 @@ def test_inverse_imu_non_convergence_exits_3(tmp_path, cfg_file, capsys, monkeyp
     assert re.search(r"numerical failure: inverse_imu: Newton iteration did not converge .* t=\d+\.\d{3} s", err), err
 
 
+def test_singular_innovation_exits_3_naming_run_and_epoch(tmp_path, capsys):
+    # No noise and no initial uncertainty keep P at zero, so the first
+    # innovation covariance is the odometer's, singular in its third axis.
+    cfg = _config(
+        sensors={"gyro_noise_psd": 0.0, "accel_noise_psd": 0.0, "gyro_bias_rw_psd": 0.0,
+                 "accel_bias_rw_psd": 0.0, "odo_noise_var": [1e-4, 1e-4, 1e-320]},
+        filter={"p0_att": 0.0, "p0_vel": 0.0, "p0_pos": 0.0, "p0_gyro_bias": 0.0, "p0_accel_bias": 0.0},
+    )
+    path = tmp_path / "singular.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out"), "--runs", "2"]) == 3
+    err = capsys.readouterr().err
+    assert re.search(r"^numerical failure: run 0, t=0\.100 s: element 0 of the stack: innovation", err), err
+
+
 def test_runtime_error_is_not_a_numerical_failure(tmp_path, cfg_file, monkeypatch):
     def broken(*args, **kwargs):
         raise RuntimeError("a bug, not a numerical failure")

@@ -294,7 +294,7 @@ def test_perfect_sensor_closed_loop_stays_put(earth, world):
 # lock-step batches: one run per element of a leading axis
 
 
-def _stack(fs, n, runs=None):
+def _stack(fs, n):
     """n copies of a single filter as one lock-step batch."""
     from navkit import SE23, NavState
 
@@ -303,16 +303,16 @@ def _stack(fs, n, runs=None):
 
     nav = NavState(fs.nav.frame, fs.nav.grouping, SE23(rep(fs.nav.x.R), rep(fs.nav.x.v), rep(fs.nav.x.p)),
                    fs.nav.r0, fs.nav.dv0)
-    return FilterState(nav, rep(fs.bias_g), rep(fs.bias_a), rep(fs.P), fs.conv, fs.model, fs.t, runs)
+    return FilterState(nav, rep(fs.bias_g), rep(fs.bias_a), rep(fs.P), fs.conv, fs.model, fs.t)
 
 
 def test_batched_update_gates_each_run(earth, world):
     P0 = np.eye(15) * 1e-6
-    fs = _stack(_surface_filter(earth, world, ErrorConvention.RIGHT, P0), 2, runs=(4, 9))
+    fs = _stack(_surface_filter(earth, world, ErrorConvention.RIGHT, P0), 2)
     noise = NoiseConfig(odo_noise_cov=np.eye(3) * 1e-4)
     _, vb = odo_H(fs.conv, fs.nav, fs.model)
     v = vb.copy()
-    v[0, 0] += 50.0  # run 4 sees an outlier, run 9 a plausible sample
+    v[0, 0] += 50.0  # run 0 sees an outlier, run 1 a plausible sample
     v[1, 0] += 0.01
     out, innov, white, applied = fuse(fs, OdoSample(v, t=0.0), noise, gate_sigma=5.0)
     assert applied.tolist() == [False, True]
@@ -330,21 +330,24 @@ def test_batched_update_gates_each_run(earth, world):
 def test_batched_update_names_the_singular_run(earth, world):
     fs = _surface_filter(earth, world, ErrorConvention.RIGHT)  # P = 0
     noise = NoiseConfig(odo_noise_cov=np.diag([1e-4, 1e-4, 1e-320]))
-    batch = _stack(fs, 3, runs=(5, 6, 7))
-    with pytest.raises(SingularInnovation, match="run 5"):
+    batch = _stack(fs, 3)
+    with pytest.raises(SingularInnovation, match="^element 0 of the stack: innovation") as info:
         fuse(batch, OdoSample(batch.nav.x.v.copy(), t=0.0), noise)
+    assert info.value.element == 0
     with pytest.raises(ValueError):
         fuse(batch, OdoSample(batch.nav.x.v.copy(), t=0.5), noise)
 
 
 def test_check_covariance_names_the_bad_run():
     P = np.stack([np.eye(15), -np.eye(15), np.eye(15)])
-    with pytest.raises(CovarianceNotPSD, match="run 12"):
-        check_covariance(P, runs=(11, 12, 13))
+    with pytest.raises(CovarianceNotPSD, match="^element 1 of the stack: covariance indefinite") as info:
+        check_covariance(P)
+    assert info.value.element == 1
     P = np.stack([np.eye(15), np.eye(15)])
     P[1, 0, 0] = np.nan
-    with pytest.raises(CovarianceNotPSD, match="run 1: .*non-finite"):
+    with pytest.raises(CovarianceNotPSD, match="^element 1 of the stack: .*non-finite") as info:
         check_covariance(P)
+    assert info.value.element == 1
     check_covariance(np.stack([np.eye(15)] * 2))
 
 

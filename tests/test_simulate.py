@@ -12,6 +12,7 @@ from navkit import (
     AngleAtPi,
     AutonomySettings,
     Climb,
+    CovarianceNotPSD,
     EarthParams,
     ErrorConvention,
     Frame,
@@ -32,6 +33,7 @@ from navkit import (
     Turn,
     UniformGravity,
     autonomy_experiment,
+    check_covariance,
     corrupt,
     error_from_states,
     gen_odometer,
@@ -301,18 +303,23 @@ def _quiet_cfg(**kw):
     return RunConfig(**base)
 
 
-def test_stacked_kernel_error_names_the_run(monkeypatch):
+@pytest.mark.parametrize("target, fail, exc, t", [
+    # a batch of one: the failing stack has one element, element 0
+    ("predict", lambda: gravitation(np.zeros((1, 3)), GRAV, EARTH), SingularRadius, "0.030"),
+    ("fuse", lambda: check_covariance(-np.eye(15)[None]), CovarianceNotPSD, "0.300"),
+], ids=["kernel", "filter"])
+def test_stacked_kernel_error_names_the_run(target, fail, exc, t, monkeypatch):
     calls = []
-    real_predict = sim.predict
+    real = getattr(sim, target)
 
-    def predict_failing_at_third_step(fs, *args, **kw):
+    def failing_at_third_call(fs, *args, **kw):
         calls.append(fs.t)
         if len(calls) == 3:
-            gravitation(np.zeros((1, 3)), GRAV, EARTH)  # a batch of one: element 0
-        return real_predict(fs, *args, **kw)
+            fail()
+        return real(fs, *args, **kw)
 
-    monkeypatch.setattr(sim, "predict", predict_failing_at_third_step)
-    with pytest.raises(SingularRadius, match=r"^run 4, t=0\.030 s: element 0 of the stack") as info:
+    monkeypatch.setattr(sim, target, failing_at_third_call)
+    with pytest.raises(exc, match=rf"^run 4, t={t} s: element 0 of the stack") as info:
         run_single(_quiet_cfg(traj=TrajectorySpec((Straight(1.0, 10.0),), 100.0)), 4)
     assert info.value.element == 0
 
@@ -412,6 +419,9 @@ def test_monte_carlo_parallel_path_matches_serial():
         for name in fields:
             assert np.array_equal(getattr(pair.runs[k], name), getattr(triple.runs[k], name)), (k, name)
             assert np.array_equal(getattr(pair.runs[k], name), getattr(solo, name)), (k, name)
+        # a batch of one reads its run's own numbers
+        for name in ("rmse_att", "rmse_vel", "rmse_pos", "time_avg_nees"):
+            assert getattr(pair.runs[k], name) == getattr(solo, name), (k, name)
 
 
 # ---------------------------------------------------------------------------
