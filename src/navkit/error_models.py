@@ -170,9 +170,7 @@ def linearized_F_G(
     gradient at the estimated position, under the state's model.
     """
     model.check(est)
-    C = est.x.R
-    v = est.x.v
-    p = est.x.p
+    C, v, p = est.x.R, est.x.v, est.x.p
     r_center = model.r_base + p
     u = model.column(r_center)
     Gg = model.gradient(r_center)

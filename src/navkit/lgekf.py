@@ -8,13 +8,13 @@ vertical pseudo-measurements) through the Joseph form and retracts the
 estimated error onto the group.
 
 Every function here also runs a batch of filters in lock step: a
-FilterState whose navigation arrays, biases and covariance carry a leading
-run axis (R (N,3,3), v/p/biases (N,3), P (N,15,15)) and shares one clock.
-predict advances every run; fuse applies each run's odometer sample
-under that run's own gate, and the checks (singular innovation covariance,
-covariance health) are made per run.  Their failures are KernelDomainErrors
-that name the failing element of the stack, as the group kernels' do; the
-filter loop adds that element's run and epoch.
+FilterState whose arrays carry a leading run axis (the pose's packed K
+(N,3,5), bias (N,6), P (N,15,15)) and shares one clock.  predict advances
+every run; fuse applies each run's odometer sample under that run's own
+gate, and the checks (singular innovation covariance, covariance health)
+are made per run.  Their failures are KernelDomainErrors that name the
+failing element of the stack, as the group kernels' do; the filter loop
+adds that element's run and epoch.
 """
 from __future__ import annotations
 
@@ -100,14 +100,15 @@ class OdoSample:
 class FilterState:
     """Estimate, bias estimates and the 15x15 error covariance.
 
-    model is the navigation model of nav's frame, grouping and anchors,
-    built once for the filter (or the batch) and read by predict and fuse.
-    For a lock-step batch the arrays carry a leading run axis.
+    bias (6,) is the gyro then the accelerometer bias, in the error-state
+    order (db_g, db_a).  model is the navigation model of nav's frame,
+    grouping and anchors, built once for the filter (or the batch) and read
+    by predict and fuse.  For a lock-step batch the arrays carry a leading
+    run axis.
     """
 
     nav: NavState
-    bias_g: np.ndarray
-    bias_a: np.ndarray
+    bias: np.ndarray
     P: np.ndarray
     conv: ErrorConvention
     model: NavModel
@@ -139,8 +140,8 @@ def predict(fs: FilterState, imu: ImuSample, noise: NoiseConfig, method: str = "
     batch, imu holds one sample per run); the linearization and the step
     share the filter's model."""
     corrected = ImuSample(
-        np.asarray(imu.omega_ib_b, dtype=float) - fs.bias_g,
-        np.asarray(imu.f_ib_b, dtype=float) - fs.bias_a,
+        np.asarray(imu.omega_ib_b, dtype=float) - fs.bias[..., 0:3],
+        np.asarray(imu.f_ib_b, dtype=float) - fs.bias[..., 3:6],
         imu.dt,
     )
     F, G = linearized_F_G(fs.conv, fs.nav, corrected, fs.model)
@@ -154,7 +155,7 @@ def predict(fs: FilterState, imu: ImuSample, noise: NoiseConfig, method: str = "
     half_M = (0.5 * dt) * ((G * np.diagonal(noise.input_psd())) @ transpose(G))
     P = Phi @ (fs.P + half_M) @ transpose(Phi) + (half_M + noise.bias_walk_psd() * dt)
     P = 0.5 * (P + transpose(P))
-    return FilterState(nav, fs.bias_g, fs.bias_a, P, fs.conv, fs.model, fs.t + dt)
+    return FilterState(nav, fs.bias, P, fs.conv, fs.model, fs.t + dt)
 
 
 _I15 = np.eye(15)
@@ -168,8 +169,7 @@ def odo_H(conv: ErrorConvention, est: NavState, model: NavModel) -> tuple[np.nda
     bias columns are zero.
     """
     model.check(est)
-    C = est.x.R
-    p = est.x.p
+    C, p = est.x.R, est.x.p
     vb = model.body_velocity(est.x)
     H = np.zeros(C.shape[:-2] + (3, 15))
     omega, Om = model.earth_omega, model.earth_Om
@@ -242,21 +242,15 @@ def fuse(
     K = fs.P @ Ht @ (transpose(Linv) @ Linv)
     dx = matvec(K, y)
     nav = apply_correction(fs.nav, TangentVector.from_vector(dx[..., :9]), fs.conv)
-    bias_g = fs.bias_g - dx[..., 9:12]
-    bias_a = fs.bias_a - dx[..., 12:15]
+    bias = fs.bias - dx[..., 9:15]
 
     A = _I15 - K @ H
     P = A @ fs.P @ transpose(A) + K @ R @ transpose(K)
     P = 0.5 * (P + transpose(P))
     if not np.all(applied):
         keep = ~applied
-        nav = replace(nav, x=SE23(
-            np.where(keep[:, None, None], fs.nav.x.R, nav.x.R),
-            np.where(keep[:, None], fs.nav.x.v, nav.x.v),
-            np.where(keep[:, None], fs.nav.x.p, nav.x.p),
-        ))
-        bias_g = np.where(keep[:, None], fs.bias_g, bias_g)
-        bias_a = np.where(keep[:, None], fs.bias_a, bias_a)
+        nav = replace(nav, x=SE23.packed(np.where(keep[:, None, None], fs.nav.x.K, nav.x.K)))
+        bias = np.where(keep[:, None], fs.bias, bias)
         P = np.where(keep[:, None, None], fs.P, P)
     check_covariance(P)
-    return FilterState(nav, bias_g, bias_a, P, fs.conv, fs.model, fs.t), y, white, applied
+    return FilterState(nav, bias, P, fs.conv, fs.model, fs.t), y, white, applied

@@ -18,20 +18,20 @@ every kernel reads it: step, derivative, error_models.linearized_F_G and
 exact_error_derivative, lgekf.predict/odo_H/fuse (through the FilterState)
 and simulate.inverse_imu.  The grouping conversions build their own.
 step, frame_velocity and body_velocity run one batch-shaped path: a state's
-R, v and p may carry leading batch axes (one element per Monte-Carlo run or
-per interval, sharing the anchors r0/dv0), with inputs of matching shape,
-and a single state is a stack with no leading axis. step's rk4 also takes
-one dt per element, which is how inverse_imu steps all of a grid's
-intervals (the last one may be shorter) at once.
+packed block x.K (see se23.SE23) may carry leading batch axes (one element
+per Monte-Carlo run or per interval, sharing the anchors r0/dv0), with
+inputs of matching shape, and a single state is a stack with no leading
+axis.  step's rk4 also takes one dt per element, which is how inverse_imu
+steps all of a grid's intervals (the last one may be shorter) at once.
 Each derivative is exposed both as a dense 5x5 matrix and as its
 W-decomposition  dX/dt = X W1 + W2 X (+ W3 X W4),  whose structure drives
 the autonomy classification of the error dynamics.  step's rk4 integrates
-that decomposition directly on the top 3x5 block K = [C | v | p] of the
-group matrix: each stage is  K W1 - Om (K d) + column,  with W1 the input
-matrix, d the fold weight (1, 1, 1, 2, 0) of the traditional e/w models
-(all ones otherwise) and the gravity column added to v's rate.  The
-midpoint rule keeps its closed-form attitude and column-wise velocity and
-position rates.
+that decomposition directly on the state's packed block state.x.K =
+[C | v | p], the top 3x5 of the group matrix: each stage is
+K W1 - Om (K d) + column,  with W1 the input matrix, d the fold weight
+(1, 1, 1, 2, 0) of the traditional e/w models (all ones otherwise) and the
+gravity column added to v's rate.  The midpoint rule keeps its
+closed-form attitude and column-wise velocity and position rates.
 """
 from __future__ import annotations
 
@@ -290,14 +290,13 @@ def make_nav_state(
     v_wb^w for w); r the frame position. The position column starts at
     zero and, for the proposed grouping, so does the velocity column.
     """
-    C_b_f = np.asarray(C_b_f, dtype=float)
-    v = np.asarray(v, dtype=float)
-    r = np.asarray(r, dtype=float)
+    r = np.array(r, dtype=float)
+    x = SE23(C_b_f, v, np.zeros(3))
     if grouping is Grouping.TRADITIONAL:
-        return NavState(frame, grouping, SE23(C_b_f, v.copy(), np.zeros(3)), r.copy())
+        return NavState(frame, grouping, x, r)
     dv0 = NavModel(frame, grouping, r, earth, world=world).anchor(r)
     # v_ib(0) - dv0 reduces exactly to the frame velocity at the anchor
-    return NavState(frame, grouping, SE23(C_b_f, v.copy(), np.zeros(3)), r.copy(), dv0)
+    return NavState(frame, grouping, x, r, dv0)
 
 
 def frame_velocity(state: NavState, earth: EarthParams, world: WorldFrameDef | None = None) -> np.ndarray:
@@ -342,8 +341,8 @@ def step(state: NavState, imu: ImuSample, model: NavModel, method: str = "midpoi
     method="midpoint" is the filter-grade rule: exact attitude exponential
     for the constant inputs plus a midpoint step for velocity/position
     (O(dt^2) global). method="rk4" is the truth-grade 4-stage Runge-Kutta
-    on the group field itself: it steps the packed block K = [C | v | p]
-    with NavModel.rate, whose stages are one product with W1 each.
+    on the group field itself: it steps the state's packed block x.K =
+    [C | v | p] with NavModel.rate, one product with W1 per stage.
 
     For a stacked state imu.dt is one float for every element or, with
     rk4 only, an array of one dt per element; element k then advances as
@@ -357,10 +356,9 @@ def step(state: NavState, imu: ImuSample, model: NavModel, method: str = "midpoi
         dt, longest = dt[..., None, None], dt.max()
     if longest > _MAX_DT:
         raise ValueError(f"dt {longest} exceeds the {_MAX_DT} s piecewise-constant guard")
-    C, v, p = state.x.R, state.x.v, state.x.p
 
     if method == "rk4":
-        K = np.concatenate((C, v[..., None], p[..., None]), axis=-1)
+        K = state.x.K
         W1 = _input_matrix(imu.omega_ib_b, imu.f_ib_b)
         h = 0.5 * dt
         k1 = model.rate(K, W1)
@@ -368,10 +366,11 @@ def step(state: NavState, imu: ImuSample, model: NavModel, method: str = "midpoi
         k3 = model.rate(K + h * k2, W1)
         k4 = model.rate(K + dt * k3, W1)
         K1 = K + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        return NavState(state.frame, state.grouping, SE23(K1[..., 0:3], K1[..., 3], K1[..., 4]), state.r0, state.dv0)
+        return NavState(state.frame, state.grouping, SE23.packed(K1), state.r0, state.dv0)
 
     if method != "midpoint":
         raise ValueError(f"unknown integration method {method!r}")
+    C, v, p = state.x.R, state.x.v, state.x.p
     om_b = np.asarray(imu.omega_ib_b, dtype=float)
     f_b = np.asarray(imu.f_ib_b, dtype=float)
 
@@ -397,7 +396,7 @@ def to_proposed(state: NavState, earth: EarthParams, world: WorldFrameDef | None
         raise FrameMismatch("to_proposed expects a traditional state with zero dv0")
     model = NavModel.of(state, earth, world=world)
     v_prop = state.x.v if model.omega is None else state.x.v + model.cross(state.x.p)
-    x = SE23(state.x.R, v_prop.copy(), state.x.p.copy())
+    x = SE23(state.x.R, v_prop, state.x.p)
     return NavState(state.frame, Grouping.PROPOSED, x, state.r0.copy(), model.anchor(state.r0))
 
 
@@ -407,8 +406,7 @@ def from_proposed(state: NavState, earth: EarthParams, world: WorldFrameDef | No
         raise FrameMismatch("from_proposed expects a proposed-grouping state")
     model = NavModel.of(state, earth, world=world)
     v_trad = state.x.v if model.omega is None else state.x.v - model.cross(state.x.p)
-    x = SE23(state.x.R, v_trad.copy(), state.x.p.copy())
-    return NavState(state.frame, Grouping.TRADITIONAL, x, state.r0.copy())
+    return NavState(state.frame, Grouping.TRADITIONAL, SE23(state.x.R, v_trad, state.x.p), state.r0.copy())
 
 
 def physical_from_nav(

@@ -7,8 +7,11 @@ position column into a 5x5 matrix
     [ 0  1  0 ]
     [ 0  0  1 ]
 
-Every operation here is a pure function over immutable values; the 9-vector
-tangent ordering is (phi, rho_v, rho_r) throughout the package.
+Every operation here is a pure function over immutable values, each held
+as one packed array whose parts are read-only views of it: an SE23 is its
+top 3x5 block K = [R | v | p] (..., 3, 5), on which compose, inverse, exp
+and log are block products, and a TangentVector is xi (..., 9) in the
+order (phi, rho_v, rho_r) used throughout the package.
 
 Each kernel has one batch-shaped implementation: vectors are (..., 3) and
 matrices (..., 3, 3), and a single element is a stack with no leading axis.
@@ -221,55 +224,81 @@ def so3_left_jacobian_inv(phi: np.ndarray) -> np.ndarray:
     return _I3 - 0.5 * W + c[..., None, None] * (W @ W)
 
 
-@dataclass(frozen=True)
-class TangentVector:
-    """se2(3) coordinates (phi, rho_v, rho_r) in rad, m/s, m."""
+def _holding(value, name: str, a: np.ndarray):
+    """value with its one array set to a read-only view of a (a keeps its own flag)."""
+    a = a.view()
+    a.flags.writeable = False
+    object.__setattr__(value, name, a)
+    return value
 
-    phi: np.ndarray
-    rho_v: np.ndarray
-    rho_r: np.ndarray
+
+@dataclass(frozen=True, init=False)
+class TangentVector:
+    """se2(3) coordinates (phi, rho_v, rho_r) in rad, m/s, m, held packed as
+    one array xi (..., 9) in that order; phi, rho_v and rho_r are read-only
+    views of it."""
+
+    xi: np.ndarray
+    phi = property(lambda self: self.xi[..., 0:3])
+    rho_v = property(lambda self: self.xi[..., 3:6])
+    rho_r = property(lambda self: self.xi[..., 6:9])
+
+    def __init__(self, phi: np.ndarray, rho_v: np.ndarray, rho_r: np.ndarray):
+        _holding(self, "xi", np.concatenate([np.asarray(a, dtype=float) for a in (phi, rho_v, rho_r)], axis=-1))
 
     def as_vector(self) -> np.ndarray:
-        return np.concatenate([self.phi, self.rho_v, self.rho_r], axis=-1)
+        return self.xi
 
     @staticmethod
     def from_vector(xi: np.ndarray) -> "TangentVector":
-        xi = np.asarray(xi, dtype=float)
-        return TangentVector(xi[..., 0:3].copy(), xi[..., 3:6].copy(), xi[..., 6:9].copy())
+        """The coordinates packed in xi (..., 9), copied once."""
+        return _holding(TangentVector.__new__(TangentVector), "xi", np.array(xi, dtype=float))
 
     @staticmethod
     def zero() -> "TangentVector":
-        return TangentVector(np.zeros(3), np.zeros(3), np.zeros(3))
+        return TangentVector.from_vector(np.zeros(9))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SE23:
-    """Extended pose: rotation R, velocity column v, position column p."""
+    """Extended pose: rotation R, velocity column v, position column p, held
+    packed as the top 3x5 block K = [R | v | p] (..., 3, 5) of the group
+    matrix; R, v and p are read-only views of K (writing through one raises
+    ValueError).  SE23(R, v, p) copies the parts into a new K once."""
 
-    R: np.ndarray
-    v: np.ndarray
-    p: np.ndarray
+    K: np.ndarray
+    R = property(lambda self: self.K[..., 0:3])
+    v = property(lambda self: self.K[..., 3])
+    p = property(lambda self: self.K[..., 4])
+
+    def __init__(self, R: np.ndarray, v: np.ndarray, p: np.ndarray):
+        K = np.empty(np.shape(R)[:-2] + (3, 5))  # R carries the stack's shape
+        K[..., 0:3], K[..., 3], K[..., 4] = R, v, p
+        _holding(self, "K", K)
+
+    @classmethod
+    def packed(cls, K: np.ndarray) -> "SE23":
+        """Wrap a packed (..., 3, 5) block without copying it."""
+        return _holding(cls.__new__(cls), "K", K)
 
     @staticmethod
     def identity() -> "SE23":
-        return SE23(np.eye(3), np.zeros(3), np.zeros(3))
+        return SE23.packed(np.eye(3, 5))
 
     def compose(self, other: "SE23") -> "SE23":
-        return SE23(
-            self.R @ other.R,
-            matvec(self.R, other.v) + self.v,
-            matvec(self.R, other.p) + self.p,
-        )
+        """[R1 | v1 p1] [R2 | v2 p2] = R1 K2 + [0 | v1 p1]."""
+        K = self.R @ other.K
+        K[..., 3:5] += self.K[..., 3:5]
+        return SE23.packed(K)
 
     def inverse(self) -> "SE23":
+        """[R^T | -R^T [v p]]."""
         Rt = transpose(self.R)
-        return SE23(Rt, -matvec(Rt, self.v), -matvec(Rt, self.p))
+        return SE23.packed(np.concatenate((Rt, -(Rt @ self.K[..., 3:5])), axis=-1))
 
     def as_matrix(self) -> np.ndarray:
         M = np.eye(5)
-        M[0:3, 0:3] = self.R
-        M[0:3, 3] = self.v
-        M[0:3, 4] = self.p
+        M[0:3] = self.K
         return M
 
     def adjoint(self) -> np.ndarray:
@@ -294,13 +323,13 @@ def wedge5(xi: TangentVector) -> np.ndarray:
 
 def vee5(M: np.ndarray) -> TangentVector:
     """Inverse of wedge5."""
-    return TangentVector(unskew(M[0:3, 0:3]), M[0:3, 3].copy(), M[0:3, 4].copy())
+    return TangentVector(unskew(M[0:3, 0:3]), M[0:3, 3], M[0:3, 4])
 
 
 def se23_exp(xi: TangentVector) -> SE23:
-    """Group exponential: exp(phi) rotation with left-Jacobian columns."""
-    J = so3_left_jacobian(xi.phi)
-    return SE23(so3_exp(xi.phi), matvec(J, xi.rho_v), matvec(J, xi.rho_r))
+    """Group exponential [exp(phi) | J [rho_v rho_r]], J the left Jacobian."""
+    rho = transpose(xi.xi[..., 3:9].reshape(xi.xi.shape[:-1] + (2, 3)))
+    return SE23.packed(np.concatenate((so3_exp(xi.phi), so3_left_jacobian(xi.phi) @ rho), axis=-1))
 
 
 def se23_log(x: SE23) -> TangentVector:
@@ -313,5 +342,5 @@ def se23_log(x: SE23) -> TangentVector:
             AngleAtPi, near_pi, phi.ndim == 1,
             lambda i: f"rotation angle {theta.flat[i]:.9f} is within {_PI_GUARD:.0e} of pi",
         )
-    Jinv = so3_left_jacobian_inv(phi)
-    return TangentVector(phi, matvec(Jinv, x.v), matvec(Jinv, x.p))
+    rho = transpose(so3_left_jacobian_inv(phi) @ x.K[..., 3:5])  # rows rho_v, rho_r
+    return TangentVector.from_vector(np.concatenate((phi, rho.reshape(phi.shape[:-1] + (6,))), axis=-1))

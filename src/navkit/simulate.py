@@ -74,7 +74,7 @@ from .rng import (
     substream,
 )
 from .se23 import (
-    SE23, KernelDomainError, TangentVector, matvec, se23_exp, se23_log, so3_exp, so3_log, transpose,
+    SE23, KernelDomainError, TangentVector, matvec, se23_exp, se23_log, so3_exp, so3_log, transpose, unskew,
 )
 
 __all__ = [
@@ -103,6 +103,7 @@ __all__ = [
 
 _MAX_TOTAL_DURATION = 3600.0
 _GRID_TOL = 1e-9
+_SCORE_RATE = 10.0  # Hz; the filter loop scores at this rate with the odometer off
 
 
 class SpecInvalid(ValueError):
@@ -197,6 +198,8 @@ def _validate_spec(spec: TrajectorySpec) -> None:
     total = spec.total_duration
     if total > _MAX_TOTAL_DURATION:
         raise SpecInvalid(f"total duration {total:.1f} s exceeds {_MAX_TOTAL_DURATION:.0f} s")
+    if total < 1.0 / _SCORE_RATE - _GRID_TOL:
+        raise SpecInvalid(f"total duration {total:g} s is shorter than one {1.0 / _SCORE_RATE:g} s scoring period")
     if spec.imu_rate < 10.0:
         raise SpecInvalid(f"imu_rate must be at least 10 Hz, got {spec.imu_rate}")
 
@@ -365,9 +368,8 @@ class TruthSeries:
         return len(self.t)
 
     def state(self, k: int | np.ndarray) -> NavState:
-        r0 = self.r_w[0]
-        x = SE23(self.C_b_w[k].copy(), self.v_wb_w[k].copy(), self.r_w[k] - r0)
-        return NavState(Frame.W, Grouping.TRADITIONAL, x, r0.copy())
+        r0 = self.r_w[0].copy()
+        return NavState(Frame.W, Grouping.TRADITIONAL, SE23(self.C_b_w[k], self.v_wb_w[k], self.r_w[k] - r0), r0)
 
 
 def _grid_times(spec: TrajectorySpec) -> np.ndarray:
@@ -468,12 +470,7 @@ def inverse_imu(
         imu = ImuSample(inputs[:, 0:3], inputs[:, 3:6], dts)
         end = step(starts, imu, model, method="rk4").x
         Mres = np.einsum("nji,njk->nik", end.R, C[1:])
-        res = np.empty((n, 6))
-        res[:, 0] = 0.5 * (Mres[:, 2, 1] - Mres[:, 1, 2])
-        res[:, 1] = 0.5 * (Mres[:, 0, 2] - Mres[:, 2, 0])
-        res[:, 2] = 0.5 * (Mres[:, 1, 0] - Mres[:, 0, 1])
-        res[:, 3:6] = end.v - v[1:]
-        return res
+        return np.concatenate((0.5 * unskew(Mres - transpose(Mres)), end.v - v[1:]), axis=1)
 
     res = residual(u)
     for iteration in range(_NEWTON_ITERATIONS + 1):
@@ -736,17 +733,14 @@ def draw_biases(cfg: RunConfig, run_index: int = 0) -> tuple[np.ndarray, np.ndar
     truth is drawn about it with the p0_*_bias variances; otherwise the
     nominal IS the truth and the estimate starts at zero.
     """
+    nominal = np.concatenate([np.asarray(cfg.gyro_bias, dtype=float), np.asarray(cfg.accel_bias, dtype=float)])
     if cfg.bias_known:
         bias_draw = GaussianStream(cfg.seed, substream(STREAM_INIT_BIAS, run_index)).normals(6)
         bias_sigma = np.sqrt(np.array([cfg.p0_gyro_bias] * 3 + [cfg.p0_accel_bias] * 3))
         bias_offset = bias_sigma * bias_draw  # = (bias estimate) - (true bias)
-        bias_hat0 = np.concatenate(
-            [np.asarray(cfg.gyro_bias, dtype=float), np.asarray(cfg.accel_bias, dtype=float)]
-        )
+        bias_hat0 = nominal
     else:
-        bias_offset = -np.concatenate(
-            [np.asarray(cfg.gyro_bias, dtype=float), np.asarray(cfg.accel_bias, dtype=float)]
-        )
+        bias_offset = -nominal
         bias_hat0 = np.zeros(6)
     return bias_hat0, bias_hat0[0:3] - bias_offset[0:3], bias_hat0[3:6] - bias_offset[3:6]
 
@@ -799,15 +793,14 @@ def _run_lockstep(
     if len(odo_idx) > 0:
         sample_idx = odo_idx
     else:
-        decim = max(1, int(round(truth.imu_rate / 10.0)))
+        decim = max(1, int(round(truth.imu_rate / _SCORE_RATE)))
         sample_idx = np.arange(decim, n + 1, decim)
     slot = np.full(n + 1, -1)
     slot[sample_idx] = np.arange(len(sample_idx))
 
     # Per-run draws, stored time-major so each epoch is one contiguous (N, 3) slice.
     N, M = len(runs), len(sample_idx)
-    omega_meas = np.empty((n, N, 3))
-    f_meas = np.empty((n, N, 3))
+    omega_meas, f_meas = np.empty((2, n, N, 3))
     bias_true = np.empty((M, N, 6))  # true biases over the interval ending at each sample
     odo_meas = np.empty((len(odo_idx), N, 3))
     bias_hat0 = np.empty((N, 6))
@@ -816,10 +809,9 @@ def _run_lockstep(
     for i, k in enumerate(runs):
         bias_hat0[i], true_gyro_bias, true_accel_bias = draw_biases(cfg, k)
         errors = SensorErrors(true_gyro_bias, true_accel_bias, cfg.noise, cfg.seed, k)
-        imu_meas, bias_g, bias_a = corrupt(imu_true, errors)
+        imu_meas, *true_bias = corrupt(imu_true, errors)
         omega_meas[:, i], f_meas[:, i] = imu_meas.omega_ib_b, imu_meas.f_ib_b
-        bias_true[:, i, 0:3] = bias_g[sample_idx - 1]
-        bias_true[:, i, 3:6] = bias_a[sample_idx - 1]
+        bias_true[:, i] = np.hstack(true_bias)[sample_idx - 1]
         odo_meas[:, i] = gen_odometer(truth, cfg.noise, cfg.seed, cfg.odo_rate, k)[1]
         xi0[i] = state_sigma * GaussianStream(cfg.seed, substream(STREAM_INIT_STATE, k)).normals(9)
 
@@ -835,8 +827,7 @@ def _run_lockstep(
     )
     fs = FilterState(
         nav=apply_correction(truth0, TangentVector.from_vector(-xi0), cfg.convention),
-        bias_g=bias_hat0[:, 0:3].copy(),
-        bias_a=bias_hat0[:, 3:6].copy(),
+        bias=bias_hat0,
         P=np.broadcast_to(np.diag(cfg.p0_diag()), (N, 15, 15)).copy(),
         conv=cfg.convention,
         model=NavModel.of(truth0, cfg.earth, cfg.gravity, world),
@@ -846,8 +837,7 @@ def _run_lockstep(
     # Scored series, stored run-major: each run's series is contiguous.
     xi = np.empty((N, M, 9))
     nees = np.empty((N, M))
-    innov = np.zeros((N, M, 3))
-    white = np.zeros((N, M, 3))
+    innov, white = np.zeros((2, N, M, 3))
     updated = np.zeros((N, M), dtype=bool)
     with _naming_elements(lambda i: f"run {runs[i]}, t={truth.t[k + 1]:.3f} s"):
         for k in range(n):
@@ -860,9 +850,9 @@ def _run_lockstep(
                 fs, innov[:, j], white[:, j], updated[:, j] = fuse(
                     fs, z, cfg.noise, gate_sigma=cfg.gate_sigma, imu_period=float(dts[k])
                 )
-            truth_j = replace(truth_f, x=SE23(truth_f.x.R[j], truth_f.x.v[j], truth_f.x.p[j]))
+            truth_j = replace(truth_f, x=SE23.packed(truth_f.x.K[j]))
             xi[:, j] = error_to_vector(error_from_states(truth_j, fs.nav, fs.conv), fs.conv).as_vector()
-            e15 = np.concatenate([xi[:, j], fs.bias_g - bias_true[j, :, 0:3], fs.bias_a - bias_true[j, :, 3:6]], axis=1)
+            e15 = np.concatenate([xi[:, j], fs.bias - bias_true[j]], axis=1)
             nees[:, j] = _nees(e15, fs.P)
 
     return RunResult(
@@ -964,27 +954,22 @@ def autonomy_experiment(
         for truth_w in truths
     ]
     _check_compatible(*starts)
-    x0 = SE23(*(np.stack([getattr(st.x, c) for st in starts]) for c in "Rvp"))
+    x0 = SE23.packed(np.stack([st.x.K for st in starts]))
     eta0_inv = se23_exp(TangentVector.from_vector(np.asarray(xi0, dtype=float))).inverse()
     est0 = eta0_inv.compose(x0) if conv is ErrorConvention.RIGHT else x0.compose(eta0_inv)
 
     # The four flows step as one stack: truth a, truth b, estimate a, estimate b.
     # Stored as (truth/estimate, epoch, trajectory), each side's epochs are one
     # (m*2) stack ordered (epoch, trajectory) without a copy.
-    R, v, p = np.empty((2, m, 2, 3, 3)), np.empty((2, m, 2, 3)), np.empty((2, m, 2, 3))
-    for arr, c in ((R, "R"), (v, "v"), (p, "p")):
-        arr[:, 0] = getattr(x0, c), getattr(est0, c)
-    state = replace(starts[0], x=SE23(R[:, 0].reshape(4, 3, 3), v[:, 0].reshape(4, 3), p[:, 0].reshape(4, 3)))
+    K = np.empty((2, m, 2, 3, 5))
+    K[:, 0] = x0.K, est0.K
+    state = replace(starts[0], x=SE23.packed(K[:, 0].reshape(4, 3, 5)))
     model = NavModel.of(state, earth, gravity, world)
     with _naming_elements(lambda i: f"trajectory {'ab'[i % 2]}, t={t[k + 1]:.3f} s"):
         for k in range(m - 1):
             state = step(state, ImuSample(omega[k], f[k], float(dts[k])), model, method=settings.integrator)
-            R[:, k + 1], v[:, k + 1], p[:, k + 1] = (
-                a.reshape((2, 2) + a.shape[1:]) for a in (state.x.R, state.x.v, state.x.p)
-            )
-    truth, est = (
-        replace(state, x=SE23(R[j].reshape(-1, 3, 3), v[j].reshape(-1, 3), p[j].reshape(-1, 3))) for j in (0, 1)
-    )
+            K[:, k + 1] = state.x.K.reshape(2, 2, 3, 5)
+    truth, est = (replace(state, x=SE23.packed(K[j].reshape(-1, 3, 5))) for j in (0, 1))
     with _naming_elements(lambda i: f"trajectory {'ab'[i % 2]}, t={t[i // 2]:.3f} s"):
         xi = se23_log(error_from_states(truth, est, conv)).as_vector().reshape(m, 2, 9)
     xi_a, xi_b = xi[:, 0].copy(), xi[:, 1].copy()

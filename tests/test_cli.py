@@ -280,6 +280,13 @@ def test_malformed_json_exits_2(tmp_path, capsys):
     assert re.search(r"broken\.json:1:\d+:", capsys.readouterr().err)
 
 
+def test_trajectory_shorter_than_one_scoring_period_exits_2(tmp_path, capsys):
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps(_config(trajectory={"segments": [{"type": "straight", "duration": 0.05, "speed": 10.0}]})))
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "scoring period" in capsys.readouterr().err
+
+
 def test_schema_error_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(_config(frame="q")))

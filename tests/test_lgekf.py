@@ -123,8 +123,7 @@ def _static_filter(conv=ErrorConvention.RIGHT):
     nav = make_nav_state(Frame.I, Grouping.TRADITIONAL, random_rotation(np.random.default_rng(72)), np.zeros(3), np.zeros(3), earth)
     fs = FilterState(
         nav=nav,
-        bias_g=np.zeros(3),
-        bias_a=np.zeros(3),
+        bias=np.zeros(6),
         P=np.zeros((15, 15)),
         conv=conv,
         model=NavModel.of(nav, earth, UniformGravity(np.zeros(3))),
@@ -138,7 +137,7 @@ def test_predict_zero_noise_tracks_truth(earth, world):
     nav = random_nav_state(rng, Frame.E, Grouping.PROPOSED, earth, world)
     noise = NoiseConfig(gyro_noise_psd=0.0, accel_noise_psd=0.0, gyro_bias_rw_psd=0.0, accel_bias_rw_psd=0.0)
     model = NavModel.of(nav, earth, SphericalGravity(), world)
-    fs = FilterState(nav, np.zeros(3), np.zeros(3), np.zeros((15, 15)), ErrorConvention.RIGHT, model, 0.0)
+    fs = FilterState(nav, np.zeros(6), np.zeros((15, 15)), ErrorConvention.RIGHT, model, 0.0)
     truth = nav
     imu = ImuSample(np.array([0.02, -0.01, 0.05]), np.array([0.5, -0.2, 9.7]), 0.01)
     for _ in range(200):
@@ -182,7 +181,7 @@ def _surface_filter(earth, world, conv, P0=None):
     rng = np.random.default_rng(75)
     nav = make_nav_state(Frame.E, Grouping.TRADITIONAL, np.eye(3), np.array([5.0, 1.0, 0.0]), world.r_ew_e.copy(), earth, world)
     P = np.zeros((15, 15)) if P0 is None else P0
-    return FilterState(nav, np.zeros(3), np.zeros(3), P, conv, NavModel.of(nav, earth, SphericalGravity(), world), 0.0)
+    return FilterState(nav, np.zeros(6), P, conv, NavModel.of(nav, earth, SphericalGravity(), world), 0.0)
 
 
 def test_update_scalar_gain(earth, world):
@@ -205,12 +204,12 @@ def test_update_zero_innovation_no_op(conv, earth, world):
     A = rng.normal(size=(15, 15))
     P0 = A @ A.T * 1e-4
     nav = random_nav_state(rng, Frame.W, Grouping.PROPOSED, earth, world)
-    fs = FilterState(nav, np.zeros(3), np.zeros(3), P0, conv, NavModel.of(nav, earth, SphericalGravity(), world), 0.0)
+    fs = FilterState(nav, np.zeros(6), P0, conv, NavModel.of(nav, earth, SphericalGravity(), world), 0.0)
     noise = NoiseConfig()
     _, vb = odo_H(conv, nav, fs.model)
     out = fuse(fs, OdoSample(vb.copy(), t=0.0), noise)[0]
     assert np.allclose(out.nav.x.as_matrix(), nav.x.as_matrix(), atol=1e-12)
-    assert np.allclose(out.bias_g, 0.0) and np.allclose(out.bias_a, 0.0)
+    assert np.allclose(out.bias[0:3], 0.0) and np.allclose(out.bias[3:6], 0.0)
     assert np.trace(out.P) < np.trace(P0)
     check_covariance(out.P)
 
@@ -222,7 +221,7 @@ def test_update_joseph_keeps_psd(earth, world):
         A = rng.normal(size=(15, 15))
         P0 = A @ A.T * 1e-3
         nav = wander(random_nav_state(rng, Frame.E, Grouping.PROPOSED, earth, world), rng)
-        fs = FilterState(nav, np.zeros(3), np.zeros(3), P0, ErrorConvention.LEFT,
+        fs = FilterState(nav, np.zeros(6), P0, ErrorConvention.LEFT,
                          NavModel.of(nav, earth, SphericalGravity(), world), 0.0)
         _, vb = odo_H(fs.conv, nav, fs.model)
         z = OdoSample(vb + rng.normal(scale=0.1, size=3), t=0.0)
@@ -276,7 +275,7 @@ def test_perfect_sensor_closed_loop_stays_put(earth, world):
     model = NavModel.of(nav, earth, SphericalGravity(), world)
     truth = nav
     noise = NoiseConfig()
-    fs = FilterState(nav, np.zeros(3), np.zeros(3), np.eye(15) * 1e-4, ErrorConvention.RIGHT, model, 0.0)
+    fs = FilterState(nav, np.zeros(6), np.eye(15) * 1e-4, ErrorConvention.RIGHT, model, 0.0)
     imu = ImuSample(np.array([0.0, 0.0, 0.05]), np.array([0.3, 0.0, 9.8]), 0.01)
     for k in range(500):
         fs = predict(fs, imu, noise)
@@ -303,7 +302,7 @@ def _stack(fs, n):
 
     nav = NavState(fs.nav.frame, fs.nav.grouping, SE23(rep(fs.nav.x.R), rep(fs.nav.x.v), rep(fs.nav.x.p)),
                    fs.nav.r0, fs.nav.dv0)
-    return FilterState(nav, rep(fs.bias_g), rep(fs.bias_a), rep(fs.P), fs.conv, fs.model, fs.t)
+    return FilterState(nav, rep(fs.bias), rep(fs.P), fs.conv, fs.model, fs.t)
 
 
 def test_batched_update_gates_each_run(earth, world):
@@ -366,9 +365,9 @@ def test_batched_predict_matches_single_filters(earth, world):
     nav = NavState(Frame.E, Grouping.TRADITIONAL,
                    SE23(*(np.stack([getattr(n.x, k) for n in navs]) for k in "Rvp")), navs[0].r0, navs[0].dv0)
     model = NavModel.of(nav, earth, SphericalGravity(), world)
-    singles = [FilterState(NavState(Frame.E, Grouping.TRADITIONAL, n.x, nav.r0, nav.dv0), bg, ba, P,
+    singles = [FilterState(NavState(Frame.E, Grouping.TRADITIONAL, n.x, nav.r0, nav.dv0), np.concatenate([bg, ba]), P,
                            ErrorConvention.LEFT, model, 0.0) for n, (bg, ba, P) in zip(navs, draws)]
-    batch = FilterState(nav, np.stack([s.bias_g for s in singles]), np.stack([s.bias_a for s in singles]),
+    batch = FilterState(nav, np.stack([s.bias for s in singles]),
                         np.stack([s.P for s in singles]), ErrorConvention.LEFT, model, 0.0)
     om = rng.normal(scale=0.1, size=(3, 3))
     f = rng.normal(scale=2.0, size=(3, 3))

@@ -124,11 +124,21 @@ def test_left_jacobian_inverse():
     assert np.allclose(so3_left_jacobian(phi) @ so3_left_jacobian_inv(phi), np.eye(3), atol=1e-14)
 
 
+def _stack_se23(rng, n):
+    """n random poses as one stack, with the single poses it holds."""
+    singles = [random_se23(rng) for _ in range(n)]
+    return SE23.packed(np.stack([x.K for x in singles])), singles
+
+
 def test_compose_matches_dense_product():
     rng = np.random.default_rng(7)
     for _ in range(100):
         a, b = random_se23(rng), random_se23(rng)
         assert np.allclose(a.compose(b).as_matrix(), a.as_matrix() @ b.as_matrix(), atol=1e-9)
+    (A, singles_a), (B, singles_b) = _stack_se23(rng, 6), _stack_se23(rng, 6)
+    AB = A.compose(B)
+    for k, (a, b) in enumerate(zip(singles_a, singles_b)):
+        assert np.allclose(AB.K[k], (a.as_matrix() @ b.as_matrix())[0:3], atol=1e-9)
 
 
 def test_compose_identity_and_inverse():
@@ -148,6 +158,28 @@ def test_inverse_closed_form():
     for _ in range(100):
         x = random_se23(rng)
         assert np.allclose(x.inverse().as_matrix(), np.linalg.inv(x.as_matrix()), atol=1e-10)
+    X, singles = _stack_se23(rng, 6)
+    dense = np.linalg.inv(np.stack([x.as_matrix() for x in singles]))
+    assert np.allclose(X.inverse().K, dense[:, 0:3], atol=1e-10)
+
+
+def test_pose_and_chart_parts_are_read_only_views():
+    x = random_se23(np.random.default_rng(16))
+    for part in (x.R, x.v, x.p):
+        assert np.shares_memory(part, x.K)
+        with pytest.raises(ValueError):
+            part[..., 0] = 0.0
+    with pytest.raises(ValueError):
+        x.K[0, 0] = 0.0
+    # The packed wrapper takes K without a copy; the caller's array keeps its flag.
+    K = x.K.copy()
+    y = SE23.packed(K)
+    assert np.shares_memory(y.K, K) and K.flags.writeable
+    xi = random_tangent(np.random.default_rng(17))
+    for part in (xi.phi, xi.rho_v, xi.rho_r):
+        assert np.shares_memory(part, xi.as_vector())
+        with pytest.raises(ValueError):
+            part[0] = 0.0
 
 
 def test_se23_exp_log_identity_cases():
@@ -262,10 +294,26 @@ def test_stacked_kernels_match_scalar():
 def test_stacked_kernels_do_not_depend_on_stack_size():
     rng = np.random.default_rng(32)
     phi = _stack_of_angles(rng)
+    n = len(phi)
     R = so3_exp(phi)
-    for k in range(len(phi)):
-        assert np.array_equal(so3_exp(phi[k : k + 1])[0], R[k])
-        assert np.array_equal(so3_log(R[k : k + 1])[0], so3_log(R)[k])
+    xi = np.concatenate([phi, rng.normal(size=(n, 3)), rng.normal(scale=50.0, size=(n, 3))], axis=1)
+    X = se23_exp(TangentVector.from_vector(xi))
+    Y, _ = _stack_se23(rng, n)
+    stacked = {
+        "so3_log": so3_log(R),
+        "se23_log": se23_log(X).as_vector(),
+        "compose": X.compose(Y).K,
+        "inverse": X.inverse().K,
+    }
+    for k in range(n):
+        one = slice(k, k + 1)
+        Xk, Yk = SE23.packed(X.K[one]), SE23.packed(Y.K[one])
+        assert np.array_equal(so3_exp(phi[one])[0], R[k])
+        assert np.array_equal(so3_log(R[one])[0], stacked["so3_log"][k])
+        assert np.array_equal(se23_exp(TangentVector.from_vector(xi[one])).K[0], X.K[k])
+        assert np.array_equal(se23_log(Xk).as_vector()[0], stacked["se23_log"][k])
+        assert np.array_equal(Xk.compose(Yk).K[0], stacked["compose"][k])
+        assert np.array_equal(Xk.inverse().K[0], stacked["inverse"][k])
 
 
 def test_stacked_errors_name_the_element():

@@ -98,6 +98,15 @@ def test_low_imu_rate_rejected():
         gen_truth(TrajectorySpec((Rest(1.0),), 5.0), EARTH, GRAV, WORLD)
 
 
+def test_run_shorter_than_one_scoring_period_rejected():
+    # 0.05 s at 100 Hz with the odometer off has no scored epoch: its
+    # time-averaged NEES would be the mean of nothing.
+    cfg = RunConfig(traj=TrajectorySpec((Straight(0.05, 10.0),), 100.0), origin_e=ORIGIN, odo_rate=0.0)
+    with pytest.raises(SpecInvalid, match="shorter than one 0.1 s scoring period"):
+        run_single(cfg)
+    run_single(replace(cfg, traj=TrajectorySpec((Straight(0.1, 10.0),), 100.0)))  # one period is enough
+
+
 def test_rest_truth_is_constant():
     tr = gen_truth(TrajectorySpec((Rest(5.0),), 100.0), EARTH, GRAV, WORLD)
     assert np.all(tr.v_wb_w == 0.0)
