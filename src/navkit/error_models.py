@@ -14,9 +14,9 @@ through the gravitation gradient and are certified against the numerical
 Jacobian of the exact nonlinear error flow.
 
 error_from_states, error_to_vector, vector_to_error, apply_correction and
-linearized_F_G also take states and vectors with a leading batch axis (one
-element per Monte-Carlo run); a single true state broadcasts against a
-batch of estimates.
+linearized_F_G also take states and vectors with leading batch axes (one
+element per Monte-Carlo run, or per (sample, run) of a predict interval);
+a single true state broadcasts against a batch of estimates.
 """
 from __future__ import annotations
 

@@ -1,8 +1,10 @@
 """Lie-group extended Kalman filter for SINS with body-velocity aiding.
 
 The 15-dim error state is (phi, rho_v, rho_r, db_g, db_a) in either the
-right (eta = X X~^-1) or left (eta = X~^-1 X) convention. predict runs the
-bias-corrected strapdown step and the discretized covariance propagation;
+right (eta = X X~^-1) or left (eta = X~^-1 X) convention. predict
+propagates over one measurement interval of IMU samples: the
+bias-corrected strapdown update and the discretized covariance
+propagation, with the interval's linearizations formed as one stack;
 fuse fuses a body-frame velocity (odometer with non-holonomic lateral and
 vertical pseudo-measurements) through the Joseph form and retracts the
 estimated error onto the group.
@@ -10,11 +12,12 @@ estimated error onto the group.
 Every function here also runs a batch of filters in lock step: a
 FilterState whose arrays carry a leading run axis (the pose's packed K
 (N,3,5), bias (N,6), P (N,15,15)) and shares one clock.  predict advances
-every run; fuse applies each run's odometer sample under that run's own
-gate, and the checks (singular innovation covariance, covariance health)
-are made per run.  Their failures are KernelDomainErrors that name the
-failing element of the stack, as the group kernels' do; the filter loop
-adds that element's run and epoch.
+every run over the interval (inputs (L, N, 3)); fuse applies each run's
+odometer sample under that run's own gate, and the checks (singular
+innovation covariance, covariance health) are made per run.  Their
+failures are KernelDomainErrors that name the failing element of the
+stack, as the group kernels' do; the filter loop adds that element's run
+and epoch.
 """
 from __future__ import annotations
 
@@ -23,7 +26,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .error_models import ErrorConvention, apply_correction, linearized_F_G
-from .mechanization import Frame, ImuSample, NavModel, NavState, step
+from .mechanization import Frame, ImuSample, NavModel, NavState, integrate
 from .se23 import SE23, KernelDomainError, TangentVector, _domain_error, matvec, skew, transpose
 
 __all__ = [
@@ -117,7 +120,9 @@ class FilterState:
 
 def check_covariance(P: np.ndarray) -> None:
     """Raise CovarianceNotPSD when P, or any element of a stack of them, is
-    asymmetric or indefinite; for a stack the error names the element."""
+    asymmetric or indefinite; for a stack the error names the element.
+    A stack that Cholesky factors passes; otherwise each P passes when its
+    least eigenvalue is at least -1e-9 times its trace."""
     single = P.ndim == 2
     flat = P.reshape(-1, 15, 15)
     finite = np.isfinite(flat).all(axis=(1, 2))
@@ -126,6 +131,11 @@ def check_covariance(P: np.ndarray) -> None:
     asym = np.abs(flat - transpose(flat)).max(axis=(1, 2)) > _SYM_TOL
     if asym.any():
         raise _domain_error(CovarianceNotPSD, asym, single, lambda i: "covariance asymmetry exceeds 1e-9")
+    try:
+        np.linalg.cholesky(flat)
+        return
+    except np.linalg.LinAlgError:  # singular or indefinite: the eigenvalues decide
+        pass
     eig_min = np.linalg.eigvalsh(flat)[:, 0]
     trace = np.trace(flat, axis1=1, axis2=2)
     bad = eig_min < -_EIG_TOL * np.maximum(trace, 1e-300)
@@ -136,26 +146,40 @@ def check_covariance(P: np.ndarray) -> None:
 
 
 def predict(fs: FilterState, imu: ImuSample, noise: NoiseConfig, method: str = "midpoint") -> FilterState:
-    """One strapdown + covariance propagation step over imu.dt (for a
-    batch, imu holds one sample per run); the linearization and the step
-    share the filter's model."""
+    """Propagate the filter over one measurement interval and return its
+    state at the interval's end.
+
+    imu holds the interval's L samples: omega and f (L, ..., 3), a batch's
+    run axis after the sample axis, and dt (L,).  The bias-corrected
+    strapdown update runs sample by sample (mechanization.integrate); the
+    linearizations along the L pre-sample estimates, the transition
+    matrices and the noise terms are formed as one stack under the filter's
+    model, and only the L covariance sandwiches run in order, so the result
+    is bit for bit that of L one-sample predicts.  A KernelDomainError names
+    element l*N + i of the (L, N) stack: run i at sample l.
+    """
     corrected = ImuSample(
         np.asarray(imu.omega_ib_b, dtype=float) - fs.bias[..., 0:3],
         np.asarray(imu.f_ib_b, dtype=float) - fs.bias[..., 3:6],
         imu.dt,
     )
-    F, G = linearized_F_G(fs.conv, fs.nav, corrected, fs.model)
-    nav = step(fs.nav, corrected, fs.model, method=method)
+    blocks = integrate(fs.nav, corrected, fs.model, method=method)
+    F, G = linearized_F_G(fs.conv, replace(fs.nav, x=SE23.packed(blocks[:-1])), corrected, fs.model)
 
     # Qd = dt/2 (Phi M Phi^T + M) with M = G Q G^T, folded into one sandwich:
     # P+ = Phi (P + dt/2 M) Phi^T + dt/2 M + bias random walks.
-    dt = imu.dt
+    dts = np.asarray(imu.dt, dtype=float)
+    dt = dts.reshape(dts.shape + (1,) * (F.ndim - 1))
     Fdt = F * dt
     Phi = _I15 + Fdt + 0.5 * (Fdt @ Fdt)
     half_M = (0.5 * dt) * ((G * np.diagonal(noise.input_psd())) @ transpose(G))
-    P = Phi @ (fs.P + half_M) @ transpose(Phi) + (half_M + noise.bias_walk_psd() * dt)
-    P = 0.5 * (P + transpose(P))
-    return FilterState(nav, fs.bias, P, fs.conv, fs.model, fs.t + dt)
+    walk = noise.bias_walk_psd() * dt
+    P, t = fs.P, fs.t
+    for l, dt_l in enumerate(dts.tolist()):
+        P = Phi[l] @ (P + half_M[l]) @ transpose(Phi[l]) + (half_M[l] + walk[l])
+        P = 0.5 * (P + transpose(P))
+        t = t + dt_l
+    return FilterState(replace(fs.nav, x=SE23.packed(blocks[-1])), fs.bias, P, fs.conv, fs.model, t)
 
 
 _I15 = np.eye(15)

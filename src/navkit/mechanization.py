@@ -23,6 +23,11 @@ per Monte-Carlo run or per interval, sharing the anchors r0/dv0), with
 inputs of matching shape, and a single state is a stack with no leading
 axis.  step's rk4 also takes one dt per element, which is how inverse_imu
 steps all of a grid's intervals (the last one may be shorter) at once.
+integrate advances a state over the L samples of an interval (inputs
+(L, ..., 3), dt (L,)): the terms that depend only on the inputs are formed
+once for all L samples and the state-dependent update runs L times, the
+same update step makes once; lgekf.predict and the autonomy experiment
+propagate with it.
 Each derivative is exposed both as a dense 5x5 matrix and as its
 W-decomposition  dX/dt = X W1 + W2 X (+ W3 X W4),  whose structure drives
 the autonomy classification of the error dynamics.  step's rk4 integrates
@@ -49,7 +54,7 @@ from .earth import (
     gravitation,
     gravitation_gradient,
 )
-from .se23 import SE23, matvec, skew, so3_exp, transpose
+from .se23 import SE23, KernelDomainError, matvec, skew, so3_exp, transpose
 
 __all__ = [
     "Frame",
@@ -62,6 +67,7 @@ __all__ = [
     "make_nav_state",
     "derivative",
     "step",
+    "integrate",
     "to_proposed",
     "from_proposed",
     "physical_from_nav",
@@ -93,7 +99,8 @@ class ImuSample:
     """Body-frame gyro/accelerometer sample held constant over dt.
 
     For a stack of states the inputs are (..., 3) and dt is one float or,
-    for step's rk4, an array with one dt per element.
+    for step's rk4, an array with one dt per element.  An interval of L
+    samples (integrate, lgekf.predict) has inputs (L, ..., 3) and dt (L,).
     """
 
     omega_ib_b: np.ndarray
@@ -346,7 +353,8 @@ def step(state: NavState, imu: ImuSample, model: NavModel, method: str = "midpoi
 
     For a stacked state imu.dt is one float for every element or, with
     rk4 only, an array of one dt per element; element k then advances as
-    a one-element stack stepped with dt[k] would.
+    a one-element stack stepped with dt[k] would.  A step is its input
+    terms (_input_terms) and one state-dependent update.
     """
     model.check(state)
     dt = longest = imu.dt
@@ -354,40 +362,98 @@ def step(state: NavState, imu: ImuSample, model: NavModel, method: str = "midpoi
         if method != "rk4":
             raise ValueError(f"a dt per element needs method='rk4', not {method!r}")
         dt, longest = dt[..., None, None], dt.max()
+    _check_dt(longest)
+    update, terms = _input_terms(imu.omega_ib_b, imu.f_ib_b, dt, model, method)
+    return NavState(state.frame, state.grouping, SE23.packed(update(state.x.K, dt, terms, model)), state.r0, state.dv0)
+
+
+def integrate(state: NavState, imu: ImuSample, model: NavModel, method: str = "midpoint") -> np.ndarray:
+    """Advance a state over the L samples of an interval and return its
+    packed blocks at the interval's L+1 epochs, (L+1, ..., 3, 5), the first
+    being state.x.K.
+
+    imu holds omega and f (L, ..., 3), the state's leading axes after the
+    sample axis, and dt (L,).  The input terms are formed once for all L
+    samples and the state-dependent update then runs L times, so epoch
+    l+1 is bit for bit step(epoch l, sample l).  A KernelDomainError raised
+    at sample l names element l*n + i of the (L, ...) stack, i the failing
+    element of the n the state holds.
+    """
+    model.check(state)
+    dt = np.asarray(imu.dt, dtype=float)
+    if dt.ndim != 1:
+        raise ValueError(f"an interval takes one dt per sample, (L,), not an array of shape {dt.shape}")
+    _check_dt(dt.max())
+    update, terms = _input_terms(imu.omega_ib_b, imu.f_ib_b, dt, model, method)
+    K = state.x.K
+    out = np.empty((len(dt) + 1,) + K.shape)
+    out[0] = K
+    for l, (dt_l, terms_l) in enumerate(zip(dt.tolist(), zip(*terms))):
+        try:
+            out[l + 1] = update(out[l], dt_l, terms_l, model)
+        except KernelDomainError as exc:
+            raise type(exc)(str(exc), element=l * K[..., 0, 0].size + (exc.element or 0)) from exc
+    return out
+
+
+def _check_dt(longest) -> None:
     if longest > _MAX_DT:
         raise ValueError(f"dt {longest} exceeds the {_MAX_DT} s piecewise-constant guard")
 
-    if method == "rk4":
-        K = state.x.K
-        W1 = _input_matrix(imu.omega_ib_b, imu.f_ib_b)
-        h = 0.5 * dt
-        k1 = model.rate(K, W1)
-        k2 = model.rate(K + h * k1, W1)
-        k3 = model.rate(K + h * k2, W1)
-        k4 = model.rate(K + dt * k3, W1)
-        K1 = K + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        return NavState(state.frame, state.grouping, SE23.packed(K1), state.r0, state.dv0)
 
+def _input_terms(omega_ib_b, f_ib_b, dt, model: NavModel, method: str):
+    """The update of method and the terms of its steps that depend only on
+    the inputs: rk4's input matrices W1, or the midpoint rule's specific
+    force, body half-rotations so3_exp(dt/2 omega) and, in a rotating frame,
+    the frame's half-rotation exp(-dt/2 Om), formed once per distinct dt.
+    The inputs may carry any leading axes.  The midpoint rule's dt is one
+    float, or an interval's (L,) array leading the inputs' axes; rk4's
+    terms do not depend on dt."""
+    if method == "rk4":
+        return _rk4_update, (_input_matrix(omega_ib_b, f_ib_b),)
     if method != "midpoint":
         raise ValueError(f"unknown integration method {method!r}")
-    C, v, p = state.x.R, state.x.v, state.x.p
-    om_b = np.asarray(imu.omega_ib_b, dtype=float)
-    f_b = np.asarray(imu.f_ib_b, dtype=float)
+    om_b = np.asarray(omega_ib_b, dtype=float)
+    terms = [np.asarray(f_ib_b, dtype=float)]
+    if np.ndim(dt):
+        terms.append(so3_exp(0.5 * dt.reshape(dt.shape + (1,) * (om_b.ndim - 1)) * om_b))
+        if model.omega is not None:
+            distinct, which = np.unique(dt, return_inverse=True)
+            terms.append(np.stack([model.half_exp(d) for d in distinct.tolist()])[which])
+    else:
+        terms.append(so3_exp(0.5 * dt * om_b))
+        if model.omega is not None:
+            terms.append(model.half_exp(dt))
+    return _midpoint_update, tuple(terms)
 
-    body_half = so3_exp(0.5 * dt * om_b)
-    if model.omega is None:
+
+def _rk4_update(K: np.ndarray, dt, terms, model: NavModel) -> np.ndarray:
+    (W1,) = terms
+    h = 0.5 * dt
+    k1 = model.rate(K, W1)
+    k2 = model.rate(K + h * k1, W1)
+    k3 = model.rate(K + h * k2, W1)
+    k4 = model.rate(K + dt * k3, W1)
+    return K + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _midpoint_update(K: np.ndarray, dt, terms, model: NavModel) -> np.ndarray:
+    f_b, body_half, *frame_half = terms
+    C, v, p = K[..., 0:3], K[..., 3], K[..., 4]
+    if frame_half:
+        C_mid = frame_half[0] @ C @ body_half
+        C_end = frame_half[0] @ C_mid @ body_half
+    else:
         C_mid = C @ body_half
         C_end = C_mid @ body_half
-    else:
-        left_half = model.half_exp(dt)
-        C_mid = left_half @ C @ body_half
-        C_end = left_half @ C_mid @ body_half
 
     dv1, dp1 = model.vel_pos_rates(C, v, p, f_b)
     v_mid = v + 0.5 * dt * dv1
     p_mid = p + 0.5 * dt * dp1
     dv2, dp2 = model.vel_pos_rates(C_mid, v_mid, p_mid, f_b)
-    return NavState(state.frame, state.grouping, SE23(C_end, v + dt * dv2, p + dt * dp2), state.r0, state.dv0)
+    K1 = np.empty(C_end.shape[:-2] + (3, 5))
+    K1[..., 0:3], K1[..., 3], K1[..., 4] = C_end, v + dt * dv2, p + dt * dp2
+    return K1
 
 
 def to_proposed(state: NavState, earth: EarthParams, world: WorldFrameDef | None = None) -> NavState:

@@ -297,33 +297,34 @@ class SE23:
         return SE23.packed(np.concatenate((Rt, -(Rt @ self.K[..., 3:5])), axis=-1))
 
     def as_matrix(self) -> np.ndarray:
-        M = np.eye(5)
-        M[0:3] = self.K
+        """The 5x5 group matrix of every element, (..., 5, 5)."""
+        M = np.zeros(self.K.shape[:-2] + (5, 5))
+        M[..., 0:3, :] = self.K
+        M[..., 3, 3] = M[..., 4, 4] = 1.0
         return M
 
     def adjoint(self) -> np.ndarray:
-        """9x9 adjoint: vee5(X wedge5(xi) X^-1) == adjoint(X) @ xi."""
-        A = np.zeros((9, 9))
-        A[0:3, 0:3] = self.R
-        A[3:6, 0:3] = skew(self.v) @ self.R
-        A[3:6, 3:6] = self.R
-        A[6:9, 0:3] = skew(self.p) @ self.R
-        A[6:9, 6:9] = self.R
+        """9x9 adjoint (..., 9, 9): vee5(X wedge5(xi) X^-1) == adjoint(X) @ xi."""
+        R = self.R
+        A = np.zeros(R.shape[:-2] + (9, 9))
+        A[..., 0:3, 0:3] = A[..., 3:6, 3:6] = A[..., 6:9, 6:9] = R
+        A[..., 3:6, 0:3] = skew(self.v) @ R
+        A[..., 6:9, 0:3] = skew(self.p) @ R
         return A
 
 
 def wedge5(xi: TangentVector) -> np.ndarray:
-    """Algebra element: skew(phi) upper-left with rho_v, rho_r columns."""
-    M = np.zeros((5, 5))
-    M[0:3, 0:3] = skew(xi.phi)
-    M[0:3, 3] = xi.rho_v
-    M[0:3, 4] = xi.rho_r
+    """Algebra element (..., 5, 5): skew(phi) upper-left with rho_v, rho_r columns."""
+    M = np.zeros(xi.xi.shape[:-1] + (5, 5))
+    M[..., 0:3, 0:3] = skew(xi.phi)
+    M[..., 0:3, 3] = xi.rho_v
+    M[..., 0:3, 4] = xi.rho_r
     return M
 
 
 def vee5(M: np.ndarray) -> TangentVector:
     """Inverse of wedge5."""
-    return TangentVector(unskew(M[0:3, 0:3]), M[0:3, 3], M[0:3, 4])
+    return TangentVector(unskew(M[..., 0:3, 0:3]), M[..., 0:3, 3], M[..., 0:3, 4])
 
 
 def se23_exp(xi: TangentVector) -> SE23:

@@ -58,6 +58,7 @@ from .mechanization import (
     NavModel,
     NavState,
     derivative,
+    integrate,
     nav_from_physical,
     physical_from_nav,
     step,
@@ -111,15 +112,18 @@ class SpecInvalid(ValueError):
 
 
 @contextmanager
-def _naming_elements(where):
+def _naming_elements(where, width=None):
     """Re-raise a stacked kernel's KernelDomainError as its own type, the
-    message prefixed with where(element): the run or trajectory and epoch."""
+    message prefixed with where(element): the run or trajectory and epoch.
+    With width the stack is (epochs, width) and the re-raised error's
+    element is the failing element's index along width (its run)."""
     try:
         yield
     except KernelDomainError as exc:
         if exc.element is None:
             raise
-        raise type(exc)(f"{where(exc.element)}: {exc}", element=exc.element) from exc
+        element = exc.element if width is None else exc.element % width
+        raise type(exc)(f"{where(exc.element)}: {exc}", element=element) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -776,9 +780,10 @@ def _run_lockstep(
     Each run's noise is drawn up front from its own (seed, channel,
     run_index) substreams, so a run does not depend on the batch around it.
     The state, covariance and scoring arrays carry a leading run axis;
-    odometer updates apply under each run's own gate.  A failure inside the
-    loop names its run and epoch.  The result is batch-shaped, one row per
-    run in run_indices.
+    one predict covers each interval between scored epochs (none follows
+    the last), and odometer updates apply under each run's own gate.  A
+    failure inside the loop names its run and epoch.  The result is
+    batch-shaped, one row per run in run_indices.
     """
     runs = tuple(int(k) for k in run_indices)
     world = ned_world(cfg.origin_e, cfg.earth)
@@ -795,8 +800,6 @@ def _run_lockstep(
     else:
         decim = max(1, int(round(truth.imu_rate / _SCORE_RATE)))
         sample_idx = np.arange(decim, n + 1, decim)
-    slot = np.full(n + 1, -1)
-    slot[sample_idx] = np.arange(len(sample_idx))
 
     # Per-run draws, stored time-major so each epoch is one contiguous (N, 3) slice.
     N, M = len(runs), len(sample_idx)
@@ -839,16 +842,20 @@ def _run_lockstep(
     nees = np.empty((N, M))
     innov, white = np.zeros((2, N, M, 3))
     updated = np.zeros((N, M), dtype=bool)
-    with _naming_elements(lambda i: f"run {runs[i]}, t={truth.t[k + 1]:.3f} s"):
-        for k in range(n):
-            fs = predict(fs, ImuSample(omega_meas[k], f_meas[k], float(dts[k])), cfg.noise, method=cfg.integrator)
-            j = slot[k + 1]
-            if j < 0:
-                continue
+    # One predict per interval between scored epochs; none after the last.
+    # A failing (epochs, runs) stack names run e % N at epoch first + e // N:
+    # predict's stack starts after the interval's first epoch, fuse's and
+    # the scoring's (one epoch) at its last.
+    with _naming_elements(lambda e: f"run {runs[e % N]}, t={truth.t[first + e // N]:.3f} s", width=N):
+        for j, (k0, k1) in enumerate(zip([0, *sample_idx[:-1].tolist()], sample_idx.tolist())):
+            first = k0 + 1
+            imu = ImuSample(omega_meas[k0:k1], f_meas[k0:k1], dts[k0:k1])
+            fs = predict(fs, imu, cfg.noise, method=cfg.integrator)
+            first = k1
             if len(odo_idx) > 0:
-                z = OdoSample(odo_meas[j], float(truth.t[k + 1]))
+                z = OdoSample(odo_meas[j], float(truth.t[k1]))
                 fs, innov[:, j], white[:, j], updated[:, j] = fuse(
-                    fs, z, cfg.noise, gate_sigma=cfg.gate_sigma, imu_period=float(dts[k])
+                    fs, z, cfg.noise, gate_sigma=cfg.gate_sigma, imu_period=float(dts[k1 - 1])
                 )
             truth_j = replace(truth_f, x=SE23.packed(truth_f.x.K[j]))
             xi[:, j] = error_to_vector(error_from_states(truth_j, fs.nav, fs.conv), fs.conv).as_vector()
@@ -931,9 +938,9 @@ def autonomy_experiment(
     trajectory in through conjugation diverges visibly.
 
     The four flows (truth and estimate along a, truth and estimate along b)
-    advance in lock step as one stacked state over the epochs the two time
-    grids share.  Both trajectories start at the world origin, so the four
-    flows share their r0/dv0 anchors.
+    advance in lock step as one stacked state, in one integrate call over
+    the epochs the two time grids share.  Both trajectories start at the
+    world origin, so the four flows share their r0/dv0 anchors.
     """
     earth, gravity = settings.earth, settings.gravity
     world = ned_world(np.asarray(settings.origin_e, dtype=float), earth)
@@ -946,8 +953,9 @@ def autonomy_experiment(
     imus = [inverse_imu(truth_w, earth, gravity, world) for truth_w in truths]
     om_true = np.stack([imu.omega_ib_b[: m - 1] for imu in imus], axis=1)
     f_true = np.stack([imu.f_ib_b[: m - 1] for imu in imus], axis=1)
-    omega = np.concatenate([om_true, om_true + settings.gyro_input_error], axis=1)
-    f = np.concatenate([f_true, f_true + settings.accel_input_error], axis=1)
+    # (m-1, truth/estimate, trajectory, 3): the inputs of the four flows below
+    omega = np.stack([om_true, om_true + settings.gyro_input_error], axis=1)
+    f = np.stack([f_true, f_true + settings.accel_input_error], axis=1)
     starts = [
         nav_from_physical(variant.frame, variant.grouping, *physical_from_nav(truth_w.state(0), earth, world, 0.0),
                           earth, world, t=0.0)
@@ -958,20 +966,17 @@ def autonomy_experiment(
     eta0_inv = se23_exp(TangentVector.from_vector(np.asarray(xi0, dtype=float))).inverse()
     est0 = eta0_inv.compose(x0) if conv is ErrorConvention.RIGHT else x0.compose(eta0_inv)
 
-    # The four flows step as one stack: truth a, truth b, estimate a, estimate b.
-    # Stored as (truth/estimate, epoch, trajectory), each side's epochs are one
-    # (m*2) stack ordered (epoch, trajectory) without a copy.
-    K = np.empty((2, m, 2, 3, 5))
-    K[:, 0] = x0.K, est0.K
-    state = replace(starts[0], x=SE23.packed(K[:, 0].reshape(4, 3, 5)))
+    # The four flows advance as one (2, 2) stack: (truth, estimate) x
+    # (trajectory a, b), over all m-1 intervals in one integrate call whose
+    # (m, 2, 2, 3, 5) result is their storage; each side's epochs are a
+    # strided (m, 2) stack ordered (epoch, trajectory).
+    state = replace(starts[0], x=SE23.packed(np.stack([x0.K, est0.K])))
     model = NavModel.of(state, earth, gravity, world)
-    with _naming_elements(lambda i: f"trajectory {'ab'[i % 2]}, t={t[k + 1]:.3f} s"):
-        for k in range(m - 1):
-            state = step(state, ImuSample(omega[k], f[k], float(dts[k])), model, method=settings.integrator)
-            K[:, k + 1] = state.x.K.reshape(2, 2, 3, 5)
-    truth, est = (replace(state, x=SE23.packed(K[j].reshape(-1, 3, 5))) for j in (0, 1))
+    with _naming_elements(lambda i: f"trajectory {'ab'[i % 2]}, t={t[i // 4 + 1]:.3f} s"):
+        K = integrate(state, ImuSample(omega, f, dts), model, method=settings.integrator)
+    truth, est = (replace(state, x=SE23.packed(K[:, j])) for j in (0, 1))
     with _naming_elements(lambda i: f"trajectory {'ab'[i % 2]}, t={t[i // 2]:.3f} s"):
-        xi = se23_log(error_from_states(truth, est, conv)).as_vector().reshape(m, 2, 9)
+        xi = se23_log(error_from_states(truth, est, conv)).as_vector()
     xi_a, xi_b = xi[:, 0].copy(), xi[:, 1].copy()
     metric = float(np.max(np.linalg.norm(xi_a - xi_b, axis=1)))
 

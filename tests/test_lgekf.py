@@ -1,6 +1,8 @@
 """Filter building blocks: H oracle, covariance propagation, Joseph update."""
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -45,8 +47,6 @@ CONVS = [ErrorConvention.RIGHT, ErrorConvention.LEFT]
 
 
 def wander(state, rng):
-    from dataclasses import replace
-
     from navkit import SE23
 
     x = SE23(
@@ -132,6 +132,11 @@ def _static_filter(conv=ErrorConvention.RIGHT):
     return fs
 
 
+def _series(imu):
+    """imu as the one-sample interval predict takes: omega and f (1, ..., 3), dt (1,)."""
+    return ImuSample(imu.omega_ib_b[None], imu.f_ib_b[None], np.array([imu.dt]))
+
+
 def test_predict_zero_noise_tracks_truth(earth, world):
     rng = np.random.default_rng(73)
     nav = random_nav_state(rng, Frame.E, Grouping.PROPOSED, earth, world)
@@ -141,11 +146,42 @@ def test_predict_zero_noise_tracks_truth(earth, world):
     truth = nav
     imu = ImuSample(np.array([0.02, -0.01, 0.05]), np.array([0.5, -0.2, 9.7]), 0.01)
     for _ in range(200):
-        fs = predict(fs, imu, noise)
+        fs = predict(fs, _series(imu), noise)
         truth = step(truth, imu, model, method="midpoint")
     assert np.allclose(fs.nav.x.as_matrix(), truth.x.as_matrix(), atol=1e-12)
     assert np.abs(fs.P).max() == 0.0
     assert np.isclose(fs.t, 2.0)
+
+
+@pytest.mark.parametrize("n", [None, 1, 3], ids=["single", "n1", "n3"])
+@pytest.mark.parametrize("conv", CONVS, ids=lambda c: c.value)
+@pytest.mark.parametrize("method", ["midpoint", "rk4"])
+@pytest.mark.parametrize("frame,grouping", ALL_COMBOS, ids=lambda c: getattr(c, "value", c))
+def test_interval_predict_matches_chained_one_sample_predicts(frame, grouping, method, conv, n, earth, world):
+    from navkit import SE23
+
+    rng = np.random.default_rng(81)
+    shape = () if n is None else (n,)
+    base = random_nav_state(rng, frame, grouping, earth, world)
+    # n estimates of one anchored run (a single one without the run axis)
+    xs = [wander(base, rng).x for _ in range(n or 1)]
+    K = np.stack([x.K for x in xs]) if n else xs[0].K
+    model = NavModel.of(base, earth, SphericalGravity(), world)
+    A = rng.normal(size=(*shape, 15, 15))
+    fs = FilterState(replace(base, x=SE23.packed(K)), rng.normal(scale=1e-4, size=(*shape, 6)),
+                     A @ np.swapaxes(A, -1, -2) * 1e-4, conv, model, 0.25)
+    dt = np.array([0.01, 0.01, 0.01, 0.01, 0.01, 0.0037, 0.005])
+    L = len(dt)
+    om, f = rng.normal(scale=0.2, size=(L, *shape, 3)), rng.normal(scale=3.0, size=(L, *shape, 3))
+    noise = NoiseConfig()
+    out = predict(fs, ImuSample(om, f, dt), noise, method=method)
+    ref = fs
+    for l in range(L):
+        ref = predict(ref, ImuSample(om[l : l + 1], f[l : l + 1], dt[l : l + 1]), noise, method=method)
+    assert np.array_equal(out.nav.x.K, ref.nav.x.K)
+    assert np.array_equal(out.bias, ref.bias)
+    assert np.array_equal(out.P, ref.P)
+    assert out.t == ref.t
 
 
 def test_predict_attitude_random_walk():
@@ -154,7 +190,7 @@ def test_predict_attitude_random_walk():
     noise = NoiseConfig(gyro_noise_psd=psd, accel_noise_psd=0.0, gyro_bias_rw_psd=0.0, accel_bias_rw_psd=0.0)
     imu = ImuSample(np.zeros(3), np.zeros(3), 0.01)
     for _ in range(1000):
-        fs = predict(fs, imu, noise)
+        fs = predict(fs, _series(imu), noise)
     t = 10.0
     for k in range(3):
         assert abs(fs.P[k, k] - psd * t) < 0.05 * psd * t
@@ -278,7 +314,7 @@ def test_perfect_sensor_closed_loop_stays_put(earth, world):
     fs = FilterState(nav, np.zeros(6), np.eye(15) * 1e-4, ErrorConvention.RIGHT, model, 0.0)
     imu = ImuSample(np.array([0.0, 0.0, 0.05]), np.array([0.3, 0.0, 9.8]), 0.01)
     for k in range(500):
-        fs = predict(fs, imu, noise)
+        fs = predict(fs, _series(imu), noise)
         truth = step(truth, imu, model, method="midpoint")
         if (k + 1) % 10 == 0:
             vb = body_velocity(truth, earth, world)
@@ -350,6 +386,18 @@ def test_check_covariance_names_the_bad_run():
     check_covariance(np.stack([np.eye(15)] * 2))
 
 
+def test_check_covariance_accepts_what_cholesky_refuses():
+    # Neither factors, so both reach the eigenvalue test, which accepts them.
+    v = np.random.default_rng(82).normal(size=(15, 3))
+    singular = v @ v.T  # rank 3: PSD with a twelve-dimensional null space
+    indefinite = np.diag([1.0] * 14 + [-1e-10])  # -1e-10 is within -1e-9 * trace
+    for P in (singular, indefinite):
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(P)
+        check_covariance(P)
+        check_covariance(np.stack([np.eye(15), P]))
+
+
 def test_batched_predict_matches_single_filters(earth, world):
     rng = np.random.default_rng(79)
     noise = NoiseConfig()
@@ -371,9 +419,9 @@ def test_batched_predict_matches_single_filters(earth, world):
                         np.stack([s.P for s in singles]), ErrorConvention.LEFT, model, 0.0)
     om = rng.normal(scale=0.1, size=(3, 3))
     f = rng.normal(scale=2.0, size=(3, 3))
-    out = predict(batch, ImuSample(om, f, 0.01), noise, method="rk4")
+    out = predict(batch, _series(ImuSample(om, f, 0.01)), noise, method="rk4")
     for i, s in enumerate(singles):
-        ref = predict(s, ImuSample(om[i], f[i], 0.01), noise, method="rk4")
+        ref = predict(s, _series(ImuSample(om[i], f[i], 0.01)), noise, method="rk4")
         assert np.allclose(out.nav.x.R[i], ref.nav.x.R, atol=1e-14)
         assert np.allclose(out.nav.x.p[i], ref.nav.x.p, atol=1e-9)
         assert np.allclose(out.P[i], ref.P, rtol=1e-12, atol=1e-18)

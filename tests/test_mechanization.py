@@ -10,6 +10,7 @@ from navkit import (
     SE23,
     Frame,
     FrameMismatch,
+    SingularRadius,
     Grouping,
     ImuSample,
     SphericalGravity,
@@ -21,6 +22,7 @@ from navkit import (
     from_proposed,
     gravitation,
     gravity,
+    integrate,
     make_nav_state,
     nav_from_physical,
     physical_from_nav,
@@ -30,6 +32,7 @@ from navkit import (
     step,
     to_proposed,
 )
+import navkit.mechanization as mechanization
 from navkit.mechanization import NavModel, _input_matrix
 from conftest import random_nav_state, random_rotation
 
@@ -308,6 +311,66 @@ def test_rk4_dt_per_element_matches_one_element_stacks(frame, grouping, earth, w
         ref = step(one, ImuSample(om[k : k + 1], f[k : k + 1], float(dt[k])), model, method="rk4").x
         for a, b in ((out.R[k], ref.R[0]), (out.v[k], ref.v[0]), (out.p[k], ref.p[0])):
             assert np.array_equal(a, b), k
+
+
+# An interval's samples: the last two dts differ from the rest, so the
+# midpoint rule's frame half-rotation is formed for each distinct dt.
+_INTERVAL_DT = np.array([0.01, 0.01, 0.01, 0.01, 0.01, 0.0037, 0.005])
+
+
+@pytest.mark.parametrize("n", [None, 1, 3], ids=["single", "n1", "n3"])
+@pytest.mark.parametrize("method", ["midpoint", "rk4"])
+@pytest.mark.parametrize("frame,grouping", ALL_COMBOS, ids=lambda c: getattr(c, "value", c))
+def test_integrate_matches_chained_steps(frame, grouping, method, n, earth, world):
+    rng = np.random.default_rng(45)
+    if n is None:
+        st, shape = wander(random_nav_state(rng, frame, grouping, earth, world), rng), ()
+    else:
+        st, shape = _stacked_state(rng, frame, grouping, earth, world, n), (n,)
+    L = len(_INTERVAL_DT)
+    om, f = rng.normal(scale=0.2, size=(L, *shape, 3)), rng.normal(scale=3.0, size=(L, *shape, 3))
+    model = NavModel.of(st, earth, SphericalGravity(), world)
+    blocks = integrate(st, ImuSample(om, f, _INTERVAL_DT), model, method=method)
+    assert blocks.shape == (L + 1, *shape, 3, 5)
+    assert np.array_equal(blocks[0], st.x.K)
+    for l in range(L):
+        st = step(st, ImuSample(om[l], f[l], float(_INTERVAL_DT[l])), model, method=method)
+        assert np.array_equal(blocks[l + 1], st.x.K), l
+
+
+def test_integrate_guards_and_names_the_failing_sample(earth, world, monkeypatch):
+    rng = np.random.default_rng(46)
+    st = _stacked_state(rng, Frame.E, Grouping.TRADITIONAL, earth, world, 3)
+    model = NavModel.of(st, earth, SphericalGravity(), world)
+    zeros = np.zeros((4, 3, 3))
+    with pytest.raises(ValueError, match="exceeds"):
+        integrate(st, ImuSample(zeros, zeros, np.array([0.01, 0.01, 0.2, 0.01])), model)
+    with pytest.raises(ValueError, match="one dt per sample"):
+        integrate(st, ImuSample(zeros[0], zeros[0], 0.01), model)
+    # A failure at sample 2 on element 1 of the 3 the state holds is element
+    # 2*3 + 1 of the (4, 3) stack; a single state's is element 2.
+    calls = []
+    real = mechanization._rk4_update
+
+    def failing_at_third_sample(K, *args):
+        calls.append(None)
+        if len(calls) == 3:
+            r = np.full(K[..., 0].shape, 1e7)  # one position per element
+            r[bad] = 0.0
+            gravitation(r, SphericalGravity(), earth)
+        return real(K, *args)
+
+    monkeypatch.setattr(mechanization, "_rk4_update", failing_at_third_sample)
+    bad = 1
+    with pytest.raises(SingularRadius, match="^element 1 of the stack") as info:
+        integrate(st, ImuSample(zeros, zeros, np.full(4, 0.01)), model, method="rk4")
+    assert info.value.element == 7
+    calls.clear()
+    bad = ...
+    one = replace(st, x=SE23.packed(st.x.K[0]))
+    with pytest.raises(SingularRadius, match="^radius") as info:
+        integrate(one, ImuSample(zeros[:, 0], zeros[:, 0], np.full(4, 0.01)), model, method="rk4")
+    assert info.value.element == 2
 
 
 @pytest.mark.parametrize("frame", [Frame.I, Frame.E, Frame.W])

@@ -125,9 +125,8 @@ def test_left_jacobian_inverse():
 
 
 def _stack_se23(rng, n):
-    """n random poses as one stack, with the single poses it holds."""
-    singles = [random_se23(rng) for _ in range(n)]
-    return SE23.packed(np.stack([x.K for x in singles])), singles
+    """n random poses as one stack."""
+    return SE23.packed(np.stack([random_se23(rng).K for _ in range(n)]))
 
 
 def test_compose_matches_dense_product():
@@ -135,10 +134,8 @@ def test_compose_matches_dense_product():
     for _ in range(100):
         a, b = random_se23(rng), random_se23(rng)
         assert np.allclose(a.compose(b).as_matrix(), a.as_matrix() @ b.as_matrix(), atol=1e-9)
-    (A, singles_a), (B, singles_b) = _stack_se23(rng, 6), _stack_se23(rng, 6)
-    AB = A.compose(B)
-    for k, (a, b) in enumerate(zip(singles_a, singles_b)):
-        assert np.allclose(AB.K[k], (a.as_matrix() @ b.as_matrix())[0:3], atol=1e-9)
+    A, B = _stack_se23(rng, 6), _stack_se23(rng, 6)
+    assert np.allclose(A.compose(B).as_matrix(), A.as_matrix() @ B.as_matrix(), atol=1e-9)
 
 
 def test_compose_identity_and_inverse():
@@ -158,9 +155,8 @@ def test_inverse_closed_form():
     for _ in range(100):
         x = random_se23(rng)
         assert np.allclose(x.inverse().as_matrix(), np.linalg.inv(x.as_matrix()), atol=1e-10)
-    X, singles = _stack_se23(rng, 6)
-    dense = np.linalg.inv(np.stack([x.as_matrix() for x in singles]))
-    assert np.allclose(X.inverse().K, dense[:, 0:3], atol=1e-10)
+    X = _stack_se23(rng, 6)
+    assert np.allclose(X.inverse().as_matrix(), np.linalg.inv(X.as_matrix()), atol=1e-10)
 
 
 def test_pose_and_chart_parts_are_read_only_views():
@@ -239,6 +235,22 @@ def test_adjoint_identity_and_conjugation():
         assert np.allclose(lhs, rhs, atol=1e-9 * max(1.0, np.linalg.norm(rhs)))
 
 
+def test_matrix_forms_are_batch_shaped():
+    # as_matrix, adjoint, wedge5 and vee5 of a (2, 3) stack hold each
+    # element's own value, bit for bit.
+    rng = np.random.default_rng(15)
+    X = SE23.packed(np.stack([_stack_se23(rng, 3).K for _ in range(2)]))
+    xi = TangentVector.from_vector(np.stack([[random_tangent(rng).xi for _ in range(3)] for _ in range(2)]))
+    M, A, W = X.as_matrix(), X.adjoint(), wedge5(xi)
+    assert (M.shape, A.shape, W.shape) == ((2, 3, 5, 5), (2, 3, 9, 9), (2, 3, 5, 5))
+    assert np.array_equal(vee5(W).xi, xi.xi)
+    for j, k in np.ndindex(2, 3):
+        one, xi_one = SE23.packed(X.K[j, k]), TangentVector.from_vector(xi.xi[j, k])
+        assert np.array_equal(M[j, k], one.as_matrix())
+        assert np.array_equal(A[j, k], one.adjoint())
+        assert np.array_equal(W[j, k], wedge5(xi_one))
+
+
 def test_adjoint_homomorphism():
     rng = np.random.default_rng(14)
     for _ in range(50):
@@ -298,7 +310,7 @@ def test_stacked_kernels_do_not_depend_on_stack_size():
     R = so3_exp(phi)
     xi = np.concatenate([phi, rng.normal(size=(n, 3)), rng.normal(scale=50.0, size=(n, 3))], axis=1)
     X = se23_exp(TangentVector.from_vector(xi))
-    Y, _ = _stack_se23(rng, n)
+    Y = _stack_se23(rng, n)
     stacked = {
         "so3_log": so3_log(R),
         "se23_log": se23_log(X).as_vector(),

@@ -7,8 +7,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import navkit.lgekf as lgekf
+import navkit.mechanization as mechanization
 import navkit.simulate as sim
 from navkit import (
+    SE23,
     AngleAtPi,
     AutonomySettings,
     Climb,
@@ -312,25 +315,47 @@ def _quiet_cfg(**kw):
     return RunConfig(**base)
 
 
-@pytest.mark.parametrize("target, fail, exc, t", [
+@pytest.mark.parametrize("module, target, fail, exc, t", [
     # a batch of one: the failing stack has one element, element 0
-    ("predict", lambda: gravitation(np.zeros((1, 3)), GRAV, EARTH), SingularRadius, "0.030"),
-    ("fuse", lambda: check_covariance(-np.eye(15)[None]), CovarianceNotPSD, "0.300"),
+    (mechanization, "_midpoint_update", lambda: gravitation(np.zeros((1, 3)), GRAV, EARTH), SingularRadius, "0.030"),
+    (sim, "fuse", lambda: check_covariance(-np.eye(15)[None]), CovarianceNotPSD, "0.300"),
 ], ids=["kernel", "filter"])
-def test_stacked_kernel_error_names_the_run(target, fail, exc, t, monkeypatch):
+def test_stacked_kernel_error_names_the_run(module, target, fail, exc, t, monkeypatch):
     calls = []
-    real = getattr(sim, target)
+    real = getattr(module, target)
 
-    def failing_at_third_call(fs, *args, **kw):
-        calls.append(fs.t)
+    def failing_at_third_call(*args, **kw):
+        calls.append(None)
         if len(calls) == 3:
             fail()
-        return real(fs, *args, **kw)
+        return real(*args, **kw)
 
-    monkeypatch.setattr(sim, target, failing_at_third_call)
+    monkeypatch.setattr(module, target, failing_at_third_call)
     with pytest.raises(exc, match=rf"^run 4, t={t} s: element 0 of the stack") as info:
         run_single(_quiet_cfg(traj=TrajectorySpec((Straight(1.0, 10.0),), 100.0)), 4)
     assert info.value.element == 0
+
+
+def test_stacked_linearization_error_names_the_run_and_epoch(monkeypatch):
+    # predict linearizes each 10-sample interval of a 3-run batch as one
+    # (10, 3) stack.  In the second interval, run 1's estimate at sample 4 is
+    # moved to the earth's center: element 4*3 + 1 fails, which is run 1 at
+    # the epoch after sample 14, t = 0.150 s.
+    calls = []
+    real = lgekf.linearized_F_G
+
+    def centered_in_second_interval(conv, est, imu, model):
+        calls.append(None)
+        if len(calls) == 2:
+            K = est.x.K.copy()
+            K[4, 1, :, 4] = -model.r_base
+            est = replace(est, x=SE23.packed(K))
+        return real(conv, est, imu, model)
+
+    monkeypatch.setattr(lgekf, "linearized_F_G", centered_in_second_interval)
+    with pytest.raises(SingularRadius, match=r"^run 1, t=0.150 s: element 13 of the stack: radius") as info:
+        run_monte_carlo(_quiet_cfg(traj=TrajectorySpec((Straight(1.0, 10.0),), 100.0)), 3)
+    assert info.value.element == 1
 
 
 def test_perfect_sensors_track_truth():
