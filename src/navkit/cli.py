@@ -38,13 +38,13 @@ from .simulate import (
     NewtonNotConverged,
     SensorErrors,
     SpecInvalid,
-    _run_lockstep,
     autonomy_experiment,
     corrupt,
     draw_biases,
     gen_odometer,
     gen_truth,
     inverse_imu,
+    run_monte_carlo,
 )
 from .earth import ned_world
 
@@ -153,7 +153,7 @@ def cmd_simulate(resolved, out_dir):
 def cmd_run(resolved, out_dir):
     cfg = build_run_config(resolved)
     h = config_hash(resolved)
-    mc = _run_lockstep(cfg, range(cfg.n_runs))
+    mc = run_monte_carlo(cfg)
     run0 = mc.runs[0]
 
     rows = []
@@ -245,7 +245,7 @@ def cmd_compare(resolved, out_dir):
     for grouping in (Grouping.TRADITIONAL, Grouping.PROPOSED):
         for conv in (ErrorConvention.LEFT, ErrorConvention.RIGHT):
             cfg = replace(base, grouping=grouping, convention=conv)
-            mc = _run_lockstep(cfg, range(cfg.n_runs), truth, imu_true)
+            mc = run_monte_carlo(cfg, truth, imu_true)
             rows.append(
                 [
                     f"{grouping.value}-{base.frame.value}",

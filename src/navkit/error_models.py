@@ -187,10 +187,9 @@ def linearized_F_G(
         F[..., 3:6, 0:3] = skew(u) - Gg @ S_p
         F[..., 3:6, 6:9] = Gg
         F[..., 6:9, 3:6] = I3
-        if Om is not None:
-            F[..., 0:3, 0:3] = -Om
-            F[..., 3:6, 3:6] = -Om
-            F[..., 6:9, 6:9] = -Om
+        F[..., 0:3, 0:3] = -Om
+        F[..., 3:6, 3:6] = -Om
+        F[..., 6:9, 6:9] = -Om
         if model.fold:
             F[..., 3:6, 0:3] += S_v @ Om
             F[..., 3:6, 3:6] += -Om

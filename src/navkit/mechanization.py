@@ -10,13 +10,17 @@ two groupings of the state columns:
   the group-level differential equation.
 
 The position column always holds r - r0 (anchored at the initial position).
-NavModel is the one definition of a (frame, grouping) model: its earth
-rate, earth-centered base point, velocity anchor dv0, velocity equation,
-gravity column and gradient, and whether it keeps the Coriolis fold.  It
-is built once per batch of states sharing the anchors (NavModel.of) and
-every kernel reads it: step, derivative, error_models.linearized_F_G and
-exact_error_derivative, lgekf.predict/odo_H/fuse (through the FilterState)
-and simulate.inverse_imu.  The grouping conversions build their own.
+NavModel is the one definition of a (frame, grouping) model: its frame
+rate and earth rate, earth-centered base point, velocity anchor dv0,
+velocity equation, gravity column and gradient, and whether it keeps the
+Coriolis fold.  The frame rate is the earth rate in e and w and zero in i,
+so the i frame is the rotating frames' model at zero rate, where the
+Coriolis and frame-rotation terms vanish: every kernel runs one path for
+all six models.  It is built once per batch of states sharing the
+anchors (NavModel.of) and every kernel reads it: step, derivative,
+error_models.linearized_F_G and exact_error_derivative,
+lgekf.predict/odo_H/fuse (through the FilterState) and
+simulate.inverse_imu.  The grouping conversions build their own.
 step, frame_velocity and body_velocity run one batch-shaped path: a state's
 packed block x.K (see se23.SE23) may carry leading batch axes (one element
 per Monte-Carlo run or per interval, sharing the anchors r0/dv0), with
@@ -137,7 +141,7 @@ class NavModel:
     Build it once per batch of states sharing those anchors (NavModel.of)
     and hand it to every kernel that steps or linearizes them.  earth_omega
     is the earth rate resolved in the frame, and omega the frame's own
-    rotation rate (earth_omega in e/w, None in i, which does not rotate),
+    rotation rate (earth_omega in e/w, zero in i, which does not rotate),
     with Om and OmOm its skew matrix and that matrix squared; offset is the
     frame origin seen from the earth center and r_base = offset + r0 the
     earth-centered point the position column is measured from; fold marks
@@ -162,11 +166,10 @@ class NavModel:
         self.gravity_model = gravity_model
         self.earth_omega = earth_rate(frame.value, earth, world)
         self.earth_Om = skew(self.earth_omega)
-        if frame is Frame.I:
-            self.omega = self.Om = self.OmOm = None
-        else:
-            self.omega, self.Om = self.earth_omega, self.earth_Om
-            self.OmOm = self.Om @ self.Om
+        # The e and w frames turn with the earth; the i frame does not turn.
+        self.omega = np.zeros(3) if frame is Frame.I else self.earth_omega
+        self.Om = skew(self.omega)
+        self.OmOm = self.Om @ self.Om
         self.offset = world.C_e_w @ world.r_ew_e if frame is Frame.W else 0.0
         self.r_base = self.offset + r0
 
@@ -189,17 +192,13 @@ class NavModel:
 
     def anchor(self, r):
         """dv0 of a proposed state anchored at frame position r: omega x (offset + r)."""
-        if self.omega is None:
-            return np.zeros(3)
         return np.cross(self.omega, self.offset + r)
 
     def column(self, r_center):
         """Gravity column of W2 at earth-centered positions r_center:
-        gamma - Om^2 r with the fold, gamma - Om dv0 in a rotating frame
-        without it, gamma in i."""
+        gamma - Om^2 r with the fold, gamma - Om dv0 without it (gamma in
+        i, where Om = 0)."""
         gam = gravitation(r_center, self.gravity_model, self.earth)
-        if self.omega is None:
-            return gam
         if self.fold:
             return gam - matvec(self.OmOm, r_center)
         return gam - self.cross(self.dv0)
@@ -208,11 +207,10 @@ class NavModel:
         """Rate of the velocity column v at specific force f_f (frame axes):
         f_f plus the gravity column minus the Coriolis term (2 Om v with the
         fold, Om v without); at f_f = 0, v = 0 it is the column."""
-        if self.omega is not None and not self.fold:
-            # -Om dv0 of the column and -Om v share one product.
-            return f_f + gravitation(r_center, self.gravity_model, self.earth) - self.cross(v + self.dv0)
-        a = f_f + self.column(r_center)
-        return a - 2.0 * self.cross(v) if self.fold else a
+        if self.fold:
+            return f_f + self.column(r_center) - 2.0 * self.cross(v)
+        # -Om dv0 of the column and -Om v share one product.
+        return f_f + gravitation(r_center, self.gravity_model, self.earth) - self.cross(v + self.dv0)
 
     def gradient(self, r_center):
         """Jacobian of the gravity column with respect to the position."""
@@ -234,14 +232,13 @@ class NavModel:
         fold weight d = (1, 1, 1, 2, 0) doubles the Coriolis term on v and
         drops it on p, and the gravity column lands on the v column."""
         dK = K @ W1
-        if self.Om is not None:
-            dK -= self.Om @ (K * _FOLD_WEIGHTS if self.fold else K)
+        dK -= self.Om @ (K * _FOLD_WEIGHTS if self.fold else K)
         dK[..., 3] += self.column(self.r_base + K[..., 4])
         return dK
 
     def vel_pos_rates(self, C, v, p, f_b):
         dv = self.accel(matvec(C, f_b), self.r_base + p, v)
-        if self.omega is None or self.fold:
+        if self.fold:
             return dv, v
         return dv, v - self.cross(p)
 
@@ -249,10 +246,7 @@ class NavModel:
         """Conventional frame velocity of a state x of this model."""
         if self.grouping is Grouping.TRADITIONAL:
             return x.v
-        v = x.v + self.dv0
-        if self.omega is None:
-            return v
-        return v - self.cross(self.r_base + x.p)
+        return x.v + self.dv0 - self.cross(self.r_base + x.p)
 
     def body_velocity(self, x: SE23) -> np.ndarray:
         """Earth-relative velocity of a state x of this model, body axes."""
@@ -325,11 +319,10 @@ def derivative(state: NavState, imu: ImuSample, model: NavModel) -> tuple[np.nda
     W1 = _input_matrix(imu.omega_ib_b, imu.f_ib_b)
     W2 = np.zeros((5, 5))
     W2[3, 4] = -1.0
+    W2[0:3, 0:3] = -model.Om
     W2[0:3, 3] = model.column(model.r_base + state.x.p)
     W3 = np.zeros((5, 5))
     W4 = np.zeros((5, 5))
-    if model.Om is not None:
-        W2[0:3, 0:3] = -model.Om
     if model.fold:
         W3[0:3, 0:3] = -model.Om
         W4[3, 3] = 1.0
@@ -404,8 +397,8 @@ def _check_dt(longest) -> None:
 def _input_terms(omega_ib_b, f_ib_b, dt, model: NavModel, method: str):
     """The update of method and the terms of its steps that depend only on
     the inputs: rk4's input matrices W1, or the midpoint rule's specific
-    force, body half-rotations so3_exp(dt/2 omega) and, in a rotating frame,
-    the frame's half-rotation exp(-dt/2 Om), formed once per distinct dt.
+    force, body half-rotations so3_exp(dt/2 omega) and the frame's
+    half-rotation exp(-dt/2 Om) (I3 in i), formed once per distinct dt.
     The inputs may carry any leading axes.  The midpoint rule's dt is one
     float, or an interval's (L,) array leading the inputs' axes; rk4's
     terms do not depend on dt."""
@@ -417,13 +410,11 @@ def _input_terms(omega_ib_b, f_ib_b, dt, model: NavModel, method: str):
     terms = [np.asarray(f_ib_b, dtype=float)]
     if np.ndim(dt):
         terms.append(so3_exp(0.5 * dt.reshape(dt.shape + (1,) * (om_b.ndim - 1)) * om_b))
-        if model.omega is not None:
-            distinct, which = np.unique(dt, return_inverse=True)
-            terms.append(np.stack([model.half_exp(d) for d in distinct.tolist()])[which])
+        distinct, which = np.unique(dt, return_inverse=True)
+        terms.append(np.stack([model.half_exp(d) for d in distinct.tolist()])[which])
     else:
         terms.append(so3_exp(0.5 * dt * om_b))
-        if model.omega is not None:
-            terms.append(model.half_exp(dt))
+        terms.append(model.half_exp(dt))
     return _midpoint_update, tuple(terms)
 
 
@@ -438,14 +429,10 @@ def _rk4_update(K: np.ndarray, dt, terms, model: NavModel) -> np.ndarray:
 
 
 def _midpoint_update(K: np.ndarray, dt, terms, model: NavModel) -> np.ndarray:
-    f_b, body_half, *frame_half = terms
+    f_b, half_body, half_frame = terms
     C, v, p = K[..., 0:3], K[..., 3], K[..., 4]
-    if frame_half:
-        C_mid = frame_half[0] @ C @ body_half
-        C_end = frame_half[0] @ C_mid @ body_half
-    else:
-        C_mid = C @ body_half
-        C_end = C_mid @ body_half
+    C_mid = half_frame @ C @ half_body
+    C_end = half_frame @ C_mid @ half_body
 
     dv1, dp1 = model.vel_pos_rates(C, v, p, f_b)
     v_mid = v + 0.5 * dt * dv1
@@ -461,7 +448,7 @@ def to_proposed(state: NavState, earth: EarthParams, world: WorldFrameDef | None
     if state.grouping is not Grouping.TRADITIONAL or np.any(state.dv0 != 0.0):
         raise FrameMismatch("to_proposed expects a traditional state with zero dv0")
     model = NavModel.of(state, earth, world=world)
-    v_prop = state.x.v if model.omega is None else state.x.v + model.cross(state.x.p)
+    v_prop = state.x.v + model.cross(state.x.p)
     x = SE23(state.x.R, v_prop, state.x.p)
     return NavState(state.frame, Grouping.PROPOSED, x, state.r0.copy(), model.anchor(state.r0))
 
@@ -471,7 +458,7 @@ def from_proposed(state: NavState, earth: EarthParams, world: WorldFrameDef | No
     if state.grouping is not Grouping.PROPOSED:
         raise FrameMismatch("from_proposed expects a proposed-grouping state")
     model = NavModel.of(state, earth, world=world)
-    v_trad = state.x.v if model.omega is None else state.x.v - model.cross(state.x.p)
+    v_trad = state.x.v - model.cross(state.x.p)
     return NavState(state.frame, Grouping.TRADITIONAL, SE23(state.x.R, v_trad, state.x.p), state.r0.copy())
 
 

@@ -168,15 +168,10 @@ Segment = Straight | Turn | Climb | Rest
 
 @dataclass(frozen=True)
 class TrajectorySpec:
-    """Segment list plus the IMU grid rate.
-
-    origin_e optionally anchors the world frame at an e-frame point; when
-    omitted the caller must supply a WorldFrameDef to gen_truth.
-    """
+    """Segment list plus the IMU grid rate."""
 
     segments: tuple
     imu_rate: float = 100.0
-    origin_e: np.ndarray | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "segments", tuple(self.segments))
@@ -368,9 +363,6 @@ class TruthSeries:
     r_w: np.ndarray  # (N+1,3)
     imu_rate: float
 
-    def __len__(self) -> int:
-        return len(self.t)
-
     def state(self, k: int | np.ndarray) -> NavState:
         r0 = self.r_w[0].copy()
         return NavState(Frame.W, Grouping.TRADITIONAL, SE23(self.C_b_w[k], self.v_wb_w[k], self.r_w[k] - r0), r0)
@@ -386,14 +378,6 @@ def _grid_times(spec: TrajectorySpec) -> np.ndarray:
     return times
 
 
-def _resolve_world(spec: TrajectorySpec, earth: EarthParams, world: WorldFrameDef | None) -> WorldFrameDef:
-    if world is not None:
-        return world
-    if spec.origin_e is None:
-        raise SpecInvalid("trajectory has no origin_e and no world frame was given")
-    return ned_world(np.asarray(spec.origin_e, dtype=float), earth)
-
-
 def gen_truth(
     spec: TrajectorySpec,
     earth: EarthParams,
@@ -405,11 +389,11 @@ def gen_truth(
     The grid is the closed-form profile evaluated at the grid times
     (positions by per-interval Gauss-Legendre quadrature of the exact
     velocity), so single-segment legs keep their textbook geometry to
-    quadrature/roundoff precision.  gravity_model is not consulted here
-    -- the dynamics enter only when inverse_imu reconstructs the inputs.
+    quadrature/roundoff precision.  The truth is w-frame kinematics of
+    spec alone: earth, gravity_model and world are not consulted -- the
+    dynamics enter only when inverse_imu reconstructs the inputs.
     """
     _validate_spec(spec)
-    world = _resolve_world(spec, earth, world)
     profiles = _build_profiles(spec)
     times = _grid_times(spec)
     kin = _kinematics(profiles, times)
@@ -740,7 +724,7 @@ def draw_biases(cfg: RunConfig, run_index: int = 0) -> tuple[np.ndarray, np.ndar
     nominal = np.concatenate([np.asarray(cfg.gyro_bias, dtype=float), np.asarray(cfg.accel_bias, dtype=float)])
     if cfg.bias_known:
         bias_draw = GaussianStream(cfg.seed, substream(STREAM_INIT_BIAS, run_index)).normals(6)
-        bias_sigma = np.sqrt(np.array([cfg.p0_gyro_bias] * 3 + [cfg.p0_accel_bias] * 3))
+        bias_sigma = np.sqrt(cfg.p0_diag())[9:]
         bias_offset = bias_sigma * bias_draw  # = (bias estimate) - (true bias)
         bias_hat0 = nominal
     else:
@@ -808,7 +792,7 @@ def _run_lockstep(
     odo_meas = np.empty((len(odo_idx), N, 3))
     bias_hat0 = np.empty((N, 6))
     xi0 = np.empty((N, 9))
-    state_sigma = np.sqrt(np.array([cfg.p0_att] * 3 + [cfg.p0_vel] * 3 + [cfg.p0_pos] * 3))
+    state_sigma = np.sqrt(cfg.p0_diag())[:9]
     for i, k in enumerate(runs):
         bias_hat0[i], true_gyro_bias, true_accel_bias = draw_biases(cfg, k)
         errors = SensorErrors(true_gyro_bias, true_accel_bias, cfg.noise, cfg.seed, k)
@@ -878,20 +862,24 @@ def _run_lockstep(
 # Monte Carlo
 
 
-def run_monte_carlo(cfg: RunConfig, n_runs: int | None = None) -> RunResult:
-    """Monte-Carlo batch sharing one truth; runs differ only in their
-    keyed substreams, so the batch is reproducible and order-independent.
+def run_monte_carlo(
+    cfg: RunConfig,
+    truth: TruthSeries | None = None,
+    imu_true: ImuSample | None = None,
+) -> RunResult:
+    """Monte-Carlo batch of cfg.n_runs runs sharing one truth; runs differ
+    only in their keyed substreams, so the batch is reproducible and
+    order-independent.  truth and imu_true are as in run_single.
 
     All runs go through the filter loop together, in lock step on one
     process: the state and covariance arrays carry a run axis, so the
     per-step cost is paid once per batch rather than once per run.  The
     result has a leading run axis, and its runs[k] equals run_single(cfg, k)
-    bit for bit, whatever the batch size.
+    bit for bit, whatever the batch size (one included).
     """
-    n = cfg.n_runs if n_runs is None else int(n_runs)
-    if n < 2:
-        raise ValueError(f"need at least 2 runs, got {n}")
-    return _run_lockstep(cfg, range(n))
+    if cfg.n_runs < 1:
+        raise ValueError(f"need at least 1 run, got {cfg.n_runs}")
+    return _run_lockstep(cfg, range(cfg.n_runs), truth, imu_true)
 
 
 # ---------------------------------------------------------------------------

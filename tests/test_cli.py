@@ -197,7 +197,7 @@ def test_runtime_error_is_not_a_numerical_failure(tmp_path, cfg_file, monkeypatc
     def broken(*args, **kwargs):
         raise RuntimeError("a bug, not a numerical failure")
 
-    monkeypatch.setattr(cli, "_run_lockstep", broken)
+    monkeypatch.setattr(cli, "run_monte_carlo", broken)
     with pytest.raises(RuntimeError, match="a bug"):
         main(["run", "--config", cfg_file, "--out", str(tmp_path / "out"), "--runs", "2"])
 
@@ -261,8 +261,8 @@ def test_compare_shares_one_truth_across_cells(tmp_path, cfg_file, monkeypatch):
     assert calls == {"gen_truth": 1, "inverse_imu": 1}
 
     # Each cell generating its own truth and inputs writes the same bytes.
-    real_lockstep = cli._run_lockstep
-    monkeypatch.setattr(cli, "_run_lockstep", lambda cfg, runs, truth=None, imu_true=None: real_lockstep(cfg, runs))
+    real_monte_carlo = cli.run_monte_carlo
+    monkeypatch.setattr(cli, "run_monte_carlo", lambda cfg, truth=None, imu_true=None: real_monte_carlo(cfg))
     own = tmp_path / "own"
     assert main(["compare", "--config", cfg_file, "--out", str(own), "--runs", "2"]) == 0
     assert (shared / "compare.csv").read_bytes() == (own / "compare.csv").read_bytes()

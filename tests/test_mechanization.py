@@ -235,6 +235,20 @@ def test_midpoint_attitude_exact_for_constant_rate(earth, world):
         assert np.abs(st.x.R - expected).max() < 1e-12, (frame, grouping)
 
 
+def test_inertial_frame_rotates_at_zero_rate(earth, world):
+    # The i frame is the rotating frames' model at zero rate, so every kernel
+    # runs one path; the earth still turns in it (earth-relative velocity).
+    r = np.random.default_rng(42).normal(scale=7e6, size=(4, 3))
+    for grouping in Grouping:
+        model = NavModel(Frame.I, grouping, r[0], earth, world=world)
+        assert np.array_equal(model.omega, np.zeros(3))
+        assert np.array_equal(model.Om, np.zeros((3, 3)))
+        assert np.array_equal(model.OmOm, np.zeros((3, 3)))
+        assert np.array_equal(model.half_exp(0.01), np.eye(3))
+        assert np.array_equal(model.anchor(r), np.zeros((4, 3)))
+        assert np.array_equal(model.earth_omega, earth_rate("i", earth))
+
+
 def test_gravity_column_is_the_velocity_rate_at_rest(earth, world):
     # Every model's velocity equation at zero specific force and zero
     # velocity is its W2 gravity column, over a stack of positions too.

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -354,7 +354,7 @@ def test_stacked_linearization_error_names_the_run_and_epoch(monkeypatch):
 
     monkeypatch.setattr(lgekf, "linearized_F_G", centered_in_second_interval)
     with pytest.raises(SingularRadius, match=r"^run 1, t=0.150 s: element 13 of the stack: radius") as info:
-        run_monte_carlo(_quiet_cfg(traj=TrajectorySpec((Straight(1.0, 10.0),), 100.0)), 3)
+        run_monte_carlo(_quiet_cfg(traj=TrajectorySpec((Straight(1.0, 10.0),), 100.0), n_runs=3))
     assert info.value.element == 1
 
 
@@ -392,10 +392,15 @@ def test_tight_gate_suppresses_updates():
     assert not np.any(res.updated)
 
 
-def test_monte_carlo_needs_two_runs():
-    cfg = RunConfig(traj=TrajectorySpec((Straight(2.0, 10.0),), 100.0), origin_e=ORIGIN, n_runs=1)
-    with pytest.raises(ValueError):
-        run_monte_carlo(cfg)
+def test_monte_carlo_batch_of_one_is_run_single():
+    cfg = RunConfig(traj=TrajectorySpec((Straight(2.0, 10.0),), 100.0), origin_e=ORIGIN, seed=3)
+    batch = run_monte_carlo(replace(cfg, n_runs=1))
+    assert len(batch.runs) == 1
+    solo = run_single(cfg, 0)
+    for f in fields(solo):
+        assert np.array_equal(getattr(batch.runs[0], f.name), getattr(solo, f.name)), f.name
+    with pytest.raises(ValueError, match="at least 1 run"):
+        run_monte_carlo(replace(cfg, n_runs=0))
 
 
 def test_monte_carlo_deterministic_and_aggregated():
@@ -435,7 +440,7 @@ def test_monte_carlo_builds_each_model_once(frame, monkeypatch):
         real_init(self, *args, **kwargs)
 
     monkeypatch.setattr(NavModel, "__init__", counting_init)
-    run_monte_carlo(_quiet_cfg(traj=TrajectorySpec((Straight(2.0, 10.0),), 100.0), frame=frame), n_runs=3)
+    run_monte_carlo(_quiet_cfg(traj=TrajectorySpec((Straight(2.0, 10.0),), 100.0), frame=frame, n_runs=3))
     assert len(builds) == 4, builds
 
 
@@ -445,12 +450,10 @@ def test_monte_carlo_parallel_path_matches_serial():
     cfg = RunConfig(traj=TrajectorySpec((Straight(5.0, 20.0),), 100.0), origin_e=ORIGIN,
                     seed=8, n_runs=2)
     pair = run_monte_carlo(cfg)
-    triple = run_monte_carlo(cfg, n_runs=3)
-    fields = ("t", "att_err", "vel_err", "pos_err", "nees", "innovation",
-              "innovation_whitened", "updated")
+    triple = run_monte_carlo(replace(cfg, n_runs=3))
     for k in (0, 1):
         solo = run_single(cfg, k)
-        for name in fields:
+        for name in (f.name for f in fields(solo)):
             assert np.array_equal(getattr(pair.runs[k], name), getattr(triple.runs[k], name)), (k, name)
             assert np.array_equal(getattr(pair.runs[k], name), getattr(solo, name)), (k, name)
         # a batch of one reads its run's own numbers
