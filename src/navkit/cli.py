@@ -15,7 +15,6 @@ rerun with the same config and seed reproduces each file byte for byte.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -58,21 +57,20 @@ _NUMERICAL_FAILURES = (
 )
 
 
-def _fmt(x) -> str:
-    return "%.17g" % float(x)
+# Row formats: t to the nanosecond, every other value round-trips exactly.
+_T = "%.9f"
+_V = ",%.17g"
 
 
-def _fmt_t(x) -> str:
-    return "%.9f" % float(x)
-
-
-def _write_csv(path, cfg_hash, header, rows):
-    """RFC-4180 CSV with a leading comment line carrying the config hash."""
+def _write_csv(path, cfg_hash, header, fmt, rows):
+    """RFC-4180 CSV with a leading comment line carrying the config hash:
+    one line fmt % row per row.  No cell holds a comma, a quote or a line
+    break, so none is quoted."""
+    line = fmt + "\r\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# config_sha256={cfg_hash}\r\n")
-        writer = csv.writer(fh, lineterminator="\r\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines([line % tuple(row) for row in rows])
 
 
 def _write_json(path, payload):
@@ -119,34 +117,25 @@ def cmd_simulate(resolved, out_dir):
     imu_meas, _, _ = corrupt(imu_true, errors)
     odo_idx, odo_v = gen_odometer(truth, cfg.noise, cfg.seed, cfg.odo_rate, 0)
 
-    rows = []
-    for k in range(len(truth.t)):
-        q = _quat_from_rot(truth.C_b_w[k])
-        rows.append(
-            [_fmt_t(truth.t[k])]
-            + [_fmt(x) for x in q]
-            + [_fmt(x) for x in truth.v_wb_w[k]]
-            + [_fmt(x) for x in truth.r_w[k]]
-        )
+    quat = [_quat_from_rot(C) for C in truth.C_b_w]
     _write_csv(
         os.path.join(out_dir, "truth.csv"),
         h,
         ["t", "q_w", "q_x", "q_y", "q_z", "v_n", "v_e", "v_d", "r_n", "r_e", "r_d"],
-        rows,
+        _T + _V * 10,
+        np.column_stack([truth.t, quat, truth.v_wb_w, truth.r_w]).tolist(),
     )
-
-    rows = []
-    for k, (omega, f, dt) in enumerate(zip(imu_meas.omega_ib_b, imu_meas.f_ib_b, imu_meas.dt)):
-        rows.append([_fmt_t(truth.t[k])] + [_fmt(x) for x in omega] + [_fmt(x) for x in f] + [_fmt(dt)])
     _write_csv(
         os.path.join(out_dir, "imu.csv"),
         h,
         ["t", "omega_x", "omega_y", "omega_z", "f_x", "f_y", "f_z", "dt"],
-        rows,
+        _T + _V * 7,
+        np.column_stack([truth.t[:-1], imu_meas.omega_ib_b, imu_meas.f_ib_b, imu_meas.dt]).tolist(),
     )
-
-    rows = [[_fmt_t(truth.t[idx])] + [_fmt(x) for x in v] for idx, v in zip(odo_idx, odo_v)]
-    _write_csv(os.path.join(out_dir, "odo.csv"), h, ["t", "v_x", "v_y", "v_z"], rows)
+    _write_csv(
+        os.path.join(out_dir, "odo.csv"), h, ["t", "v_x", "v_y", "v_z"], _T + _V * 3,
+        np.column_stack([truth.t[odo_idx], odo_v]).tolist(),
+    )
     return 0
 
 
@@ -156,15 +145,6 @@ def cmd_run(resolved, out_dir):
     mc = run_monte_carlo(cfg)
     run0 = mc.runs[0]
 
-    rows = []
-    for k in range(len(run0.t)):
-        rows.append(
-            [_fmt_t(run0.t[k])]
-            + [_fmt(x) for x in run0.att_err[k]]
-            + [_fmt(x) for x in run0.vel_err[k]]
-            + [_fmt(x) for x in run0.pos_err[k]]
-            + ["1" if run0.updated[k] else "0"]
-        )
     _write_csv(
         os.path.join(out_dir, "errors.csv"),
         h,
@@ -175,13 +155,13 @@ def cmd_run(resolved, out_dir):
             "pos_x", "pos_y", "pos_z",
             "updated",
         ],
-        rows,
+        _T + _V * 9 + ",%d",
+        np.column_stack([run0.t, run0.att_err, run0.vel_err, run0.pos_err, run0.updated]).tolist(),
     )
-
-    rows = [
-        [_fmt_t(t), _fmt(v)] for t, v in zip(run0.t, mc.mean_nees_series)
-    ]
-    _write_csv(os.path.join(out_dir, "nees.csv"), h, ["t", "mean_nees"], rows)
+    _write_csv(
+        os.path.join(out_dir, "nees.csv"), h, ["t", "mean_nees"], _T + _V,
+        np.column_stack([run0.t, mc.mean_nees_series]).tolist(),
+    )
 
     summary = {
         "config_sha256": h,
@@ -247,19 +227,14 @@ def cmd_compare(resolved, out_dir):
             cfg = replace(base, grouping=grouping, convention=conv)
             mc = run_monte_carlo(cfg, truth, imu_true)
             rows.append(
-                [
-                    f"{grouping.value}-{base.frame.value}",
-                    conv.value,
-                    _fmt(mc.rmse_att),
-                    _fmt(mc.rmse_vel),
-                    _fmt(mc.rmse_pos),
-                    _fmt(mc.time_avg_nees),
-                ]
+                (f"{grouping.value}-{base.frame.value}", conv.value, mc.rmse_att, mc.rmse_vel, mc.rmse_pos,
+                 mc.time_avg_nees)
             )
     _write_csv(
         os.path.join(out_dir, "compare.csv"),
         h,
         ["variant", "convention", "rmse_att", "rmse_vel", "rmse_pos", "mean_nees"],
+        "%s,%s" + _V * 4,
         rows,
     )
     return 0

@@ -173,10 +173,10 @@ def predict(fs: FilterState, imu: ImuSample, noise: NoiseConfig, method: str = "
     Fdt = F * dt
     Phi = _I15 + Fdt + 0.5 * (Fdt @ Fdt)
     half_M = (0.5 * dt) * ((G * np.diagonal(noise.input_psd())) @ transpose(G))
-    walk = noise.bias_walk_psd() * dt
+    noise_d = half_M + noise.bias_walk_psd() * dt  # dt/2 M plus the bias walks, for every sample at once
     P, t = fs.P, fs.t
     for l, dt_l in enumerate(dts.tolist()):
-        P = Phi[l] @ (P + half_M[l]) @ transpose(Phi[l]) + (half_M[l] + walk[l])
+        P = Phi[l] @ (P + half_M[l]) @ transpose(Phi[l]) + noise_d[l]
         P = 0.5 * (P + transpose(P))
         t = t + dt_l
     return FilterState(replace(fs.nav, x=SE23.packed(blocks[-1])), fs.bias, P, fs.conv, fs.model, t)

@@ -146,14 +146,15 @@ class NavModel:
     frame origin seen from the earth center and r_base = offset + r0 the
     earth-centered point the position column is measured from; fold marks
     the models whose velocity column keeps the Coriolis fold W3 X W4; dv0
-    is the state's velocity anchor.  accel is the velocity equation;
-    column, its value at zero specific force and velocity, is W2's gravity
-    column.
+    is the state's velocity anchor and Om_dv0 = omega x dv0, the constant
+    part of the gravity column without the fold.  accel is the velocity
+    equation; column, its value at zero specific force and velocity, is
+    W2's gravity column.
     """
 
     __slots__ = (
         "frame", "grouping", "fold", "dv0", "earth", "gravity_model", "earth_omega", "earth_Om",
-        "omega", "Om", "OmOm", "offset", "r_base",
+        "omega", "Om", "OmOm", "Om_dv0", "offset", "r_base",
     )
 
     def __init__(self, frame, grouping, r0, earth, gravity_model=None, world=None, dv0=None):
@@ -170,6 +171,7 @@ class NavModel:
         self.omega = np.zeros(3) if frame is Frame.I else self.earth_omega
         self.Om = skew(self.omega)
         self.OmOm = self.Om @ self.Om
+        self.Om_dv0 = None if dv0 is None else self.cross(dv0)
         self.offset = world.C_e_w @ world.r_ew_e if frame is Frame.W else 0.0
         self.r_base = self.offset + r0
 
@@ -201,7 +203,7 @@ class NavModel:
         gam = gravitation(r_center, self.gravity_model, self.earth)
         if self.fold:
             return gam - matvec(self.OmOm, r_center)
-        return gam - self.cross(self.dv0)
+        return gam - self.Om_dv0
 
     def accel(self, f_f, r_center, v):
         """Rate of the velocity column v at specific force f_f (frame axes):

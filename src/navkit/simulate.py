@@ -21,9 +21,12 @@ Every series is one stacked array value, built once: inverse_imu's inputs
 are one ImuSample (omega, f (n, 3), dt (n,)), corrupt maps that stack to
 the measured one, gen_odometer gives (grid indices, body velocities), and
 the filter loop converts the truth at every scored epoch into the
-filter's frame and grouping in one batch-shaped call.  Its result is one
-batch-shaped RunResult, a run per row, whose consistency aggregates pool
-over every run it holds; a failure inside the loop names its run and epoch.
+filter's frame and grouping in one batch-shaped call.  The loop's
+sequential path is only predict and fuse: the error, NEES and their
+kernels run on blocks of stored epochs, one stacked pass per block.  Its
+result is one batch-shaped RunResult, a run per row, whose consistency
+aggregates pool over every run it holds; a failure inside the loop names
+its run and epoch.
 """
 
 from __future__ import annotations
@@ -105,6 +108,7 @@ __all__ = [
 _MAX_TOTAL_DURATION = 3600.0
 _GRID_TOL = 1e-9
 _SCORE_RATE = 10.0  # Hz; the filter loop scores at this rate with the odometer off
+_SCORE_BLOCK = 64  # epochs the filter loop scores per stacked pass (0.9 MB of covariances at 8 runs)
 
 
 class SpecInvalid(ValueError):
@@ -699,9 +703,9 @@ class RunResult:
 
 
 def _nees(e: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """e^T P^-1 e for every run of a batch, (N, 15) errors against (N, 15, 15)
-    covariances.  A run whose P is singular falls back to the pseudo-inverse;
-    the other runs keep the solve."""
+    """e^T P^-1 e for every element of a stack, (n, 15) errors against
+    (n, 15, 15) covariances.  An element whose P is singular falls back to
+    the pseudo-inverse; the others keep the solve."""
     try:
         x = np.linalg.solve(P, e[..., None])
     except np.linalg.LinAlgError:
@@ -765,9 +769,15 @@ def _run_lockstep(
     run_index) substreams, so a run does not depend on the batch around it.
     The state, covariance and scoring arrays carry a leading run axis;
     one predict covers each interval between scored epochs (none follows
-    the last), and odometer updates apply under each run's own gate.  A
-    failure inside the loop names its run and epoch.  The result is
-    batch-shaped, one row per run in run_indices.
+    the last), and odometer updates apply under each run's own gate.
+    Each epoch's estimate, bias and covariance are stored, and every
+    _SCORE_BLOCK epochs (and after the last) the stored block is scored in
+    one pass: the error against the truth, its chart vector and the NEES,
+    each elementwise and so bit for bit the per-epoch values.  A failure
+    inside the loop names its run and epoch; when predict or fuse fails,
+    the epochs stored before it are scored first, so an earlier epoch's
+    scoring failure is the one raised.  The result is batch-shaped, one
+    row per run in run_indices.
     """
     runs = tuple(int(k) for k in run_indices)
     world = ned_world(cfg.origin_e, cfg.earth)
@@ -826,25 +836,49 @@ def _run_lockstep(
     nees = np.empty((N, M))
     innov, white = np.zeros((2, N, M, 3))
     updated = np.zeros((N, M), dtype=bool)
+    # No later epoch depends on the scoring: each epoch's pose, bias and
+    # covariance wait in a block, and a block is scored in one stacked pass.
+    B = min(_SCORE_BLOCK, M)
+    K_blk, bias_blk, P_blk = np.empty((B, N, 3, 5)), np.empty((B, N, 6)), np.empty((B, N, 15, 15))
+
+    def score(j0, b):
+        """Score the b stored epochs from epoch j0 on; a failing (b, N)
+        stack names run e % N at epoch j0 + e // N."""
+        with _naming_elements(lambda e: f"run {runs[e % N]}, t={t[j0 + e // N]:.3f} s", width=N):
+            truth_b = replace(truth_f, x=SE23.packed(truth_f.x.K[j0:j0 + b, None]))
+            est = replace(fs.nav, x=SE23.packed(K_blk[:b]))
+            xi_b = error_to_vector(error_from_states(truth_b, est, fs.conv), fs.conv).as_vector()
+            e15 = np.concatenate([xi_b, bias_blk[:b] - bias_true[j0:j0 + b]], axis=2)
+            nees_b = _nees(e15.reshape(b * N, 15), P_blk[:b].reshape(b * N, 15, 15))
+        xi[:, j0:j0 + b] = xi_b.swapaxes(0, 1)
+        nees[:, j0:j0 + b] = nees_b.reshape(b, N).T
+
     # One predict per interval between scored epochs; none after the last.
-    # A failing (epochs, runs) stack names run e % N at epoch first + e // N:
-    # predict's stack starts after the interval's first epoch, fuse's and
-    # the scoring's (one epoch) at its last.
-    with _naming_elements(lambda e: f"run {runs[e % N]}, t={truth.t[first + e // N]:.3f} s", width=N):
-        for j, (k0, k1) in enumerate(zip([0, *sample_idx[:-1].tolist()], sample_idx.tolist())):
-            first = k0 + 1
-            imu = ImuSample(omega_meas[k0:k1], f_meas[k0:k1], dts[k0:k1])
-            fs = predict(fs, imu, cfg.noise, method=cfg.integrator)
-            first = k1
-            if len(odo_idx) > 0:
-                z = OdoSample(odo_meas[j], float(truth.t[k1]))
-                fs, innov[:, j], white[:, j], updated[:, j] = fuse(
-                    fs, z, cfg.noise, gate_sigma=cfg.gate_sigma, imu_period=float(dts[k1 - 1])
-                )
-            truth_j = replace(truth_f, x=SE23.packed(truth_f.x.K[j]))
-            xi[:, j] = error_to_vector(error_from_states(truth_j, fs.nav, fs.conv), fs.conv).as_vector()
-            e15 = np.concatenate([xi[:, j], fs.bias - bias_true[j]], axis=1)
-            nees[:, j] = _nees(e15, fs.P)
+    # A failing (epochs, runs) stack names run e % N at grid epoch first + e // N:
+    # predict's stack starts after the interval's first epoch, fuse's (one
+    # epoch) at its last.
+    intervals = list(zip([0, *sample_idx[:-1].tolist()], sample_idx.tolist()))
+    for j0 in range(0, M, _SCORE_BLOCK):
+        stored = 0
+        try:
+            with _naming_elements(lambda e: f"run {runs[e % N]}, t={truth.t[first + e // N]:.3f} s", width=N):
+                for j, (k0, k1) in enumerate(intervals[j0:j0 + _SCORE_BLOCK], j0):
+                    first = k0 + 1
+                    imu = ImuSample(omega_meas[k0:k1], f_meas[k0:k1], dts[k0:k1])
+                    fs = predict(fs, imu, cfg.noise, method=cfg.integrator)
+                    first = k1
+                    if len(odo_idx) > 0:
+                        z = OdoSample(odo_meas[j], float(truth.t[k1]))
+                        fs, innov[:, j], white[:, j], updated[:, j] = fuse(
+                            fs, z, cfg.noise, gate_sigma=cfg.gate_sigma, imu_period=float(dts[k1 - 1])
+                        )
+                    K_blk[stored], bias_blk[stored], P_blk[stored] = fs.nav.x.K, fs.bias, fs.P
+                    stored += 1
+        finally:
+            # The stored epochs are scored before a predict or fuse failure
+            # propagates, so a failure at an earlier epoch is the one raised.
+            if stored:
+                score(j0, stored)
 
     return RunResult(
         t=t,

@@ -13,6 +13,8 @@ import pytest
 
 from navkit import cli, simulate
 from navkit.cli import main
+from navkit.config import build_run_config, load_config
+from navkit.earth import ned_world
 
 HASH_LINE = re.compile(r"^# config_sha256=[0-9a-f]{64}$")
 
@@ -73,6 +75,29 @@ def test_simulate_outputs(tmp_path, cfg_file):
     quat = np.array([float(x) for x in rows_t[500][1:5]])
     assert np.linalg.norm(quat) == pytest.approx(1.0, abs=1e-12)
     assert float(rows_t[-1][0]) == pytest.approx(10.0)
+
+
+def test_simulate_cells_parse_back_to_the_arrays(tmp_path, cfg_file):
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", cfg_file, "--out", str(out)]) == 0
+    cfg = build_run_config(load_config(cfg_file))
+    world = ned_world(cfg.origin_e, cfg.earth)
+    truth = simulate.gen_truth(cfg.traj, cfg.earth, cfg.gravity, world)
+    _, bg, ba = simulate.draw_biases(cfg, 0)
+    imu, _, _ = simulate.corrupt(simulate.inverse_imu(truth, cfg.earth, cfg.gravity, world),
+                                 simulate.SensorErrors(bg, ba, cfg.noise, cfg.seed, 0))
+    idx, v_odo = simulate.gen_odometer(truth, cfg.noise, cfg.seed, cfg.odo_rate, 0)
+    quat = [cli._quat_from_rot(C) for C in truth.C_b_w]
+    expected = {
+        "truth.csv": (truth.t, np.column_stack([quat, truth.v_wb_w, truth.r_w])),
+        "imu.csv": (truth.t[:-1], np.column_stack([imu.omega_ib_b, imu.f_ib_b, imu.dt])),
+        "odo.csv": (truth.t[idx], v_odo),
+    }
+    for name, (t, values) in expected.items():
+        _, _, rows = _read_csv(out / name)
+        assert all(re.fullmatch(r"\d+\.\d{9}", r[0]) for r in rows), name
+        assert np.all(np.abs(np.array([float(r[0]) for r in rows]) - t) <= 5e-10), name
+        assert np.array_equal(np.array([[float(x) for x in r[1:]] for r in rows]), values), name
 
 
 def test_simulate_rerun_is_bit_identical(tmp_path, cfg_file):

@@ -51,6 +51,7 @@ from navkit import (
     run_single,
     se23_exp,
     se23_log,
+    so3_exp,
     so3_log,
     step,
     true_bias_series,
@@ -358,6 +359,71 @@ def test_stacked_linearization_error_names_the_run_and_epoch(monkeypatch):
     assert info.value.element == 1
 
 
+def _block_cfg(epochs, gate_sigma=None):
+    # a straight run with `epochs` 10 Hz odometer epochs: three runs, default noise
+    return RunConfig(traj=TrajectorySpec((Straight(epochs / 10.0, 20.0),), 100.0), origin_e=ORIGIN,
+                     seed=21, n_runs=3, gate_sigma=gate_sigma)
+
+
+@pytest.mark.parametrize("gate_sigma", [None, 1.0], ids=["ungated", "gated"])
+@pytest.mark.parametrize("past_block", [-1, 0, 1], ids=["below", "equal", "above"])
+@pytest.mark.parametrize("block", [7, sim._SCORE_BLOCK], ids=["block7", "default"])
+def test_block_scoring_matches_per_epoch_scoring(block, past_block, gate_sigma, monkeypatch):
+    # A block length of 1 scores every epoch as it is reached.
+    cfg = _block_cfg(block + past_block, gate_sigma)
+    monkeypatch.setattr(sim, "_SCORE_BLOCK", 1)
+    per_epoch = run_monte_carlo(cfg)
+    monkeypatch.setattr(sim, "_SCORE_BLOCK", block)
+    blocked = run_monte_carlo(cfg)
+    assert per_epoch.nees.shape == (3, block + past_block)
+    for f in fields(per_epoch):
+        assert np.array_equal(getattr(blocked, f.name), getattr(per_epoch, f.name)), f.name
+    if gate_sigma is not None:
+        assert np.any(per_epoch.updated) and not np.all(per_epoch.updated)
+
+
+def _near_pi_error_at(epoch, run, monkeypatch):
+    """Patch the filter loop's error_from_states so that the group error of
+    run at the block's epoch sits at the angle-pi cut: se23_log refuses it."""
+    real = sim.error_from_states
+
+    def near_pi(true, est, conv):
+        K = real(true, est, conv).K.copy()
+        if len(K) > epoch:
+            K[epoch, run, :, 0:3] = so3_exp(np.array([np.pi - 1e-8, 0.0, 0.0]))
+        return SE23.packed(K)
+
+    monkeypatch.setattr(sim, "error_from_states", near_pi)
+
+
+def test_scoring_failure_names_its_run_and_epoch(monkeypatch):
+    # Ten epochs, one block of a 3-run batch: element 4*3 + 1 is run 1 at the
+    # fifth scored epoch, t = 0.500 s (grid index 50, not 4).
+    _near_pi_error_at(4, 1, monkeypatch)
+    with pytest.raises(AngleAtPi, match=r"^run 1, t=0\.500 s: element 13 of the stack: ") as info:
+        run_monte_carlo(_quiet_cfg(traj=TrajectorySpec((Straight(1.0, 10.0),), 100.0), n_runs=3))
+    assert info.value.element == 1
+
+
+def test_scoring_failure_precedes_a_later_fuse_failure_in_its_block(monkeypatch):
+    # Scoring fails at epoch 4 (t = 0.5 s) and fuse at epoch 6 (t = 0.7 s),
+    # before the block is full: the earlier epoch's failure is the one raised.
+    _near_pi_error_at(4, 1, monkeypatch)
+    calls = []
+    real_fuse = sim.fuse
+
+    def failing_at_seventh_call(*args, **kw):
+        calls.append(None)
+        if len(calls) == 7:
+            check_covariance(-np.eye(15)[None])
+        return real_fuse(*args, **kw)
+
+    monkeypatch.setattr(sim, "fuse", failing_at_seventh_call)
+    with pytest.raises(AngleAtPi, match=r"^run 1, t=0\.500 s: ") as info:
+        run_monte_carlo(_quiet_cfg(traj=TrajectorySpec((Straight(1.0, 10.0),), 100.0), n_runs=3))
+    assert len(calls) == 7 and info.value.element == 1
+
+
 def test_perfect_sensors_track_truth():
     res = run_single(_quiet_cfg())
     assert res.rmse_att < 1e-5
@@ -623,11 +689,12 @@ def test_nees_singular_run_falls_back_alone():
     from navkit.simulate import _nees
 
     rng = np.random.default_rng(5)
-    A = rng.normal(size=(15, 15))
-    P = A @ A.T + np.eye(15)
-    S = np.zeros((15, 15))
-    S[:14, :14] = P[:14, :14]  # singular: the pseudo-inverse takes over for this run only
-    e = rng.normal(size=(2, 15))
-    out = _nees(e, np.stack([P, S]))
-    assert out[0] == pytest.approx(e[0] @ np.linalg.solve(P, e[0]), rel=1e-12)
-    assert out[1] == pytest.approx(e[1] @ np.linalg.pinv(S, hermitian=True) @ e[1], rel=1e-9)
+    A = rng.normal(size=(7, 15, 15))
+    P = A @ A.transpose(0, 2, 1) + np.eye(15)
+    P[3] = 0.0
+    P[3, :14, :14] = P[2, :14, :14]  # singular: the pseudo-inverse takes over for this element only
+    e = rng.normal(size=(7, 15))
+    out = _nees(e, P)
+    for i in range(7):
+        x = np.linalg.pinv(P[i], hermitian=True) @ e[i, :, None] if i == 3 else np.linalg.solve(P[i], e[i, :, None])
+        assert out[i] == (e[i, None, :] @ x)[0, 0], i
