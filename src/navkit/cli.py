@@ -80,25 +80,31 @@ def _write_json(path, payload):
 
 
 def _quat_from_rot(C):
-    """Unit quaternion (w,x,y,z), w >= 0, from a rotation matrix."""
-    tr = np.trace(C)
-    if tr > 0.0:
-        s = 2.0 * np.sqrt(1.0 + tr)
-        q = np.array(
-            [0.25 * s, (C[2, 1] - C[1, 2]) / s, (C[0, 2] - C[2, 0]) / s, (C[1, 0] - C[0, 1]) / s]
-        )
-    else:
-        a = int(np.argmax(np.diag(C)))
+    """Unit quaternions (w,x,y,z), w >= 0, of a stack of rotation matrices
+    (n, 3, 3), (n, 4).  A row with a positive trace takes the trace branch;
+    any other row the branch of its largest diagonal entry a."""
+    q = np.empty((len(C), 4))
+    tr = np.trace(C, axis1=-2, axis2=-1)
+    pos = tr > 0.0
+    Ct = C[pos]
+    s = 2.0 * np.sqrt(1.0 + tr[pos])
+    q[pos] = np.stack(
+        [0.25 * s, (Ct[:, 2, 1] - Ct[:, 1, 2]) / s, (Ct[:, 0, 2] - Ct[:, 2, 0]) / s, (Ct[:, 1, 0] - Ct[:, 0, 1]) / s],
+        axis=-1,
+    )
+    largest = np.argmax(np.diagonal(C, axis1=-2, axis2=-1), axis=-1)
+    for a in range(3):
+        rows = ~pos & (largest == a)
+        Ca = C[rows]
         b, c = (a + 1) % 3, (a + 2) % 3
-        s = 2.0 * np.sqrt(1.0 + C[a, a] - C[b, b] - C[c, c])
-        q = np.empty(4)
-        q[0] = (C[c, b] - C[b, c]) / s
-        q[1 + a] = 0.25 * s
-        q[1 + b] = (C[b, a] + C[a, b]) / s
-        q[1 + c] = (C[c, a] + C[a, c]) / s
-    if q[0] < 0:
-        q = -q
-    return q / np.linalg.norm(q)
+        s = 2.0 * np.sqrt(1.0 + Ca[:, a, a] - Ca[:, b, b] - Ca[:, c, c])
+        q[rows, 0] = (Ca[:, c, b] - Ca[:, b, c]) / s
+        q[rows, 1 + a] = 0.25 * s
+        q[rows, 1 + b] = (Ca[:, b, a] + Ca[:, a, b]) / s
+        q[rows, 1 + c] = (Ca[:, c, a] + Ca[:, a, c]) / s
+    q = np.where(q[:, :1] < 0.0, -q, q)
+    # sqrt of each row's dot product: the rounding of a 1-D np.linalg.norm.
+    return q / np.sqrt((q[:, None, :] @ q[:, :, None])[:, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +123,7 @@ def cmd_simulate(resolved, out_dir):
     imu_meas, _, _ = corrupt(imu_true, errors)
     odo_idx, odo_v = gen_odometer(truth, cfg.noise, cfg.seed, cfg.odo_rate, 0)
 
-    quat = [_quat_from_rot(C) for C in truth.C_b_w]
+    quat = _quat_from_rot(truth.C_b_w)
     _write_csv(
         os.path.join(out_dir, "truth.csv"),
         h,

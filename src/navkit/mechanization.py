@@ -28,10 +28,8 @@ inputs of matching shape, and a single state is a stack with no leading
 axis.  step's rk4 also takes one dt per element, which is how inverse_imu
 steps all of a grid's intervals (the last one may be shorter) at once.
 integrate advances a state over the L samples of an interval (inputs
-(L, ..., 3), dt (L,)): the terms that depend only on the inputs are formed
-once for all L samples and the state-dependent update runs L times, the
-same update step makes once; lgekf.predict and the autonomy experiment
-propagate with it.
+(L, ..., 3), dt (L,)); lgekf.predict and the autonomy experiment propagate
+with it, and step's midpoint rule is a one-sample integrate.
 Each derivative is exposed both as a dense 5x5 matrix and as its
 W-decomposition  dX/dt = X W1 + W2 X (+ W3 X W4),  whose structure drives
 the autonomy classification of the error dynamics.  step's rk4 integrates
@@ -40,7 +38,11 @@ that decomposition directly on the state's packed block state.x.K =
 K W1 - Om (K d) + column,  with W1 the input matrix, d the fold weight
 (1, 1, 1, 2, 0) of the traditional e/w models (all ones otherwise) and the
 gravity column added to v's rate.  The midpoint rule keeps its
-closed-form attitude and column-wise velocity and position rates.
+closed-form attitude and uses that, apart from gravity, the velocity and
+position are affine in (v, p) in every model (the group-affine structure):
+each sample runs the attitude product and one gravity evaluation at both
+stage positions, and the rest is per-dt constant matrices
+(NavModel.midpoint_terms) and stacks formed once per interval.
 """
 from __future__ import annotations
 
@@ -154,7 +156,7 @@ class NavModel:
 
     __slots__ = (
         "frame", "grouping", "fold", "dv0", "earth", "gravity_model", "earth_omega", "earth_Om",
-        "omega", "Om", "OmOm", "Om_dv0", "offset", "r_base",
+        "omega", "Om", "OmOm", "Om_dv0", "offset", "r_base", "_terms_by_dt",
     )
 
     def __init__(self, frame, grouping, r0, earth, gravity_model=None, world=None, dv0=None):
@@ -174,6 +176,7 @@ class NavModel:
         self.Om_dv0 = None if dv0 is None else self.cross(dv0)
         self.offset = world.C_e_w @ world.r_ew_e if frame is Frame.W else 0.0
         self.r_base = self.offset + r0
+        self._terms_by_dt = {}  # midpoint_terms
 
     @classmethod
     def of(cls, state, earth, gravity_model=None, world=None):
@@ -238,11 +241,34 @@ class NavModel:
         dK[..., 3] += self.column(self.r_base + K[..., 4])
         return dK
 
-    def vel_pos_rates(self, C, v, p, f_b):
-        dv = self.accel(matvec(C, f_b), self.r_base + p, v)
-        if self.fold:
-            return dv, v
-        return dv, v - self.cross(p)
+    def midpoint_terms(self, dt):
+        """The midpoint rule's constants for a sample of dt, formed once per
+        distinct dt and kept: (H, H^2, [T | G]^T, S^T) with H = exp(-dt/2 Om).
+
+        The velocity and position y = (v, p) have the affine rates
+        y' = M y + F (C f + gamma(r_base + p) + c0), F = [I; 0], with
+        M = [[-Om, 0], [I, -Om]] and c0 = -Om dv0 without the fold and
+        M = [[-2 Om, -Om^2], [I, 0]] and c0 = -Om^2 r_base with it.  With
+        h = dt/2 the midpoint step from y is  y+ = T y + G [w1; w2],  with
+        T = I + dt M + dt h M^2, G = [dt h M F | dt F] and the stage inputs
+        w_s = C_s f + gamma(r_base + p_s) + c0 at the start (C, p) and the
+        half step (C_mid, p_mid); the stage positions [p; p_mid] = S y, with
+        S = [P; P (I + h M)] and P = [0 I], do not depend on gravity."""
+        terms = self._terms_by_dt.get(dt)
+        if terms is None:
+            h = 0.5 * dt
+            M = np.zeros((6, 6))
+            M[3:6, 0:3] = _I3
+            if self.fold:
+                M[0:3, 0:3], M[0:3, 3:6] = -2.0 * self.Om, -self.OmOm
+            else:
+                M[0:3, 0:3] = M[3:6, 3:6] = -self.Om
+            T = _I6 + dt * M + (dt * h) * (M @ M)
+            G = np.concatenate(((dt * h) * M[:, 0:3], dt * _I6[:, 0:3]), axis=1)
+            S = np.concatenate((_I6[3:6], (_I6 + h * M)[3:6]))
+            H = self.half_exp(dt)
+            terms = self._terms_by_dt[dt] = (H, H @ H, np.concatenate((T, G), axis=1).T.copy(), S.T.copy())
+        return terms
 
     def frame_velocity(self, x: SE23) -> np.ndarray:
         """Conventional frame velocity of a state x of this model."""
@@ -272,6 +298,7 @@ def _input_matrix(omega_ib_b: np.ndarray, f_ib_b: np.ndarray) -> np.ndarray:
 
 
 _I3 = np.eye(3)
+_I6 = np.eye(6)
 
 
 def _sinc(x: float) -> float:
@@ -342,14 +369,14 @@ def step(state: NavState, imu: ImuSample, model: NavModel, method: str = "midpoi
 
     method="midpoint" is the filter-grade rule: exact attitude exponential
     for the constant inputs plus a midpoint step for velocity/position
-    (O(dt^2) global). method="rk4" is the truth-grade 4-stage Runge-Kutta
-    on the group field itself: it steps the state's packed block x.K =
-    [C | v | p] with NavModel.rate, one product with W1 per stage.
+    (O(dt^2) global); it is a one-sample integrate.  method="rk4" is the
+    truth-grade 4-stage Runge-Kutta on the group field itself: it steps the
+    state's packed block x.K = [C | v | p] with NavModel.rate, one product
+    with W1 per stage.
 
     For a stacked state imu.dt is one float for every element or, with
     rk4 only, an array of one dt per element; element k then advances as
-    a one-element stack stepped with dt[k] would.  A step is its input
-    terms (_input_terms) and one state-dependent update.
+    a one-element stack stepped with dt[k] would.
     """
     model.check(state)
     dt = longest = imu.dt
@@ -357,9 +384,13 @@ def step(state: NavState, imu: ImuSample, model: NavModel, method: str = "midpoi
         if method != "rk4":
             raise ValueError(f"a dt per element needs method='rk4', not {method!r}")
         dt, longest = dt[..., None, None], dt.max()
-    _check_dt(longest)
-    update, terms = _input_terms(imu.omega_ib_b, imu.f_ib_b, dt, model, method)
-    return NavState(state.frame, state.grouping, SE23.packed(update(state.x.K, dt, terms, model)), state.r0, state.dv0)
+    if method == "rk4":
+        _check_dt(longest)
+        K = _rk4_update(state.x.K, dt, _input_matrix(imu.omega_ib_b, imu.f_ib_b), model)
+    else:
+        om, f = (np.asarray(a, dtype=float)[None] for a in (imu.omega_ib_b, imu.f_ib_b))
+        K = integrate(state, ImuSample(om, f, [dt]), model, method)[1]
+    return NavState(state.frame, state.grouping, SE23.packed(K), state.r0, state.dv0)
 
 
 def integrate(state: NavState, imu: ImuSample, model: NavModel, method: str = "midpoint") -> np.ndarray:
@@ -368,26 +399,32 @@ def integrate(state: NavState, imu: ImuSample, model: NavModel, method: str = "m
     being state.x.K.
 
     imu holds omega and f (L, ..., 3), the state's leading axes after the
-    sample axis, and dt (L,).  The input terms are formed once for all L
-    samples and the state-dependent update then runs L times, so epoch
-    l+1 is bit for bit step(epoch l, sample l).  A KernelDomainError raised
-    at sample l names element l*n + i of the (L, ...) stack, i the failing
-    element of the n the state holds.
+    sample axis, and dt (L,).  rk4 forms the input matrices once for all L
+    samples and steps the block L times.  The midpoint rule (_midpoint)
+    runs only the attitude product and one gravity evaluation per sample;
+    every other term is a per-dt constant of the model or a stack formed
+    once.  Either way epoch l+1 is bit for bit step(epoch l, sample l).  A
+    KernelDomainError raised at sample l names element l*n + i of the
+    (L, ...) stack, i the failing element of the n the state holds.
     """
     model.check(state)
     dt = np.asarray(imu.dt, dtype=float)
     if dt.ndim != 1:
         raise ValueError(f"an interval takes one dt per sample, (L,), not an array of shape {dt.shape}")
     _check_dt(dt.max())
-    update, terms = _input_terms(imu.omega_ib_b, imu.f_ib_b, dt, model, method)
+    if method == "midpoint":
+        return _midpoint(state.x.K, imu, dt, model)
+    if method != "rk4":
+        raise ValueError(f"unknown integration method {method!r}")
+    W1 = _input_matrix(imu.omega_ib_b, imu.f_ib_b)
     K = state.x.K
     out = np.empty((len(dt) + 1,) + K.shape)
     out[0] = K
-    for l, (dt_l, terms_l) in enumerate(zip(dt.tolist(), zip(*terms))):
+    for l, dt_l in enumerate(dt.tolist()):
         try:
-            out[l + 1] = update(out[l], dt_l, terms_l, model)
+            out[l + 1] = _rk4_update(out[l], dt_l, W1[l], model)
         except KernelDomainError as exc:
-            raise type(exc)(str(exc), element=l * K[..., 0, 0].size + (exc.element or 0)) from exc
+            raise _at_sample(exc, l, K) from exc
     return out
 
 
@@ -396,32 +433,15 @@ def _check_dt(longest) -> None:
         raise ValueError(f"dt {longest} exceeds the {_MAX_DT} s piecewise-constant guard")
 
 
-def _input_terms(omega_ib_b, f_ib_b, dt, model: NavModel, method: str):
-    """The update of method and the terms of its steps that depend only on
-    the inputs: rk4's input matrices W1, or the midpoint rule's specific
-    force, body half-rotations so3_exp(dt/2 omega) and the frame's
-    half-rotation exp(-dt/2 Om) (I3 in i), formed once per distinct dt.
-    The inputs may carry any leading axes.  The midpoint rule's dt is one
-    float, or an interval's (L,) array leading the inputs' axes; rk4's
-    terms do not depend on dt."""
-    if method == "rk4":
-        return _rk4_update, (_input_matrix(omega_ib_b, f_ib_b),)
-    if method != "midpoint":
-        raise ValueError(f"unknown integration method {method!r}")
-    om_b = np.asarray(omega_ib_b, dtype=float)
-    terms = [np.asarray(f_ib_b, dtype=float)]
-    if np.ndim(dt):
-        terms.append(so3_exp(0.5 * dt.reshape(dt.shape + (1,) * (om_b.ndim - 1)) * om_b))
-        distinct, which = np.unique(dt, return_inverse=True)
-        terms.append(np.stack([model.half_exp(d) for d in distinct.tolist()])[which])
-    else:
-        terms.append(so3_exp(0.5 * dt * om_b))
-        terms.append(model.half_exp(dt))
-    return _midpoint_update, tuple(terms)
+def _at_sample(exc: KernelDomainError, l: int, K: np.ndarray) -> KernelDomainError:
+    """exc re-raised as element l*n + i of an interval's (L, ...) stack,
+    where the failing element's index i among the n elements of the
+    stepped block K is its own element modulo n."""
+    n = K[..., 0, 0].size
+    return type(exc)(str(exc), element=l * n + (exc.element or 0) % n)
 
 
-def _rk4_update(K: np.ndarray, dt, terms, model: NavModel) -> np.ndarray:
-    (W1,) = terms
+def _rk4_update(K: np.ndarray, dt, W1, model: NavModel) -> np.ndarray:
     h = 0.5 * dt
     k1 = model.rate(K, W1)
     k2 = model.rate(K + h * k1, W1)
@@ -430,19 +450,57 @@ def _rk4_update(K: np.ndarray, dt, terms, model: NavModel) -> np.ndarray:
     return K + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _midpoint_update(K: np.ndarray, dt, terms, model: NavModel) -> np.ndarray:
-    f_b, half_body, half_frame = terms
-    C, v, p = K[..., 0:3], K[..., 3], K[..., 4]
-    C_mid = half_frame @ C @ half_body
-    C_end = half_frame @ C_mid @ half_body
+def _midpoint(K: np.ndarray, imu: ImuSample, dt: np.ndarray, model: NavModel) -> np.ndarray:
+    """integrate's midpoint rule from the packed blocks K over the samples
+    of imu, dt (L,), in the terms of NavModel.midpoint_terms.
 
-    dv1, dp1 = model.vel_pos_rates(C, v, p, f_b)
-    v_mid = v + 0.5 * dt * dv1
-    p_mid = p + 0.5 * dt * dp1
-    dv2, dp2 = model.vel_pos_rates(C_mid, v_mid, p_mid, f_b)
-    K1 = np.empty(C_end.shape[:-2] + (3, 5))
-    K1[..., 0:3], K1[..., 3], K1[..., 4] = C_end, v + dt * dv2, p + dt * dp2
-    return K1
+    With B = so3_exp(dt/2 omega) the attitude runs C+ = (H^2 C) B^2 sample
+    by sample, and C_mid = H C B and C_s f + c0 of both stages are formed
+    for all L samples at once.  Per sample, one gravitation call takes both
+    stage positions S y (_stage_gravity), and y+ is one (..., 1, 12)
+    product of the row [y | w1 | w2] with [T | G]^T per element, so no
+    result depends on the batch size.
+    """
+    L, lead = len(dt), K.shape[:-2]
+    H, H2, TG, S = zip(*(model.midpoint_terms(d) for d in dt.tolist()))
+    om = np.asarray(imu.omega_ib_b, dtype=float)
+    f = np.asarray(imu.f_ib_b, dtype=float)
+    B = so3_exp(0.5 * dt.reshape((L,) + (1,) * (om.ndim - 1)) * om)
+    B2 = B @ B
+    C = np.empty((L + 1,) + lead + (3, 3))
+    C[0] = K[..., 0:3]
+    for l in range(L):
+        np.matmul(H2[l] @ C[l], B2[l], out=C[l + 1])
+    H = np.stack(H).reshape((L,) + (1,) * len(lead) + (3, 3))
+    c0 = -matvec(model.OmOm, model.r_base) if model.fold else -model.Om_dv0
+
+    Y = np.empty((L + 1,) + lead + (12,))  # rows [v | p | u1 + g1 | u2 + g2]
+    Y[0, ..., 0:3], Y[0, ..., 3:6] = K[..., 3], K[..., 4]
+    Y[:-1, ..., 6:9] = matvec(C[:-1], f) + c0
+    Y[:-1, ..., 9:12] = matvec(H @ C[:-1] @ B, f) + c0
+    # Stage-major view of the two gravity slots, (L+1, 2, ..., 3).
+    stage = np.moveaxis(Y[..., 6:12].reshape(Y.shape[:-1] + (2, 3)), -2, 1)
+    for l in range(L):
+        row = Y[l, ..., None, :]
+        try:
+            stage[l] += _stage_gravity(row[..., 0:6] @ S[l], model)
+        except KernelDomainError as exc:
+            raise _at_sample(exc, l, K) from exc
+        np.matmul(row, TG[l], out=Y[l + 1, ..., None, 0:6])
+
+    out = np.empty((L + 1,) + K.shape)
+    out[..., 0:3] = C
+    out[..., 3], out[..., 4] = Y[..., 0:3], Y[..., 3:6]
+    return out
+
+
+def _stage_gravity(q: np.ndarray, model: NavModel) -> np.ndarray:
+    """Gravitation at the midpoint rule's stage positions q = [p | p_mid],
+    (..., 1, 6), as one stage-major (2, ..., 3) stack: element s*n + i is
+    stage s of element i, so element modulo n names the element."""
+    k = q.ndim - 2  # the stage axis after the reshape
+    r = model.r_base + q.reshape(q.shape[:k] + (2, 3)).transpose((k, *range(k), k + 1))
+    return gravitation(r, model.gravity_model, model.earth)
 
 
 def to_proposed(state: NavState, earth: EarthParams, world: WorldFrameDef | None = None) -> NavState:

@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from navkit import cli, simulate
+from navkit import cli, simulate, so3_exp
 from navkit.cli import main
 from navkit.config import build_run_config, load_config
 from navkit.earth import ned_world
@@ -87,7 +87,7 @@ def test_simulate_cells_parse_back_to_the_arrays(tmp_path, cfg_file):
     imu, _, _ = simulate.corrupt(simulate.inverse_imu(truth, cfg.earth, cfg.gravity, world),
                                  simulate.SensorErrors(bg, ba, cfg.noise, cfg.seed, 0))
     idx, v_odo = simulate.gen_odometer(truth, cfg.noise, cfg.seed, cfg.odo_rate, 0)
-    quat = [cli._quat_from_rot(C) for C in truth.C_b_w]
+    quat = cli._quat_from_rot(truth.C_b_w)
     expected = {
         "truth.csv": (truth.t, np.column_stack([quat, truth.v_wb_w, truth.r_w])),
         "imu.csv": (truth.t[:-1], np.column_stack([imu.omega_ib_b, imu.f_ib_b, imu.dt])),
@@ -98,6 +98,44 @@ def test_simulate_cells_parse_back_to_the_arrays(tmp_path, cfg_file):
         assert all(re.fullmatch(r"\d+\.\d{9}", r[0]) for r in rows), name
         assert np.all(np.abs(np.array([float(r[0]) for r in rows]) - t) <= 5e-10), name
         assert np.array_equal(np.array([[float(x) for x in r[1:]] for r in rows]), values), name
+
+
+def _quat_row(C):
+    """Per-row reference for cli._quat_from_rot: (q, branch, flipped), the
+    branch "trace" or the index of the largest diagonal entry."""
+    tr = np.trace(C)
+    if tr > 0.0:
+        s = 2.0 * np.sqrt(1.0 + tr)
+        q = np.array([0.25 * s, (C[2, 1] - C[1, 2]) / s, (C[0, 2] - C[2, 0]) / s, (C[1, 0] - C[0, 1]) / s])
+        branch = "trace"
+    else:
+        a = branch = int(np.argmax(np.diag(C)))
+        b, c = (a + 1) % 3, (a + 2) % 3
+        s = 2.0 * np.sqrt(1.0 + C[a, a] - C[b, b] - C[c, c])
+        q = np.empty(4)
+        q[0] = (C[c, b] - C[b, c]) / s
+        q[1 + a] = 0.25 * s
+        q[1 + b] = (C[b, a] + C[a, b]) / s
+        q[1 + c] = (C[c, a] + C[a, c]) / s
+    flipped = bool(q[0] < 0)
+    if flipped:
+        q = -q
+    return q / np.linalg.norm(q), branch, flipped
+
+
+def test_stacked_quaternions_match_the_per_row_conversion():
+    # Random rotations, plus turns of 2.8 rad about +-x, +-y and +-z: a
+    # negative trace with the largest diagonal entry on that axis, and a
+    # negative w before the flip for the minus axes.
+    rng = np.random.default_rng(12)
+    axes = rng.normal(size=(400, 3))
+    phi = axes / np.linalg.norm(axes, axis=1, keepdims=True) * rng.uniform(0.0, np.pi, size=(400, 1))
+    phi = np.concatenate([phi, 2.8 * np.concatenate([np.eye(3), -np.eye(3)]) + rng.normal(scale=0.05, size=(6, 3))])
+    C = so3_exp(phi)
+    rows = [_quat_row(c) for c in C]
+    assert np.array_equal(cli._quat_from_rot(C), np.stack([q for q, _, _ in rows]))
+    assert {branch for _, branch, _ in rows} == {"trace", 0, 1, 2}
+    assert {(branch, flipped) for _, branch, flipped in rows} >= {(a, f) for a in range(3) for f in (False, True)}
 
 
 def test_simulate_rerun_is_bit_identical(tmp_path, cfg_file):

@@ -352,6 +352,55 @@ def test_integrate_matches_chained_steps(frame, grouping, method, n, earth, worl
         assert np.array_equal(blocks[l + 1], st.x.K), l
 
 
+def _columnwise_midpoint(K, om, f, dts, model):
+    """Reference for the midpoint rule: per sample, the attitude H (H C B) B
+    and the velocity and position rates of each column evaluated at the
+    sample's start and again at its half-step state."""
+
+    def mv(A, x):
+        return (A @ x[..., None])[..., 0]
+
+    def rates(C, v, p, f_b):
+        r = model.r_base + p
+        dv = mv(C, f_b) + gravitation(r, model.gravity_model, model.earth)
+        if model.fold:
+            return dv - mv(model.OmOm, r) - 2.0 * mv(model.Om, v), v
+        return dv - mv(model.Om, v + model.dv0), v - mv(model.Om, p)
+
+    C, v, p = K[..., 0:3], K[..., 3], K[..., 4]
+    blocks = [K]
+    for om_l, f_l, dt in zip(om, f, dts.tolist()):
+        h = 0.5 * dt
+        H, B = so3_exp(-h * model.omega), so3_exp(h * om_l)
+        C_mid = H @ C @ B
+        dv1, dp1 = rates(C, v, p, f_l)
+        dv2, dp2 = rates(C_mid, v + h * dv1, p + h * dp1, f_l)
+        C, v, p = H @ C_mid @ B, v + dt * dv2, p + dt * dp2
+        blocks.append(np.concatenate((C, v[..., None], p[..., None]), axis=-1))
+    return np.stack(blocks)
+
+
+@pytest.mark.parametrize(
+    "grav", [SphericalGravity(), UniformGravity(np.array([0.0, 0.0, 9.8]))], ids=["spherical", "uniform"]
+)
+@pytest.mark.parametrize("n", [None, 1, 3], ids=["single", "n1", "n3"])
+@pytest.mark.parametrize("frame,grouping", ALL_COMBOS, ids=lambda c: getattr(c, "value", c))
+def test_midpoint_matches_columnwise_reference(frame, grouping, n, grav, earth, world):
+    # The affine velocity/position recursion is the column-wise midpoint
+    # rule rearranged: equal up to rounding over a mixed-dt interval.
+    rng = np.random.default_rng(47)
+    if n is None:
+        st, shape = wander(random_nav_state(rng, frame, grouping, earth, world), rng), ()
+    else:
+        st, shape = _stacked_state(rng, frame, grouping, earth, world, n), (n,)
+    L = len(_INTERVAL_DT)
+    om, f = rng.normal(scale=0.2, size=(L, *shape, 3)), rng.normal(scale=3.0, size=(L, *shape, 3))
+    model = NavModel.of(st, earth, grav, world)
+    blocks = integrate(st, ImuSample(om, f, _INTERVAL_DT), model)
+    ref = _columnwise_midpoint(st.x.K, om, f, _INTERVAL_DT, model)
+    assert np.abs(blocks - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
 def test_integrate_guards_and_names_the_failing_sample(earth, world, monkeypatch):
     rng = np.random.default_rng(46)
     st = _stacked_state(rng, Frame.E, Grouping.TRADITIONAL, earth, world, 3)

@@ -318,7 +318,7 @@ def _quiet_cfg(**kw):
 
 @pytest.mark.parametrize("module, target, fail, exc, t", [
     # a batch of one: the failing stack has one element, element 0
-    (mechanization, "_midpoint_update", lambda: gravitation(np.zeros((1, 3)), GRAV, EARTH), SingularRadius, "0.030"),
+    (mechanization, "_stage_gravity", lambda: gravitation(np.zeros((1, 3)), GRAV, EARTH), SingularRadius, "0.030"),
     (sim, "fuse", lambda: check_covariance(-np.eye(15)[None]), CovarianceNotPSD, "0.300"),
 ], ids=["kernel", "filter"])
 def test_stacked_kernel_error_names_the_run(module, target, fail, exc, t, monkeypatch):
@@ -335,6 +335,24 @@ def test_stacked_kernel_error_names_the_run(module, target, fail, exc, t, monkey
     with pytest.raises(exc, match=rf"^run 4, t={t} s: element 0 of the stack") as info:
         run_single(_quiet_cfg(traj=TrajectorySpec((Straight(1.0, 10.0),), 100.0)), 4)
     assert info.value.element == 0
+
+
+def test_midpoint_stage_gravity_error_names_the_run(monkeypatch):
+    # The midpoint rule evaluates gravity at both stage positions of every
+    # run as one stage-major (2, 3) stack.  Run 1 of a 3-run batch starts at
+    # the earth's center: element 1 (stage 0 of run 1) fails at the first
+    # sample, t = 0.010 s.
+    real = lgekf.integrate
+
+    def centered_run_1(state, imu, model, method):
+        K = state.x.K.copy()
+        K[1, :, 4] = -model.r_base
+        return real(replace(state, x=SE23.packed(K)), imu, model, method)
+
+    monkeypatch.setattr(lgekf, "integrate", centered_run_1)
+    with pytest.raises(SingularRadius, match=r"^run 1, t=0.010 s: element 1 of the stack: radius") as info:
+        run_monte_carlo(_quiet_cfg(traj=TrajectorySpec((Straight(1.0, 10.0),), 100.0), n_runs=3))
+    assert info.value.element == 1
 
 
 def test_stacked_linearization_error_names_the_run_and_epoch(monkeypatch):
