@@ -1,4 +1,4 @@
-"""Earth rotation, gravitation/gravity fields, and i/e/w frame transforms.
+"""Earth rotation, gravitation fields, and i/e/w frame transforms.
 
 Conventions: the i-frame coincides with the e-frame at t=0 and shares its
 polar (z) axis, so the earth rate is (0, 0, omega_ie) in both; the w-frame
@@ -27,7 +27,6 @@ __all__ = [
     "ned_world",
     "earth_rate",
     "gravitation",
-    "gravity",
     "gravitation_gradient",
     "frame_transform",
 ]
@@ -123,23 +122,6 @@ def gravitation(r: np.ndarray, model: GravityModel, params: EarthParams) -> np.n
     r = np.asarray(r, dtype=float)
     rn = _radius(r)
     return r * (-params.mu / (rn * rn * rn))[..., None]
-
-
-def gravity(
-    r: np.ndarray,
-    model: GravityModel,
-    params: EarthParams,
-    omega: np.ndarray | None = None,
-) -> np.ndarray:
-    """Gravity = gravitation - centrifugal term omega x (omega x r).
-
-    omega defaults to the e-frame earth rate; pass the frame-resolved rate
-    when r is expressed in another earth-fixed frame.
-    """
-    if omega is None:
-        omega = np.array([0.0, 0.0, params.omega_ie])
-    r = np.asarray(r, dtype=float)
-    return gravitation(r, model, params) - np.cross(omega, np.cross(omega, r))
 
 
 def gravitation_gradient(r: np.ndarray, model: GravityModel, params: EarthParams) -> np.ndarray:

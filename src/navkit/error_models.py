@@ -25,6 +25,7 @@ from enum import Enum
 
 import numpy as np
 
+from .earth import UniformGravity
 from .mechanization import (
     Frame,
     FrameMismatch,
@@ -32,7 +33,6 @@ from .mechanization import (
     ImuSample,
     NavModel,
     NavState,
-    WDecomposition,
     derivative,
 )
 from .se23 import SE23, TangentVector, matvec, se23_exp, se23_log, skew, transpose
@@ -126,33 +126,20 @@ def exact_error_derivative(
     conv: ErrorConvention,
 ) -> np.ndarray:
     """d(eta)/dt as a 5x5 matrix along twin true/estimated trajectories
-    that share their anchors and so their model.
+    that share their anchors and so their model, from derivative's dense
+    fields Xd = f(X, u) of the truth and Xd~ = f(X~, u~) of the estimate:
 
-    Right:  W2 eta - eta W2~ - eta (X~ dW1 X~^-1) + (W3 eta - eta W3) X~ W4 X~^-1
-    Left:   eta W1 - W1~ eta - (X~^-1 dW2 X~) eta + (X~^-1 W3 X~)(eta W4 - W4 eta)
-
-    with dW1 = W1~ - W1 (input errors) and dW2 = W2~ - W2 (gravity/state
-    dependence), each W evaluated along its own trajectory.
+    Right:  eta' = Xd X~^-1 - eta Xd~ X~^-1
+    Left:   eta' = X~^-1 Xd - X~^-1 Xd~ eta
     """
     _check_compatible(true, est)
-    _, w_true = derivative(true, imu_true, model)
-    _, w_est = derivative(est, imu_meas, model)
+    dX, _ = derivative(true, imu_true, model)
+    dXe, _ = derivative(est, imu_meas, model)
     E = eta.as_matrix()
-    Xe = est.x.as_matrix()
     Xe_inv = est.x.inverse().as_matrix()
     if conv is ErrorConvention.RIGHT:
-        dW1 = w_est.W1 - w_true.W1
-        out = w_true.W2 @ E - E @ w_est.W2 - E @ (Xe @ dW1 @ Xe_inv)
-        if w_true.has_w34:
-            K = Xe @ w_true.W4 @ Xe_inv
-            out = out + (w_true.W3 @ E - E @ w_true.W3) @ K
-        return out
-    dW2 = w_est.W2 - w_true.W2
-    out = E @ w_true.W1 - w_est.W1 @ E - (Xe_inv @ dW2 @ Xe) @ E
-    if w_true.has_w34:
-        A = Xe_inv @ w_true.W3 @ Xe
-        out = out + A @ (E @ w_true.W4 - w_true.W4 @ E)
-    return out
+        return (dX - E @ dXe) @ Xe_inv
+    return Xe_inv @ (dX - dXe @ E)
 
 
 _I3 = np.eye(3)
@@ -222,19 +209,20 @@ def linearized_F_G(
     return F, G
 
 
-def classify_autonomy(
-    w: WDecomposition,
-    include_input_errors: bool = False,
-    include_gravity_error: bool = False,
-) -> AutonomyClass:
-    """Autonomy grade of the error propagation for a W-decomposition.
+def classify_autonomy(model: NavModel, conv: ErrorConvention, input_errors: bool = False) -> AutonomyClass:
+    """Autonomy grade of the error propagation of model's states in the
+    convention conv, with or without input errors.
 
-    Weak if the W3/W4 fold is present (the error equation drags the
-    trajectory in through the conjugation); otherwise approximate when
-    input errors or a state-dependent/erroneous gravity column perturb it;
-    otherwise perfect (the error evolves by itself).
+    Weak if the model keeps the Coriolis fold (the error equation drags the
+    trajectory in through the conjugation); approximate if gravity depends
+    on the position (any field but UniformGravity), or if input errors
+    enter the right convention, whose flow then carries X~ dW1 X~^-1;
+    otherwise perfect (the error evolves by itself).  Input errors leave
+    the left flow  eta W1 - W1~ eta  free of the state: it depends on the
+    inputs alone, so twins that share their inputs share it.
     """
-    if w.has_w34:
+    if model.fold:
         return AutonomyClass.WEAK
-    perturbed = include_input_errors or include_gravity_error
-    return AutonomyClass.APPROXIMATE if perturbed else AutonomyClass.PERFECT
+    if not isinstance(model.gravity_model, UniformGravity) or (input_errors and conv is ErrorConvention.RIGHT):
+        return AutonomyClass.APPROXIMATE
+    return AutonomyClass.PERFECT

@@ -20,7 +20,7 @@ all six models.  It is built once per batch of states sharing the
 anchors (NavModel.of) and every kernel reads it: step, derivative,
 error_models.linearized_F_G and exact_error_derivative,
 lgekf.predict/odo_H/fuse (through the FilterState) and
-simulate.inverse_imu.  The grouping conversions build their own.
+simulate.inverse_imu.  nav_from_physical builds its own.
 step, frame_velocity and body_velocity run one batch-shaped path: a state's
 packed block x.K (see se23.SE23) may carry leading batch axes (one element
 per Monte-Carlo run or per interval, sharing the anchors r0/dv0), with
@@ -30,11 +30,12 @@ steps all of a grid's intervals (the last one may be shorter) at once.
 integrate advances a state over the L samples of an interval (inputs
 (L, ..., 3), dt (L,)); lgekf.predict and the autonomy experiment propagate
 with it, and step's midpoint rule is a one-sample integrate.
-Each derivative is exposed both as a dense 5x5 matrix and as its
-W-decomposition  dX/dt = X W1 + W2 X (+ W3 X W4),  whose structure drives
-the autonomy classification of the error dynamics.  step's rk4 integrates
-that decomposition directly on the state's packed block state.x.K =
-[C | v | p], the top 3x5 of the group matrix: each stage is
+derivative gives the field both as a dense 5x5 matrix, from which
+error_models.exact_error_derivative forms the exact error flow, and as
+its W-decomposition  dX/dt = X W1 + W2 X + W3 X W4  into input, gravity
+and Coriolis-fold factors (W3 and W4 are zero without the fold).  step's
+rk4 integrates that decomposition directly on the state's packed block
+state.x.K = [C | v | p], the top 3x5 of the group matrix: each stage is
 K W1 - Om (K d) + column,  with W1 the input matrix, d the fold weight
 (1, 1, 1, 2, 0) of the traditional e/w models (all ones otherwise) and the
 gravity column added to v's rate.  The midpoint rule keeps its
@@ -74,8 +75,6 @@ __all__ = [
     "derivative",
     "step",
     "integrate",
-    "to_proposed",
-    "from_proposed",
     "physical_from_nav",
     "nav_from_physical",
     "frame_velocity",
@@ -127,13 +126,13 @@ class NavState:
 
 @dataclass(frozen=True)
 class WDecomposition:
-    """Factors of dX/dt = X W1 + W2 X (+ W3 X W4 when has_w34)."""
+    """Factors of dX/dt = X W1 + W2 X + W3 X W4; W3 and W4 are zero
+    unless the model keeps the Coriolis fold."""
 
     W1: np.ndarray
     W2: np.ndarray
     W3: np.ndarray
     W4: np.ndarray
-    has_w34: bool
 
 
 class NavModel:
@@ -358,10 +357,7 @@ def derivative(state: NavState, imu: ImuSample, model: NavModel) -> tuple[np.nda
         W4[4, 4] = -1.0
 
     X = state.x.as_matrix()
-    dX = X @ W1 + W2 @ X
-    if model.fold:
-        dX = dX + W3 @ X @ W4
-    return dX, WDecomposition(W1, W2, W3, W4, model.fold)
+    return X @ W1 + W2 @ X + W3 @ X @ W4, WDecomposition(W1, W2, W3, W4)
 
 
 def step(state: NavState, imu: ImuSample, model: NavModel, method: str = "midpoint") -> NavState:
@@ -501,25 +497,6 @@ def _stage_gravity(q: np.ndarray, model: NavModel) -> np.ndarray:
     k = q.ndim - 2  # the stage axis after the reshape
     r = model.r_base + q.reshape(q.shape[:k] + (2, 3)).transpose((k, *range(k), k + 1))
     return gravitation(r, model.gravity_model, model.earth)
-
-
-def to_proposed(state: NavState, earth: EarthParams, world: WorldFrameDef | None = None) -> NavState:
-    """Regroup a traditional state into the proposed inertial-velocity form."""
-    if state.grouping is not Grouping.TRADITIONAL or np.any(state.dv0 != 0.0):
-        raise FrameMismatch("to_proposed expects a traditional state with zero dv0")
-    model = NavModel.of(state, earth, world=world)
-    v_prop = state.x.v + model.cross(state.x.p)
-    x = SE23(state.x.R, v_prop, state.x.p)
-    return NavState(state.frame, Grouping.PROPOSED, x, state.r0.copy(), model.anchor(state.r0))
-
-
-def from_proposed(state: NavState, earth: EarthParams, world: WorldFrameDef | None = None) -> NavState:
-    """Inverse of to_proposed."""
-    if state.grouping is not Grouping.PROPOSED:
-        raise FrameMismatch("from_proposed expects a proposed-grouping state")
-    model = NavModel.of(state, earth, world=world)
-    v_trad = state.x.v - model.cross(state.x.p)
-    return NavState(state.frame, Grouping.TRADITIONAL, SE23(state.x.R, v_trad, state.x.p), state.r0.copy())
 
 
 def physical_from_nav(

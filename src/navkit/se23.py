@@ -42,8 +42,6 @@ __all__ = [
     "so3_left_jacobian_inv",
     "TangentVector",
     "SE23",
-    "wedge5",
-    "vee5",
     "se23_exp",
     "se23_log",
 ]
@@ -254,10 +252,6 @@ class TangentVector:
         """The coordinates packed in xi (..., 9), copied once."""
         return _holding(TangentVector.__new__(TangentVector), "xi", np.array(xi, dtype=float))
 
-    @staticmethod
-    def zero() -> "TangentVector":
-        return TangentVector.from_vector(np.zeros(9))
-
 
 @dataclass(frozen=True, init=False)
 class SE23:
@@ -281,10 +275,6 @@ class SE23:
         """Wrap a packed (..., 3, 5) block without copying it."""
         return _holding(cls.__new__(cls), "K", K)
 
-    @staticmethod
-    def identity() -> "SE23":
-        return SE23.packed(np.eye(3, 5))
-
     def compose(self, other: "SE23") -> "SE23":
         """[R1 | v1 p1] [R2 | v2 p2] = R1 K2 + [0 | v1 p1]."""
         K = self.R @ other.K
@@ -304,27 +294,15 @@ class SE23:
         return M
 
     def adjoint(self) -> np.ndarray:
-        """9x9 adjoint (..., 9, 9): vee5(X wedge5(xi) X^-1) == adjoint(X) @ xi."""
+        """9x9 adjoint (..., 9, 9): X xi^ X^-1 = (adjoint(X) @ xi)^, where xi^
+        is the 5x5 algebra element with skew(phi) upper left and the rho_v,
+        rho_r columns."""
         R = self.R
         A = np.zeros(R.shape[:-2] + (9, 9))
         A[..., 0:3, 0:3] = A[..., 3:6, 3:6] = A[..., 6:9, 6:9] = R
         A[..., 3:6, 0:3] = skew(self.v) @ R
         A[..., 6:9, 0:3] = skew(self.p) @ R
         return A
-
-
-def wedge5(xi: TangentVector) -> np.ndarray:
-    """Algebra element (..., 5, 5): skew(phi) upper-left with rho_v, rho_r columns."""
-    M = np.zeros(xi.xi.shape[:-1] + (5, 5))
-    M[..., 0:3, 0:3] = skew(xi.phi)
-    M[..., 0:3, 3] = xi.rho_v
-    M[..., 0:3, 4] = xi.rho_r
-    return M
-
-
-def vee5(M: np.ndarray) -> TangentVector:
-    """Inverse of wedge5."""
-    return TangentVector(unskew(M[..., 0:3, 0:3]), M[..., 0:3, 3], M[..., 0:3, 4])
 
 
 def se23_exp(xi: TangentVector) -> SE23:

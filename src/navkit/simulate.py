@@ -60,7 +60,6 @@ from .mechanization import (
     ImuSample,
     NavModel,
     NavState,
-    derivative,
     integrate,
     nav_from_physical,
     physical_from_nav,
@@ -939,8 +938,8 @@ class AutonomyResult:
     classification: object  # AutonomyClass
     divergence_metric: float
     t: np.ndarray  # (M,)
-    xi_a: np.ndarray  # (M,9) log of the group error along trajectory a
-    xi_b: np.ndarray  # (M,9)
+    xi_a: np.ndarray  # (M,9) log of the group error of the twins started on trajectory a
+    xi_b: np.ndarray  # (M,9) the same from trajectory b's start
 
 
 def autonomy_experiment(
@@ -957,7 +956,18 @@ def autonomy_experiment(
     A trajectory-independent ("perfect") error model keeps the metric at
     integration noise; input errors or a position-dependent gravity
     column make it small but nonzero; a model whose equation folds the
-    trajectory in through conjugation diverges visibly.
+    trajectory in through conjugation diverges visibly.  The grade is
+    classify_autonomy's, read from the model and the convention.
+
+    The right error flow sees the inputs only through their errors, so
+    each trajectory's twins are driven by its own inputs.  The left flow
+    eta' = eta W1 - W1~ eta depends on the inputs, so twins driven by
+    different inputs would differ however autonomous it is: both left
+    pairs are driven by trajectory a's true and measured inputs, each from
+    its own trajectory's start state.  The left Coriolis fold acts only
+    through the attitude (-C~^T Om C~), so twins that share their inputs
+    and start attitude cannot show it (traditional-e reads at integration
+    noise); there the weak grade comes from the model alone.
 
     The four flows (truth and estimate along a, truth and estimate along b)
     advance in lock step as one stacked state, in one integrate call over
@@ -972,7 +982,8 @@ def autonomy_experiment(
     if np.any(np.abs(t - truths[1].t[:m]) > _GRID_TOL):
         raise SpecInvalid("autonomy trajectories must share their time grid")
 
-    imus = [inverse_imu(truth_w, earth, gravity, world) for truth_w in truths]
+    imus = [inverse_imu(truths[0], earth, gravity, world)]
+    imus.append(imus[0] if conv is ErrorConvention.LEFT else inverse_imu(truths[1], earth, gravity, world))
     om_true = np.stack([imu.omega_ib_b[: m - 1] for imu in imus], axis=1)
     f_true = np.stack([imu.f_ib_b[: m - 1] for imu in imus], axis=1)
     # (m-1, truth/estimate, trajectory, 3): the inputs of the four flows below
@@ -1002,7 +1013,5 @@ def autonomy_experiment(
     xi_a, xi_b = xi[:, 0].copy(), xi[:, 1].copy()
     metric = float(np.max(np.linalg.norm(xi_a - xi_b, axis=1)))
 
-    _, w = derivative(starts[0], ImuSample(om_true[0, 0], f_true[0, 0], float(dts[0])), model)
     input_errors = bool(np.any(settings.gyro_input_error) or np.any(settings.accel_input_error))
-    label = classify_autonomy(w, input_errors, include_gravity_error=isinstance(gravity, SphericalGravity))
-    return AutonomyResult(label, metric, t, xi_a, xi_b)
+    return AutonomyResult(classify_autonomy(model, conv, input_errors), metric, t, xi_a, xi_b)

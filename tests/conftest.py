@@ -1,6 +1,8 @@
 """Shared fixtures and random-state factories for the test suite."""
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -75,3 +77,13 @@ def random_nav_state(
     # i-frame: treat the random velocity as earth-relative, add transport.
     omega = np.array([0.0, 0.0, earth.omega_ie])
     return make_nav_state(frame, grouping, C, v + np.cross(omega, r_e), r_e, earth, world)
+
+
+def wander(state: NavState, rng: np.random.Generator) -> NavState:
+    """A mid-run state of the same anchored run (nonzero group position)."""
+    x = SE23(
+        state.x.R,
+        state.x.v + rng.normal(scale=5.0, size=3),
+        rng.normal(scale=200.0, size=3),
+    )
+    return replace(state, x=x)

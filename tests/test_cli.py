@@ -280,6 +280,22 @@ def test_autonomy_output(tmp_path, cfg_file):
     assert re.fullmatch(r"[0-9a-f]{64}", doc["config_sha256"])
 
 
+def test_autonomy_left_convention(tmp_path):
+    # Under uniform gravity both conventions grade proposed-e perfect, and
+    # the left one reads it at integration noise too.
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(_config(gravity={"model": "uniform", "gamma0": [0.0, 0.0, 9.8]})))
+    docs = {}
+    for conv in ("left", "right"):
+        out = tmp_path / conv
+        argv = ["autonomy", "--config", str(path), "--out", str(out), "--variant", "proposed-e", "--convention", conv]
+        assert main(argv) == 0
+        docs[conv] = json.loads((out / "autonomy.json").read_text())
+    assert docs["left"]["settings"]["convention"] == "left"
+    assert docs["left"]["class"] == docs["right"]["class"] == "perfect"
+    assert docs["left"]["divergence_metric"] < 1e-9
+
+
 def test_autonomy_requires_section(tmp_path):
     cfg = _config()
     del cfg["autonomy"]

@@ -5,10 +5,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from navkit import (
     SE23,
     AutonomyClass,
+    EarthParams,
     ErrorConvention,
     Frame,
     FrameMismatch,
@@ -29,12 +32,13 @@ from navkit import (
     gravitation_gradient,
     linearized_F_G,
     make_nav_state,
+    ned_world,
     skew,
     step,
     vector_to_error,
 )
 from navkit.mechanization import NavState
-from conftest import random_nav_state, random_rotation
+from conftest import random_nav_state, random_rotation, wander
 
 ALL_COMBOS = [
     (Frame.I, Grouping.TRADITIONAL),
@@ -47,15 +51,6 @@ ALL_COMBOS = [
 CONVS = [ErrorConvention.RIGHT, ErrorConvention.LEFT]
 
 
-def wander(state, rng):
-    x = SE23(
-        state.x.R,
-        state.x.v + rng.normal(scale=5.0, size=3),
-        rng.normal(scale=200.0, size=3),
-    )
-    return replace(state, x=x)
-
-
 def random_chart(rng, scale=1.0):
     phi = rng.normal(size=3)
     phi *= scale * 0.3 / np.linalg.norm(phi)
@@ -64,8 +59,6 @@ def random_chart(rng, scale=1.0):
 
 def test_error_definitions():
     rng = np.random.default_rng(50)
-    from navkit import EarthParams
-
     earth = EarthParams()
     t = make_nav_state(Frame.I, Grouping.TRADITIONAL, random_rotation(rng), rng.normal(size=3), rng.normal(size=3), earth)
     e = replace(t, x=SE23(random_rotation(rng), rng.normal(size=3), rng.normal(size=3)))
@@ -80,8 +73,6 @@ def test_error_definitions():
 
 def test_error_requires_matching_tags():
     rng = np.random.default_rng(51)
-    from navkit import EarthParams
-
     earth = EarthParams()
     a = make_nav_state(Frame.I, Grouping.TRADITIONAL, np.eye(3), np.zeros(3), np.zeros(3), earth)
     b = make_nav_state(Frame.E, Grouping.TRADITIONAL, np.eye(3), np.zeros(3), np.zeros(3), earth)
@@ -328,18 +319,64 @@ def test_right_F_trajectory_dependence_traditional(earth, world):
 
 def test_classify_autonomy(earth, world):
     rng = np.random.default_rng(61)
-    model = UniformGravity(np.array([0.0, 0.0, -9.81]))
-    imu = ImuSample(rng.normal(scale=0.1, size=3), rng.normal(scale=1.0, size=3), 0.01)
+    uniform = UniformGravity(np.array([0.0, 0.0, -9.81]))
 
-    def w_for(frame, grouping):
-        st = random_nav_state(rng, frame, grouping, earth, world)
-        _, w = derivative(st, imu, NavModel.of(st, earth, model, world))
-        return w
+    def grade(frame, grouping, conv=ErrorConvention.RIGHT, gravity=uniform, input_errors=False):
+        state = random_nav_state(rng, frame, grouping, earth, world)
+        return classify_autonomy(NavModel.of(state, earth, gravity, world), conv, input_errors)
 
-    assert classify_autonomy(w_for(Frame.I, Grouping.TRADITIONAL)) is AutonomyClass.PERFECT
-    assert classify_autonomy(w_for(Frame.E, Grouping.PROPOSED)) is AutonomyClass.PERFECT
-    assert classify_autonomy(w_for(Frame.W, Grouping.PROPOSED)) is AutonomyClass.PERFECT
-    assert classify_autonomy(w_for(Frame.E, Grouping.TRADITIONAL)) is AutonomyClass.WEAK
-    assert classify_autonomy(w_for(Frame.W, Grouping.TRADITIONAL)) is AutonomyClass.WEAK
-    assert classify_autonomy(w_for(Frame.I, Grouping.TRADITIONAL), include_input_errors=True) is AutonomyClass.APPROXIMATE
-    assert classify_autonomy(w_for(Frame.E, Grouping.PROPOSED), include_gravity_error=True) is AutonomyClass.APPROXIMATE
+    for conv in CONVS:
+        assert grade(Frame.I, Grouping.TRADITIONAL, conv) is AutonomyClass.PERFECT
+        assert grade(Frame.E, Grouping.PROPOSED, conv) is AutonomyClass.PERFECT
+        assert grade(Frame.W, Grouping.PROPOSED, conv) is AutonomyClass.PERFECT
+        assert grade(Frame.E, Grouping.TRADITIONAL, conv) is AutonomyClass.WEAK
+        assert grade(Frame.W, Grouping.TRADITIONAL, conv) is AutonomyClass.WEAK
+        assert grade(Frame.E, Grouping.PROPOSED, conv, SphericalGravity()) is AutonomyClass.APPROXIMATE
+        assert grade(Frame.E, Grouping.TRADITIONAL, conv, SphericalGravity(), True) is AutonomyClass.WEAK
+    # Input errors reach the right flow through the estimate's pose; the
+    # left flow depends on the inputs alone.
+    assert grade(Frame.I, Grouping.TRADITIONAL, input_errors=True) is AutonomyClass.APPROXIMATE
+    assert grade(Frame.I, Grouping.TRADITIONAL, ErrorConvention.LEFT, input_errors=True) is AutonomyClass.PERFECT
+
+
+_EARTH = EarthParams()
+_WORLD = ned_world(_EARTH.re * np.array([np.cos(np.pi / 4), 0.0, np.sin(np.pi / 4)]), _EARTH)
+_IDENTITY = SE23.packed(np.eye(3, 5))
+
+
+def _affine_defect(frame, grouping, gravity, seed):
+    """(max|D|, max|f|, model) of derivative's field f at fixed inputs, with
+    D = f(ab) - f(a) b - a f(b) + a f(I) b for two states a, b of one
+    anchored run (positions out to about 1 km) and I the identity; D is
+    zero exactly when the field is group-affine."""
+    rng = np.random.default_rng(seed)
+    base = random_nav_state(rng, frame, grouping, _EARTH, _WORLD)
+    a, b = wander(base, rng).x, wander(base, rng).x
+    model = NavModel.of(base, _EARTH, gravity, _WORLD)
+    imu = ImuSample(rng.normal(scale=0.2, size=3), rng.normal(scale=3.0, size=3), 0.01)
+
+    def f(x):
+        return derivative(replace(base, x=x), imu, model)[0]
+
+    A, B, fa, fb = a.as_matrix(), b.as_matrix(), f(a), f(b)
+    D = f(a.compose(b)) - fa @ B - A @ fb + A @ f(_IDENTITY) @ B
+    return np.abs(D).max(), max(np.abs(fa).max(), np.abs(fb).max()), model
+
+
+@pytest.mark.parametrize("frame,grouping", ALL_COMBOS, ids=lambda c: getattr(c, "value", c))
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_group_affine_exactly_where_not_weak(frame, grouping, seed):
+    # Under uniform gravity the field is group-affine (D at rounding,
+    # below 5e-15 |f|) exactly for the models not graded weak; the fold
+    # models' D is 1e-6 to 5e-3 |f|.
+    d, f_max, model = _affine_defect(frame, grouping, UniformGravity(np.array([0.0, 0.0, 9.8])), seed)
+    for conv in CONVS:
+        assert (d <= 1e-12 * f_max) == (classify_autonomy(model, conv) is not AutonomyClass.WEAK), (conv, d / f_max)
+    # A spherical field's gradient breaks it in every model (D from 3e-9 |f|
+    # in the i frame, whose |f| holds the earth-rate transport), and no
+    # model is graded perfect.
+    d, f_max, model = _affine_defect(frame, grouping, SphericalGravity(), seed)
+    assert d > 1e-10 * f_max, d / f_max
+    for conv in CONVS:
+        assert classify_autonomy(model, conv) is not AutonomyClass.PERFECT

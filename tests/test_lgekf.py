@@ -33,7 +33,7 @@ from navkit import (
     skew,
     step,
 )
-from conftest import random_nav_state, random_rotation
+from conftest import random_nav_state, random_rotation, wander
 
 ALL_COMBOS = [
     (Frame.I, Grouping.TRADITIONAL),
@@ -44,17 +44,6 @@ ALL_COMBOS = [
     (Frame.W, Grouping.PROPOSED),
 ]
 CONVS = [ErrorConvention.RIGHT, ErrorConvention.LEFT]
-
-
-def wander(state, rng):
-    from navkit import SE23
-
-    x = SE23(
-        state.x.R,
-        state.x.v + rng.normal(scale=5.0, size=3),
-        rng.normal(scale=200.0, size=3),
-    )
-    return replace(state, x=x)
 
 
 def test_noise_config_validation():

@@ -42,7 +42,6 @@ from navkit import (
     gen_odometer,
     gen_truth,
     gravitation,
-    gravity,
     inverse_imu,
     nav_from_physical,
     ned_world,
@@ -164,7 +163,7 @@ def test_rest_inputs_balance_gravity_and_earth_rate():
     omega_e = np.array([0.0, 0.0, EARTH.omega_ie])
     C_b_e = WORLD.C_e_w.T @ tr.C_b_w[0]
     w_expect = C_b_e.T @ omega_e
-    g_e = gravity(ORIGIN, GRAV, EARTH, omega=omega_e)
+    g_e = gravitation(ORIGIN, GRAV, EARTH) - np.cross(omega_e, np.cross(omega_e, ORIGIN))
     f_expect = -C_b_e.T @ g_e
     assert imu.omega_ib_b.shape == imu.f_ib_b.shape == (200, 3) and imu.dt.shape == (200,)
     assert np.linalg.norm(imu.omega_ib_b - w_expect, axis=1).max() < 1e-12
@@ -635,10 +634,13 @@ def test_autonomy_mismatched_grids_rejected():
                             a, b, XI0, UNIFORM)
 
 
-def _scalar_twin_logs(variant, conv, traj, xi0, settings):
-    """One trajectory's error logs from a per-flow loop of scalar steps."""
+def _scalar_twin_logs(variant, conv, traj, traj_a, xi0, settings):
+    """One trajectory's error logs from a per-flow loop of scalar steps:
+    the twins start on traj and are driven by its inputs in the right
+    convention and by trajectory a's in the left one."""
     world = ned_world(settings.origin_e, settings.earth)
     truth_w = gen_truth(traj, settings.earth, settings.gravity, world)
+    driver = truth_w if conv is ErrorConvention.RIGHT else gen_truth(traj_a, settings.earth, settings.gravity, world)
     trip = physical_from_nav(truth_w.state(0), settings.earth, world, 0.0)
     truth = nav_from_physical(variant.frame, variant.grouping, *trip, settings.earth, world, t=0.0)
     eta0_inv = se23_exp(TangentVector.from_vector(xi0)).inverse()
@@ -646,7 +648,7 @@ def _scalar_twin_logs(variant, conv, traj, xi0, settings):
     est = replace(truth, x=x)
     logs = [se23_log(error_from_states(truth, est, conv)).as_vector()]
     model = NavModel.of(truth, settings.earth, settings.gravity, world)
-    stack = inverse_imu(truth_w, settings.earth, settings.gravity, world)
+    stack = inverse_imu(driver, settings.earth, settings.gravity, world)
     for omega, f, dt in zip(stack.omega_ib_b, stack.f_ib_b, stack.dt.tolist()):
         imu = ImuSample(omega, f, dt)
         imu_est = ImuSample(omega + settings.gyro_input_error, f + settings.accel_input_error, dt)
@@ -679,8 +681,36 @@ def test_autonomy_stacked_flows_match_scalar_loop(variant, conv, integrator, inp
     traj_b = TrajectorySpec((Straight(1.0, 30.0), Turn(1.0, 0.2, 30.0)), 100.0)
     res = autonomy_experiment(variant, conv, traj_a, traj_b, XI0, settings)
     for traj, xi in ((traj_a, res.xi_a), (traj_b, res.xi_b)):
-        ref = _scalar_twin_logs(variant, conv, traj, XI0, settings)
+        ref = _scalar_twin_logs(variant, conv, traj, traj_a, XI0, settings)
         assert np.allclose(xi, ref, rtol=1e-12, atol=1e-13)
+
+
+@pytest.mark.parametrize("variant", CRITERION_5_VARIANTS, ids=lambda v: v.name)
+def test_autonomy_grade_agrees_across_conventions(variant):
+    # 5 s of rest against a 30 m/s straight under uniform gravity: both
+    # conventions grade alike, and a perfect grade reads at integration
+    # noise in both (left twins driven by different inputs read 7.5e-4).
+    rest, fast = TrajectorySpec((Rest(5.0),), 100.0), TrajectorySpec((Straight(5.0, 30.0),), 100.0)
+    right, left = (autonomy_experiment(variant, conv, rest, fast, XI0, UNIFORM) for conv in ErrorConvention)
+    assert left.classification is right.classification
+    for res in (right, left):
+        if res.classification.value == "perfect":
+            assert res.divergence_metric < 1e-9
+
+
+@pytest.mark.parametrize("variant", CRITERION_5_VARIANTS, ids=lambda v: v.name)
+def test_autonomy_left_input_errors_keep_the_grade(variant):
+    # Input errors make the right flow depend on the estimate's pose; the
+    # left flow depends on the inputs alone, which its twins share.
+    rest, fast = TrajectorySpec((Rest(5.0),), 100.0), TrajectorySpec((Straight(5.0, 30.0),), 100.0)
+    settings = replace(UNIFORM, gyro_input_error=np.array([1e-5, -2e-5, 3e-5]),
+                       accel_input_error=np.array([1e-3, 2e-3, -1e-3]))
+    right, left = (autonomy_experiment(variant, conv, rest, fast, XI0, settings) for conv in ErrorConvention)
+    weak = variant.grouping is Grouping.TRADITIONAL and variant.frame is not Frame.I
+    assert right.classification.value == ("weak" if weak else "approximate")
+    assert left.classification.value == ("weak" if weak else "perfect")
+    if not weak:
+        assert left.divergence_metric < 1e-9 < right.divergence_metric
 
 
 def test_autonomy_unequal_durations_share_the_common_epochs():
@@ -690,7 +720,7 @@ def test_autonomy_unequal_durations_share_the_common_epochs():
     res = autonomy_experiment(variant, ErrorConvention.RIGHT, traj_a, traj_b, XI0, UNIFORM)
     assert res.t.shape == (101,) and res.xi_a.shape == res.xi_b.shape == (101, 9)
     assert res.t[-1] == pytest.approx(1.0, abs=1e-12)
-    ref = _scalar_twin_logs(variant, ErrorConvention.RIGHT, traj_a, XI0, UNIFORM)
+    ref = _scalar_twin_logs(variant, ErrorConvention.RIGHT, traj_a, traj_a, XI0, UNIFORM)
     assert np.allclose(res.xi_a, ref[:101], rtol=1e-12, atol=1e-13)
 
 
