@@ -16,7 +16,7 @@ import json
 
 import numpy as np
 
-from .earth import EarthParams, SphericalGravity, UniformGravity
+from .earth import EarthParams, SphericalGravity, UniformGravity, ned_world
 from .error_models import ErrorConvention
 from .lgekf import NoiseConfig
 from .mechanization import Frame, Grouping
@@ -28,6 +28,8 @@ from .simulate import (
     Straight,
     TrajectorySpec,
     Turn,
+    _MIN_IMU_RATE,
+    _odo_decimation,
 )
 
 SCHEMA_VERSION = 1
@@ -97,6 +99,14 @@ def _expect_vec(value, path, n):
 # section validators; each returns the resolved (defaults-filled) form
 
 
+def _guard(path, check, *args):
+    """The runtime's own check(*args) decides; its ValueError fails path."""
+    try:
+        check(*args)
+    except ValueError as exc:
+        _fail(path, str(exc))
+
+
 def _resolve_origin(raw, path):
     obj = _expect_obj(raw, path)
     _check_keys(obj, path, {"latitude_deg", "longitude_deg", "ecef"})
@@ -104,8 +114,7 @@ def _resolve_origin(raw, path):
         if "latitude_deg" in obj or "longitude_deg" in obj:
             _fail(path, "give either ecef or latitude_deg, not both")
         vec = _expect_vec(obj["ecef"], f"{path}.ecef", 3)
-        if np.linalg.norm(vec) < 1e3:
-            _fail(f"{path}.ecef", "origin must be away from the earth center")
+        _guard(f"{path}.ecef", ned_world, np.array(vec))  # every run anchors its world frame there
         return {"ecef": vec}
     if "latitude_deg" not in obj:
         _fail(path, "needs latitude_deg (with optional longitude_deg) or ecef")
@@ -116,6 +125,7 @@ def _resolve_origin(raw, path):
     re = EarthParams().re
     phi, lam = np.radians(lat), np.radians(lon)
     ecef = re * np.array([np.cos(phi) * np.cos(lam), np.cos(phi) * np.sin(lam), np.sin(phi)])
+    _guard(f"{path}.latitude_deg", ned_world, ecef)
     return {"ecef": [float(x) for x in ecef]}
 
 
@@ -148,7 +158,7 @@ def _resolve_trajectory(raw, path):
     if not isinstance(segments, list) or not segments:
         _fail(f"{path}.segments", "expected a non-empty list of segments")
     return {
-        "imu_rate": _expect_num(obj.get("imu_rate", 100.0), f"{path}.imu_rate"),
+        "imu_rate": _expect_num(obj.get("imu_rate", 100.0), f"{path}.imu_rate", minimum=_MIN_IMU_RATE),
         "segments": [
             _resolve_segment(s, f"{path}.segments[{i}]") for i, s in enumerate(segments)
         ],
@@ -181,7 +191,7 @@ _SENSOR_DEFAULTS = {
 }
 
 
-def _resolve_sensors(raw, path):
+def _resolve_sensors(raw, path, imu_rate):
     obj = _expect_obj(raw, path)
     _check_keys(obj, path, set(_SENSOR_DEFAULTS))
     given = {**_SENSOR_DEFAULTS, **obj}
@@ -194,6 +204,8 @@ def _resolve_sensors(raw, path):
     else:
         out["odo_noise_var"] = _expect_num(var, f"{path}.odo_noise_var", minimum=0.0)
     out["odo_rate"] = _expect_num(given["odo_rate"], f"{path}.odo_rate", minimum=0.0)
+    if out["odo_rate"] > 0.0:  # 0 turns the odometer off
+        _guard(f"{path}.odo_rate", _odo_decimation, imu_rate, out["odo_rate"])
     for key in ("gyro_bias", "accel_bias"):
         out[key] = _expect_vec(given[key], f"{path}.{key}", 3)
     out["bias_known"] = _expect_bool(given["bias_known"], f"{path}.bias_known")
@@ -282,7 +294,7 @@ def resolve(raw):
     out["gravity"] = _resolve_gravity(obj.get("gravity", {"model": "spherical"}), "$.gravity")
     out["origin"] = _resolve_origin(obj["origin"], "$.origin")
     out["trajectory"] = _resolve_trajectory(obj["trajectory"], "$.trajectory")
-    out["sensors"] = _resolve_sensors(obj.get("sensors", {}), "$.sensors")
+    out["sensors"] = _resolve_sensors(obj.get("sensors", {}), "$.sensors", out["trajectory"]["imu_rate"])
     out["filter"] = _resolve_filter(obj.get("filter", {}), "$.filter")
     mc = _expect_obj(obj.get("monte_carlo", {}), "$.monte_carlo")
     _check_keys(mc, "$.monte_carlo", {"n_runs"})

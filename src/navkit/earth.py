@@ -3,10 +3,12 @@
 Conventions: the i-frame coincides with the e-frame at t=0 and shares its
 polar (z) axis, so the earth rate is (0, 0, omega_ie) in both; the w-frame
 is an earth-fixed tangent frame given by a WorldFrameDef (NED at a surface
-point by default). The Uniform gravity variant returns its gamma0 vector
-unchanged in whichever frame the caller mechanizes in — it is a constant
-test field, not a frame-consistent physical one; use Spherical for
-cross-frame physics.
+point by default).  _frame_map is the one place that knows how the three
+sit relative to e; frame_transform, earth_rate, mechanization's
+conversions and NavModel are built on it.  The Uniform gravity variant
+returns its gamma0 vector unchanged in whichever frame the caller
+mechanizes in — it is a constant test field, not a frame-consistent
+physical one; use Spherical for cross-frame physics.
 """
 from __future__ import annotations
 
@@ -90,14 +92,8 @@ def ned_world(origin_e: np.ndarray, params: EarthParams | None = None) -> WorldF
 
 def earth_rate(frame: str, params: EarthParams, world: WorldFrameDef | None = None) -> np.ndarray:
     """Earth rotation rate resolved in frame 'i', 'e', or 'w'."""
-    omega_e = np.array([0.0, 0.0, params.omega_ie])
-    if frame in ("i", "e"):
-        return omega_e
-    if frame == "w":
-        if world is None:
-            raise ValueError("w-frame earth rate needs a WorldFrameDef")
-        return world.C_e_w @ omega_e
-    raise ValueError(f"unknown frame {frame!r}")
+    C, _, _ = _frame_map(frame, params, world)  # i at t = 0: it shares e's polar axis
+    return transpose(C) @ np.array([0.0, 0.0, params.omega_ie])
 
 
 def _radius(r: np.ndarray) -> np.ndarray:
@@ -139,6 +135,23 @@ def gravitation_gradient(r: np.ndarray, model: GravityModel, params: EarthParams
     return (-params.mu / (rn * rn * rn))[..., None, None] * (_I3 - 3.0 * outer)
 
 
+def _frame_map(f: str, params: EarthParams, world: WorldFrameDef | None = None, t=0.0) -> tuple:
+    """(C, o, w) of frame f at time t: x_e = C x_f + o for point positions,
+    and w the e frame's rate relative to f in f axes (the earth rate in i,
+    zero in e and w).  An array t gives one i-frame C per time, (..., 3, 3)."""
+    if f == "e":
+        return _I3, np.zeros(3), np.zeros(3)
+    if f == "i":
+        phi = np.zeros(np.shape(t) + (3,))
+        phi[..., 2] = -params.omega_ie * t
+        return so3_exp(phi), np.zeros(3), np.array([0.0, 0.0, params.omega_ie])
+    if f == "w":
+        if world is None:
+            raise ValueError("the w frame needs a WorldFrameDef")
+        return world.C_e_w.T, world.r_ew_e, np.zeros(3)
+    raise ValueError(f"unknown frame {f!r}")
+
+
 def frame_transform(
     frm: str,
     to: str,
@@ -152,23 +165,7 @@ def frame_transform(
     array t gives one i-frame rotation per time, C (..., 3, 3), and an o
     that broadcasts against it.
     """
-    for f in (frm, to):
-        if f not in ("i", "e", "w"):
-            raise ValueError(f"unknown frame {f!r}")
-        if f == "w" and world is None:
-            raise ValueError("w-frame transform needs a WorldFrameDef")
-
-    def to_e(f: str) -> tuple[np.ndarray, np.ndarray]:
-        # x_e = C x_f + o
-        if f == "e":
-            return np.eye(3), np.zeros(3)
-        if f == "i":
-            phi = np.zeros(np.shape(t) + (3,))
-            phi[..., 2] = -params.omega_ie * t
-            return so3_exp(phi), np.zeros(3)
-        return world.C_e_w.T, world.r_ew_e
-
-    C_fe, o_fe = to_e(frm)
-    C_te, o_te = to_e(to)
+    C_fe, o_fe, _ = _frame_map(frm, params, world, t)
+    C_te, o_te, _ = _frame_map(to, params, world, t)
     # x_to = C_te^T (x_e - o_te), x_e = C_fe x_from + o_fe
     return transpose(C_te) @ C_fe, matvec(transpose(C_te), o_fe - o_te)

@@ -7,7 +7,8 @@ bias-corrected strapdown update and the discretized covariance
 propagation, with the interval's linearizations formed as one stack;
 fuse fuses a body-frame velocity (odometer with non-holonomic lateral and
 vertical pseudo-measurements) through the Joseph form and retracts the
-estimated error onto the group.
+estimated error onto the group.  No frame is named here: the frame
+geometry (earth.py's frame map) arrives through the FilterState's model.
 
 Every function here also runs a batch of filters in lock step: a
 FilterState whose arrays carry a leading run axis (the pose's packed K
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .error_models import ErrorConvention, apply_correction, linearized_F_G
-from .mechanization import Frame, ImuSample, NavModel, NavState, integrate
+from .mechanization import ImuSample, NavModel, NavState, integrate
 from .se23 import SE23, KernelDomainError, TangentVector, _domain_error, matvec, skew, transpose
 
 __all__ = [
@@ -183,6 +184,7 @@ def predict(fs: FilterState, imu: ImuSample, noise: NoiseConfig, method: str = "
 
 
 _I15 = np.eye(15)
+_NEG_I3 = -np.eye(3)
 
 
 def odo_H(conv: ErrorConvention, est: NavState, model: NavModel) -> tuple[np.ndarray, np.ndarray]:
@@ -202,7 +204,7 @@ def odo_H(conv: ErrorConvention, est: NavState, model: NavModel) -> tuple[np.nda
 
     if conv is ErrorConvention.LEFT:
         H[..., 0:3] = skew(vb)
-        H[..., 3:6] = -np.eye(3)
+        H[..., 3:6] = _NEG_I3
         if not fold:
             # The models without the Coriolis fold (i-frame and both
             # proposed) carry the earth rate on the position block.
@@ -210,13 +212,12 @@ def odo_H(conv: ErrorConvention, est: NavState, model: NavModel) -> tuple[np.nda
         return H, vb
 
     H[..., 3:6] = -Ct
-    if est.frame is Frame.I:
-        r_ib = est.r0 + p
-        H[..., 0:3] = Ct @ (skew(matvec(Om, r_ib)) - Om @ skew(p))
-        H[..., 6:9] = Ct @ Om
-    elif not fold:
-        H[..., 0:3] = -Ct @ skew(p) @ Om
-        H[..., 6:9] = Ct @ Om
+    if not fold:
+        # C^T Om_e and the attitude term of e's rate relative to the frame
+        # (zero but in i) through the base point, in one product.
+        CtB = Ct @ model.odo_Om
+        H[..., 0:3] = -Ct @ skew(p) @ Om + CtB[..., 3:6]
+        H[..., 6:9] = CtB[..., 0:3]
     # the fold models (traditional e/w): attitude and position blocks stay zero.
     return H, vb
 

@@ -16,7 +16,9 @@ velocity equation, gravity column and gradient, and whether it keeps the
 Coriolis fold.  The frame rate is the earth rate in e and w and zero in i,
 so the i frame is the rotating frames' model at zero rate, where the
 Coriolis and frame-rotation terms vanish: every kernel runs one path for
-all six models.  It is built once per batch of states sharing the
+all six models.  The frame geometry (the frame rate and origin, and the
+conversions physical_from_nav and nav_from_physical) comes from earth.py's
+frame map.  A model is built once per batch of states sharing the
 anchors (NavModel.of) and every kernel reads it: step, derivative,
 error_models.linearized_F_G and exact_error_derivative,
 lgekf.predict/odo_H/fuse (through the FilterState) and
@@ -53,14 +55,7 @@ from enum import Enum
 
 import numpy as np
 
-from .earth import (
-    EarthParams,
-    WorldFrameDef,
-    earth_rate,
-    frame_transform,
-    gravitation,
-    gravitation_gradient,
-)
+from .earth import EarthParams, WorldFrameDef, _frame_map, earth_rate, gravitation, gravitation_gradient
 from .se23 import SE23, KernelDomainError, matvec, skew, so3_exp, transpose
 
 __all__ = [
@@ -142,20 +137,21 @@ class NavModel:
     Build it once per batch of states sharing those anchors (NavModel.of)
     and hand it to every kernel that steps or linearizes them.  earth_omega
     is the earth rate resolved in the frame, and omega the frame's own
-    rotation rate (earth_omega in e/w, zero in i, which does not rotate),
-    with Om and OmOm its skew matrix and that matrix squared; offset is the
-    frame origin seen from the earth center and r_base = offset + r0 the
-    earth-centered point the position column is measured from; fold marks
-    the models whose velocity column keeps the Coriolis fold W3 X W4; dv0
-    is the state's velocity anchor and Om_dv0 = omega x dv0, the constant
-    part of the gravity column without the fold.  accel is the velocity
-    equation; column, its value at zero specific force and velocity, is
-    W2's gravity column.
+    rotation rate, earth_omega less the frame map's rate w of e relative to
+    the frame (so zero in i), with Om and OmOm its skew matrix and that
+    matrix squared; offset is the frame origin seen from the earth center
+    and r_base = offset + r0 the earth-centered point the position column
+    is measured from; fold marks the models whose velocity column keeps
+    the Coriolis fold W3 X W4; dv0 is the state's velocity anchor and
+    Om_dv0 = omega x dv0, the constant part of the gravity column without
+    the fold.  accel is the velocity equation; column, its value at zero
+    specific force and velocity, is W2's gravity column.  v_Om and odo_Om
+    are body_velocity's and odo_H's constants.
     """
 
     __slots__ = (
         "frame", "grouping", "fold", "dv0", "earth", "gravity_model", "earth_omega", "earth_Om",
-        "omega", "Om", "OmOm", "Om_dv0", "offset", "r_base", "_terms_by_dt",
+        "omega", "Om", "OmOm", "Om_dv0", "offset", "r_base", "v_Om", "odo_Om", "_terms_by_dt",
     )
 
     def __init__(self, frame, grouping, r0, earth, gravity_model=None, world=None, dv0=None):
@@ -168,13 +164,16 @@ class NavModel:
         self.gravity_model = gravity_model
         self.earth_omega = earth_rate(frame.value, earth, world)
         self.earth_Om = skew(self.earth_omega)
-        # The e and w frames turn with the earth; the i frame does not turn.
-        self.omega = np.zeros(3) if frame is Frame.I else self.earth_omega
+        C, o, rel_omega = _frame_map(frame.value, earth, world)
+        self.omega = self.earth_omega - rel_omega
         self.Om = skew(self.omega)
         self.OmOm = self.Om @ self.Om
         self.Om_dv0 = None if dv0 is None else self.cross(dv0)
-        self.offset = world.C_e_w @ world.r_ew_e if frame is Frame.W else 0.0
+        self.offset = transpose(C) @ o
         self.r_base = self.offset + r0
+        # e's rate relative to the velocity column's frame (inertial when proposed)
+        self.v_Om = skew(rel_omega) if grouping is Grouping.TRADITIONAL else self.earth_Om
+        self.odo_Om = np.concatenate((self.earth_Om, skew(np.cross(rel_omega, self.r_base))), axis=-1)
         self._terms_by_dt = {}  # midpoint_terms
 
     @classmethod
@@ -276,10 +275,9 @@ class NavModel:
         return x.v + self.dv0 - self.cross(self.r_base + x.p)
 
     def body_velocity(self, x: SE23) -> np.ndarray:
-        """Earth-relative velocity of a state x of this model, body axes."""
-        v = self.frame_velocity(x)
-        if self.frame is Frame.I:
-            v = v - matvec(self.earth_Om, self.r_base + x.p)
+        """Earth-relative velocity of a state x of this model, body axes:
+        the velocity column plus dv0, less v_Om (r_base + p)."""
+        v = x.v + self.dv0 - matvec(self.v_Om, self.r_base + x.p)
         return matvec(transpose(x.R), v)
 
 
@@ -505,22 +503,13 @@ def physical_from_nav(
     world: WorldFrameDef | None = None,
     t: float | np.ndarray = 0.0,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Canonical physical triplet (C_b_e, v_eb_e, r_eb_e) at time t; a
+    """Canonical physical triplet (C_b_e, v_eb_e, r_eb_e) at time t, from the
+    frame map's (C, o, w): v_eb_e = C (v_f - w x r_f), r_eb_e = C r_f + o.  A
     stacked state takes one t for all its elements or an array of one each."""
-    C_f = state.x.R
+    C, o, w = _frame_map(state.frame.value, earth, world, t)
     r_f = state.r0 + state.x.p
     v_f = frame_velocity(state, earth, world)
-    if state.frame is Frame.E:
-        return C_f.copy(), v_f, r_f
-    if state.frame is Frame.W:
-        if world is None:
-            raise ValueError("w-frame state needs a WorldFrameDef")
-        C_w_e = world.C_e_w.T
-        return C_w_e @ C_f, matvec(C_w_e, v_f), world.r_ew_e + matvec(C_w_e, r_f)
-    C_i_e, _ = frame_transform("i", "e", earth, world, t)
-    omega_i = earth_rate("i", earth)
-    v_eb_i = v_f - np.cross(omega_i, r_f)
-    return C_i_e @ C_f, matvec(C_i_e, v_eb_i), matvec(C_i_e, r_f)
+    return C @ state.x.R, matvec(C, v_f - np.cross(w, r_f)), matvec(C, r_f) + o
 
 
 def nav_from_physical(
@@ -535,7 +524,8 @@ def nav_from_physical(
     r0: np.ndarray | None = None,
     dv0: np.ndarray | None = None,
 ) -> NavState:
-    """Build a NavState in any frame from the canonical e-frame triplet.
+    """Build a NavState in any frame from the canonical e-frame triplet by
+    physical_from_nav's inverse, r_f = C^T (r_eb_e - o), v_f = C^T v_eb_e + w x r_f.
 
     With r0/dv0 omitted the state is anchored at its current position
     (fresh t=0 anchors); pass stored anchors to express a later epoch of
@@ -545,20 +535,12 @@ def nav_from_physical(
     if r0 is None and dv0 is not None:
         raise ValueError("dv0 needs r0: a state anchored at its current position sets its own dv0")
     C_b_e, v_eb_e, r_eb_e = (np.asarray(a, dtype=float) for a in (C_b_e, v_eb_e, r_eb_e))
-    if frame is Frame.E:
-        C_f, v_f, r_f = C_b_e, v_eb_e, r_eb_e
-    elif frame is Frame.W:
-        if world is None:
-            raise ValueError("w-frame state needs a WorldFrameDef")
-        C_f = world.C_e_w @ C_b_e
-        v_f = matvec(world.C_e_w, v_eb_e)
-        r_f = matvec(world.C_e_w, r_eb_e - world.r_ew_e)
-    else:
-        C_e_i, _ = frame_transform("e", "i", earth, world, t)
-        omega_i = earth_rate("i", earth)
-        r_f = matvec(C_e_i, r_eb_e)
-        C_f = C_e_i @ C_b_e
-        v_f = matvec(C_e_i, v_eb_e) + np.cross(omega_i, r_f)
+    C, o, w = _frame_map(frame.value, earth, world, t)
+    Ct = np.ascontiguousarray(transpose(C))
+    # Subtracting the origin first keeps w-frame positions exact.
+    r_f = matvec(Ct, r_eb_e - o)
+    C_f = Ct @ C_b_e
+    v_f = matvec(Ct, v_eb_e) + np.cross(w, r_f)
     if r0 is None:
         return make_nav_state(frame, grouping, C_f, v_f, r_f, earth, world)
     r0 = np.asarray(r0, dtype=float)

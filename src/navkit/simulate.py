@@ -106,6 +106,7 @@ __all__ = [
 
 _MAX_TOTAL_DURATION = 3600.0
 _GRID_TOL = 1e-9
+_MIN_IMU_RATE = 10.0  # Hz
 _SCORE_RATE = 10.0  # Hz; the filter loop scores at this rate with the odometer off
 _SCORE_BLOCK = 64  # epochs the filter loop scores per stacked pass (0.9 MB of covariances at 8 runs)
 
@@ -202,8 +203,8 @@ def _validate_spec(spec: TrajectorySpec) -> None:
         raise SpecInvalid(f"total duration {total:.1f} s exceeds {_MAX_TOTAL_DURATION:.0f} s")
     if total < 1.0 / _SCORE_RATE - _GRID_TOL:
         raise SpecInvalid(f"total duration {total:g} s is shorter than one {1.0 / _SCORE_RATE:g} s scoring period")
-    if spec.imu_rate < 10.0:
-        raise SpecInvalid(f"imu_rate must be at least 10 Hz, got {spec.imu_rate}")
+    if spec.imu_rate < _MIN_IMU_RATE:
+        raise SpecInvalid(f"imu_rate must be at least {_MIN_IMU_RATE:g} Hz, got {spec.imu_rate}")
 
 
 def _smoothstep(x: np.ndarray) -> np.ndarray:
@@ -538,14 +539,20 @@ def corrupt(imu: ImuSample, errors: SensorErrors) -> tuple[ImuSample, np.ndarray
     return measured, bias_g, bias_a
 
 
+def _odo_decimation(imu_rate: float, odo_rate: float) -> int:
+    """IMU samples per odometer sample; a ValueError unless odo_rate divides imu_rate."""
+    decim = imu_rate / odo_rate
+    decim_i = int(round(decim))
+    if decim_i < 1 or abs(decim - decim_i) > 1e-9:
+        raise ValueError(f"odo_rate {odo_rate} must divide imu_rate {imu_rate}")
+    return decim_i
+
+
 def _odo_indices(truth: TruthSeries, odo_rate: float) -> np.ndarray:
     """Grid indices carrying an odometer sample (regular epochs only)."""
     if odo_rate <= 0.0:
         return np.array([], dtype=int)
-    decim = truth.imu_rate / odo_rate
-    decim_i = int(round(decim))
-    if decim_i < 1 or abs(decim - decim_i) > 1e-9:
-        raise ValueError(f"odo_rate {odo_rate} must divide imu_rate {truth.imu_rate}")
+    decim_i = _odo_decimation(truth.imu_rate, odo_rate)
     dt = 1.0 / truth.imu_rate
     idx = np.arange(decim_i, len(truth.t), decim_i)
     aligned = np.abs(truth.t[idx] - idx * dt) < _GRID_TOL

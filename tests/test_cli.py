@@ -373,6 +373,23 @@ def test_schema_error_exits_2(tmp_path, capsys):
     assert "$.frame" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "tweak",
+    [
+        {"origin": {"latitude_deg": 90.0}},
+        {"origin": {"ecef": [5e4, 0.0, 0.0]}},
+        {"sensors": {"odo_rate": 7.0}},
+    ],
+)
+def test_unusable_origin_or_odo_rate_exits_2(tmp_path, capsys, tweak):
+    # Values of the right type that the run cannot use are config errors, not tracebacks.
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(_config(**tweak)))
+    for command in ("run", "simulate"):
+        assert main([command, "--config", str(path), "--out", str(tmp_path / command)]) == 2
+        assert re.search(r"^config: \$\.(origin|sensors)\.", capsys.readouterr().err, re.M)
+
+
 def test_non_string_choice_exits_2(tmp_path, capsys):
     # A list where a name belongs is a schema error, not a TypeError traceback.
     path = tmp_path / "bad.json"

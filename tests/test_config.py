@@ -81,6 +81,14 @@ def test_minimal_config_resolves_with_defaults():
         (lambda c: c.update(gravity={"model": "uniform"}), "$.gravity"),
         (lambda c: c.update(origin={"latitude_deg": 95.0}), "$.origin.latitude_deg"),
         (lambda c: c.update(origin={"ecef": [1.0, 0.0, 0.0]}), "$.origin.ecef"),
+        # Origins that pass a plain range check but cannot anchor the NED world frame.
+        (lambda c: c.update(origin={"latitude_deg": 90.0}), "$.origin.latitude_deg"),
+        (lambda c: c.update(origin={"ecef": [0.0, 0.0, 6.4e6]}), "$.origin.ecef"),
+        (lambda c: c.update(origin={"ecef": [5e4, 0.0, 0.0]}), "$.origin.ecef"),
+        # An odometer rate that does not divide the IMU rate, or exceeds it.
+        (lambda c: c.update(sensors={"odo_rate": 7.0}), "$.sensors.odo_rate"),
+        (lambda c: c.update(sensors={"odo_rate": 200.0}), "$.sensors.odo_rate"),
+        (lambda c: c["trajectory"].update(imu_rate=5.0), "$.trajectory.imu_rate"),
         (lambda c: c.update(origin={"ecef": [6.4e6, 0, 0], "latitude_deg": 45.0}), "$.origin"),
         (lambda c: c.update(origin={}), "$.origin"),
         (lambda c: c.update(trajectory={"segments": []}), "$.trajectory.segments"),
@@ -100,6 +108,13 @@ def test_schema_violations_name_the_json_path(mutate, path_hint):
     with pytest.raises(ConfigError) as err:
         resolve(cfg)
     assert path_hint in str(err.value)
+
+
+def test_odometer_off_and_dividing_rates_resolve():
+    for rate in (0.0, 1.0, 25.0, 100.0):
+        cfg = _base()
+        cfg["sensors"] = {"odo_rate": rate}
+        assert resolve(cfg)["sensors"]["odo_rate"] == rate
 
 
 def test_latitude_and_equal_ecef_hash_identically():

@@ -18,6 +18,8 @@ from navkit import (
     ned_world,
     so3_exp,
 )
+from navkit.earth import _frame_map
+from navkit.se23 import skew
 
 
 def test_earth_rate_values(earth, world):
@@ -160,6 +162,22 @@ def test_frame_transform_composition(earth, world):
     direct = C_iw @ r_i + o_iw
     via_e = C_ew @ (C_ie @ r_i + o_ie) + o_ew
     assert np.allclose(direct, via_e, atol=1e-10 * max(1.0, np.abs(via_e).max()))
+
+
+def test_frame_map_rate(earth, world):
+    # w is the e frame's rate relative to the frame: in i, C^T dC/dt = -[w x]
+    # for x_e = C x_i + o; e and w turn with the earth, so w is zero there.
+    t, h = 1234.5, 1.0
+    C, o, w = _frame_map("i", earth, world, t=t)
+    dC = (_frame_map("i", earth, world, t=t + h)[0] - _frame_map("i", earth, world, t=t - h)[0]) / (2 * h)
+    assert np.abs(C.T @ dC + skew(w)).max() <= 1e-6 * earth.omega_ie  # O(h^2 omega^3) truncation
+    assert np.array_equal(w, [0.0, 0.0, earth.omega_ie]) and np.array_equal(o, np.zeros(3))
+    for f in ("e", "w"):
+        C, o, w = _frame_map(f, earth, world, t=t)
+        assert np.array_equal(w, np.zeros(3))
+        # the map agrees with frame_transform's public (C, o)
+        C_fe, o_fe = frame_transform(f, "e", earth, world)
+        assert np.allclose(C, C_fe, atol=1e-15) and np.allclose(o, o_fe, atol=1e-6)
 
 
 def test_default_params_frozen():
