@@ -74,7 +74,8 @@ class WorldFrameDef:
 
 
 def ned_world(origin_e: np.ndarray, params: EarthParams | None = None) -> WorldFrameDef:
-    """North-east-down w-frame anchored at an e-frame surface point."""
+    """North-east-down w-frame anchored at an e-frame surface point.  North
+    is undefined at the poles (ValueError): give WorldFrameDef a C_e_w there."""
     origin_e = np.asarray(origin_e, dtype=float)
     rn = np.linalg.norm(origin_e)
     if rn < _MIN_RADIUS:
@@ -83,7 +84,7 @@ def ned_world(origin_e: np.ndarray, params: EarthParams | None = None) -> WorldF
     east = np.cross([0.0, 0.0, 1.0], origin_e)
     en = np.linalg.norm(east)
     if en < 1e-6 * rn:
-        raise ValueError("NED frame is degenerate at the poles; give C_e_w explicitly")
+        raise ValueError("NED frame is degenerate at the poles")
     east /= en
     north = np.cross(east, down)
     C_e_w = np.vstack([north, east, down])

@@ -11,7 +11,8 @@ All deltas are estimate-minus-truth, including the bias errors
 (db = b_hat - b_true) in the 15-state (phi, rho_v, rho_r, db_g, db_a)
 filter chart. The linearized (F, G) pairs fold the gravity perturbation
 through the gravitation gradient and are certified against the numerical
-Jacobian of the exact nonlinear error flow.
+Jacobian of the exact nonlinear error flow. G is minus F's bias columns:
+Ad_X~[:, 0:6] (SE23.adjoint) in the right convention, constant in the left.
 
 error_from_states, error_to_vector, vector_to_error, apply_correction and
 linearized_F_G also take states and vectors with leading batch axes (one
@@ -154,7 +155,9 @@ def linearized_F_G(
     imu is the current bias-corrected sample (the left-convention blocks
     need it; the right-convention ones do not). Biases are random walks
     (zero F rows); the gravity perturbation enters through the gravitation
-    gradient at the estimated position, under the state's model.
+    gradient at the estimated position, under the state's model.  G is
+    -F[..., 9:15]: noise enters the inputs as the bias errors do, with the
+    opposite sign (db = b_hat - b_true).
     """
     model.check(est)
     C, v, p = est.x.R, est.x.v, est.x.p
@@ -163,14 +166,11 @@ def linearized_F_G(
     Gg = model.gradient(r_center)
     Om = model.Om
 
-    batch = C.shape[:-2]
-    F = np.zeros(batch + (15, 15))
-    G = np.zeros(batch + (15, 6))
+    F = np.zeros(C.shape[:-2] + (15, 15))
     I3 = _I3
 
     if conv is ErrorConvention.RIGHT:
         S_p = skew(p)
-        S_v = skew(v)
         F[..., 3:6, 0:3] = skew(u) - Gg @ S_p
         F[..., 3:6, 6:9] = Gg
         F[..., 6:9, 3:6] = I3
@@ -178,18 +178,11 @@ def linearized_F_G(
         F[..., 3:6, 3:6] = -Om
         F[..., 6:9, 6:9] = -Om
         if model.fold:
-            F[..., 3:6, 0:3] += S_v @ Om
+            F[..., 3:6, 0:3] += skew(v) @ Om
             F[..., 3:6, 3:6] += -Om
             F[..., 6:9, 0:3] = -S_p @ Om
             F[..., 6:9, 6:9] += Om
-        F[..., 0:3, 9:12] = C
-        F[..., 3:6, 9:12] = S_v @ C
-        F[..., 3:6, 12:15] = C
-        F[..., 6:9, 9:12] = S_p @ C
-        G[..., 0:3, 0:3] = -C
-        G[..., 3:6, 0:3] = -S_v @ C
-        G[..., 3:6, 3:6] = -C
-        G[..., 6:9, 0:3] = -S_p @ C
+        F[..., 0:9, 9:15] = est.x.adjoint()[..., 0:6]
     else:
         Wb = skew(np.asarray(imu.omega_ib_b, dtype=float))
         F[..., 0:3, 0:3] = -Wb
@@ -204,9 +197,7 @@ def linearized_F_G(
             F[..., 6:9, 6:9] += Om_b
         F[..., 0:3, 9:12] = -I3
         F[..., 3:6, 12:15] = I3
-        G[..., 0:3, 0:3] = I3
-        G[..., 3:6, 3:6] = -I3
-    return F, G
+    return F, -F[..., 9:15]
 
 
 def classify_autonomy(model: NavModel, conv: ErrorConvention, input_errors: bool = False) -> AutonomyClass:

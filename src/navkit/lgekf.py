@@ -4,7 +4,9 @@ The 15-dim error state is (phi, rho_v, rho_r, db_g, db_a) in either the
 right (eta = X X~^-1) or left (eta = X~^-1 X) convention. predict
 propagates over one measurement interval of IMU samples: the
 bias-corrected strapdown update and the discretized covariance
-propagation, with the interval's linearizations formed as one stack;
+propagation, with the interval's linearizations (G is minus F's bias
+columns, both Ad_X~[:, 0:6] in the right convention) formed as one stack
+and the transition from F's nine navigation rows (its bias rows are zero);
 fuse fuses a body-frame velocity (odometer with non-holonomic lateral and
 vertical pseudo-measurements) through the Joseph form and retracts the
 estimated error onto the group.  No frame is named here: the frame
@@ -172,12 +174,14 @@ def predict(fs: FilterState, imu: ImuSample, noise: NoiseConfig, method: str = "
     dts = np.asarray(imu.dt, dtype=float)
     dt = dts.reshape(dts.shape + (1,) * (F.ndim - 1))
     Fdt = F * dt
-    Phi = _I15 + Fdt + 0.5 * (Fdt @ Fdt)
+    Phi = _I15 + Fdt
+    Phi[..., :9, :] += 0.5 * (Fdt[..., :9, :9] @ Fdt[..., :9, :])  # F's bias rows are zero
+    Phi_T = np.ascontiguousarray(transpose(Phi))
     half_M = (0.5 * dt) * ((G * np.diagonal(noise.input_psd())) @ transpose(G))
     noise_d = half_M + noise.bias_walk_psd() * dt  # dt/2 M plus the bias walks, for every sample at once
     P, t = fs.P, fs.t
     for l, dt_l in enumerate(dts.tolist()):
-        P = Phi[l] @ (P + half_M[l]) @ transpose(Phi[l]) + noise_d[l]
+        P = Phi[l] @ (P + half_M[l]) @ Phi_T[l] + noise_d[l]
         P = 0.5 * (P + transpose(P))
         t = t + dt_l
     return FilterState(replace(fs.nav, x=SE23.packed(blocks[-1])), fs.bias, P, fs.conv, fs.model, t)

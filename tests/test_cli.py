@@ -387,7 +387,9 @@ def test_unusable_origin_or_odo_rate_exits_2(tmp_path, capsys, tweak):
     path.write_text(json.dumps(_config(**tweak)))
     for command in ("run", "simulate"):
         assert main([command, "--config", str(path), "--out", str(tmp_path / command)]) == 2
-        assert re.search(r"^config: \$\.(origin|sensors)\.", capsys.readouterr().err, re.M)
+        err = capsys.readouterr().err
+        assert re.search(r"^config: \$\.(origin|sensors)\.", err, re.M)
+        assert "C_e_w" not in err  # a config file has no rotation to give
 
 
 def test_non_string_choice_exits_2(tmp_path, capsys):

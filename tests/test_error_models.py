@@ -199,6 +199,58 @@ def test_linearized_F_matches_numerical_jacobian(frame, grouping, conv, earth, w
     assert np.allclose(F[9:15, :], 0.0)
 
 
+def numerical_G(est, imu_hat, model, conv, delta=1e-2):
+    """Column-by-column Jacobian of the error-chart rate at zero error with
+    respect to white noise on the estimate's inputs (n_g, n_a).  The steps
+    are 100x numerical_F's: the central difference cancels the even orders,
+    and smaller steps leave the chart's roundoff at 1e-5 in the i frame."""
+    cols = []
+    for j in range(6):
+        step_j = delta * _DIR_SCALE[9 + j]
+        rates = []
+        for sign in (+1.0, -1.0):
+            n = np.zeros(6)
+            n[j] = sign * step_j
+            imu_est = ImuSample(imu_hat.omega_ib_b + n[0:3], imu_hat.f_ib_b + n[3:6], imu_hat.dt)
+            rates.append(_chart_rate_fd(est, est, imu_hat, imu_est, model, conv))
+        cols.append((rates[0] - rates[1]) / (2.0 * step_j))
+    return np.column_stack(cols)
+
+
+@pytest.mark.parametrize("conv", CONVS, ids=lambda c: c.value)
+@pytest.mark.parametrize("frame,grouping", ALL_COMBOS, ids=lambda c: getattr(c, "value", c))
+def test_linearized_G_matches_numerical_jacobian(frame, grouping, conv, earth, world):
+    rng = np.random.default_rng(61)
+    est = wander(random_nav_state(rng, frame, grouping, earth, world), rng)
+    imu = ImuSample(rng.normal(scale=0.2, size=3), rng.normal(scale=3.0, size=3), 0.01)
+    model = NavModel.of(est, earth, SphericalGravity(), world)
+    _, G = linearized_F_G(conv, est, imu, model)
+    Gn = numerical_G(est, imu, model, conv)
+    for j in range(6):
+        tol = 1e-5 * max(1.0, np.linalg.norm(G[0:9, j]))
+        assert np.linalg.norm(Gn[:, j] - G[0:9, j]) < tol, f"column {j}"
+    assert np.array_equal(G[9:15, :], np.zeros((6, 6)))  # noise drives no bias
+
+
+@pytest.mark.parametrize("frame,grouping", ALL_COMBOS, ids=lambda c: getattr(c, "value", c))
+def test_G_is_minus_the_bias_columns_and_right_ones_are_the_adjoint(frame, grouping, earth, world):
+    # One definition of the input structure on a (10, 8) stack: G = -F[:, 9:15]
+    # in both conventions, and the right convention's bias columns are
+    # Ad_X[:, 0:6] (Hartley et al., IJRR 2020), bit for bit.
+    rng = np.random.default_rng(62)
+    base = random_nav_state(rng, frame, grouping, earth, world)
+    K = np.stack([wander(base, rng).x.K for _ in range(80)]).reshape(10, 8, 3, 5)
+    est = replace(base, x=SE23.packed(K))
+    imu = ImuSample(rng.normal(scale=0.2, size=(10, 8, 3)), rng.normal(scale=3.0, size=(10, 8, 3)), 0.01)
+    model = NavModel.of(base, earth, SphericalGravity(), world)
+    for conv in CONVS:
+        F, G = linearized_F_G(conv, est, imu, model)
+        assert G.shape == (10, 8, 15, 6) and G.dtype == np.float64
+        assert np.array_equal(G, -F[..., 9:15])
+    F, _ = linearized_F_G(ErrorConvention.RIGHT, est, imu, model)
+    assert np.array_equal(F[..., 0:9, 9:15], est.x.adjoint()[..., 0:6])
+
+
 def test_linearized_F_variant_guard(earth, world):
     rng = np.random.default_rng(56)
     est = random_nav_state(rng, Frame.E, Grouping.PROPOSED, earth, world)

@@ -173,6 +173,42 @@ def test_interval_predict_matches_chained_one_sample_predicts(frame, grouping, m
     assert out.t == ref.t
 
 
+@pytest.mark.parametrize("n", [1, 8])
+@pytest.mark.parametrize("conv", CONVS, ids=lambda c: c.value)
+@pytest.mark.parametrize("method", ["midpoint", "rk4"])
+def test_predict_matches_the_dense_formulas(method, conv, n, earth, world):
+    # predict forms Phi from F's nine navigation rows and Phi^T once per
+    # interval; P must be bit for bit that of the dense 15x15 Phi and the
+    # dense dt/2 G Q G^T along the same pre-sample estimates.
+    from navkit import SE23, integrate
+
+    rng = np.random.default_rng(82)
+    base = random_nav_state(rng, Frame.W, Grouping.PROPOSED, earth, world)
+    model = NavModel.of(base, earth, SphericalGravity(), world)
+    A = rng.normal(size=(n, 15, 15))
+    fs = FilterState(replace(base, x=SE23.packed(np.stack([wander(base, rng).x.K for _ in range(n)]))),
+                     rng.normal(scale=1e-4, size=(n, 6)), A @ np.swapaxes(A, -1, -2) * 1e-4, conv, model, 0.0)
+    L = 10
+    dt = np.full(L, 0.01)
+    om, f = rng.normal(scale=0.2, size=(L, n, 3)), rng.normal(scale=3.0, size=(L, n, 3))
+    noise = NoiseConfig()
+    out = predict(fs, ImuSample(om, f, dt), noise, method=method)
+
+    corrected = ImuSample(om - fs.bias[:, 0:3], f - fs.bias[:, 3:6], dt)
+    blocks = integrate(fs.nav, corrected, model, method=method)
+    F, G = linearized_F_G(conv, replace(fs.nav, x=SE23.packed(blocks[:-1])), corrected, model)
+    assert F.shape == (L, n, 15, 15) and G.shape == (L, n, 15, 6)
+    P = fs.P
+    for l in range(L):
+        Fdt = F[l] * dt[l]
+        Phi = np.eye(15) + Fdt + 0.5 * (Fdt @ Fdt)
+        half_M = 0.5 * dt[l] * (G[l] @ noise.input_psd() @ np.swapaxes(G[l], -1, -2))
+        P = Phi @ (P + half_M) @ np.swapaxes(Phi, -1, -2) + (half_M + noise.bias_walk_psd() * dt[l])
+        P = 0.5 * (P + np.swapaxes(P, -1, -2))
+    assert np.array_equal(out.nav.x.K, blocks[-1])
+    assert np.array_equal(out.P, P)
+
+
 def test_predict_attitude_random_walk():
     fs = _static_filter()
     psd = 4e-8
