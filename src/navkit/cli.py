@@ -49,12 +49,7 @@ from .earth import ned_world
 
 _NEES_DIVERGENCE = 1e6
 
-_NUMERICAL_FAILURES = (
-    KernelDomainError,
-    NewtonNotConverged,
-    np.linalg.LinAlgError,
-    FloatingPointError,
-)
+_NUMERICAL_FAILURES = (KernelDomainError, NewtonNotConverged)
 
 
 # Row formats: t to the nanosecond, every other value round-trips exactly.
@@ -267,7 +262,7 @@ def _build_parser():
                 "--variant", default=None, help="override model, e.g. proposed-w, traditional-e"
             )
             p.add_argument(
-                "--convention", default=None, choices=("left", "right"),
+                "--convention", default=None, choices=sorted(m.value for m in ErrorConvention),
                 help="override error convention",
             )
 

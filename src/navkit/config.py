@@ -6,6 +6,12 @@ rejected, every value is type-checked, and defaults are filled in, yielding
 a fully resolved plain dict.  The resolved dict (after any command-line
 overrides) is what gets hashed into output files, so two runs with the
 same hash saw exactly the same settings.
+
+The schema is read off the runtime types it builds: the defaults are those
+of RunConfig, NoiseConfig (odo_noise_var is its odometer covariance's
+diagonal), TrajectorySpec and AutonomySettings; the frame, grouping and
+convention choices are the values of Frame, Grouping and ErrorConvention;
+and a segment type's keys are its dataclass's fields.
 """
 
 from __future__ import annotations
@@ -13,11 +19,12 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+from dataclasses import fields
 
 import numpy as np
 
 from .earth import EarthParams, SphericalGravity, UniformGravity, ned_world
-from .error_models import ErrorConvention
+from .error_models import ErrorConvention, ModelVariant
 from .lgekf import NoiseConfig
 from .mechanization import Frame, Grouping
 from .simulate import (
@@ -33,6 +40,14 @@ from .simulate import (
 )
 
 SCHEMA_VERSION = 1
+
+
+_RUN = RunConfig(traj=None, origin_e=None)  # every field but the two required ones at its default
+_MODEL_ENUMS = {"frame": Frame, "grouping": Grouping, "convention": ErrorConvention}
+
+
+def _values(enum):
+    return {member.value for member in enum}
 
 
 class ConfigError(ValueError):
@@ -129,25 +144,17 @@ def _resolve_origin(raw, path):
     return {"ecef": [float(x) for x in ecef]}
 
 
-_SEGMENT_KEYS = {
-    "straight": {"type", "duration", "speed"},
-    "turn": {"type", "duration", "yaw_rate", "speed"},
-    "climb": {"type", "duration", "pitch", "speed"},
-    "rest": {"type", "duration"},
-}
+_SEGMENTS = {"straight": Straight, "turn": Turn, "climb": Climb, "rest": Rest}
 
 
 def _resolve_segment(raw, path):
     obj = _expect_obj(raw, path)
-    kind = _expect_choice(obj.get("type"), f"{path}.type", set(_SEGMENT_KEYS))
-    _check_keys(obj, path, _SEGMENT_KEYS[kind])
-    out = {"type": kind, "duration": _expect_num(obj.get("duration"), f"{path}.duration")}
-    if kind != "rest":
-        out["speed"] = _expect_num(obj.get("speed"), f"{path}.speed", minimum=0.0)
-    if kind == "turn":
-        out["yaw_rate"] = _expect_num(obj.get("yaw_rate"), f"{path}.yaw_rate")
-    if kind == "climb":
-        out["pitch"] = _expect_num(obj.get("pitch"), f"{path}.pitch")
+    kind = _expect_choice(obj.get("type"), f"{path}.type", set(_SEGMENTS))
+    names = [f.name for f in fields(_SEGMENTS[kind])]
+    _check_keys(obj, path, {"type", *names})
+    out = {"type": kind}
+    for name in names:  # a speed is a magnitude; yaw rates and pitches carry a sign
+        out[name] = _expect_num(obj.get(name), f"{path}.{name}", minimum=0.0 if name == "speed" else None)
     return out
 
 
@@ -158,7 +165,9 @@ def _resolve_trajectory(raw, path):
     if not isinstance(segments, list) or not segments:
         _fail(f"{path}.segments", "expected a non-empty list of segments")
     return {
-        "imu_rate": _expect_num(obj.get("imu_rate", 100.0), f"{path}.imu_rate", minimum=_MIN_IMU_RATE),
+        "imu_rate": _expect_num(
+            obj.get("imu_rate", TrajectorySpec(()).imu_rate), f"{path}.imu_rate", minimum=_MIN_IMU_RATE
+        ),
         "segments": [
             _resolve_segment(s, f"{path}.segments[{i}]") for i, s in enumerate(segments)
         ],
@@ -178,16 +187,15 @@ def _resolve_gravity(raw, path):
     return {"model": "uniform", "gamma0": _expect_vec(obj["gamma0"], f"{path}.gamma0", 3)}
 
 
+_NOISE_PSDS = ("gyro_noise_psd", "accel_noise_psd", "gyro_bias_rw_psd", "accel_bias_rw_psd")
+_NOISE = NoiseConfig()
 _SENSOR_DEFAULTS = {
-    "gyro_noise_psd": 1e-8,
-    "accel_noise_psd": 1e-5,
-    "gyro_bias_rw_psd": 1e-12,
-    "accel_bias_rw_psd": 1e-9,
-    "odo_noise_var": 1e-4,
-    "odo_rate": 10.0,
-    "gyro_bias": [0.0, 0.0, 0.0],
-    "accel_bias": [0.0, 0.0, 0.0],
-    "bias_known": True,
+    **{key: getattr(_NOISE, key) for key in _NOISE_PSDS},
+    "odo_noise_var": float(_NOISE.odo_noise_cov[0, 0]),
+    "odo_rate": _RUN.odo_rate,
+    "gyro_bias": _RUN.gyro_bias.tolist(),
+    "accel_bias": _RUN.accel_bias.tolist(),
+    "bias_known": _RUN.bias_known,
 }
 
 
@@ -196,7 +204,7 @@ def _resolve_sensors(raw, path, imu_rate):
     _check_keys(obj, path, set(_SENSOR_DEFAULTS))
     given = {**_SENSOR_DEFAULTS, **obj}
     out = {}
-    for key in ("gyro_noise_psd", "accel_noise_psd", "gyro_bias_rw_psd", "accel_bias_rw_psd"):
+    for key in _NOISE_PSDS:
         out[key] = _expect_num(given[key], f"{path}.{key}", minimum=0.0)
     var = given["odo_noise_var"]
     if isinstance(var, list):
@@ -212,15 +220,8 @@ def _resolve_sensors(raw, path, imu_rate):
     return out
 
 
-_FILTER_DEFAULTS = {
-    "p0_att": 1e-6,
-    "p0_vel": 1e-2,
-    "p0_pos": 1.0,
-    "p0_gyro_bias": 4e-10,
-    "p0_accel_bias": 9e-8,
-    "gate_sigma": None,
-    "integrator": "midpoint",
-}
+_P0_KEYS = ("p0_att", "p0_vel", "p0_pos", "p0_gyro_bias", "p0_accel_bias")
+_FILTER_DEFAULTS = {key: getattr(_RUN, key) for key in (*_P0_KEYS, "gate_sigma", "integrator")}
 
 
 def _resolve_filter(raw, path):
@@ -228,7 +229,7 @@ def _resolve_filter(raw, path):
     _check_keys(obj, path, set(_FILTER_DEFAULTS))
     given = {**_FILTER_DEFAULTS, **obj}
     out = {}
-    for key in ("p0_att", "p0_vel", "p0_pos", "p0_gyro_bias", "p0_accel_bias"):
+    for key in _P0_KEYS:
         out[key] = _expect_num(given[key], f"{path}.{key}", minimum=0.0)
     gate = given["gate_sigma"]
     out["gate_sigma"] = None if gate is None else _expect_num(gate, f"{path}.gate_sigma", minimum=0.0)
@@ -237,6 +238,7 @@ def _resolve_filter(raw, path):
 
 
 def _resolve_autonomy(raw, path, trajectory):
+    defaults = AutonomySettings(origin_e=None, gravity=None)
     obj = _expect_obj(raw, path)
     _check_keys(obj, path, {"xi0", "trajectory_b", "gyro_input_error", "accel_input_error"})
     out = {"xi0": _expect_vec(obj.get("xi0", [0.0] * 9), f"{path}.xi0", 9)}
@@ -245,7 +247,7 @@ def _resolve_autonomy(raw, path, trajectory):
     else:
         out["trajectory_b"] = copy.deepcopy(trajectory)
     for key in ("gyro_input_error", "accel_input_error"):
-        out[key] = _expect_vec(obj.get(key, [0.0] * 3), f"{path}.{key}", 3)
+        out[key] = _expect_vec(obj.get(key, getattr(defaults, key).tolist()), f"{path}.{key}", 3)
     return out
 
 
@@ -284,13 +286,8 @@ def resolve(raw):
         _fail("$", "missing trajectory")
 
     out = {"schema_version": version}
-    out["frame"] = _expect_choice(obj.get("frame", "w"), "$.frame", {"i", "e", "w"})
-    out["grouping"] = _expect_choice(
-        obj.get("grouping", "proposed"), "$.grouping", {"traditional", "proposed"}
-    )
-    out["convention"] = _expect_choice(
-        obj.get("convention", "right"), "$.convention", {"left", "right"}
-    )
+    for key, enum in _MODEL_ENUMS.items():
+        out[key] = _expect_choice(obj.get(key, getattr(_RUN, key).value), f"$.{key}", _values(enum))
     out["gravity"] = _resolve_gravity(obj.get("gravity", {"model": "spherical"}), "$.gravity")
     out["origin"] = _resolve_origin(obj["origin"], "$.origin")
     out["trajectory"] = _resolve_trajectory(obj["trajectory"], "$.trajectory")
@@ -298,8 +295,8 @@ def resolve(raw):
     out["filter"] = _resolve_filter(obj.get("filter", {}), "$.filter")
     mc = _expect_obj(obj.get("monte_carlo", {}), "$.monte_carlo")
     _check_keys(mc, "$.monte_carlo", {"n_runs"})
-    out["monte_carlo"] = {"n_runs": _expect_int(mc.get("n_runs", 50), "$.monte_carlo.n_runs", 1)}
-    out["seed"] = _expect_int(obj.get("seed", 0), "$.seed", minimum=0)
+    out["monte_carlo"] = {"n_runs": _expect_int(mc.get("n_runs", _RUN.n_runs), "$.monte_carlo.n_runs", 1)}
+    out["seed"] = _expect_int(obj.get("seed", _RUN.seed), "$.seed", minimum=0)
     if "autonomy" in obj:
         out["autonomy"] = _resolve_autonomy(obj["autonomy"], "$.autonomy", out["trajectory"])
     return out
@@ -329,18 +326,14 @@ def apply_overrides(resolved, seed=None, runs=None, variant=None, convention=Non
         out["monte_carlo"]["n_runs"] = int(runs)
     if variant is not None:
         parts = variant.split("-")
-        if len(parts) != 2 or parts[0] not in ("traditional", "proposed") or parts[1] not in (
-            "i",
-            "e",
-            "w",
-        ):
+        if len(parts) != 2 or parts[0] not in _values(Grouping) or parts[1] not in _values(Frame):
             raise ConfigError(
                 "variant: expected <grouping>-<frame> like proposed-w or traditional-e"
             )
         out["grouping"], out["frame"] = parts
     if convention is not None:
-        if convention not in ("left", "right"):
-            raise ConfigError("convention: expected left or right")
+        if convention not in _values(ErrorConvention):
+            raise ConfigError(f"convention: expected {' or '.join(sorted(_values(ErrorConvention)))}")
         out["convention"] = convention
     return out
 
@@ -355,22 +348,12 @@ def config_hash(resolved):
 # resolved dict -> runtime objects
 
 
-def _build_segment(seg):
-    kind = seg["type"]
-    if kind == "straight":
-        return Straight(seg["duration"], seg["speed"])
-    if kind == "turn":
-        return Turn(seg["duration"], seg["yaw_rate"], seg["speed"])
-    if kind == "climb":
-        return Climb(seg["duration"], seg["pitch"], seg["speed"])
-    return Rest(seg["duration"])
-
-
 def build_trajectory(resolved_traj):
-    return TrajectorySpec(
-        tuple(_build_segment(s) for s in resolved_traj["segments"]),
-        imu_rate=resolved_traj["imu_rate"],
-    )
+    segments = []
+    for seg in resolved_traj["segments"]:
+        params = dict(seg)
+        segments.append(_SEGMENTS[params.pop("type")](**params))
+    return TrajectorySpec(tuple(segments), imu_rate=resolved_traj["imu_rate"])
 
 
 def _build_gravity(resolved_grav):
@@ -383,36 +366,23 @@ def build_run_config(resolved):
     """Materialize the RunConfig a resolved config describes."""
     sens = resolved["sensors"]
     var = sens["odo_noise_var"]
-    odo_cov = np.diag(var if isinstance(var, list) else [var] * 3).astype(float)
     noise = NoiseConfig(
-        gyro_noise_psd=sens["gyro_noise_psd"],
-        accel_noise_psd=sens["accel_noise_psd"],
-        gyro_bias_rw_psd=sens["gyro_bias_rw_psd"],
-        accel_bias_rw_psd=sens["accel_bias_rw_psd"],
-        odo_noise_cov=odo_cov,
+        **{key: sens[key] for key in _NOISE_PSDS},
+        odo_noise_cov=np.diag(var if isinstance(var, list) else [var] * 3).astype(float),
     )
-    filt = resolved["filter"]
     return RunConfig(
         traj=build_trajectory(resolved["trajectory"]),
         origin_e=np.array(resolved["origin"]["ecef"], dtype=float),
-        frame=Frame(resolved["frame"]),
-        grouping=Grouping(resolved["grouping"]),
-        convention=ErrorConvention(resolved["convention"]),
+        **{key: enum(resolved[key]) for key, enum in _MODEL_ENUMS.items()},
         gravity=_build_gravity(resolved["gravity"]),
         noise=noise,
         gyro_bias=np.array(sens["gyro_bias"], dtype=float),
         accel_bias=np.array(sens["accel_bias"], dtype=float),
         odo_rate=sens["odo_rate"],
-        p0_att=filt["p0_att"],
-        p0_vel=filt["p0_vel"],
-        p0_pos=filt["p0_pos"],
-        p0_gyro_bias=filt["p0_gyro_bias"],
-        p0_accel_bias=filt["p0_accel_bias"],
-        seed=resolved["seed"],
-        gate_sigma=filt["gate_sigma"],
-        n_runs=resolved["monte_carlo"]["n_runs"],
         bias_known=sens["bias_known"],
-        integrator=filt["integrator"],
+        seed=resolved["seed"],
+        n_runs=resolved["monte_carlo"]["n_runs"],
+        **resolved["filter"],  # the filter section's keys are RunConfig's field names
     )
 
 
@@ -421,8 +391,6 @@ def build_autonomy_inputs(resolved):
     if "autonomy" not in resolved:
         raise ConfigError("$: an autonomy section is required for this command")
     auto = resolved["autonomy"]
-    from .error_models import ModelVariant
-
     variant = ModelVariant(Frame(resolved["frame"]), Grouping(resolved["grouping"]))
     settings = AutonomySettings(
         origin_e=np.array(resolved["origin"]["ecef"], dtype=float),

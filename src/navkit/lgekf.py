@@ -16,8 +16,8 @@ Every function here also runs a batch of filters in lock step: a
 FilterState whose arrays carry a leading run axis (the pose's packed K
 (N,3,5), bias (N,6), P (N,15,15)) and shares one clock.  predict advances
 every run over the interval (inputs (L, N, 3)); fuse applies each run's
-odometer sample under that run's own gate, and the checks (singular
-innovation covariance, covariance health) are made per run.  Their
+odometer sample under that run's own gate, and the checks (singular or
+non-finite innovation covariance, covariance health) are made per run.  Their
 failures are KernelDomainErrors that name the failing element of the
 stack, as the group kernels' do; the filter loop adds that element's run
 and epoch.
@@ -34,6 +34,7 @@ from .se23 import SE23, KernelDomainError, TangentVector, _domain_error, matvec,
 
 __all__ = [
     "CovarianceNotPSD",
+    "NonFiniteInnovation",
     "SingularInnovation",
     "FilterState",
     "NoiseConfig",
@@ -55,6 +56,11 @@ class CovarianceNotPSD(KernelDomainError):
 
 class SingularInnovation(KernelDomainError):
     """Innovation covariance is numerically singular."""
+
+
+class NonFiniteInnovation(KernelDomainError):
+    """Innovation covariance has non-finite entries: a non-finite P or state
+    reached the update."""
 
 
 @dataclass(frozen=True)
@@ -251,6 +257,11 @@ def fuse(
     Ht = transpose(H)
     S = H @ fs.P @ Ht + R
     S = 0.5 * (S + transpose(S))
+    finite = np.isfinite(S).all(axis=(-2, -1))
+    if not finite.all():  # eigvalsh would fail to converge without naming the element
+        raise _domain_error(
+            NonFiniteInnovation, ~finite, S.ndim == 2, lambda i: "innovation covariance has non-finite entries"
+        )
     eig = np.linalg.eigvalsh(S)
     singular = eig[..., 0] <= _COND_FLOOR * np.maximum(eig[..., -1], 0.0)
     if singular.any():

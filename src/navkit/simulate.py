@@ -410,7 +410,8 @@ def gen_truth(
 
 
 class NewtonNotConverged(RuntimeError):
-    """inverse_imu's Newton iteration left a residual above tolerance."""
+    """inverse_imu's Newton iteration left a residual above tolerance, or
+    met a singular Jacobian."""
 
 
 _NEWTON_DELTAS = np.array([1e-7, 1e-7, 1e-7, 1e-5, 1e-5, 1e-5])
@@ -481,7 +482,13 @@ def inverse_imu(
             up = u.copy()
             up[:, j] += _NEWTON_DELTAS[j]
             J[:, :, j] = (residual(up) - res) / _NEWTON_DELTAS[j]
-        u = u + np.linalg.solve(J, -res[:, :, None])[:, :, 0]
+        try:
+            u = u + np.linalg.solve(J, -res[:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError:  # an exactly singular Jacobian: name the interval
+            k = int(np.argmin(np.abs(np.linalg.det(J))))
+            raise NewtonNotConverged(
+                f"inverse_imu: singular Newton Jacobian on the interval at t={t[k]:.3f} s"
+            ) from None
         res = residual(u)
 
     return ImuSample(u[:, 0:3], u[:, 3:6], dts)

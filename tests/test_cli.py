@@ -256,13 +256,30 @@ def test_singular_innovation_exits_3_naming_run_and_epoch(tmp_path, capsys):
     assert re.search(r"^numerical failure: run 0, t=0\.100 s: element 0 of the stack: innovation", err), err
 
 
-def test_runtime_error_is_not_a_numerical_failure(tmp_path, cfg_file, monkeypatch):
-    def broken(*args, **kwargs):
-        raise RuntimeError("a bug, not a numerical failure")
+def test_singular_newton_jacobian_exits_3_naming_the_interval(tmp_path, cfg_file, capsys, monkeypatch):
+    # A step that ignores the gyro input on the interval at t=0.37 s leaves
+    # that interval's Jacobian three zero columns.
+    real_step = simulate.step
 
-    monkeypatch.setattr(cli, "run_monte_carlo", broken)
-    with pytest.raises(RuntimeError, match="a bug"):
-        main(["run", "--config", cfg_file, "--out", str(tmp_path / "out"), "--runs", "2"])
+    def deaf_step(state, imu, model, method):
+        omega = imu.omega_ib_b.copy()
+        omega[37] = 0.0
+        return real_step(state, simulate.ImuSample(omega, imu.f_ib_b, imu.dt), model, method)
+
+    monkeypatch.setattr(simulate, "step", deaf_step)
+    assert main(["simulate", "--config", cfg_file, "--out", str(tmp_path / "sim")]) == 3
+    err = capsys.readouterr().err
+    assert re.search(r"^numerical failure: inverse_imu: singular Newton Jacobian .* at t=0\.370 s", err), err
+
+
+def test_runtime_error_is_not_a_numerical_failure(tmp_path, cfg_file, monkeypatch):
+    for error in (RuntimeError, np.linalg.LinAlgError):
+        def broken(*args, **kwargs):
+            raise error("a bug, not a numerical failure")
+
+        monkeypatch.setattr(cli, "run_monte_carlo", broken)
+        with pytest.raises(error, match="a bug"):
+            main(["run", "--config", cfg_file, "--out", str(tmp_path / "out"), "--runs", "2"])
 
 
 def test_autonomy_output(tmp_path, cfg_file):

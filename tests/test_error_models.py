@@ -167,11 +167,13 @@ def _chart_rate_fd(true0, est0, imu_true, imu_est, model, conv, h=5e-3):
 _DIR_SCALE = np.array([0.5] * 3 + [5.0] * 3 + [50.0] * 3 + [0.02] * 3 + [0.2] * 3)
 
 
-def numerical_F(est, imu_hat, model, conv, delta=1e-4):
-    """Column-by-column Jacobian of the error-chart rate at zero error."""
+def numerical_F(est, imu_hat, model, conv, delta=1e-4, bias_delta=1e-2):
+    """Column-by-column Jacobian of the error-chart rate at zero error.  The
+    bias columns take numerical_G's steps: at delta their central difference
+    is roundoff-limited near the 1e-5 bound."""
     cols = []
     for j in range(15):
-        step_j = delta * _DIR_SCALE[j]
+        step_j = (delta if j < 9 else bias_delta) * _DIR_SCALE[j]
         rates = []
         for sign in (+1.0, -1.0):
             xi = np.zeros(15)

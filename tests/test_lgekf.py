@@ -16,6 +16,7 @@ from navkit import (
     ImuSample,
     NavModel,
     NoiseConfig,
+    NonFiniteInnovation,
     OdoSample,
     SingularInnovation,
     SphericalGravity,
@@ -396,6 +397,16 @@ def test_batched_update_names_the_singular_run(earth, world):
     assert info.value.element == 0
     with pytest.raises(ValueError):
         fuse(batch, OdoSample(batch.nav.x.v.copy(), t=0.5), noise)
+
+
+def test_fuse_names_the_run_with_a_non_finite_covariance(earth, world):
+    batch = _stack(_surface_filter(earth, world, ErrorConvention.RIGHT, np.eye(15) * 1e-6), 2)
+    P = batch.P.copy()
+    P[1, 4, 4] = np.nan
+    batch = replace(batch, P=P)
+    with pytest.raises(NonFiniteInnovation, match="^element 1 of the stack: innovation covariance") as info:
+        fuse(batch, OdoSample(batch.nav.x.v.copy(), t=0.0), NoiseConfig())
+    assert info.value.element == 1
 
 
 def test_check_covariance_names_the_bad_run():

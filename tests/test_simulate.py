@@ -43,6 +43,7 @@ from navkit import (
     gen_truth,
     gravitation,
     inverse_imu,
+    linearized_F_G,
     nav_from_physical,
     ned_world,
     physical_from_nav,
@@ -722,6 +723,34 @@ def test_autonomy_unequal_durations_share_the_common_epochs():
     assert res.t[-1] == pytest.approx(1.0, abs=1e-12)
     ref = _scalar_twin_logs(variant, ErrorConvention.RIGHT, traj_a, traj_a, XI0, UNIFORM)
     assert np.allclose(res.xi_a, ref[:101], rtol=1e-12, atol=1e-13)
+
+
+@pytest.mark.parametrize("frame,grouping", list(itertools.product(Frame, Grouping)), ids=lambda c: c.value)
+def test_log_linear_property_holds_exactly_where_not_weak(frame, grouping):
+    # Log-linearity (Barrau and Bonnabel, "The invariant extended Kalman
+    # filter as a stable observer", IEEE TAC 2017, Theorem 2): in a
+    # group-affine model the right error's log obeys xi' = A xi exactly, so
+    # a large xi0 flows to expm(A t) xi0, A being F's navigation block.  A
+    # Coriolis-fold model misses by O(|xi0|^2).  F's navigation block does
+    # not read the inputs in the right convention, so a zero sample serves.
+    from scipy.linalg import expm
+
+    xi0 = np.array([0.3, -0.2, 0.1, 10.0, -5.0, 3.0, 100.0, -50.0, 30.0])
+    traj = TrajectorySpec((Straight(5.0, 30.0), Turn(5.0, 0.1, 30.0)), 100.0)
+    res = autonomy_experiment(ModelVariant(frame, grouping), ErrorConvention.RIGHT, traj, traj, xi0, UNIFORM)
+    truth_w = gen_truth(traj, EARTH, UNIFORM.gravity, WORLD)
+    start = nav_from_physical(frame, grouping, *physical_from_nav(truth_w.state(0), EARTH, WORLD, 0.0),
+                              EARTH, WORLD, t=0.0)
+    model = NavModel.of(start, EARTH, UNIFORM.gravity, WORLD)
+    F, _ = linearized_F_G(ErrorConvention.RIGHT, start, ImuSample(np.zeros(3), np.zeros(3), 0.01), model)
+    flow = np.stack([expm(F[:9, :9] * t) @ xi0 for t in res.t])
+    miss = np.max(np.linalg.norm(flow - res.xi_a, axis=1))
+    fold = grouping is Grouping.TRADITIONAL and frame is not Frame.I
+    assert res.classification.value == ("weak" if fold else "perfect")
+    if fold:
+        assert miss >= 1e-4, miss
+    else:
+        assert miss <= 1e-9, miss
 
 
 def test_autonomy_log_error_names_trajectory_and_epoch():
