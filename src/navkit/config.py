@@ -210,7 +210,9 @@ def _resolve_sensors(raw, path, imu_rate):
     if isinstance(var, list):
         out["odo_noise_var"] = _expect_vec(var, f"{path}.odo_noise_var", 3)
     else:
-        out["odo_noise_var"] = _expect_num(var, f"{path}.odo_noise_var", minimum=0.0)
+        out["odo_noise_var"] = _expect_num(var, f"{path}.odo_noise_var")
+    if np.min(out["odo_noise_var"]) <= 0.0:  # NoiseConfig takes only a positive definite covariance
+        _fail(f"{path}.odo_noise_var", "must be > 0")
     out["odo_rate"] = _expect_num(given["odo_rate"], f"{path}.odo_rate", minimum=0.0)
     if out["odo_rate"] > 0.0:  # 0 turns the odometer off
         _guard(f"{path}.odo_rate", _odo_decimation, imu_rate, out["odo_rate"])

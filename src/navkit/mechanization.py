@@ -77,6 +77,7 @@ __all__ = [
 ]
 
 _MAX_DT = 0.1  # s; piecewise-constant-input assumption guard
+_DT_ROUNDOFF = 1e-9  # s; a time grid's differences may exceed their spacing by roundoff
 
 
 class Frame(Enum):
@@ -423,7 +424,7 @@ def integrate(state: NavState, imu: ImuSample, model: NavModel, method: str = "m
 
 
 def _check_dt(longest) -> None:
-    if longest > _MAX_DT:
+    if longest > _MAX_DT + _DT_ROUNDOFF:
         raise ValueError(f"dt {longest} exceeds the {_MAX_DT} s piecewise-constant guard")
 
 

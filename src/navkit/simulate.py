@@ -6,9 +6,12 @@ turns, climbs, rests) whose yaw-rate / pitch / speed profiles are
 blended across segment boundaries with integral-preserving quintic
 ramps, so velocity is C^1 while single-segment legs keep their exact
 textbook geometry.  ``inverse_imu`` recovers the per-interval inertial
-inputs by Newton-inverting the one-step integrator so each step lands
+inputs by inverting the one-step rk4 integrator so each step lands
 exactly on the next grid attitude and velocity, which is what makes the
 generate -> invert -> re-mechanize loop close to navigation precision.
+It runs a chord iteration on the step's closed-form first-order
+Jacobian, which is block triangular, so each correction is two solves
+in closed form and each iteration costs one stacked rk4 step.
 
 On top of that sit the sensor corrupters (bias + random walk + white
 noise, all drawn from keyed counter-based streams), the odometer
@@ -77,7 +80,7 @@ from .rng import (
     substream,
 )
 from .se23 import (
-    SE23, KernelDomainError, TangentVector, matvec, se23_exp, se23_log, so3_exp, so3_log, transpose, unskew,
+    SE23, KernelDomainError, TangentVector, matvec, se23_exp, se23_log, skew, so3_exp, so3_log, transpose, unskew,
 )
 
 __all__ = [
@@ -367,7 +370,7 @@ class TruthSeries:
     r_w: np.ndarray  # (N+1,3)
     imu_rate: float
 
-    def state(self, k: int | np.ndarray) -> NavState:
+    def state(self, k: int | slice | np.ndarray) -> NavState:
         r0 = self.r_w[0].copy()
         return NavState(Frame.W, Grouping.TRADITIONAL, SE23(self.C_b_w[k], self.v_wb_w[k], self.r_w[k] - r0), r0)
 
@@ -406,15 +409,13 @@ def gen_truth(
 
 
 # ---------------------------------------------------------------------------
-# inverse IMU (batched Newton on the one-step integrator)
+# inverse IMU (chord iteration on the one-step integrator)
 
 
 class NewtonNotConverged(RuntimeError):
-    """inverse_imu's Newton iteration left a residual above tolerance, or
-    met a singular Jacobian."""
+    """inverse_imu's iteration left a residual above tolerance."""
 
 
-_NEWTON_DELTAS = np.array([1e-7, 1e-7, 1e-7, 1e-5, 1e-5, 1e-5])
 _NEWTON_ITERATIONS = 8
 _NEWTON_TOL_ATT = 1e-13
 _NEWTON_TOL_VEL = 1e-12
@@ -430,44 +431,47 @@ def inverse_imu(
 
     Solves, for every interval at once, the six-unknown system "RK4 step
     with constant (omega, f) lands on the next grid attitude/velocity",
-    by Newton iteration with a finite-difference Jacobian.  Returns the
-    inputs as one stack, omega and f (n, 3) and dt (n,), the form
-    step(method="rk4") takes; feeding it back through the forward
-    integrator reproduces the grid to navigation precision.
+    by a chord iteration on the step's closed-form first-order Jacobian,
+    fixed at the seed.  Returns the inputs as one stack, omega and f
+    (n, 3) and dt (n,), the form step(method="rk4") takes; feeding it back
+    through the forward integrator reproduces the grid to navigation
+    precision.
     """
     C, v, r, t = truth.C_b_w, truth.v_wb_w, truth.r_w, truth.t
-    n = len(t) - 1
     dts = np.diff(t)
-    # Every interval's start as one stacked w-frame state, anchored at r[0].
-    starts = NavState(Frame.W, Grouping.TRADITIONAL, SE23(C[:-1], v[:-1], r[:-1] - r[0]), r[0])
+    starts = truth.state(slice(None, -1))  # every interval's start as one stacked state
     model = NavModel.of(starts, earth, gravity_model, world)
 
     # Seed attitude rate from the earth-rate-compensated attitude increment.
     E = so3_exp(model.omega * dts[:, None])
     M = np.einsum("nji,njk,nkl->nil", C[:-1], E, C[1:])
-    om0 = so3_log(M) / dts[:, None]
+    om = so3_log(M) / dts[:, None]
 
     # Seed specific force: the one whose velocity rate at the interval's
     # midpoint matches the finite-difference acceleration.
     E_half = so3_exp(-model.omega * (0.5 * dts[:, None]))
-    R_half = so3_exp(0.5 * om0 * dts[:, None])
+    R_half = so3_exp(0.5 * om * dts[:, None])
     C_mid = E_half @ C[:-1] @ R_half
     v_mid = 0.5 * (v[:-1] + v[1:])
     accel = (v[1:] - v[:-1]) / dts[:, None]
     f_w = accel - model.accel(0.0, model.offset + 0.5 * (r[:-1] + r[1:]), v_mid)
-    f0 = np.einsum("nij,ni->nj", C_mid, f_w)
+    f = np.einsum("nij,ni->nj", C_mid, f_w)
 
-    u = np.concatenate([om0, f0], axis=1)
+    # The step's Jacobian to first order in dt: d att/d omega = -dt I,
+    # d att/d f = 0, d vel/d f = dt C_mid, d vel/d omega = -(dt^2/2) C_mid [f x].
+    # It is block triangular and invertible for every dt > 0, so each
+    # interval's correction is closed form: omega first, then f.
+    J_vel_om = (-0.5 * dts**2)[:, None, None] * (C_mid @ skew(f))
+    C_mid_T = transpose(C_mid)
 
-    def residual(inputs: np.ndarray) -> np.ndarray:
-        imu = ImuSample(inputs[:, 0:3], inputs[:, 3:6], dts)
-        end = step(starts, imu, model, method="rk4").x
+    def residual(omega: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        end = step(starts, ImuSample(omega, f, dts), model, method="rk4").x
         Mres = np.einsum("nji,njk->nik", end.R, C[1:])
-        return np.concatenate((0.5 * unskew(Mres - transpose(Mres)), end.v - v[1:]), axis=1)
+        return 0.5 * unskew(Mres - transpose(Mres)), end.v - v[1:]
 
-    res = residual(u)
+    res_att, res_vel = residual(om, f)
     for iteration in range(_NEWTON_ITERATIONS + 1):
-        att, vel = np.abs(res[:, 0:3]).max(axis=1), np.abs(res[:, 3:6]).max(axis=1)
+        att, vel = np.abs(res_att).max(axis=1), np.abs(res_vel).max(axis=1)
         if att.max() < _NEWTON_TOL_ATT and vel.max() < _NEWTON_TOL_VEL:
             break
         if iteration == _NEWTON_ITERATIONS:
@@ -477,21 +481,12 @@ def inverse_imu(
                 f"worst residual on the interval at t={t[k]:.3f} s "
                 f"(attitude {att[k]:.3e} rad, velocity {vel[k]:.3e} m/s)"
             )
-        J = np.empty((n, 6, 6))
-        for j in range(6):
-            up = u.copy()
-            up[:, j] += _NEWTON_DELTAS[j]
-            J[:, :, j] = (residual(up) - res) / _NEWTON_DELTAS[j]
-        try:
-            u = u + np.linalg.solve(J, -res[:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError:  # an exactly singular Jacobian: name the interval
-            k = int(np.argmin(np.abs(np.linalg.det(J))))
-            raise NewtonNotConverged(
-                f"inverse_imu: singular Newton Jacobian on the interval at t={t[k]:.3f} s"
-            ) from None
-        res = residual(u)
+        d_om = res_att / dts[:, None]
+        om = om + d_om
+        f = f + matvec(C_mid_T, -res_vel - matvec(J_vel_om, d_om)) / dts[:, None]
+        res_att, res_vel = residual(om, f)
 
-    return ImuSample(u[:, 0:3], u[:, 3:6], dts)
+    return ImuSample(om, f, dts)
 
 
 # ---------------------------------------------------------------------------

@@ -256,9 +256,9 @@ def test_singular_innovation_exits_3_naming_run_and_epoch(tmp_path, capsys):
     assert re.search(r"^numerical failure: run 0, t=0\.100 s: element 0 of the stack: innovation", err), err
 
 
-def test_singular_newton_jacobian_exits_3_naming_the_interval(tmp_path, cfg_file, capsys, monkeypatch):
+def test_stalled_newton_interval_exits_3_naming_it(tmp_path, cfg_file, capsys, monkeypatch):
     # A step that ignores the gyro input on the interval at t=0.37 s leaves
-    # that interval's Jacobian three zero columns.
+    # that interval's attitude residual where it is, so the iteration stalls.
     real_step = simulate.step
 
     def deaf_step(state, imu, model, method):
@@ -269,7 +269,23 @@ def test_singular_newton_jacobian_exits_3_naming_the_interval(tmp_path, cfg_file
     monkeypatch.setattr(simulate, "step", deaf_step)
     assert main(["simulate", "--config", cfg_file, "--out", str(tmp_path / "sim")]) == 3
     err = capsys.readouterr().err
-    assert re.search(r"^numerical failure: inverse_imu: singular Newton Jacobian .* at t=0\.370 s", err), err
+    assert re.search(
+        r"^numerical failure: inverse_imu: Newton iteration did not converge in 8 iterations; "
+        r"worst residual on the interval at t=0\.370 s", err
+    ), err
+
+
+def test_ten_hz_imu_floor_runs(tmp_path):
+    # 10 Hz is the lowest rate resolve accepts; its grid spacing carries
+    # roundoff past 0.1 s, which the integrators' dt guard must absorb.
+    cfg = _config()
+    cfg["trajectory"]["imu_rate"] = 10.0
+    path = tmp_path / "ten_hz.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "sim")]) == 0
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "run"), "--runs", "1"]) == 0
+    _, _, rows = _read_csv(tmp_path / "run" / "nees.csv")
+    assert len(rows) == 100
 
 
 def test_runtime_error_is_not_a_numerical_failure(tmp_path, cfg_file, monkeypatch):
@@ -396,6 +412,8 @@ def test_schema_error_exits_2(tmp_path, capsys):
         {"origin": {"latitude_deg": 90.0}},
         {"origin": {"ecef": [5e4, 0.0, 0.0]}},
         {"sensors": {"odo_rate": 7.0}},
+        {"sensors": {"odo_noise_var": 0}},
+        {"sensors": {"odo_noise_var": [1e-4, -1e-4, 1e-4]}},
     ],
 )
 def test_unusable_origin_or_odo_rate_exits_2(tmp_path, capsys, tweak):

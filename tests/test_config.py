@@ -74,6 +74,11 @@ def test_minimal_config_resolves_with_defaults():
         (lambda c: c.update(sensors={"gyro_noise_psd": -1.0}), "$.sensors.gyro_noise_psd"),
         (lambda c: c.update(sensors={"bias_known": 1}), "$.sensors.bias_known"),
         (lambda c: c.update(sensors={"odo_noise_var": [1.0, 2.0]}), "$.sensors.odo_noise_var"),
+        # A variance NoiseConfig would reject: the odometer covariance must be positive definite.
+        (lambda c: c.update(sensors={"odo_noise_var": 0}), "$.sensors.odo_noise_var: must be > 0"),
+        (lambda c: c.update(sensors={"odo_noise_var": -1e-4}), "$.sensors.odo_noise_var: must be > 0"),
+        (lambda c: c.update(sensors={"odo_noise_var": [1e-4, -1e-4, 1e-4]}), "$.sensors.odo_noise_var: must be > 0"),
+        (lambda c: c.update(sensors={"odo_noise_var": [1e-4, 0.0, 1e-4]}), "$.sensors.odo_noise_var: must be > 0"),
         (lambda c: c.update(filter={"integrator": "euler"}), "$.filter.integrator"),
         (lambda c: c.update(filter={"p0_att": "big"}), "$.filter.p0_att"),
         (lambda c: c.update(gravity={"model": "flat"}), "$.gravity.model"),

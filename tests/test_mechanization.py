@@ -260,6 +260,11 @@ def test_step_guards(earth, world):
         step(st, ImuSample(np.zeros(3), np.zeros(3), 0.2), model)
     with pytest.raises(ValueError):
         step(st, ImuSample(np.zeros(3), np.zeros(3), 0.01), model, method="euler")
+    # The 0.1 s guard absorbs a 10 Hz time grid's roundoff, and nothing more.
+    for method in ("rk4", "midpoint"):
+        step(st, ImuSample(np.zeros(3), np.zeros(3), 0.1 + 1.5e-15), model, method=method)
+        with pytest.raises(ValueError, match="piecewise-constant guard"):
+            step(st, ImuSample(np.zeros(3), np.zeros(3), 0.1001), model, method=method)
     # A model of another frame or grouping is refused.
     prop = nav_from_physical(Frame.E, Grouping.PROPOSED, *physical_from_nav(st, earth, world), earth, world)
     with pytest.raises(FrameMismatch, match="proposed-e state given to the traditional-e model"):

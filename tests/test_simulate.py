@@ -199,6 +199,54 @@ def test_inverse_imu_roundtrip_closure():
     assert worst_att < 1e-9
 
 
+def _count_steps(monkeypatch):
+    calls = []
+    real_step = sim.step
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real_step(*args, **kwargs)
+
+    monkeypatch.setattr(sim, "step", counted)
+    return calls
+
+
+def test_inverse_imu_takes_two_residual_evaluations_at_100_hz(monkeypatch):
+    # The seed's residual, one chord correction, and the residual that
+    # confirms it: no evaluation is spent on a Jacobian.
+    tr = gen_truth(TrajectorySpec((Straight(2.0, 30.0), Turn(5.0, 0.2, 30.0)), 100.0), EARTH, GRAV, WORLD)
+    calls = _count_steps(monkeypatch)
+    inverse_imu(tr, EARTH, GRAV, WORLD)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize(
+    "segments",
+    [
+        (Turn(10.0, 1.0, 100.0),),
+        (Climb(10.0, 0.3, 50.0), Turn(10.0, 1.0, 50.0)),
+    ],
+)
+def test_inverse_imu_closes_at_10_hz(monkeypatch, segments):
+    """At the 10 Hz floor, 1 rad/s turns converge and close the loop."""
+    tr = gen_truth(TrajectorySpec(segments, 10.0), EARTH, GRAV, WORLD)
+    calls = _count_steps(monkeypatch)
+    imu = inverse_imu(tr, EARTH, GRAV, WORLD)
+    assert len(calls) <= sim._NEWTON_ITERATIONS + 1
+    model = NavModel.of(tr.state(0), EARTH, GRAV, WORLD)
+    # Each interval, stepped from its grid state, lands on the next one.
+    ends = step(tr.state(slice(None, -1)), imu, model, method="rk4").x
+    assert np.abs(so3_log(np.swapaxes(ends.R, -1, -2) @ tr.C_b_w[1:])).max() < 1e-12
+    assert np.abs(ends.v - tr.v_wb_w[1:]).max() < 1e-11
+    # Re-mechanized end to end, the held inputs stay near the grid.  rk4
+    # leaves SO(3) by about 1e-8 per 0.1 s step at 1 rad/s, which bounds
+    # the attitude and, through the specific force, the velocity.
+    K = mechanization.integrate(tr.state(0), imu, model, "rk4")
+    assert np.linalg.norm(np.swapaxes(K[:, :, :3], -1, -2) @ tr.C_b_w - np.eye(3), axis=(1, 2)).max() < 3e-6
+    assert np.linalg.norm(K[:, :, 3] - tr.v_wb_w, axis=1).max() < 3e-4
+    assert np.linalg.norm(tr.r_w[0] + K[:, :, 4] - tr.r_w, axis=1).max() < 0.2
+
+
 # ---------------------------------------------------------------------------
 # corruption, bias walks, odometer
 
