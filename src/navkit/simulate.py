@@ -2,16 +2,20 @@
 
 The truth generator works in a local north-east-down world frame: a
 trajectory is a list of constant-rate segments (straight runs, level
-turns, climbs, rests) whose yaw-rate / pitch / speed profiles are
-blended across segment boundaries with integral-preserving quintic
-ramps, so velocity is C^1 while single-segment legs keep their exact
-textbook geometry.  ``inverse_imu`` recovers the per-interval inertial
-inputs by inverting the one-step rk4 integrator so each step lands
-exactly on the next grid attitude and velocity, which is what makes the
-generate -> invert -> re-mechanize loop close to navigation precision.
-It runs a chord iteration on the step's closed-form first-order
-Jacobian, which is block triangular, so each correction is two solves
-in closed form and each iteration costs one stacked rk4 step.
+turns, climbs, rests), held as one table of yaw rate, pitch and speed per
+segment and blended across segment boundaries with integral-preserving
+quintic ramps, so velocity is C^1 while single-segment legs keep their
+exact textbook geometry.  The truth on the IMU grid is the attitude (zero
+roll, the body x-axis along the velocity) and velocity, from the
+profile's heading, pitch and speed at the grid times, and the position,
+by quadrature of the velocity.  ``inverse_imu`` recovers the
+per-interval inertial inputs by inverting the one-step rk4 integrator so
+each step lands exactly on the next grid attitude and velocity, which is
+what makes the generate -> invert -> re-mechanize loop close to
+navigation precision.  It runs a chord iteration on the step's
+closed-form first-order Jacobian, which is block triangular, so each
+correction is two solves in closed form and each iteration costs one
+stacked rk4 step.
 
 On top of that sit the sensor corrupters (bias + random walk + white
 noise, all drawn from keyed counter-based streams), the odometer
@@ -214,16 +218,13 @@ def _smoothstep(x: np.ndarray) -> np.ndarray:
     return x * x * x * (10.0 + x * (-15.0 + 6.0 * x))
 
 
-def _smoothstep_deriv(x: np.ndarray) -> np.ndarray:
-    return 30.0 * x * x * (1.0 - x) * (1.0 - x)
-
-
 def _smoothstep_integral(x: np.ndarray) -> np.ndarray:
     return x ** 4 * (2.5 + x * (-3.0 + x))
 
 
 class _Profile:
-    """Piecewise-constant profile with centered quintic boundary blends.
+    """Yaw rate, pitch and speed of each segment, with centered quintic
+    blends across the interior boundaries.
 
     The blend at each interior boundary is symmetric about it, so the
     running integral of the blended profile equals the step profile's
@@ -231,120 +232,54 @@ class _Profile:
     the end: the profile starts and finishes on the raw segment values.
     """
 
-    def __init__(self, edges: np.ndarray, values: np.ndarray, windows: np.ndarray):
-        self.edges = edges  # (m+1,) cumulative segment boundaries, edges[0] == 0
-        self.values = values  # (m,)
-        self.windows = windows  # (m-1,) half-widths at interior boundaries
-        durations = np.diff(edges)
-        self._cum = np.concatenate([[0.0], np.cumsum(values * durations)])
+    def __init__(self, spec: TrajectorySpec):
+        durations = np.array([s.duration for s in spec.segments], dtype=float)
+        self.edges = np.concatenate([[0.0], np.cumsum(durations)])  # (m+1,), edges[0] == 0
+        # (m, 3): yaw rate, pitch and speed; each is zero where the segment has none
+        self.table = np.array(
+            [[getattr(s, name, 0.0) for name in ("yaw_rate", "pitch", "speed")] for s in spec.segments], dtype=float
+        )
+        self.windows = np.minimum(0.5, 0.4 * np.minimum(durations[:-1], durations[1:]))  # (m-1,) half-widths
+        # Over np.diff(edges), not durations: the heading between edges adds rate * (t - edge).
+        self._heading_at_edges = np.concatenate([[0.0], np.cumsum(self.table[:, 0] * np.diff(self.edges))])
 
-    def _seg_index(self, t: np.ndarray) -> np.ndarray:
-        return np.clip(np.searchsorted(self.edges, t, side="right") - 1, 0, len(self.values) - 1)
-
-    def _blends(self, t: np.ndarray):
-        """(mask, x, a, c - a, b, w) for each blend window holding some of t:
-        the boundary b, its half-width w, the values a and c either side of
-        it, and x in (0, 1), the place of t[mask] across the window."""
+    def heading(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(heading, pitch, speed) at times t: the running integral of the
+        yaw rate from 0, and the blended pitch and speed."""
+        t = np.asarray(t, dtype=float)
+        idx = np.clip(np.searchsorted(self.edges, t, side="right") - 1, 0, len(self.table) - 1)
+        psi = self._heading_at_edges[idx] + self.table[idx, 0] * (t - self.edges[idx])
+        pitch, speed = self.table[idx, 1:].T.copy()
         for j, w in enumerate(self.windows):
-            a, c = self.values[j], self.values[j + 1]
-            if a == c:
+            a, jump = self.table[j], self.table[j + 1] - self.table[j]
+            if not np.any(jump):
                 continue
             b = self.edges[j + 1]
             mask = (t > b - w) & (t < b + w)
-            if np.any(mask):
-                yield mask, (t[mask] - (b - w)) / (2.0 * w), a, c - a, b, w
-
-    def value(self, t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        out = self.values[self._seg_index(t)].astype(float)
-        for mask, x, a, jump, _, _ in self._blends(t):
-            out[mask] = a + jump * _smoothstep(x)
-        return out
-
-    def derivative(self, t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        out = np.zeros_like(t)
-        for mask, x, _, jump, _, w in self._blends(t):
-            out[mask] = jump * _smoothstep_deriv(x) / (2.0 * w)
-        return out
-
-    def integral(self, t: np.ndarray) -> np.ndarray:
-        """Running integral of value() from 0 to t."""
-        t = np.asarray(t, dtype=float)
-        idx = self._seg_index(t)
-        out = self._cum[idx] + self.values[idx] * (t - self.edges[idx])
-        for mask, x, _, jump, b, w in self._blends(t):
-            out[mask] = out[mask] + jump * (2.0 * w * _smoothstep_integral(x) - np.maximum(t[mask] - b, 0.0))
-        return out
-
-
-def _build_profiles(spec: TrajectorySpec) -> tuple[_Profile, _Profile, _Profile]:
-    durations = np.array([s.duration for s in spec.segments], dtype=float)
-    edges = np.concatenate([[0.0], np.cumsum(durations)])
-    yaw_rate = np.array([s.yaw_rate if isinstance(s, Turn) else 0.0 for s in spec.segments])
-    pitch = np.array([s.pitch if isinstance(s, Climb) else 0.0 for s in spec.segments])
-    speed = np.array([getattr(s, "speed", 0.0) for s in spec.segments], dtype=float)
-    windows = np.minimum(0.5, 0.4 * np.minimum(durations[:-1], durations[1:]))
-    return (
-        _Profile(edges, yaw_rate, windows),
-        _Profile(edges, pitch, windows),
-        _Profile(edges, speed, windows),
-    )
-
-
-@dataclass(frozen=True)
-class _Kinematics:
-    """Analytic body kinematics of the recipe at a batch of times."""
-
-    C_b_w: np.ndarray  # (n,3,3)
-    v_w: np.ndarray  # (n,3)
-    vdot_w: np.ndarray  # (n,3)
-    omega_wb_w: np.ndarray  # (n,3)
-
-
-def _kinematics(profiles, t: np.ndarray) -> _Kinematics:
-    yaw_rate, pitch, speed = profiles
-    psi = yaw_rate.integral(t)
-    psidot = yaw_rate.value(t)
-    th = pitch.value(t)
-    thdot = pitch.derivative(t)
-    V = speed.value(t)
-    Vdot = speed.derivative(t)
-
-    cps, sps = np.cos(psi), np.sin(psi)
-    cth, sth = np.cos(th), np.sin(th)
-    direction = np.stack([cps * cth, sps * cth, -sth], axis=1)
-    ddir = psidot[:, None] * np.stack([-sps * cth, cps * cth, np.zeros_like(psi)], axis=1)
-    ddir += thdot[:, None] * np.stack([-cps * sth, -sps * sth, -cth], axis=1)
-    v = V[:, None] * direction
-    vdot = Vdot[:, None] * direction + V[:, None] * ddir
-
-    C = np.empty((len(t), 3, 3))
-    C[:, 0, 0] = cps * cth
-    C[:, 0, 1] = -sps
-    C[:, 0, 2] = cps * sth
-    C[:, 1, 0] = sps * cth
-    C[:, 1, 1] = cps
-    C[:, 1, 2] = sps * sth
-    C[:, 2, 0] = -sth
-    C[:, 2, 1] = 0.0
-    C[:, 2, 2] = cth
-
-    omega = np.stack([-thdot * sps, thdot * cps, psidot], axis=1)
-    return _Kinematics(C, v, vdot, omega)
+            if not np.any(mask):
+                continue
+            x = (t[mask] - (b - w)) / (2.0 * w)  # place of t[mask] across the window, in (0, 1)
+            # A column that does not jump keeps its raw value (a -0.0 pitch its sign).
+            if jump[0] != 0.0:
+                psi[mask] += jump[0] * (2.0 * w * _smoothstep_integral(x) - np.maximum(t[mask] - b, 0.0))
+            for k, out in ((1, pitch), (2, speed)):
+                if jump[k] != 0.0:
+                    out[mask] = a[k] + jump[k] * _smoothstep(x)
+        return psi, pitch, speed
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(5)
 
 
-def _positions(profiles, times: np.ndarray) -> np.ndarray:
+def _positions(profile: _Profile, times: np.ndarray) -> np.ndarray:
     """Cumulative Gauss-Legendre integral of the velocity, r(times[0]) = 0."""
     a, b = times[:-1], times[1:]
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    tq = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
-    v = _kinematics(profiles, tq).v_w.reshape(len(a), len(_GL_NODES), 3)
-    gains = half[:, None] * np.einsum("q,nqk->nk", _GL_WEIGHTS, v)
+    psi, pitch, speed = profile.heading((mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel())
+    cth = np.cos(pitch)
+    v = speed[:, None] * np.stack([np.cos(psi) * cth, np.sin(psi) * cth, -np.sin(pitch)], axis=1)
+    gains = half[:, None] * np.einsum("q,nqk->nk", _GL_WEIGHTS, v.reshape(len(a), len(_GL_NODES), 3))
     out = np.empty((len(times), 3))
     out[0] = 0.0
     np.cumsum(gains, axis=0, out=out[1:])
@@ -401,11 +336,16 @@ def gen_truth(
     dynamics enter only when inverse_imu reconstructs the inputs.
     """
     _validate_spec(spec)
-    profiles = _build_profiles(spec)
+    profile = _Profile(spec)
     times = _grid_times(spec)
-    kin = _kinematics(profiles, times)
-    r = _positions(profiles, times)
-    return TruthSeries(times, kin.C_b_w, kin.v_w, r, spec.imu_rate)
+    psi, pitch, speed = profile.heading(times)
+    cps, sps = np.cos(psi), np.sin(psi)
+    cth, sth = np.cos(pitch), np.sin(pitch)
+    # Zero roll: the body x-axis, C's first column, is the direction of travel.
+    C = np.stack([cps * cth, -sps, cps * sth,
+                  sps * cth, cps, sps * sth,
+                  -sth, np.zeros_like(sth), cth], axis=1).reshape(-1, 3, 3)
+    return TruthSeries(times, C, speed[:, None] * C[:, :, 0], _positions(profile, times), spec.imu_rate)
 
 
 # ---------------------------------------------------------------------------
