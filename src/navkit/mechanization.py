@@ -49,7 +49,6 @@ stage positions, and the rest is per-dt constant matrices
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -221,15 +220,6 @@ class NavModel:
         Gamma = gravitation_gradient(r_center, self.gravity_model, self.earth)
         return Gamma - self.OmOm if self.fold else Gamma
 
-    def half_exp(self, dt):
-        """exp(-dt/2 (omega x)) in closed form from Om and OmOm:
-        I - sin(a)/w Om + 2 sin^2(a/2)/w^2 Om^2 with w = |omega|, a = w dt/2."""
-        h = 0.5 * dt
-        w = math.sqrt(-0.5 * (self.OmOm[0, 0] + self.OmOm[1, 1] + self.OmOm[2, 2]))  # tr(Om^2) = -2 w^2
-        s = _sinc(h * w) * h
-        s2 = _sinc(0.5 * h * w) * h
-        return _I3 - s * self.Om + (0.5 * s2 * s2) * self.OmOm
-
     def rate(self, K, W1):
         """Rate of the packed block K = [C | v | p] (rows 0-2 of the group
         matrix) under input matrix W1:  K W1 - Om (K d) + column,  where the
@@ -265,7 +255,7 @@ class NavModel:
             T = _I6 + dt * M + (dt * h) * (M @ M)
             G = np.concatenate(((dt * h) * M[:, 0:3], dt * _I6[:, 0:3]), axis=1)
             S = np.concatenate((_I6[3:6], (_I6 + h * M)[3:6]))
-            H = self.half_exp(dt)
+            H = so3_exp(-h * self.omega)
             terms = self._terms_by_dt[dt] = (H, H @ H, np.concatenate((T, G), axis=1).T.copy(), S.T.copy())
         return terms
 
@@ -297,10 +287,6 @@ def _input_matrix(omega_ib_b: np.ndarray, f_ib_b: np.ndarray) -> np.ndarray:
 
 _I3 = np.eye(3)
 _I6 = np.eye(6)
-
-
-def _sinc(x: float) -> float:
-    return math.sin(x) / x if x else 1.0
 
 
 def make_nav_state(
