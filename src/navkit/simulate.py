@@ -201,8 +201,10 @@ def _validate_spec(spec: TrajectorySpec) -> None:
         if not seg.duration > 0.0:
             raise SpecInvalid(f"segment {i}: duration must be positive, got {seg.duration}")
         speed = getattr(seg, "speed", 0.0)
-        if speed < 0.0:
-            raise SpecInvalid(f"segment {i}: speed must be non-negative, got {speed}")
+        if not (np.isfinite(speed) and speed >= 0.0):
+            raise SpecInvalid(f"segment {i}: speed must be finite and non-negative, got {speed}")
+        if isinstance(seg, Turn) and not np.isfinite(seg.yaw_rate):
+            raise SpecInvalid(f"segment {i}: yaw_rate must be finite, got {seg.yaw_rate}")
         if isinstance(seg, Climb) and not abs(seg.pitch) < np.pi / 2:
             raise SpecInvalid(f"segment {i}: pitch must lie in (-pi/2, pi/2)")
     total = spec.total_duration

@@ -90,11 +90,23 @@ QUIET = NoiseConfig(
         (Straight(10.0, -1.0),),
         (Climb(10.0, 1.6, 5.0),),
         (Rest(4000.0),),
+        (Turn(10.0, np.nan, 30.0),),
+        (Straight(5.0, 10.0), Turn(10.0, np.inf, 30.0)),
+        (Turn(10.0, -np.inf, 30.0),),
+        (Straight(10.0, np.nan),),
+        (Turn(10.0, 0.1, np.inf),),
+        (Climb(10.0, 0.1, np.nan),),
     ],
 )
 def test_invalid_specs_rejected(segments):
     with pytest.raises(SpecInvalid):
         gen_truth(TrajectorySpec(segments, 100.0), EARTH, GRAV, WORLD)
+
+
+def test_non_finite_rate_names_its_segment():
+    spec = TrajectorySpec((Straight(5.0, 10.0), Turn(10.0, np.nan, 30.0)), 100.0)
+    with pytest.raises(SpecInvalid, match="segment 1: yaw_rate must be finite, got nan"):
+        gen_truth(spec, EARTH, GRAV, WORLD)
 
 
 def test_low_imu_rate_rejected():
@@ -133,6 +145,33 @@ def test_semicircle_endpoint():
     assert abs(d - 200.0) < 1e-6
     # the grid must land exactly on the non-integer total duration
     assert abs(tr.t[-1] - duration) < 1e-12
+
+
+def test_truth_velocity_along_body_x_axis():
+    # Zero roll and no sideslip: at every epoch, inside the blend windows
+    # too, the velocity lies along the body x-axis and points forward.
+    spec = TrajectorySpec((Straight(5.0, 10.0), Turn(5.0, 0.2, 10.0), Climb(5.0, 0.1, 12.0), Rest(5.0)), 100.0)
+    tr = gen_truth(spec, EARTH, GRAV, WORLD)
+    x_axis, v = tr.C_b_w[:, :, 0], tr.v_wb_w
+    speed = np.linalg.norm(v, axis=1)
+    assert np.all(np.linalg.norm(np.cross(x_axis, v), axis=1) <= 1e-12 * speed)
+    assert np.all(np.einsum("ni,ni->n", x_axis, v) >= 0.0)
+    assert speed.max() == pytest.approx(12.0) and speed[-1] == 0.0
+
+
+def test_blend_keeps_the_step_profiles_integral():
+    # The blends are centered on the boundaries, so once past a blend
+    # window the heading is the step profile's integral and the pitch is
+    # the next segment's.
+    turn = gen_truth(TrajectorySpec((Turn(10.0, 0.1, 20.0), Straight(10.0, 20.0)), 100.0), EARTH, GRAV, WORLD)
+    yaw = np.arctan2(turn.C_b_w[:, 1, 0], turn.C_b_w[:, 0, 0])
+    assert abs(yaw[-1] - 1.0) < 1e-12
+    # and it gets there without a jump: the rate stays between the segments' 0.1 and 0 rad/s
+    assert np.all(np.diff(yaw) >= 0.0) and np.diff(yaw).max() <= 0.1 * 0.01 + 1e-12
+    climb = gen_truth(TrajectorySpec((Climb(10.0, 0.1, 20.0), Straight(10.0, 20.0)), 100.0), EARTH, GRAV, WORLD)
+    pitch = -np.arcsin(climb.C_b_w[:, 2, 0])
+    assert abs(pitch[0] - 0.1) < 1e-15 and pitch[-1] == 0.0
+    assert np.all(np.diff(pitch) <= 0.0)  # the ramp is monotone
 
 
 def test_truth_velocity_position_consistent():
