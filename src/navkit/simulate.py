@@ -212,8 +212,8 @@ def _validate_spec(spec: TrajectorySpec) -> None:
         raise SpecInvalid(f"total duration {total:.1f} s exceeds {_MAX_TOTAL_DURATION:.0f} s")
     if total < 1.0 / _SCORE_RATE - _GRID_TOL:
         raise SpecInvalid(f"total duration {total:g} s is shorter than one {1.0 / _SCORE_RATE:g} s scoring period")
-    if spec.imu_rate < _MIN_IMU_RATE:
-        raise SpecInvalid(f"imu_rate must be at least {_MIN_IMU_RATE:g} Hz, got {spec.imu_rate}")
+    if not (np.isfinite(spec.imu_rate) and spec.imu_rate >= _MIN_IMU_RATE):
+        raise SpecInvalid(f"imu_rate must be finite and at least {_MIN_IMU_RATE:g} Hz, got {spec.imu_rate}")
 
 
 def _smoothstep(x: np.ndarray) -> np.ndarray:

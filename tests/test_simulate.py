@@ -110,8 +110,9 @@ def test_non_finite_rate_names_its_segment():
 
 
 def test_low_imu_rate_rejected():
-    with pytest.raises(SpecInvalid):
-        gen_truth(TrajectorySpec((Rest(1.0),), 5.0), EARTH, GRAV, WORLD)
+    for rate in (5.0, np.nan, np.inf):
+        with pytest.raises(SpecInvalid, match="imu_rate must be finite and at least 10 Hz"):
+            gen_truth(TrajectorySpec((Rest(1.0),), rate), EARTH, GRAV, WORLD)
 
 
 def test_run_shorter_than_one_scoring_period_rejected():
