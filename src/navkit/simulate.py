@@ -8,14 +8,15 @@ quintic ramps, so velocity is C^1 while single-segment legs keep their
 exact textbook geometry.  The truth on the IMU grid is the attitude (zero
 roll, the body x-axis along the velocity) and velocity, from the
 profile's heading, pitch and speed at the grid times, and the position,
-by quadrature of the velocity.  ``inverse_imu`` recovers the
-per-interval inertial inputs by inverting the one-step rk4 integrator so
-each step lands exactly on the next grid attitude and velocity, which is
-what makes the generate -> invert -> re-mechanize loop close to
-navigation precision.  It runs a chord iteration on the step's
-closed-form first-order Jacobian, which is block triangular, so each
-correction is two solves in closed form and each iteration costs one
-stacked rk4 step.
+by quadrature of the velocity.
+
+``inverse_imu`` recovers the per-interval inertial
+inputs by inverting the one-step rk4 integrator so each step lands
+exactly on the next grid attitude and velocity, which is what makes the
+generate -> invert -> re-mechanize loop close to navigation precision.
+It runs a chord iteration on the step's closed-form first-order
+Jacobian, which is block triangular, so each correction is two solves
+in closed form and each iteration costs one stacked rk4 step.
 
 On top of that sit the sensor corrupters (bias + random walk + white
 noise, all drawn from keyed counter-based streams), the odometer
