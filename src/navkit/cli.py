@@ -55,17 +55,29 @@ _NUMERICAL_FAILURES = (KernelDomainError, NewtonNotConverged)
 # Row formats: t to the nanosecond, every other value round-trips exactly.
 _T = "%.9f"
 _V = ",%.17g"
+_CSV_BLOCK = 2048  # rows formatted per write
 
 
-def _write_csv(path, cfg_hash, header, fmt, rows):
+def _write_csv(path, cfg_hash, header, fmt, blocks):
     """RFC-4180 CSV with a leading comment line carrying the config hash:
-    one line fmt % row per row.  No cell holds a comma, a quote or a line
-    break, so none is quoted."""
+    one line fmt % row per row, written a block of rows at a time (blocks
+    yields lists of rows), so no result depends on the block.  No cell
+    holds a comma, a quote or a line break, so none is quoted."""
     line = fmt + "\r\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# config_sha256={cfg_hash}\r\n")
         fh.write(",".join(header) + "\r\n")
-        fh.writelines([line % tuple(row) for row in rows])
+        for rows in blocks:
+            fh.writelines([line % tuple(row) for row in rows])
+
+
+def _columns(*columns):
+    """The rows of the table of the given columns, _CSV_BLOCK at a time, as
+    lists.  A column is an array (all of one length, the first's) or a
+    function giving its rows of a slice, so it is formed a block at a time."""
+    for a in range(0, len(columns[0]), _CSV_BLOCK):
+        sl = slice(a, a + _CSV_BLOCK)
+        yield np.column_stack([c(sl) if callable(c) else c[sl] for c in columns]).tolist()
 
 
 def _write_json(path, payload):
@@ -118,24 +130,23 @@ def cmd_simulate(resolved, out_dir):
     imu_meas, _, _ = corrupt(imu_true, errors)
     odo_idx, odo_v = gen_odometer(truth, cfg.noise, cfg.seed, cfg.odo_rate, 0)
 
-    quat = _quat_from_rot(truth.C_b_w)
     _write_csv(
         os.path.join(out_dir, "truth.csv"),
         h,
         ["t", "q_w", "q_x", "q_y", "q_z", "v_n", "v_e", "v_d", "r_n", "r_e", "r_d"],
         _T + _V * 10,
-        np.column_stack([truth.t, quat, truth.v_wb_w, truth.r_w]).tolist(),
+        _columns(truth.t, lambda sl: _quat_from_rot(truth.C_b_w[sl]), truth.v_wb_w, truth.r_w),
     )
     _write_csv(
         os.path.join(out_dir, "imu.csv"),
         h,
         ["t", "omega_x", "omega_y", "omega_z", "f_x", "f_y", "f_z", "dt"],
         _T + _V * 7,
-        np.column_stack([truth.t[:-1], imu_meas.omega_ib_b, imu_meas.f_ib_b, imu_meas.dt]).tolist(),
+        _columns(truth.t[:-1], imu_meas.omega_ib_b, imu_meas.f_ib_b, imu_meas.dt),
     )
     _write_csv(
         os.path.join(out_dir, "odo.csv"), h, ["t", "v_x", "v_y", "v_z"], _T + _V * 3,
-        np.column_stack([truth.t[odo_idx], odo_v]).tolist(),
+        _columns(truth.t[odo_idx], odo_v),
     )
     return 0
 
@@ -157,11 +168,11 @@ def cmd_run(resolved, out_dir):
             "updated",
         ],
         _T + _V * 9 + ",%d",
-        np.column_stack([run0.t, run0.att_err, run0.vel_err, run0.pos_err, run0.updated]).tolist(),
+        _columns(run0.t, run0.att_err, run0.vel_err, run0.pos_err, run0.updated),
     )
     _write_csv(
         os.path.join(out_dir, "nees.csv"), h, ["t", "mean_nees"], _T + _V,
-        np.column_stack([run0.t, mc.mean_nees_series]).tolist(),
+        _columns(run0.t, mc.mean_nees_series),
     )
 
     summary = {
@@ -236,7 +247,7 @@ def cmd_compare(resolved, out_dir):
         h,
         ["variant", "convention", "rmse_att", "rmse_vel", "rmse_pos", "mean_nees"],
         "%s,%s" + _V * 4,
-        rows,
+        [rows],
     )
     return 0
 

@@ -28,7 +28,8 @@ packed block x.K (see se23.SE23) may carry leading batch axes (one element
 per Monte-Carlo run or per interval, sharing the anchors r0/dv0), with
 inputs of matching shape, and a single state is a stack with no leading
 axis.  step's rk4 also takes one dt per element, which is how inverse_imu
-steps all of a grid's intervals (the last one may be shorter) at once.
+steps a block of a grid's intervals (the grid's last may be shorter) in
+one call.
 integrate advances a state over the L samples of an interval (inputs
 (L, ..., 3), dt (L,)); lgekf.predict and the autonomy experiment propagate
 with it, and step's midpoint rule is a one-sample integrate.

@@ -16,7 +16,12 @@ exactly on the next grid attitude and velocity, which is what makes the
 generate -> invert -> re-mechanize loop close to navigation precision.
 It runs a chord iteration on the step's closed-form first-order
 Jacobian, which is block triangular, so each correction is two solves
-in closed form and each iteration costs one stacked rk4 step.
+in closed form and each iteration costs one stacked rk4 step per block
+of intervals.  The grid-length stages (inverse_imu, the truth's position
+quadrature, the autonomy error logs) form their temporaries for a fixed
+block of _GRID_BLOCK stacked elements at a time (intervals, or pairs of
+flows at an epoch), so those temporaries do not grow with the
+trajectory, and no result depends on the block.
 
 On top of that sit the sensor corrupters (bias + random walk + white
 noise, all drawn from keyed counter-based streams), the odometer
@@ -117,6 +122,11 @@ _GRID_TOL = 1e-9
 _MIN_IMU_RATE = 10.0  # Hz
 _SCORE_RATE = 10.0  # Hz; the filter loop scores at this rate with the odometer off
 _SCORE_BLOCK = 64  # epochs the filter loop scores per stacked pass (0.9 MB of covariances at 8 runs)
+# Elements a grid-length stage stacks per pass: about 3 MB of inverse_imu's
+# temporaries.  glibc's dynamic mmap and trim thresholds follow the largest
+# block freed, and with half as many the N=8 filter loop's temporaries fault
+# afresh: a 60 s batch of 8 took 51k minor page faults against 7k.
+_GRID_BLOCK = 2048
 
 
 class SpecInvalid(ValueError):
@@ -124,9 +134,11 @@ class SpecInvalid(ValueError):
 
 
 @contextmanager
-def _naming_elements(where, width=None):
+def _naming_elements(where, width=None, offset=0):
     """Re-raise a stacked kernel's KernelDomainError as its own type, the
     message prefixed with where(element): the run or trajectory and epoch.
+    A stack cut as a block from a longer one starts at flat element offset
+    of it; where and the re-raised error see indices into the longer one.
     With width the stack is (epochs, width) and the re-raised error's
     element is the failing element's index along width (its run)."""
     try:
@@ -134,8 +146,8 @@ def _naming_elements(where, width=None):
     except KernelDomainError as exc:
         if exc.element is None:
             raise
-        element = exc.element if width is None else exc.element % width
-        raise type(exc)(f"{where(exc.element)}: {exc}", element=element) from exc
+        element = offset + exc.element
+        raise type(exc)(f"{where(element)}: {exc}", element=element if width is None else element % width) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -274,18 +286,32 @@ class _Profile:
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(5)
 
 
+def _grid_blocks(n: int, width: int = 1) -> list[tuple[int, int]]:
+    """(start, stop) of the blocks that cover n intervals or epochs, each of
+    width stacked elements, _GRID_BLOCK elements to a block."""
+    size = _GRID_BLOCK // width
+    return [(a, min(a + size, n)) for a in range(0, n, size)]
+
+
 def _positions(profile: _Profile, times: np.ndarray) -> np.ndarray:
-    """Cumulative Gauss-Legendre integral of the velocity, r(times[0]) = 0."""
-    a, b = times[:-1], times[1:]
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    psi, pitch, speed = profile.heading((mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel())
-    cth = np.cos(pitch)
-    v = speed[:, None] * np.stack([np.cos(psi) * cth, np.sin(psi) * cth, -np.sin(pitch)], axis=1)
-    gains = half[:, None] * np.einsum("q,nqk->nk", _GL_WEIGHTS, v.reshape(len(a), len(_GL_NODES), 3))
+    """Cumulative Gauss-Legendre integral of the velocity, r(times[0]) = 0.
+
+    The node velocities are formed a block of intervals at a time, each
+    interval's gain lands in one (n, 3) array, and one cumsum runs over
+    it: no result depends on the block size.
+    """
     out = np.empty((len(times), 3))
     out[0] = 0.0
-    np.cumsum(gains, axis=0, out=out[1:])
+    gains = out[1:]
+    for a, z in _grid_blocks(len(gains)):
+        ta, tb = times[a:z], times[a + 1:z + 1]
+        half = 0.5 * (tb - ta)
+        mid = 0.5 * (ta + tb)
+        psi, pitch, speed = profile.heading((mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel())
+        cth = np.cos(pitch)
+        v = speed[:, None] * np.stack([np.cos(psi) * cth, np.sin(psi) * cth, -np.sin(pitch)], axis=1)
+        gains[a:z] = half[:, None] * np.einsum("q,nqk->nk", _GL_WEIGHTS, v.reshape(z - a, len(_GL_NODES), 3))
+    np.cumsum(gains, axis=0, out=gains)
     return out
 
 
@@ -372,62 +398,84 @@ def inverse_imu(
 ) -> ImuSample:
     """Recover per-interval inertial inputs consistent with the grid.
 
-    Solves, for every interval at once, the six-unknown system "RK4 step
-    with constant (omega, f) lands on the next grid attitude/velocity",
-    by a chord iteration on the step's closed-form first-order Jacobian,
-    fixed at the seed.  Returns the inputs as one stack, omega and f
-    (n, 3) and dt (n,), the form step(method="rk4") takes; feeding it back
-    through the forward integrator reproduces the grid to navigation
-    precision.
+    Solves, for every interval, the six-unknown system "RK4 step with
+    constant (omega, f) lands on the next grid attitude/velocity", by a
+    chord iteration on the step's closed-form first-order Jacobian, fixed
+    at the seed.  The seeds, the corrections and the stacked rk4 residual
+    steps run a block of _GRID_BLOCK intervals at a time; one convergence
+    test over the whole grid decides each iteration, so every interval
+    gets the same number of corrections and no result depends on the
+    block size.  Returns the inputs as one stack, omega and f (n, 3) and
+    dt (n,), the form step(method="rk4") takes; feeding it back through
+    the forward integrator reproduces the grid to navigation precision.
     """
     C, v, r, t = truth.C_b_w, truth.v_wb_w, truth.r_w, truth.t
     dts = np.diff(t)
-    starts = truth.state(slice(None, -1))  # every interval's start as one stacked state
-    model = NavModel.of(starts, earth, gravity_model, world)
+    model = NavModel.of(truth.state(0), earth, gravity_model, world)
+    om0, f0, om, f, res_att, res_vel = (np.empty((len(dts), 3)) for _ in range(6))
 
-    # Seed attitude rate from the earth-rate-compensated attitude increment.
-    E = so3_exp(model.omega * dts[:, None])
-    M = np.einsum("nji,njk,nkl->nil", C[:-1], E, C[1:])
-    om = so3_log(M) / dts[:, None]
+    def mid_attitude(a, z):
+        # C at each interval's midpoint under its seed rate.
+        dt = dts[a:z, None]
+        return so3_exp(-model.omega * (0.5 * dt)) @ C[a:z] @ so3_exp(0.5 * om0[a:z] * dt)
 
-    # Seed specific force: the one whose velocity rate at the interval's
-    # midpoint matches the finite-difference acceleration.
-    E_half = so3_exp(-model.omega * (0.5 * dts[:, None]))
-    R_half = so3_exp(0.5 * om * dts[:, None])
-    C_mid = E_half @ C[:-1] @ R_half
-    v_mid = 0.5 * (v[:-1] + v[1:])
-    accel = (v[1:] - v[:-1]) / dts[:, None]
-    f_w = accel - model.accel(0.0, model.offset + 0.5 * (r[:-1] + r[1:]), v_mid)
-    f = np.einsum("nij,ni->nj", C_mid, f_w)
+    def residual(a, z):
+        # The block's residuals, stored, and their largest magnitudes.
+        end = step(truth.state(slice(a, z)), ImuSample(om[a:z], f[a:z], dts[a:z]), model, method="rk4").x
+        Mres = np.einsum("nji,njk->nik", end.R, C[a + 1:z + 1])
+        res_att[a:z] = 0.5 * unskew(Mres - transpose(Mres))
+        res_vel[a:z] = end.v - v[a + 1:z + 1]
+        return np.abs(res_att[a:z]).max(), np.abs(res_vel[a:z]).max()
 
-    # The step's Jacobian to first order in dt: d att/d omega = -dt I,
-    # d att/d f = 0, d vel/d f = dt C_mid, d vel/d omega = -(dt^2/2) C_mid [f x].
-    # It is block triangular and invertible for every dt > 0, so each
-    # interval's correction is closed form: omega first, then f.
-    J_vel_om = (-0.5 * dts**2)[:, None, None] * (C_mid @ skew(f))
-    C_mid_T = transpose(C_mid)
+    def seed(a, z):
+        # The attitude rate from the earth-rate-compensated attitude
+        # increment, and the specific force whose velocity rate at the
+        # interval's midpoint matches the finite-difference acceleration.
+        dt = dts[a:z, None]
+        M = np.einsum("nji,njk,nkl->nil", C[a:z], so3_exp(model.omega * dt), C[a + 1:z + 1])
+        om[a:z] = om0[a:z] = so3_log(M) / dt
+        v_mid = 0.5 * (v[a:z] + v[a + 1:z + 1])
+        accel = (v[a + 1:z + 1] - v[a:z]) / dt
+        f_w = accel - model.accel(0.0, model.offset + 0.5 * (r[a:z] + r[a + 1:z + 1]), v_mid)
+        f[a:z] = f0[a:z] = np.einsum("nij,ni->nj", mid_attitude(a, z), f_w)
+        return residual(a, z)
 
-    def residual(omega: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        end = step(starts, ImuSample(omega, f, dts), model, method="rk4").x
-        Mres = np.einsum("nji,njk->nik", end.R, C[1:])
-        return 0.5 * unskew(Mres - transpose(Mres)), end.v - v[1:]
+    def correct(a, z):
+        # The step's Jacobian to first order in dt, at the seed: d att/d omega
+        # = -dt I, d att/d f = 0, d vel/d f = dt C_mid, d vel/d omega =
+        # -(dt^2/2) C_mid [f x].  It is block triangular and invertible for
+        # every dt > 0, so each interval's correction is closed form: omega
+        # first, then f.
+        dt = dts[a:z, None]
+        C_mid = mid_attitude(a, z)
+        J_vel_om = (-0.5 * dts[a:z] ** 2)[:, None, None] * (C_mid @ skew(f0[a:z]))
+        d_om = res_att[a:z] / dt
+        om[a:z] += d_om
+        f[a:z] += matvec(transpose(C_mid), -res_vel[a:z] - matvec(J_vel_om, d_om)) / dt
+        return residual(a, z)
 
-    res_att, res_vel = residual(om, f)
+    def each_block(stage):
+        # stage(a, z) on every block, a kernel failure naming its interval
+        worst = []
+        for a, z in _grid_blocks(len(dts)):
+            with _naming_elements(lambda k: f"inverse_imu: interval at t={t[k]:.3f} s", offset=a):
+                worst.append(stage(a, z))
+        return worst
+
+    worst = each_block(seed)
     for iteration in range(_NEWTON_ITERATIONS + 1):
-        att, vel = np.abs(res_att).max(axis=1), np.abs(res_vel).max(axis=1)
-        if att.max() < _NEWTON_TOL_ATT and vel.max() < _NEWTON_TOL_VEL:
+        worst_att, worst_vel = np.max(worst, axis=0)
+        if worst_att < _NEWTON_TOL_ATT and worst_vel < _NEWTON_TOL_VEL:
             break
         if iteration == _NEWTON_ITERATIONS:
-            k = int(np.argmax(att if att.max() >= _NEWTON_TOL_ATT else vel))
+            att, vel = np.abs(res_att).max(axis=1), np.abs(res_vel).max(axis=1)
+            k = int(np.argmax(att if worst_att >= _NEWTON_TOL_ATT else vel))
             raise NewtonNotConverged(
                 f"inverse_imu: Newton iteration did not converge in {_NEWTON_ITERATIONS} iterations; "
                 f"worst residual on the interval at t={t[k]:.3f} s "
                 f"(attitude {att[k]:.3e} rad, velocity {vel[k]:.3e} m/s)"
             )
-        d_om = res_att / dts[:, None]
-        om = om + d_om
-        f = f + matvec(C_mid_T, -res_vel - matvec(J_vel_om, d_om)) / dts[:, None]
-        res_att, res_vel = residual(om, f)
+        worst = each_block(correct)
 
     return ImuSample(om, f, dts)
 
@@ -954,14 +1002,17 @@ def autonomy_experiment(
     # The four flows advance as one (2, 2) stack: (truth, estimate) x
     # (trajectory a, b), over all m-1 intervals in one integrate call whose
     # (m, 2, 2, 3, 5) result is their storage; each side's epochs are a
-    # strided (m, 2) stack ordered (epoch, trajectory).
+    # strided (m, 2) stack ordered (epoch, trajectory), whose error logs
+    # are taken a block of epochs at a time.
     state = replace(starts[0], x=SE23.packed(np.stack([x0.K, est0.K])))
     model = NavModel.of(state, earth, gravity, world)
     with _naming_elements(lambda i: f"trajectory {'ab'[i % 2]}, t={t[i // 4 + 1]:.3f} s"):
         K = integrate(state, ImuSample(omega, f, dts), model, method=settings.integrator)
-    truth, est = (replace(state, x=SE23.packed(K[:, j])) for j in (0, 1))
-    with _naming_elements(lambda i: f"trajectory {'ab'[i % 2]}, t={t[i // 2]:.3f} s"):
-        xi = se23_log(error_from_states(truth, est, conv)).as_vector()
+    xi = np.empty((m, 2, 9))
+    for a, z in _grid_blocks(m, width=2):
+        truth, est = (replace(state, x=SE23.packed(K[a:z, j])) for j in (0, 1))
+        with _naming_elements(lambda i: f"trajectory {'ab'[i % 2]}, t={t[i // 2]:.3f} s", offset=2 * a):
+            xi[a:z] = se23_log(error_from_states(truth, est, conv)).as_vector()
     xi_a, xi_b = xi[:, 0].copy(), xi[:, 1].copy()
     metric = float(np.max(np.linalg.norm(xi_a - xi_b, axis=1)))
 

@@ -275,6 +275,59 @@ def test_stalled_newton_interval_exits_3_naming_it(tmp_path, cfg_file, capsys, m
     ), err
 
 
+def test_stalled_interval_in_a_later_block_is_named_by_its_grid_time(tmp_path, cfg_file, capsys, monkeypatch):
+    # With blocks of 16 intervals, a step that ignores the gyro input on
+    # interval 5 of the second block stalls the interval at t=0.21 s; the
+    # config's 1,000 intervals make 63 blocks, stepped in order each pass.
+    monkeypatch.setattr(simulate, "_GRID_BLOCK", 16)
+    real_step, calls = simulate.step, []
+
+    def deaf_step(state, imu, model, method):
+        calls.append(1)
+        omega = imu.omega_ib_b.copy()
+        if len(calls) % 63 == 2:
+            omega[5] = 0.0
+        return real_step(state, simulate.ImuSample(omega, imu.f_ib_b, imu.dt), model, method)
+
+    monkeypatch.setattr(simulate, "step", deaf_step)
+    assert main(["simulate", "--config", cfg_file, "--out", str(tmp_path / "sim")]) == 3
+    err = capsys.readouterr().err
+    assert re.search(
+        r"^numerical failure: inverse_imu: Newton iteration did not converge in 8 iterations; "
+        r"worst residual on the interval at t=0\.210 s", err
+    ), err
+
+
+def test_csv_rows_do_not_depend_on_the_block(tmp_path):
+    # More rows than one block, each written as fmt % row; and the short
+    # mixed str/float table compare passes as one block.
+    rng = np.random.default_rng(3)
+    n = 2 * cli._CSV_BLOCK + 5
+    t, a, b = np.arange(n) * 0.01, rng.normal(size=(n, 3)), rng.normal(size=n)
+    fmt = cli._T + cli._V * 4
+    path = tmp_path / "table.csv"
+    cli._write_csv(path, "0" * 64, ["t", "a_x", "a_y", "a_z", "b"], fmt, cli._columns(t, a, b))
+    whole = "".join(fmt % tuple(row) + "\r\n" for row in np.column_stack([t, a, b]).tolist())
+    assert path.read_bytes().decode() == "# config_sha256=" + "0" * 64 + "\r\nt,a_x,a_y,a_z,b\r\n" + whole
+    rows = [("proposed-w", "right", 0.1, 2.0, 3e-5, 15.25), ("traditional-w", "left", 0.2, 1.0, 4.0, 9.5)]
+    cli._write_csv(path, "0" * 64, ["variant", "convention", "a", "b", "c", "d"], "%s,%s" + cli._V * 4, [rows])
+    assert path.read_bytes().decode().split("\r\n")[2:] == [
+        "proposed-w,right,0.10000000000000001,2,3.0000000000000001e-05,15.25",
+        "traditional-w,left,0.20000000000000001,1,4,9.5",
+        "",
+    ]
+
+
+def test_simulate_files_do_not_depend_on_the_csv_block(tmp_path, cfg_file, monkeypatch):
+    # The config's 1,001 truth rows fit one default block; blocks of 7 rows
+    # must write the same bytes, the truth's quaternions included.
+    assert main(["simulate", "--config", cfg_file, "--out", str(tmp_path / "one")]) == 0
+    monkeypatch.setattr(cli, "_CSV_BLOCK", 7)
+    assert main(["simulate", "--config", cfg_file, "--out", str(tmp_path / "many")]) == 0
+    for name in ("truth.csv", "imu.csv", "odo.csv"):
+        assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "many" / name).read_bytes(), name
+
+
 def test_ten_hz_imu_floor_runs(tmp_path):
     # 10 Hz is the lowest rate resolve accepts; its grid spacing carries
     # roundoff past 0.1 s, which the integrators' dt guard must absorb.

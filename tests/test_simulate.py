@@ -24,6 +24,7 @@ from navkit import (
     ModelVariant,
     NavModel,
     NoiseConfig,
+    NotARotation,
     Rest,
     RunConfig,
     SensorErrors,
@@ -285,6 +286,66 @@ def test_inverse_imu_closes_at_10_hz(monkeypatch, segments):
     assert np.linalg.norm(np.swapaxes(K[:, :, :3], -1, -2) @ tr.C_b_w - np.eye(3), axis=(1, 2)).max() < 3e-6
     assert np.linalg.norm(K[:, :, 3] - tr.v_wb_w, axis=1).max() < 3e-4
     assert np.linalg.norm(tr.r_w[0] + K[:, :, 4] - tr.r_w, axis=1).max() < 0.2
+
+
+def test_grid_block_does_not_change_the_truth_or_the_inputs(monkeypatch):
+    # One convergence test over the whole grid gives every interval the same
+    # number of corrections whatever the block: a straight leg's blocks,
+    # left to converge on their own, would stop at their seed.
+    spec = TrajectorySpec((Straight(15.0, 30.0), Turn(15.0, 0.02, 30.0)), 100.0)
+    out = []
+    for block in (7, 10**9):
+        monkeypatch.setattr(sim, "_GRID_BLOCK", block)
+        tr = gen_truth(spec, EARTH, GRAV, WORLD)
+        imu = inverse_imu(tr, EARTH, GRAV, WORLD)
+        out.append([a.tobytes() for a in (tr.t, tr.C_b_w, tr.v_wb_w, tr.r_w, imu.omega_ib_b, imu.f_ib_b, imu.dt)])
+    assert out[0] == out[1]
+
+
+def test_grid_working_set_is_bounded():
+    # Traced peaks over one call on a 600 s, 100 Hz grid (60,000 intervals),
+    # above the traced size before it.  They cover the call's outputs
+    # (gen_truth 7.7 MB, inverse_imu 3.4 MB), inverse_imu's per-interval
+    # iteration state (8.6 MB) and one block of temporaries; stages formed
+    # over the whole grid at once peaked at 33 and 104 MB.
+    import tracemalloc
+
+    spec = TrajectorySpec((Straight(200.0, 30.0), Turn(200.0, 0.02, 30.0), Climb(100.0, 0.05, 30.0),
+                           Rest(100.0)), 100.0)
+    tracemalloc.start()
+    try:
+        def traced_peak(call, *args):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            out = call(*args)
+            return out, (tracemalloc.get_traced_memory()[1] - before) / 1e6
+
+        tr, truth_mb = traced_peak(gen_truth, spec, EARTH, GRAV, WORLD)
+        _, inverse_mb = traced_peak(inverse_imu, tr, EARTH, GRAV, WORLD)
+    finally:
+        tracemalloc.stop()
+    assert len(tr.t) == 60_001
+    assert truth_mb < 16.0, truth_mb
+    assert inverse_mb < 30.0, inverse_mb
+
+
+def test_inverse_imu_kernel_error_names_its_interval_across_blocks(monkeypatch):
+    # A kernel failure in the second block names the failing interval's
+    # time and its index on the whole grid.
+    monkeypatch.setattr(sim, "_GRID_BLOCK", 16)
+    tr = gen_truth(TrajectorySpec((Straight(1.0, 10.0),), 100.0), EARTH, GRAV, WORLD)
+    real_step, calls = sim.step, []
+
+    def failing_in_second_block(state, imu, model, method):
+        calls.append(1)
+        if len(calls) == 2:
+            raise NotARotation("element 3 of the stack: planted", element=3)
+        return real_step(state, imu, model, method)
+
+    monkeypatch.setattr(sim, "step", failing_in_second_block)
+    with pytest.raises(NotARotation, match=r"^inverse_imu: interval at t=0\.190 s: element 3 of the stack") as info:
+        inverse_imu(tr, EARTH, GRAV, WORLD)
+    assert info.value.element == 19
 
 
 # ---------------------------------------------------------------------------
@@ -848,6 +909,26 @@ def test_autonomy_log_error_names_trajectory_and_epoch():
         autonomy_experiment(ModelVariant(Frame.I, Grouping.TRADITIONAL), ErrorConvention.RIGHT,
                             REST20, FAST20, xi0, UNIFORM)
     assert info.value.element == 0
+
+
+def test_autonomy_log_error_in_a_later_block_names_trajectory_and_epoch(monkeypatch):
+    # The error logs run a block of epochs at a time, _GRID_BLOCK elements
+    # of the (m, 2) stack: element 3 of the second (8, 2) block is flat
+    # element 19, epoch 9 of trajectory b.
+    monkeypatch.setattr(sim, "_GRID_BLOCK", 16)
+    real_log, calls = sim.se23_log, []
+
+    def failing_in_second_block(x):
+        calls.append(1)
+        if len(calls) == 2:
+            raise AngleAtPi("element 3 of the stack: planted", element=3)
+        return real_log(x)
+
+    monkeypatch.setattr(sim, "se23_log", failing_in_second_block)
+    with pytest.raises(AngleAtPi, match=r"^trajectory b, t=0\.090 s: element 3 of the stack") as info:
+        autonomy_experiment(ModelVariant(Frame.I, Grouping.TRADITIONAL), ErrorConvention.RIGHT,
+                            REST20, FAST20, XI0, UNIFORM)
+    assert info.value.element == 19
 
 
 def test_nees_singular_run_falls_back_alone():
