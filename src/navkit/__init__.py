@@ -1,116 +1,22 @@
-"""navkit: SE2(3) Lie-group inertial navigation toolkit."""
-from .se23 import (
-    SE23,
-    AngleAtPi,
-    NotARotation,
-    TangentVector,
-    se23_exp,
-    se23_log,
-    skew,
-    so3_exp,
-    so3_left_jacobian,
-    so3_left_jacobian_inv,
-    so3_log,
-    unskew,
-)
-from .earth import (
-    EarthParams,
-    GravityModel,
-    SingularRadius,
-    SphericalGravity,
-    UniformGravity,
-    WorldFrameDef,
-    earth_rate,
-    frame_transform,
-    gravitation,
-    gravitation_gradient,
-    ned_world,
-)
-from .mechanization import (
-    Frame,
-    FrameMismatch,
-    Grouping,
-    ImuSample,
-    NavModel,
-    NavState,
-    WDecomposition,
-    body_velocity,
-    derivative,
-    frame_velocity,
-    integrate,
-    make_nav_state,
-    nav_from_physical,
-    physical_from_nav,
-    step,
-)
-from .error_models import (
-    AutonomyClass,
-    ErrorConvention,
-    ModelVariant,
-    apply_correction,
-    classify_autonomy,
-    error_from_states,
-    error_to_vector,
-    exact_error_derivative,
-    linearized_F_G,
-    vector_to_error,
-)
-from .lgekf import (
-    CovarianceNotPSD,
-    FilterState,
-    NoiseConfig,
-    NonFiniteInnovation,
-    OdoSample,
-    SingularInnovation,
-    check_covariance,
-    fuse,
-    odo_H,
-    predict,
-)
-from .rng import (
-    STREAM_ACCEL_BIAS_WALK,
-    STREAM_ACCEL_NOISE,
-    STREAM_GYRO_BIAS_WALK,
-    STREAM_GYRO_NOISE,
-    STREAM_INIT_BIAS,
-    STREAM_INIT_STATE,
-    STREAM_ODOMETER,
-    GaussianStream,
-    substream,
-)
-from .simulate import (
-    AutonomyResult,
-    AutonomySettings,
-    Climb,
-    NewtonNotConverged,
-    Rest,
-    RunConfig,
-    RunResult,
-    SensorErrors,
-    SpecInvalid,
-    Straight,
-    TrajectorySpec,
-    TruthSeries,
-    Turn,
-    autonomy_experiment,
-    corrupt,
-    draw_biases,
-    gen_odometer,
-    gen_truth,
-    inverse_imu,
-    run_monte_carlo,
-    run_single,
-    true_bias_series,
-)
-from .config import (
-    ConfigError,
-    apply_overrides,
-    build_autonomy_inputs,
-    build_run_config,
-    build_trajectory,
-    config_hash,
-    load_config,
-    resolve,
-)
+"""navkit: SE2(3) Lie-group inertial navigation toolkit.
+
+Each module's ``__all__`` declares its public names, and the package
+re-exports every one of them, so ``navkit.X`` is ``navkit.<module>.X``.
+"""
+from .se23 import *
+from .earth import *
+from .mechanization import *
+from .error_models import *
+from .lgekf import *
+from .rng import *
+from .simulate import *
+from .config import *
+from . import config, earth, error_models, lgekf, mechanization, rng, se23, simulate
+
+__all__ = [
+    name
+    for module in (se23, earth, mechanization, error_models, lgekf, rng, simulate, config)
+    for name in module.__all__
+]
 
 __version__ = "0.1.0"

@@ -37,6 +37,7 @@ from .simulate import (
     NewtonNotConverged,
     SensorErrors,
     SpecInvalid,
+    _grid_blocks,
     autonomy_experiment,
     corrupt,
     draw_biases,
@@ -55,7 +56,6 @@ _NUMERICAL_FAILURES = (KernelDomainError, NewtonNotConverged)
 # Row formats: t to the nanosecond, every other value round-trips exactly.
 _T = "%.9f"
 _V = ",%.17g"
-_CSV_BLOCK = 2048  # rows formatted per write
 
 
 def _write_csv(path, cfg_hash, header, fmt, blocks):
@@ -72,11 +72,11 @@ def _write_csv(path, cfg_hash, header, fmt, blocks):
 
 
 def _columns(*columns):
-    """The rows of the table of the given columns, _CSV_BLOCK at a time, as
-    lists.  A column is an array (all of one length, the first's) or a
-    function giving its rows of a slice, so it is formed a block at a time."""
-    for a in range(0, len(columns[0]), _CSV_BLOCK):
-        sl = slice(a, a + _CSV_BLOCK)
+    """The rows of the table of the given columns, a _grid_blocks block at a
+    time, as lists.  A column is an array (all of one length, the first's)
+    or a function giving its rows of a slice, so it is formed by block."""
+    for a, z in _grid_blocks(len(columns[0])):
+        sl = slice(a, z)
         yield np.column_stack([c(sl) if callable(c) else c[sl] for c in columns]).tolist()
 
 

@@ -11,7 +11,9 @@ The schema is read off the runtime types it builds: the defaults are those
 of RunConfig, NoiseConfig (odo_noise_var is its odometer covariance's
 diagonal), TrajectorySpec and AutonomySettings; the frame, grouping and
 convention choices are the values of Frame, Grouping and ErrorConvention;
-and a segment type's keys are its dataclass's fields.
+the integrator choices are mechanization's integration methods; the IMU
+rate floor is the integrators' 0.1 s dt guard; and a segment type's keys
+are its dataclass's fields.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 from .earth import EarthParams, SphericalGravity, UniformGravity, ned_world
 from .error_models import ErrorConvention, ModelVariant
 from .lgekf import NoiseConfig
-from .mechanization import Frame, Grouping
+from .mechanization import _INTEGRATORS, Frame, Grouping
 from .simulate import (
     AutonomySettings,
     Climb,
@@ -38,6 +40,17 @@ from .simulate import (
     _MIN_IMU_RATE,
     _odo_decimation,
 )
+
+__all__ = [
+    "ConfigError",
+    "resolve",
+    "load_config",
+    "apply_overrides",
+    "config_hash",
+    "build_trajectory",
+    "build_run_config",
+    "build_autonomy_inputs",
+]
 
 SCHEMA_VERSION = 1
 
@@ -235,7 +248,7 @@ def _resolve_filter(raw, path):
         out[key] = _expect_num(given[key], f"{path}.{key}", minimum=0.0)
     gate = given["gate_sigma"]
     out["gate_sigma"] = None if gate is None else _expect_num(gate, f"{path}.gate_sigma", minimum=0.0)
-    out["integrator"] = _expect_choice(given["integrator"], f"{path}.integrator", {"midpoint", "rk4"})
+    out["integrator"] = _expect_choice(given["integrator"], f"{path}.integrator", _INTEGRATORS)
     return out
 
 

@@ -75,9 +75,12 @@ class NoiseConfig:
 
     def __post_init__(self):
         for name in ("gyro_noise_psd", "accel_noise_psd", "gyro_bias_rw_psd", "accel_bias_rw_psd"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be >= 0")
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
         R = np.asarray(self.odo_noise_cov, dtype=float)
+        if R.shape == (3, 3) and not np.isfinite(R).all():
+            raise ValueError("odo_noise_cov must be finite")
         if R.shape != (3, 3) or not np.allclose(R, R.T, atol=1e-12):
             raise ValueError("odo_noise_cov must be a symmetric 3x3 matrix")
         if np.linalg.eigvalsh(R)[0] <= 0.0:

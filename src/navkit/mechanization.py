@@ -77,6 +77,7 @@ __all__ = [
 ]
 
 _MAX_DT = 0.1  # s; piecewise-constant-input assumption guard
+_INTEGRATORS = ("midpoint", "rk4")  # step's and integrate's methods
 _DT_ROUNDOFF = 1e-9  # s; a time grid's differences may exceed their spacing by roundoff
 
 
@@ -394,10 +395,10 @@ def integrate(state: NavState, imu: ImuSample, model: NavModel, method: str = "m
     if dt.ndim != 1:
         raise ValueError(f"an interval takes one dt per sample, (L,), not an array of shape {dt.shape}")
     _check_dt(dt.max())
+    if method not in _INTEGRATORS:
+        raise ValueError(f"unknown integration method {method!r}")
     if method == "midpoint":
         return _midpoint(state.x.K, imu, dt, model)
-    if method != "rk4":
-        raise ValueError(f"unknown integration method {method!r}")
     W1 = _input_matrix(imu.omega_ib_b, imu.f_ib_b)
     K = state.x.K
     out = np.empty((len(dt) + 1,) + K.shape)

@@ -73,6 +73,7 @@ from .mechanization import (
     ImuSample,
     NavModel,
     NavState,
+    _MAX_DT,
     integrate,
     nav_from_physical,
     physical_from_nav,
@@ -115,17 +116,19 @@ __all__ = [
     "AutonomySettings",
     "AutonomyResult",
     "autonomy_experiment",
+    "draw_biases",
 ]
 
 _MAX_TOTAL_DURATION = 3600.0
 _GRID_TOL = 1e-9
-_MIN_IMU_RATE = 10.0  # Hz
+_MIN_IMU_RATE = 1.0 / _MAX_DT  # Hz: 10, the integrators' dt guard
 _SCORE_RATE = 10.0  # Hz; the filter loop scores at this rate with the odometer off
 _SCORE_BLOCK = 64  # epochs the filter loop scores per stacked pass (0.9 MB of covariances at 8 runs)
-# Elements a grid-length stage stacks per pass: about 3 MB of inverse_imu's
-# temporaries.  glibc's dynamic mmap and trim thresholds follow the largest
-# block freed, and with half as many the N=8 filter loop's temporaries fault
-# afresh: a 60 s batch of 8 took 51k minor page faults against 7k.
+# Elements a grid-length stage stacks per pass, and the CSV rows cli formats
+# per write: about 3 MB of inverse_imu's temporaries.  glibc's dynamic mmap
+# and trim thresholds follow the largest block freed, and with half as many
+# the N=8 filter loop's temporaries fault afresh: a 60 s batch of 8 took 51k
+# minor page faults against 7k.
 _GRID_BLOCK = 2048
 
 

@@ -302,7 +302,7 @@ def test_csv_rows_do_not_depend_on_the_block(tmp_path):
     # More rows than one block, each written as fmt % row; and the short
     # mixed str/float table compare passes as one block.
     rng = np.random.default_rng(3)
-    n = 2 * cli._CSV_BLOCK + 5
+    n = 2 * simulate._GRID_BLOCK + 5
     t, a, b = np.arange(n) * 0.01, rng.normal(size=(n, 3)), rng.normal(size=n)
     fmt = cli._T + cli._V * 4
     path = tmp_path / "table.csv"
@@ -319,10 +319,11 @@ def test_csv_rows_do_not_depend_on_the_block(tmp_path):
 
 
 def test_simulate_files_do_not_depend_on_the_csv_block(tmp_path, cfg_file, monkeypatch):
-    # The config's 1,001 truth rows fit one default block; blocks of 7 rows
-    # must write the same bytes, the truth's quaternions included.
+    # The config's 1,001 truth rows fit one default block; blocks of 7 (the
+    # CSV rows' and the grid stages' alike) must write the same bytes, the
+    # truth's quaternions included.
     assert main(["simulate", "--config", cfg_file, "--out", str(tmp_path / "one")]) == 0
-    monkeypatch.setattr(cli, "_CSV_BLOCK", 7)
+    monkeypatch.setattr(simulate, "_GRID_BLOCK", 7)
     assert main(["simulate", "--config", cfg_file, "--out", str(tmp_path / "many")]) == 0
     for name in ("truth.csv", "imu.csv", "odo.csv"):
         assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "many" / name).read_bytes(), name

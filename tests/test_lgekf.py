@@ -58,6 +58,15 @@ def test_noise_config_validation():
     assert np.allclose(n.input_psd(), np.diag([n.gyro_noise_psd] * 3 + [n.accel_noise_psd] * 3))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_noise_config_refuses_non_finite_values(bad):
+    for name in ("gyro_noise_psd", "accel_noise_psd", "gyro_bias_rw_psd", "accel_bias_rw_psd"):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            NoiseConfig(**{name: bad})
+    with pytest.raises(ValueError, match="odo_noise_cov must be finite"):
+        NoiseConfig(odo_noise_cov=np.diag([1e-4, bad, 1e-4]))
+
+
 def numerical_H(est, conv, earth, world):
     """Central-difference columns of the innovation w.r.t. the error chart."""
     eps = [1e-6] * 3 + [1e-5] * 3 + [1e-4] * 3
