@@ -16,7 +16,12 @@ velocity equation, gravity column and gradient, and whether it keeps the
 Coriolis fold.  The frame rate is the earth rate in e and w and zero in i,
 so the i frame is the rotating frames' model at zero rate, where the
 Coriolis and frame-rotation terms vanish: every kernel runs one path for
-all six models.  The frame geometry (the frame rate and origin, and the
+all six models.  The one place a model's constants shorten that path is
+rk4's stage rate (NavModel.rate): a frame that does not spin (i) has no
+frame-rate product, and under uniform gravity without the fold (every
+model but the traditional e/w) the gravity column does not depend on the
+position, so it is formed once with the model; neither changes a bit of
+the result.  The frame geometry (the frame rate and origin, and the
 conversions physical_from_nav and nav_from_physical) comes from earth.py's
 frame map.  A model is built once per batch of states sharing the
 anchors (NavModel.of) and every kernel reads it: step, derivative,
@@ -55,7 +60,9 @@ from enum import Enum
 
 import numpy as np
 
-from .earth import EarthParams, WorldFrameDef, _frame_map, earth_rate, gravitation, gravitation_gradient
+from .earth import (
+    EarthParams, UniformGravity, WorldFrameDef, _frame_map, earth_rate, gravitation, gravitation_gradient,
+)
 from .se23 import SE23, KernelDomainError, matvec, skew, so3_exp, transpose
 
 __all__ = [
@@ -148,12 +155,17 @@ class NavModel:
     Om_dv0 = omega x dv0, the constant part of the gravity column without
     the fold.  accel is the velocity equation; column, its value at zero
     specific force and velocity, is W2's gravity column.  v_Om and odo_Om
-    are body_velocity's and odo_H's constants.
+    are body_velocity's and odo_H's constants.  spins is false where the
+    frame rate is zero (the i frame), and column0 is the gravity column
+    where it does not depend on the position (uniform gravity, no fold,
+    dv0 given), else None: rate leaves out the frame-rate product of a
+    frame that does not spin and adds column0 in place of column.
     """
 
     __slots__ = (
         "frame", "grouping", "fold", "dv0", "earth", "gravity_model", "earth_omega", "earth_Om",
-        "omega", "Om", "OmOm", "Om_dv0", "offset", "r_base", "v_Om", "odo_Om", "_terms_by_dt",
+        "omega", "Om", "OmOm", "Om_dv0", "offset", "r_base", "v_Om", "odo_Om", "spins", "column0",
+        "_terms_by_dt",
     )
 
     def __init__(self, frame, grouping, r0, earth, gravity_model=None, world=None, dv0=None):
@@ -176,6 +188,10 @@ class NavModel:
         # e's rate relative to the velocity column's frame (inertial when proposed)
         self.v_Om = skew(rel_omega) if grouping is Grouping.TRADITIONAL else self.earth_Om
         self.odo_Om = np.concatenate((self.earth_Om, skew(np.cross(rel_omega, self.r_base))), axis=-1)
+        # The parts of rate that do not depend on the state (see rate).
+        self.spins = bool(np.any(self.omega))
+        uniform = isinstance(gravity_model, UniformGravity) and not self.fold and dv0 is not None
+        self.column0 = self.column(self.r_base) if uniform else None
         self._terms_by_dt = {}  # midpoint_terms
 
     @classmethod
@@ -226,10 +242,12 @@ class NavModel:
         """Rate of the packed block K = [C | v | p] (rows 0-2 of the group
         matrix) under input matrix W1:  K W1 - Om (K d) + column,  where the
         fold weight d = (1, 1, 1, 2, 0) doubles the Coriolis term on v and
-        drops it on p, and the gravity column lands on the v column."""
+        drops it on p, and the gravity column lands on the v column.  The
+        skips of spins and column0 leave every result bit for bit unchanged."""
         dK = K @ W1
-        dK -= self.Om @ (K * _FOLD_WEIGHTS if self.fold else K)
-        dK[..., 3] += self.column(self.r_base + K[..., 4])
+        if self.spins:
+            dK -= self.Om @ (K * _FOLD_WEIGHTS if self.fold else K)
+        dK[..., 3] += self.column(self.r_base + K[..., 4]) if self.column0 is None else self.column0
         return dK
 
     def midpoint_terms(self, dt):
@@ -425,11 +443,11 @@ def _at_sample(exc: KernelDomainError, l: int, K: np.ndarray) -> KernelDomainErr
 
 
 def _rk4_update(K: np.ndarray, dt, W1, model: NavModel) -> np.ndarray:
-    h = 0.5 * dt
-    k1 = model.rate(K, W1)
-    k2 = model.rate(K + h * k1, W1)
-    k3 = model.rate(K + h * k2, W1)
-    k4 = model.rate(K + dt * k3, W1)
+    h, rate = 0.5 * dt, model.rate
+    k1 = rate(K, W1)
+    k2 = rate(K + h * k1, W1)
+    k3 = rate(K + h * k2, W1)
+    k4 = rate(K + dt * k3, W1)
     return K + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 

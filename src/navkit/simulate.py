@@ -18,10 +18,11 @@ It runs a chord iteration on the step's closed-form first-order
 Jacobian, which is block triangular, so each correction is two solves
 in closed form and each iteration costs one stacked rk4 step per block
 of intervals.  The grid-length stages (inverse_imu, the truth's position
-quadrature, the autonomy error logs) form their temporaries for a fixed
-block of _GRID_BLOCK stacked elements at a time (intervals, or pairs of
-flows at an epoch), so those temporaries do not grow with the
-trajectory, and no result depends on the block.
+quadrature, the autonomy flows and their error logs) form their
+temporaries for a fixed block of _GRID_BLOCK intervals or epochs at a
+time (half as many epochs for the error logs, which stack a pair of flows
+per epoch), so those temporaries do not grow with the trajectory, and no
+result depends on the block.
 
 On top of that sit the sensor corrupters (bias + random walk + white
 noise, all drawn from keyed counter-based streams), the odometer
@@ -615,6 +616,12 @@ class RunConfig:
     bias_known: bool = True
     integrator: str = "midpoint"
 
+    def __post_init__(self):
+        for name in ("odo_rate", "p0_att", "p0_vel", "p0_pos", "p0_gyro_bias", "p0_accel_bias"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+
     def p0_diag(self) -> np.ndarray:
         return np.array(
             [self.p0_att] * 3
@@ -973,9 +980,10 @@ def autonomy_experiment(
     noise); there the weak grade comes from the model alone.
 
     The four flows (truth and estimate along a, truth and estimate along b)
-    advance in lock step as one stacked state, in one integrate call over
-    the epochs the two time grids share.  Both trajectories start at the
-    world origin, so the four flows share their r0/dv0 anchors.
+    advance in lock step as one stacked state over the epochs the two time
+    grids share, one integrate call per block of _GRID_BLOCK intervals.
+    Both trajectories start at the world origin, so the four flows share
+    their r0/dv0 anchors.
     """
     earth, gravity = settings.earth, settings.gravity
     world = ned_world(np.asarray(settings.origin_e, dtype=float), earth)
@@ -1003,19 +1011,24 @@ def autonomy_experiment(
     est0 = eta0_inv.compose(x0) if conv is ErrorConvention.RIGHT else x0.compose(eta0_inv)
 
     # The four flows advance as one (2, 2) stack: (truth, estimate) x
-    # (trajectory a, b), over all m-1 intervals in one integrate call whose
-    # (m, 2, 2, 3, 5) result is their storage; each side's epochs are a
-    # strided (m, 2) stack ordered (epoch, trajectory), whose error logs
-    # are taken a block of epochs at a time.
+    # (trajectory a, b), one integrate call per block of intervals, each
+    # from the last epoch of the block before.  Each side's epochs in a
+    # block are a strided (epochs, 2) stack ordered (epoch, trajectory),
+    # whose error logs are taken a block of epochs at a time; a block's
+    # last epoch is logged as the next block's first.
     state = replace(starts[0], x=SE23.packed(np.stack([x0.K, est0.K])))
     model = NavModel.of(state, earth, gravity, world)
-    with _naming_elements(lambda i: f"trajectory {'ab'[i % 2]}, t={t[i // 4 + 1]:.3f} s"):
-        K = integrate(state, ImuSample(omega, f, dts), model, method=settings.integrator)
     xi = np.empty((m, 2, 9))
-    for a, z in _grid_blocks(m, width=2):
-        truth, est = (replace(state, x=SE23.packed(K[a:z, j])) for j in (0, 1))
-        with _naming_elements(lambda i: f"trajectory {'ab'[i % 2]}, t={t[i // 2]:.3f} s", offset=2 * a):
-            xi[a:z] = se23_log(error_from_states(truth, est, conv)).as_vector()
+    x = state.x
+    for a, z in _grid_blocks(m - 1):
+        with _naming_elements(lambda i: f"trajectory {'ab'[i % 2]}, t={t[i // 4 + 1]:.3f} s", offset=4 * a):
+            K = integrate(replace(state, x=x), ImuSample(omega[a:z], f[a:z], dts[a:z]), model,
+                          method=settings.integrator)
+        x = SE23.packed(K[-1])
+        for b, y in _grid_blocks(z - a + (z == m - 1), width=2):
+            truth, est = (replace(state, x=SE23.packed(K[b:y, j])) for j in (0, 1))
+            with _naming_elements(lambda i: f"trajectory {'ab'[i % 2]}, t={t[i // 2]:.3f} s", offset=2 * (a + b)):
+                xi[a + b:a + y] = se23_log(error_from_states(truth, est, conv)).as_vector()
     xi_a, xi_b = xi[:, 0].copy(), xi[:, 1].copy()
     metric = float(np.max(np.linalg.norm(xi_a - xi_b, axis=1)))
 

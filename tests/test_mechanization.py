@@ -301,6 +301,39 @@ def test_packed_rate_is_the_dense_field(grav, earth, world):
             assert np.abs(stacked[k] - dX[0:3]).max() <= 1e-12, (frame, grouping, k)
 
 
+@pytest.mark.parametrize("shape", [(), (2, 2)], ids=["single", "stack"])
+@pytest.mark.parametrize(
+    "grav", [SphericalGravity(), UniformGravity(np.array([0.0, 0.0, 9.8]))], ids=["spherical", "uniform"]
+)
+@pytest.mark.parametrize("frame,grouping", ALL_COMBOS, ids=lambda c: getattr(c, "value", c))
+def test_rate_is_the_written_out_field_bit_for_bit(frame, grouping, grav, shape, earth, world):
+    # rate leaves out the frame-rate product of a frame that does not spin
+    # and forms a gravity column that does not depend on the position once;
+    # neither moves a bit, signed zeros included, from the written-out
+    # K W1 - Om (K d) + column(r_base + p).  The states are random and at
+    # rest (v = p = -0, zero inputs), under the state's model and under
+    # one built without dv0, as nav_from_physical builds it.
+    rng = np.random.default_rng(49)
+    base = random_nav_state(rng, frame, grouping, earth, world)
+    n = int(np.prod(shape))
+    K = np.stack([wander(base, rng).x.K for _ in range(n)]).reshape(shape + (3, 5))
+    rest = K.copy()
+    rest[..., 3:5] = -0.0
+    moving = _input_matrix(rng.normal(scale=0.2, size=shape + (3,)), rng.normal(scale=3.0, size=shape + (3,)))
+    still = _input_matrix(np.zeros(shape + (3,)), np.zeros(shape + (3,)))
+    for model in (NavModel.of(base, earth, grav, world), NavModel(frame, grouping, base.r0, earth, grav, world)):
+        assert model.spins is (frame is not Frame.I)
+        uniform = isinstance(grav, UniformGravity)
+        assert (model.column0 is not None) is (uniform and not model.fold and model.dv0 is not None)
+        if model.dv0 is None and not model.fold:
+            continue  # its column needs dv0: nav_from_physical reads only the anchor
+        d = np.array([1.0, 1.0, 1.0, 2.0, 0.0]) if model.fold else np.ones(5)
+        for K_s, W1 in ((K, moving), (rest, still)):
+            ref = K_s @ W1 - model.Om @ (K_s * d)
+            ref[..., 3] += model.column(model.r_base + K_s[..., 4])
+            assert model.rate(K_s, W1).tobytes() == ref.tobytes(), model.dv0
+
+
 @pytest.mark.parametrize("frame,grouping", ALL_COMBOS)
 def test_rk4_dt_per_element_matches_one_element_stacks(frame, grouping, earth, world):
     rng = np.random.default_rng(40)

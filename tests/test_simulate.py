@@ -125,6 +125,17 @@ def test_run_shorter_than_one_scoring_period_rejected():
     run_single(replace(cfg, traj=TrajectorySpec((Straight(0.1, 10.0),), 100.0)))  # one period is enough
 
 
+@pytest.mark.parametrize("name", ["odo_rate", "p0_att", "p0_vel", "p0_pos", "p0_gyro_bias", "p0_accel_bias"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -1.0], ids=["nan", "inf", "negative"])
+def test_run_config_rejects_bad_rates_and_variances(name, value):
+    # A variance or rate that is not finite and >= 0 is refused where the
+    # config is made, naming the field, not deep in the filter loop.
+    traj = TrajectorySpec((Straight(5.0, 10.0),), 100.0)
+    with pytest.raises(ValueError, match=f"^{name} must be finite and >= 0, got {value}$"):
+        RunConfig(traj=traj, origin_e=ORIGIN, **{name: value})
+    RunConfig(traj=traj, origin_e=ORIGIN, **{name: 0.0})  # zero is a variance, and turns the odometer off
+
+
 def test_rest_truth_is_constant():
     tr = gen_truth(TrajectorySpec((Rest(5.0),), 100.0), EARTH, GRAV, WORLD)
     assert np.all(tr.v_wb_w == 0.0)
@@ -929,6 +940,45 @@ def test_autonomy_log_error_in_a_later_block_names_trajectory_and_epoch(monkeypa
         autonomy_experiment(ModelVariant(Frame.I, Grouping.TRADITIONAL), ErrorConvention.RIGHT,
                             REST20, FAST20, XI0, UNIFORM)
     assert info.value.element == 19
+
+
+@pytest.mark.parametrize("integrator", ["rk4", "midpoint"])
+@pytest.mark.parametrize("conv", ErrorConvention, ids=lambda c: c.value)
+def test_autonomy_flows_do_not_depend_on_the_block(conv, integrator, monkeypatch):
+    # The flows run one integrate call per block of intervals, each from
+    # the last epoch of the one before: 2 s at 100 Hz in blocks of 7
+    # intervals is 29 calls, bit for bit the one call of a single block.
+    variant = ModelVariant(Frame.W, Grouping.PROPOSED)
+    traj_a, traj_b = TrajectorySpec((Rest(2.0),), 100.0), TrajectorySpec((Straight(2.0, 30.0),), 100.0)
+    settings = replace(UNIFORM, integrator=integrator, gyro_input_error=np.array([1e-5, -2e-5, 3e-5]))
+    whole = autonomy_experiment(variant, conv, traj_a, traj_b, XI0, settings)
+    real_integrate, calls = sim.integrate, []
+    monkeypatch.setattr(sim, "integrate", lambda *args, **kw: calls.append(1) or real_integrate(*args, **kw))
+    monkeypatch.setattr(sim, "_GRID_BLOCK", 7)
+    blocked = autonomy_experiment(variant, conv, traj_a, traj_b, XI0, settings)
+    assert len(calls) == 29
+    assert whole.xi_a.tobytes() == blocked.xi_a.tobytes()
+    assert whole.xi_b.tobytes() == blocked.xi_b.tobytes()
+
+
+def test_autonomy_flow_error_in_a_later_block_names_trajectory_and_epoch(monkeypatch):
+    # integrate names element l*4 + i of a block's (L, 2, 2) stack; in the
+    # second block of 7 intervals, element 5 is sample 1, trajectory b,
+    # so the flows fail on their way to epoch 7 + 1 + 1 = 9.
+    monkeypatch.setattr(sim, "_GRID_BLOCK", 7)
+    real_integrate, calls = sim.integrate, []
+
+    def failing_in_second_block(*args, **kw):
+        calls.append(1)
+        if len(calls) == 2:
+            raise SingularRadius("element 5 of the stack: planted", element=5)
+        return real_integrate(*args, **kw)
+
+    monkeypatch.setattr(sim, "integrate", failing_in_second_block)
+    with pytest.raises(SingularRadius, match=r"^trajectory b, t=0\.090 s: element 5 of the stack") as info:
+        autonomy_experiment(ModelVariant(Frame.I, Grouping.TRADITIONAL), ErrorConvention.RIGHT,
+                            REST20, FAST20, XI0, UNIFORM)
+    assert info.value.element == 33
 
 
 def test_nees_singular_run_falls_back_alone():
