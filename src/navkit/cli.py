@@ -30,23 +30,18 @@ from .config import (
     config_hash,
     load_config,
 )
-from .error_models import ErrorConvention
+from .error_models import ErrorConvention, ModelVariant
 from .mechanization import Grouping
 from .se23 import KernelDomainError
 from .simulate import (
     NewtonNotConverged,
-    SensorErrors,
     SpecInvalid,
     _grid_blocks,
+    _run_inputs,
+    _scenario,
     autonomy_experiment,
-    corrupt,
-    draw_biases,
-    gen_odometer,
-    gen_truth,
-    inverse_imu,
     run_monte_carlo,
 )
-from .earth import ned_world
 
 _NEES_DIVERGENCE = 1e6
 
@@ -121,14 +116,8 @@ def _quat_from_rot(C):
 def cmd_simulate(resolved, out_dir):
     cfg = build_run_config(resolved)
     h = config_hash(resolved)
-    world = ned_world(cfg.origin_e, cfg.earth)
-    truth = gen_truth(cfg.traj, cfg.earth, cfg.gravity, world)
-    imu_true = inverse_imu(truth, cfg.earth, cfg.gravity, world)
-
-    _, true_bg, true_ba = draw_biases(cfg, 0)
-    errors = SensorErrors(true_bg, true_ba, cfg.noise, cfg.seed, 0)
-    imu_meas, _, _ = corrupt(imu_true, errors)
-    odo_idx, odo_v = gen_odometer(truth, cfg.noise, cfg.seed, cfg.odo_rate, 0)
+    _, truth, imu_true = _scenario(cfg)
+    _, imu_meas, _, (odo_idx, odo_v), _ = _run_inputs(cfg, truth, imu_true, 0)
 
     _write_csv(
         os.path.join(out_dir, "truth.csv"),
@@ -230,16 +219,14 @@ def cmd_compare(resolved, out_dir):
     base = build_run_config(resolved)
     h = config_hash(resolved)
     # The four cells differ only in the filter model: they share one truth.
-    world = ned_world(base.origin_e, base.earth)
-    truth = gen_truth(base.traj, base.earth, base.gravity, world)
-    imu_true = inverse_imu(truth, base.earth, base.gravity, world)
+    _, truth, imu_true = _scenario(base)
     rows = []
     for grouping in (Grouping.TRADITIONAL, Grouping.PROPOSED):
         for conv in (ErrorConvention.LEFT, ErrorConvention.RIGHT):
             cfg = replace(base, grouping=grouping, convention=conv)
             mc = run_monte_carlo(cfg, truth, imu_true)
             rows.append(
-                (f"{grouping.value}-{base.frame.value}", conv.value, mc.rmse_att, mc.rmse_vel, mc.rmse_pos,
+                (ModelVariant(base.frame, grouping).name, conv.value, mc.rmse_att, mc.rmse_vel, mc.rmse_pos,
                  mc.time_avg_nees)
             )
     _write_csv(

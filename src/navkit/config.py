@@ -3,9 +3,11 @@
 A config file is a single JSON object with a required integer
 ``schema_version`` (currently 1).  Unknown keys anywhere in the object are
 rejected, every value is type-checked, and defaults are filled in, yielding
-a fully resolved plain dict.  The resolved dict (after any command-line
-overrides) is what gets hashed into output files, so two runs with the
-same hash saw exactly the same settings.
+a fully resolved plain dict.  Command-line overrides go into a copy of
+it that resolve checks again, as it checks a file (a resolved dict
+resolves to itself).  The resolved dict (after any overrides) is what gets
+hashed into output files, so two runs with the same hash saw exactly the
+same settings.
 
 The schema is read off the runtime types it builds: the defaults are those
 of RunConfig, NoiseConfig (odo_noise_var is its odometer covariance's
@@ -57,10 +59,6 @@ SCHEMA_VERSION = 1
 
 _RUN = RunConfig(traj=None, origin_e=None)  # every field but the two required ones at its default
 _MODEL_ENUMS = {"frame": Frame, "grouping": Grouping, "convention": ErrorConvention}
-
-
-def _values(enum):
-    return {member.value for member in enum}
 
 
 class ConfigError(ValueError):
@@ -302,7 +300,7 @@ def resolve(raw):
 
     out = {"schema_version": version}
     for key, enum in _MODEL_ENUMS.items():
-        out[key] = _expect_choice(obj.get(key, getattr(_RUN, key).value), f"$.{key}", _values(enum))
+        out[key] = _expect_choice(obj.get(key, getattr(_RUN, key).value), f"$.{key}", {m.value for m in enum})
     out["gravity"] = _resolve_gravity(obj.get("gravity", {"model": "spherical"}), "$.gravity")
     out["origin"] = _resolve_origin(obj["origin"], "$.origin")
     out["trajectory"] = _resolve_trajectory(obj["trajectory"], "$.trajectory")
@@ -329,28 +327,20 @@ def load_config(path):
 
 
 def apply_overrides(resolved, seed=None, runs=None, variant=None, convention=None):
-    """Fold command-line overrides into a resolved config (returns a copy)."""
+    """Fold command-line overrides into a copy of a resolved config and resolve it."""
     out = copy.deepcopy(resolved)
     if seed is not None:
-        if seed < 0:
-            raise ConfigError("$.seed: must be >= 0")
-        out["seed"] = int(seed)
+        out["seed"] = seed
     if runs is not None:
-        if runs < 1:
-            raise ConfigError("$.monte_carlo.n_runs: must be >= 1")
-        out["monte_carlo"]["n_runs"] = int(runs)
+        out["monte_carlo"]["n_runs"] = runs
     if variant is not None:
         parts = variant.split("-")
-        if len(parts) != 2 or parts[0] not in _values(Grouping) or parts[1] not in _values(Frame):
-            raise ConfigError(
-                "variant: expected <grouping>-<frame> like proposed-w or traditional-e"
-            )
+        if len(parts) != 2:
+            raise ConfigError("variant: expected <grouping>-<frame> like proposed-w or traditional-e")
         out["grouping"], out["frame"] = parts
     if convention is not None:
-        if convention not in _values(ErrorConvention):
-            raise ConfigError(f"convention: expected {' or '.join(sorted(_values(ErrorConvention)))}")
         out["convention"] = convention
-    return out
+    return resolve(out)
 
 
 def config_hash(resolved):

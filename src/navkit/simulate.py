@@ -18,8 +18,8 @@ It runs a chord iteration on the step's closed-form first-order
 Jacobian, which is block triangular, so each correction is two solves
 in closed form and each iteration costs one stacked rk4 step per block
 of intervals.  The grid-length stages (inverse_imu, the truth's position
-quadrature, the autonomy flows and their error logs) form their
-temporaries for a fixed block of _GRID_BLOCK intervals or epochs at a
+quadrature, the autonomy flows with their inputs, error logs and metric)
+form their temporaries for a fixed block of _GRID_BLOCK intervals or epochs at a
 time (half as many epochs for the error logs, which stack a pair of flows
 per epoch), so those temporaries do not grow with the trajectory, and no
 result depends on the block.
@@ -29,7 +29,9 @@ noise, all drawn from keyed counter-based streams), the odometer
 synthesizer, and the run harness: one filter loop that propagates a batch
 of runs in lock step (a single run is a batch of one) with error / NEES /
 innovation bookkeeping and bit-reproducible per-run substreams, and the
-twin-propagation autonomy experiments.
+twin-propagation autonomy experiments.  The filter loop and navkit
+simulate share one recipe for a run's scenario (_scenario) and one for its
+draws (_run_inputs), so simulate writes the inputs run 0 filters.
 
 Every series is one stacked array value, built once: inverse_imu's inputs
 are one ImuSample (omega, f (n, 3), dt (n,)), corrupt maps that stack to
@@ -617,7 +619,8 @@ class RunConfig:
     integrator: str = "midpoint"
 
     def __post_init__(self):
-        for name in ("odo_rate", "p0_att", "p0_vel", "p0_pos", "p0_gyro_bias", "p0_accel_bias"):
+        gate = () if self.gate_sigma is None else ("gate_sigma",)  # None: no gate
+        for name in ("odo_rate", "p0_att", "p0_vel", "p0_pos", "p0_gyro_bias", "p0_accel_bias", *gate):
             value = getattr(self, name)
             if not (np.isfinite(value) and value >= 0.0):
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
@@ -746,6 +749,28 @@ def draw_biases(cfg: RunConfig, run_index: int = 0) -> tuple[np.ndarray, np.ndar
     return bias_hat0, bias_hat0[0:3] - bias_offset[0:3], bias_hat0[3:6] - bias_offset[3:6]
 
 
+def _scenario(cfg: RunConfig, truth: TruthSeries | None = None, imu_true: ImuSample | None = None) -> tuple:
+    """(world, truth, true IMU stack) of cfg's scenario: the NED world at
+    the origin, gen_truth and inverse_imu, keeping a truth or IMU given."""
+    world = ned_world(cfg.origin_e, cfg.earth)
+    if truth is None:
+        truth = gen_truth(cfg.traj, cfg.earth, cfg.gravity, world)
+    if imu_true is None:
+        imu_true = inverse_imu(truth, cfg.earth, cfg.gravity, world)
+    return world, truth, imu_true
+
+
+def _run_inputs(cfg: RunConfig, truth: TruthSeries, imu_true: ImuSample, k: int) -> tuple:
+    """Every draw of run k, each from its own (seed, channel, k) substream:
+    (initial bias estimate (6,), measured IMU stack, true gyro and accel
+    biases (n, 6), odometer (grid indices, body velocities), xi0 (9,))."""
+    bias_hat0, true_gyro_bias, true_accel_bias = draw_biases(cfg, k)
+    imu_meas, *true_bias = corrupt(imu_true, SensorErrors(true_gyro_bias, true_accel_bias, cfg.noise, cfg.seed, k))
+    odometer = gen_odometer(truth, cfg.noise, cfg.seed, cfg.odo_rate, k)
+    xi0 = np.sqrt(cfg.p0_diag())[:9] * GaussianStream(cfg.seed, substream(STREAM_INIT_STATE, k)).normals(9)
+    return bias_hat0, imu_meas, np.hstack(true_bias), odometer, xi0
+
+
 def run_single(
     cfg: RunConfig,
     run_index: int = 0,
@@ -789,11 +814,7 @@ def _run_lockstep(
     row per run in run_indices.
     """
     runs = tuple(int(k) for k in run_indices)
-    world = ned_world(cfg.origin_e, cfg.earth)
-    if truth is None:
-        truth = gen_truth(cfg.traj, cfg.earth, cfg.gravity, world)
-    if imu_true is None:
-        imu_true = inverse_imu(truth, cfg.earth, cfg.gravity, world)
+    world, truth, imu_true = _scenario(cfg, truth, imu_true)
 
     n = len(truth.t) - 1
     dts = imu_true.dt
@@ -811,15 +832,10 @@ def _run_lockstep(
     odo_meas = np.empty((len(odo_idx), N, 3))
     bias_hat0 = np.empty((N, 6))
     xi0 = np.empty((N, 9))
-    state_sigma = np.sqrt(cfg.p0_diag())[:9]
     for i, k in enumerate(runs):
-        bias_hat0[i], true_gyro_bias, true_accel_bias = draw_biases(cfg, k)
-        errors = SensorErrors(true_gyro_bias, true_accel_bias, cfg.noise, cfg.seed, k)
-        imu_meas, *true_bias = corrupt(imu_true, errors)
+        bias_hat0[i], imu_meas, true_bias, (_, odo_meas[:, i]), xi0[i] = _run_inputs(cfg, truth, imu_true, k)
         omega_meas[:, i], f_meas[:, i] = imu_meas.omega_ib_b, imu_meas.f_ib_b
-        bias_true[:, i] = np.hstack(true_bias)[sample_idx - 1]
-        odo_meas[:, i] = gen_odometer(truth, cfg.noise, cfg.seed, cfg.odo_rate, k)[1]
-        xi0[i] = state_sigma * GaussianStream(cfg.seed, substream(STREAM_INIT_STATE, k)).normals(9)
+        bias_true[:, i] = true_bias[sample_idx - 1]
 
     truth0 = nav_from_physical(
         cfg.frame, cfg.grouping, *physical_from_nav(truth.state(0), cfg.earth, world), cfg.earth, world
@@ -981,7 +997,8 @@ def autonomy_experiment(
 
     The four flows (truth and estimate along a, truth and estimate along b)
     advance in lock step as one stacked state over the epochs the two time
-    grids share, one integrate call per block of _GRID_BLOCK intervals.
+    grids share, one integrate call (and the metric's running max) per
+    block of _GRID_BLOCK intervals, whose inputs are formed for the block.
     Both trajectories start at the world origin, so the four flows share
     their r0/dv0 anchors.
     """
@@ -995,11 +1012,14 @@ def autonomy_experiment(
 
     imus = [inverse_imu(truths[0], earth, gravity, world)]
     imus.append(imus[0] if conv is ErrorConvention.LEFT else inverse_imu(truths[1], earth, gravity, world))
-    om_true = np.stack([imu.omega_ib_b[: m - 1] for imu in imus], axis=1)
-    f_true = np.stack([imu.f_ib_b[: m - 1] for imu in imus], axis=1)
-    # (m-1, truth/estimate, trajectory, 3): the inputs of the four flows below
-    omega = np.stack([om_true, om_true + settings.gyro_input_error], axis=1)
-    f = np.stack([f_true, f_true + settings.accel_input_error], axis=1)
+
+    def inputs(a, z):
+        # The four flows' inputs over intervals a..z, (z-a, truth/estimate, trajectory, 3).
+        om = np.stack([imu.omega_ib_b[a:z] for imu in imus], axis=1)
+        f = np.stack([imu.f_ib_b[a:z] for imu in imus], axis=1)
+        return ImuSample(np.stack([om, om + settings.gyro_input_error], axis=1),
+                         np.stack([f, f + settings.accel_input_error], axis=1), dts[a:z])
+
     starts = [
         nav_from_physical(variant.frame, variant.grouping, *physical_from_nav(truth_w.state(0), earth, world, 0.0),
                           earth, world, t=0.0)
@@ -1015,22 +1035,22 @@ def autonomy_experiment(
     # from the last epoch of the block before.  Each side's epochs in a
     # block are a strided (epochs, 2) stack ordered (epoch, trajectory),
     # whose error logs are taken a block of epochs at a time; a block's
-    # last epoch is logged as the next block's first.
+    # last epoch is logged as the next block's first, into (trajectory, epoch, 9).
     state = replace(starts[0], x=SE23.packed(np.stack([x0.K, est0.K])))
     model = NavModel.of(state, earth, gravity, world)
-    xi = np.empty((m, 2, 9))
+    xi = np.empty((2, m, 9))
+    metric = 0.0
     x = state.x
     for a, z in _grid_blocks(m - 1):
         with _naming_elements(lambda i: f"trajectory {'ab'[i % 2]}, t={t[i // 4 + 1]:.3f} s", offset=4 * a):
-            K = integrate(replace(state, x=x), ImuSample(omega[a:z], f[a:z], dts[a:z]), model,
-                          method=settings.integrator)
+            K = integrate(replace(state, x=x), inputs(a, z), model, method=settings.integrator)
         x = SE23.packed(K[-1])
         for b, y in _grid_blocks(z - a + (z == m - 1), width=2):
             truth, est = (replace(state, x=SE23.packed(K[b:y, j])) for j in (0, 1))
             with _naming_elements(lambda i: f"trajectory {'ab'[i % 2]}, t={t[i // 2]:.3f} s", offset=2 * (a + b)):
-                xi[a + b:a + y] = se23_log(error_from_states(truth, est, conv)).as_vector()
-    xi_a, xi_b = xi[:, 0].copy(), xi[:, 1].copy()
-    metric = float(np.max(np.linalg.norm(xi_a - xi_b, axis=1)))
+                xi_ab = se23_log(error_from_states(truth, est, conv)).as_vector()
+            xi[:, a + b:a + y] = xi_ab.swapaxes(0, 1)
+            metric = np.maximum(metric, np.max(np.linalg.norm(xi_ab[:, 0] - xi_ab[:, 1], axis=1)))
 
     input_errors = bool(np.any(settings.gyro_input_error) or np.any(settings.accel_input_error))
-    return AutonomyResult(classify_autonomy(model, conv, input_errors), metric, t, xi_a, xi_b)
+    return AutonomyResult(classify_autonomy(model, conv, input_errors), float(metric), t, xi[0], xi[1])

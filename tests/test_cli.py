@@ -14,7 +14,6 @@ import pytest
 from navkit import cli, simulate, so3_exp
 from navkit.cli import main
 from navkit.config import build_run_config, load_config
-from navkit.earth import ned_world
 
 HASH_LINE = re.compile(r"^# config_sha256=[0-9a-f]{64}$")
 
@@ -81,12 +80,8 @@ def test_simulate_cells_parse_back_to_the_arrays(tmp_path, cfg_file):
     out = tmp_path / "sim"
     assert main(["simulate", "--config", cfg_file, "--out", str(out)]) == 0
     cfg = build_run_config(load_config(cfg_file))
-    world = ned_world(cfg.origin_e, cfg.earth)
-    truth = simulate.gen_truth(cfg.traj, cfg.earth, cfg.gravity, world)
-    _, bg, ba = simulate.draw_biases(cfg, 0)
-    imu, _, _ = simulate.corrupt(simulate.inverse_imu(truth, cfg.earth, cfg.gravity, world),
-                                 simulate.SensorErrors(bg, ba, cfg.noise, cfg.seed, 0))
-    idx, v_odo = simulate.gen_odometer(truth, cfg.noise, cfg.seed, cfg.odo_rate, 0)
+    _, truth, imu_true = simulate._scenario(cfg)
+    _, imu, _, (idx, v_odo), _ = simulate._run_inputs(cfg, truth, imu_true, 0)
     quat = cli._quat_from_rot(truth.C_b_w)
     expected = {
         "truth.csv": (truth.t, np.column_stack([quat, truth.v_wb_w, truth.r_w])),
@@ -98,6 +93,30 @@ def test_simulate_cells_parse_back_to_the_arrays(tmp_path, cfg_file):
         assert all(re.fullmatch(r"\d+\.\d{9}", r[0]) for r in rows), name
         assert np.all(np.abs(np.array([float(r[0]) for r in rows]) - t) <= 5e-10), name
         assert np.array_equal(np.array([[float(x) for x in r[1:]] for r in rows]), values), name
+
+
+def test_simulate_writes_the_inputs_run_filters_as_run_0(tmp_path, cfg_file, monkeypatch):
+    # The measured IMU and odometer rows of navkit simulate are the ones the
+    # filter of navkit run --runs 1 reads, bit for bit.
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", cfg_file, "--out", str(out)]) == 0
+    seen = {"imu": [], "odo": []}
+    real_predict, real_fuse = simulate.predict, simulate.fuse
+
+    def predict(fs, imu, *args, **kw):
+        seen["imu"].append(np.column_stack([imu.omega_ib_b[:, 0], imu.f_ib_b[:, 0], imu.dt]))
+        return real_predict(fs, imu, *args, **kw)
+
+    def fuse(fs, z, *args, **kw):
+        seen["odo"].append(z.v_odo_b[0].copy())
+        return real_fuse(fs, z, *args, **kw)
+
+    monkeypatch.setattr(simulate, "predict", predict)
+    monkeypatch.setattr(simulate, "fuse", fuse)
+    assert main(["run", "--config", cfg_file, "--out", str(tmp_path / "run"), "--runs", "1"]) == 0
+    for name, filtered in (("imu.csv", np.concatenate(seen["imu"])), ("odo.csv", np.stack(seen["odo"]))):
+        _, _, rows = _read_csv(out / name)
+        assert np.array_equal(np.array([[float(x) for x in r[1:]] for r in rows]), filtered), name
 
 
 def _quat_row(C):
@@ -418,10 +437,8 @@ def test_compare_shares_one_truth_across_cells(tmp_path, cfg_file, monkeypatch):
 
         return wrapper
 
-    for name in calls:  # wherever the command or the filter loop looks them up
-        wrapper = counted(name)
-        monkeypatch.setattr(cli, name, wrapper)
-        monkeypatch.setattr(simulate, name, wrapper)
+    for name in calls:  # the scenario builder looks them up in simulate
+        monkeypatch.setattr(simulate, name, counted(name))
     shared = tmp_path / "shared"
     assert main(["compare", "--config", cfg_file, "--out", str(shared), "--runs", "2"]) == 0
     assert calls == {"gen_truth": 1, "inverse_imu": 1}

@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import copy
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -154,14 +156,18 @@ def test_apply_overrides_copies_and_validates():
     assert base == before
     assert (out["seed"], out["monte_carlo"]["n_runs"]) == (9, 3)
     assert (out["grouping"], out["frame"], out["convention"]) == ("traditional", "e", "left")
-    with pytest.raises(ConfigError):
+    # resolve checks each override, naming its field as for the file's own value.
+    with pytest.raises(ConfigError, match=r"^\$\.grouping: expected one of"):
         apply_overrides(base, variant="sideways-w")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"^variant: expected <grouping>-<frame>"):
+        apply_overrides(base, variant="inertial")
+    with pytest.raises(ConfigError, match=r"^\$\.convention: expected one of"):
         apply_overrides(base, convention="up")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"^\$\.monte_carlo\.n_runs: must be >= 1$"):
         apply_overrides(base, runs=0)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"^\$\.seed: must be >= 0$"):
         apply_overrides(base, seed=-4)
+    assert base == before
 
 
 def test_build_run_config_maps_every_field():
@@ -318,3 +324,45 @@ def test_resolve_on_arbitrary_json_raises_only_config_error(path, value):
         assert str(exc).startswith("$")
     else:
         json.dumps(out, allow_nan=False)  # the resolved form is plain, finite JSON
+
+
+# ---------------------------------------------------------------------------
+# resolve is idempotent: overrides re-resolve a resolved config
+
+
+def _readme():
+    """The example config of README.md's "Config file" section."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return json.loads(re.search(r"```json\n(.*?)```", text, re.S).group(1))
+
+
+def _gated_rk4():
+    """The cli_single benchmark's config: e frame, traditional, left, gated rk4."""
+    cfg = _base()
+    cfg.update(frame="e", grouping="traditional", convention="left", filter={"gate_sigma": 3.0, "integrator": "rk4"})
+    cfg["trajectory"] = {"imu_rate": 100.0, "segments": [
+        {"type": "straight", "duration": 40.0, "speed": 30.0},
+        {"type": "turn", "duration": 30.0, "yaw_rate": 0.02, "speed": 30.0},
+        {"type": "climb", "duration": 20.0, "pitch": 0.05, "speed": 30.0},
+        {"type": "turn", "duration": 20.0, "yaw_rate": -0.02, "speed": 30.0},
+        {"type": "rest", "duration": 10.0},
+    ]}
+    cfg["sensors"] = {"gyro_bias": [1e-5, -5e-6, 8e-6], "accel_bias": [1e-4, -2e-4, 5e-5]}
+    return cfg
+
+
+def _default_twin():
+    """An autonomy section whose twin defaults to the primary trajectory; a zero gate."""
+    cfg = _base()
+    cfg.update(origin={"latitude_deg": -33.0, "longitude_deg": 151.0}, filter={"gate_sigma": 0},
+               sensors={"odo_noise_var": 2e-4}, autonomy={"accel_input_error": [1e-3, 0, 0]})
+    return cfg
+
+
+@pytest.mark.parametrize("make", [_readme, _gated_rk4, _full, _default_twin])
+def test_resolve_is_idempotent(make):
+    once = resolve(make())
+    twice = resolve(copy.deepcopy(once))
+    assert twice == once
+    assert config_hash(twice) == config_hash(once)
+    assert apply_overrides(once) == once

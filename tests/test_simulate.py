@@ -125,11 +125,15 @@ def test_run_shorter_than_one_scoring_period_rejected():
     run_single(replace(cfg, traj=TrajectorySpec((Straight(0.1, 10.0),), 100.0)))  # one period is enough
 
 
-@pytest.mark.parametrize("name", ["odo_rate", "p0_att", "p0_vel", "p0_pos", "p0_gyro_bias", "p0_accel_bias"])
+@pytest.mark.parametrize(
+    "name", ["odo_rate", "p0_att", "p0_vel", "p0_pos", "p0_gyro_bias", "p0_accel_bias", "gate_sigma"]
+)
 @pytest.mark.parametrize("value", [np.nan, np.inf, -1.0], ids=["nan", "inf", "negative"])
 def test_run_config_rejects_bad_rates_and_variances(name, value):
-    # A variance or rate that is not finite and >= 0 is refused where the
-    # config is made, naming the field, not deep in the filter loop.
+    # A variance, rate or gate that is not finite and >= 0 is refused where
+    # the config is made, naming the field, not deep in the filter loop (a
+    # NaN gate would reject every update, a negative one act as its
+    # magnitude).  The default gate, None, is no gate.
     traj = TrajectorySpec((Straight(5.0, 10.0),), 100.0)
     with pytest.raises(ValueError, match=f"^{name} must be finite and >= 0, got {value}$"):
         RunConfig(traj=traj, origin_e=ORIGIN, **{name: value})
@@ -959,6 +963,9 @@ def test_autonomy_flows_do_not_depend_on_the_block(conv, integrator, monkeypatch
     assert len(calls) == 29
     assert whole.xi_a.tobytes() == blocked.xi_a.tobytes()
     assert whole.xi_b.tobytes() == blocked.xi_b.tobytes()
+    # The metric is a running max over the blocks: the max over the whole grid.
+    assert blocked.divergence_metric == whole.divergence_metric
+    assert whole.divergence_metric == float(np.max(np.linalg.norm(whole.xi_a - whole.xi_b, axis=1)))
 
 
 def test_autonomy_flow_error_in_a_later_block_names_trajectory_and_epoch(monkeypatch):
