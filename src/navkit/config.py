@@ -9,13 +9,14 @@ resolves to itself).  The resolved dict (after any overrides) is what gets
 hashed into output files, so two runs with the same hash saw exactly the
 same settings.
 
-The schema is read off the runtime types it builds: the defaults are those
-of RunConfig, NoiseConfig (odo_noise_var is its odometer covariance's
-diagonal), TrajectorySpec and AutonomySettings; the frame, grouping and
-convention choices are the values of Frame, Grouping and ErrorConvention;
-the integrator choices are mechanization's integration methods; the IMU
-rate floor is the integrators' 0.1 s dt guard; and a segment type's keys
-are its dataclass's fields.
+The schema is read off the runtime types it builds: the defaults are the
+field defaults of RunConfig, NoiseConfig (odo_noise_var is its odometer
+covariance's diagonal), TrajectorySpec and AutonomySettings; the frame,
+grouping and convention choices are the values of Frame, Grouping and
+ErrorConvention; the integrator choices are mechanization's integration
+methods; and a segment type's keys are its dataclass's fields.  Only JSON
+types are checked here: resolve builds the runtime types, whose own checks
+own every value range, so it accepts exactly the configs the runtime runs.
 """
 
 from __future__ import annotations
@@ -23,13 +24,13 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
-from dataclasses import fields
+from dataclasses import MISSING, fields
 
 import numpy as np
 
 from .earth import EarthParams, SphericalGravity, UniformGravity, ned_world
 from .error_models import ErrorConvention, ModelVariant
-from .lgekf import NoiseConfig
+from .lgekf import NoiseConfig, SpecInvalid
 from .mechanization import _INTEGRATORS, Frame, Grouping
 from .simulate import (
     AutonomySettings,
@@ -39,8 +40,7 @@ from .simulate import (
     Straight,
     TrajectorySpec,
     Turn,
-    _MIN_IMU_RATE,
-    _odo_decimation,
+    _shared_epochs,
 )
 
 __all__ = [
@@ -57,7 +57,12 @@ __all__ = [
 SCHEMA_VERSION = 1
 
 
-_RUN = RunConfig(traj=None, origin_e=None)  # every field but the two required ones at its default
+def _defaults(cls):
+    """A dataclass's field defaults by name (MISSING for a required field)."""
+    return {f.name: f.default if f.default_factory is MISSING else f.default_factory() for f in fields(cls)}
+
+
+_RUN = _defaults(RunConfig)
 _MODEL_ENUMS = {"frame": Frame, "grouping": Grouping, "convention": ErrorConvention}
 
 
@@ -81,7 +86,7 @@ def _check_keys(obj, path, allowed):
             _fail(path, f"unknown key '{key}' (allowed: {', '.join(sorted(allowed))})")
 
 
-def _expect_num(value, path, minimum=None):
+def _expect_num(value, path):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(path, f"expected a number, got {type(value).__name__}")
     try:
@@ -90,16 +95,12 @@ def _expect_num(value, path, minimum=None):
         value = np.inf
     if not np.isfinite(value):
         _fail(path, "expected a finite number")
-    if minimum is not None and value < minimum:
-        _fail(path, f"must be >= {minimum}")
     return value
 
 
-def _expect_int(value, path, minimum=None):
+def _expect_int(value, path):
     if isinstance(value, bool) or not isinstance(value, int):
         _fail(path, f"expected an integer, got {type(value).__name__}")
-    if minimum is not None and value < minimum:
-        _fail(path, f"must be >= {minimum}")
     return value
 
 
@@ -126,11 +127,13 @@ def _expect_vec(value, path, n):
 
 
 def _guard(path, check, *args):
-    """The runtime's own check(*args) decides; its ValueError fails path."""
+    """The runtime's own check(*args) decides; its ValueError fails path, or
+    the field under path a SpecInvalid names (its key there in _JSON_KEYS)."""
     try:
         check(*args)
     except ValueError as exc:
-        _fail(path, str(exc))
+        field = exc.field if isinstance(exc, SpecInvalid) else None
+        _fail(path if field is None else f"{path}.{_JSON_KEYS.get(field, field)}", str(exc))
 
 
 def _resolve_origin(raw, path):
@@ -164,25 +167,23 @@ def _resolve_segment(raw, path):
     names = [f.name for f in fields(_SEGMENTS[kind])]
     _check_keys(obj, path, {"type", *names})
     out = {"type": kind}
-    for name in names:  # a speed is a magnitude; yaw rates and pitches carry a sign
-        out[name] = _expect_num(obj.get(name), f"{path}.{name}", minimum=0.0 if name == "speed" else None)
+    for name in names:
+        out[name] = _expect_num(obj.get(name), f"{path}.{name}")
     return out
 
 
-def _resolve_trajectory(raw, path):
+def _resolve_trajectory(raw, path, imu_rate):
     obj = _expect_obj(raw, path)
     _check_keys(obj, path, {"imu_rate", "segments"})
     segments = obj.get("segments")
-    if not isinstance(segments, list) or not segments:
-        _fail(f"{path}.segments", "expected a non-empty list of segments")
-    return {
-        "imu_rate": _expect_num(
-            obj.get("imu_rate", TrajectorySpec(()).imu_rate), f"{path}.imu_rate", minimum=_MIN_IMU_RATE
-        ),
-        "segments": [
-            _resolve_segment(s, f"{path}.segments[{i}]") for i, s in enumerate(segments)
-        ],
+    if not isinstance(segments, list):
+        _fail(f"{path}.segments", "expected a list of segments")
+    out = {
+        "imu_rate": _expect_num(obj.get("imu_rate", imu_rate), f"{path}.imu_rate"),
+        "segments": [_resolve_segment(s, f"{path}.segments[{i}]") for i, s in enumerate(segments)],
     }
+    _guard(path, build_trajectory, out)
+    return out
 
 
 def _resolve_gravity(raw, path):
@@ -203,30 +204,26 @@ _NOISE = NoiseConfig()
 _SENSOR_DEFAULTS = {
     **{key: getattr(_NOISE, key) for key in _NOISE_PSDS},
     "odo_noise_var": float(_NOISE.odo_noise_cov[0, 0]),
-    "odo_rate": _RUN.odo_rate,
-    "gyro_bias": _RUN.gyro_bias.tolist(),
-    "accel_bias": _RUN.accel_bias.tolist(),
-    "bias_known": _RUN.bias_known,
+    "odo_rate": _RUN["odo_rate"],
+    "gyro_bias": _RUN["gyro_bias"].tolist(),
+    "accel_bias": _RUN["accel_bias"].tolist(),
+    "bias_known": _RUN["bias_known"],
 }
 
 
-def _resolve_sensors(raw, path, imu_rate):
+def _resolve_sensors(raw, path):
     obj = _expect_obj(raw, path)
     _check_keys(obj, path, set(_SENSOR_DEFAULTS))
     given = {**_SENSOR_DEFAULTS, **obj}
     out = {}
     for key in _NOISE_PSDS:
-        out[key] = _expect_num(given[key], f"{path}.{key}", minimum=0.0)
+        out[key] = _expect_num(given[key], f"{path}.{key}")
     var = given["odo_noise_var"]
     if isinstance(var, list):
         out["odo_noise_var"] = _expect_vec(var, f"{path}.odo_noise_var", 3)
     else:
         out["odo_noise_var"] = _expect_num(var, f"{path}.odo_noise_var")
-    if np.min(out["odo_noise_var"]) <= 0.0:  # NoiseConfig takes only a positive definite covariance
-        _fail(f"{path}.odo_noise_var", "must be > 0")
-    out["odo_rate"] = _expect_num(given["odo_rate"], f"{path}.odo_rate", minimum=0.0)
-    if out["odo_rate"] > 0.0:  # 0 turns the odometer off
-        _guard(f"{path}.odo_rate", _odo_decimation, imu_rate, out["odo_rate"])
+    out["odo_rate"] = _expect_num(given["odo_rate"], f"{path}.odo_rate")
     for key in ("gyro_bias", "accel_bias"):
         out[key] = _expect_vec(given[key], f"{path}.{key}", 3)
     out["bias_known"] = _expect_bool(given["bias_known"], f"{path}.bias_known")
@@ -234,7 +231,10 @@ def _resolve_sensors(raw, path, imu_rate):
 
 
 _P0_KEYS = ("p0_att", "p0_vel", "p0_pos", "p0_gyro_bias", "p0_accel_bias")
-_FILTER_DEFAULTS = {key: getattr(_RUN, key) for key in (*_P0_KEYS, "gate_sigma", "integrator")}
+_FILTER_DEFAULTS = {key: _RUN[key] for key in (*_P0_KEYS, "gate_sigma", "integrator")}
+# The JSON key under $ of each RunConfig and NoiseConfig field that a range check names.
+_JSON_KEYS = {**{key: f"sensors.{key}" for key in (*_NOISE_PSDS, "odo_rate")}, "n_runs": "monte_carlo.n_runs",
+              **{key: f"filter.{key}" for key in _FILTER_DEFAULTS}, "odo_noise_cov": "sensors.odo_noise_var"}
 
 
 def _resolve_filter(raw, path):
@@ -243,9 +243,9 @@ def _resolve_filter(raw, path):
     given = {**_FILTER_DEFAULTS, **obj}
     out = {}
     for key in _P0_KEYS:
-        out[key] = _expect_num(given[key], f"{path}.{key}", minimum=0.0)
+        out[key] = _expect_num(given[key], f"{path}.{key}")
     gate = given["gate_sigma"]
-    out["gate_sigma"] = None if gate is None else _expect_num(gate, f"{path}.gate_sigma", minimum=0.0)
+    out["gate_sigma"] = None if gate is None else _expect_num(gate, f"{path}.gate_sigma")
     out["integrator"] = _expect_choice(given["integrator"], f"{path}.integrator", _INTEGRATORS)
     return out
 
@@ -255,10 +255,10 @@ def _resolve_autonomy(raw, path, trajectory):
     obj = _expect_obj(raw, path)
     _check_keys(obj, path, {"xi0", "trajectory_b", "gyro_input_error", "accel_input_error"})
     out = {"xi0": _expect_vec(obj.get("xi0", [0.0] * 9), f"{path}.xi0", 9)}
-    if "trajectory_b" in obj:
-        out["trajectory_b"] = _resolve_trajectory(obj["trajectory_b"], f"{path}.trajectory_b")
-    else:
-        out["trajectory_b"] = copy.deepcopy(trajectory)
+    # The primary trajectory by default, and the primary's rate, the only one whose grid it can share.
+    twin, where = obj.get("trajectory_b", trajectory), f"{path}.trajectory_b"
+    out["trajectory_b"] = _resolve_trajectory(twin, where, trajectory["imu_rate"])
+    _guard(where, _shared_epochs, build_trajectory(trajectory), build_trajectory(out["trajectory_b"]))
     for key in ("gyro_input_error", "accel_input_error"):
         out[key] = _expect_vec(obj.get(key, getattr(defaults, key).tolist()), f"{path}.{key}", 3)
     return out
@@ -300,16 +300,17 @@ def resolve(raw):
 
     out = {"schema_version": version}
     for key, enum in _MODEL_ENUMS.items():
-        out[key] = _expect_choice(obj.get(key, getattr(_RUN, key).value), f"$.{key}", {m.value for m in enum})
+        out[key] = _expect_choice(obj.get(key, _RUN[key].value), f"$.{key}", {m.value for m in enum})
     out["gravity"] = _resolve_gravity(obj.get("gravity", {"model": "spherical"}), "$.gravity")
     out["origin"] = _resolve_origin(obj["origin"], "$.origin")
-    out["trajectory"] = _resolve_trajectory(obj["trajectory"], "$.trajectory")
-    out["sensors"] = _resolve_sensors(obj.get("sensors", {}), "$.sensors", out["trajectory"]["imu_rate"])
+    out["trajectory"] = _resolve_trajectory(obj["trajectory"], "$.trajectory", _defaults(TrajectorySpec)["imu_rate"])
+    out["sensors"] = _resolve_sensors(obj.get("sensors", {}), "$.sensors")
     out["filter"] = _resolve_filter(obj.get("filter", {}), "$.filter")
     mc = _expect_obj(obj.get("monte_carlo", {}), "$.monte_carlo")
     _check_keys(mc, "$.monte_carlo", {"n_runs"})
-    out["monte_carlo"] = {"n_runs": _expect_int(mc.get("n_runs", _RUN.n_runs), "$.monte_carlo.n_runs", 1)}
-    out["seed"] = _expect_int(obj.get("seed", _RUN.seed), "$.seed", minimum=0)
+    out["monte_carlo"] = {"n_runs": _expect_int(mc.get("n_runs", _RUN["n_runs"]), "$.monte_carlo.n_runs")}
+    out["seed"] = _expect_int(obj.get("seed", _RUN["seed"]), "$.seed")
+    _guard("$", build_run_config, out)
     if "autonomy" in obj:
         out["autonomy"] = _resolve_autonomy(obj["autonomy"], "$.autonomy", out["trajectory"])
     return out

@@ -33,6 +33,7 @@ from .mechanization import ImuSample, NavModel, NavState, integrate
 from .se23 import SE23, KernelDomainError, TangentVector, _domain_error, matvec, skew, transpose
 
 __all__ = [
+    "SpecInvalid",
     "CovarianceNotPSD",
     "NonFiniteInnovation",
     "SingularInnovation",
@@ -48,6 +49,14 @@ __all__ = [
 _SYM_TOL = 1e-9
 _EIG_TOL = 1e-9
 _COND_FLOOR = 1e-12
+
+
+class SpecInvalid(ValueError):
+    """A setting the runtime cannot realize; field names it, if one does."""
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message)
+        self.field = field
 
 
 class CovarianceNotPSD(KernelDomainError):
@@ -77,14 +86,14 @@ class NoiseConfig:
         for name in ("gyro_noise_psd", "accel_noise_psd", "gyro_bias_rw_psd", "accel_bias_rw_psd"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value >= 0.0):
-                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+                raise SpecInvalid(f"{name} must be finite and >= 0, got {value}", name)
         R = np.asarray(self.odo_noise_cov, dtype=float)
         if R.shape == (3, 3) and not np.isfinite(R).all():
-            raise ValueError("odo_noise_cov must be finite")
+            raise SpecInvalid("odo_noise_cov must be finite", "odo_noise_cov")
         if R.shape != (3, 3) or not np.allclose(R, R.T, atol=1e-12):
-            raise ValueError("odo_noise_cov must be a symmetric 3x3 matrix")
+            raise SpecInvalid("odo_noise_cov must be a symmetric 3x3 matrix", "odo_noise_cov")
         if np.linalg.eigvalsh(R)[0] <= 0.0:
-            raise ValueError("odo_noise_cov must be positive definite")
+            raise SpecInvalid("odo_noise_cov must be positive definite", "odo_noise_cov")
         object.__setattr__(self, "odo_noise_cov", R)
         object.__setattr__(
             self,

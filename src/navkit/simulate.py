@@ -68,8 +68,9 @@ from .error_models import (
     classify_autonomy,
     error_from_states,
     error_to_vector,
+    vector_to_error,
 )
-from .lgekf import FilterState, NoiseConfig, OdoSample, fuse, predict
+from .lgekf import FilterState, NoiseConfig, OdoSample, SpecInvalid, fuse, predict
 from .mechanization import (
     Frame,
     Grouping,
@@ -94,11 +95,10 @@ from .rng import (
     substream,
 )
 from .se23 import (
-    SE23, KernelDomainError, TangentVector, matvec, se23_exp, se23_log, skew, so3_exp, so3_log, transpose, unskew,
+    SE23, KernelDomainError, TangentVector, matvec, skew, so3_exp, so3_log, transpose, unskew,
 )
 
 __all__ = [
-    "SpecInvalid",
     "Straight",
     "Turn",
     "Climb",
@@ -133,10 +133,6 @@ _SCORE_BLOCK = 64  # epochs the filter loop scores per stacked pass (0.9 MB of c
 # the N=8 filter loop's temporaries fault afresh: a 60 s batch of 8 took 51k
 # minor page faults against 7k.
 _GRID_BLOCK = 2048
-
-
-class SpecInvalid(ValueError):
-    """A trajectory spec that cannot be realized."""
 
 
 @contextmanager
@@ -205,34 +201,34 @@ class TrajectorySpec:
 
     def __post_init__(self):
         object.__setattr__(self, "segments", tuple(self.segments))
+        if not self.segments:
+            raise SpecInvalid("trajectory needs at least one segment", "segments")
+        for i, seg in enumerate(self.segments):
+            where = f"segments[{i}]"
+            if not isinstance(seg, (Straight, Turn, Climb, Rest)):
+                raise SpecInvalid(f"segment {i}: unknown segment type {type(seg).__name__}", where)
+            if not seg.duration > 0.0:
+                raise SpecInvalid(f"segment {i}: duration must be positive, got {seg.duration}", where)
+            speed = getattr(seg, "speed", 0.0)
+            if not (np.isfinite(speed) and speed >= 0.0):
+                raise SpecInvalid(f"segment {i}: speed must be finite and non-negative, got {speed}", where)
+            if isinstance(seg, Turn) and not np.isfinite(seg.yaw_rate):
+                raise SpecInvalid(f"segment {i}: yaw_rate must be finite, got {seg.yaw_rate}", where)
+            if isinstance(seg, Climb) and not abs(seg.pitch) < np.pi / 2:
+                raise SpecInvalid(f"segment {i}: pitch must lie in (-pi/2, pi/2)", where)
+        total = self.total_duration
+        if total > _MAX_TOTAL_DURATION:
+            raise SpecInvalid(f"total duration {total:.1f} s exceeds {_MAX_TOTAL_DURATION:.0f} s")
+        if total < 1.0 / _SCORE_RATE - _GRID_TOL:
+            raise SpecInvalid(f"total duration {total:g} s is shorter than one {1.0 / _SCORE_RATE:g} s scoring period")
+        # A rate past ~1e304 Hz overflows the sample count: its grid is not finite.
+        rate = self.imu_rate
+        if not (np.isfinite(rate) and rate >= _MIN_IMU_RATE and np.isfinite(_grid_steps(self)[0])):
+            raise SpecInvalid(f"imu_rate must be finite and at least {_MIN_IMU_RATE:g} Hz, got {rate}", "imu_rate")
 
     @property
     def total_duration(self) -> float:
         return float(sum(s.duration for s in self.segments))
-
-
-def _validate_spec(spec: TrajectorySpec) -> None:
-    if not spec.segments:
-        raise SpecInvalid("trajectory needs at least one segment")
-    for i, seg in enumerate(spec.segments):
-        if not isinstance(seg, (Straight, Turn, Climb, Rest)):
-            raise SpecInvalid(f"segment {i}: unknown segment type {type(seg).__name__}")
-        if not seg.duration > 0.0:
-            raise SpecInvalid(f"segment {i}: duration must be positive, got {seg.duration}")
-        speed = getattr(seg, "speed", 0.0)
-        if not (np.isfinite(speed) and speed >= 0.0):
-            raise SpecInvalid(f"segment {i}: speed must be finite and non-negative, got {speed}")
-        if isinstance(seg, Turn) and not np.isfinite(seg.yaw_rate):
-            raise SpecInvalid(f"segment {i}: yaw_rate must be finite, got {seg.yaw_rate}")
-        if isinstance(seg, Climb) and not abs(seg.pitch) < np.pi / 2:
-            raise SpecInvalid(f"segment {i}: pitch must lie in (-pi/2, pi/2)")
-    total = spec.total_duration
-    if total > _MAX_TOTAL_DURATION:
-        raise SpecInvalid(f"total duration {total:.1f} s exceeds {_MAX_TOTAL_DURATION:.0f} s")
-    if total < 1.0 / _SCORE_RATE - _GRID_TOL:
-        raise SpecInvalid(f"total duration {total:g} s is shorter than one {1.0 / _SCORE_RATE:g} s scoring period")
-    if not (np.isfinite(spec.imu_rate) and spec.imu_rate >= _MIN_IMU_RATE):
-        raise SpecInvalid(f"imu_rate must be finite and at least {_MIN_IMU_RATE:g} Hz, got {spec.imu_rate}")
 
 
 def _smoothstep(x: np.ndarray) -> np.ndarray:
@@ -345,14 +341,29 @@ class TruthSeries:
         return NavState(Frame.W, Grouping.TRADITIONAL, SE23(self.C_b_w[k], self.v_wb_w[k], self.r_w[k] - r0), r0)
 
 
-def _grid_times(spec: TrajectorySpec) -> np.ndarray:
+def _grid_steps(spec: TrajectorySpec) -> tuple[float, float, float]:
+    """(n, dt, end): spec's IMU grid is k dt for k = 0..n, then end if that lies more than _GRID_TOL past k = n."""
     dt = 1.0 / spec.imu_rate
-    total = spec.total_duration
-    n_full = int(np.floor(total / dt + _GRID_TOL))
-    times = np.arange(n_full + 1) * dt
-    if total - times[-1] > _GRID_TOL:
-        times = np.append(times, total)
+    return np.floor(spec.total_duration / dt + _GRID_TOL), dt, spec.total_duration
+
+
+def _grid_times(spec: TrajectorySpec) -> np.ndarray:
+    n, dt, end = _grid_steps(spec)
+    times = np.arange(n + 1) * dt
+    if end - times[-1] > _GRID_TOL:
+        times = np.append(times, end)
     return times
+
+
+def _shared_epochs(traj_a: TrajectorySpec, traj_b: TrajectorySpec) -> int:
+    """The number of epochs of the shorter grid; a SpecInvalid unless the two grids agree on them.  The
+    grids drift apart as k grows, and only a grid's last epoch can be off k dt: the last two decide."""
+    grids = [_grid_steps(traj) for traj in (traj_a, traj_b)]
+    m = int(min(n + 1 + (end - n * dt > _GRID_TOL) for n, dt, end in grids))
+    epochs = [[k * dt if k <= n else end for k in (m - 2, m - 1)] for n, dt, end in grids]
+    if np.max(np.abs(np.subtract(*epochs))) > _GRID_TOL:
+        raise SpecInvalid("autonomy trajectories must share their time grid")
+    return m
 
 
 def gen_truth(
@@ -370,7 +381,6 @@ def gen_truth(
     spec alone: earth, gravity_model and world are not consulted -- the
     dynamics enter only when inverse_imu reconstructs the inputs.
     """
-    _validate_spec(spec)
     profile = _Profile(spec)
     times = _grid_times(spec)
     psi, pitch, speed = profile.heading(times)
@@ -539,11 +549,11 @@ def corrupt(imu: ImuSample, errors: SensorErrors) -> tuple[ImuSample, np.ndarray
 
 
 def _odo_decimation(imu_rate: float, odo_rate: float) -> int:
-    """IMU samples per odometer sample; a ValueError unless odo_rate divides imu_rate."""
+    """IMU samples per odometer sample; a SpecInvalid unless odo_rate divides imu_rate."""
     decim = imu_rate / odo_rate
     decim_i = int(round(decim))
     if decim_i < 1 or abs(decim - decim_i) > 1e-9:
-        raise ValueError(f"odo_rate {odo_rate} must divide imu_rate {imu_rate}")
+        raise SpecInvalid(f"odo_rate {odo_rate} must divide imu_rate {imu_rate}", "odo_rate")
     return decim_i
 
 
@@ -623,7 +633,13 @@ class RunConfig:
         for name in ("odo_rate", "p0_att", "p0_vel", "p0_pos", "p0_gyro_bias", "p0_accel_bias", *gate):
             value = getattr(self, name)
             if not (np.isfinite(value) and value >= 0.0):
-                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+                raise SpecInvalid(f"{name} must be finite and >= 0, got {value}", name)
+        if self.odo_rate > 0.0:  # 0 turns the odometer off
+            _odo_decimation(self.traj.imu_rate, self.odo_rate)
+        if self.n_runs < 1:
+            raise SpecInvalid(f"need at least 1 run, got {self.n_runs}", "n_runs")
+        if not 0 <= self.seed < 1 << 64:  # the Philox key's seed word
+            raise SpecInvalid(f"seed must lie in [0, 2**64), got {self.seed}", "seed")
 
     def p0_diag(self) -> np.ndarray:
         return np.array(
@@ -936,8 +952,6 @@ def run_monte_carlo(
     result has a leading run axis, and its runs[k] equals run_single(cfg, k)
     bit for bit, whatever the batch size (one included).
     """
-    if cfg.n_runs < 1:
-        raise ValueError(f"need at least 1 run, got {cfg.n_runs}")
     return _run_lockstep(cfg, range(cfg.n_runs), truth, imu_true)
 
 
@@ -964,7 +978,7 @@ class AutonomyResult:
     classification: object  # AutonomyClass
     divergence_metric: float
     t: np.ndarray  # (M,)
-    xi_a: np.ndarray  # (M,9) log of the group error of the twins started on trajectory a
+    xi_a: np.ndarray  # (M,9) chart vector (error_to_vector) of the error of the twins started on trajectory a
     xi_b: np.ndarray  # (M,9) the same from trajectory b's start
 
 
@@ -977,7 +991,9 @@ def autonomy_experiment(
     settings: AutonomySettings,
 ) -> AutonomyResult:
     """Propagate the same initial group error along two trajectories and
-    measure how far the error flows drift apart.
+    measure how far the error flows drift apart.  xi0 and the result's
+    xi_a/xi_b are coordinates in the filter's chart (vector_to_error /
+    error_to_vector), as navkit run's xi0 and errors.csv are.
 
     A trajectory-independent ("perfect") error model keeps the metric at
     integration noise; input errors or a position-dependent gravity
@@ -1002,14 +1018,11 @@ def autonomy_experiment(
     Both trajectories start at the world origin, so the four flows share
     their r0/dv0 anchors.
     """
+    t = _grid_times(traj_a)[:_shared_epochs(traj_a, traj_b)]
+    m, dts = len(t), np.diff(t)
     earth, gravity = settings.earth, settings.gravity
     world = ned_world(np.asarray(settings.origin_e, dtype=float), earth)
     truths = [gen_truth(traj, earth, gravity, world) for traj in (traj_a, traj_b)]
-    m = min(len(truths[0].t), len(truths[1].t))
-    t, dts = truths[0].t[:m], np.diff(truths[0].t[:m])
-    if np.any(np.abs(t - truths[1].t[:m]) > _GRID_TOL):
-        raise SpecInvalid("autonomy trajectories must share their time grid")
-
     imus = [inverse_imu(truths[0], earth, gravity, world)]
     imus.append(imus[0] if conv is ErrorConvention.LEFT else inverse_imu(truths[1], earth, gravity, world))
 
@@ -1025,9 +1038,10 @@ def autonomy_experiment(
                           earth, world, t=0.0)
         for truth_w in truths
     ]
+    del truths  # the flows read only their start states and inputs
     _check_compatible(*starts)
     x0 = SE23.packed(np.stack([st.x.K for st in starts]))
-    eta0_inv = se23_exp(TangentVector.from_vector(np.asarray(xi0, dtype=float))).inverse()
+    eta0_inv = vector_to_error(TangentVector.from_vector(np.asarray(xi0, dtype=float)), conv).inverse()
     est0 = eta0_inv.compose(x0) if conv is ErrorConvention.RIGHT else x0.compose(eta0_inv)
 
     # The four flows advance as one (2, 2) stack: (truth, estimate) x
@@ -1048,7 +1062,7 @@ def autonomy_experiment(
         for b, y in _grid_blocks(z - a + (z == m - 1), width=2):
             truth, est = (replace(state, x=SE23.packed(K[b:y, j])) for j in (0, 1))
             with _naming_elements(lambda i: f"trajectory {'ab'[i % 2]}, t={t[i // 2]:.3f} s", offset=2 * (a + b)):
-                xi_ab = se23_log(error_from_states(truth, est, conv)).as_vector()
+                xi_ab = error_to_vector(error_from_states(truth, est, conv), conv).as_vector()
             xi[:, a + b:a + y] = xi_ab.swapaxes(0, 1)
             metric = np.maximum(metric, np.max(np.linalg.norm(xi_ab[:, 0] - xi_ab[:, 1], axis=1)))
 

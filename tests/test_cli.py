@@ -402,6 +402,18 @@ def test_autonomy_left_convention(tmp_path):
     assert docs["left"]["divergence_metric"] < 1e-9
 
 
+def test_autonomy_twin_takes_the_primary_rate(tmp_path):
+    # A trajectory_b that gives no imu_rate is flown at the primary's, the
+    # only rate whose grid it can share: a 200 Hz primary runs.
+    cfg = _config()
+    cfg["trajectory"] = {"imu_rate": 200.0, "segments": [{"type": "straight", "duration": 2.0, "speed": 20.0}]}
+    cfg["autonomy"]["trajectory_b"] = {"segments": [{"type": "rest", "duration": 2.0}]}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    assert load_config(str(path))["autonomy"]["trajectory_b"]["imu_rate"] == 200.0
+    assert main(["autonomy", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+
+
 def test_autonomy_requires_section(tmp_path):
     cfg = _config()
     del cfg["autonomy"]
@@ -467,7 +479,8 @@ def test_trajectory_shorter_than_one_scoring_period_exits_2(tmp_path, capsys):
     path = tmp_path / "short.json"
     path.write_text(json.dumps(_config(trajectory={"segments": [{"type": "straight", "duration": 0.05, "speed": 10.0}]})))
     assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
-    assert "scoring period" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config: $.trajectory" in err and "scoring period" in err
 
 
 def test_schema_error_exits_2(tmp_path, capsys):

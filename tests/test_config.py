@@ -29,6 +29,7 @@ from navkit import (
     load_config,
     resolve,
 )
+from navkit.simulate import _shared_epochs
 
 
 def _base():
@@ -77,10 +78,14 @@ def test_minimal_config_resolves_with_defaults():
         (lambda c: c.update(sensors={"bias_known": 1}), "$.sensors.bias_known"),
         (lambda c: c.update(sensors={"odo_noise_var": [1.0, 2.0]}), "$.sensors.odo_noise_var"),
         # A variance NoiseConfig would reject: the odometer covariance must be positive definite.
-        (lambda c: c.update(sensors={"odo_noise_var": 0}), "$.sensors.odo_noise_var: must be > 0"),
-        (lambda c: c.update(sensors={"odo_noise_var": -1e-4}), "$.sensors.odo_noise_var: must be > 0"),
-        (lambda c: c.update(sensors={"odo_noise_var": [1e-4, -1e-4, 1e-4]}), "$.sensors.odo_noise_var: must be > 0"),
-        (lambda c: c.update(sensors={"odo_noise_var": [1e-4, 0.0, 1e-4]}), "$.sensors.odo_noise_var: must be > 0"),
+        (lambda c: c.update(sensors={"odo_noise_var": 0}),
+         "$.sensors.odo_noise_var: odo_noise_cov must be positive definite"),
+        (lambda c: c.update(sensors={"odo_noise_var": -1e-4}),
+         "$.sensors.odo_noise_var: odo_noise_cov must be positive definite"),
+        (lambda c: c.update(sensors={"odo_noise_var": [1e-4, -1e-4, 1e-4]}),
+         "$.sensors.odo_noise_var: odo_noise_cov must be positive definite"),
+        (lambda c: c.update(sensors={"odo_noise_var": [1e-4, 0.0, 1e-4]}),
+         "$.sensors.odo_noise_var: odo_noise_cov must be positive definite"),
         (lambda c: c.update(filter={"integrator": "euler"}), "$.filter.integrator"),
         (lambda c: c.update(filter={"p0_att": "big"}), "$.filter.p0_att"),
         (lambda c: c.update(gravity={"model": "flat"}), "$.gravity.model"),
@@ -163,9 +168,9 @@ def test_apply_overrides_copies_and_validates():
         apply_overrides(base, variant="inertial")
     with pytest.raises(ConfigError, match=r"^\$\.convention: expected one of"):
         apply_overrides(base, convention="up")
-    with pytest.raises(ConfigError, match=r"^\$\.monte_carlo\.n_runs: must be >= 1$"):
+    with pytest.raises(ConfigError, match=r"^\$\.monte_carlo\.n_runs: need at least 1 run, got 0$"):
         apply_overrides(base, runs=0)
-    with pytest.raises(ConfigError, match=r"^\$\.seed: must be >= 0$"):
+    with pytest.raises(ConfigError, match=r"^\$\.seed: seed must lie in \[0, 2\*\*64\), got -4$"):
         apply_overrides(base, seed=-4)
     assert base == before
 
@@ -299,6 +304,62 @@ def _paths(node, path=()):
 _FULL_PATHS = list(_paths(_full()))
 
 
+# Configs of the right JSON types that the runtime types refuse, by name:
+# (path into _full(), the value put there, the JSON path of the fault).
+_PROBES = {
+    "duration 0": (("trajectory", "segments", 0, "duration"), 0.0, "$.trajectory.segments[0]"),
+    "duration -1": (("trajectory", "segments", 0, "duration"), -1.0, "$.trajectory.segments[0]"),
+    "3,710 s total": (("trajectory", "segments", 0, "duration"), 3709.0, "$.trajectory"),
+    "1.6 rad climb": (("trajectory", "segments", 1, "pitch"), 1.6, "$.trajectory.segments[1]"),
+    "0.05 s total": (("trajectory", "segments"), [{"type": "rest", "duration": 0.05}], "$.trajectory"),
+    # 0.503 s against the primary's 11 s at 100 Hz: its end, 0.503 s, is the primary's 0.51 s epoch.
+    "off-grid twin": (("autonomy", "trajectory_b"), {"segments": [{"type": "rest", "duration": 0.503}]},
+                      "$.autonomy.trajectory_b"),
+    "seed 2**64+5": (("seed",), 2**64 + 5, "$.seed"),  # Philox keys the seed modulo 2**64: seed 5's draws
+    "seed 2**64": (("seed",), 2**64, "$.seed"),
+    "no runs": (("monte_carlo", "n_runs"), 0, "$.monte_carlo.n_runs"),
+    "odo_rate 7": (("sensors", "odo_rate"), 7.0, "$.sensors.odo_rate"),
+    "negative psd": (("sensors", "gyro_noise_psd"), -1.0, "$.sensors.gyro_noise_psd"),
+    "negative p0": (("filter", "p0_att"), -1e-6, "$.filter.p0_att"),
+    "1e308 Hz": (("trajectory", "imu_rate"), 1e308, "$.trajectory.imu_rate"),  # 11 s: more samples than a float holds
+}
+
+
+def _replaced(path, value):
+    """_full() with the subtree at path (or the whole of it) replaced by value."""
+    if not path:
+        return value
+    raw = _full()
+    node = raw
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return raw
+
+
+@pytest.mark.parametrize("probe", _PROBES)
+def test_runtime_range_failures_name_the_json_path(probe):
+    path, value, where = _PROBES[probe]
+    with pytest.raises(ConfigError) as err:
+        resolve(_replaced(path, value))
+    assert str(err.value).startswith(f"{where}: "), str(err.value)
+
+
+def test_seed_range_is_the_philox_key_word():
+    assert resolve(_replaced(("seed",), 2**64 - 1))["seed"] == 2**64 - 1
+    with pytest.raises(ConfigError, match=r"^\$\.seed: seed must lie in \[0, 2\*\*64\), got -1$"):
+        resolve(_replaced(("seed",), -1))
+
+
+def test_twin_without_a_rate_takes_the_primary_rate():
+    cfg = _replaced(("trajectory", "imu_rate"), 200.0)
+    assert resolve(cfg)["autonomy"]["trajectory_b"]["imu_rate"] == 200.0
+    # A rate of its own that differs is refused: its grid leaves the primary's.
+    cfg["autonomy"]["trajectory_b"]["imu_rate"] = 100.0
+    with pytest.raises(ConfigError, match=r"^\$\.autonomy\.trajectory_b: autonomy trajectories must share"):
+        resolve(cfg)
+
+
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(path=st.sampled_from(_FULL_PATHS), value=_JSON)
 @example(path=("frame",), value=[])
@@ -307,23 +368,29 @@ _FULL_PATHS = list(_paths(_full()))
 @example(path=("filter", "integrator"), value=["rk4"])
 @example(path=("seed",), value=10**400)
 @example(path=("trajectory", "imu_rate"), value=10**400)
+@example(path=("trajectory", "imu_rate"), value=200.0)  # trajectory_b gives no rate: it takes 200 Hz
+@example(path=("trajectory", "imu_rate"), value=1e308)
+@example(path=_PROBES["duration 0"][0], value=_PROBES["duration 0"][1])
+@example(path=_PROBES["duration -1"][0], value=_PROBES["duration -1"][1])
+@example(path=_PROBES["3,710 s total"][0], value=_PROBES["3,710 s total"][1])
+@example(path=_PROBES["1.6 rad climb"][0], value=_PROBES["1.6 rad climb"][1])
+@example(path=_PROBES["0.05 s total"][0], value=_PROBES["0.05 s total"][1])
+@example(path=_PROBES["off-grid twin"][0], value=_PROBES["off-grid twin"][1])
+@example(path=_PROBES["seed 2**64+5"][0], value=_PROBES["seed 2**64+5"][1])
 def test_resolve_on_arbitrary_json_raises_only_config_error(path, value):
     # A valid config with one subtree (or the whole of it) replaced by any
-    # JSON value either resolves or raises ConfigError naming a path.
-    if not path:
-        raw = value
-    else:
-        raw = _full()
-        node = raw
-        for key in path[:-1]:
-            node = node[key]
-        node[path[-1]] = value
+    # JSON value either resolves or raises ConfigError naming a path; a
+    # config it accepts builds every runtime type a command builds.
     try:
-        out = resolve(raw)
+        out = resolve(_replaced(path, value))
     except ConfigError as exc:
         assert str(exc).startswith("$")
     else:
         json.dumps(out, allow_nan=False)  # the resolved form is plain, finite JSON
+        build_run_config(out)
+        if "autonomy" in out:
+            _, _, traj_a, traj_b, _, _ = build_autonomy_inputs(out)
+            _shared_epochs(traj_a, traj_b)
 
 
 # ---------------------------------------------------------------------------

@@ -36,10 +36,12 @@ from navkit import (
     TrajectorySpec,
     Turn,
     UniformGravity,
+    apply_correction,
     autonomy_experiment,
     check_covariance,
     corrupt,
     error_from_states,
+    error_to_vector,
     gen_odometer,
     gen_truth,
     gravitation,
@@ -50,8 +52,6 @@ from navkit import (
     physical_from_nav,
     run_monte_carlo,
     run_single,
-    se23_exp,
-    se23_log,
     so3_exp,
     so3_log,
     step,
@@ -105,9 +105,9 @@ def test_invalid_specs_rejected(segments):
 
 
 def test_non_finite_rate_names_its_segment():
-    spec = TrajectorySpec((Straight(5.0, 10.0), Turn(10.0, np.nan, 30.0)), 100.0)
-    with pytest.raises(SpecInvalid, match="segment 1: yaw_rate must be finite, got nan"):
-        gen_truth(spec, EARTH, GRAV, WORLD)
+    with pytest.raises(SpecInvalid, match="segment 1: yaw_rate must be finite, got nan") as info:
+        TrajectorySpec((Straight(5.0, 10.0), Turn(10.0, np.nan, 30.0)), 100.0)
+    assert info.value.field == "segments[1]"
 
 
 def test_low_imu_rate_rejected():
@@ -119,10 +119,10 @@ def test_low_imu_rate_rejected():
 def test_run_shorter_than_one_scoring_period_rejected():
     # 0.05 s at 100 Hz with the odometer off has no scored epoch: its
     # time-averaged NEES would be the mean of nothing.
-    cfg = RunConfig(traj=TrajectorySpec((Straight(0.05, 10.0),), 100.0), origin_e=ORIGIN, odo_rate=0.0)
     with pytest.raises(SpecInvalid, match="shorter than one 0.1 s scoring period"):
-        run_single(cfg)
-    run_single(replace(cfg, traj=TrajectorySpec((Straight(0.1, 10.0),), 100.0)))  # one period is enough
+        RunConfig(traj=TrajectorySpec((Straight(0.05, 10.0),), 100.0), origin_e=ORIGIN, odo_rate=0.0)
+    cfg = RunConfig(traj=TrajectorySpec((Straight(0.1, 10.0),), 100.0), origin_e=ORIGIN, odo_rate=0.0)
+    run_single(cfg)  # one period is enough
 
 
 @pytest.mark.parametrize(
@@ -138,6 +138,23 @@ def test_run_config_rejects_bad_rates_and_variances(name, value):
     with pytest.raises(ValueError, match=f"^{name} must be finite and >= 0, got {value}$"):
         RunConfig(traj=traj, origin_e=ORIGIN, **{name: value})
     RunConfig(traj=traj, origin_e=ORIGIN, **{name: 0.0})  # zero is a variance, and turns the odometer off
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("n_runs", 0, "need at least 1 run, got 0"),
+        ("seed", -1, r"seed must lie in \[0, 2\*\*64\), got -1"),
+        ("seed", 2**64 + 5, r"seed must lie in \[0, 2\*\*64\)"),  # Philox would key it as seed 5
+        ("odo_rate", 7.0, "odo_rate 7.0 must divide imu_rate 100.0"),
+    ],
+)
+def test_run_config_refuses_what_no_run_can_use(field, value, message):
+    traj = TrajectorySpec((Straight(5.0, 10.0),), 100.0)
+    with pytest.raises(SpecInvalid, match=f"^{message}") as info:
+        RunConfig(traj=traj, origin_e=ORIGIN, **{field: value})
+    assert info.value.field == field
+    RunConfig(traj=traj, origin_e=ORIGIN, seed=2**64 - 1, n_runs=1, odo_rate=25.0)
 
 
 def test_rest_truth_is_constant():
@@ -799,6 +816,38 @@ def test_autonomy_mismatched_grids_rejected():
                             a, b, XI0, UNIFORM)
 
 
+def test_autonomy_left_start_error_is_xi0_in_the_filters_chart(monkeypatch):
+    # xi0 means what navkit run's xi0 means: the start error's coordinates
+    # in the filter's chart (error_to_vector, which flips phi in the left
+    # convention) are xi0, not those of the raw log.
+    real, etas = sim.error_from_states, []
+    monkeypatch.setattr(sim, "error_from_states", lambda *args: etas.append(real(*args)) or etas[-1])
+    short = TrajectorySpec((Rest(0.1),), 100.0)
+    variant = ModelVariant(Frame.W, Grouping.PROPOSED)
+    res = autonomy_experiment(variant, ErrorConvention.LEFT, short, short, XI0, UNIFORM)
+    start = SE23.packed(etas[0].K[0])  # epoch 0 of both trajectories
+    assert np.allclose(error_to_vector(start, ErrorConvention.LEFT).as_vector(), XI0, rtol=1e-12, atol=1e-12)
+    assert np.allclose(res.xi_a[0], XI0, rtol=1e-12, atol=1e-12)
+
+
+def test_shared_epochs_agree_with_the_whole_grids():
+    # _shared_epochs reads two epochs of each grid, so resolve forms no
+    # grid; the whole grids compared epoch by epoch are its reference.
+    rng = np.random.default_rng(3)
+    for _ in range(400):
+        rate_a = rng.choice([10.0, 33.3, 99.5, 100.0, 200.0])
+        rate_b = rate_a if rng.random() < 0.7 else rng.choice([rate_a * (1 + 1e-13), 10.0, 99.5, 100.0, 200.0])
+        a, b = (TrajectorySpec((Rest(float(np.round(rng.uniform(0.1, 3.0), rng.integers(1, 5)))),), rate)
+                for rate in (rate_a, rate_b))
+        t_a, t_b = gen_truth(a, EARTH, GRAV, WORLD).t, gen_truth(b, EARTH, GRAV, WORLD).t
+        m = min(len(t_a), len(t_b))
+        if np.any(np.abs(t_a[:m] - t_b[:m]) > 1e-9):
+            with pytest.raises(SpecInvalid, match="must share their time grid"):
+                sim._shared_epochs(a, b)
+        else:
+            assert sim._shared_epochs(a, b) == m
+
+
 def _scalar_twin_logs(variant, conv, traj, traj_a, xi0, settings):
     """One trajectory's error logs from a per-flow loop of scalar steps:
     the twins start on traj and are driven by its inputs in the right
@@ -808,10 +857,8 @@ def _scalar_twin_logs(variant, conv, traj, traj_a, xi0, settings):
     driver = truth_w if conv is ErrorConvention.RIGHT else gen_truth(traj_a, settings.earth, settings.gravity, world)
     trip = physical_from_nav(truth_w.state(0), settings.earth, world, 0.0)
     truth = nav_from_physical(variant.frame, variant.grouping, *trip, settings.earth, world, t=0.0)
-    eta0_inv = se23_exp(TangentVector.from_vector(xi0)).inverse()
-    x = eta0_inv.compose(truth.x) if conv is ErrorConvention.RIGHT else truth.x.compose(eta0_inv)
-    est = replace(truth, x=x)
-    logs = [se23_log(error_from_states(truth, est, conv)).as_vector()]
+    est = apply_correction(truth, TangentVector.from_vector(-xi0), conv)  # navkit run's start: chart error xi0
+    logs = [error_to_vector(error_from_states(truth, est, conv), conv).as_vector()]
     model = NavModel.of(truth, settings.earth, settings.gravity, world)
     stack = inverse_imu(driver, settings.earth, settings.gravity, world)
     for omega, f, dt in zip(stack.omega_ib_b, stack.f_ib_b, stack.dt.tolist()):
@@ -819,7 +866,7 @@ def _scalar_twin_logs(variant, conv, traj, traj_a, xi0, settings):
         imu_est = ImuSample(omega + settings.gyro_input_error, f + settings.accel_input_error, dt)
         truth = step(truth, imu, model, method=settings.integrator)
         est = step(est, imu_est, model, method=settings.integrator)
-        logs.append(se23_log(error_from_states(truth, est, conv)).as_vector())
+        logs.append(error_to_vector(error_from_states(truth, est, conv), conv).as_vector())
     return np.array(logs)
 
 
@@ -931,15 +978,15 @@ def test_autonomy_log_error_in_a_later_block_names_trajectory_and_epoch(monkeypa
     # of the (m, 2) stack: element 3 of the second (8, 2) block is flat
     # element 19, epoch 9 of trajectory b.
     monkeypatch.setattr(sim, "_GRID_BLOCK", 16)
-    real_log, calls = sim.se23_log, []
+    real_log, calls = sim.error_to_vector, []
 
-    def failing_in_second_block(x):
+    def failing_in_second_block(eta, conv):
         calls.append(1)
         if len(calls) == 2:
             raise AngleAtPi("element 3 of the stack: planted", element=3)
-        return real_log(x)
+        return real_log(eta, conv)
 
-    monkeypatch.setattr(sim, "se23_log", failing_in_second_block)
+    monkeypatch.setattr(sim, "error_to_vector", failing_in_second_block)
     with pytest.raises(AngleAtPi, match=r"^trajectory b, t=0\.090 s: element 3 of the stack") as info:
         autonomy_experiment(ModelVariant(Frame.I, Grouping.TRADITIONAL), ErrorConvention.RIGHT,
                             REST20, FAST20, XI0, UNIFORM)
