@@ -24,25 +24,27 @@ time (half as many epochs for the error logs, which stack a pair of flows
 per epoch), so those temporaries do not grow with the trajectory, and no
 result depends on the block.
 
-On top of that sit the sensor corrupters (bias + random walk + white
-noise, all drawn from keyed counter-based streams), the odometer
-synthesizer, and the run harness: one filter loop that propagates a batch
-of runs in lock step (a single run is a batch of one) with error / NEES /
-innovation bookkeeping and bit-reproducible per-run substreams, and the
-twin-propagation autonomy experiments.  The filter loop and navkit
+On top of that sit the sensor corrupter (bias + random walk + white
+noise), the odometer synthesizer, and the run harness: one filter loop
+that propagates a batch of runs in lock step (a single run is a batch of
+one) with error / NEES / innovation bookkeeping, and the twin-propagation
+autonomy experiments.  The filter loop and navkit
 simulate share one recipe for a run's scenario (_scenario) and one for its
-draws (_run_inputs), so simulate writes the inputs run 0 filters.
+draws (_run_inputs), so simulate writes the inputs run 0 filters.  Every
+draw of run k comes from its RunConfig and k alone, through _normals: the
+counter-based stream keyed by (seed, channel, k), so runs are
+bit-reproducible and independent of the batch around them.
 
 Every series is one stacked array value, built once: inverse_imu's inputs
 are one ImuSample (omega, f (n, 3), dt (n,)), corrupt maps that stack to
-the measured one, gen_odometer gives (grid indices, body velocities), and
-the filter loop converts the truth at every scored epoch into the
-filter's frame and grouping in one batch-shaped call.  The loop's
-sequential path is only predict and fuse: the error, NEES and their
-kernels run on blocks of stored epochs, one stacked pass per block.  Its
-result is one batch-shaped RunResult, a run per row, whose consistency
-aggregates pool over every run it holds; a failure inside the loop names
-its run and epoch.
+run k's measured one and its true biases (n, 6), gen_odometer gives run
+k's (grid indices, body velocities), and the filter loop converts the
+truth at every scored epoch into the filter's frame and grouping in one
+batch-shaped call.  The loop's sequential path is only predict and fuse:
+the error, NEES and their kernels run on blocks of stored epochs, one
+stacked pass per block.  Its result is one batch-shaped RunResult, a run
+per row, whose consistency aggregates pool over every run it holds; a
+failure inside the loop names its run and epoch.
 """
 
 from __future__ import annotations
@@ -108,8 +110,6 @@ __all__ = [
     "gen_truth",
     "inverse_imu",
     "NewtonNotConverged",
-    "SensorErrors",
-    "true_bias_series",
     "corrupt",
     "gen_odometer",
     "RunConfig",
@@ -119,7 +119,6 @@ __all__ = [
     "AutonomySettings",
     "AutonomyResult",
     "autonomy_experiment",
-    "draw_biases",
 ]
 
 _MAX_TOTAL_DURATION = 3600.0
@@ -500,52 +499,36 @@ def inverse_imu(
 # sensor corruption and the odometer
 
 
-@dataclass(frozen=True)
-class SensorErrors:
-    """True sensor defects for one run, plus the stream key that drives
-    every random draw made on its behalf."""
-
-    gyro_bias: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    accel_bias: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    noise: NoiseConfig = field(default_factory=NoiseConfig)
-    seed: int = 0
-    run_index: int = 0
+def _normals(cfg: RunConfig, channel: int, k: int, rows: int) -> np.ndarray:
+    """(rows, 3) standard normals from run k's substream of channel under cfg's seed."""
+    return GaussianStream(cfg.seed, substream(channel, k)).normal_matrix(rows, 3)
 
 
-def true_bias_series(errors: SensorErrors, dts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-interval true biases: initial value plus the random walk."""
-    n = len(dts)
-    out = []
-    for bias0, psd, channel in (
-        (errors.gyro_bias, errors.noise.gyro_bias_rw_psd, STREAM_GYRO_BIAS_WALK),
-        (errors.accel_bias, errors.noise.accel_bias_rw_psd, STREAM_ACCEL_BIAS_WALK),
-    ):
-        draws = GaussianStream(errors.seed, substream(channel, errors.run_index)).normal_matrix(n, 3)
-        increments = np.sqrt(psd * dts)[:, None] * draws
-        series = np.empty((n, 3))
-        series[0] = np.asarray(bias0, dtype=float)
-        if n > 1:
-            series[1:] = series[0] + np.cumsum(increments[:-1], axis=0)
-        out.append(series)
-    return out[0], out[1]
+def corrupt(imu: ImuSample, cfg: RunConfig, k: int, bias0: np.ndarray) -> tuple[ImuSample, np.ndarray]:
+    """Run k's measured IMU: the true stack (as inverse_imu returns it) plus
+    the true bias, which starts at bias0 (6,) and random-walks with
+    cfg.noise's walk densities, plus white noise at the sample rate.
 
-
-def corrupt(imu: ImuSample, errors: SensorErrors) -> tuple[ImuSample, np.ndarray, np.ndarray]:
-    """Measured IMU: the true stack (as inverse_imu returns it) plus bias
-    (random-walking if configured) plus white noise at the sample rate.
-
-    Returns (measured stack, true gyro bias, true accel bias), the biases
-    (n, 3) per interval.  Deterministic in (seed, run_index).
+    Returns (measured stack, true biases (n, 6) per interval, gyro then
+    accel).  Deterministic in (cfg.seed, k).
     """
     dts = imu.dt
     n = len(dts)
-    bias_g, bias_a = true_bias_series(errors, dts)
-    ng = GaussianStream(errors.seed, substream(STREAM_GYRO_NOISE, errors.run_index)).normal_matrix(n, 3)
-    na = GaussianStream(errors.seed, substream(STREAM_ACCEL_NOISE, errors.run_index)).normal_matrix(n, 3)
-    sig_g = np.sqrt(errors.noise.gyro_noise_psd / dts)[:, None]
-    sig_a = np.sqrt(errors.noise.accel_noise_psd / dts)[:, None]
-    measured = ImuSample(imu.omega_ib_b + bias_g + sig_g * ng, imu.f_ib_b + bias_a + sig_a * na, dts)
-    return measured, bias_g, bias_a
+    noise = cfg.noise
+    walks = []
+    for b0, psd, channel in ((bias0[:3], noise.gyro_bias_rw_psd, STREAM_GYRO_BIAS_WALK),
+                             (bias0[3:], noise.accel_bias_rw_psd, STREAM_ACCEL_BIAS_WALK)):
+        steps = np.sqrt(psd * dts[:-1])[:, None] * _normals(cfg, channel, k, n - 1)
+        series = np.empty((n, 3))
+        series[0] = b0
+        series[1:] = series[0] + np.cumsum(steps, axis=0)
+        walks.append(series)
+    del steps  # freed before the noise draws: this stage sets the peak of a long navkit simulate
+    ng = _normals(cfg, STREAM_GYRO_NOISE, k, n)
+    na = _normals(cfg, STREAM_ACCEL_NOISE, k, n)
+    measured = ImuSample(imu.omega_ib_b + walks[0] + np.sqrt(noise.gyro_noise_psd / dts)[:, None] * ng,
+                         imu.f_ib_b + walks[1] + np.sqrt(noise.accel_noise_psd / dts)[:, None] * na, dts)
+    return measured, np.hstack(walks)
 
 
 def _odo_decimation(imu_rate: float, odo_rate: float) -> int:
@@ -568,21 +551,16 @@ def _odo_indices(truth: TruthSeries, odo_rate: float) -> np.ndarray:
     return idx[aligned]
 
 
-def gen_odometer(
-    truth: TruthSeries,
-    noise: NoiseConfig,
-    seed: int,
-    odo_rate: float = 10.0,
-    run_index: int = 0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Body-frame odometer track: true forward speed on the body x-axis,
-    non-holonomic zeros elsewhere, plus noise drawn from odo_noise_cov.
+def gen_odometer(truth: TruthSeries, cfg: RunConfig, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Run k's body-frame odometer track at cfg.odo_rate: true forward speed
+    on the body x-axis, non-holonomic zeros elsewhere, plus noise drawn from
+    cfg.noise.odo_noise_cov.
 
     Returns (grid indices (m,), measured body velocities (m, 3)).
     """
-    idx = _odo_indices(truth, odo_rate)
-    L = np.linalg.cholesky(noise.odo_noise_cov)
-    draws = GaussianStream(seed, substream(STREAM_ODOMETER, run_index)).normal_matrix(len(idx), 3)
+    idx = _odo_indices(truth, cfg.odo_rate)
+    L = np.linalg.cholesky(cfg.noise.odo_noise_cov)
+    draws = _normals(cfg, STREAM_ODOMETER, k, len(idx))
     vb = matvec(transpose(truth.C_b_w[idx]), truth.v_wb_w[idx])
     v_meas = np.zeros((len(idx), 3))
     v_meas[:, 0] = vb[:, 0]
@@ -634,8 +612,9 @@ class RunConfig:
             value = getattr(self, name)
             if not (np.isfinite(value) and value >= 0.0):
                 raise SpecInvalid(f"{name} must be finite and >= 0, got {value}", name)
-        if self.odo_rate > 0.0:  # 0 turns the odometer off
-            _odo_decimation(self.traj.imu_rate, self.odo_rate)
+        # 0 turns the odometer off; else its first sample must fall on a regular grid epoch.
+        if self.odo_rate > 0.0 and _odo_decimation(self.traj.imu_rate, self.odo_rate) > _grid_steps(self.traj)[0]:
+            raise SpecInvalid(f"odo_rate {self.odo_rate} Hz gives no sample within the trajectory", "odo_rate")
         if self.n_runs < 1:
             raise SpecInvalid(f"need at least 1 run, got {self.n_runs}", "n_runs")
         if not 0 <= self.seed < 1 << 64:  # the Philox key's seed word
@@ -746,25 +725,6 @@ def _nees(e: np.ndarray, P: np.ndarray) -> np.ndarray:
     return (e[..., None, :] @ x)[..., 0, 0]
 
 
-def draw_biases(cfg: RunConfig, run_index: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(initial bias estimate (6,), true gyro bias, true accel bias) for a run.
-
-    With bias_known the estimate starts at the configured nominal and the
-    truth is drawn about it with the p0_*_bias variances; otherwise the
-    nominal IS the truth and the estimate starts at zero.
-    """
-    nominal = np.concatenate([np.asarray(cfg.gyro_bias, dtype=float), np.asarray(cfg.accel_bias, dtype=float)])
-    if cfg.bias_known:
-        bias_draw = GaussianStream(cfg.seed, substream(STREAM_INIT_BIAS, run_index)).normals(6)
-        bias_sigma = np.sqrt(cfg.p0_diag())[9:]
-        bias_offset = bias_sigma * bias_draw  # = (bias estimate) - (true bias)
-        bias_hat0 = nominal
-    else:
-        bias_offset = -nominal
-        bias_hat0 = np.zeros(6)
-    return bias_hat0, bias_hat0[0:3] - bias_offset[0:3], bias_hat0[3:6] - bias_offset[3:6]
-
-
 def _scenario(cfg: RunConfig, truth: TruthSeries | None = None, imu_true: ImuSample | None = None) -> tuple:
     """(world, truth, true IMU stack) of cfg's scenario: the NED world at
     the origin, gen_truth and inverse_imu, keeping a truth or IMU given."""
@@ -779,12 +739,23 @@ def _scenario(cfg: RunConfig, truth: TruthSeries | None = None, imu_true: ImuSam
 def _run_inputs(cfg: RunConfig, truth: TruthSeries, imu_true: ImuSample, k: int) -> tuple:
     """Every draw of run k, each from its own (seed, channel, k) substream:
     (initial bias estimate (6,), measured IMU stack, true gyro and accel
-    biases (n, 6), odometer (grid indices, body velocities), xi0 (9,))."""
-    bias_hat0, true_gyro_bias, true_accel_bias = draw_biases(cfg, k)
-    imu_meas, *true_bias = corrupt(imu_true, SensorErrors(true_gyro_bias, true_accel_bias, cfg.noise, cfg.seed, k))
-    odometer = gen_odometer(truth, cfg.noise, cfg.seed, cfg.odo_rate, k)
-    xi0 = np.sqrt(cfg.p0_diag())[:9] * GaussianStream(cfg.seed, substream(STREAM_INIT_STATE, k)).normals(9)
-    return bias_hat0, imu_meas, np.hstack(true_bias), odometer, xi0
+    biases (n, 6), odometer (grid indices, body velocities), xi0 (9,)).
+
+    With bias_known the estimate starts at the configured nominal and the
+    true initial bias is drawn about it with the p0_*_bias variances;
+    otherwise the nominal is the true bias and the estimate starts at zero.
+    """
+    sigma0 = np.sqrt(cfg.p0_diag())
+    nominal = np.concatenate([np.asarray(cfg.gyro_bias, dtype=float), np.asarray(cfg.accel_bias, dtype=float)])
+    if cfg.bias_known:
+        bias_hat0 = nominal
+        bias0 = nominal - sigma0[9:] * _normals(cfg, STREAM_INIT_BIAS, k, 2).ravel()
+    else:
+        bias_hat0 = np.zeros(6)
+        bias0 = 0.0 - (-nominal)  # a -0.0 nominal is a +0.0 true bias
+    imu_meas, true_bias = corrupt(imu_true, cfg, k, bias0)
+    xi0 = sigma0[:9] * _normals(cfg, STREAM_INIT_STATE, k, 3).ravel()
+    return bias_hat0, imu_meas, true_bias, gen_odometer(truth, cfg, k), xi0
 
 
 def run_single(

@@ -30,3 +30,10 @@ def test_failure_types_import_from_the_package():
     assert (ConfigError, NewtonNotConverged, SpecInvalid) == (
         config.ConfigError, simulate.NewtonNotConverged, simulate.SpecInvalid,
     )
+
+
+def test_run_draws_have_no_second_config_type():
+    # A run's draws are made from its RunConfig alone (simulate._run_inputs):
+    # the per-run error record and the one-caller helpers it fed are not API.
+    for name in ("SensorErrors", "true_bias_series", "draw_biases"):
+        assert not hasattr(navkit, name) and not hasattr(simulate, name), name

@@ -496,6 +496,9 @@ def test_schema_error_exits_2(tmp_path, capsys):
         {"origin": {"latitude_deg": 90.0}},
         {"origin": {"ecef": [5e4, 0.0, 0.0]}},
         {"sensors": {"odo_rate": 7.0}},
+        {"sensors": {"odo_rate": 1e-300}},
+        {"sensors": {"odo_rate": 0.2},
+         "trajectory": {"segments": [{"type": "straight", "duration": 2.0, "speed": 10.0}]}},
         {"sensors": {"odo_noise_var": 0}},
         {"sensors": {"odo_noise_var": [1e-4, -1e-4, 1e-4]}},
     ],

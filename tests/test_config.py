@@ -319,6 +319,11 @@ _PROBES = {
     "seed 2**64": (("seed",), 2**64, "$.seed"),
     "no runs": (("monte_carlo", "n_runs"), 0, "$.monte_carlo.n_runs"),
     "odo_rate 7": (("sensors", "odo_rate"), 7.0, "$.sensors.odo_rate"),
+    # The first odometer epoch past the grid's last: a decimation of 1e302, and no aiding at all.
+    "odo_rate 1e-300": (("sensors", "odo_rate"), 1e-300, "$.sensors.odo_rate"),
+    "0.2 Hz on 2 s": ((), {**_base(), "sensors": {"odo_rate": 0.2},
+                           "trajectory": {"segments": [{"type": "straight", "duration": 2.0, "speed": 10.0}]}},
+                      "$.sensors.odo_rate"),
     "negative psd": (("sensors", "gyro_noise_psd"), -1.0, "$.sensors.gyro_noise_psd"),
     "negative p0": (("filter", "p0_att"), -1e-6, "$.filter.p0_att"),
     "1e308 Hz": (("trajectory", "imu_rate"), 1e308, "$.trajectory.imu_rate"),  # 11 s: more samples than a float holds
@@ -377,6 +382,8 @@ def test_twin_without_a_rate_takes_the_primary_rate():
 @example(path=_PROBES["0.05 s total"][0], value=_PROBES["0.05 s total"][1])
 @example(path=_PROBES["off-grid twin"][0], value=_PROBES["off-grid twin"][1])
 @example(path=_PROBES["seed 2**64+5"][0], value=_PROBES["seed 2**64+5"][1])
+@example(path=_PROBES["odo_rate 1e-300"][0], value=_PROBES["odo_rate 1e-300"][1])
+@example(path=_PROBES["0.2 Hz on 2 s"][0], value=_PROBES["0.2 Hz on 2 s"][1])
 def test_resolve_on_arbitrary_json_raises_only_config_error(path, value):
     # A valid config with one subtree (or the whole of it) replaced by any
     # JSON value either resolves or raises ConfigError naming a path; a

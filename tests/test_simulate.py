@@ -12,6 +12,13 @@ import navkit.mechanization as mechanization
 import navkit.simulate as sim
 from navkit import (
     SE23,
+    STREAM_ACCEL_BIAS_WALK,
+    STREAM_ACCEL_NOISE,
+    STREAM_GYRO_BIAS_WALK,
+    STREAM_GYRO_NOISE,
+    STREAM_INIT_BIAS,
+    STREAM_INIT_STATE,
+    STREAM_ODOMETER,
     AngleAtPi,
     AutonomySettings,
     Climb,
@@ -19,6 +26,7 @@ from navkit import (
     EarthParams,
     ErrorConvention,
     Frame,
+    GaussianStream,
     Grouping,
     ImuSample,
     ModelVariant,
@@ -27,7 +35,6 @@ from navkit import (
     NotARotation,
     Rest,
     RunConfig,
-    SensorErrors,
     SingularRadius,
     SpecInvalid,
     SphericalGravity,
@@ -47,6 +54,7 @@ from navkit import (
     gravitation,
     inverse_imu,
     linearized_F_G,
+    matvec,
     nav_from_physical,
     ned_world,
     physical_from_nav,
@@ -55,7 +63,8 @@ from navkit import (
     so3_exp,
     so3_log,
     step,
-    true_bias_series,
+    substream,
+    transpose,
 )
 
 EARTH = EarthParams()
@@ -147,6 +156,10 @@ def test_run_config_rejects_bad_rates_and_variances(name, value):
         ("seed", -1, r"seed must lie in \[0, 2\*\*64\), got -1"),
         ("seed", 2**64 + 5, r"seed must lie in \[0, 2\*\*64\)"),  # Philox would key it as seed 5
         ("odo_rate", 7.0, "odo_rate 7.0 must divide imu_rate 100.0"),
+        # The first odometer epoch past the grid: no aiding at 0.1 Hz, and a
+        # 1e302-sample decimation that no index array holds at 1e-300 Hz.
+        ("odo_rate", 0.1, "odo_rate 0.1 Hz gives no sample within the trajectory"),
+        ("odo_rate", 1e-300, "odo_rate 1e-300 Hz gives no sample within the trajectory"),
     ],
 )
 def test_run_config_refuses_what_no_run_can_use(field, value, message):
@@ -155,6 +168,7 @@ def test_run_config_refuses_what_no_run_can_use(field, value, message):
         RunConfig(traj=traj, origin_e=ORIGIN, **{field: value})
     assert info.value.field == field
     RunConfig(traj=traj, origin_e=ORIGIN, seed=2**64 - 1, n_runs=1, odo_rate=25.0)
+    RunConfig(traj=traj, origin_e=ORIGIN, odo_rate=0.2)  # one sample, at the last epoch
 
 
 def test_rest_truth_is_constant():
@@ -389,15 +403,23 @@ def _imu_series(spec=None):
     return tr, inverse_imu(tr, EARTH, GRAV, WORLD)
 
 
+def _sensor_cfg(duration=10.0, **kw):
+    return RunConfig(traj=TrajectorySpec((Straight(duration, 10.0),), 100.0), origin_e=ORIGIN, **kw)
+
+
 def test_corrupt_is_deterministic():
     _, imu = _imu_series()
-    errs = SensorErrors(np.array([1e-4, 0, 0]), np.zeros(3), NoiseConfig(), seed=9)
-    a, bias_g, _ = corrupt(imu, errs)
-    b, _, _ = corrupt(imu, errs)
+    cfg = _sensor_cfg(seed=9)
+    bias0 = np.array([1e-4, 0, 0, 0, 0, 0])
+    a, bias = corrupt(imu, cfg, 0, bias0)
+    b, bias_again = corrupt(imu, cfg, 0, bias0)
     assert np.array_equal(a.omega_ib_b, b.omega_ib_b)
     assert np.array_equal(a.f_ib_b, b.f_ib_b)
     assert np.array_equal(a.dt, imu.dt)
-    assert np.array_equal(bias_g, true_bias_series(errs, imu.dt)[0])
+    assert bias.shape == (len(imu.dt), 6)
+    assert np.array_equal(bias, bias_again)
+    c, _ = corrupt(imu, cfg, 1, bias0)  # another run draws other noise
+    assert np.all(c.omega_ib_b != a.omega_ib_b)
 
 
 def test_corrupt_zero_noise_is_pure_bias():
@@ -406,17 +428,17 @@ def test_corrupt_zero_noise_is_pure_bias():
                        gyro_bias_rw_psd=0.0, accel_bias_rw_psd=0.0)
     bg = np.array([1e-4, -2e-4, 3e-4])
     ba = np.array([1e-3, 2e-3, -1e-3])
-    out, bias_g, bias_a = corrupt(imu, SensorErrors(bg, ba, zero, seed=1))
+    out, bias = corrupt(imu, _sensor_cfg(noise=zero, seed=1), 0, np.concatenate([bg, ba]))
     assert np.allclose(out.omega_ib_b - imu.omega_ib_b, bg, atol=1e-15)
     assert np.allclose(out.f_ib_b - imu.f_ib_b, ba, atol=1e-15)
-    assert np.all(bias_g == bg) and np.all(bias_a == ba)
+    assert np.all(bias[:, :3] == bg) and np.all(bias[:, 3:] == ba)
 
 
 def test_corrupt_bias_recns_within_3_sigma():
     tr, imu = _imu_series(TrajectorySpec((Straight(60.0, 10.0),), 100.0))
     noise = NoiseConfig(gyro_bias_rw_psd=0.0, accel_bias_rw_psd=0.0)
     bg = np.array([2e-4, -1e-4, 5e-5])
-    out, _, _ = corrupt(imu, SensorErrors(bg, np.zeros(3), noise, seed=21))
+    out, _ = corrupt(imu, _sensor_cfg(60.0, noise=noise, seed=21), 0, np.concatenate([bg, np.zeros(3)]))
     resid = out.omega_ib_b - imu.omega_ib_b
     n = len(resid)
     sigma = np.sqrt(noise.gyro_noise_psd * 100.0)  # discrete-sample std
@@ -424,34 +446,35 @@ def test_corrupt_bias_recns_within_3_sigma():
 
 
 def test_bias_series_constant_without_walk():
-    dts = np.full(100, 0.01)
+    _, imu = _imu_series(TrajectorySpec((Straight(1.0, 10.0),), 100.0))
     noise = NoiseConfig(gyro_bias_rw_psd=0.0, accel_bias_rw_psd=0.0)
-    bg, ba = true_bias_series(SensorErrors(np.ones(3), 2 * np.ones(3), noise, seed=4), dts)
-    assert np.all(bg == 1.0)
-    assert np.all(ba == 2.0)
+    _, bias = corrupt(imu, _sensor_cfg(1.0, noise=noise, seed=4), 0, np.array([1.0] * 3 + [2.0] * 3))
+    assert np.all(bias[:, :3] == 1.0)
+    assert np.all(bias[:, 3:] == 2.0)
 
 
 def test_bias_series_walks_and_reproduces():
-    dts = np.full(2000, 0.01)
-    errs = SensorErrors(np.zeros(3), np.zeros(3), NoiseConfig(), seed=17)
-    bg1, _ = true_bias_series(errs, dts)
-    bg2, _ = true_bias_series(errs, dts)
-    assert np.array_equal(bg1, bg2)
-    assert np.any(bg1[-1] != bg1[0])
-    assert np.array_equal(bg1[0], np.zeros(3))
+    _, imu = _imu_series(TrajectorySpec((Straight(20.0, 10.0),), 100.0))
+    cfg = _sensor_cfg(20.0, seed=17)
+    bias0 = np.array([1e-4, -2e-4, 3e-4, 1e-3, 2e-3, -1e-3])
+    _, bias1 = corrupt(imu, cfg, 0, bias0)
+    _, bias2 = corrupt(imu, cfg, 0, bias0)
+    assert np.array_equal(bias1, bias2)
+    assert np.all(bias1[-1] != bias1[0])
+    assert np.array_equal(bias1[0], bias0)
 
 
 def test_odometer_rest_near_zero_noise_zero_samples():
     tr = gen_truth(TrajectorySpec((Rest(5.0),), 100.0), EARTH, GRAV, WORLD)
     quiet = NoiseConfig(odo_noise_cov=np.diag([1e-30] * 3))
-    _, v = gen_odometer(tr, quiet, seed=0)
+    _, v = gen_odometer(tr, _sensor_cfg(5.0, noise=quiet), 0)
     assert np.linalg.norm(v, axis=1).max() < 1e-12
 
 
 def test_odometer_straight_reads_forward_speed():
     tr = gen_truth(TrajectorySpec((Straight(5.0, 10.0),), 100.0), EARTH, GRAV, WORLD)
     quiet = NoiseConfig(odo_noise_cov=np.diag([1e-30] * 3))
-    idx, v = gen_odometer(tr, quiet, seed=0)
+    idx, v = gen_odometer(tr, _sensor_cfg(5.0, noise=quiet), 0)
     assert np.array_equal(idx, np.arange(10, 501, 10))
     assert v.shape == (50, 3)
     assert np.allclose(v, [10.0, 0.0, 0.0], atol=1e-12)
@@ -459,19 +482,70 @@ def test_odometer_straight_reads_forward_speed():
 
 def test_odometer_seeded_and_per_run():
     tr = gen_truth(TrajectorySpec((Straight(2.0, 10.0),), 100.0), EARTH, GRAV, WORLD)
-    _, a = gen_odometer(tr, NoiseConfig(), seed=5)
-    _, b = gen_odometer(tr, NoiseConfig(), seed=5)
-    _, c = gen_odometer(tr, NoiseConfig(), seed=5, run_index=1)
+    cfg = _sensor_cfg(2.0, seed=5)
+    _, a = gen_odometer(tr, cfg, 0)
+    _, b = gen_odometer(tr, cfg, 0)
+    _, c = gen_odometer(tr, cfg, 1)
+    _, d = gen_odometer(tr, replace(cfg, seed=6), 0)
     assert np.array_equal(a, b)
-    assert np.all(a != c)
+    assert np.all(a != c) and np.all(a != d)
 
 
 def test_odometer_rate_must_divide():
     tr = gen_truth(TrajectorySpec((Straight(2.0, 10.0),), 100.0), EARTH, GRAV, WORLD)
-    with pytest.raises(ValueError):
-        gen_odometer(tr, NoiseConfig(), seed=0, odo_rate=30.0)
-    idx, v = gen_odometer(tr, NoiseConfig(), seed=0, odo_rate=0.0)
+    with pytest.raises(SpecInvalid, match="must divide imu_rate"):
+        _sensor_cfg(2.0, odo_rate=30.0)
+    idx, v = gen_odometer(tr, _sensor_cfg(2.0, odo_rate=0.0), 0)
     assert idx.shape == (0,) and v.shape == (0, 3)
+
+
+@pytest.mark.parametrize("bias_known", [True, False])
+def test_run_inputs_draw_each_quantity_from_its_channel(bias_known):
+    # The recipe written out with one GaussianStream per (channel, run): each
+    # drawn quantity must come from its own channel, at run k = 3.
+    noise = NoiseConfig(gyro_noise_psd=2e-8, accel_noise_psd=3e-5, gyro_bias_rw_psd=4e-12,
+                        accel_bias_rw_psd=5e-9, odo_noise_cov=np.diag([1e-4, 2e-4, 3e-4]))
+    cfg = _sensor_cfg(2.0, noise=noise, seed=23, bias_known=bias_known,
+                      gyro_bias=np.array([1e-5, -0.0, 8e-6]), accel_bias=np.array([1e-4, -2e-4, 5e-5]))
+    tr, imu = _imu_series(cfg.traj)
+    k = 3
+
+    def draws(channel, rows):
+        return GaussianStream(cfg.seed, substream(channel, k)).normals(3 * rows).reshape(rows, 3)
+
+    sigma0 = np.sqrt(cfg.p0_diag())
+    nominal = np.concatenate([cfg.gyro_bias, cfg.accel_bias])
+    if bias_known:
+        hat0, bias0 = nominal, nominal - sigma0[9:] * draws(STREAM_INIT_BIAS, 2).ravel()
+    else:
+        hat0, bias0 = np.zeros(6), 0.0 - (-nominal)
+    n = len(imu.dt)
+    measured, bias = [], []
+    for true, b0, walk, walk_psd, white, white_psd in (
+        (imu.omega_ib_b, bias0[:3], STREAM_GYRO_BIAS_WALK, noise.gyro_bias_rw_psd, STREAM_GYRO_NOISE,
+         noise.gyro_noise_psd),
+        (imu.f_ib_b, bias0[3:], STREAM_ACCEL_BIAS_WALK, noise.accel_bias_rw_psd, STREAM_ACCEL_NOISE,
+         noise.accel_noise_psd),
+    ):
+        steps = np.sqrt(walk_psd * imu.dt)[:, None] * draws(walk, n)
+        series = np.vstack([b0, b0 + np.cumsum(steps[:-1], axis=0)])
+        measured.append(true + series + np.sqrt(white_psd / imu.dt)[:, None] * draws(white, n))
+        bias.append(series)
+    idx = np.arange(10, 201, 10)  # 10 Hz on the 100 Hz grid
+    v = np.zeros((len(idx), 3))
+    v[:, 0] = matvec(transpose(tr.C_b_w[idx]), tr.v_wb_w[idx])[:, 0]
+    v = v + matvec(np.linalg.cholesky(noise.odo_noise_cov), draws(STREAM_ODOMETER, len(idx)))
+    xi0 = sigma0[:9] * draws(STREAM_INIT_STATE, 3).ravel()
+
+    got_hat0, got_imu, got_bias, (got_idx, got_v), got_xi0 = sim._run_inputs(cfg, tr, imu, k)
+    assert np.array_equal(got_hat0, hat0)
+    assert np.array_equal(got_imu.omega_ib_b, measured[0]) and np.array_equal(got_imu.f_ib_b, measured[1])
+    assert np.array_equal(got_imu.dt, imu.dt)
+    assert np.array_equal(got_bias, np.hstack(bias))
+    assert np.array_equal(got_idx, idx) and np.array_equal(got_v, v)
+    assert np.array_equal(got_xi0, xi0)
+    if not bias_known:  # array_equal does not tell -0.0 from +0.0: a -0.0 nominal is a +0.0 true bias
+        assert got_bias[0, 1] == 0.0 and not np.signbit(got_bias[0, 1])
 
 
 # ---------------------------------------------------------------------------
