@@ -156,12 +156,10 @@ def cmd_run(resolved, out_dir):
             "updated",
         ],
         _T + _V * 9 + ",%d",
-        _columns(run0.t, run0.att_err, run0.vel_err, run0.pos_err, run0.updated),
+        _columns(run0.t, run0.xi, run0.updated),
     )
-    _write_csv(
-        os.path.join(out_dir, "nees.csv"), h, ["t", "mean_nees"], _T + _V,
-        _columns(run0.t, mc.mean_nees_series),
-    )
+    nees = mc.mean_nees_series
+    _write_csv(os.path.join(out_dir, "nees.csv"), h, ["t", "mean_nees"], _T + _V, _columns(run0.t, nees))
 
     summary = {
         "config_sha256": h,
@@ -175,7 +173,6 @@ def cmd_run(resolved, out_dir):
     }
     _write_json(os.path.join(out_dir, "summary.json"), summary)
 
-    nees = np.asarray(mc.mean_nees_series)
     if not np.all(np.isfinite(nees)):
         t_bad = run0.t[np.flatnonzero(~np.isfinite(nees))[0]]
         print(f"filter diverged: mean NEES is not finite at t={t_bad:.3f} s", file=sys.stderr)

@@ -28,7 +28,7 @@ anchors (NavModel.of) and every kernel reads it: step, derivative,
 error_models.linearized_F_G and exact_error_derivative,
 lgekf.predict/odo_H/fuse (through the FilterState) and
 simulate.inverse_imu.  nav_from_physical builds its own.
-step, frame_velocity and body_velocity run one batch-shaped path: a state's
+step and body_velocity run one batch-shaped path: a state's
 packed block x.K (see se23.SE23) may carry leading batch axes (one element
 per Monte-Carlo run or per interval, sharing the anchors r0/dv0), with
 inputs of matching shape, and a single state is a stack with no leading
@@ -79,7 +79,6 @@ __all__ = [
     "integrate",
     "physical_from_nav",
     "nav_from_physical",
-    "frame_velocity",
     "body_velocity",
 ]
 
@@ -333,13 +332,6 @@ def make_nav_state(
     return NavState(frame, grouping, x, r, dv0)
 
 
-def frame_velocity(state: NavState, earth: EarthParams, world: WorldFrameDef | None = None) -> np.ndarray:
-    """Conventional frame velocity (v_ib^i / v_eb^e / v_wb^w) of the state."""
-    if state.grouping is Grouping.TRADITIONAL:
-        return state.x.v.copy()
-    return NavModel.of(state, earth, world=world).frame_velocity(state.x)
-
-
 def body_velocity(state: NavState, earth: EarthParams, world: WorldFrameDef | None = None) -> np.ndarray:
     """Earth-relative velocity resolved in the body frame."""
     return NavModel.of(state, earth, world=world).body_velocity(state.x)
@@ -515,7 +507,10 @@ def physical_from_nav(
     stacked state takes one t for all its elements or an array of one each."""
     C, o, w = _frame_map(state.frame.value, earth, world, t)
     r_f = state.r0 + state.x.p
-    v_f = frame_velocity(state, earth, world)
+    if state.grouping is Grouping.TRADITIONAL:
+        v_f = state.x.v
+    else:
+        v_f = NavModel.of(state, earth, world=world).frame_velocity(state.x)
     return C @ state.x.R, matvec(C, v_f - np.cross(w, r_f)), matvec(C, r_f) + o
 
 

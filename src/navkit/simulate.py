@@ -43,7 +43,8 @@ truth at every scored epoch into the filter's frame and grouping in one
 batch-shaped call.  The loop's sequential path is only predict and fuse:
 the error, NEES and their kernels run on blocks of stored epochs, one
 stacked pass per block.  Its result is one batch-shaped RunResult, a run
-per row, whose consistency aggregates pool over every run it holds; a
+per row, holding the chart errors the loop scores into as one packed xi
+(runs, M, 9); its consistency aggregates pool over every run it holds.  A
 failure inside the loop names its run and epoch.
 """
 
@@ -122,6 +123,7 @@ __all__ = [
 ]
 
 _MAX_TOTAL_DURATION = 3600.0
+_MAX_INTERVALS = 3_600_000  # IMU grid intervals: an hour at 1 kHz
 _GRID_TOL = 1e-9
 _MIN_IMU_RATE = 1.0 / _MAX_DT  # Hz: 10, the integrators' dt guard
 _SCORE_RATE = 10.0  # Hz; the filter loop scores at this rate with the odometer off
@@ -220,10 +222,11 @@ class TrajectorySpec:
             raise SpecInvalid(f"total duration {total:.1f} s exceeds {_MAX_TOTAL_DURATION:.0f} s")
         if total < 1.0 / _SCORE_RATE - _GRID_TOL:
             raise SpecInvalid(f"total duration {total:g} s is shorter than one {1.0 / _SCORE_RATE:g} s scoring period")
-        # A rate past ~1e304 Hz overflows the sample count: its grid is not finite.
+        # The grid's interval count is capped; an overflowed (infinite) or NaN count fails the cap too.
         rate = self.imu_rate
-        if not (np.isfinite(rate) and rate >= _MIN_IMU_RATE and np.isfinite(_grid_steps(self)[0])):
-            raise SpecInvalid(f"imu_rate must be finite and at least {_MIN_IMU_RATE:g} Hz, got {rate}", "imu_rate")
+        if not (np.isfinite(rate) and rate >= _MIN_IMU_RATE and _grid_steps(self)[0] <= _MAX_INTERVALS):
+            raise SpecInvalid(f"imu_rate must be finite and at least {_MIN_IMU_RATE:g} Hz, with at most "
+                              f"{_MAX_INTERVALS} grid intervals, got {rate}", "imu_rate")
 
     @property
     def total_duration(self) -> float:
@@ -634,12 +637,14 @@ class RunConfig:
 class RunResult:
     """Error, NEES and innovation series of one filtered run or of a batch.
 
-    t is (M,); every other field is (..., M[, 3]): a single run has no run
-    axis, a batch has a leading run axis.  Error rows are the
-    true-relative-to-estimate chart in the run's convention; all series
-    share the same epochs.  Rows where no update was applied have
-    updated=False: with the odometer off their innovation entries are
-    zero; a sample the gate rejected keeps its innovation.
+    t is (M,); every other field is (..., M[, k]): a single run has no run
+    axis, a batch has a leading run axis.  xi (..., M, 9) packs the error
+    rows, the true-relative-to-estimate chart vector in the run's
+    convention, in TangentVector's (phi, rho_v, rho_r) order; att_err,
+    vel_err and pos_err are views of it.  All series share the same
+    epochs.  Rows where no update was applied have updated=False: with the
+    odometer off their innovation entries are zero; a sample the gate
+    rejected keeps its innovation.
 
     The aggregates pool over every run and epoch the result holds, so a
     batch of one reads its run's own numbers.  Where an update was
@@ -649,13 +654,14 @@ class RunResult:
     """
 
     t: np.ndarray
-    att_err: np.ndarray
-    vel_err: np.ndarray
-    pos_err: np.ndarray
+    xi: np.ndarray
     nees: np.ndarray
     innovation: np.ndarray
     innovation_whitened: np.ndarray
     updated: np.ndarray  # bool
+    att_err = property(lambda self: self.xi[..., 0:3])
+    vel_err = property(lambda self: self.xi[..., 3:6])
+    pos_err = property(lambda self: self.xi[..., 6:9])
 
     @property
     def runs(self) -> list[RunResult]:
@@ -701,8 +707,9 @@ class RunResult:
         pooled over the runs."""
         num = np.zeros(3)
         den = np.zeros(3)
-        for r in self.runs:
-            w = r.innovation_whitened[r.updated]
+        M = len(self.t)
+        for white, updated in zip(self.innovation_whitened.reshape(-1, M, 3), self.updated.reshape(-1, M)):
+            w = white[updated]
             if len(w) > 1:
                 num += np.sum(w[:-1] * w[1:], axis=0)
                 den += np.sum(w * w, axis=0)
@@ -892,16 +899,7 @@ def _run_lockstep(
             if stored:
                 score(j0, stored)
 
-    return RunResult(
-        t=t,
-        att_err=xi[..., 0:3].copy(),
-        vel_err=xi[..., 3:6].copy(),
-        pos_err=xi[..., 6:9].copy(),
-        nees=nees,
-        innovation=innov,
-        innovation_whitened=white,
-        updated=updated,
-    )
+    return RunResult(t, xi, nees, innov, white, updated)
 
 
 # ---------------------------------------------------------------------------

@@ -37,3 +37,9 @@ def test_run_draws_have_no_second_config_type():
     # the per-run error record and the one-caller helpers it fed are not API.
     for name in ("SensorErrors", "true_bias_series", "draw_biases"):
         assert not hasattr(navkit, name) and not hasattr(simulate, name), name
+
+
+def test_frame_velocity_is_the_models_alone():
+    # physical_from_nav reads NavModel.frame_velocity; the one-caller wrapper is not API.
+    assert "frame_velocity" not in navkit.__all__
+    assert not hasattr(navkit, "frame_velocity") and not hasattr(mechanization, "frame_velocity")

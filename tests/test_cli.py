@@ -514,6 +514,15 @@ def test_unusable_origin_or_odo_rate_exits_2(tmp_path, capsys, tweak):
         assert "C_e_w" not in err  # a config file has no rotation to give
 
 
+def test_imu_rate_past_the_grid_cap_exits_2(tmp_path, capsys):
+    # resolve refuses a grid the run could not form, rather than the run dying on it.
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(_config(trajectory={"imu_rate": 1e303, "segments": [
+        {"type": "straight", "duration": 10.0, "speed": 20.0}]})))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "config: $.trajectory.imu_rate" in capsys.readouterr().err
+
+
 def test_non_string_choice_exits_2(tmp_path, capsys):
     # A list where a name belongs is a schema error, not a TypeError traceback.
     path = tmp_path / "bad.json"

@@ -101,6 +101,9 @@ def test_minimal_config_resolves_with_defaults():
         (lambda c: c.update(sensors={"odo_rate": 7.0}), "$.sensors.odo_rate"),
         (lambda c: c.update(sensors={"odo_rate": 200.0}), "$.sensors.odo_rate"),
         (lambda c: c["trajectory"].update(imu_rate=5.0), "$.trajectory.imu_rate"),
+        # Grids past the cap of an hour at 1 kHz: 1e303 Hz holds no array, 1e7 Hz is 1e8 intervals.
+        (lambda c: c["trajectory"].update(imu_rate=1e303), "$.trajectory.imu_rate"),
+        (lambda c: c["trajectory"].update(imu_rate=1e7), "$.trajectory.imu_rate"),
         (lambda c: c.update(origin={"ecef": [6.4e6, 0, 0], "latitude_deg": 45.0}), "$.origin"),
         (lambda c: c.update(origin={}), "$.origin"),
         (lambda c: c.update(trajectory={"segments": []}), "$.trajectory.segments"),
@@ -120,6 +123,13 @@ def test_schema_violations_name_the_json_path(mutate, path_hint):
     with pytest.raises(ConfigError) as err:
         resolve(cfg)
     assert path_hint in str(err.value)
+
+
+def test_an_hour_at_1_khz_resolves():
+    # The grid cap's edge: 3,600,000 intervals.  Resolved only, never flown.
+    cfg = _base()
+    cfg["trajectory"] = {"imu_rate": 1000.0, "segments": [{"type": "straight", "duration": 3600.0, "speed": 5.0}]}
+    assert resolve(cfg)["trajectory"]["imu_rate"] == 1000.0
 
 
 def test_odometer_off_and_dividing_rates_resolve():

@@ -800,6 +800,36 @@ def test_monte_carlo_parallel_path_matches_serial():
             assert getattr(pair.runs[k], name) == getattr(solo, name), (k, name)
 
 
+def test_run_result_packs_the_chart_errors():
+    # The loop scores into one (runs, M, 9) xi; the error blocks and each
+    # run's rows are views of it, not copies.
+    mc = run_monte_carlo(_quiet_cfg(traj=TrajectorySpec((Straight(2.0, 10.0),), 100.0), n_runs=3))
+    assert [f.name for f in fields(sim.RunResult)] == [
+        "t", "xi", "nees", "innovation", "innovation_whitened", "updated"]
+    assert mc.xi.shape == (3, len(mc.t), 9)
+    for name, cols in (("att_err", slice(0, 3)), ("vel_err", slice(3, 6)), ("pos_err", slice(6, 9))):
+        assert np.shares_memory(getattr(mc, name), mc.xi), name
+        assert np.array_equal(getattr(mc, name), mc.xi[..., cols]), name
+    for k, run in enumerate(mc.runs):
+        assert run.xi.base is mc.xi and np.array_equal(run.xi, mc.xi[k])
+        assert np.shares_memory(run.pos_err, mc.xi[k])
+
+
+def test_innovation_lag1_pools_consecutive_updates_in_run_order():
+    # The reference written out: per run, pair each updated row with the next
+    # updated one (gated rows are skipped, not zeroed), then pool in run order.
+    cfg = RunConfig(traj=TrajectorySpec((Straight(10.0, 20.0),), 100.0), origin_e=ORIGIN,
+                    seed=5, gate_sigma=2.0, n_runs=3)
+    mc = run_monte_carlo(cfg)
+    assert not np.all(mc.updated) and np.all(np.sum(mc.updated, axis=1) > 1)
+    num, den = np.zeros(3), np.zeros(3)
+    for k in range(3):
+        rows = [mc.innovation_whitened[k, j] for j in range(len(mc.t)) if mc.updated[k, j]]
+        num += sum(a * b for a, b in zip(rows[:-1], rows[1:]))
+        den += sum(a * a for a in rows)
+    assert mc.innovation_lag1.tolist() == (num / den).tolist()
+
+
 # ---------------------------------------------------------------------------
 # autonomy experiments
 
