@@ -35,6 +35,7 @@ from .mechanization import Grouping
 from .se23 import KernelDomainError
 from .simulate import (
     NewtonNotConverged,
+    _epochs,
     _grid_blocks,
     _run_inputs,
     _scenario,
@@ -116,7 +117,15 @@ def cmd_simulate(resolved, out_dir):
     cfg = build_run_config(resolved)
     h = config_hash(resolved)
     _, truth, imu_true = _scenario(cfg)
-    _, imu_meas, _, (odo_idx, odo_v), _ = _run_inputs(cfg, truth, imu_true, 0)
+    _, sensors, (odo_idx, odo_v), _ = _run_inputs(cfg, truth, imu_true, 0)
+
+    def imu_rows():
+        # Run 0's measured IMU, drawn and written as the filter loop draws it: a block at a time.
+        a = 0
+        for z in _epochs(truth, cfg.odo_rate)[2].tolist():
+            imu, _ = sensors(z)
+            yield np.column_stack([truth.t[a:z], imu.omega_ib_b, imu.f_ib_b, imu.dt]).tolist()
+            a = z
 
     _write_csv(
         os.path.join(out_dir, "truth.csv"),
@@ -130,7 +139,7 @@ def cmd_simulate(resolved, out_dir):
         h,
         ["t", "omega_x", "omega_y", "omega_z", "f_x", "f_y", "f_z", "dt"],
         _T + _V * 7,
-        _columns(truth.t[:-1], imu_meas.omega_ib_b, imu_meas.f_ib_b, imu_meas.dt),
+        imu_rows(),
     )
     _write_csv(
         os.path.join(out_dir, "odo.csv"), h, ["t", "v_x", "v_y", "v_z"], _T + _V * 3,

@@ -147,7 +147,11 @@ _I3 = np.eye(3)
 
 
 def linearized_F_G(
-    conv: ErrorConvention, est: NavState, imu: ImuSample, model: NavModel
+    conv: ErrorConvention,
+    est: NavState,
+    imu: ImuSample,
+    model: NavModel,
+    out: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """First-order error model: 15x15 F and 15x6 white-noise input G.
 
@@ -157,7 +161,9 @@ def linearized_F_G(
     (zero F rows); the gravity perturbation enters through the gravitation
     gradient at the estimated position, under the state's model.  G is
     -F[..., 9:15]: noise enters the inputs as the bias errors do, with the
-    opposite sign (db = b_hat - b_true).
+    opposite sign (db = b_hat - b_true).  out, a pair of arrays of F's and
+    G's shapes, receives them as a two-output ufunc's out does (predict
+    passes the buffers its caller keeps); otherwise both are new arrays.
     """
     model.check(est)
     C, v, p = est.x.R, est.x.v, est.x.p
@@ -166,7 +172,8 @@ def linearized_F_G(
     Gg = model.gradient(r_center)
     Om = model.Om
 
-    F = np.zeros(C.shape[:-2] + (15, 15))
+    F = np.empty(C.shape[:-2] + (15, 15)) if out is None else out[0]
+    F.fill(0.0)
     I3 = _I3
 
     if conv is ErrorConvention.RIGHT:
@@ -197,7 +204,7 @@ def linearized_F_G(
             F[..., 6:9, 6:9] += Om_b
         F[..., 0:3, 9:12] = -I3
         F[..., 3:6, 12:15] = I3
-    return F, -F[..., 9:15]
+    return F, np.negative(F[..., 9:15], out=None if out is None else out[1])
 
 
 def classify_autonomy(model: NavModel, conv: ErrorConvention, input_errors: bool = False) -> AutonomyClass:

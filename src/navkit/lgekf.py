@@ -166,7 +166,9 @@ def check_covariance(P: np.ndarray) -> None:
         )
 
 
-def predict(fs: FilterState, imu: ImuSample, noise: NoiseConfig, method: str = "midpoint") -> FilterState:
+def predict(
+    fs: FilterState, imu: ImuSample, noise: NoiseConfig, method: str = "midpoint", buffers: dict | None = None
+) -> FilterState:
     """Propagate the filter over one measurement interval and return its
     state at the interval's end.
 
@@ -178,6 +180,14 @@ def predict(fs: FilterState, imu: ImuSample, noise: NoiseConfig, method: str = "
     model, and only the L covariance sandwiches run in order, so the result
     is bit for bit that of L one-sample predicts.  A KernelDomainError names
     element l*N + i of the (L, N) stack: run i at sample l.
+
+    buffers is a dict the caller keeps across calls, as the filter loop
+    does: the interval's (L, ..., 15, 15) stacks (F, Phi, Phi^T and the
+    noise terms), G and its contiguous transpose, and the sandwich's two
+    covariance stacks are written into its arrays with out= and reused by
+    every later call whose stacks fit them (a shorter interval included), so
+    the steady state forms none of them afresh.  Without it they are new
+    arrays.  The returned state holds none of them.
     """
     corrected = ImuSample(
         np.asarray(imu.omega_ib_b, dtype=float) - fs.bias[..., 0:3],
@@ -185,24 +195,55 @@ def predict(fs: FilterState, imu: ImuSample, noise: NoiseConfig, method: str = "
         imu.dt,
     )
     blocks = integrate(fs.nav, corrected, fs.model, method=method)
-    F, G = linearized_F_G(fs.conv, replace(fs.nav, x=SE23.packed(blocks[:-1])), corrected, fs.model)
+    dts = np.asarray(imu.dt, dtype=float)
+    stack = dts.shape + fs.P.shape[:-2]  # (L, ...): one element per sample and run
+
+    def buffer(name, shape):
+        return _buffer(buffers, name, stack + shape)
+
+    est = replace(fs.nav, x=SE23.packed(blocks[:-1]))
+    F, G = linearized_F_G(fs.conv, est, corrected, fs.model, out=(buffer("F", (15, 15)), buffer("G", (15, 6))))
 
     # Qd = dt/2 (Phi M Phi^T + M) with M = G Q G^T, folded into one sandwich:
     # P+ = Phi (P + dt/2 M) Phi^T + dt/2 M + bias random walks.
-    dts = np.asarray(imu.dt, dtype=float)
     dt = dts.reshape(dts.shape + (1,) * (F.ndim - 1))
-    Fdt = F * dt
-    Phi = _I15 + Fdt
-    Phi[..., :9, :] += 0.5 * (Fdt[..., :9, :9] @ Fdt[..., :9, :])  # F's bias rows are zero
-    Phi_T = np.ascontiguousarray(transpose(Phi))
-    half_M = (0.5 * dt) * ((G * np.diagonal(noise.input_psd())) @ transpose(G))
-    noise_d = half_M + noise.bias_walk_psd() * dt  # dt/2 M plus the bias walks, for every sample at once
+    Fdt = np.multiply(F, dt, out=F)
+    Phi = np.add(_I15, Fdt, out=buffer("Phi", (15, 15)))
+    FdtFdt = np.matmul(Fdt[..., :9, :9], Fdt[..., :9, :], out=buffer("FdtFdt", (9, 15)))  # F's bias rows are zero
+    FdtFdt *= 0.5
+    Phi[..., :9, :] += FdtFdt
+    Phi_T = buffer("Phi_T", (15, 15))
+    np.copyto(Phi_T, transpose(Phi))
+    G_T = buffer("G_T", (6, 15))  # a contiguous copy: the product on it is faster than on the view, with equal bits
+    np.copyto(G_T, transpose(G))
+    half_M = np.matmul(np.multiply(G, np.diagonal(noise.input_psd()), out=G), G_T, out=buffer("half_M", (15, 15)))
+    half_M *= 0.5 * dt
+    # dt/2 M plus the bias walks, for every sample at once
+    noise_d = np.add(half_M, noise.bias_walk_psd() * dt, out=buffer("noise_d", (15, 15)))
+    # The sandwich alternates between two covariance stacks; the result is copied out of them.
+    a, b = (_buffer(buffers, name, fs.P.shape) for name in ("P_a", "P_b"))
     P, t = fs.P, fs.t
     for l, dt_l in enumerate(dts.tolist()):
-        P = Phi[l] @ (P + half_M[l]) @ Phi_T[l] + noise_d[l]
-        P = 0.5 * (P + transpose(P))
+        np.add(P, half_M[l], out=a)
+        np.matmul(Phi[l], a, out=b)
+        np.matmul(b, Phi_T[l], out=a)
+        a += noise_d[l]
+        P = np.add(a, transpose(a), out=b)
+        P *= 0.5
         t = t + dt_l
-    return FilterState(replace(fs.nav, x=SE23.packed(blocks[-1])), fs.bias, P, fs.conv, fs.model, t)
+    return FilterState(replace(fs.nav, x=SE23.packed(blocks[-1])), fs.bias, P.copy(), fs.conv, fs.model, t)
+
+
+def _buffer(buffers: dict | None, name: str, shape: tuple) -> np.ndarray:
+    """An array of shape: buffers[name] cut to shape's leading length when
+    its other axes are shape's and it is long enough, else a new array,
+    kept as buffers[name] when buffers is given."""
+    held = None if buffers is None else buffers.get(name)
+    if held is None or held.shape[1:] != shape[1:] or len(held) < shape[0]:
+        held = np.empty(shape)
+        if buffers is not None:
+            buffers[name] = held
+    return held[: shape[0]]
 
 
 _I15 = np.eye(15)

@@ -31,21 +31,24 @@ one) with error / NEES / innovation bookkeeping, and the twin-propagation
 autonomy experiments.  The filter loop and navkit
 simulate share one recipe for a run's scenario (_scenario) and one for its
 draws (_run_inputs), so simulate writes the inputs run 0 filters.  Every
-draw of run k comes from its RunConfig and k alone, through _normals: the
+draw of run k comes from its RunConfig and k alone, through _stream: the
 counter-based stream keyed by (seed, channel, k), so runs are
 bit-reproducible and independent of the batch around them.
 
-Every series is one stacked array value, built once: inverse_imu's inputs
-are one ImuSample (omega, f (n, 3), dt (n,)), corrupt maps that stack to
-run k's measured one and its true biases (n, 6), gen_odometer gives run
-k's (grid indices, body velocities), and the filter loop converts the
-truth at every scored epoch into the filter's frame and grouping in one
-batch-shaped call.  The loop's sequential path is only predict and fuse:
-the error, NEES and their kernels run on blocks of stored epochs, one
-stacked pass per block.  Its result is one batch-shaped RunResult, a run
-per row, holding the chart errors the loop scores into as one packed xi
-(runs, M, 9); its consistency aggregates pool over every run it holds.  A
-failure inside the loop names its run and epoch.
+Every series is one stacked array value: inverse_imu's inputs are one
+ImuSample (omega, f (n, 3), dt (n,)), gen_odometer gives run k's (grid
+indices, body velocities), and the filter loop converts the truth at every
+scored epoch into the filter's frame and grouping in one batch-shaped call.
+Run k's measured IMU and true biases are drawn a block of scored epochs at
+a time (corrupt, from streams kept across blocks), bit for bit the grid
+drawn at once, so neither the loop nor simulate holds them for the whole
+grid.  The loop's sequential path is only predict and fuse, which reuse
+the loop's buffers: the error, NEES and their kernels run on blocks of
+stored epochs, one stacked pass per block.  Its result is one
+batch-shaped RunResult, a run per row, holding the chart errors the loop
+scores into as one packed xi (runs, M, 9); its consistency aggregates
+pool over every run it holds.  A failure inside the loop names its run
+and epoch.
 """
 
 from __future__ import annotations
@@ -127,12 +130,11 @@ _MAX_INTERVALS = 3_600_000  # IMU grid intervals: an hour at 1 kHz
 _GRID_TOL = 1e-9
 _MIN_IMU_RATE = 1.0 / _MAX_DT  # Hz: 10, the integrators' dt guard
 _SCORE_RATE = 10.0  # Hz; the filter loop scores at this rate with the odometer off
-_SCORE_BLOCK = 64  # epochs the filter loop scores per stacked pass (0.9 MB of covariances at 8 runs)
+# Epochs the filter loop scores per stacked pass (0.9 MB of covariances at 8
+# runs), and draws each run's sensors for.
+_SCORE_BLOCK = 64
 # Elements a grid-length stage stacks per pass, and the CSV rows cli formats
-# per write: about 3 MB of inverse_imu's temporaries.  glibc's dynamic mmap
-# and trim thresholds follow the largest block freed, and with half as many
-# the N=8 filter loop's temporaries fault afresh: a 60 s batch of 8 took 51k
-# minor page faults against 7k.
+# per write: about 3 MB of inverse_imu's temporaries.
 _GRID_BLOCK = 2048
 
 
@@ -502,36 +504,58 @@ def inverse_imu(
 # sensor corruption and the odometer
 
 
-def _normals(cfg: RunConfig, channel: int, k: int, rows: int) -> np.ndarray:
-    """(rows, 3) standard normals from run k's substream of channel under cfg's seed."""
-    return GaussianStream(cfg.seed, substream(channel, k)).normal_matrix(rows, 3)
+def _stream(cfg: RunConfig, channel: int, k: int) -> GaussianStream:
+    """Run k's substream of channel under cfg's seed."""
+    return GaussianStream(cfg.seed, substream(channel, k))
 
 
-def corrupt(imu: ImuSample, cfg: RunConfig, k: int, bias0: np.ndarray) -> tuple[ImuSample, np.ndarray]:
+class _SensorStreams:
+    """Run k's gyro and accel bias-walk and white-noise streams, kept from
+    one block of intervals to the next, and the walks' running sums carried
+    into the next block's first step (None before the first block)."""
+
+    def __init__(self, cfg: RunConfig, k: int):
+        self.walks = [_stream(cfg, channel, k) for channel in (STREAM_GYRO_BIAS_WALK, STREAM_ACCEL_BIAS_WALK)]
+        self.whites = [_stream(cfg, channel, k) for channel in (STREAM_GYRO_NOISE, STREAM_ACCEL_NOISE)]
+        self.sums = None
+
+
+def corrupt(
+    imu: ImuSample, cfg: RunConfig, k: int, bias0: np.ndarray, streams: _SensorStreams | None = None
+) -> tuple[ImuSample, np.ndarray]:
     """Run k's measured IMU: the true stack (as inverse_imu returns it) plus
     the true bias, which starts at bias0 (6,) and random-walks with
     cfg.noise's walk densities, plus white noise at the sample rate.
 
     Returns (measured stack, true biases (n, 6) per interval, gyro then
-    accel).  Deterministic in (cfg.seed, k).
+    accel).  Deterministic in (cfg.seed, k).  imu is the grid's first n
+    intervals or, given run k's streams as a call on the intervals before
+    left them, the next n: a grid drawn a block at a time is the grid drawn
+    at once, bit for bit.  Each block draws the walk's step out of each of
+    its intervals, the last one's into the next block, and adds the running
+    sum carried from the block before into its first step, so cumsum adds
+    in the whole grid's order.
     """
+    if streams is None:
+        streams = _SensorStreams(cfg, k)
     dts = imu.dt
     n = len(dts)
     noise = cfg.noise
-    walks = []
-    for b0, psd, channel in ((bias0[:3], noise.gyro_bias_rw_psd, STREAM_GYRO_BIAS_WALK),
-                             (bias0[3:], noise.accel_bias_rw_psd, STREAM_ACCEL_BIAS_WALK)):
-        steps = np.sqrt(psd * dts[:-1])[:, None] * _normals(cfg, channel, k, n - 1)
-        series = np.empty((n, 3))
-        series[0] = b0
-        series[1:] = series[0] + np.cumsum(steps, axis=0)
-        walks.append(series)
-    del steps  # freed before the noise draws: this stage sets the peak of a long navkit simulate
-    ng = _normals(cfg, STREAM_GYRO_NOISE, k, n)
-    na = _normals(cfg, STREAM_ACCEL_NOISE, k, n)
-    measured = ImuSample(imu.omega_ib_b + walks[0] + np.sqrt(noise.gyro_noise_psd / dts)[:, None] * ng,
-                         imu.f_ib_b + walks[1] + np.sqrt(noise.accel_noise_psd / dts)[:, None] * na, dts)
-    return measured, np.hstack(walks)
+    walk_psd = np.repeat([noise.gyro_bias_rw_psd, noise.accel_bias_rw_psd], 3)
+    steps = np.sqrt(walk_psd * dts[:, None]) * np.hstack([stream.normal_matrix(n, 3) for stream in streams.walks])
+    bias = np.empty((n, 6))
+    if streams.sums is None:
+        bias[0] = bias0
+    else:
+        steps[0] += streams.sums
+        bias[0] = bias0 + streams.sums
+    np.cumsum(steps, axis=0, out=steps)
+    bias[1:] = bias0 + steps[:-1]
+    streams.sums = steps[-1].copy()
+    ng, na = (stream.normal_matrix(n, 3) for stream in streams.whites)
+    measured = ImuSample(imu.omega_ib_b + bias[:, :3] + np.sqrt(noise.gyro_noise_psd / dts)[:, None] * ng,
+                         imu.f_ib_b + bias[:, 3:] + np.sqrt(noise.accel_noise_psd / dts)[:, None] * na, dts)
+    return measured, bias
 
 
 def _odo_decimation(imu_rate: float, odo_rate: float) -> int:
@@ -563,7 +587,7 @@ def gen_odometer(truth: TruthSeries, cfg: RunConfig, k: int) -> tuple[np.ndarray
     """
     idx = _odo_indices(truth, cfg.odo_rate)
     L = np.linalg.cholesky(cfg.noise.odo_noise_cov)
-    draws = _normals(cfg, STREAM_ODOMETER, k, len(idx))
+    draws = _stream(cfg, STREAM_ODOMETER, k).normal_matrix(len(idx), 3)
     vb = matvec(transpose(truth.C_b_w[idx]), truth.v_wb_w[idx])
     v_meas = np.zeros((len(idx), 3))
     v_meas[:, 0] = vb[:, 0]
@@ -745,8 +769,14 @@ def _scenario(cfg: RunConfig, truth: TruthSeries | None = None, imu_true: ImuSam
 
 def _run_inputs(cfg: RunConfig, truth: TruthSeries, imu_true: ImuSample, k: int) -> tuple:
     """Every draw of run k, each from its own (seed, channel, k) substream:
-    (initial bias estimate (6,), measured IMU stack, true gyro and accel
-    biases (n, 6), odometer (grid indices, body velocities), xi0 (9,)).
+    (initial bias estimate (6,), sensors, odometer (grid indices, body
+    velocities), xi0 (9,)).
+
+    sensors(z) is corrupt's (measured IMU stack, true gyro and accel biases
+    (z - a, 6)) of the intervals from a, where its last call stopped (0 at
+    the first), to z.  Run k's sensor streams and bias walk are kept
+    between calls, so the grid drawn a block at a time is bit for bit the
+    grid drawn at once, and only the block's draws are held.
 
     With bias_known the estimate starts at the configured nominal and the
     true initial bias is drawn about it with the p0_*_bias variances;
@@ -756,13 +786,37 @@ def _run_inputs(cfg: RunConfig, truth: TruthSeries, imu_true: ImuSample, k: int)
     nominal = np.concatenate([np.asarray(cfg.gyro_bias, dtype=float), np.asarray(cfg.accel_bias, dtype=float)])
     if cfg.bias_known:
         bias_hat0 = nominal
-        bias0 = nominal - sigma0[9:] * _normals(cfg, STREAM_INIT_BIAS, k, 2).ravel()
+        bias0 = nominal - sigma0[9:] * _stream(cfg, STREAM_INIT_BIAS, k).normal_matrix(2, 3).ravel()
     else:
         bias_hat0 = np.zeros(6)
         bias0 = 0.0 - (-nominal)  # a -0.0 nominal is a +0.0 true bias
-    imu_meas, true_bias = corrupt(imu_true, cfg, k, bias0)
-    xi0 = sigma0[:9] * _normals(cfg, STREAM_INIT_STATE, k, 3).ravel()
-    return bias_hat0, imu_meas, true_bias, gen_odometer(truth, cfg, k), xi0
+    streams, start = _SensorStreams(cfg, k), 0
+
+    def sensors(z):
+        nonlocal start
+        a, start = start, z
+        block = ImuSample(imu_true.omega_ib_b[a:z], imu_true.f_ib_b[a:z], imu_true.dt[a:z])
+        return corrupt(block, cfg, k, bias0, streams)
+
+    xi0 = sigma0[:9] * _stream(cfg, STREAM_INIT_STATE, k).normal_matrix(3, 3).ravel()
+    return bias_hat0, sensors, gen_odometer(truth, cfg, k), xi0
+
+
+def _epochs(truth: TruthSeries, odo_rate: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(odometer grid indices, scored grid indices, block ends) of the filter
+    loop: it scores at the odometer's epochs, or at _SCORE_RATE with the
+    odometer off, and draws each run's sensors a block of _SCORE_BLOCK
+    scored epochs at a time, up to the grid index of the block's last epoch
+    (the grid's end n for the last block)."""
+    odo_idx = _odo_indices(truth, odo_rate)
+    n = len(truth.t) - 1
+    if len(odo_idx) > 0:
+        sample_idx = odo_idx
+    else:
+        decim = max(1, int(round(truth.imu_rate / _SCORE_RATE)))
+        sample_idx = np.arange(decim, n + 1, decim)
+    ends = np.append(sample_idx[_SCORE_BLOCK - 1:len(sample_idx) - 1:_SCORE_BLOCK], n)
+    return odo_idx, sample_idx, ends
 
 
 def run_single(
@@ -793,11 +847,16 @@ def _run_lockstep(
 ) -> RunResult:
     """The filter loop: every run in run_indices propagated in lock step.
 
-    Each run's noise is drawn up front from its own (seed, channel,
-    run_index) substreams, so a run does not depend on the batch around it.
-    The state, covariance and scoring arrays carry a leading run axis;
-    one predict covers each interval between scored epochs (none follows
-    the last), and odometer updates apply under each run's own gate.
+    Each run's draws come from its own (seed, channel, run_index)
+    substreams, so a run does not depend on the batch around it.  Its
+    initial draws and odometer are made up front, and its measured IMU and
+    true biases as each block of _SCORE_BLOCK epochs starts: the loop holds
+    one block of them, (intervals, N, 3) and (_SCORE_BLOCK, N, 6), not the
+    grid.  predict writes its interval stacks into buffers the loop keeps
+    for every interval.  The state, covariance and scoring arrays carry a
+    leading run axis; one predict covers each interval between scored
+    epochs (none follows the last), and odometer updates apply under each
+    run's own gate.
     Each epoch's estimate, bias and covariance are stored, and every
     _SCORE_BLOCK epochs (and after the last) the stored block is scored in
     one pass: the error against the truth, its chart vector and the NEES,
@@ -809,27 +868,14 @@ def _run_lockstep(
     """
     runs = tuple(int(k) for k in run_indices)
     world, truth, imu_true = _scenario(cfg, truth, imu_true)
-
-    n = len(truth.t) - 1
     dts = imu_true.dt
-    odo_idx = _odo_indices(truth, cfg.odo_rate)
-    if len(odo_idx) > 0:
-        sample_idx = odo_idx
-    else:
-        decim = max(1, int(round(truth.imu_rate / _SCORE_RATE)))
-        sample_idx = np.arange(decim, n + 1, decim)
-
-    # Per-run draws, stored time-major so each epoch is one contiguous (N, 3) slice.
+    odo_idx, sample_idx, ends = _epochs(truth, cfg.odo_rate)
     N, M = len(runs), len(sample_idx)
-    omega_meas, f_meas = np.empty((2, n, N, 3))
-    bias_true = np.empty((M, N, 6))  # true biases over the interval ending at each sample
-    odo_meas = np.empty((len(odo_idx), N, 3))
-    bias_hat0 = np.empty((N, 6))
-    xi0 = np.empty((N, 9))
-    for i, k in enumerate(runs):
-        bias_hat0[i], imu_meas, true_bias, (_, odo_meas[:, i]), xi0[i] = _run_inputs(cfg, truth, imu_true, k)
-        omega_meas[:, i], f_meas[:, i] = imu_meas.omega_ib_b, imu_meas.f_ib_b
-        bias_true[:, i] = true_bias[sample_idx - 1]
+    inputs = [_run_inputs(cfg, truth, imu_true, k) for k in runs]
+    bias_hat0, xi0 = (np.stack([draws[j] for draws in inputs]) for j in (0, 3))
+    odo_meas = np.stack([draws[2][1] for draws in inputs], axis=1)  # (odometer epochs, N, 3)
+    # One block's measured IMU, stored time-major so each sample is one contiguous (N, 3) slice.
+    omega_meas, f_meas = np.empty((2, np.diff(ends, prepend=0).max(), N, 3))
 
     truth0 = nav_from_physical(
         cfg.frame, cfg.grouping, *physical_from_nav(truth.state(0), cfg.earth, world), cfg.earth, world
@@ -859,6 +905,7 @@ def _run_lockstep(
     # covariance wait in a block, and a block is scored in one stacked pass.
     B = min(_SCORE_BLOCK, M)
     K_blk, bias_blk, P_blk = np.empty((B, N, 3, 5)), np.empty((B, N, 6)), np.empty((B, N, 15, 15))
+    bias_true = np.empty((B, N, 6))  # the true biases over the interval ending at each of the block's epochs
 
     def score(j0, b):
         """Score the b stored epochs from epoch j0 on; a failing (b, N)
@@ -867,7 +914,7 @@ def _run_lockstep(
             truth_b = replace(truth_f, x=SE23.packed(truth_f.x.K[j0:j0 + b, None]))
             est = replace(fs.nav, x=SE23.packed(K_blk[:b]))
             xi_b = error_to_vector(error_from_states(truth_b, est, fs.conv), fs.conv).as_vector()
-            e15 = np.concatenate([xi_b, bias_blk[:b] - bias_true[j0:j0 + b]], axis=2)
+            e15 = np.concatenate([xi_b, bias_blk[:b] - bias_true[:b]], axis=2)
             nees_b = _nees(e15.reshape(b * N, 15), P_blk[:b].reshape(b * N, 15, 15))
         xi[:, j0:j0 + b] = xi_b.swapaxes(0, 1)
         nees[:, j0:j0 + b] = nees_b.reshape(b, N).T
@@ -877,14 +924,21 @@ def _run_lockstep(
     # predict's stack starts after the interval's first epoch, fuse's (one
     # epoch) at its last.
     intervals = list(zip([0, *sample_idx[:-1].tolist()], sample_idx.tolist()))
-    for j0 in range(0, M, _SCORE_BLOCK):
+    buffers = {}  # predict's interval stacks, reused by every interval
+    for j0, a, end in zip(range(0, M, _SCORE_BLOCK), [0, *ends[:-1].tolist()], ends.tolist()):
+        # Every run's draws for the block: grid intervals a to end, its last epoch (the grid's end for the last block).
+        epochs = sample_idx[j0:j0 + _SCORE_BLOCK]
+        for i, (_, sensors, _, _) in enumerate(inputs):
+            imu_meas, true_bias = sensors(end)
+            omega_meas[:end - a, i], f_meas[:end - a, i] = imu_meas.omega_ib_b, imu_meas.f_ib_b
+            bias_true[:len(epochs), i] = true_bias[epochs - 1 - a]
         stored = 0
         try:
             with _naming_elements(lambda e: f"run {runs[e % N]}, t={truth.t[first + e // N]:.3f} s", width=N):
                 for j, (k0, k1) in enumerate(intervals[j0:j0 + _SCORE_BLOCK], j0):
                     first = k0 + 1
-                    imu = ImuSample(omega_meas[k0:k1], f_meas[k0:k1], dts[k0:k1])
-                    fs = predict(fs, imu, cfg.noise, method=cfg.integrator)
+                    imu = ImuSample(omega_meas[k0 - a:k1 - a], f_meas[k0 - a:k1 - a], dts[k0:k1])
+                    fs = predict(fs, imu, cfg.noise, method=cfg.integrator, buffers=buffers)
                     first = k1
                     if len(odo_idx) > 0:
                         z = OdoSample(odo_meas[j], float(truth.t[k1]))

@@ -81,7 +81,8 @@ def test_simulate_cells_parse_back_to_the_arrays(tmp_path, cfg_file):
     assert main(["simulate", "--config", cfg_file, "--out", str(out)]) == 0
     cfg = build_run_config(load_config(cfg_file))
     _, truth, imu_true = simulate._scenario(cfg)
-    _, imu, _, (idx, v_odo), _ = simulate._run_inputs(cfg, truth, imu_true, 0)
+    _, sensors, (idx, v_odo), _ = simulate._run_inputs(cfg, truth, imu_true, 0)
+    imu, _ = sensors(len(imu_true.dt))
     quat = cli._quat_from_rot(truth.C_b_w)
     expected = {
         "truth.csv": (truth.t, np.column_stack([quat, truth.v_wb_w, truth.r_w])),
@@ -346,6 +347,17 @@ def test_simulate_files_do_not_depend_on_the_csv_block(tmp_path, cfg_file, monke
     assert main(["simulate", "--config", cfg_file, "--out", str(tmp_path / "many")]) == 0
     for name in ("truth.csv", "imu.csv", "odo.csv"):
         assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "many" / name).read_bytes(), name
+
+
+def test_simulate_files_do_not_depend_on_the_score_block(tmp_path, cfg_file, monkeypatch):
+    # navkit simulate draws run 0's sensors as the filter loop does, a score
+    # block at a time: 100 odometer epochs are one default block (64) and its
+    # rest, or 15 blocks of 7, and both must write the same bytes.
+    assert main(["simulate", "--config", cfg_file, "--out", str(tmp_path / "default")]) == 0
+    monkeypatch.setattr(simulate, "_SCORE_BLOCK", 7)
+    assert main(["simulate", "--config", cfg_file, "--out", str(tmp_path / "seven")]) == 0
+    for name in ("truth.csv", "imu.csv", "odo.csv"):
+        assert (tmp_path / "default" / name).read_bytes() == (tmp_path / "seven" / name).read_bytes(), name
 
 
 def test_ten_hz_imu_floor_runs(tmp_path):

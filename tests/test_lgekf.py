@@ -219,6 +219,33 @@ def test_predict_matches_the_dense_formulas(method, conv, n, earth, world):
     assert np.array_equal(out.P, P)
 
 
+@pytest.mark.parametrize("conv", CONVS, ids=lambda c: c.value)
+def test_predict_buffers_do_not_leak_between_calls(conv, earth, world):
+    # One buffers dict serves batches of 3 and then 5 runs, and intervals of
+    # 10 and then 7 samples: each call must equal a call on fresh arrays bit
+    # for bit, and no state returned earlier may change after a later call.
+    from navkit import SE23
+
+    rng = np.random.default_rng(83)
+    base = random_nav_state(rng, Frame.W, Grouping.PROPOSED, earth, world)
+    model = NavModel.of(base, earth, SphericalGravity(), world)
+    noise = NoiseConfig()
+    buffers, kept = {}, []
+    for n, L in ((3, 10), (5, 10), (5, 7), (3, 7), (3, 10)):
+        A = rng.normal(size=(n, 15, 15))
+        fs = FilterState(replace(base, x=SE23.packed(np.stack([wander(base, rng).x.K for _ in range(n)]))),
+                         rng.normal(scale=1e-4, size=(n, 6)), A @ np.swapaxes(A, -1, -2) * 1e-4, conv, model, 0.5)
+        imu = ImuSample(rng.normal(scale=0.2, size=(L, n, 3)), rng.normal(scale=3.0, size=(L, n, 3)), np.full(L, 0.01))
+        out = predict(fs, imu, noise, buffers=buffers)
+        fresh = predict(fs, imu, noise)
+        assert np.array_equal(out.nav.x.K, fresh.nav.x.K) and np.array_equal(out.P, fresh.P), (n, L)
+        assert np.array_equal(out.bias, fresh.bias) and out.t == fresh.t
+        assert not any(np.shares_memory(a, buf) for a in (out.P, out.nav.x.K, out.bias) for buf in buffers.values())
+        kept.append((out, out.nav.x.K.copy(), out.P.copy()))
+    for out, K, P in kept:
+        assert np.array_equal(out.nav.x.K, K) and np.array_equal(out.P, P)
+
+
 def test_predict_attitude_random_walk():
     fs = _static_filter()
     psd = 4e-8

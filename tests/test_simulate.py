@@ -499,24 +499,28 @@ def test_odometer_rate_must_divide():
     assert idx.shape == (0,) and v.shape == (0, 3)
 
 
-@pytest.mark.parametrize("bias_known", [True, False])
-def test_run_inputs_draw_each_quantity_from_its_channel(bias_known):
-    # The recipe written out with one GaussianStream per (channel, run): each
-    # drawn quantity must come from its own channel, at run k = 3.
-    noise = NoiseConfig(gyro_noise_psd=2e-8, accel_noise_psd=3e-5, gyro_bias_rw_psd=4e-12,
-                        accel_bias_rw_psd=5e-9, odo_noise_cov=np.diag([1e-4, 2e-4, 3e-4]))
-    cfg = _sensor_cfg(2.0, noise=noise, seed=23, bias_known=bias_known,
-                      gyro_bias=np.array([1e-5, -0.0, 8e-6]), accel_bias=np.array([1e-4, -2e-4, 5e-5]))
-    tr, imu = _imu_series(cfg.traj)
-    k = 3
+_DRAW_NOISE = NoiseConfig(gyro_noise_psd=2e-8, accel_noise_psd=3e-5, gyro_bias_rw_psd=4e-12,
+                          accel_bias_rw_psd=5e-9, odo_noise_cov=np.diag([1e-4, 2e-4, 3e-4]))
 
-    def draws(channel, rows):
-        return GaussianStream(cfg.seed, substream(channel, k)).normals(3 * rows).reshape(rows, 3)
 
+def _draw_cfg(duration, bias_known):
+    return _sensor_cfg(duration, noise=_DRAW_NOISE, seed=23, bias_known=bias_known,
+                       gyro_bias=np.array([1e-5, -0.0, 8e-6]), accel_bias=np.array([1e-4, -2e-4, 5e-5]))
+
+
+def _draws(cfg, channel, k, rows):
+    return GaussianStream(cfg.seed, substream(channel, k)).normals(3 * rows).reshape(rows, 3)
+
+
+def _whole_grid_sensors(cfg, imu, k):
+    """The recipe written out with one GaussianStream per (channel, run), over
+    the whole grid at once: (initial bias estimate, measured omega and f, true
+    biases (n, 6)) of run k."""
+    noise = cfg.noise
     sigma0 = np.sqrt(cfg.p0_diag())
     nominal = np.concatenate([cfg.gyro_bias, cfg.accel_bias])
-    if bias_known:
-        hat0, bias0 = nominal, nominal - sigma0[9:] * draws(STREAM_INIT_BIAS, 2).ravel()
+    if cfg.bias_known:
+        hat0, bias0 = nominal, nominal - sigma0[9:] * _draws(cfg, STREAM_INIT_BIAS, k, 2).ravel()
     else:
         hat0, bias0 = np.zeros(6), 0.0 - (-nominal)
     n = len(imu.dt)
@@ -527,25 +531,77 @@ def test_run_inputs_draw_each_quantity_from_its_channel(bias_known):
         (imu.f_ib_b, bias0[3:], STREAM_ACCEL_BIAS_WALK, noise.accel_bias_rw_psd, STREAM_ACCEL_NOISE,
          noise.accel_noise_psd),
     ):
-        steps = np.sqrt(walk_psd * imu.dt)[:, None] * draws(walk, n)
+        steps = np.sqrt(walk_psd * imu.dt)[:, None] * _draws(cfg, walk, k, n)
         series = np.vstack([b0, b0 + np.cumsum(steps[:-1], axis=0)])
-        measured.append(true + series + np.sqrt(white_psd / imu.dt)[:, None] * draws(white, n))
+        measured.append(true + series + np.sqrt(white_psd / imu.dt)[:, None] * _draws(cfg, white, k, n))
         bias.append(series)
+    return hat0, measured, np.hstack(bias)
+
+
+@pytest.mark.parametrize("bias_known", [True, False])
+def test_run_inputs_draw_each_quantity_from_its_channel(bias_known):
+    # The recipe written out with one GaussianStream per (channel, run): each
+    # drawn quantity must come from its own channel, at run k = 3.
+    cfg = _draw_cfg(2.0, bias_known)
+    noise = cfg.noise
+    tr, imu = _imu_series(cfg.traj)
+    k = 3
+    n = len(imu.dt)
+    hat0, measured, bias = _whole_grid_sensors(cfg, imu, k)
     idx = np.arange(10, 201, 10)  # 10 Hz on the 100 Hz grid
     v = np.zeros((len(idx), 3))
     v[:, 0] = matvec(transpose(tr.C_b_w[idx]), tr.v_wb_w[idx])[:, 0]
-    v = v + matvec(np.linalg.cholesky(noise.odo_noise_cov), draws(STREAM_ODOMETER, len(idx)))
-    xi0 = sigma0[:9] * draws(STREAM_INIT_STATE, 3).ravel()
+    v = v + matvec(np.linalg.cholesky(noise.odo_noise_cov), _draws(cfg, STREAM_ODOMETER, k, len(idx)))
+    xi0 = np.sqrt(cfg.p0_diag())[:9] * _draws(cfg, STREAM_INIT_STATE, k, 3).ravel()
 
-    got_hat0, got_imu, got_bias, (got_idx, got_v), got_xi0 = sim._run_inputs(cfg, tr, imu, k)
+    got_hat0, sensors, (got_idx, got_v), got_xi0 = sim._run_inputs(cfg, tr, imu, k)
+    got_imu, got_bias = sensors(n)  # the whole grid as one block
     assert np.array_equal(got_hat0, hat0)
     assert np.array_equal(got_imu.omega_ib_b, measured[0]) and np.array_equal(got_imu.f_ib_b, measured[1])
     assert np.array_equal(got_imu.dt, imu.dt)
-    assert np.array_equal(got_bias, np.hstack(bias))
+    assert np.array_equal(got_bias, bias)
     assert np.array_equal(got_idx, idx) and np.array_equal(got_v, v)
     assert np.array_equal(got_xi0, xi0)
     if not bias_known:  # array_equal does not tell -0.0 from +0.0: a -0.0 nominal is a +0.0 true bias
         assert got_bias[0, 1] == 0.0 and not np.signbit(got_bias[0, 1])
+
+
+@pytest.mark.parametrize("runs", [(3,), (0, 1, 2)], ids=["one_run", "three_runs"])
+@pytest.mark.parametrize("bias_known", [True, False])
+@pytest.mark.parametrize("block", [1, 7, sim._SCORE_BLOCK], ids=["block1", "block7", "default"])
+def test_streamed_draws_equal_the_whole_grid_recipe(block, bias_known, runs, monkeypatch):
+    # The filter loop draws each run's sensors a score block at a time.  7 s
+    # has 70 odometer epochs, so every block size, the default's 64 included,
+    # puts a block boundary inside the bias walk.  Each run's blocks, joined,
+    # must be its whole-grid draws, and predict must be fed its measured rows.
+    cfg = _draw_cfg(7.0, bias_known)
+    tr, imu = _imu_series(cfg.traj)
+    monkeypatch.setattr(sim, "_SCORE_BLOCK", block)
+    drawn, fed = {k: [] for k in runs}, []
+    real_corrupt, real_predict = sim.corrupt, sim.predict
+
+    def corrupt(block_imu, cfg_, k, *args, **kw):
+        out = real_corrupt(block_imu, cfg_, k, *args, **kw)
+        drawn[k].append(out)
+        return out
+
+    def predict(fs, interval, *args, **kw):
+        fed.append((interval.omega_ib_b.copy(), interval.f_ib_b.copy()))  # the loop reuses its block arrays
+        return real_predict(fs, interval, *args, **kw)
+
+    monkeypatch.setattr(sim, "corrupt", corrupt)
+    monkeypatch.setattr(sim, "predict", predict)
+    sim._run_lockstep(cfg, runs, tr, imu)
+    n_blocks = -(-70 // block)
+    for i, k in enumerate(runs):
+        _, (omega, f), bias = _whole_grid_sensors(cfg, imu, k)
+        assert len(drawn[k]) == n_blocks
+        assert np.array_equal(np.concatenate([m.omega_ib_b for m, _ in drawn[k]]), omega)
+        assert np.array_equal(np.concatenate([m.f_ib_b for m, _ in drawn[k]]), f)
+        assert np.array_equal(np.concatenate([m.dt for m, _ in drawn[k]]), imu.dt)
+        assert np.array_equal(np.concatenate([b for _, b in drawn[k]]), bias)
+        assert np.array_equal(np.concatenate([om[:, i] for om, _ in fed]), omega)
+        assert np.array_equal(np.concatenate([fb[:, i] for _, fb in fed]), f)
 
 
 # ---------------------------------------------------------------------------
@@ -618,13 +674,13 @@ def test_stacked_linearization_error_names_the_run_and_epoch(monkeypatch):
     calls = []
     real = lgekf.linearized_F_G
 
-    def centered_in_second_interval(conv, est, imu, model):
+    def centered_in_second_interval(conv, est, imu, model, **kw):
         calls.append(None)
         if len(calls) == 2:
             K = est.x.K.copy()
             K[4, 1, :, 4] = -model.r_base
             est = replace(est, x=SE23.packed(K))
-        return real(conv, est, imu, model)
+        return real(conv, est, imu, model, **kw)
 
     monkeypatch.setattr(lgekf, "linearized_F_G", centered_in_second_interval)
     with pytest.raises(SingularRadius, match=r"^run 1, t=0.150 s: element 13 of the stack: radius") as info:
