@@ -177,7 +177,7 @@ def linearized_F_G(
     I3 = _I3
 
     if conv is ErrorConvention.RIGHT:
-        S_p = skew(p)
+        S_v, S_p = skew(v), skew(p)
         F[..., 3:6, 0:3] = skew(u) - Gg @ S_p
         F[..., 3:6, 6:9] = Gg
         F[..., 6:9, 3:6] = I3
@@ -185,11 +185,14 @@ def linearized_F_G(
         F[..., 3:6, 3:6] = -Om
         F[..., 6:9, 6:9] = -Om
         if model.fold:
-            F[..., 3:6, 0:3] += skew(v) @ Om
+            F[..., 3:6, 0:3] += S_v @ Om
             F[..., 3:6, 3:6] += -Om
             F[..., 6:9, 0:3] = -S_p @ Om
             F[..., 6:9, 6:9] += Om
-        F[..., 0:9, 9:15] = est.x.adjoint()[..., 0:6]
+        # The bias columns are Ad_X~[:, 0:6] (SE23.adjoint), written in place.
+        F[..., 0:3, 9:12] = F[..., 3:6, 12:15] = C
+        F[..., 3:6, 9:12] = S_v @ C
+        F[..., 6:9, 9:12] = S_p @ C
     else:
         Wb = skew(np.asarray(imu.omega_ib_b, dtype=float))
         F[..., 0:3, 0:3] = -Wb

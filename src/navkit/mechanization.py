@@ -16,12 +16,11 @@ velocity equation, gravity column and gradient, and whether it keeps the
 Coriolis fold.  The frame rate is the earth rate in e and w and zero in i,
 so the i frame is the rotating frames' model at zero rate, where the
 Coriolis and frame-rotation terms vanish: every kernel runs one path for
-all six models.  The one place a model's constants shorten that path is
-rk4's stage rate (NavModel.rate): a frame that does not spin (i) has no
-frame-rate product, and under uniform gravity without the fold (every
-model but the traditional e/w) the gravity column does not depend on the
-position, so it is formed once with the model; neither changes a bit of
-the result.  The frame geometry (the frame rate and origin, and the
+all six models.  The one place a model's constants shape that path is
+rk4's stage rate (NavModel.rate): it has no frame-rate product where the
+frame does not spin (i), forms the gravity column once where it does not
+depend on the position (uniform gravity), and applies the fold's terms
+as one constant operator built with the model.  The frame geometry (the frame rate and origin, and the
 conversions physical_from_nav and nav_from_physical) comes from earth.py's
 frame map.  A model is built once per batch of states sharing the
 anchors (NavModel.of) and every kernel reads it: step, derivative,
@@ -44,9 +43,11 @@ its W-decomposition  dX/dt = X W1 + W2 X + W3 X W4  into input, gravity
 and Coriolis-fold factors (W3 and W4 are zero without the fold).  step's
 rk4 integrates that decomposition directly on the state's packed block
 state.x.K = [C | v | p], the top 3x5 of the group matrix: each stage is
-K W1 - Om (K d) + column,  with W1 the input matrix, d the fold weight
-(1, 1, 1, 2, 0) of the traditional e/w models (all ones otherwise) and the
-gravity column added to v's rate.  The midpoint rule keeps its
+K W1 - Om K + column  without the fold and  K W1 + Lambda vec K +
+gamma(r_base + p) - Om^2 r_base  with it, W1 the input matrix and Lambda
+the fold's constant 15x15 operator (NavModel.rate), and the three stage
+inputs and the final combination are formed in place in the step's
+output block.  The midpoint rule keeps its
 closed-form attitude and uses that, apart from gravity, the velocity and
 position are affine in (v, p) in every model (the group-affine structure):
 each sample runs the attitude product and one gravity evaluation at both
@@ -150,21 +151,23 @@ class NavModel:
     matrix squared; offset is the frame origin seen from the earth center
     and r_base = offset + r0 the earth-centered point the position column
     is measured from; fold marks the models whose velocity column keeps
-    the Coriolis fold W3 X W4; dv0 is the state's velocity anchor and
-    Om_dv0 = omega x dv0, the constant part of the gravity column without
-    the fold.  accel is the velocity equation; column, its value at zero
-    specific force and velocity, is W2's gravity column.  v_Om and odo_Om
-    are body_velocity's and odo_H's constants.  spins is false where the
-    frame rate is zero (the i frame), and column0 is the gravity column
-    where it does not depend on the position (uniform gravity, no fold,
-    dv0 given), else None: rate leaves out the frame-rate product of a
-    frame that does not spin and adds column0 in place of column.
+    the Coriolis fold W3 X W4; dv0 is the state's velocity anchor and c0
+    the gravity column's constant part, -Om^2 r_base with the fold and
+    -omega x dv0 without it (None without dv0).  accel is the velocity
+    equation; column, its value at zero specific force and velocity, is
+    W2's gravity column.  v_Om and odo_Om are body_velocity's and odo_H's
+    constants.  The rest are rate's (see rate): spins is false where the
+    frame rate is zero (the i frame), column0 holds the gravity column
+    gamma0 + c0 as column 3 of a (3, 5) block, where the column does not
+    depend on the position (uniform gravity, c0 known), else None, and
+    fold_op is the fold models' 15x15 stage operator on vec K (None
+    without the fold).
     """
 
     __slots__ = (
         "frame", "grouping", "fold", "dv0", "earth", "gravity_model", "earth_omega", "earth_Om",
-        "omega", "Om", "OmOm", "Om_dv0", "offset", "r_base", "v_Om", "odo_Om", "spins", "column0",
-        "_terms_by_dt",
+        "omega", "Om", "OmOm", "c0", "offset", "r_base", "v_Om", "odo_Om", "spins", "column0",
+        "fold_op", "_terms_by_dt",
     )
 
     def __init__(self, frame, grouping, r0, earth, gravity_model=None, world=None, dv0=None):
@@ -181,16 +184,30 @@ class NavModel:
         self.omega = self.earth_omega - rel_omega
         self.Om = skew(self.omega)
         self.OmOm = self.Om @ self.Om
-        self.Om_dv0 = None if dv0 is None else self.cross(dv0)
         self.offset = transpose(C) @ o
         self.r_base = self.offset + r0
+        # The gravity column's constant part: -Om^2 r_base with the fold, -Om dv0 without.
+        if self.fold:
+            self.c0 = -matvec(self.OmOm, self.r_base)
+        else:
+            self.c0 = None if dv0 is None else -self.cross(dv0)
         # e's rate relative to the velocity column's frame (inertial when proposed)
         self.v_Om = skew(rel_omega) if grouping is Grouping.TRADITIONAL else self.earth_Om
         self.odo_Om = np.concatenate((self.earth_Om, skew(np.cross(rel_omega, self.r_base))), axis=-1)
         # The parts of rate that do not depend on the state (see rate).
         self.spins = bool(np.any(self.omega))
-        uniform = isinstance(gravity_model, UniformGravity) and not self.fold and dv0 is not None
-        self.column0 = self.column(self.r_base) if uniform else None
+        self.column0 = None
+        if isinstance(gravity_model, UniformGravity) and self.c0 is not None:
+            # x + -0.0 is x, signed zeros included, so adding the whole block
+            # changes only the v column's bits.
+            self.column0 = np.full((3, 5), -0.0)
+            self.column0[:, 3] = gravitation(self.r_base, gravity_model, earth) + self.c0
+        self.fold_op = None
+        if self.fold:
+            # (Lambda vec K)[i, j] = -Om[i, k] K[k, j] d[j] - [j = 3] OmOm[i, k] K[k, 4]
+            op = -np.einsum("ik,jm->ijkm", self.Om, np.diag([1.0, 1.0, 1.0, 2.0, 0.0]))
+            op[:, 3, :, 4] = -self.OmOm
+            self.fold_op = op.reshape(15, 15)
         self._terms_by_dt = {}  # midpoint_terms
 
     @classmethod
@@ -221,7 +238,7 @@ class NavModel:
         gam = gravitation(r_center, self.gravity_model, self.earth)
         if self.fold:
             return gam - matvec(self.OmOm, r_center)
-        return gam - self.Om_dv0
+        return gam + self.c0
 
     def accel(self, f_f, r_center, v):
         """Rate of the velocity column v at specific force f_f (frame axes):
@@ -239,14 +256,25 @@ class NavModel:
 
     def rate(self, K, W1):
         """Rate of the packed block K = [C | v | p] (rows 0-2 of the group
-        matrix) under input matrix W1:  K W1 - Om (K d) + column,  where the
-        fold weight d = (1, 1, 1, 2, 0) doubles the Coriolis term on v and
-        drops it on p, and the gravity column lands on the v column.  The
-        skips of spins and column0 leave every result bit for bit unchanged."""
+        matrix) under input matrix W1, with the gravity column on v's rate.
+        Without the fold it is  K W1 - Om K + column(r_base + p),  leaving
+        out the frame-rate product where the frame does not spin.  With the
+        fold it is  K W1 + fold_op vec K + gamma(r_base + p) + c0:  fold_op
+        holds the frame-rate and Coriolis term -Om (K d), whose fold weight
+        d = (1, 1, 1, 2, 0) doubles it on v and drops it on p, and the
+        column's position-linear part -Om^2 p, and is applied per element as
+        one (..., 15, 15) @ (..., 15, 1) product, so a stack and each of its
+        elements agree bit for bit.  Where the column does not depend on
+        the position, the column0 block is added in its place."""
         dK = K @ W1
-        if self.spins:
-            dK -= self.Om @ (K * _FOLD_WEIGHTS if self.fold else K)
-        dK[..., 3] += self.column(self.r_base + K[..., 4]) if self.column0 is None else self.column0
+        if self.fold_op is not None:
+            dK += (self.fold_op @ K.reshape(K.shape[:-2] + (15, 1))).reshape(dK.shape)
+        elif self.spins:
+            dK -= self.Om @ K
+        if self.column0 is None:
+            dK[..., 3] += gravitation(self.r_base + K[..., 4], self.gravity_model, self.earth) + self.c0
+        else:
+            dK += self.column0
         return dK
 
     def midpoint_terms(self, dt):
@@ -289,9 +317,6 @@ class NavModel:
         the velocity column plus dv0, less v_Om (r_base + p)."""
         v = x.v + self.dv0 - matvec(self.v_Om, self.r_base + x.p)
         return matvec(transpose(x.R), v)
-
-
-_FOLD_WEIGHTS = np.array([1.0, 1.0, 1.0, 2.0, 0.0])
 
 
 def _input_matrix(omega_ib_b: np.ndarray, f_ib_b: np.ndarray) -> np.ndarray:
@@ -379,7 +404,8 @@ def step(state: NavState, imu: ImuSample, model: NavModel, method: str = "midpoi
         dt, longest = dt[..., None, None], dt.max()
     if method == "rk4":
         _check_dt(longest)
-        K = _rk4_update(state.x.K, dt, _input_matrix(imu.omega_ib_b, imu.f_ib_b), model)
+        W1 = _input_matrix(imu.omega_ib_b, imu.f_ib_b)
+        K = _rk4_update(state.x.K, dt, W1, model, np.empty(state.x.K.shape))
     else:
         om, f = (np.asarray(a, dtype=float)[None] for a in (imu.omega_ib_b, imu.f_ib_b))
         K = integrate(state, ImuSample(om, f, [dt]), model, method)[1]
@@ -393,7 +419,8 @@ def integrate(state: NavState, imu: ImuSample, model: NavModel, method: str = "m
 
     imu holds omega and f (L, ..., 3), the state's leading axes after the
     sample axis, and dt (L,).  rk4 forms the input matrices once for all L
-    samples and steps the block L times.  The midpoint rule (_midpoint)
+    samples and steps the block L times, each step written straight into
+    its epoch of the output.  The midpoint rule (_midpoint)
     runs only the attitude product and one gravity evaluation per sample;
     every other term is a per-dt constant of the model or a stack formed
     once.  Either way epoch l+1 is bit for bit step(epoch l, sample l).  A
@@ -415,7 +442,7 @@ def integrate(state: NavState, imu: ImuSample, model: NavModel, method: str = "m
     out[0] = K
     for l, dt_l in enumerate(dt.tolist()):
         try:
-            out[l + 1] = _rk4_update(out[l], dt_l, W1[l], model)
+            _rk4_update(out[l], dt_l, W1[l], model, out[l + 1])
         except KernelDomainError as exc:
             raise _at_sample(exc, l, K) from exc
     return out
@@ -434,13 +461,25 @@ def _at_sample(exc: KernelDomainError, l: int, K: np.ndarray) -> KernelDomainErr
     return type(exc)(str(exc), element=l * n + (exc.element or 0) % n)
 
 
-def _rk4_update(K: np.ndarray, dt, W1, model: NavModel) -> np.ndarray:
-    h, rate = 0.5 * dt, model.rate
-    k1 = rate(K, W1)
-    k2 = rate(K + h * k1, W1)
-    k3 = rate(K + h * k2, W1)
-    k4 = rate(K + dt * k3, W1)
-    return K + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _rk4_update(K: np.ndarray, dt, W1, model: NavModel, out: np.ndarray) -> np.ndarray:
+    """One rk4 step of the packed blocks K, written into out (K's shape),
+    which also holds the three stage inputs: each is formed there in place,
+    as are K + dt/6 (k1 + 2 k2 + 2 k3 + k4), in the same operation order as
+    the expressions written out."""
+    h = 0.5 * dt
+    k = [model.rate(K, W1)]
+    for c in (h, h, dt):  # the stage inputs K + h k1, K + h k2, K + dt k3
+        np.multiply(c, k[-1], out=out)
+        out += K
+        k.append(model.rate(out, W1))
+    np.multiply(2.0, k[1], out=out)
+    out += k[0]
+    k[2] *= 2.0
+    out += k[2]
+    out += k[3]
+    out *= dt / 6.0
+    out += K
+    return out
 
 
 def _midpoint(K: np.ndarray, imu: ImuSample, dt: np.ndarray, model: NavModel) -> np.ndarray:
@@ -465,12 +504,10 @@ def _midpoint(K: np.ndarray, imu: ImuSample, dt: np.ndarray, model: NavModel) ->
     for l in range(L):
         np.matmul(H2[l] @ C[l], B2[l], out=C[l + 1])
     H = np.stack(H).reshape((L,) + (1,) * len(lead) + (3, 3))
-    c0 = -matvec(model.OmOm, model.r_base) if model.fold else -model.Om_dv0
-
     Y = np.empty((L + 1,) + lead + (12,))  # rows [v | p | u1 + g1 | u2 + g2]
     Y[0, ..., 0:3], Y[0, ..., 3:6] = K[..., 3], K[..., 4]
-    Y[:-1, ..., 6:9] = matvec(C[:-1], f) + c0
-    Y[:-1, ..., 9:12] = matvec(H @ C[:-1] @ B, f) + c0
+    Y[:-1, ..., 6:9] = matvec(C[:-1], f) + model.c0
+    Y[:-1, ..., 9:12] = matvec(H @ C[:-1] @ B, f) + model.c0
     # Stage-major view of the two gravity slots, (L+1, 2, ..., 3).
     stage = np.moveaxis(Y[..., 6:12].reshape(Y.shape[:-1] + (2, 3)), -2, 1)
     for l in range(L):

@@ -21,6 +21,7 @@ from navkit import (
     gravitation,
     integrate,
     make_nav_state,
+    matvec,
     nav_from_physical,
     physical_from_nav,
     skew,
@@ -307,12 +308,15 @@ def test_packed_rate_is_the_dense_field(grav, earth, world):
 )
 @pytest.mark.parametrize("frame,grouping", ALL_COMBOS, ids=lambda c: getattr(c, "value", c))
 def test_rate_is_the_written_out_field_bit_for_bit(frame, grouping, grav, shape, earth, world):
-    # rate leaves out the frame-rate product of a frame that does not spin
-    # and forms a gravity column that does not depend on the position once;
-    # neither moves a bit, signed zeros included, from the written-out
-    # K W1 - Om (K d) + column(r_base + p).  The states are random and at
-    # rest (v = p = -0, zero inputs), under the state's model and under
-    # one built without dv0, as nav_from_physical builds it.
+    # Without the fold, rate leaves out the frame-rate product of a frame
+    # that does not spin and forms a gravity column that does not depend on
+    # the position once; neither moves a bit, signed zeros included, from
+    # the written-out K W1 - Om K + column(r_base + p).  With the fold it is
+    # the written-out K W1 + Lambda vec K + gamma(r_base + p) + c0, with
+    # c0 = -Om^2 r_base, and Lambda (fold_op) applied to each unit block E
+    # is -Om (E d) - Om^2 E[:, 4] e3^T, d = (1, 1, 1, 2, 0).  The states
+    # are random and at rest (v = p = -0, zero inputs), under the state's
+    # model and under one built without dv0, as nav_from_physical builds it.
     rng = np.random.default_rng(49)
     base = random_nav_state(rng, frame, grouping, earth, world)
     n = int(np.prod(shape))
@@ -324,6 +328,19 @@ def test_rate_is_the_written_out_field_bit_for_bit(frame, grouping, grav, shape,
     for model in (NavModel.of(base, earth, grav, world), NavModel(frame, grouping, base.r0, earth, grav, world)):
         assert model.spins is (frame is not Frame.I)
         uniform = isinstance(grav, UniformGravity)
+        if model.fold:
+            assert (model.column0 is not None) is uniform
+            c0 = -matvec(model.OmOm, model.r_base)
+            for K_s, W1 in ((K, moving), (rest, still)):
+                ref = K_s @ W1 + (model.fold_op @ K_s.reshape(shape + (15, 1))).reshape(shape + (3, 5))
+                ref[..., 3] += gravitation(model.r_base + K_s[..., 4], grav, earth) + c0
+                assert model.rate(K_s, W1).tobytes() == ref.tobytes(), model.dv0
+            d = np.array([1.0, 1.0, 1.0, 2.0, 0.0])
+            for E in np.eye(15).reshape(15, 3, 5):
+                want = -model.Om @ (E * d)
+                want[:, 3] -= model.OmOm @ E[:, 4]
+                assert np.array_equal((model.fold_op @ E.reshape(15, 1)).reshape(3, 5), want)
+            continue
         assert (model.column0 is not None) is (uniform and not model.fold and model.dv0 is not None)
         if model.dv0 is None and not model.fold:
             continue  # its column needs dv0: nav_from_physical reads only the anchor
