@@ -18,6 +18,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import ExitStack, contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -35,10 +36,10 @@ from .mechanization import Grouping
 from .se23 import KernelDomainError
 from .simulate import (
     NewtonNotConverged,
-    _epochs,
     _grid_blocks,
-    _run_inputs,
+    _run_draws,
     _scenario,
+    _scenario_blocks,
     autonomy_experiment,
     run_monte_carlo,
 )
@@ -53,17 +54,24 @@ _T = "%.9f"
 _V = ",%.17g"
 
 
-def _write_csv(path, cfg_hash, header, fmt, blocks):
-    """RFC-4180 CSV with a leading comment line carrying the config hash:
-    one line fmt % row per row, written a block of rows at a time (blocks
-    yields lists of rows), so no result depends on the block.  No cell
+@contextmanager
+def _csv_rows(path, cfg_hash, header, fmt):
+    """An RFC-4180 CSV with a leading comment line carrying the config hash,
+    open for rows: yields write(rows), which writes one line fmt % row per
+    row of a list, so no result depends on how the rows are cut.  No cell
     holds a comma, a quote or a line break, so none is quoted."""
     line = fmt + "\r\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# config_sha256={cfg_hash}\r\n")
         fh.write(",".join(header) + "\r\n")
+        yield lambda rows: fh.writelines([line % tuple(row) for row in rows])
+
+
+def _write_csv(path, cfg_hash, header, fmt, blocks):
+    """_csv_rows's file with the rows of blocks (which yields lists of rows)."""
+    with _csv_rows(path, cfg_hash, header, fmt) as write:
         for rows in blocks:
-            fh.writelines([line % tuple(row) for row in rows])
+            write(rows)
 
 
 def _columns(*columns):
@@ -114,37 +122,32 @@ def _quat_from_rot(C):
 
 
 def cmd_simulate(resolved, out_dir):
+    """truth.csv, imu.csv and odo.csv of run 0, written as the grid streams
+    (_scenario_blocks): each block's truth rows, run 0's measured IMU and
+    odometer rows drawn from the recipe the filter loop draws from, then
+    the next block, so no file's series is held whole.  A failure part way
+    leaves the rows written before it."""
     cfg = build_run_config(resolved)
     h = config_hash(resolved)
-    _, truth, imu_true = _scenario(cfg)
-    _, sensors, (odo_idx, odo_v), _ = _run_inputs(cfg, truth, imu_true, 0)
-
-    def imu_rows():
-        # Run 0's measured IMU, drawn and written as the filter loop draws it: a block at a time.
-        a = 0
-        for z in _epochs(truth, cfg.odo_rate)[2].tolist():
-            imu, _ = sensors(z)
-            yield np.column_stack([truth.t[a:z], imu.omega_ib_b, imu.f_ib_b, imu.dt]).tolist()
-            a = z
-
-    _write_csv(
-        os.path.join(out_dir, "truth.csv"),
-        h,
-        ["t", "q_w", "q_x", "q_y", "q_z", "v_n", "v_e", "v_d", "r_n", "r_e", "r_d"],
-        _T + _V * 10,
-        _columns(truth.t, lambda sl: _quat_from_rot(truth.C_b_w[sl]), truth.v_wb_w, truth.r_w),
+    _, blocks = _scenario_blocks(cfg)
+    _, sensors, odometer, _ = _run_draws(cfg, 0)
+    files = (
+        ("truth.csv", ["t", "q_w", "q_x", "q_y", "q_z", "v_n", "v_e", "v_d", "r_n", "r_e", "r_d"], _T + _V * 10),
+        ("imu.csv", ["t", "omega_x", "omega_y", "omega_z", "f_x", "f_y", "f_z", "dt"], _T + _V * 7),
+        ("odo.csv", ["t", "v_x", "v_y", "v_z"], _T + _V * 3),
     )
-    _write_csv(
-        os.path.join(out_dir, "imu.csv"),
-        h,
-        ["t", "omega_x", "omega_y", "omega_z", "f_x", "f_y", "f_z", "dt"],
-        _T + _V * 7,
-        imu_rows(),
-    )
-    _write_csv(
-        os.path.join(out_dir, "odo.csv"), h, ["t", "v_x", "v_y", "v_z"], _T + _V * 3,
-        _columns(truth.t[odo_idx], odo_v),
-    )
+    with ExitStack() as stack:
+        truth_rows, imu_rows, odo_rows = (
+            stack.enter_context(_csv_rows(os.path.join(out_dir, name), h, header, fmt)) for name, header, fmt in files
+        )
+        for a, truth, imu_true in blocks:
+            # A block starts on the epoch the one before ends on, written once.
+            t = truth.t
+            truth_rows(np.column_stack([t, _quat_from_rot(truth.C_b_w), truth.v_wb_w, truth.r_w])[a > 0:].tolist())
+            imu, _ = sensors(imu_true)
+            imu_rows(np.column_stack([t[:-1], imu.omega_ib_b, imu.f_ib_b, imu.dt]).tolist())
+            idx, v = odometer(a, truth)
+            odo_rows(np.column_stack([t[idx - a], v]).tolist())
     return 0
 
 

@@ -47,7 +47,9 @@ K W1 - Om K + column  without the fold and  K W1 + Lambda vec K +
 gamma(r_base + p) - Om^2 r_base  with it, W1 the input matrix and Lambda
 the fold's constant 15x15 operator (NavModel.rate), and the three stage
 inputs and the final combination are formed in place in the step's
-output block.  The midpoint rule keeps its
+output block.  The additive step leaves SO(3) by turn^6 / 72 per step, so
+where a step turns the attitude by more than a milliradian one
+Newton-Schulz step pulls it back.  The midpoint rule keeps its
 closed-form attitude and uses that, apart from gravity, the velocity and
 position are affine in (v, p) in every model (the group-affine structure):
 each sample runs the attitude product and one gravity evaluation at both
@@ -86,6 +88,10 @@ __all__ = [
 _MAX_DT = 0.1  # s; piecewise-constant-input assumption guard
 _INTEGRATORS = ("midpoint", "rk4")  # step's and integrate's methods
 _DT_ROUNDOFF = 1e-9  # s; a time grid's differences may exceed their spacing by roundoff
+_HALF_THREE_I = 1.5 * np.eye(3)  # rk4's Newton-Schulz step, C (3I - C^T C) / 2
+# rad per rk4 step: a smaller turn leaves SO(3) by turn^6 / 72 a step, under
+# roundoff for any grid, so only a larger one takes the Newton-Schulz step.
+_SO3_DRIFT_TURN = 1e-3
 
 
 class Frame(Enum):
@@ -390,7 +396,8 @@ def step(state: NavState, imu: ImuSample, model: NavModel, method: str = "midpoi
     (O(dt^2) global); it is a one-sample integrate.  method="rk4" is the
     truth-grade 4-stage Runge-Kutta on the group field itself: it steps the
     state's packed block x.K = [C | v | p] with NavModel.rate, one product
-    with W1 per stage.
+    with W1 per stage, and puts the attitude of an element that turns by
+    more than _SO3_DRIFT_TURN back on SO(3) (_rk4_update).
 
     For a stacked state imu.dt is one float for every element or, with
     rk4 only, an array of one dt per element; element k then advances as
@@ -405,7 +412,8 @@ def step(state: NavState, imu: ImuSample, model: NavModel, method: str = "midpoi
     if method == "rk4":
         _check_dt(longest)
         W1 = _input_matrix(imu.omega_ib_b, imu.f_ib_b)
-        K = _rk4_update(state.x.K, dt, W1, model, np.empty(state.x.K.shape))
+        turning = _turning(imu.omega_ib_b, imu.dt, state.x.K.shape[:-2])
+        K = _rk4_update(state.x.K, dt, W1, model, np.empty(state.x.K.shape), turning if turning.any() else None)
     else:
         om, f = (np.asarray(a, dtype=float)[None] for a in (imu.omega_ib_b, imu.f_ib_b))
         K = integrate(state, ImuSample(om, f, [dt]), model, method)[1]
@@ -438,11 +446,13 @@ def integrate(state: NavState, imu: ImuSample, model: NavModel, method: str = "m
         return _midpoint(state.x.K, imu, dt, model)
     W1 = _input_matrix(imu.omega_ib_b, imu.f_ib_b)
     K = state.x.K
+    turning = _turning(imu.omega_ib_b, dt.reshape(dt.shape + (1,) * (K.ndim - 2)), (len(dt),) + K.shape[:-2])
+    polish = [turning[l] if any_l else None for l, any_l in enumerate(turning.reshape(len(dt), -1).any(axis=1))]
     out = np.empty((len(dt) + 1,) + K.shape)
     out[0] = K
     for l, dt_l in enumerate(dt.tolist()):
         try:
-            _rk4_update(out[l], dt_l, W1[l], model, out[l + 1])
+            _rk4_update(out[l], dt_l, W1[l], model, out[l + 1], polish[l])
         except KernelDomainError as exc:
             raise _at_sample(exc, l, K) from exc
     return out
@@ -461,24 +471,48 @@ def _at_sample(exc: KernelDomainError, l: int, K: np.ndarray) -> KernelDomainErr
     return type(exc)(str(exc), element=l * n + (exc.element or 0) % n)
 
 
-def _rk4_update(K: np.ndarray, dt, W1, model: NavModel, out: np.ndarray) -> np.ndarray:
+def _turning(omega: np.ndarray, dt, lead: tuple) -> np.ndarray:
+    """Which elements of a stack of leading shape lead an rk4 step of dt
+    turns by more than _SO3_DRIFT_TURN: |omega| dt, per element."""
+    return np.broadcast_to(np.sqrt(np.sum(np.square(omega), axis=-1)) * dt > _SO3_DRIFT_TURN, lead)
+
+
+def _rk4_update(K: np.ndarray, dt, W1, model: NavModel, out: np.ndarray, turning=None) -> np.ndarray:
     """One rk4 step of the packed blocks K, written into out (K's shape),
     which also holds the three stage inputs: each is formed there in place,
-    as are K + dt/6 (k1 + 2 k2 + 2 k3 + k4), in the same operation order as
-    the expressions written out."""
+    and K + dt/6 (k1 + 2 k2 + 2 k3 + k4) is summed in that order, ((2 k2 +
+    k1) + 2 k3) + k4, as the stages go, so at most two stage rates are held.
+
+    The additive step leaves SO(3) by turn^6 / 72 per step, turn = |omega|
+    dt, so the elements that turning (a mask of K's leading shape, or None
+    for none) marks as turning by more than _SO3_DRIFT_TURN take one
+    Newton-Schulz step, C <- C (3I - C^T C) / 2 (the first-order polar
+    iteration of Bjorck and Bowie, SIAM J. Numer. Anal. 1971), which pulls
+    the attitude back.  It commutes with a rotation on either side, so the
+    error flows of the perfect models stay trajectory-free, and it acts on
+    each element alone, so a stack and each element agree bit for bit."""
     h = 0.5 * dt
-    k = [model.rate(K, W1)]
-    for c in (h, h, dt):  # the stage inputs K + h k1, K + h k2, K + dt k3
-        np.multiply(c, k[-1], out=out)
-        out += K
-        k.append(model.rate(out, W1))
-    np.multiply(2.0, k[1], out=out)
-    out += k[0]
-    k[2] *= 2.0
-    out += k[2]
-    out += k[3]
-    out *= dt / 6.0
+    k = model.rate(K, W1)  # k1
+    np.multiply(h, k, out=out)  # K + h k1
     out += K
+    acc = model.rate(out, W1)  # k2
+    np.multiply(h, acc, out=out)  # K + h k2
+    out += K
+    acc *= 2.0
+    acc += k  # 2 k2 + k1
+    k = model.rate(out, W1)  # k3, in place of k1
+    np.multiply(dt, k, out=out)  # K + dt k3
+    out += K
+    k *= 2.0
+    acc += k  # + 2 k3
+    acc += model.rate(out, W1)  # + k4
+    np.multiply(acc, dt / 6.0, out=out)
+    out += K
+    if turning is not None:
+        turned = out[turning]
+        C = turned[..., :3]
+        turned[..., :3] = C @ (_HALF_THREE_I - 0.5 * (transpose(C) @ C))
+        out[turning] = turned
     return out
 
 

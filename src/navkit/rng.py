@@ -6,12 +6,14 @@ bit-for-bit from its config alone and independent streams never share
 state.  Normals are produced by an explicit Box-Muller transform over
 the raw counter output rather than through ``numpy.random.Generator``
 methods, which keeps the exact byte stream under our control.
+``numpy.random``, which loads all of NumPy's bit generators (about 6 MB
+resident), is imported with the first stream, not with the package, so a
+process that draws nothing does not hold it.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from numpy.random import Philox
 
 __all__ = [
     "GaussianStream",
@@ -59,6 +61,8 @@ class GaussianStream:
     """
 
     def __init__(self, seed: int, stream_id: int):
+        from numpy.random import Philox
+
         key = np.array([seed & _MASK64, stream_id & _MASK64], dtype=np.uint64)
         self._bits = Philox(key=key)
         self._spare: float | None = None

@@ -16,45 +16,51 @@ exactly on the next grid attitude and velocity, which is what makes the
 generate -> invert -> re-mechanize loop close to navigation precision.
 It runs a chord iteration on the step's closed-form first-order
 Jacobian, which is block triangular, so each correction is two solves
-in closed form and each iteration costs one stacked rk4 step per block
-of intervals.  The grid-length stages (inverse_imu, the truth's position
-quadrature, the autonomy flows with their inputs, error logs and metric)
-form their temporaries for a fixed block of _GRID_BLOCK intervals or epochs at a
-time (half as many epochs for the error logs, which stack a pair of flows
-per epoch), so those temporaries do not grow with the trajectory, and no
-result depends on the block.
+in closed form.  Each interval is corrected until its own residual is
+under tolerance, so its inputs depend on its own two grid epochs alone.
+
+The grid stages therefore stream: the truth (_truth_blocks, carrying the
+position quadrature's running sum) and its inputs (_inverse_blocks) are
+formed in order, a block at a time, and each consumer takes a block as it
+reaches it and drops it: the filter loop (its blocks are its score
+blocks), navkit simulate's CSV writers and the autonomy flows (blocks of
+_GRID_BLOCK intervals).  gen_truth and inverse_imu join _GRID_BLOCK
+blocks into one series, so no result depends on how the grid is cut.
+The autonomy flows' error logs and metric run on blocks of epochs too
+(half as many, as they stack a pair of flows per epoch).
 
 On top of that sit the sensor corrupter (bias + random walk + white
 noise), the odometer synthesizer, and the run harness: one filter loop
 that propagates a batch of runs in lock step (a single run is a batch of
 one) with error / NEES / innovation bookkeeping, and the twin-propagation
 autonomy experiments.  The filter loop and navkit
-simulate share one recipe for a run's scenario (_scenario) and one for its
-draws (_run_inputs), so simulate writes the inputs run 0 filters.  Every
-draw of run k comes from its RunConfig and k alone, through _stream: the
-counter-based stream keyed by (seed, channel, k), so runs are
-bit-reproducible and independent of the batch around them.
+simulate share one recipe for a run's scenario (_scenario_blocks) and one
+for its draws (_run_draws), so simulate writes the inputs run 0 filters.
+Every draw of run k comes from its RunConfig and k alone, through
+_stream: the counter-based stream keyed by (seed, channel, k), so runs
+are bit-reproducible and independent of the batch around them.
 
 Every series is one stacked array value: inverse_imu's inputs are one
 ImuSample (omega, f (n, 3), dt (n,)), gen_odometer gives run k's (grid
-indices, body velocities), and the filter loop converts the truth at every
-scored epoch into the filter's frame and grouping in one batch-shaped call.
-Run k's measured IMU and true biases are drawn a block of scored epochs at
-a time (corrupt, from streams kept across blocks), bit for bit the grid
-drawn at once, so neither the loop nor simulate holds them for the whole
-grid.  The loop's sequential path is only predict and fuse, which reuse
-the loop's buffers: the error, NEES and their kernels run on blocks of
-stored epochs, one stacked pass per block.  Its result is one
-batch-shaped RunResult, a run per row, holding the chart errors the loop
-scores into as one packed xi (runs, M, 9); its consistency aggregates
-pool over every run it holds.  A failure inside the loop names its run
-and epoch.
+indices, body velocities), and the filter loop converts the truth at a
+block's scored epochs into the filter's frame and grouping in one
+batch-shaped call.  Run k's measured IMU, true biases and odometer
+readings are drawn a block at a time (corrupt and _odometer, from streams
+kept across blocks), bit for bit the grid drawn at once, so neither the
+loop nor simulate holds them, or the truth, for the whole grid.  The
+loop's sequential path is only predict and fuse, which reuse the loop's
+buffers: the error, NEES and their kernels run on blocks of stored
+epochs, one stacked pass per block.  Its result is one batch-shaped
+RunResult, a run per row, holding the chart errors the loop scores into
+as one packed xi (runs, M, 9); its consistency aggregates pool over every
+run it holds.  A failure inside the loop names its run and epoch.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -134,8 +140,9 @@ _SCORE_RATE = 10.0  # Hz; the filter loop scores at this rate with the odometer 
 # runs), and draws each run's sensors for.
 _SCORE_BLOCK = 64
 # Elements a grid-length stage stacks per pass, and the CSV rows cli formats
-# per write: about 3 MB of inverse_imu's temporaries.
-_GRID_BLOCK = 2048
+# per write: about 1.5 MB of inverse_imu's temporaries, which its streamed
+# consumers hold alongside their own state.
+_GRID_BLOCK = 1024
 
 
 @contextmanager
@@ -299,24 +306,28 @@ def _grid_blocks(n: int, width: int = 1) -> list[tuple[int, int]]:
     return [(a, min(a + size, n)) for a in range(0, n, size)]
 
 
-def _positions(profile: _Profile, times: np.ndarray) -> np.ndarray:
-    """Cumulative Gauss-Legendre integral of the velocity, r(times[0]) = 0.
+def _positions(profile: _Profile, times: np.ndarray, r0: np.ndarray | None) -> np.ndarray:
+    """Positions at times by cumulative Gauss-Legendre quadrature of the
+    velocity, from r0 at times[0] (0 without one, the grid's start).
 
-    The node velocities are formed a block of intervals at a time, each
-    interval's gain lands in one (n, 3) array, and one cumsum runs over
-    it: no result depends on the block size.
+    Each interval's gain lands in one array and one cumsum runs over it,
+    the carried r0 added into the first gain, so a grid cut into blocks
+    sums in the whole grid's order, bit for bit.
     """
     out = np.empty((len(times), 3))
-    out[0] = 0.0
     gains = out[1:]
-    for a, z in _grid_blocks(len(gains)):
-        ta, tb = times[a:z], times[a + 1:z + 1]
-        half = 0.5 * (tb - ta)
-        mid = 0.5 * (ta + tb)
-        psi, pitch, speed = profile.heading((mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel())
-        cth = np.cos(pitch)
-        v = speed[:, None] * np.stack([np.cos(psi) * cth, np.sin(psi) * cth, -np.sin(pitch)], axis=1)
-        gains[a:z] = half[:, None] * np.einsum("q,nqk->nk", _GL_WEIGHTS, v.reshape(z - a, len(_GL_NODES), 3))
+    ta, tb = times[:-1], times[1:]
+    half = 0.5 * (tb - ta)
+    mid = 0.5 * (ta + tb)
+    psi, pitch, speed = profile.heading((mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel())
+    cth = np.cos(pitch)
+    v = speed[:, None] * np.stack([np.cos(psi) * cth, np.sin(psi) * cth, -np.sin(pitch)], axis=1)
+    gains[:] = half[:, None] * np.einsum("q,nqk->nk", _GL_WEIGHTS, v.reshape(len(gains), len(_GL_NODES), 3))
+    if r0 is None:
+        out[0] = 0.0
+    else:
+        out[0] = r0
+        gains[0] += r0
     np.cumsum(gains, axis=0, out=gains)
     return out
 
@@ -329,9 +340,11 @@ def _positions(profile: _Profile, times: np.ndarray) -> np.ndarray:
 class TruthSeries:
     """True trajectory on the IMU grid, w-frame coordinates.
 
-    Positions are measured from the w-frame origin.  state(k) views epoch
-    k as a traditional-grouping NavState sharing the run's anchors; an
-    array of epochs gives them as one stacked state.
+    Positions are measured from the w-frame origin, where the grid starts.
+    A series may hold a block of the grid's epochs.  state(k) views epoch k
+    of the series as a traditional-grouping NavState anchored at the
+    origin, as every epoch of the run is; an array of epochs gives them as
+    one stacked state.
     """
 
     t: np.ndarray  # (N+1,)
@@ -341,7 +354,7 @@ class TruthSeries:
     imu_rate: float
 
     def state(self, k: int | slice | np.ndarray) -> NavState:
-        r0 = self.r_w[0].copy()
+        r0 = np.zeros(3)
         return NavState(Frame.W, Grouping.TRADITIONAL, SE23(self.C_b_w[k], self.v_wb_w[k], self.r_w[k] - r0), r0)
 
 
@@ -351,12 +364,18 @@ def _grid_steps(spec: TrajectorySpec) -> tuple[float, float, float]:
     return np.floor(spec.total_duration / dt + _GRID_TOL), dt, spec.total_duration
 
 
-def _grid_times(spec: TrajectorySpec) -> np.ndarray:
+def _interval_count(spec: TrajectorySpec) -> int:
+    """The number of intervals of spec's IMU grid."""
     n, dt, end = _grid_steps(spec)
-    times = np.arange(n + 1) * dt
-    if end - times[-1] > _GRID_TOL:
-        times = np.append(times, end)
-    return times
+    return int(n) + bool(end - n * dt > _GRID_TOL)
+
+
+def _grid_times(spec: TrajectorySpec, a: int = 0, z: int | None = None) -> np.ndarray:
+    """Times of spec's grid epochs a to z, both included (to the last by default)."""
+    n, dt, end = _grid_steps(spec)
+    z = _interval_count(spec) if z is None else z
+    times = np.arange(a, min(z, n) + 1) * dt
+    return np.append(times, end) if z > n else times
 
 
 def _shared_epochs(traj_a: TrajectorySpec, traj_b: TrajectorySpec) -> int:
@@ -368,6 +387,50 @@ def _shared_epochs(traj_a: TrajectorySpec, traj_b: TrajectorySpec) -> int:
     if np.max(np.abs(np.subtract(*epochs))) > _GRID_TOL:
         raise SpecInvalid("autonomy trajectories must share their time grid")
     return m
+
+
+def _rows(series, rows: slice):
+    """series (a TruthSeries or an ImuSample) cut to the given rows of each array."""
+    return replace(series, **{f.name: getattr(series, f.name)[rows] for f in fields(series)
+                              if isinstance(getattr(series, f.name), np.ndarray)})
+
+
+def _joined(blocks, n: int):
+    """One series of n rows from (first row, block) pairs of one series
+    type, each array filled from its blocks' rows.  A row two blocks share
+    (a truth block starts on the epoch the one before ends on) is written
+    twice, with one value."""
+    out = None
+    for a, block in blocks:
+        arrays = {f.name: getattr(block, f.name) for f in fields(block)
+                  if isinstance(getattr(block, f.name), np.ndarray)}
+        if out is None:
+            out = replace(block, **{name: np.empty((n,) + x.shape[1:]) for name, x in arrays.items()})
+        for name, x in arrays.items():
+            getattr(out, name)[a:a + len(x)] = x
+    return out
+
+
+def _truth_blocks(spec: TrajectorySpec, spans=None):
+    """gen_truth's grid in order, a block at a time: (a, the truth at epochs
+    a to z) for each block [a, z) of spans, consecutive blocks that cover
+    the grid (_grid_blocks's by default).  The position quadrature's
+    running sum is carried from one block into the next, so the blocks are
+    the grid formed at once, bit for bit."""
+    profile = _Profile(spec)
+    r_end = None
+    for a, z in spans or _grid_blocks(_interval_count(spec)):
+        times = _grid_times(spec, a, z)
+        psi, pitch, speed = profile.heading(times)
+        cps, sps = np.cos(psi), np.sin(psi)
+        cth, sth = np.cos(pitch), np.sin(pitch)
+        # Zero roll: the body x-axis, C's first column, is the direction of travel.
+        C = np.stack([cps * cth, -sps, cps * sth,
+                      sps * cth, cps, sps * sth,
+                      -sth, np.zeros_like(sth), cth], axis=1).reshape(-1, 3, 3)
+        r = _positions(profile, times, r_end)
+        r_end = r[-1].copy()
+        yield a, TruthSeries(times, C, speed[:, None] * C[:, :, 0], r, spec.imu_rate)
 
 
 def gen_truth(
@@ -383,18 +446,10 @@ def gen_truth(
     velocity), so single-segment legs keep their textbook geometry to
     quadrature/roundoff precision.  The truth is w-frame kinematics of
     spec alone: earth, gravity_model and world are not consulted -- the
-    dynamics enter only when inverse_imu reconstructs the inputs.
+    dynamics enter only when inverse_imu reconstructs the inputs.  It is
+    the streamed blocks (_truth_blocks) joined into one series.
     """
-    profile = _Profile(spec)
-    times = _grid_times(spec)
-    psi, pitch, speed = profile.heading(times)
-    cps, sps = np.cos(psi), np.sin(psi)
-    cth, sth = np.cos(pitch), np.sin(pitch)
-    # Zero roll: the body x-axis, C's first column, is the direction of travel.
-    C = np.stack([cps * cth, -sps, cps * sth,
-                  sps * cth, cps, sps * sth,
-                  -sth, np.zeros_like(sth), cth], axis=1).reshape(-1, 3, 3)
-    return TruthSeries(times, C, speed[:, None] * C[:, :, 0], _positions(profile, times), spec.imu_rate)
+    return _joined(_truth_blocks(spec), _interval_count(spec) + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -410,6 +465,71 @@ _NEWTON_TOL_ATT = 1e-13
 _NEWTON_TOL_VEL = 1e-12
 
 
+def _inverse_blocks(truths, earth: EarthParams, gravity_model: GravityModel, world: WorldFrameDef):
+    """inverse_imu's inputs of a grid in order: (a, truth, inputs over its
+    intervals) for each (a, truth at epochs a to z) of truths.  One model
+    serves every block."""
+    model = None
+    for a, truth in truths:
+        if model is None:
+            model = NavModel.of(truth.state(0), earth, gravity_model, world)
+        yield a, truth, _invert(truth, a, model)
+
+
+def _invert(truth: TruthSeries, a: int, model: NavModel) -> ImuSample:
+    """The inputs over the intervals of a block of the grid whose first
+    epoch is grid epoch a (see inverse_imu)."""
+    C, v, r, t = truth.C_b_w, truth.v_wb_w, truth.r_w, truth.t
+    dts = np.diff(t)
+    dt = dts[:, None]
+
+    def residual():
+        # Every interval's residuals, stepped as one stack from its grid state.
+        end = step(truth.state(slice(0, len(dts))), ImuSample(om, f, dts), model, method="rk4").x
+        Mres = np.einsum("nji,njk->nik", end.R, C[1:])
+        return 0.5 * unskew(Mres - transpose(Mres)), end.v - v[1:]
+
+    with _naming_elements(lambda k: f"inverse_imu: interval at t={t[k - a]:.3f} s", offset=a):
+        # The seed: the attitude rate from the earth-rate-compensated
+        # attitude increment, and the specific force whose velocity rate at
+        # the interval's midpoint, under the seed rate's midpoint attitude,
+        # matches the finite-difference acceleration.
+        M = np.einsum("nji,njk,nkl->nil", C[:-1], so3_exp(model.omega * dt), C[1:])
+        om = so3_log(M) / dt
+        C_mid = so3_exp(-model.omega * (0.5 * dt)) @ C[:-1] @ so3_exp(0.5 * om * dt)
+        v_mid = 0.5 * (v[:-1] + v[1:])
+        accel = (v[1:] - v[:-1]) / dt
+        f_w = accel - model.accel(0.0, model.offset + 0.5 * (r[:-1] + r[1:]), v_mid)
+        f0 = np.einsum("nij,ni->nj", C_mid, f_w)
+        f = f0.copy()
+        res_att, res_vel = residual()
+        for iteration in range(_NEWTON_ITERATIONS + 1):
+            att, vel = np.abs(res_att).max(axis=1), np.abs(res_vel).max(axis=1)
+            open_ = np.flatnonzero(~((att < _NEWTON_TOL_ATT) & (vel < _NEWTON_TOL_VEL)))
+            if not len(open_):
+                break
+            if iteration == _NEWTON_ITERATIONS:
+                k = int(np.argmax(att if att.max() >= _NEWTON_TOL_ATT else vel))
+                raise NewtonNotConverged(
+                    f"inverse_imu: Newton iteration did not converge in {_NEWTON_ITERATIONS} iterations; "
+                    f"worst residual on the interval at t={t[k]:.3f} s "
+                    f"(attitude {att[k]:.3e} rad, velocity {vel[k]:.3e} m/s)"
+                )
+            # Only the intervals above tolerance are corrected, with the
+            # step's Jacobian to first order in dt, at the seed: d att/d omega
+            # = -dt I, d att/d f = 0, d vel/d f = dt C_mid, d vel/d omega =
+            # -(dt^2/2) C_mid [f x].  It is block triangular and invertible
+            # for every dt > 0, so each correction is closed form: omega
+            # first, then f.
+            dt_o, C_o = dt[open_], C_mid[open_]
+            J_vel_om = (-0.5 * dts[open_] ** 2)[:, None, None] * (C_o @ skew(f0[open_]))
+            d_om = res_att[open_] / dt_o
+            om[open_] += d_om
+            f[open_] += matvec(transpose(C_o), -res_vel[open_] - matvec(J_vel_om, d_om)) / dt_o
+            res_att, res_vel = residual()
+    return ImuSample(om, f, dts)
+
+
 def inverse_imu(
     truth: TruthSeries,
     earth: EarthParams,
@@ -421,83 +541,21 @@ def inverse_imu(
     Solves, for every interval, the six-unknown system "RK4 step with
     constant (omega, f) lands on the next grid attitude/velocity", by a
     chord iteration on the step's closed-form first-order Jacobian, fixed
-    at the seed.  The seeds, the corrections and the stacked rk4 residual
-    steps run a block of _GRID_BLOCK intervals at a time; one convergence
-    test over the whole grid decides each iteration, so every interval
-    gets the same number of corrections and no result depends on the
-    block size.  Returns the inputs as one stack, omega and f (n, 3) and
-    dt (n,), the form step(method="rk4") takes; feeding it back through
-    the forward integrator reproduces the grid to navigation precision.
+    at the seed.  Each interval is corrected until its own residual is
+    under _NEWTON_TOL_ATT and _NEWTON_TOL_VEL, at most _NEWTON_ITERATIONS
+    times (past that NewtonNotConverged names its grid time), so an
+    interval that meets them at its seed keeps its seed, and its inputs
+    depend on its own two grid epochs alone.  The grid is therefore
+    inverted a block of _GRID_BLOCK intervals at a time (_inverse_blocks,
+    which the streamed stages consume as they go), each block's residuals
+    one stacked rk4 step, and no result depends on the block size.
+    Returns the inputs as one stack, omega and f (n, 3) and dt (n,), the
+    form step(method="rk4") takes; feeding it back through the forward
+    integrator reproduces the grid to navigation precision.
     """
-    C, v, r, t = truth.C_b_w, truth.v_wb_w, truth.r_w, truth.t
-    dts = np.diff(t)
-    model = NavModel.of(truth.state(0), earth, gravity_model, world)
-    om0, f0, om, f, res_att, res_vel = (np.empty((len(dts), 3)) for _ in range(6))
-
-    def mid_attitude(a, z):
-        # C at each interval's midpoint under its seed rate.
-        dt = dts[a:z, None]
-        return so3_exp(-model.omega * (0.5 * dt)) @ C[a:z] @ so3_exp(0.5 * om0[a:z] * dt)
-
-    def residual(a, z):
-        # The block's residuals, stored, and their largest magnitudes.
-        end = step(truth.state(slice(a, z)), ImuSample(om[a:z], f[a:z], dts[a:z]), model, method="rk4").x
-        Mres = np.einsum("nji,njk->nik", end.R, C[a + 1:z + 1])
-        res_att[a:z] = 0.5 * unskew(Mres - transpose(Mres))
-        res_vel[a:z] = end.v - v[a + 1:z + 1]
-        return np.abs(res_att[a:z]).max(), np.abs(res_vel[a:z]).max()
-
-    def seed(a, z):
-        # The attitude rate from the earth-rate-compensated attitude
-        # increment, and the specific force whose velocity rate at the
-        # interval's midpoint matches the finite-difference acceleration.
-        dt = dts[a:z, None]
-        M = np.einsum("nji,njk,nkl->nil", C[a:z], so3_exp(model.omega * dt), C[a + 1:z + 1])
-        om[a:z] = om0[a:z] = so3_log(M) / dt
-        v_mid = 0.5 * (v[a:z] + v[a + 1:z + 1])
-        accel = (v[a + 1:z + 1] - v[a:z]) / dt
-        f_w = accel - model.accel(0.0, model.offset + 0.5 * (r[a:z] + r[a + 1:z + 1]), v_mid)
-        f[a:z] = f0[a:z] = np.einsum("nij,ni->nj", mid_attitude(a, z), f_w)
-        return residual(a, z)
-
-    def correct(a, z):
-        # The step's Jacobian to first order in dt, at the seed: d att/d omega
-        # = -dt I, d att/d f = 0, d vel/d f = dt C_mid, d vel/d omega =
-        # -(dt^2/2) C_mid [f x].  It is block triangular and invertible for
-        # every dt > 0, so each interval's correction is closed form: omega
-        # first, then f.
-        dt = dts[a:z, None]
-        C_mid = mid_attitude(a, z)
-        J_vel_om = (-0.5 * dts[a:z] ** 2)[:, None, None] * (C_mid @ skew(f0[a:z]))
-        d_om = res_att[a:z] / dt
-        om[a:z] += d_om
-        f[a:z] += matvec(transpose(C_mid), -res_vel[a:z] - matvec(J_vel_om, d_om)) / dt
-        return residual(a, z)
-
-    def each_block(stage):
-        # stage(a, z) on every block, a kernel failure naming its interval
-        worst = []
-        for a, z in _grid_blocks(len(dts)):
-            with _naming_elements(lambda k: f"inverse_imu: interval at t={t[k]:.3f} s", offset=a):
-                worst.append(stage(a, z))
-        return worst
-
-    worst = each_block(seed)
-    for iteration in range(_NEWTON_ITERATIONS + 1):
-        worst_att, worst_vel = np.max(worst, axis=0)
-        if worst_att < _NEWTON_TOL_ATT and worst_vel < _NEWTON_TOL_VEL:
-            break
-        if iteration == _NEWTON_ITERATIONS:
-            att, vel = np.abs(res_att).max(axis=1), np.abs(res_vel).max(axis=1)
-            k = int(np.argmax(att if worst_att >= _NEWTON_TOL_ATT else vel))
-            raise NewtonNotConverged(
-                f"inverse_imu: Newton iteration did not converge in {_NEWTON_ITERATIONS} iterations; "
-                f"worst residual on the interval at t={t[k]:.3f} s "
-                f"(attitude {att[k]:.3e} rad, velocity {vel[k]:.3e} m/s)"
-            )
-        worst = each_block(correct)
-
-    return ImuSample(om, f, dts)
+    n = len(truth.t) - 1
+    blocks = ((a, _rows(truth, slice(a, z + 1))) for a, z in _grid_blocks(n))
+    return _joined(((a, imu) for a, _, imu in _inverse_blocks(blocks, earth, gravity_model, world)), n)
 
 
 # ---------------------------------------------------------------------------
@@ -567,31 +625,44 @@ def _odo_decimation(imu_rate: float, odo_rate: float) -> int:
     return decim_i
 
 
-def _odo_indices(truth: TruthSeries, odo_rate: float) -> np.ndarray:
-    """Grid indices carrying an odometer sample (regular epochs only)."""
+def _odo_indices(spec: TrajectorySpec, odo_rate: float, a: int = 0, z: int | None = None) -> np.ndarray:
+    """Grid indices carrying an odometer sample (regular epochs only), in (a, z], the whole grid by default."""
     if odo_rate <= 0.0:
         return np.array([], dtype=int)
-    decim_i = _odo_decimation(truth.imu_rate, odo_rate)
-    dt = 1.0 / truth.imu_rate
-    idx = np.arange(decim_i, len(truth.t), decim_i)
-    aligned = np.abs(truth.t[idx] - idx * dt) < _GRID_TOL
-    return idx[aligned]
+    decim = _odo_decimation(spec.imu_rate, odo_rate)
+    n = int(_grid_steps(spec)[0])
+    return np.arange((a // decim + 1) * decim, (n if z is None else min(z, n)) + 1, decim)
+
+
+def _odometer(cfg: RunConfig, k: int):
+    """Run k's odometer track, read a block at a time: track(a, truth), for
+    a truth at grid epochs a to z, gives the (grid indices, measured body
+    velocities) of the odometer epochs in (a, z].  Run k's stream is kept
+    from one call to the next, so a track read a block at a time is the
+    track read at once, bit for bit."""
+    L = np.linalg.cholesky(cfg.noise.odo_noise_cov)
+    stream = _stream(cfg, STREAM_ODOMETER, k)
+
+    def track(a, truth):
+        idx = _odo_indices(cfg.traj, cfg.odo_rate, a, a + len(truth.t) - 1)
+        draws = stream.normal_matrix(len(idx), 3)
+        vb = matvec(transpose(truth.C_b_w[idx - a]), truth.v_wb_w[idx - a])
+        v_meas = np.zeros((len(idx), 3))
+        v_meas[:, 0] = vb[:, 0]
+        return idx, v_meas + matvec(L, draws)
+
+    return track
 
 
 def gen_odometer(truth: TruthSeries, cfg: RunConfig, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Run k's body-frame odometer track at cfg.odo_rate: true forward speed
-    on the body x-axis, non-holonomic zeros elsewhere, plus noise drawn from
-    cfg.noise.odo_noise_cov.
+    """Run k's body-frame odometer track at cfg.odo_rate over cfg's whole
+    grid: true forward speed on the body x-axis, non-holonomic zeros
+    elsewhere, plus noise drawn from cfg.noise.odo_noise_cov.  The streamed
+    stages read the same track a block at a time (_odometer).
 
     Returns (grid indices (m,), measured body velocities (m, 3)).
     """
-    idx = _odo_indices(truth, cfg.odo_rate)
-    L = np.linalg.cholesky(cfg.noise.odo_noise_cov)
-    draws = _stream(cfg, STREAM_ODOMETER, k).normal_matrix(len(idx), 3)
-    vb = matvec(transpose(truth.C_b_w[idx]), truth.v_wb_w[idx])
-    v_meas = np.zeros((len(idx), 3))
-    v_meas[:, 0] = vb[:, 0]
-    return idx, v_meas + matvec(L, draws)
+    return _odometer(cfg, k)(0, truth)
 
 
 # ---------------------------------------------------------------------------
@@ -767,16 +838,30 @@ def _scenario(cfg: RunConfig, truth: TruthSeries | None = None, imu_true: ImuSam
     return world, truth, imu_true
 
 
-def _run_inputs(cfg: RunConfig, truth: TruthSeries, imu_true: ImuSample, k: int) -> tuple:
-    """Every draw of run k, each from its own (seed, channel, k) substream:
-    (initial bias estimate (6,), sensors, odometer (grid indices, body
-    velocities), xi0 (9,)).
+def _scenario_blocks(cfg: RunConfig, truth: TruthSeries | None = None, imu_true: ImuSample | None = None,
+                     spans=None) -> tuple:
+    """(world, blocks): _scenario's world and grid, streamed.  blocks yields
+    (a, truth at epochs a to z, true IMU over intervals a to z - 1) for each
+    block [a, z) of spans (_grid_blocks's by default): _truth_blocks and
+    _inverse_blocks, or the rows of a truth or IMU stack given."""
+    world = ned_world(cfg.origin_e, cfg.earth)
+    spans = spans or _grid_blocks(_interval_count(cfg.traj))
+    truths = _truth_blocks(cfg.traj, spans) if truth is None else ((a, _rows(truth, slice(a, z + 1))) for a, z in spans)
+    if imu_true is None:
+        return world, _inverse_blocks(truths, cfg.earth, cfg.gravity, world)
+    return world, ((a, tr, _rows(imu_true, slice(a, z))) for (a, tr), (_, z) in zip(truths, spans))
 
-    sensors(z) is corrupt's (measured IMU stack, true gyro and accel biases
-    (z - a, 6)) of the intervals from a, where its last call stopped (0 at
-    the first), to z.  Run k's sensor streams and bias walk are kept
-    between calls, so the grid drawn a block at a time is bit for bit the
-    grid drawn at once, and only the block's draws are held.
+
+def _run_draws(cfg: RunConfig, k: int) -> tuple:
+    """Every draw of run k, each from its own (seed, channel, k) substream:
+    (initial bias estimate (6,), sensors, odometer, xi0 (9,)).
+
+    sensors(imu) is corrupt's (measured IMU stack, true gyro and accel
+    biases) of the true IMU over the intervals that follow those of its
+    last call (the grid's first at the first), and odometer is _odometer's
+    track(a, truth).  Both keep run k's streams (and the bias walk its
+    running sum) between calls, so a grid drawn a block at a time is bit
+    for bit the grid drawn at once, and only the block's draws are held.
 
     With bias_known the estimate starts at the configured nominal and the
     true initial bias is drawn about it with the p0_*_bias variances;
@@ -790,30 +875,39 @@ def _run_inputs(cfg: RunConfig, truth: TruthSeries, imu_true: ImuSample, k: int)
     else:
         bias_hat0 = np.zeros(6)
         bias0 = 0.0 - (-nominal)  # a -0.0 nominal is a +0.0 true bias
-    streams, start = _SensorStreams(cfg, k), 0
+    streams = _SensorStreams(cfg, k)
+    xi0 = sigma0[:9] * _stream(cfg, STREAM_INIT_STATE, k).normal_matrix(3, 3).ravel()
+    return bias_hat0, lambda imu: corrupt(imu, cfg, k, bias0, streams), _odometer(cfg, k), xi0
+
+
+def _run_inputs(cfg: RunConfig, truth: TruthSeries, imu_true: ImuSample, k: int) -> tuple:
+    """_run_draws of run k over a whole grid: (initial bias estimate,
+    sensors, gen_odometer's track, xi0), where sensors(z) draws the
+    intervals from where its last call stopped (0 at the first) up to z."""
+    bias_hat0, draw, _, xi0 = _run_draws(cfg, k)
+    start = 0
 
     def sensors(z):
         nonlocal start
         a, start = start, z
-        block = ImuSample(imu_true.omega_ib_b[a:z], imu_true.f_ib_b[a:z], imu_true.dt[a:z])
-        return corrupt(block, cfg, k, bias0, streams)
+        return draw(_rows(imu_true, slice(a, z)))
 
-    xi0 = sigma0[:9] * _stream(cfg, STREAM_INIT_STATE, k).normal_matrix(3, 3).ravel()
     return bias_hat0, sensors, gen_odometer(truth, cfg, k), xi0
 
 
-def _epochs(truth: TruthSeries, odo_rate: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _epochs(spec: TrajectorySpec, odo_rate: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(odometer grid indices, scored grid indices, block ends) of the filter
-    loop: it scores at the odometer's epochs, or at _SCORE_RATE with the
-    odometer off, and draws each run's sensors a block of _SCORE_BLOCK
-    scored epochs at a time, up to the grid index of the block's last epoch
-    (the grid's end n for the last block)."""
-    odo_idx = _odo_indices(truth, odo_rate)
-    n = len(truth.t) - 1
+    loop on spec's grid: it scores at the odometer's epochs, or at
+    _SCORE_RATE with the odometer off, and takes its grid, each run's
+    sensors and odometer a block of _SCORE_BLOCK scored epochs at a time,
+    up to the grid index of the block's last epoch (the grid's end n for
+    the last block)."""
+    odo_idx = _odo_indices(spec, odo_rate)
+    n = _interval_count(spec)
     if len(odo_idx) > 0:
         sample_idx = odo_idx
     else:
-        decim = max(1, int(round(truth.imu_rate / _SCORE_RATE)))
+        decim = max(1, int(round(spec.imu_rate / _SCORE_RATE)))
         sample_idx = np.arange(decim, n + 1, decim)
     ends = np.append(sample_idx[_SCORE_BLOCK - 1:len(sample_idx) - 1:_SCORE_BLOCK], n)
     return odo_idx, sample_idx, ends
@@ -827,8 +921,9 @@ def run_single(
 ) -> RunResult:
     """One filtered run: corrupt the truth, run the filter, score it.
 
-    truth and imu_true (inverse_imu's stack) are built from cfg when not
-    given; pass them to share one truth between runs of different models.
+    truth and imu_true (inverse_imu's stack) are streamed from cfg a block
+    at a time when not given; pass them to share one truth between runs of
+    different models (the loop reads them by block all the same).
 
     The true initial state, true biases, and every noise sequence come
     from streams keyed by (seed, run_index), so results are reproducible
@@ -848,15 +943,19 @@ def _run_lockstep(
     """The filter loop: every run in run_indices propagated in lock step.
 
     Each run's draws come from its own (seed, channel, run_index)
-    substreams, so a run does not depend on the batch around it.  Its
-    initial draws and odometer are made up front, and its measured IMU and
-    true biases as each block of _SCORE_BLOCK epochs starts: the loop holds
-    one block of them, (intervals, N, 3) and (_SCORE_BLOCK, N, 6), not the
-    grid.  predict writes its interval stacks into buffers the loop keeps
-    for every interval.  The state, covariance and scoring arrays carry a
-    leading run axis; one predict covers each interval between scored
-    epochs (none follows the last), and odometer updates apply under each
-    run's own gate.
+    substreams, so a run does not depend on the batch around it.  The loop
+    reads its scenario's grid in order (_scenario_blocks), cut at its
+    blocks of _SCORE_BLOCK scored epochs, and drops each block once it has
+    passed it: the truth and true IMU over the block's intervals, every
+    run's measured IMU and true biases,
+    (intervals, N, 3) and (_SCORE_BLOCK, N, 6), its odometer readings,
+    (_SCORE_BLOCK, N, 3), and the truth at its scored epochs in the
+    filter's frame and grouping.  A truth or IMU stack given is read by
+    block in the same way.  predict writes its interval stacks into
+    buffers the loop keeps for every interval.  The state, covariance and
+    scoring arrays carry a leading run axis; one predict covers each
+    interval between scored epochs (none follows the last), and odometer
+    updates apply under each run's own gate.
     Each epoch's estimate, bias and covariance are stored, and every
     _SCORE_BLOCK epochs (and after the last) the stored block is scored in
     one pass: the error against the truth, its chart vector and the NEES,
@@ -867,25 +966,17 @@ def _run_lockstep(
     row per run in run_indices.
     """
     runs = tuple(int(k) for k in run_indices)
-    world, truth, imu_true = _scenario(cfg, truth, imu_true)
-    dts = imu_true.dt
-    odo_idx, sample_idx, ends = _epochs(truth, cfg.odo_rate)
+    odo_idx, sample_idx, ends = _epochs(cfg.traj, cfg.odo_rate)
+    world, blocks = _scenario_blocks(cfg, truth, imu_true, list(zip([0, *ends[:-1].tolist()], ends.tolist())))
+    block0 = next(blocks)
     N, M = len(runs), len(sample_idx)
-    inputs = [_run_inputs(cfg, truth, imu_true, k) for k in runs]
-    bias_hat0, xi0 = (np.stack([draws[j] for draws in inputs]) for j in (0, 3))
-    odo_meas = np.stack([draws[2][1] for draws in inputs], axis=1)  # (odometer epochs, N, 3)
+    draws = [_run_draws(cfg, k) for k in runs]
+    bias_hat0, xi0 = (np.stack([d[j] for d in draws]) for j in (0, 3))
     # One block's measured IMU, stored time-major so each sample is one contiguous (N, 3) slice.
     omega_meas, f_meas = np.empty((2, np.diff(ends, prepend=0).max(), N, 3))
 
     truth0 = nav_from_physical(
-        cfg.frame, cfg.grouping, *physical_from_nav(truth.state(0), cfg.earth, world), cfg.earth, world
-    )
-    # The estimates keep truth0's anchors, so one model serves the whole loop,
-    # and the truth is scored against them: every scored epoch converted at once.
-    t = truth.t[sample_idx]
-    truth_f = nav_from_physical(
-        cfg.frame, cfg.grouping, *physical_from_nav(truth.state(sample_idx), cfg.earth, world, t),
-        cfg.earth, world, t=t, r0=truth0.r0, dv0=truth0.dv0,
+        cfg.frame, cfg.grouping, *physical_from_nav(block0[1].state(0), cfg.earth, world), cfg.earth, world
     )
     fs = FilterState(
         nav=apply_correction(truth0, TangentVector.from_vector(-xi0), cfg.convention),
@@ -897,6 +988,7 @@ def _run_lockstep(
     )
 
     # Scored series, stored run-major: each run's series is contiguous.
+    t = np.empty(M)
     xi = np.empty((N, M, 9))
     nees = np.empty((N, M))
     innov, white = np.zeros((2, N, M, 3))
@@ -906,12 +998,13 @@ def _run_lockstep(
     B = min(_SCORE_BLOCK, M)
     K_blk, bias_blk, P_blk = np.empty((B, N, 3, 5)), np.empty((B, N, 6)), np.empty((B, N, 15, 15))
     bias_true = np.empty((B, N, 6))  # the true biases over the interval ending at each of the block's epochs
+    odo_blk = np.empty((B, N, 3))  # the odometer readings at the block's epochs
 
-    def score(j0, b):
-        """Score the b stored epochs from epoch j0 on; a failing (b, N)
-        stack names run e % N at epoch j0 + e // N."""
+    def score(j0, b, truth_f):
+        """Score the b stored epochs from epoch j0 on against the truth at
+        them; a failing (b, N) stack names run e % N at epoch j0 + e // N."""
         with _naming_elements(lambda e: f"run {runs[e % N]}, t={t[j0 + e // N]:.3f} s", width=N):
-            truth_b = replace(truth_f, x=SE23.packed(truth_f.x.K[j0:j0 + b, None]))
+            truth_b = replace(truth_f, x=SE23.packed(truth_f.x.K[:b, None]))
             est = replace(fs.nav, x=SE23.packed(K_blk[:b]))
             xi_b = error_to_vector(error_from_states(truth_b, est, fs.conv), fs.conv).as_vector()
             e15 = np.concatenate([xi_b, bias_blk[:b] - bias_true[:b]], axis=2)
@@ -925,25 +1018,36 @@ def _run_lockstep(
     # epoch) at its last.
     intervals = list(zip([0, *sample_idx[:-1].tolist()], sample_idx.tolist()))
     buffers = {}  # predict's interval stacks, reused by every interval
-    for j0, a, end in zip(range(0, M, _SCORE_BLOCK), [0, *ends[:-1].tolist()], ends.tolist()):
-        # Every run's draws for the block: grid intervals a to end, its last epoch (the grid's end for the last block).
+    for j0, (a, truth_g, imu_g) in zip(range(0, M, _SCORE_BLOCK), chain([block0], blocks)):
+        # The block's grid, from grid epoch a on, and every run's draws for it.
         epochs = sample_idx[j0:j0 + _SCORE_BLOCK]
-        for i, (_, sensors, _, _) in enumerate(inputs):
-            imu_meas, true_bias = sensors(end)
-            omega_meas[:end - a, i], f_meas[:end - a, i] = imu_meas.omega_ib_b, imu_meas.f_ib_b
+        tg, dts = truth_g.t, imu_g.dt
+        t[j0:j0 + len(epochs)] = tg[epochs - a]
+        for i, (_, sensors, odometer, _) in enumerate(draws):
+            imu_meas, true_bias = sensors(imu_g)
+            omega_meas[:len(dts), i], f_meas[:len(dts), i] = imu_meas.omega_ib_b, imu_meas.f_ib_b
             bias_true[:len(epochs), i] = true_bias[epochs - 1 - a]
+            if len(odo_idx) > 0:
+                odo_blk[:len(epochs), i] = odometer(a, truth_g)[1]
+        # The truth at the block's epochs, converted against truth0's anchors,
+        # so one model serves the whole loop.
+        t_b = t[j0:j0 + len(epochs)]
+        truth_f = nav_from_physical(
+            cfg.frame, cfg.grouping, *physical_from_nav(truth_g.state(epochs - a), cfg.earth, world, t_b),
+            cfg.earth, world, t=t_b, r0=truth0.r0, dv0=truth0.dv0,
+        )
         stored = 0
         try:
-            with _naming_elements(lambda e: f"run {runs[e % N]}, t={truth.t[first + e // N]:.3f} s", width=N):
+            with _naming_elements(lambda e: f"run {runs[e % N]}, t={tg[first - a + e // N]:.3f} s", width=N):
                 for j, (k0, k1) in enumerate(intervals[j0:j0 + _SCORE_BLOCK], j0):
                     first = k0 + 1
-                    imu = ImuSample(omega_meas[k0 - a:k1 - a], f_meas[k0 - a:k1 - a], dts[k0:k1])
+                    imu = ImuSample(omega_meas[k0 - a:k1 - a], f_meas[k0 - a:k1 - a], dts[k0 - a:k1 - a])
                     fs = predict(fs, imu, cfg.noise, method=cfg.integrator, buffers=buffers)
                     first = k1
                     if len(odo_idx) > 0:
-                        z = OdoSample(odo_meas[j], float(truth.t[k1]))
+                        z = OdoSample(odo_blk[j - j0], float(tg[k1 - a]))
                         fs, innov[:, j], white[:, j], updated[:, j] = fuse(
-                            fs, z, cfg.noise, gate_sigma=cfg.gate_sigma, imu_period=float(dts[k1 - 1])
+                            fs, z, cfg.noise, gate_sigma=cfg.gate_sigma, imu_period=float(dts[k1 - 1 - a])
                         )
                     K_blk[stored], bias_blk[stored], P_blk[stored] = fs.nav.x.K, fs.bias, fs.P
                     stored += 1
@@ -951,7 +1055,7 @@ def _run_lockstep(
             # The stored epochs are scored before a predict or fuse failure
             # propagates, so a failure at an earlier epoch is the one raised.
             if stored:
-                score(j0, stored)
+                score(j0, stored, truth_f)
 
     return RunResult(t, xi, nees, innov, white, updated)
 
@@ -1037,31 +1141,34 @@ def autonomy_experiment(
     The four flows (truth and estimate along a, truth and estimate along b)
     advance in lock step as one stacked state over the epochs the two time
     grids share, one integrate call (and the metric's running max) per
-    block of _GRID_BLOCK intervals, whose inputs are formed for the block.
-    Both trajectories start at the world origin, so the four flows share
-    their r0/dv0 anchors.
+    block of _GRID_BLOCK intervals.  Each trajectory's truth and inputs are
+    streamed (_truth_blocks, _inverse_blocks) and the block's inputs formed
+    from them, so no whole-grid series but the result is held.  Both
+    trajectories start at the world origin, so the four flows share their
+    r0/dv0 anchors.
     """
-    t = _grid_times(traj_a)[:_shared_epochs(traj_a, traj_b)]
+    t = _grid_times(traj_a, 0, _shared_epochs(traj_a, traj_b) - 1)
     m, dts = len(t), np.diff(t)
     earth, gravity = settings.earth, settings.gravity
     world = ned_world(np.asarray(settings.origin_e, dtype=float), earth)
-    truths = [gen_truth(traj, earth, gravity, world) for traj in (traj_a, traj_b)]
-    imus = [inverse_imu(truths[0], earth, gravity, world)]
-    imus.append(imus[0] if conv is ErrorConvention.LEFT else inverse_imu(truths[1], earth, gravity, world))
+    truths = [_truth_blocks(traj) for traj in (traj_a, traj_b)]
+    firsts = [next(blocks) for blocks in truths]
+    streams = [_inverse_blocks(chain([first], blocks), earth, gravity, world) for first, blocks in zip(firsts, truths)]
+    # Each block's inputs, (trajectory a, b): the left pairs are both driven by a's.
+    pairs = zip(*streams) if conv is ErrorConvention.RIGHT else ((block, block) for block in streams[0])
 
-    def inputs(a, z):
+    def inputs(a, z, pair):
         # The four flows' inputs over intervals a..z, (z-a, truth/estimate, trajectory, 3).
-        om = np.stack([imu.omega_ib_b[a:z] for imu in imus], axis=1)
-        f = np.stack([imu.f_ib_b[a:z] for imu in imus], axis=1)
+        om = np.stack([imu.omega_ib_b[:z - a] for _, _, imu in pair], axis=1)
+        f = np.stack([imu.f_ib_b[:z - a] for _, _, imu in pair], axis=1)
         return ImuSample(np.stack([om, om + settings.gyro_input_error], axis=1),
                          np.stack([f, f + settings.accel_input_error], axis=1), dts[a:z])
 
     starts = [
         nav_from_physical(variant.frame, variant.grouping, *physical_from_nav(truth_w.state(0), earth, world, 0.0),
                           earth, world, t=0.0)
-        for truth_w in truths
+        for _, truth_w in firsts
     ]
-    del truths  # the flows read only their start states and inputs
     _check_compatible(*starts)
     x0 = SE23.packed(np.stack([st.x.K for st in starts]))
     eta0_inv = vector_to_error(TangentVector.from_vector(np.asarray(xi0, dtype=float)), conv).inverse()
@@ -1078,9 +1185,9 @@ def autonomy_experiment(
     xi = np.empty((2, m, 9))
     metric = 0.0
     x = state.x
-    for a, z in _grid_blocks(m - 1):
+    for (a, z), pair in zip(_grid_blocks(m - 1), pairs):
         with _naming_elements(lambda i: f"trajectory {'ab'[i % 2]}, t={t[i // 4 + 1]:.3f} s", offset=4 * a):
-            K = integrate(replace(state, x=x), inputs(a, z), model, method=settings.integrator)
+            K = integrate(replace(state, x=x), inputs(a, z, pair), model, method=settings.integrator)
         x = SE23.packed(K[-1])
         for b, y in _grid_blocks(z - a + (z == m - 1), width=2):
             truth, est = (replace(state, x=SE23.packed(K[b:y, j])) for j in (0, 1))

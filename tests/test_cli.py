@@ -297,16 +297,17 @@ def test_stalled_newton_interval_exits_3_naming_it(tmp_path, cfg_file, capsys, m
 
 def test_stalled_interval_in_a_later_block_is_named_by_its_grid_time(tmp_path, cfg_file, capsys, monkeypatch):
     # With blocks of 16 intervals, a step that ignores the gyro input on
-    # interval 5 of the second block stalls the interval at t=0.21 s; the
-    # config's 1,000 intervals make 63 blocks, stepped in order each pass.
+    # interval 21 (interval 5 of the second block) stalls it at t=0.21 s.
+    # The interval is found in each stepped stack by its start position,
+    # which no other interval of the config's straight shares.
     monkeypatch.setattr(simulate, "_GRID_BLOCK", 16)
-    real_step, calls = simulate.step, []
+    cfg = build_run_config(load_config(cfg_file))
+    start = simulate.gen_truth(cfg.traj, cfg.earth, cfg.gravity).r_w[21]
+    real_step = simulate.step
 
     def deaf_step(state, imu, model, method):
-        calls.append(1)
         omega = imu.omega_ib_b.copy()
-        if len(calls) % 63 == 2:
-            omega[5] = 0.0
+        omega[np.all(state.x.p == start, axis=-1)] = 0.0
         return real_step(state, simulate.ImuSample(omega, imu.f_ib_b, imu.dt), model, method)
 
     monkeypatch.setattr(simulate, "step", deaf_step)
@@ -339,13 +340,17 @@ def test_csv_rows_do_not_depend_on_the_block(tmp_path):
 
 
 def test_simulate_files_do_not_depend_on_the_csv_block(tmp_path, cfg_file, monkeypatch):
-    # The config's 1,001 truth rows fit one default block; blocks of 7 (the
+    # The config's 1,001 truth rows are two default blocks; blocks of 7 (the
     # CSV rows' and the grid stages' alike) must write the same bytes, the
-    # truth's quaternions included.
+    # truth's quaternions included, and so must navkit run, whose filter
+    # loop reads the streamed grid.
+    run = ["run", "--config", cfg_file, "--runs", "2", "--out"]
     assert main(["simulate", "--config", cfg_file, "--out", str(tmp_path / "one")]) == 0
+    assert main([*run, str(tmp_path / "one")]) == 0
     monkeypatch.setattr(simulate, "_GRID_BLOCK", 7)
     assert main(["simulate", "--config", cfg_file, "--out", str(tmp_path / "many")]) == 0
-    for name in ("truth.csv", "imu.csv", "odo.csv"):
+    assert main([*run, str(tmp_path / "many")]) == 0
+    for name in ("truth.csv", "imu.csv", "odo.csv", "errors.csv", "nees.csv", "summary.json"):
         assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "many" / name).read_bytes(), name
 
 
@@ -371,6 +376,17 @@ def test_ten_hz_imu_floor_runs(tmp_path):
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "run"), "--runs", "1"]) == 0
     _, _, rows = _read_csv(tmp_path / "run" / "nees.csv")
     assert len(rows) == 100
+
+
+def test_ten_hz_fast_turn_runs_with_rk4(tmp_path):
+    # A 60 s turn at 1 rad/s and 100 m/s on the 10 Hz floor, 0.1 rad per
+    # sample: rk4's attitudes stay on SO(3), so scoring's so3_log takes them.
+    cfg = _config(filter={"integrator": "rk4"})
+    cfg["trajectory"] = {"imu_rate": 10.0, "segments": [{"type": "turn", "duration": 60.0, "yaw_rate": 1.0,
+                                                         "speed": 100.0}]}
+    path = tmp_path / "fast_turn.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "run"), "--runs", "2"]) == 0
 
 
 def test_runtime_error_is_not_a_numerical_failure(tmp_path, cfg_file, monkeypatch):

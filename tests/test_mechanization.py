@@ -367,6 +367,28 @@ def test_rk4_dt_per_element_matches_one_element_stacks(frame, grouping, earth, w
             assert np.array_equal(a, b), k
 
 
+def test_rk4_corrects_the_attitude_of_the_turning_elements_alone(earth, world):
+    # rk4's Newton-Schulz step acts on each element whose step turns by more
+    # than _SO3_DRIFT_TURN, and on it alone: in a stack that mixes fast and
+    # slow turns, each element is its one-element step, a slow one is the
+    # plain rk4 step and a fast one is orthonormal to roundoff.
+    rng = np.random.default_rng(41)
+    st = _stacked_state(rng, Frame.W, Grouping.PROPOSED, earth, world, 4)
+    om = np.array([[0.0, 0.0, 1.0], [0.0, 0.05, 0.0], [0.3, 0.2, 0.0], [1e-3, 0.0, 0.0]])
+    f = rng.normal(scale=3.0, size=(4, 3))
+    turning = np.linalg.norm(om, axis=1) * 0.01 > mechanization._SO3_DRIFT_TURN
+    assert turning.tolist() == [True, False, True, False]
+    model = NavModel.of(st, earth, SphericalGravity(), world)
+    out = step(st, ImuSample(om, f, 0.01), model, method="rk4").x.K
+    plain = mechanization._rk4_update(st.x.K, 0.01, _input_matrix(om, f), model, np.empty(st.x.K.shape))
+    for k in range(4):
+        one = replace(st, x=SE23.packed(st.x.K[k : k + 1]))
+        assert np.array_equal(out[k], step(one, ImuSample(om[k : k + 1], f[k : k + 1], 0.01), model, "rk4").x.K[0])
+    assert np.array_equal(out[~turning], plain[~turning])
+    C = out[turning, :, :3]
+    assert np.abs(np.swapaxes(C, -1, -2) @ C - np.eye(3)).max() < 1e-15
+
+
 # An interval's samples: the last two dts differ from the rest, so the
 # midpoint rule's frame half-rotation is formed for each distinct dt.
 _INTERVAL_DT = np.array([0.01, 0.01, 0.01, 0.01, 0.01, 0.0037, 0.005])

@@ -334,10 +334,52 @@ def test_inverse_imu_closes_at_10_hz(monkeypatch, segments):
     assert np.linalg.norm(tr.r_w[0] + K[:, :, 4] - tr.r_w, axis=1).max() < 0.2
 
 
+def test_rk4_keeps_the_attitude_on_so3_at_10_hz():
+    # Re-mechanized with rk4 at the 10 Hz floor, a 60 s turn at 1 rad/s
+    # (0.1 rad per sample) keeps every attitude orthonormal to roundoff:
+    # the step's Newton-Schulz correction undoes the additive drift, which
+    # left alone passes so3_log's 1e-6 defect test within 80 samples.
+    tr = gen_truth(TrajectorySpec((Turn(60.0, 1.0, 100.0),), 10.0), EARTH, GRAV, WORLD)
+    imu = inverse_imu(tr, EARTH, GRAV, WORLD)
+    K = mechanization.integrate(tr.state(0), imu, NavModel.of(tr.state(0), EARTH, GRAV, WORLD), "rk4")
+    C = K[:, :, :3]
+    assert len(C) == 601
+    assert np.abs(transpose(C) @ C - np.eye(3)).max() < 1e-12
+    assert np.all(np.linalg.det(C) > 0.0)
+
+
+def test_an_interval_converged_at_its_seed_keeps_its_seed(monkeypatch):
+    # The straight's intervals meet the Newton tolerance at their seed, the
+    # turn's blend from t=0.75 s on does not.  Each interval is corrected
+    # only until its own residual is under tolerance, so interval 74 keeps
+    # its seed while its neighbour, interval 75, is corrected; both land on
+    # their next grid epoch within the tolerance.
+    tr = gen_truth(TrajectorySpec((Straight(1.0, 30.0), Turn(1.0, 0.2, 30.0)), 100.0), EARTH, GRAV, WORLD)
+    stepped, real_step = [], sim.step
+
+    def recording(state, imu, model, method):
+        stepped.append((imu.omega_ib_b.copy(), imu.f_ib_b.copy()))
+        return real_step(state, imu, model, method)
+
+    monkeypatch.setattr(sim, "step", recording)
+    imu = inverse_imu(tr, EARTH, GRAV, WORLD)
+    (om_seed, f_seed), *corrections = stepped
+    assert len(corrections) == 1
+    seeded = np.all(imu.omega_ib_b == om_seed, axis=1) & np.all(imu.f_ib_b == f_seed, axis=1)
+    assert seeded[74] and not seeded[75]
+    assert np.all(seeded[:75]) and not np.any(seeded[75:])
+    pair = slice(74, 76)
+    ends = step(tr.state(pair), ImuSample(imu.omega_ib_b[pair], imu.f_ib_b[pair], imu.dt[pair]),
+                NavModel.of(tr.state(0), EARTH, GRAV, WORLD), method="rk4").x
+    M = transpose(ends.R) @ tr.C_b_w[75:77]
+    assert np.abs(M - transpose(M)).max() / 2.0 < sim._NEWTON_TOL_ATT
+    assert np.abs(ends.v - tr.v_wb_w[75:77]).max() < sim._NEWTON_TOL_VEL
+
+
 def test_grid_block_does_not_change_the_truth_or_the_inputs(monkeypatch):
-    # One convergence test over the whole grid gives every interval the same
-    # number of corrections whatever the block: a straight leg's blocks,
-    # left to converge on their own, would stop at their seed.
+    # Each interval is corrected until its own residual is under tolerance,
+    # so its inputs depend on its own two grid epochs, whatever block it is
+    # stepped in; the truth carries its position sum from block to block.
     spec = TrajectorySpec((Straight(15.0, 30.0), Turn(15.0, 0.02, 30.0)), 100.0)
     out = []
     for block in (7, 10**9):
@@ -376,19 +418,20 @@ def test_grid_working_set_is_bounded():
 
 
 def test_inverse_imu_kernel_error_names_its_interval_across_blocks(monkeypatch):
-    # A kernel failure in the second block names the failing interval's
-    # time and its index on the whole grid.
+    # A kernel failure on interval 19, element 3 of the second block of 16,
+    # names the failing interval's time and its index on the whole grid.
+    # The interval is found in each stepped stack by its start position.
     monkeypatch.setattr(sim, "_GRID_BLOCK", 16)
     tr = gen_truth(TrajectorySpec((Straight(1.0, 10.0),), 100.0), EARTH, GRAV, WORLD)
-    real_step, calls = sim.step, []
+    real_step = sim.step
 
-    def failing_in_second_block(state, imu, model, method):
-        calls.append(1)
-        if len(calls) == 2:
-            raise NotARotation("element 3 of the stack: planted", element=3)
+    def failing_on_interval_19(state, imu, model, method):
+        hit = np.flatnonzero(np.all(state.x.p == tr.r_w[19], axis=-1))
+        if len(hit):
+            raise NotARotation(f"element {hit[0]} of the stack: planted", element=int(hit[0]))
         return real_step(state, imu, model, method)
 
-    monkeypatch.setattr(sim, "step", failing_in_second_block)
+    monkeypatch.setattr(sim, "step", failing_on_interval_19)
     with pytest.raises(NotARotation, match=r"^inverse_imu: interval at t=0\.190 s: element 3 of the stack") as info:
         inverse_imu(tr, EARTH, GRAV, WORLD)
     assert info.value.element == 19
@@ -709,6 +752,27 @@ def test_block_scoring_matches_per_epoch_scoring(block, past_block, gate_sigma, 
         assert np.array_equal(getattr(blocked, f.name), getattr(per_epoch, f.name)), f.name
     if gate_sigma is not None:
         assert np.any(per_epoch.updated) and not np.all(per_epoch.updated)
+
+
+def _desk_cfg(seed):
+    # The benchmark's mc_batch scenario: the criterion-7 desk run, 8 runs of 60 s.
+    legs = (Straight(12.0, 30.0), Turn(12.0, 0.02, 30.0), Straight(12.0, 30.0), Turn(12.0, -0.02, 30.0),
+            Straight(12.0, 30.0))
+    return RunConfig(traj=TrajectorySpec(legs, 100.0), origin_e=ORIGIN, gyro_bias=np.array([1e-5, -5e-6, 8e-6]),
+                     accel_bias=np.array([1e-4, -2e-4, 5e-5]), seed=seed, n_runs=8)
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_grid_block_does_not_change_the_monte_carlo(seed, monkeypatch):
+    # The filter loop reads the streamed grid a score block at a time: with
+    # grid blocks of 7 intervals a score block of 640 joins parts of 92 of
+    # them, against two or three default blocks.
+    cfg = _desk_cfg(seed)
+    whole = run_monte_carlo(cfg)
+    monkeypatch.setattr(sim, "_GRID_BLOCK", 7)
+    blocked = run_monte_carlo(cfg)
+    for f in fields(whole):
+        assert getattr(blocked, f.name).tobytes() == getattr(whole, f.name).tobytes(), f.name
 
 
 def _near_pi_error_at(epoch, run, monkeypatch):
