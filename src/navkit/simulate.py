@@ -486,7 +486,7 @@ def _invert(truth: TruthSeries, a: int, model: NavModel) -> ImuSample:
     def residual():
         # Every interval's residuals, stepped as one stack from its grid state.
         end = step(truth.state(slice(0, len(dts))), ImuSample(om, f, dts), model, method="rk4").x
-        Mres = np.einsum("nji,njk->nik", end.R, C[1:])
+        Mres = transpose(end.R) @ C[1:]
         return 0.5 * unskew(Mres - transpose(Mres)), end.v - v[1:]
 
     with _naming_elements(lambda k: f"inverse_imu: interval at t={t[k - a]:.3f} s", offset=a):
@@ -494,13 +494,13 @@ def _invert(truth: TruthSeries, a: int, model: NavModel) -> ImuSample:
         # attitude increment, and the specific force whose velocity rate at
         # the interval's midpoint, under the seed rate's midpoint attitude,
         # matches the finite-difference acceleration.
-        M = np.einsum("nji,njk,nkl->nil", C[:-1], so3_exp(model.omega * dt), C[1:])
+        M = transpose(C[:-1]) @ so3_exp(model.omega * dt) @ C[1:]
         om = so3_log(M) / dt
         C_mid = so3_exp(-model.omega * (0.5 * dt)) @ C[:-1] @ so3_exp(0.5 * om * dt)
         v_mid = 0.5 * (v[:-1] + v[1:])
         accel = (v[1:] - v[:-1]) / dt
         f_w = accel - model.accel(0.0, model.offset + 0.5 * (r[:-1] + r[1:]), v_mid)
-        f0 = np.einsum("nij,ni->nj", C_mid, f_w)
+        f0 = matvec(transpose(C_mid), f_w)
         f = f0.copy()
         res_att, res_vel = residual()
         for iteration in range(_NEWTON_ITERATIONS + 1):

@@ -20,6 +20,7 @@ from navkit import (
     so3_log,
     unskew,
 )
+from navkit.se23 import _ORTHO_TOL, _check_rotation
 from conftest import random_se23, random_tangent
 
 IDENTITY = SE23.packed(np.eye(3, 5))
@@ -439,3 +440,77 @@ def test_left_jacobian_across_the_series_switch(axis, theta):
     assert np.abs(J - J_ref).max() <= 1e-15
     assert np.abs(Jinv - Jinv_ref).max() <= 1e-15
     assert np.abs(J @ Jinv - np.eye(3)).max() <= 1e-15
+
+
+def _rotation_verdict(R):
+    """(message, flat index) of the first element that fails the rotation
+    test, from np.linalg's norm and det, or None if all pass."""
+    defect = np.linalg.norm(np.swapaxes(R, -1, -2) @ R - np.eye(3), axis=(-2, -1))
+    bad = ~(defect <= _ORTHO_TOL)
+    if bad.any():
+        i = int(np.flatnonzero(bad)[0])
+        return f"orthonormality defect {defect.flat[i]:.3e} exceeds 1e-06", i
+    det = np.linalg.det(R)
+    if (det < 0.0).any():
+        i = int(np.flatnonzero(det < 0.0)[0])
+        return f"determinant {det.flat[i]:.3f} is negative: a reflection, not a rotation", i
+    return None
+
+
+# (kind, whether the reference rejects it): a rotation, one perturbed along a
+# symmetric direction to a defect of 0.5 and 2 times the tolerance, a
+# reflection -Q and a rotation with one NaN entry.
+_CANDIDATE_KINDS = {"rotation": False, "defect 0.5": False, "defect 2": True, "reflection": True, "nan": True}
+_CANDIDATE = st.tuples(
+    st.sampled_from(sorted(_CANDIDATE_KINDS)),
+    st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3).map(np.array),
+    st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6).map(np.array).filter(lambda a: np.abs(a).max() > 0.1),
+    st.integers(0, 8),
+)
+
+
+def _candidate(kind, phi, sym, nan_at):
+    Q = so3_exp(phi)
+    if kind == "reflection":
+        return -Q
+    if kind == "nan":
+        Q.flat[nan_at] = np.nan
+        return Q
+    if kind == "rotation":
+        return Q
+    # Q (I + eps S) with |S| = 1 has R^T R - I = 2 eps S + eps^2 S^2: a
+    # defect of 2 eps to a relative 1e-6.
+    S = np.zeros((3, 3))
+    S[np.triu_indices(3)] = sym
+    S = S + np.triu(S, 1).T
+    eps = 0.5 * float(kind.split()[1]) * _ORTHO_TOL
+    return Q @ (np.eye(3) + eps * S / np.linalg.norm(S))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(candidates=st.lists(_CANDIDATE, min_size=1, max_size=5), single=st.booleans())
+def test_check_rotation_rejects_where_norm_and_det_reject(candidates, single):
+    # _check_rotation forms the defect's Frobenius sum and det R by cofactors;
+    # it rejects exactly where the np.linalg reference rejects, with the same
+    # message, defect and determinant included, and names the same element,
+    # single and stacked.
+    if single:
+        candidates = candidates[:1]
+    for kind, *args in candidates:  # the kinds land on the side of the tolerance they name
+        assert (_rotation_verdict(_candidate(kind, *args)) is not None) == _CANDIDATE_KINDS[kind]
+    R = np.stack([_candidate(*c) for c in candidates])
+    if single:
+        R = R[0]
+    verdict = _rotation_verdict(R)
+    if verdict is None:
+        _check_rotation(R)
+        return
+    message, i = verdict
+    with pytest.raises(NotARotation) as info:
+        _check_rotation(R)
+    if single:
+        assert str(info.value) == message
+        assert info.value.element is None
+    else:
+        assert str(info.value) == f"element {i} of the stack: {message}"
+        assert info.value.element == i
