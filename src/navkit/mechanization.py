@@ -17,7 +17,7 @@ Coriolis fold.  The frame rate is the earth rate in e and w and zero in i,
 so the i frame is the rotating frames' model at zero rate, where the
 Coriolis and frame-rotation terms vanish: every kernel runs one path for
 all six models.  The one place a model's constants shape that path is
-rk4's stage rate (NavModel.rate): it has no frame-rate product where the
+rk4's rate (NavModel.rate): it has no frame-rate product where the
 frame does not spin (i), forms the gravity column once where it does not
 depend on the position (uniform gravity), and applies the fold's terms
 as one constant operator built with the model.  The frame geometry (the frame rate and origin, and the
@@ -42,14 +42,17 @@ error_models.exact_error_derivative forms the exact error flow, and as
 its W-decomposition  dX/dt = X W1 + W2 X + W3 X W4  into input, gravity
 and Coriolis-fold factors (W3 and W4 are zero without the fold).  step's
 rk4 integrates that decomposition directly on the state's packed block
-state.x.K = [C | v | p], the top 3x5 of the group matrix: each stage is
+state.x.K = [C | v | p], the top 3x5 of the group matrix: the rate is
 K W1 - Om K + column  without the fold and  K W1 + Lambda vec K +
 gamma(r_base + p) - Om^2 r_base  with it, W1 the input matrix and Lambda
-the fold's constant 15x15 operator (NavModel.rate), and the three stage
-inputs and the final combination are formed in place in the step's
-output block.  The additive step leaves SO(3) by turn^6 / 72 per step, so
-where a step turns the attitude by more than a milliradian one
-Newton-Schulz step pulls it back.  The midpoint rule keeps its
+the fold's constant 15x15 operator (NavModel.rate).  Where the column
+depends on the position, the three stage inputs and the final
+combination are formed in place in the step's output block; where it
+does not, the rate is affine in K over the step and rk4 is its
+fourth-order Taylor polynomial, three products with the linear part
+(NavModel.linear_rate) and no stage state.  The additive step leaves
+SO(3) by turn^6 / 72 per step, so where a step turns the attitude by
+more than a milliradian one Newton-Schulz step pulls it back.  The midpoint rule keeps its
 closed-form attitude and uses that, apart from gravity, the velocity and
 position are affine in (v, p) in every model (the group-affine structure):
 each sample runs the attitude product and one gravity evaluation at both
@@ -162,12 +165,12 @@ class NavModel:
     -omega x dv0 without it (None without dv0).  accel is the velocity
     equation; column, its value at zero specific force and velocity, is
     W2's gravity column.  v_Om and odo_Om are body_velocity's and odo_H's
-    constants.  The rest are rate's (see rate): spins is false where the
-    frame rate is zero (the i frame), column0 holds the gravity column
-    gamma0 + c0 as column 3 of a (3, 5) block, where the column does not
-    depend on the position (uniform gravity, c0 known), else None, and
-    fold_op is the fold models' 15x15 stage operator on vec K (None
-    without the fold).
+    constants.  The rest are rate's (see rate and linear_rate): spins is
+    false where the frame rate is zero (the i frame), column0 holds the
+    gravity column gamma0 + c0 as column 3 of a (3, 5) block, where the
+    column does not depend on the position (uniform gravity, c0 known),
+    else None, and fold_op is the fold models' 15x15 operator on vec K
+    (None without the fold).
     """
 
     __slots__ = (
@@ -260,23 +263,30 @@ class NavModel:
         Gamma = gravitation_gradient(r_center, self.gravity_model, self.earth)
         return Gamma - self.OmOm if self.fold else Gamma
 
+    def linear_rate(self, K, W1, out=None):
+        """rate's part linear in K, written into out if given: K W1, plus
+        fold_op vec K with the fold or -Om K where the frame spins."""
+        dK = np.matmul(K, W1, out=out)
+        if self.fold_op is not None:
+            dK += (self.fold_op @ K.reshape(K.shape[:-2] + (15, 1))).reshape(dK.shape)
+        elif self.spins:
+            dK -= self.Om @ K
+        return dK
+
     def rate(self, K, W1):
         """Rate of the packed block K = [C | v | p] (rows 0-2 of the group
-        matrix) under input matrix W1, with the gravity column on v's rate.
-        Without the fold it is  K W1 - Om K + column(r_base + p),  leaving
-        out the frame-rate product where the frame does not spin.  With the
-        fold it is  K W1 + fold_op vec K + gamma(r_base + p) + c0:  fold_op
+        matrix) under input matrix W1: linear_rate plus the gravity column
+        on v's rate.  Without the fold it is  K W1 - Om K +
+        column(r_base + p),  leaving out the frame-rate product where the
+        frame does not spin.  With the fold it is  K W1 + fold_op vec K +
+        gamma(r_base + p) + c0:  fold_op
         holds the frame-rate and Coriolis term -Om (K d), whose fold weight
         d = (1, 1, 1, 2, 0) doubles it on v and drops it on p, and the
         column's position-linear part -Om^2 p, and is applied per element as
         one (..., 15, 15) @ (..., 15, 1) product, so a stack and each of its
         elements agree bit for bit.  Where the column does not depend on
         the position, the column0 block is added in its place."""
-        dK = K @ W1
-        if self.fold_op is not None:
-            dK += (self.fold_op @ K.reshape(K.shape[:-2] + (15, 1))).reshape(dK.shape)
-        elif self.spins:
-            dK -= self.Om @ K
+        dK = self.linear_rate(K, W1)
         if self.column0 is None:
             dK[..., 3] += gravitation(self.r_base + K[..., 4], self.gravity_model, self.earth) + self.c0
         else:
@@ -395,8 +405,9 @@ def step(state: NavState, imu: ImuSample, model: NavModel, method: str = "midpoi
     for the constant inputs plus a midpoint step for velocity/position
     (O(dt^2) global); it is a one-sample integrate.  method="rk4" is the
     truth-grade 4-stage Runge-Kutta on the group field itself: it steps the
-    state's packed block x.K = [C | v | p] with NavModel.rate, one product
-    with W1 per stage, and puts the attitude of an element that turns by
+    state's packed block x.K = [C | v | p] with NavModel.rate, in stages or,
+    where the gravity column does not depend on the position, as its
+    Taylor polynomial, and puts the attitude of an element that turns by
     more than _SO3_DRIFT_TURN back on SO(3) (_rk4_update).
 
     For a stacked state imu.dt is one float for every element or, with
@@ -478,10 +489,18 @@ def _turning(omega: np.ndarray, dt, lead: tuple) -> np.ndarray:
 
 
 def _rk4_update(K: np.ndarray, dt, W1, model: NavModel, out: np.ndarray, turning=None) -> np.ndarray:
-    """One rk4 step of the packed blocks K, written into out (K's shape),
-    which also holds the three stage inputs: each is formed there in place,
-    and K + dt/6 (k1 + 2 k2 + 2 k3 + k4) is summed in that order, ((2 k2 +
-    k1) + 2 k3) + k4, as the stages go, so at most two stage rates are held.
+    """One rk4 step of the packed blocks K, written into out (K's shape).
+
+    Where the gravity column depends on the position, out also holds the
+    three stage inputs: each is formed there in place, and K + dt/6 (k1 +
+    2 k2 + 2 k3 + k4) is summed in that order, ((2 k2 + k1) + 2 k3) + k4,
+    as the stages go, so at most two stage rates are held.  Where it does
+    not (model.column0), the rate is A K + column0 with A
+    (NavModel.linear_rate) fixed over the step, so k2 = k1 + h A k1,
+    k3 = k1 + h A k2 and k4 = k1 + dt A k3, and the step is its
+    fourth-order Taylor polynomial  K + dt (k1 + dt/2 A (k1 + dt/3 A (k1 +
+    dt/4 A k1))):  the same method with three products by A and no stage
+    state, rounded differently.
 
     The additive step leaves SO(3) by turn^6 / 72 per step, turn = |omega|
     dt, so the elements that turning (a mask of K's leading shape, or None
@@ -493,20 +512,32 @@ def _rk4_update(K: np.ndarray, dt, W1, model: NavModel, out: np.ndarray, turning
     each element alone, so a stack and each element agree bit for bit."""
     h = 0.5 * dt
     k = model.rate(K, W1)  # k1
-    np.multiply(h, k, out=out)  # K + h k1
-    out += K
-    acc = model.rate(out, W1)  # k2
-    np.multiply(h, acc, out=out)  # K + h k2
-    out += K
-    acc *= 2.0
-    acc += k  # 2 k2 + k1
-    k = model.rate(out, W1)  # k3, in place of k1
-    np.multiply(dt, k, out=out)  # K + dt k3
-    out += K
-    k *= 2.0
-    acc += k  # + 2 k3
-    acc += model.rate(out, W1)  # + k4
-    np.multiply(acc, dt / 6.0, out=out)
+    if model.column0 is not None:
+        model.linear_rate(k, W1, out=out)
+        out *= 0.25 * dt
+        out += k
+        z = model.linear_rate(out, W1)
+        z *= dt / 3.0
+        z += k
+        model.linear_rate(z, W1, out=out)
+        out *= h
+        out += k
+        out *= dt
+    else:
+        np.multiply(h, k, out=out)  # K + h k1
+        out += K
+        acc = model.rate(out, W1)  # k2
+        np.multiply(h, acc, out=out)  # K + h k2
+        out += K
+        acc *= 2.0
+        acc += k  # 2 k2 + k1
+        k = model.rate(out, W1)  # k3, in place of k1
+        np.multiply(dt, k, out=out)  # K + dt k3
+        out += K
+        k *= 2.0
+        acc += k  # + 2 k3
+        acc += model.rate(out, W1)  # + k4
+        np.multiply(acc, dt / 6.0, out=out)
     out += K
     if turning is not None:
         turned = out[turning]

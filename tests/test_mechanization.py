@@ -41,6 +41,11 @@ ALL_COMBOS = [
     (Frame.W, Grouping.TRADITIONAL),
     (Frame.W, Grouping.PROPOSED),
 ]
+# Position-dependent and position-free gravity: rk4 steps the first in
+# stages and the second as its Taylor polynomial.
+gravities = pytest.mark.parametrize(
+    "grav", [SphericalGravity(), UniformGravity(np.array([0.0, 0.0, 9.8]))], ids=["spherical", "uniform"]
+)
 
 
 def random_imu(rng, dt=0.01):
@@ -175,12 +180,12 @@ def test_pure_rotation_angle():
     assert np.allclose(st.x.v, 0.0) and np.allclose(st.x.p, 0.0)
 
 
-def _final_state(frame, earth, world, dt, n, method):
+def _final_state(frame, earth, world, dt, n, method, grav=SphericalGravity()):
     rng = np.random.default_rng(34)
     C0 = random_rotation(rng)
     st = make_nav_state(frame, Grouping.TRADITIONAL, C0, np.array([30.0, 5.0, -2.0]), world.r_ew_e.copy(), earth, world)
     imu = ImuSample(omega_ib_b=np.array([0.02, -0.05, 0.1]), f_ib_b=np.array([1.0, -2.0, 9.8]), dt=dt)
-    model = NavModel.of(st, earth, SphericalGravity(), world)
+    model = NavModel.of(st, earth, grav, world)
     for _ in range(n):
         st = step(st, imu, model, method=method)
     return st
@@ -190,10 +195,11 @@ def _state_distance(a, b):
     return np.linalg.norm(a.x.as_matrix() - b.x.as_matrix())
 
 
-def test_rk4_fourth_order(earth, world):
-    ref = _final_state(Frame.E, earth, world, 0.8 / 1024, 1024, "rk4")
-    e1 = _state_distance(_final_state(Frame.E, earth, world, 0.05, 16, "rk4"), ref)
-    e2 = _state_distance(_final_state(Frame.E, earth, world, 0.025, 32, "rk4"), ref)
+@gravities
+def test_rk4_fourth_order(grav, earth, world):
+    ref = _final_state(Frame.E, earth, world, 0.8 / 1024, 1024, "rk4", grav)
+    e1 = _state_distance(_final_state(Frame.E, earth, world, 0.05, 16, "rk4", grav), ref)
+    e2 = _state_distance(_final_state(Frame.E, earth, world, 0.025, 32, "rk4", grav), ref)
     assert 12.0 < e1 / e2 < 20.0
 
 
@@ -280,9 +286,7 @@ def test_step_guards(earth, world):
         step(stack, ImuSample(zeros, zeros, np.full(3, 0.01)), model)
 
 
-@pytest.mark.parametrize(
-    "grav", [SphericalGravity(), UniformGravity(np.array([0.0, 0.0, 9.8]))], ids=["spherical", "uniform"]
-)
+@gravities
 def test_packed_rate_is_the_dense_field(grav, earth, world):
     # rk4's stage rate on K = [C | v | p] is rows 0-2 of derivative's dX,
     # for every model, on a stack and on each element alone.
@@ -303,9 +307,7 @@ def test_packed_rate_is_the_dense_field(grav, earth, world):
 
 
 @pytest.mark.parametrize("shape", [(), (2, 2)], ids=["single", "stack"])
-@pytest.mark.parametrize(
-    "grav", [SphericalGravity(), UniformGravity(np.array([0.0, 0.0, 9.8]))], ids=["spherical", "uniform"]
-)
+@gravities
 @pytest.mark.parametrize("frame,grouping", ALL_COMBOS, ids=lambda c: getattr(c, "value", c))
 def test_rate_is_the_written_out_field_bit_for_bit(frame, grouping, grav, shape, earth, world):
     # Without the fold, rate leaves out the frame-rate product of a frame
@@ -351,14 +353,15 @@ def test_rate_is_the_written_out_field_bit_for_bit(frame, grouping, grav, shape,
             assert model.rate(K_s, W1).tobytes() == ref.tobytes(), model.dv0
 
 
+@gravities
 @pytest.mark.parametrize("frame,grouping", ALL_COMBOS)
-def test_rk4_dt_per_element_matches_one_element_stacks(frame, grouping, earth, world):
+def test_rk4_dt_per_element_matches_one_element_stacks(frame, grouping, grav, earth, world):
     rng = np.random.default_rng(40)
     n = 5
     st = _stacked_state(rng, frame, grouping, earth, world, n)
     om, f = rng.normal(scale=0.2, size=(n, 3)), rng.normal(scale=3.0, size=(n, 3))
     dt = np.array([0.01, 0.01, 0.01, 0.01, 0.0037])  # the last grid interval is shorter
-    model = NavModel.of(st, earth, SphericalGravity(), world)
+    model = NavModel.of(st, earth, grav, world)
     out = step(st, ImuSample(om, f, dt), model, method="rk4").x
     for k in range(n):
         one = replace(st, x=SE23(st.x.R[k : k + 1], st.x.v[k : k + 1], st.x.p[k : k + 1]))
@@ -367,7 +370,8 @@ def test_rk4_dt_per_element_matches_one_element_stacks(frame, grouping, earth, w
             assert np.array_equal(a, b), k
 
 
-def test_rk4_corrects_the_attitude_of_the_turning_elements_alone(earth, world):
+@gravities
+def test_rk4_corrects_the_attitude_of_the_turning_elements_alone(grav, earth, world):
     # rk4's Newton-Schulz step acts on each element whose step turns by more
     # than _SO3_DRIFT_TURN, and on it alone: in a stack that mixes fast and
     # slow turns, each element is its one-element step, a slow one is the
@@ -378,7 +382,7 @@ def test_rk4_corrects_the_attitude_of_the_turning_elements_alone(earth, world):
     f = rng.normal(scale=3.0, size=(4, 3))
     turning = np.linalg.norm(om, axis=1) * 0.01 > mechanization._SO3_DRIFT_TURN
     assert turning.tolist() == [True, False, True, False]
-    model = NavModel.of(st, earth, SphericalGravity(), world)
+    model = NavModel.of(st, earth, grav, world)
     out = step(st, ImuSample(om, f, 0.01), model, method="rk4").x.K
     plain = mechanization._rk4_update(st.x.K, 0.01, _input_matrix(om, f), model, np.empty(st.x.K.shape))
     for k in range(4):
@@ -389,15 +393,59 @@ def test_rk4_corrects_the_attitude_of_the_turning_elements_alone(earth, world):
     assert np.abs(np.swapaxes(C, -1, -2) @ C - np.eye(3)).max() < 1e-15
 
 
+def _textbook_rk4(K, dt, W1, model, turning):
+    """Reference for rk4: model.rate at the four stage states, summed
+    ((2 k2 + k1) + 2 k3) + k4, then one Newton-Schulz step on the attitude
+    of the turning elements."""
+    h = 0.5 * dt
+    k1 = model.rate(K, W1)
+    k2 = model.rate(K + h * k1, W1)
+    k3 = model.rate(K + h * k2, W1)
+    k4 = model.rate(K + dt * k3, W1)
+    out = K + (dt / 6.0) * (((2.0 * k2 + k1) + 2.0 * k3) + k4)
+    turned = out[turning]
+    C = turned[..., :3]
+    turned[..., :3] = C @ (1.5 * np.eye(3) - 0.5 * (np.swapaxes(C, -1, -2) @ C))
+    out[turning] = turned
+    return out
+
+
+@gravities
+@pytest.mark.parametrize("frame,grouping", ALL_COMBOS, ids=lambda c: getattr(c, "value", c))
+def test_rk4_step_is_the_textbook_stages(frame, grouping, grav, earth, world):
+    # Under position-dependent gravity rk4 steps the written-out stages bit
+    # for bit (the path every filter run takes).  Under a position-free
+    # column it steps their Taylor polynomial, the same method rounded
+    # differently.  A per-element-dt stack that mixes fast and slow turns,
+    # with steps up to the 0.1 s guard so the higher-order terms show.
+    rng = np.random.default_rng(48)
+    n = 5
+    st = _stacked_state(rng, frame, grouping, earth, world, n)
+    om, f = rng.normal(scale=1.0, size=(n, 3)), rng.normal(scale=3.0, size=(n, 3))
+    om[1] *= 1e-4
+    dt = np.array([0.1, 0.1, 0.05, 0.01, 0.037])
+    turning = np.linalg.norm(om, axis=1) * dt > mechanization._SO3_DRIFT_TURN
+    assert turning.any() and not turning.all()
+    model = NavModel.of(st, earth, grav, world)
+    out = step(st, ImuSample(om, f, dt), model, method="rk4").x.K
+    ref = _textbook_rk4(st.x.K, dt[:, None, None], _input_matrix(om, f), model, turning)
+    if isinstance(grav, SphericalGravity):
+        assert out.tobytes() == ref.tobytes()
+    else:
+        # Relative to each column's scale: the attitude, v and p.
+        assert np.all(np.abs(out - ref) <= 1e-13 * np.abs(ref).max(axis=(0, 1)))
+
+
 # An interval's samples: the last two dts differ from the rest, so the
 # midpoint rule's frame half-rotation is formed for each distinct dt.
 _INTERVAL_DT = np.array([0.01, 0.01, 0.01, 0.01, 0.01, 0.0037, 0.005])
 
 
+@gravities
 @pytest.mark.parametrize("n", [None, 1, 3], ids=["single", "n1", "n3"])
 @pytest.mark.parametrize("method", ["midpoint", "rk4"])
 @pytest.mark.parametrize("frame,grouping", ALL_COMBOS, ids=lambda c: getattr(c, "value", c))
-def test_integrate_matches_chained_steps(frame, grouping, method, n, earth, world):
+def test_integrate_matches_chained_steps(frame, grouping, method, n, grav, earth, world):
     rng = np.random.default_rng(45)
     if n is None:
         st, shape = wander(random_nav_state(rng, frame, grouping, earth, world), rng), ()
@@ -405,7 +453,7 @@ def test_integrate_matches_chained_steps(frame, grouping, method, n, earth, worl
         st, shape = _stacked_state(rng, frame, grouping, earth, world, n), (n,)
     L = len(_INTERVAL_DT)
     om, f = rng.normal(scale=0.2, size=(L, *shape, 3)), rng.normal(scale=3.0, size=(L, *shape, 3))
-    model = NavModel.of(st, earth, SphericalGravity(), world)
+    model = NavModel.of(st, earth, grav, world)
     blocks = integrate(st, ImuSample(om, f, _INTERVAL_DT), model, method=method)
     assert blocks.shape == (L + 1, *shape, 3, 5)
     assert np.array_equal(blocks[0], st.x.K)
@@ -442,9 +490,7 @@ def _columnwise_midpoint(K, om, f, dts, model):
     return np.stack(blocks)
 
 
-@pytest.mark.parametrize(
-    "grav", [SphericalGravity(), UniformGravity(np.array([0.0, 0.0, 9.8]))], ids=["spherical", "uniform"]
-)
+@gravities
 @pytest.mark.parametrize("n", [None, 1, 3], ids=["single", "n1", "n3"])
 @pytest.mark.parametrize("frame,grouping", ALL_COMBOS, ids=lambda c: getattr(c, "value", c))
 def test_midpoint_matches_columnwise_reference(frame, grouping, n, grav, earth, world):
