@@ -38,7 +38,6 @@ from .simulate import (
     NewtonNotConverged,
     _grid_blocks,
     _run_draws,
-    _scenario,
     _scenario_blocks,
     autonomy_experiment,
     run_monte_carlo,
@@ -117,6 +116,28 @@ def _quat_from_rot(C):
     return q / np.sqrt((q[:, None, :] @ q[:, :, None])[:, 0])
 
 
+def _divergence(mc):
+    """How the batch mc diverged, naming the first epoch, or None: its mean
+    NEES is not finite somewhere, or it exceeds _NEES_DIVERGENCE."""
+    nees = mc.mean_nees_series
+    if not np.all(np.isfinite(nees)):
+        return f"mean NEES is not finite at t={mc.t[np.flatnonzero(~np.isfinite(nees))[0]]:.3f} s"
+    if np.any(nees > _NEES_DIVERGENCE):
+        j = int(np.flatnonzero(nees > _NEES_DIVERGENCE)[0])
+        return f"mean NEES {nees[j]:.3e} exceeded {_NEES_DIVERGENCE:.0e} at t={mc.t[j]:.3f} s"
+    return None
+
+
+def _exit_code(divergences):
+    """A command's exit code: 3, reporting the first of divergences (None
+    stands for a batch that held), if there is one; else 0."""
+    for why in divergences:
+        if why:
+            print(f"filter diverged: {why}", file=sys.stderr)
+            return 3
+    return 0
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -184,20 +205,7 @@ def cmd_run(resolved, out_dir):
         "per_run_mean_nees": [r.time_avg_nees for r in mc.runs],
     }
     _write_json(os.path.join(out_dir, "summary.json"), summary)
-
-    if not np.all(np.isfinite(nees)):
-        t_bad = run0.t[np.flatnonzero(~np.isfinite(nees))[0]]
-        print(f"filter diverged: mean NEES is not finite at t={t_bad:.3f} s", file=sys.stderr)
-        return 3
-    if np.any(nees > _NEES_DIVERGENCE):
-        j = int(np.flatnonzero(nees > _NEES_DIVERGENCE)[0])
-        print(
-            f"filter diverged: mean NEES {nees[j]:.3e} exceeded {_NEES_DIVERGENCE:.0e} "
-            f"at t={run0.t[j]:.3f} s",
-            file=sys.stderr,
-        )
-        return 3
-    return 0
+    return _exit_code([_divergence(mc)])
 
 
 def cmd_autonomy(resolved, out_dir):
@@ -224,19 +232,21 @@ def cmd_autonomy(resolved, out_dir):
 
 
 def cmd_compare(resolved, out_dir):
+    """compare.csv: one row per (grouping, convention) cell, each the
+    Monte-Carlo batch navkit run filters with that model.  Each cell
+    streams its own scenario, the same truth for every cell, as only the
+    filter model differs.  A diverged cell's row is written all the same."""
     base = build_run_config(resolved)
     h = config_hash(resolved)
-    # The four cells differ only in the filter model: they share one truth.
-    _, truth, imu_true = _scenario(base)
-    rows = []
+    rows, diverged = [], []
     for grouping in (Grouping.TRADITIONAL, Grouping.PROPOSED):
         for conv in (ErrorConvention.LEFT, ErrorConvention.RIGHT):
-            cfg = replace(base, grouping=grouping, convention=conv)
-            mc = run_monte_carlo(cfg, truth, imu_true)
-            rows.append(
-                (ModelVariant(base.frame, grouping).name, conv.value, mc.rmse_att, mc.rmse_vel, mc.rmse_pos,
-                 mc.time_avg_nees)
-            )
+            mc = run_monte_carlo(replace(base, grouping=grouping, convention=conv))
+            cell = (ModelVariant(base.frame, grouping).name, conv.value)
+            rows.append((*cell, mc.rmse_att, mc.rmse_vel, mc.rmse_pos, mc.time_avg_nees))
+            why = _divergence(mc)
+            if why:
+                diverged.append(f"{cell[0]} {cell[1]}: {why}")
     _write_csv(
         os.path.join(out_dir, "compare.csv"),
         h,
@@ -244,7 +254,7 @@ def cmd_compare(resolved, out_dir):
         "%s,%s" + _V * 4,
         [rows],
     )
-    return 0
+    return _exit_code(diverged)
 
 
 # ---------------------------------------------------------------------------

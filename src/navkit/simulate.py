@@ -36,12 +36,14 @@ one) with error / NEES / innovation bookkeeping, and the twin-propagation
 autonomy experiments.  The filter loop and navkit
 simulate share one recipe for a run's scenario (_scenario_blocks) and one
 for its draws (_run_draws), so simulate writes the inputs run 0 filters.
+A filter run streams its scenario from its RunConfig alone, so runs of
+different models each form their own.
 Every draw of run k comes from its RunConfig and k alone, through
 _stream: the counter-based stream keyed by (seed, channel, k), so runs
 are bit-reproducible and independent of the batch around them.
 
 Every series is one stacked array value: inverse_imu's inputs are one
-ImuSample (omega, f (n, 3), dt (n,)), gen_odometer gives run k's (grid
+ImuSample (omega, f (n, 3), dt (n,)), run k's odometer track gives (grid
 indices, body velocities), and the filter loop converts the truth at a
 block's scored epochs into the filter's frame and grouping in one
 batch-shaped call.  Run k's measured IMU, true biases and odometer
@@ -121,7 +123,6 @@ __all__ = [
     "inverse_imu",
     "NewtonNotConverged",
     "corrupt",
-    "gen_odometer",
     "RunConfig",
     "RunResult",
     "run_single",
@@ -654,17 +655,6 @@ def _odometer(cfg: RunConfig, k: int):
     return track
 
 
-def gen_odometer(truth: TruthSeries, cfg: RunConfig, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Run k's body-frame odometer track at cfg.odo_rate over cfg's whole
-    grid: true forward speed on the body x-axis, non-holonomic zeros
-    elsewhere, plus noise drawn from cfg.noise.odo_noise_cov.  The streamed
-    stages read the same track a block at a time (_odometer).
-
-    Returns (grid indices (m,), measured body velocities (m, 3)).
-    """
-    return _odometer(cfg, k)(0, truth)
-
-
 # ---------------------------------------------------------------------------
 # filtered runs
 
@@ -827,29 +817,15 @@ def _nees(e: np.ndarray, P: np.ndarray) -> np.ndarray:
     return (e[..., None, :] @ x)[..., 0, 0]
 
 
-def _scenario(cfg: RunConfig, truth: TruthSeries | None = None, imu_true: ImuSample | None = None) -> tuple:
-    """(world, truth, true IMU stack) of cfg's scenario: the NED world at
-    the origin, gen_truth and inverse_imu, keeping a truth or IMU given."""
+def _scenario_blocks(cfg: RunConfig, spans=None) -> tuple:
+    """(world, blocks): cfg's scenario, streamed.  world is the NED world at
+    the origin, and blocks yields (a, truth at epochs a to z, true IMU over
+    intervals a to z - 1) for each block [a, z) of spans (_grid_blocks's by
+    default): _truth_blocks and _inverse_blocks, so the blocks joined are
+    gen_truth's and inverse_imu's grid, bit for bit."""
     world = ned_world(cfg.origin_e, cfg.earth)
-    if truth is None:
-        truth = gen_truth(cfg.traj, cfg.earth, cfg.gravity, world)
-    if imu_true is None:
-        imu_true = inverse_imu(truth, cfg.earth, cfg.gravity, world)
-    return world, truth, imu_true
-
-
-def _scenario_blocks(cfg: RunConfig, truth: TruthSeries | None = None, imu_true: ImuSample | None = None,
-                     spans=None) -> tuple:
-    """(world, blocks): _scenario's world and grid, streamed.  blocks yields
-    (a, truth at epochs a to z, true IMU over intervals a to z - 1) for each
-    block [a, z) of spans (_grid_blocks's by default): _truth_blocks and
-    _inverse_blocks, or the rows of a truth or IMU stack given."""
-    world = ned_world(cfg.origin_e, cfg.earth)
-    spans = spans or _grid_blocks(_interval_count(cfg.traj))
-    truths = _truth_blocks(cfg.traj, spans) if truth is None else ((a, _rows(truth, slice(a, z + 1))) for a, z in spans)
-    if imu_true is None:
-        return world, _inverse_blocks(truths, cfg.earth, cfg.gravity, world)
-    return world, ((a, tr, _rows(imu_true, slice(a, z))) for (a, tr), (_, z) in zip(truths, spans))
+    truths = _truth_blocks(cfg.traj, spans or _grid_blocks(_interval_count(cfg.traj)))
+    return world, _inverse_blocks(truths, cfg.earth, cfg.gravity, world)
 
 
 def _run_draws(cfg: RunConfig, k: int) -> tuple:
@@ -880,21 +856,6 @@ def _run_draws(cfg: RunConfig, k: int) -> tuple:
     return bias_hat0, lambda imu: corrupt(imu, cfg, k, bias0, streams), _odometer(cfg, k), xi0
 
 
-def _run_inputs(cfg: RunConfig, truth: TruthSeries, imu_true: ImuSample, k: int) -> tuple:
-    """_run_draws of run k over a whole grid: (initial bias estimate,
-    sensors, gen_odometer's track, xi0), where sensors(z) draws the
-    intervals from where its last call stopped (0 at the first) up to z."""
-    bias_hat0, draw, _, xi0 = _run_draws(cfg, k)
-    start = 0
-
-    def sensors(z):
-        nonlocal start
-        a, start = start, z
-        return draw(_rows(imu_true, slice(a, z)))
-
-    return bias_hat0, sensors, gen_odometer(truth, cfg, k), xi0
-
-
 def _epochs(spec: TrajectorySpec, odo_rate: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(odometer grid indices, scored grid indices, block ends) of the filter
     loop on spec's grid: it scores at the odometer's epochs, or at
@@ -913,33 +874,20 @@ def _epochs(spec: TrajectorySpec, odo_rate: float) -> tuple[np.ndarray, np.ndarr
     return odo_idx, sample_idx, ends
 
 
-def run_single(
-    cfg: RunConfig,
-    run_index: int = 0,
-    truth: TruthSeries | None = None,
-    imu_true: ImuSample | None = None,
-) -> RunResult:
+def run_single(cfg: RunConfig, run_index: int = 0) -> RunResult:
     """One filtered run: corrupt the truth, run the filter, score it.
 
-    truth and imu_true (inverse_imu's stack) are streamed from cfg a block
-    at a time when not given; pass them to share one truth between runs of
-    different models (the loop reads them by block all the same).
-
+    The truth and its true IMU are streamed from cfg a block at a time.
     The true initial state, true biases, and every noise sequence come
     from streams keyed by (seed, run_index), so results are reproducible
     bit for bit and Monte-Carlo runs are independent by construction.
     This is the Monte-Carlo filter loop with a batch of one, so run k
     here equals run k of any batch.
     """
-    return _run_lockstep(cfg, (run_index,), truth, imu_true).runs[0]
+    return _run_lockstep(cfg, (run_index,)).runs[0]
 
 
-def _run_lockstep(
-    cfg: RunConfig,
-    run_indices: Sequence[int],
-    truth: TruthSeries | None = None,
-    imu_true: ImuSample | None = None,
-) -> RunResult:
+def _run_lockstep(cfg: RunConfig, run_indices: Sequence[int]) -> RunResult:
     """The filter loop: every run in run_indices propagated in lock step.
 
     Each run's draws come from its own (seed, channel, run_index)
@@ -950,8 +898,7 @@ def _run_lockstep(
     run's measured IMU and true biases,
     (intervals, N, 3) and (_SCORE_BLOCK, N, 6), its odometer readings,
     (_SCORE_BLOCK, N, 3), and the truth at its scored epochs in the
-    filter's frame and grouping.  A truth or IMU stack given is read by
-    block in the same way.  predict writes its interval stacks into
+    filter's frame and grouping.  predict writes its interval stacks into
     buffers the loop keeps for every interval.  The state, covariance and
     scoring arrays carry a leading run axis; one predict covers each
     interval between scored epochs (none follows the last), and odometer
@@ -967,7 +914,7 @@ def _run_lockstep(
     """
     runs = tuple(int(k) for k in run_indices)
     odo_idx, sample_idx, ends = _epochs(cfg.traj, cfg.odo_rate)
-    world, blocks = _scenario_blocks(cfg, truth, imu_true, list(zip([0, *ends[:-1].tolist()], ends.tolist())))
+    world, blocks = _scenario_blocks(cfg, list(zip([0, *ends[:-1].tolist()], ends.tolist())))
     block0 = next(blocks)
     N, M = len(runs), len(sample_idx)
     draws = [_run_draws(cfg, k) for k in runs]
@@ -1064,14 +1011,10 @@ def _run_lockstep(
 # Monte Carlo
 
 
-def run_monte_carlo(
-    cfg: RunConfig,
-    truth: TruthSeries | None = None,
-    imu_true: ImuSample | None = None,
-) -> RunResult:
-    """Monte-Carlo batch of cfg.n_runs runs sharing one truth; runs differ
-    only in their keyed substreams, so the batch is reproducible and
-    order-independent.  truth and imu_true are as in run_single.
+def run_monte_carlo(cfg: RunConfig) -> RunResult:
+    """Monte-Carlo batch of cfg.n_runs runs sharing one truth, streamed
+    from cfg as in run_single; runs differ only in their keyed substreams,
+    so the batch is reproducible and order-independent.
 
     All runs go through the filter loop together, in lock step on one
     process: the state and covariance arrays carry a run axis, so the
@@ -1079,7 +1022,7 @@ def run_monte_carlo(
     result has a leading run axis, and its runs[k] equals run_single(cfg, k)
     bit for bit, whatever the batch size (one included).
     """
-    return _run_lockstep(cfg, range(cfg.n_runs), truth, imu_true)
+    return _run_lockstep(cfg, range(cfg.n_runs))
 
 
 # ---------------------------------------------------------------------------

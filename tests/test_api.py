@@ -33,10 +33,19 @@ def test_failure_types_import_from_the_package():
 
 
 def test_run_draws_have_no_second_config_type():
-    # A run's draws are made from its RunConfig alone (simulate._run_inputs):
+    # A run's draws are made from its RunConfig alone (simulate._run_draws):
     # the per-run error record and the one-caller helpers it fed are not API.
     for name in ("SensorErrors", "true_bias_series", "draw_biases"):
         assert not hasattr(navkit, name) and not hasattr(simulate, name), name
+
+
+def test_a_run_streams_its_own_scenario():
+    # A filter run streams its scenario from its RunConfig (simulate._scenario_blocks):
+    # the whole-grid scenario, its draws and odometer track have no second path.
+    for name in ("gen_odometer", "_scenario", "_run_inputs"):
+        assert not hasattr(navkit, name) and not hasattr(simulate, name), name
+    for fn in (simulate.run_single, simulate.run_monte_carlo, simulate._run_lockstep, simulate._scenario_blocks):
+        assert not {"truth", "imu_true"} & set(inspect.signature(fn).parameters), fn.__name__
 
 
 def test_frame_velocity_is_the_models_alone():

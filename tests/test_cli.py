@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from navkit import cli, simulate, so3_exp
+from navkit import cli, ned_world, simulate, so3_exp
 from navkit.cli import main
 from navkit.config import build_run_config, load_config
 
@@ -80,9 +80,12 @@ def test_simulate_cells_parse_back_to_the_arrays(tmp_path, cfg_file):
     out = tmp_path / "sim"
     assert main(["simulate", "--config", cfg_file, "--out", str(out)]) == 0
     cfg = build_run_config(load_config(cfg_file))
-    _, truth, imu_true = simulate._scenario(cfg)
-    _, sensors, (idx, v_odo), _ = simulate._run_inputs(cfg, truth, imu_true, 0)
-    imu, _ = sensors(len(imu_true.dt))
+    world = ned_world(cfg.origin_e, cfg.earth)
+    truth = simulate.gen_truth(cfg.traj, cfg.earth, cfg.gravity, world)
+    imu_true = simulate.inverse_imu(truth, cfg.earth, cfg.gravity, world)
+    _, sensors, odometer, _ = simulate._run_draws(cfg, 0)
+    imu, _ = sensors(imu_true)  # the whole grid as one block
+    idx, v_odo = odometer(0, truth)
     quat = cli._quat_from_rot(truth.C_b_w)
     expected = {
         "truth.csv": (truth.t, np.column_stack([quat, truth.v_wb_w, truth.r_w])),
@@ -465,30 +468,49 @@ def test_compare_grid(tmp_path, cfg_file):
         assert all(np.isfinite(float(x)) for x in r[2:])
 
 
-def test_compare_shares_one_truth_across_cells(tmp_path, cfg_file, monkeypatch):
-    calls = {"gen_truth": 0, "inverse_imu": 0}
+def test_commands_form_no_whole_grid_scenario(tmp_path, cfg_file, monkeypatch):
+    # Every command streams its grid a block at a time; none calls the
+    # whole-grid truth generator or inverse IMU.
+    def whole_grid(*args, **kw):
+        raise AssertionError("a command formed the whole-grid scenario")
 
-    def counted(name):
-        real = getattr(simulate, name)
+    for name in ("gen_truth", "inverse_imu"):
+        monkeypatch.setattr(simulate, name, whole_grid)
+    for command, runs in (("simulate", []), ("run", ["--runs", "2"]), ("autonomy", []), ("compare", ["--runs", "2"])):
+        assert main([command, "--config", cfg_file, "--out", str(tmp_path / command), *runs]) == 0, command
 
-        def wrapper(*args, **kw):
-            calls[name] += 1
-            return real(*args, **kw)
 
-        return wrapper
+def test_compare_cells_are_the_runs_of_each_model(tmp_path, cfg_file):
+    # Each compare.csv cell is the batch navkit run filters with its model,
+    # to the last bit.
+    assert main(["compare", "--config", cfg_file, "--out", str(tmp_path / "cmp"), "--runs", "2"]) == 0
+    _, _, rows = _read_csv(tmp_path / "cmp" / "compare.csv")
+    for variant, conv, *cells in rows:
+        out = tmp_path / f"{variant}-{conv}"
+        argv = ["run", "--config", cfg_file, "--out", str(out), "--runs", "2", "--variant", variant, "--convention", conv]
+        assert main(argv) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert [float(x) for x in cells] == [summary[k] for k in ("rmse_att", "rmse_vel", "rmse_pos", "time_avg_nees")]
 
-    for name in calls:  # the scenario builder looks them up in simulate
-        monkeypatch.setattr(simulate, name, counted(name))
-    shared = tmp_path / "shared"
-    assert main(["compare", "--config", cfg_file, "--out", str(shared), "--runs", "2"]) == 0
-    assert calls == {"gen_truth": 1, "inverse_imu": 1}
 
-    # Each cell generating its own truth and inputs writes the same bytes.
-    real_monte_carlo = cli.run_monte_carlo
-    monkeypatch.setattr(cli, "run_monte_carlo", lambda cfg, truth=None, imu_true=None: real_monte_carlo(cfg))
-    own = tmp_path / "own"
-    assert main(["compare", "--config", cfg_file, "--out", str(own), "--runs", "2"]) == 0
-    assert (shared / "compare.csv").read_bytes() == (own / "compare.csv").read_bytes()
+def test_compare_exits_3_naming_the_first_diverged_cell(tmp_path, capsys):
+    # An attitude prior of 0.3 rad^2 over a 2 s straight and a 2 s turn at
+    # 0.2 rad/s: the left-convention filters diverge, as navkit run reports.
+    cfg = _config(
+        convention="left",
+        trajectory={"segments": [{"type": "straight", "duration": 2.0, "speed": 30.0},
+                                 {"type": "turn", "duration": 2.0, "yaw_rate": 0.2, "speed": 30.0}]},
+        filter={"p0_att": 0.3},
+    )
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(cfg))
+    args = ["--config", str(path), "--runs", "2", "--seed", "3"]
+    assert main(["run", "--out", str(tmp_path / "run"), *args]) == 3
+    assert main(["compare", "--out", str(tmp_path / "cmp"), *args]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert re.fullmatch(r"filter diverged: traditional-w left: mean NEES \S+ exceeded 1e\+06 at t=\d+\.\d{3} s", err[-1])
+    _, _, rows = _read_csv(tmp_path / "cmp" / "compare.csv")  # written before the exit
+    assert len(rows) == 4
 
 
 def test_missing_config_exits_2(tmp_path, capsys):

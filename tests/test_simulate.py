@@ -49,7 +49,6 @@ from navkit import (
     corrupt,
     error_from_states,
     error_to_vector,
-    gen_odometer,
     gen_truth,
     gravitation,
     inverse_imu,
@@ -510,14 +509,14 @@ def test_bias_series_walks_and_reproduces():
 def test_odometer_rest_near_zero_noise_zero_samples():
     tr = gen_truth(TrajectorySpec((Rest(5.0),), 100.0), EARTH, GRAV, WORLD)
     quiet = NoiseConfig(odo_noise_cov=np.diag([1e-30] * 3))
-    _, v = gen_odometer(tr, _sensor_cfg(5.0, noise=quiet), 0)
+    _, v = sim._odometer(_sensor_cfg(5.0, noise=quiet), 0)(0, tr)
     assert np.linalg.norm(v, axis=1).max() < 1e-12
 
 
 def test_odometer_straight_reads_forward_speed():
     tr = gen_truth(TrajectorySpec((Straight(5.0, 10.0),), 100.0), EARTH, GRAV, WORLD)
     quiet = NoiseConfig(odo_noise_cov=np.diag([1e-30] * 3))
-    idx, v = gen_odometer(tr, _sensor_cfg(5.0, noise=quiet), 0)
+    idx, v = sim._odometer(_sensor_cfg(5.0, noise=quiet), 0)(0, tr)
     assert np.array_equal(idx, np.arange(10, 501, 10))
     assert v.shape == (50, 3)
     assert np.allclose(v, [10.0, 0.0, 0.0], atol=1e-12)
@@ -526,10 +525,10 @@ def test_odometer_straight_reads_forward_speed():
 def test_odometer_seeded_and_per_run():
     tr = gen_truth(TrajectorySpec((Straight(2.0, 10.0),), 100.0), EARTH, GRAV, WORLD)
     cfg = _sensor_cfg(2.0, seed=5)
-    _, a = gen_odometer(tr, cfg, 0)
-    _, b = gen_odometer(tr, cfg, 0)
-    _, c = gen_odometer(tr, cfg, 1)
-    _, d = gen_odometer(tr, replace(cfg, seed=6), 0)
+    _, a = sim._odometer(cfg, 0)(0, tr)
+    _, b = sim._odometer(cfg, 0)(0, tr)
+    _, c = sim._odometer(cfg, 1)(0, tr)
+    _, d = sim._odometer(replace(cfg, seed=6), 0)(0, tr)
     assert np.array_equal(a, b)
     assert np.all(a != c) and np.all(a != d)
 
@@ -538,7 +537,7 @@ def test_odometer_rate_must_divide():
     tr = gen_truth(TrajectorySpec((Straight(2.0, 10.0),), 100.0), EARTH, GRAV, WORLD)
     with pytest.raises(SpecInvalid, match="must divide imu_rate"):
         _sensor_cfg(2.0, odo_rate=30.0)
-    idx, v = gen_odometer(tr, _sensor_cfg(2.0, odo_rate=0.0), 0)
+    idx, v = sim._odometer(_sensor_cfg(2.0, odo_rate=0.0), 0)(0, tr)
     assert idx.shape == (0,) and v.shape == (0, 3)
 
 
@@ -582,14 +581,13 @@ def _whole_grid_sensors(cfg, imu, k):
 
 
 @pytest.mark.parametrize("bias_known", [True, False])
-def test_run_inputs_draw_each_quantity_from_its_channel(bias_known):
+def test_run_draws_draw_each_quantity_from_its_channel(bias_known):
     # The recipe written out with one GaussianStream per (channel, run): each
     # drawn quantity must come from its own channel, at run k = 3.
     cfg = _draw_cfg(2.0, bias_known)
     noise = cfg.noise
     tr, imu = _imu_series(cfg.traj)
     k = 3
-    n = len(imu.dt)
     hat0, measured, bias = _whole_grid_sensors(cfg, imu, k)
     idx = np.arange(10, 201, 10)  # 10 Hz on the 100 Hz grid
     v = np.zeros((len(idx), 3))
@@ -597,8 +595,9 @@ def test_run_inputs_draw_each_quantity_from_its_channel(bias_known):
     v = v + matvec(np.linalg.cholesky(noise.odo_noise_cov), _draws(cfg, STREAM_ODOMETER, k, len(idx)))
     xi0 = np.sqrt(cfg.p0_diag())[:9] * _draws(cfg, STREAM_INIT_STATE, k, 3).ravel()
 
-    got_hat0, sensors, (got_idx, got_v), got_xi0 = sim._run_inputs(cfg, tr, imu, k)
-    got_imu, got_bias = sensors(n)  # the whole grid as one block
+    got_hat0, sensors, odometer, got_xi0 = sim._run_draws(cfg, k)
+    got_imu, got_bias = sensors(imu)  # the whole grid as one block
+    got_idx, got_v = odometer(0, tr)
     assert np.array_equal(got_hat0, hat0)
     assert np.array_equal(got_imu.omega_ib_b, measured[0]) and np.array_equal(got_imu.f_ib_b, measured[1])
     assert np.array_equal(got_imu.dt, imu.dt)
@@ -634,7 +633,7 @@ def test_streamed_draws_equal_the_whole_grid_recipe(block, bias_known, runs, mon
 
     monkeypatch.setattr(sim, "corrupt", corrupt)
     monkeypatch.setattr(sim, "predict", predict)
-    sim._run_lockstep(cfg, runs, tr, imu)
+    sim._run_lockstep(cfg, runs)
     n_blocks = -(-70 // block)
     for i, k in enumerate(runs):
         _, (omega, f), bias = _whole_grid_sensors(cfg, imu, k)
