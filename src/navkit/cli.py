@@ -23,6 +23,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from . import simulate
 from .config import (
     ConfigError,
     apply_overrides,
@@ -37,7 +38,7 @@ from .se23 import KernelDomainError
 from .simulate import (
     NewtonNotConverged,
     _grid_blocks,
-    _run_draws,
+    _RunDraws,
     _scenario_blocks,
     autonomy_experiment,
     run_monte_carlo,
@@ -74,12 +75,10 @@ def _write_csv(path, cfg_hash, header, fmt, blocks):
 
 
 def _columns(*columns):
-    """The rows of the table of the given columns, a _grid_blocks block at a
-    time, as lists.  A column is an array (all of one length, the first's)
-    or a function giving its rows of a slice, so it is formed by block."""
+    """The rows of the table of the given arrays (all of one length, the
+    first's), a _grid_blocks block at a time, as lists."""
     for a, z in _grid_blocks(len(columns[0])):
-        sl = slice(a, z)
-        yield np.column_stack([c(sl) if callable(c) else c[sl] for c in columns]).tolist()
+        yield np.column_stack([c[a:z] for c in columns]).tolist()
 
 
 def _write_json(path, payload):
@@ -151,7 +150,7 @@ def cmd_simulate(resolved, out_dir):
     cfg = build_run_config(resolved)
     h = config_hash(resolved)
     _, blocks = _scenario_blocks(cfg)
-    _, sensors, odometer, _ = _run_draws(cfg, 0)
+    draws = _RunDraws(cfg, 0)
     files = (
         ("truth.csv", ["t", "q_w", "q_x", "q_y", "q_z", "v_n", "v_e", "v_d", "r_n", "r_e", "r_d"], _T + _V * 10),
         ("imu.csv", ["t", "omega_x", "omega_y", "omega_z", "f_x", "f_y", "f_z", "dt"], _T + _V * 7),
@@ -165,9 +164,9 @@ def cmd_simulate(resolved, out_dir):
             # A block starts on the epoch the one before ends on, written once.
             t = truth.t
             truth_rows(np.column_stack([t, _quat_from_rot(truth.C_b_w), truth.v_wb_w, truth.r_w])[a > 0:].tolist())
-            imu, _ = sensors(imu_true)
+            imu, _ = simulate.corrupt(imu_true, cfg, 0, draws.bias0, draws)
             imu_rows(np.column_stack([t[:-1], imu.omega_ib_b, imu.f_ib_b, imu.dt]).tolist())
-            idx, v = odometer(a, truth)
+            idx, v = draws.odometer(a, truth)
             odo_rows(np.column_stack([t[idx - a], v]).tolist())
     return 0
 

@@ -35,7 +35,7 @@ that propagates a batch of runs in lock step (a single run is a batch of
 one) with error / NEES / innovation bookkeeping, and the twin-propagation
 autonomy experiments.  The filter loop and navkit
 simulate share one recipe for a run's scenario (_scenario_blocks) and one
-for its draws (_run_draws), so simulate writes the inputs run 0 filters.
+object for its draws (_RunDraws), so simulate writes the inputs run 0 filters.
 A filter run streams its scenario from its RunConfig alone, so runs of
 different models each form their own.
 Every draw of run k comes from its RunConfig and k alone, through
@@ -47,8 +47,8 @@ ImuSample (omega, f (n, 3), dt (n,)), run k's odometer track gives (grid
 indices, body velocities), and the filter loop converts the truth at a
 block's scored epochs into the filter's frame and grouping in one
 batch-shaped call.  Run k's measured IMU, true biases and odometer
-readings are drawn a block at a time (corrupt and _odometer, from streams
-kept across blocks), bit for bit the grid drawn at once, so neither the
+readings are drawn a block at a time (corrupt and _RunDraws.odometer, from
+streams kept across blocks), bit for bit the grid drawn at once, so neither the
 loop nor simulate holds them, or the truth, for the whole grid.  The
 loop's sequential path is only predict and fuse, which reuse the loop's
 buffers: the error, NEES and their kernels run on blocks of stored
@@ -91,6 +91,7 @@ from .mechanization import (
     ImuSample,
     NavModel,
     NavState,
+    _INTEGRATORS,
     _MAX_DT,
     integrate,
     nav_from_physical,
@@ -352,7 +353,6 @@ class TruthSeries:
     C_b_w: np.ndarray  # (N+1,3,3)
     v_wb_w: np.ndarray  # (N+1,3)
     r_w: np.ndarray  # (N+1,3)
-    imu_rate: float
 
     def state(self, k: int | slice | np.ndarray) -> NavState:
         r0 = np.zeros(3)
@@ -431,7 +431,7 @@ def _truth_blocks(spec: TrajectorySpec, spans=None):
                       -sth, np.zeros_like(sth), cth], axis=1).reshape(-1, 3, 3)
         r = _positions(profile, times, r_end)
         r_end = r[-1].copy()
-        yield a, TruthSeries(times, C, speed[:, None] * C[:, :, 0], r, spec.imu_rate)
+        yield a, TruthSeries(times, C, speed[:, None] * C[:, :, 0], r)
 
 
 def gen_truth(
@@ -469,11 +469,10 @@ _NEWTON_TOL_VEL = 1e-12
 def _inverse_blocks(truths, earth: EarthParams, gravity_model: GravityModel, world: WorldFrameDef):
     """inverse_imu's inputs of a grid in order: (a, truth, inputs over its
     intervals) for each (a, truth at epochs a to z) of truths.  One model
-    serves every block."""
-    model = None
+    serves every block: every truth state is w-frame traditional, anchored
+    at the origin (TruthSeries.state)."""
+    model = NavModel(Frame.W, Grouping.TRADITIONAL, np.zeros(3), earth, gravity_model, world, np.zeros(3))
     for a, truth in truths:
-        if model is None:
-            model = NavModel.of(truth.state(0), earth, gravity_model, world)
         yield a, truth, _invert(truth, a, model)
 
 
@@ -568,19 +567,51 @@ def _stream(cfg: RunConfig, channel: int, k: int) -> GaussianStream:
     return GaussianStream(cfg.seed, substream(channel, k))
 
 
-class _SensorStreams:
-    """Run k's gyro and accel bias-walk and white-noise streams, kept from
-    one block of intervals to the next, and the walks' running sums carried
-    into the next block's first step (None before the first block)."""
+class _RunDraws:
+    """Every draw of run k, each from its own (seed, channel, k) substream:
+    the initial bias estimate bias_hat0 (6,), true bias bias0 (6,) and state
+    error xi0 (9,); the bias-walk and white-noise streams corrupt reads
+    (walks, whites), with the walks' running sum carried into the next
+    block's first step (sums, None before the first block); and the
+    odometer's stream with L, its noise's Cholesky factor.  The streams are
+    kept from one block to the next, so a grid drawn a block at a time is
+    bit for bit the grid drawn at once, and only the block's draws are held.
+
+    With bias_known the estimate starts at the configured nominal and the
+    true initial bias is drawn about it with the p0_*_bias variances;
+    otherwise the nominal is the true bias and the estimate starts at zero.
+    """
 
     def __init__(self, cfg: RunConfig, k: int):
+        self.cfg = cfg
+        sigma0 = np.sqrt(cfg.p0_diag())
+        nominal = np.concatenate([np.asarray(cfg.gyro_bias, dtype=float), np.asarray(cfg.accel_bias, dtype=float)])
+        if cfg.bias_known:
+            self.bias_hat0 = nominal
+            self.bias0 = nominal - sigma0[9:] * _stream(cfg, STREAM_INIT_BIAS, k).normal_matrix(2, 3).ravel()
+        else:
+            self.bias_hat0 = np.zeros(6)
+            self.bias0 = 0.0 - (-nominal)  # a -0.0 nominal is a +0.0 true bias
+        self.xi0 = sigma0[:9] * _stream(cfg, STREAM_INIT_STATE, k).normal_matrix(3, 3).ravel()
         self.walks = [_stream(cfg, channel, k) for channel in (STREAM_GYRO_BIAS_WALK, STREAM_ACCEL_BIAS_WALK)]
         self.whites = [_stream(cfg, channel, k) for channel in (STREAM_GYRO_NOISE, STREAM_ACCEL_NOISE)]
         self.sums = None
+        self.odo = _stream(cfg, STREAM_ODOMETER, k)
+        self.L = np.linalg.cholesky(cfg.noise.odo_noise_cov)
+
+    def odometer(self, a: int, truth: TruthSeries) -> tuple[np.ndarray, np.ndarray]:
+        """Run k's (grid indices, measured body velocities) at the odometer epochs in (a, z] of a truth at
+        grid epochs a to z, drawn after those of the call before."""
+        idx = _odo_indices(self.cfg.traj, self.cfg.odo_rate, a, a + len(truth.t) - 1)
+        draws = self.odo.normal_matrix(len(idx), 3)
+        vb = matvec(transpose(truth.C_b_w[idx - a]), truth.v_wb_w[idx - a])
+        v_meas = np.zeros((len(idx), 3))
+        v_meas[:, 0] = vb[:, 0]
+        return idx, v_meas + matvec(self.L, draws)
 
 
 def corrupt(
-    imu: ImuSample, cfg: RunConfig, k: int, bias0: np.ndarray, streams: _SensorStreams | None = None
+    imu: ImuSample, cfg: RunConfig, k: int, bias0: np.ndarray, streams: _RunDraws | None = None
 ) -> tuple[ImuSample, np.ndarray]:
     """Run k's measured IMU: the true stack (as inverse_imu returns it) plus
     the true bias, which starts at bias0 (6,) and random-walks with
@@ -588,15 +619,15 @@ def corrupt(
 
     Returns (measured stack, true biases (n, 6) per interval, gyro then
     accel).  Deterministic in (cfg.seed, k).  imu is the grid's first n
-    intervals or, given run k's streams as a call on the intervals before
-    left them, the next n: a grid drawn a block at a time is the grid drawn
-    at once, bit for bit.  Each block draws the walk's step out of each of
-    its intervals, the last one's into the next block, and adds the running
-    sum carried from the block before into its first step, so cumsum adds
-    in the whole grid's order.
+    intervals or, given run k's _RunDraws as a call on the intervals before
+    left it (a fresh one when omitted), the next n: a grid drawn a block at
+    a time is the grid drawn at once, bit for bit.  Each block draws the
+    walk's step out of each of its intervals, the last one's into the next
+    block, and adds the running sum carried from the block before into its
+    first step, so cumsum adds in the whole grid's order.
     """
     if streams is None:
-        streams = _SensorStreams(cfg, k)
+        streams = _RunDraws(cfg, k)
     dts = imu.dt
     n = len(dts)
     noise = cfg.noise
@@ -633,26 +664,6 @@ def _odo_indices(spec: TrajectorySpec, odo_rate: float, a: int = 0, z: int | Non
     decim = _odo_decimation(spec.imu_rate, odo_rate)
     n = int(_grid_steps(spec)[0])
     return np.arange((a // decim + 1) * decim, (n if z is None else min(z, n)) + 1, decim)
-
-
-def _odometer(cfg: RunConfig, k: int):
-    """Run k's odometer track, read a block at a time: track(a, truth), for
-    a truth at grid epochs a to z, gives the (grid indices, measured body
-    velocities) of the odometer epochs in (a, z].  Run k's stream is kept
-    from one call to the next, so a track read a block at a time is the
-    track read at once, bit for bit."""
-    L = np.linalg.cholesky(cfg.noise.odo_noise_cov)
-    stream = _stream(cfg, STREAM_ODOMETER, k)
-
-    def track(a, truth):
-        idx = _odo_indices(cfg.traj, cfg.odo_rate, a, a + len(truth.t) - 1)
-        draws = stream.normal_matrix(len(idx), 3)
-        vb = matvec(transpose(truth.C_b_w[idx - a]), truth.v_wb_w[idx - a])
-        v_meas = np.zeros((len(idx), 3))
-        v_meas[:, 0] = vb[:, 0]
-        return idx, v_meas + matvec(L, draws)
-
-    return track
 
 
 # ---------------------------------------------------------------------------
@@ -705,6 +716,8 @@ class RunConfig:
             raise SpecInvalid(f"odo_rate {self.odo_rate} Hz gives no sample within the trajectory", "odo_rate")
         if self.n_runs < 1:
             raise SpecInvalid(f"need at least 1 run, got {self.n_runs}", "n_runs")
+        if self.integrator not in _INTEGRATORS:
+            raise SpecInvalid(f"integrator must be one of {_INTEGRATORS}, got {self.integrator!r}", "integrator")
         if not 0 <= self.seed < 1 << 64:  # the Philox key's seed word
             raise SpecInvalid(f"seed must lie in [0, 2**64), got {self.seed}", "seed")
 
@@ -720,7 +733,7 @@ class RunConfig:
 
 @dataclass(frozen=True, eq=False)
 class RunResult:
-    """Error, NEES and innovation series of one filtered run or of a batch.
+    """Error, NEES and whitened-innovation series of one filtered run or of a batch.
 
     t is (M,); every other field is (..., M[, k]): a single run has no run
     axis, a batch has a leading run axis.  xi (..., M, 9) packs the error
@@ -728,8 +741,8 @@ class RunResult:
     convention, in TangentVector's (phi, rho_v, rho_r) order; att_err,
     vel_err and pos_err are views of it.  All series share the same
     epochs.  Rows where no update was applied have updated=False: with the
-    odometer off their innovation entries are zero; a sample the gate
-    rejected keeps its innovation.
+    odometer off their whitened innovations are zero; a sample the gate
+    rejected keeps its own.
 
     The aggregates pool over every run and epoch the result holds, so a
     batch of one reads its run's own numbers.  Where an update was
@@ -741,7 +754,6 @@ class RunResult:
     t: np.ndarray
     xi: np.ndarray
     nees: np.ndarray
-    innovation: np.ndarray
     innovation_whitened: np.ndarray
     updated: np.ndarray  # bool
     att_err = property(lambda self: self.xi[..., 0:3])
@@ -824,36 +836,8 @@ def _scenario_blocks(cfg: RunConfig, spans=None) -> tuple:
     default): _truth_blocks and _inverse_blocks, so the blocks joined are
     gen_truth's and inverse_imu's grid, bit for bit."""
     world = ned_world(cfg.origin_e, cfg.earth)
-    truths = _truth_blocks(cfg.traj, spans or _grid_blocks(_interval_count(cfg.traj)))
+    truths = _truth_blocks(cfg.traj, spans)
     return world, _inverse_blocks(truths, cfg.earth, cfg.gravity, world)
-
-
-def _run_draws(cfg: RunConfig, k: int) -> tuple:
-    """Every draw of run k, each from its own (seed, channel, k) substream:
-    (initial bias estimate (6,), sensors, odometer, xi0 (9,)).
-
-    sensors(imu) is corrupt's (measured IMU stack, true gyro and accel
-    biases) of the true IMU over the intervals that follow those of its
-    last call (the grid's first at the first), and odometer is _odometer's
-    track(a, truth).  Both keep run k's streams (and the bias walk its
-    running sum) between calls, so a grid drawn a block at a time is bit
-    for bit the grid drawn at once, and only the block's draws are held.
-
-    With bias_known the estimate starts at the configured nominal and the
-    true initial bias is drawn about it with the p0_*_bias variances;
-    otherwise the nominal is the true bias and the estimate starts at zero.
-    """
-    sigma0 = np.sqrt(cfg.p0_diag())
-    nominal = np.concatenate([np.asarray(cfg.gyro_bias, dtype=float), np.asarray(cfg.accel_bias, dtype=float)])
-    if cfg.bias_known:
-        bias_hat0 = nominal
-        bias0 = nominal - sigma0[9:] * _stream(cfg, STREAM_INIT_BIAS, k).normal_matrix(2, 3).ravel()
-    else:
-        bias_hat0 = np.zeros(6)
-        bias0 = 0.0 - (-nominal)  # a -0.0 nominal is a +0.0 true bias
-    streams = _SensorStreams(cfg, k)
-    xi0 = sigma0[:9] * _stream(cfg, STREAM_INIT_STATE, k).normal_matrix(3, 3).ravel()
-    return bias_hat0, lambda imu: corrupt(imu, cfg, k, bias0, streams), _odometer(cfg, k), xi0
 
 
 def _epochs(spec: TrajectorySpec, odo_rate: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -917,8 +901,7 @@ def _run_lockstep(cfg: RunConfig, run_indices: Sequence[int]) -> RunResult:
     world, blocks = _scenario_blocks(cfg, list(zip([0, *ends[:-1].tolist()], ends.tolist())))
     block0 = next(blocks)
     N, M = len(runs), len(sample_idx)
-    draws = [_run_draws(cfg, k) for k in runs]
-    bias_hat0, xi0 = (np.stack([d[j] for d in draws]) for j in (0, 3))
+    draws = [_RunDraws(cfg, k) for k in runs]
     # One block's measured IMU, stored time-major so each sample is one contiguous (N, 3) slice.
     omega_meas, f_meas = np.empty((2, np.diff(ends, prepend=0).max(), N, 3))
 
@@ -926,8 +909,8 @@ def _run_lockstep(cfg: RunConfig, run_indices: Sequence[int]) -> RunResult:
         cfg.frame, cfg.grouping, *physical_from_nav(block0[1].state(0), cfg.earth, world), cfg.earth, world
     )
     fs = FilterState(
-        nav=apply_correction(truth0, TangentVector.from_vector(-xi0), cfg.convention),
-        bias=bias_hat0,
+        nav=apply_correction(truth0, TangentVector.from_vector(-np.stack([d.xi0 for d in draws])), cfg.convention),
+        bias=np.stack([d.bias_hat0 for d in draws]),
         P=np.broadcast_to(np.diag(cfg.p0_diag()), (N, 15, 15)).copy(),
         conv=cfg.convention,
         model=NavModel.of(truth0, cfg.earth, cfg.gravity, world),
@@ -938,7 +921,7 @@ def _run_lockstep(cfg: RunConfig, run_indices: Sequence[int]) -> RunResult:
     t = np.empty(M)
     xi = np.empty((N, M, 9))
     nees = np.empty((N, M))
-    innov, white = np.zeros((2, N, M, 3))
+    white = np.zeros((N, M, 3))
     updated = np.zeros((N, M), dtype=bool)
     # No later epoch depends on the scoring: each epoch's pose, bias and
     # covariance wait in a block, and a block is scored in one stacked pass.
@@ -970,12 +953,12 @@ def _run_lockstep(cfg: RunConfig, run_indices: Sequence[int]) -> RunResult:
         epochs = sample_idx[j0:j0 + _SCORE_BLOCK]
         tg, dts = truth_g.t, imu_g.dt
         t[j0:j0 + len(epochs)] = tg[epochs - a]
-        for i, (_, sensors, odometer, _) in enumerate(draws):
-            imu_meas, true_bias = sensors(imu_g)
+        for i, (k, d) in enumerate(zip(runs, draws)):
+            imu_meas, true_bias = corrupt(imu_g, cfg, k, d.bias0, d)
             omega_meas[:len(dts), i], f_meas[:len(dts), i] = imu_meas.omega_ib_b, imu_meas.f_ib_b
             bias_true[:len(epochs), i] = true_bias[epochs - 1 - a]
             if len(odo_idx) > 0:
-                odo_blk[:len(epochs), i] = odometer(a, truth_g)[1]
+                odo_blk[:len(epochs), i] = d.odometer(a, truth_g)[1]
         # The truth at the block's epochs, converted against truth0's anchors,
         # so one model serves the whole loop.
         t_b = t[j0:j0 + len(epochs)]
@@ -993,7 +976,7 @@ def _run_lockstep(cfg: RunConfig, run_indices: Sequence[int]) -> RunResult:
                     first = k1
                     if len(odo_idx) > 0:
                         z = OdoSample(odo_blk[j - j0], float(tg[k1 - a]))
-                        fs, innov[:, j], white[:, j], updated[:, j] = fuse(
+                        fs, _, white[:, j], updated[:, j] = fuse(
                             fs, z, cfg.noise, gate_sigma=cfg.gate_sigma, imu_period=float(dts[k1 - 1 - a])
                         )
                     K_blk[stored], bias_blk[stored], P_blk[stored] = fs.nav.x.K, fs.bias, fs.P
@@ -1004,7 +987,7 @@ def _run_lockstep(cfg: RunConfig, run_indices: Sequence[int]) -> RunResult:
             if stored:
                 score(j0, stored, truth_f)
 
-    return RunResult(t, xi, nees, innov, white, updated)
+    return RunResult(t, xi, nees, white, updated)
 
 
 # ---------------------------------------------------------------------------

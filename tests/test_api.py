@@ -1,6 +1,7 @@
 """The package's public API: navkit re-exports each module's __all__."""
 
 import inspect
+from dataclasses import fields
 
 import navkit
 from navkit import config, earth, error_models, lgekf, mechanization, rng, se23, simulate
@@ -33,10 +34,21 @@ def test_failure_types_import_from_the_package():
 
 
 def test_run_draws_have_no_second_config_type():
-    # A run's draws are made from its RunConfig alone (simulate._run_draws):
+    # A run's draws are made from its RunConfig alone (simulate._RunDraws):
     # the per-run error record and the one-caller helpers it fed are not API.
     for name in ("SensorErrors", "true_bias_series", "draw_biases"):
         assert not hasattr(navkit, name) and not hasattr(simulate, name), name
+
+
+def test_a_run_draws_through_one_object():
+    # One _RunDraws per run holds its draws and streams; the sensor-stream
+    # holder, the draw tuple and the odometer closure are gone, and so are the
+    # fields nothing reads: the raw innovation and the truth's IMU rate.
+    for name in ("_SensorStreams", "_run_draws", "_odometer"):
+        assert not hasattr(simulate, name), name
+    assert "innovation" not in {f.name for f in fields(simulate.RunResult)}
+    assert "imu_rate" not in {f.name for f in fields(simulate.TruthSeries)}
+    assert list(inspect.signature(simulate.corrupt).parameters) == ["imu", "cfg", "k", "bias0", "streams"]
 
 
 def test_a_run_streams_its_own_scenario():

@@ -83,9 +83,9 @@ def test_simulate_cells_parse_back_to_the_arrays(tmp_path, cfg_file):
     world = ned_world(cfg.origin_e, cfg.earth)
     truth = simulate.gen_truth(cfg.traj, cfg.earth, cfg.gravity, world)
     imu_true = simulate.inverse_imu(truth, cfg.earth, cfg.gravity, world)
-    _, sensors, odometer, _ = simulate._run_draws(cfg, 0)
-    imu, _ = sensors(imu_true)  # the whole grid as one block
-    idx, v_odo = odometer(0, truth)
+    draws = simulate._RunDraws(cfg, 0)
+    imu, _ = simulate.corrupt(imu_true, cfg, 0, draws.bias0, draws)  # the whole grid as one block
+    idx, v_odo = draws.odometer(0, truth)
     quat = cli._quat_from_rot(truth.C_b_w)
     expected = {
         "truth.csv": (truth.t, np.column_stack([quat, truth.v_wb_w, truth.r_w])),

@@ -159,6 +159,8 @@ def test_run_config_rejects_bad_rates_and_variances(name, value):
         # 1e302-sample decimation that no index array holds at 1e-300 Hz.
         ("odo_rate", 0.1, "odo_rate 0.1 Hz gives no sample within the trajectory"),
         ("odo_rate", 1e-300, "odo_rate 1e-300 Hz gives no sample within the trajectory"),
+        # Refused here, not at the first predict of a run.
+        ("integrator", "euler", r"integrator must be one of \('midpoint', 'rk4'\), got 'euler'"),
     ],
 )
 def test_run_config_refuses_what_no_run_can_use(field, value, message):
@@ -166,7 +168,7 @@ def test_run_config_refuses_what_no_run_can_use(field, value, message):
     with pytest.raises(SpecInvalid, match=f"^{message}") as info:
         RunConfig(traj=traj, origin_e=ORIGIN, **{field: value})
     assert info.value.field == field
-    RunConfig(traj=traj, origin_e=ORIGIN, seed=2**64 - 1, n_runs=1, odo_rate=25.0)
+    RunConfig(traj=traj, origin_e=ORIGIN, seed=2**64 - 1, n_runs=1, odo_rate=25.0, integrator="rk4")
     RunConfig(traj=traj, origin_e=ORIGIN, odo_rate=0.2)  # one sample, at the last epoch
 
 
@@ -509,14 +511,14 @@ def test_bias_series_walks_and_reproduces():
 def test_odometer_rest_near_zero_noise_zero_samples():
     tr = gen_truth(TrajectorySpec((Rest(5.0),), 100.0), EARTH, GRAV, WORLD)
     quiet = NoiseConfig(odo_noise_cov=np.diag([1e-30] * 3))
-    _, v = sim._odometer(_sensor_cfg(5.0, noise=quiet), 0)(0, tr)
+    _, v = sim._RunDraws(_sensor_cfg(5.0, noise=quiet), 0).odometer(0, tr)
     assert np.linalg.norm(v, axis=1).max() < 1e-12
 
 
 def test_odometer_straight_reads_forward_speed():
     tr = gen_truth(TrajectorySpec((Straight(5.0, 10.0),), 100.0), EARTH, GRAV, WORLD)
     quiet = NoiseConfig(odo_noise_cov=np.diag([1e-30] * 3))
-    idx, v = sim._odometer(_sensor_cfg(5.0, noise=quiet), 0)(0, tr)
+    idx, v = sim._RunDraws(_sensor_cfg(5.0, noise=quiet), 0).odometer(0, tr)
     assert np.array_equal(idx, np.arange(10, 501, 10))
     assert v.shape == (50, 3)
     assert np.allclose(v, [10.0, 0.0, 0.0], atol=1e-12)
@@ -525,10 +527,10 @@ def test_odometer_straight_reads_forward_speed():
 def test_odometer_seeded_and_per_run():
     tr = gen_truth(TrajectorySpec((Straight(2.0, 10.0),), 100.0), EARTH, GRAV, WORLD)
     cfg = _sensor_cfg(2.0, seed=5)
-    _, a = sim._odometer(cfg, 0)(0, tr)
-    _, b = sim._odometer(cfg, 0)(0, tr)
-    _, c = sim._odometer(cfg, 1)(0, tr)
-    _, d = sim._odometer(replace(cfg, seed=6), 0)(0, tr)
+    _, a = sim._RunDraws(cfg, 0).odometer(0, tr)
+    _, b = sim._RunDraws(cfg, 0).odometer(0, tr)
+    _, c = sim._RunDraws(cfg, 1).odometer(0, tr)
+    _, d = sim._RunDraws(replace(cfg, seed=6), 0).odometer(0, tr)
     assert np.array_equal(a, b)
     assert np.all(a != c) and np.all(a != d)
 
@@ -537,7 +539,7 @@ def test_odometer_rate_must_divide():
     tr = gen_truth(TrajectorySpec((Straight(2.0, 10.0),), 100.0), EARTH, GRAV, WORLD)
     with pytest.raises(SpecInvalid, match="must divide imu_rate"):
         _sensor_cfg(2.0, odo_rate=30.0)
-    idx, v = sim._odometer(_sensor_cfg(2.0, odo_rate=0.0), 0)(0, tr)
+    idx, v = sim._RunDraws(_sensor_cfg(2.0, odo_rate=0.0), 0).odometer(0, tr)
     assert idx.shape == (0,) and v.shape == (0, 3)
 
 
@@ -595,15 +597,15 @@ def test_run_draws_draw_each_quantity_from_its_channel(bias_known):
     v = v + matvec(np.linalg.cholesky(noise.odo_noise_cov), _draws(cfg, STREAM_ODOMETER, k, len(idx)))
     xi0 = np.sqrt(cfg.p0_diag())[:9] * _draws(cfg, STREAM_INIT_STATE, k, 3).ravel()
 
-    got_hat0, sensors, odometer, got_xi0 = sim._run_draws(cfg, k)
-    got_imu, got_bias = sensors(imu)  # the whole grid as one block
-    got_idx, got_v = odometer(0, tr)
-    assert np.array_equal(got_hat0, hat0)
+    draws = sim._RunDraws(cfg, k)
+    got_imu, got_bias = corrupt(imu, cfg, k, draws.bias0, draws)  # the whole grid as one block
+    got_idx, got_v = draws.odometer(0, tr)
+    assert np.array_equal(draws.bias_hat0, hat0)
     assert np.array_equal(got_imu.omega_ib_b, measured[0]) and np.array_equal(got_imu.f_ib_b, measured[1])
     assert np.array_equal(got_imu.dt, imu.dt)
     assert np.array_equal(got_bias, bias)
     assert np.array_equal(got_idx, idx) and np.array_equal(got_v, v)
-    assert np.array_equal(got_xi0, xi0)
+    assert np.array_equal(draws.xi0, xi0)
     if not bias_known:  # array_equal does not tell -0.0 from +0.0: a -0.0 nominal is a +0.0 true bias
         assert got_bias[0, 1] == 0.0 and not np.signbit(got_bias[0, 1])
 
@@ -840,7 +842,7 @@ def test_run_single_deterministic():
     b = run_single(cfg)
     assert np.array_equal(a.att_err, b.att_err)
     assert np.array_equal(a.nees, b.nees)
-    assert np.array_equal(a.innovation, b.innovation)
+    assert np.array_equal(a.innovation_whitened, b.innovation_whitened)
 
 
 def test_tight_gate_suppresses_updates():
@@ -924,7 +926,7 @@ def test_run_result_packs_the_chart_errors():
     # run's rows are views of it, not copies.
     mc = run_monte_carlo(_quiet_cfg(traj=TrajectorySpec((Straight(2.0, 10.0),), 100.0), n_runs=3))
     assert [f.name for f in fields(sim.RunResult)] == [
-        "t", "xi", "nees", "innovation", "innovation_whitened", "updated"]
+        "t", "xi", "nees", "innovation_whitened", "updated"]
     assert mc.xi.shape == (3, len(mc.t), 9)
     for name, cols in (("att_err", slice(0, 3)), ("vel_err", slice(3, 6)), ("pos_err", slice(6, 9))):
         assert np.shares_memory(getattr(mc, name), mc.xi), name
