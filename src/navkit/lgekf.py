@@ -3,10 +3,11 @@
 The 15-dim error state is (phi, rho_v, rho_r, db_g, db_a) in either the
 right (eta = X X~^-1) or left (eta = X~^-1 X) convention. predict
 propagates over one measurement interval of IMU samples: the
-bias-corrected strapdown update and the discretized covariance
-propagation, with the interval's linearizations (G is minus F's bias
-columns, both Ad_X~[:, 0:6] in the right convention) formed as one stack
-and the transition from F's nine navigation rows (its bias rows are zero);
+bias-corrected strapdown update sample by sample and the discretized
+covariance propagation once per sub-step of at most 0.1 s, with the
+sub-steps' linearizations (G is minus F's bias columns, both
+Ad_X~[:, 0:6] in the right convention) formed as one stack and the
+transition from F's nine navigation rows (its bias rows are zero);
 fuse fuses a body-frame velocity (odometer with non-holonomic lateral and
 vertical pseudo-measurements) through the Joseph form and retracts the
 estimated error onto the group.  No frame is named here: the frame
@@ -24,12 +25,13 @@ and epoch.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .error_models import ErrorConvention, apply_correction, linearized_F_G
-from .mechanization import ImuSample, NavModel, NavState, integrate
+from .mechanization import _DT_ROUNDOFF, _MAX_DT, ImuSample, NavModel, NavState, _at_sample, integrate
 from .se23 import SE23, KernelDomainError, TangentVector, _domain_error, matvec, skew, transpose
 
 __all__ = [
@@ -174,18 +176,25 @@ def predict(
 
     imu holds the interval's L samples: omega and f (L, ..., 3), a batch's
     run axis after the sample axis, and dt (L,).  The bias-corrected
-    strapdown update runs sample by sample (mechanization.integrate); the
-    linearizations along the L pre-sample estimates, the transition
-    matrices and the noise terms are formed as one stack under the filter's
-    model, and only the L covariance sandwiches run in order, so the result
-    is bit for bit that of L one-sample predicts.  A KernelDomainError names
-    element l*N + i of the (L, N) stack: run i at sample l.
+    strapdown update runs sample by sample (mechanization.integrate), and t
+    advances by each sample's dt.  The covariance steps once per sub-step
+    (_substeps: the interval cut into runs of near-equal sample count that
+    each last at most _MAX_DT, one run for a 10 Hz odometer): each is
+    linearized once, at its middle sample's pre-sample estimate and
+    bias-corrected input, all of them as one (n_sub, ...) stack under the
+    filter's model.  Over a sub-step of length D the transition is
+    Phi = I + F D + (F D)^2 / 2 on F's nine navigation rows, the noise the
+    trapezoid D/2 (Phi M Phi^T + M), M = G Q G^T, plus the bias walks, and
+    the n_sub sandwiches run in order; so a predict is bit for bit the
+    chained predicts over its sub-steps.  A KernelDomainError names element
+    l*N + i of the (L, N) sample stack: run i at sample l, the sample a
+    failing linearization was made at.
 
     buffers is a dict the caller keeps across calls, as the filter loop
-    does: the interval's (L, ..., 15, 15) stacks (F, Phi, Phi^T and the
+    does: the interval's (n_sub, ..., 15, 15) stacks (F, Phi, Phi^T and the
     noise terms), G and its contiguous transpose, and the sandwich's two
     covariance stacks are written into its arrays with out= and reused by
-    every later call whose stacks fit them (a shorter interval included), so
+    every later call whose stacks fit them (fewer sub-steps included), so
     the steady state forms none of them afresh.  Without it they are new
     arrays.  The returned state holds none of them.
     """
@@ -196,17 +205,23 @@ def predict(
     )
     blocks = integrate(fs.nav, corrected, fs.model, method=method)
     dts = np.asarray(imu.dt, dtype=float)
-    stack = dts.shape + fs.P.shape[:-2]  # (L, ...): one element per sample and run
+    mid, spans = _substeps(dts)
+    stack = (len(mid),) + fs.P.shape[:-2]  # (n_sub, ...): one element per sub-step and run
 
     def buffer(name, shape):
         return _buffer(buffers, name, stack + shape)
 
-    est = replace(fs.nav, x=SE23.packed(blocks[:-1]))
-    F, G = linearized_F_G(fs.conv, est, corrected, fs.model, out=(buffer("F", (15, 15)), buffer("G", (15, 6))))
+    est = replace(fs.nav, x=SE23.packed(blocks[mid]))
+    at_mid = ImuSample(corrected.omega_ib_b[mid], corrected.f_ib_b[mid], dts[mid])
+    try:
+        F, G = linearized_F_G(fs.conv, est, at_mid, fs.model, out=(buffer("F", (15, 15)), buffer("G", (15, 6))))
+    except KernelDomainError as exc:
+        n = fs.P[..., 0, 0].size
+        raise _at_sample(exc, mid[(exc.element or 0) // n], fs.nav.x.K) from exc
 
-    # Qd = dt/2 (Phi M Phi^T + M) with M = G Q G^T, folded into one sandwich:
-    # P+ = Phi (P + dt/2 M) Phi^T + dt/2 M + bias random walks.
-    dt = dts.reshape(dts.shape + (1,) * (F.ndim - 1))
+    # Qd = D/2 (Phi M Phi^T + M) with M = G Q G^T, folded into one sandwich:
+    # P+ = Phi (P + D/2 M) Phi^T + D/2 M + bias random walks.
+    dt = np.array(spans).reshape((len(spans),) + (1,) * (F.ndim - 1))  # each sub-step's length D
     Fdt = np.multiply(F, dt, out=F)
     Phi = np.add(_I15, Fdt, out=buffer("Phi", (15, 15)))
     FdtFdt = np.matmul(Fdt[..., :9, :9], Fdt[..., :9, :], out=buffer("FdtFdt", (9, 15)))  # F's bias rows are zero
@@ -218,20 +233,39 @@ def predict(
     np.copyto(G_T, transpose(G))
     half_M = np.matmul(np.multiply(G, np.diagonal(noise.input_psd()), out=G), G_T, out=buffer("half_M", (15, 15)))
     half_M *= 0.5 * dt
-    # dt/2 M plus the bias walks, for every sample at once
+    # D/2 M plus the bias walks, for every sub-step at once
     noise_d = np.add(half_M, noise.bias_walk_psd() * dt, out=buffer("noise_d", (15, 15)))
     # The sandwich alternates between two covariance stacks; the result is copied out of them.
     a, b = (_buffer(buffers, name, fs.P.shape) for name in ("P_a", "P_b"))
-    P, t = fs.P, fs.t
-    for l, dt_l in enumerate(dts.tolist()):
-        np.add(P, half_M[l], out=a)
-        np.matmul(Phi[l], a, out=b)
-        np.matmul(b, Phi_T[l], out=a)
-        a += noise_d[l]
+    P = fs.P
+    for s in range(len(mid)):
+        np.add(P, half_M[s], out=a)
+        np.matmul(Phi[s], a, out=b)
+        np.matmul(b, Phi_T[s], out=a)
+        a += noise_d[s]
         P = np.add(a, transpose(a), out=b)
         P *= 0.5
+    t = fs.t
+    for dt_l in dts.tolist():
         t = t + dt_l
     return FilterState(replace(fs.nav, x=SE23.packed(blocks[-1])), fs.bias, P.copy(), fs.conv, fs.model, t)
+
+
+def _substeps(dts: np.ndarray) -> tuple[list[int], list[float]]:
+    """An interval's covariance sub-steps, as the middle sample of each,
+    b + (e - b) // 2 for samples [b, e), and its length, the exactly
+    rounded sum of its dt.  The bounds split the L samples into the least
+    count n, from ceil(sum dt / _MAX_DT) on, of near-equal runs
+    (b_s = L s // n) that each last at most _MAX_DT up to _DT_ROUNDOFF;
+    n = L, one sample each, always does (integrate guards each dt)."""
+    L = len(dts)
+    n = min(L, max(1, math.ceil((math.fsum(dts.tolist()) - _DT_ROUNDOFF) / _MAX_DT)))
+    while True:
+        bounds = [L * s // n for s in range(n + 1)]
+        spans = [math.fsum(dts[b:e].tolist()) for b, e in zip(bounds, bounds[1:])]
+        if max(spans) <= _MAX_DT + _DT_ROUNDOFF:
+            return [b + (e - b) // 2 for b, e in zip(bounds, bounds[1:])], spans
+        n += 1
 
 
 def _buffer(buffers: dict | None, name: str, shape: tuple) -> np.ndarray:

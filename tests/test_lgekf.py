@@ -157,6 +157,10 @@ def test_predict_zero_noise_tracks_truth(earth, world):
 @pytest.mark.parametrize("method", ["midpoint", "rk4"])
 @pytest.mark.parametrize("frame,grouping", ALL_COMBOS, ids=lambda c: getattr(c, "value", c))
 def test_interval_predict_matches_chained_one_sample_predicts(frame, grouping, method, conv, n, earth, world):
+    # The pose, bias and clock of an interval's predict are those of its
+    # one-sample predicts chained; its covariance, over an interval of
+    # 0.1287 s, that of predicts chained over its two sub-steps, the first
+    # seven samples and the last seven.
     from navkit import SE23
 
     rng = np.random.default_rng(81)
@@ -169,17 +173,65 @@ def test_interval_predict_matches_chained_one_sample_predicts(frame, grouping, m
     A = rng.normal(size=(*shape, 15, 15))
     fs = FilterState(replace(base, x=SE23.packed(K)), rng.normal(scale=1e-4, size=(*shape, 6)),
                      A @ np.swapaxes(A, -1, -2) * 1e-4, conv, model, 0.25)
-    dt = np.array([0.01, 0.01, 0.01, 0.01, 0.01, 0.0037, 0.005])
+    dt = np.array([0.01] * 12 + [0.0037, 0.005])
     L = len(dt)
     om, f = rng.normal(scale=0.2, size=(L, *shape, 3)), rng.normal(scale=3.0, size=(L, *shape, 3))
     noise = NoiseConfig()
+
+    def chained(bounds):
+        ref = fs
+        for b, e in zip(bounds[:-1], bounds[1:]):
+            ref = predict(ref, ImuSample(om[b:e], f[b:e], dt[b:e]), noise, method=method)
+        return ref
+
     out = predict(fs, ImuSample(om, f, dt), noise, method=method)
-    ref = fs
-    for l in range(L):
-        ref = predict(ref, ImuSample(om[l : l + 1], f[l : l + 1], dt[l : l + 1]), noise, method=method)
+    ref = chained(range(L + 1))
     assert np.array_equal(out.nav.x.K, ref.nav.x.K)
     assert np.array_equal(out.bias, ref.bias)
-    assert np.array_equal(out.P, ref.P)
+    assert out.t == ref.t
+    assert np.array_equal(out.P, chained([0, 7, L]).P)
+
+
+@pytest.mark.parametrize(
+    "dt,bounds",
+    [
+        (np.full(10, 0.01), [0, 10]),
+        (np.full(25, 0.01), [0, 8, 16, 25]),
+        # 0.1507 s, whose two halves would last 0.0407 and 0.11 s: three
+        # sub-steps of near-equal sample count keep each within 0.1 s.
+        (np.array([0.0037] * 11 + [0.01] * 11), [0, 7, 14, 22]),
+    ],
+    ids=["10Hz-odometer", "0.25s", "capped"],
+)
+def test_an_interval_linearizes_its_sub_steps_once(dt, bounds, earth, world, monkeypatch):
+    # One linearized_F_G call per interval, on an (n_sub, N) stack, and the
+    # result bit for bit the predicts chained over the sub-steps.
+    import navkit.lgekf as lgekf
+    from navkit import SE23
+
+    rng = np.random.default_rng(85)
+    base = random_nav_state(rng, Frame.W, Grouping.PROPOSED, earth, world)
+    model = NavModel.of(base, earth, SphericalGravity(), world)
+    n, L = 4, len(dt)
+    A = rng.normal(size=(n, 15, 15))
+    fs = FilterState(replace(base, x=SE23.packed(np.stack([wander(base, rng).x.K for _ in range(n)]))),
+                     rng.normal(scale=1e-4, size=(n, 6)), A @ np.swapaxes(A, -1, -2) * 1e-4,
+                     ErrorConvention.LEFT, model, 0.0)
+    om, f = rng.normal(scale=0.2, size=(L, n, 3)), rng.normal(scale=3.0, size=(L, n, 3))
+    noise = NoiseConfig()
+    shapes, real = [], lgekf.linearized_F_G
+
+    def counted(conv, est, imu, model, **kw):
+        shapes.append(est.x.K.shape)
+        return real(conv, est, imu, model, **kw)
+
+    monkeypatch.setattr(lgekf, "linearized_F_G", counted)
+    out = predict(fs, ImuSample(om, f, dt), noise)
+    assert shapes == [(len(bounds) - 1, n, 3, 5)]
+    ref = fs
+    for b, e in zip(bounds[:-1], bounds[1:]):
+        ref = predict(ref, ImuSample(om[b:e], f[b:e], dt[b:e]), noise)
+    assert np.array_equal(out.nav.x.K, ref.nav.x.K) and np.array_equal(out.P, ref.P)
     assert out.t == ref.t
 
 
@@ -188,8 +240,12 @@ def test_interval_predict_matches_chained_one_sample_predicts(frame, grouping, m
 @pytest.mark.parametrize("method", ["midpoint", "rk4"])
 def test_predict_matches_the_dense_formulas(method, conv, n, earth, world):
     # predict forms Phi from F's nine navigation rows and Phi^T once per
-    # interval; P must be bit for bit that of the dense 15x15 Phi and the
-    # dense dt/2 G Q G^T along the same pre-sample estimates.
+    # sub-step; P must be bit for bit that of the interval rule written out
+    # densely: 25 samples of 10 ms are three sub-steps, [0, 8), [8, 16) and
+    # [16, 25), each with a dense 15x15 Phi and a dense D/2 G Q G^T at its
+    # middle sample's pre-sample estimate and input, D its length.
+    import math
+
     from navkit import SE23, integrate
 
     rng = np.random.default_rng(82)
@@ -198,7 +254,7 @@ def test_predict_matches_the_dense_formulas(method, conv, n, earth, world):
     A = rng.normal(size=(n, 15, 15))
     fs = FilterState(replace(base, x=SE23.packed(np.stack([wander(base, rng).x.K for _ in range(n)]))),
                      rng.normal(scale=1e-4, size=(n, 6)), A @ np.swapaxes(A, -1, -2) * 1e-4, conv, model, 0.0)
-    L = 10
+    L = 25
     dt = np.full(L, 0.01)
     om, f = rng.normal(scale=0.2, size=(L, n, 3)), rng.normal(scale=3.0, size=(L, n, 3))
     noise = NoiseConfig()
@@ -206,17 +262,73 @@ def test_predict_matches_the_dense_formulas(method, conv, n, earth, world):
 
     corrected = ImuSample(om - fs.bias[:, 0:3], f - fs.bias[:, 3:6], dt)
     blocks = integrate(fs.nav, corrected, model, method=method)
-    F, G = linearized_F_G(conv, replace(fs.nav, x=SE23.packed(blocks[:-1])), corrected, model)
-    assert F.shape == (L, n, 15, 15) and G.shape == (L, n, 15, 6)
     P = fs.P
-    for l in range(L):
-        Fdt = F[l] * dt[l]
-        Phi = np.eye(15) + Fdt + 0.5 * (Fdt @ Fdt)
-        half_M = 0.5 * dt[l] * (G[l] @ noise.input_psd() @ np.swapaxes(G[l], -1, -2))
-        P = Phi @ (P + half_M) @ np.swapaxes(Phi, -1, -2) + (half_M + noise.bias_walk_psd() * dt[l])
+    for b, e in ((0, 8), (8, 16), (16, 25)):
+        m, D = (b + e) // 2, math.fsum(dt[b:e])
+        at_m = ImuSample(corrected.omega_ib_b[m], corrected.f_ib_b[m], dt[m])
+        F, G = linearized_F_G(conv, replace(fs.nav, x=SE23.packed(blocks[m])), at_m, model)
+        assert F.shape == (n, 15, 15) and G.shape == (n, 15, 6)
+        FD = F * D
+        Phi = np.eye(15) + FD + 0.5 * (FD @ FD)
+        half_M = 0.5 * D * (G @ noise.input_psd() @ np.swapaxes(G, -1, -2))
+        P = Phi @ (P + half_M) @ np.swapaxes(Phi, -1, -2) + (half_M + noise.bias_walk_psd() * D)
         P = 0.5 * (P + np.swapaxes(P, -1, -2))
     assert np.array_equal(out.nav.x.K, blocks[-1])
     assert np.array_equal(out.P, P)
+
+
+@pytest.mark.parametrize("conv", CONVS, ids=lambda c: c.value)
+@pytest.mark.parametrize("frame,grouping", [(Frame.W, Grouping.PROPOSED), (Frame.E, Grouping.TRADITIONAL)],
+                         ids=["proposed-w", "traditional-e"])
+def test_interval_phi_matches_the_finite_difference_jacobian(frame, grouping, conv, earth, world):
+    # Phi of one sub-step against the Jacobian of the interval map it stands
+    # for: the true state is the estimate moved along one of the 15 error
+    # directions (apply_correction for the pose; the bias error is
+    # b_hat - b), both integrate the interval's 10 samples under constant
+    # inputs, and the error between them at its end is taken with
+    # error_from_states.  Central differences give each column.  Phi is read
+    # off predict: with no noise and P = e_j e_j^T, P+ = Phi_j Phi_j^T, whose
+    # column j over sqrt(P+_jj) is Phi's column j (Phi_jj is near 1).  The
+    # difference falls as D^3 over D = 0.1, 0.05 and 0.025 s, for the
+    # Coriolis-fold model and the model without it.
+    from navkit import SE23, error_from_states, error_to_vector, integrate
+
+    rng = np.random.default_rng(84)
+    base = random_nav_state(rng, frame, grouping, earth, world)
+    model = NavModel.of(base, earth, SphericalGravity(), world)
+    nav, bias = wander(base, rng), rng.normal(scale=1e-3, size=6)
+    om = rng.normal(scale=0.3, size=3)
+    f = rng.normal(scale=3.0, size=3) - nav.x.R.T @ np.array([0.0, 0.0, 9.8])
+    eps = np.array([1e-6] * 3 + [1e-4] * 3 + [1e-3] * 3 + [1e-6] * 6)
+    E = np.eye(15)
+    still = NoiseConfig(gyro_noise_psd=0.0, accel_noise_psd=0.0, gyro_bias_rw_psd=0.0, accel_bias_rw_psd=0.0)
+
+    def end(nav0, b, dt):
+        L = len(dt)
+        imu = ImuSample(np.tile(om - b[:3], (L, 1)), np.tile(f - b[3:], (L, 1)), dt)
+        return replace(nav0, x=SE23.packed(integrate(nav0, imu, model)[-1]))
+
+    errors = []
+    for D in (0.1, 0.05, 0.025):
+        dt = np.full(10, D / 10)
+        est = end(nav, bias, dt)
+        J = np.empty((9, 15))
+        for j in range(15):
+            xi = []
+            for e in (eps[j] * E[j], -eps[j] * E[j]):
+                true = end(apply_correction(nav, TangentVector.from_vector(e[:9]), conv), bias - e[9:], dt)
+                xi.append(error_to_vector(error_from_states(true, est, conv), conv).as_vector())
+            J[:, j] = (xi[0] - xi[1]) / (2 * eps[j])
+        batch = FilterState(replace(nav, x=SE23.packed(np.broadcast_to(nav.x.K, (15, 3, 5)).copy())),
+                            np.tile(bias, (15, 1)), E[:, :, None] * E[:, None, :], conv, model, 0.0)
+        imu = ImuSample(np.broadcast_to(om, (10, 15, 3)), np.broadcast_to(f, (10, 15, 3)), dt)
+        P = predict(batch, imu, still).P
+        j = np.arange(15)
+        Phi = (P[j, :, j] / np.sqrt(P[j, j, j])[:, None]).T
+        errors.append(np.abs(Phi[:9] - J).max())
+    assert errors[0] < 1e-2
+    for coarse, fine in zip(errors, errors[1:]):
+        assert 6.0 < coarse / fine < 10.0, errors
 
 
 @pytest.mark.parametrize("conv", CONVS, ids=lambda c: c.value)

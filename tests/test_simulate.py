@@ -711,10 +711,11 @@ def test_midpoint_stage_gravity_error_names_the_run(monkeypatch):
 
 
 def test_stacked_linearization_error_names_the_run_and_epoch(monkeypatch):
-    # predict linearizes each 10-sample interval of a 3-run batch as one
-    # (10, 3) stack.  In the second interval, run 1's estimate at sample 4 is
-    # moved to the earth's center: element 4*3 + 1 fails, which is run 1 at
-    # the epoch after sample 14, t = 0.150 s.
+    # predict linearizes each 10-sample interval of a 3-run batch once, at
+    # its middle sample (sample 5), as one (1, 3) stack.  In the second
+    # interval, run 1's estimate is moved to the earth's center: element 1
+    # of the stack fails, which is run 1 linearized before sample 15, named
+    # at the epoch after it, t = 0.160 s.
     calls = []
     real = lgekf.linearized_F_G
 
@@ -722,12 +723,12 @@ def test_stacked_linearization_error_names_the_run_and_epoch(monkeypatch):
         calls.append(None)
         if len(calls) == 2:
             K = est.x.K.copy()
-            K[4, 1, :, 4] = -model.r_base
+            K[0, 1, :, 4] = -model.r_base
             est = replace(est, x=SE23.packed(K))
         return real(conv, est, imu, model, **kw)
 
     monkeypatch.setattr(lgekf, "linearized_F_G", centered_in_second_interval)
-    with pytest.raises(SingularRadius, match=r"^run 1, t=0.150 s: element 13 of the stack: radius") as info:
+    with pytest.raises(SingularRadius, match=r"^run 1, t=0.160 s: element 1 of the stack: radius") as info:
         run_monte_carlo(_quiet_cfg(traj=TrajectorySpec((Straight(1.0, 10.0),), 100.0), n_runs=3))
     assert info.value.element == 1
 
