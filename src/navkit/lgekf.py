@@ -3,9 +3,10 @@
 The 15-dim error state is (phi, rho_v, rho_r, db_g, db_a) in either the
 right (eta = X X~^-1) or left (eta = X~^-1 X) convention. predict
 propagates over one measurement interval of IMU samples: the
-bias-corrected strapdown update sample by sample and the discretized
-covariance propagation once per sub-step of at most 0.1 s, with the
-sub-steps' linearizations (G is minus F's bias columns, both
+bias-corrected strapdown update sample by sample (the midpoint rule's
+gravity linearized once per sub-step) and the discretized covariance
+propagation once per sub-step of at most 0.1 s, with the sub-steps'
+linearizations (G is minus F's bias columns, both
 Ad_X~[:, 0:6] in the right convention) formed as one stack and the
 transition from F's nine navigation rows (its bias rows are zero);
 fuse fuses a body-frame velocity (odometer with non-holonomic lateral and
@@ -25,13 +26,12 @@ and epoch.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .error_models import ErrorConvention, apply_correction, linearized_F_G
-from .mechanization import _DT_ROUNDOFF, _MAX_DT, ImuSample, NavModel, NavState, _at_sample, integrate
+from .mechanization import ImuSample, NavModel, NavState, _at_sample, _substeps, integrate
 from .se23 import SE23, KernelDomainError, TangentVector, _domain_error, matvec, skew, transpose
 
 __all__ = [
@@ -178,17 +178,19 @@ def predict(
     run axis after the sample axis, and dt (L,).  The bias-corrected
     strapdown update runs sample by sample (mechanization.integrate), and t
     advances by each sample's dt.  The covariance steps once per sub-step
-    (_substeps: the interval cut into runs of near-equal sample count that
-    each last at most _MAX_DT, one run for a 10 Hz odometer): each is
+    (mechanization._substeps: the interval cut into runs of near-equal
+    sample count that each last at most _MAX_DT, one run for a 10 Hz
+    odometer), the cut at which the midpoint rule linearizes gravity: each is
     linearized once, at its middle sample's pre-sample estimate and
     bias-corrected input, all of them as one (n_sub, ...) stack under the
     filter's model.  Over a sub-step of length D the transition is
     Phi = I + F D + (F D)^2 / 2 on F's nine navigation rows, the noise the
     trapezoid D/2 (Phi M Phi^T + M), M = G Q G^T, plus the bias walks, and
-    the n_sub sandwiches run in order; so a predict is bit for bit the
-    chained predicts over its sub-steps.  A KernelDomainError names element
-    l*N + i of the (L, N) sample stack: run i at sample l, the sample a
-    failing linearization was made at.
+    the n_sub sandwiches run in order; so a predict's covariance, and
+    under the midpoint rule its pose, is bit for bit that of the predicts
+    chained over its sub-steps (rk4's pose, of the one-sample predicts).
+    A KernelDomainError names element l*N + i of the (L, N) sample stack:
+    run i at sample l, the sample a failing linearization was made at.
 
     buffers is a dict the caller keeps across calls, as the filter loop
     does: the interval's (n_sub, ..., 15, 15) stacks (F, Phi, Phi^T and the
@@ -205,7 +207,8 @@ def predict(
     )
     blocks = integrate(fs.nav, corrected, fs.model, method=method)
     dts = np.asarray(imu.dt, dtype=float)
-    mid, spans = _substeps(dts)
+    bounds, spans = _substeps(dts)
+    mid = [b + (e - b) // 2 for b, e in zip(bounds, bounds[1:])]
     stack = (len(mid),) + fs.P.shape[:-2]  # (n_sub, ...): one element per sub-step and run
 
     def buffer(name, shape):
@@ -249,23 +252,6 @@ def predict(
     for dt_l in dts.tolist():
         t = t + dt_l
     return FilterState(replace(fs.nav, x=SE23.packed(blocks[-1])), fs.bias, P.copy(), fs.conv, fs.model, t)
-
-
-def _substeps(dts: np.ndarray) -> tuple[list[int], list[float]]:
-    """An interval's covariance sub-steps, as the middle sample of each,
-    b + (e - b) // 2 for samples [b, e), and its length, the exactly
-    rounded sum of its dt.  The bounds split the L samples into the least
-    count n, from ceil(sum dt / _MAX_DT) on, of near-equal runs
-    (b_s = L s // n) that each last at most _MAX_DT up to _DT_ROUNDOFF;
-    n = L, one sample each, always does (integrate guards each dt)."""
-    L = len(dts)
-    n = min(L, max(1, math.ceil((math.fsum(dts.tolist()) - _DT_ROUNDOFF) / _MAX_DT)))
-    while True:
-        bounds = [L * s // n for s in range(n + 1)]
-        spans = [math.fsum(dts[b:e].tolist()) for b, e in zip(bounds, bounds[1:])]
-        if max(spans) <= _MAX_DT + _DT_ROUNDOFF:
-            return [b + (e - b) // 2 for b, e in zip(bounds, bounds[1:])], spans
-        n += 1
 
 
 def _buffer(buffers: dict | None, name: str, shape: tuple) -> np.ndarray:

@@ -82,17 +82,23 @@ class GaussianStream:
             return out
         pairs = (remaining + 1) // 2
         raw = self._bits.random_raw(2 * pairs)
-        # 53-bit uniforms; u1 is shifted into (0, 1] so log() stays finite.
-        u1 = ((raw[0::2] >> np.uint64(11)) + np.uint64(1)) * _INV_2_53
-        u2 = (raw[1::2] >> np.uint64(11)) * _INV_2_53
-        radius = np.sqrt(-2.0 * np.log(u1))
-        angle = (2.0 * np.pi) * u2
-        z = np.empty(2 * pairs)
-        z[0::2] = radius * np.cos(angle)
-        z[1::2] = radius * np.sin(angle)
-        out[start:] = z[:remaining]
+        # 53-bit uniforms: u1 is shifted into (0, 1] so log() stays finite.
+        # raw is dropped once both are read and the rest is formed in place
+        # or straight into out, so the peak, raw with the uniforms and out,
+        # is 3 times the normals' bytes.
+        u1, u2 = (np.right_shift(raw[k::2], np.uint64(11)) for k in (0, 1))
+        del raw
+        u1 += np.uint64(1)
+        u1, u2 = (np.multiply(u, _INV_2_53, out=u.view(np.float64)) for u in (u1, u2))
+        radius = np.sqrt(np.multiply(np.log(u1, out=u1), -2.0, out=u1), out=u1)
+        angle = np.multiply(u2, 2.0 * np.pi, out=u2)
+        # z = (radius cos, radius sin) pairwise, written straight into out;
+        # for an odd count the last sine is the spare.
+        out[start::2] = np.multiply(np.cos(angle), radius)
+        z_sin = np.multiply(np.sin(angle, out=angle), radius, out=angle)
+        out[start + 1 :: 2] = z_sin[: remaining // 2]
         if remaining % 2 == 1:
-            self._spare = float(z[remaining])
+            self._spare = float(z_sin[-1])
         return out
 
     def normal_matrix(self, rows: int, cols: int) -> np.ndarray:

@@ -441,25 +441,110 @@ def test_rk4_step_is_the_textbook_stages(frame, grouping, grav, earth, world):
 _INTERVAL_DT = np.array([0.01, 0.01, 0.01, 0.01, 0.01, 0.0037, 0.005])
 
 
+# Two of them, 0.1174 s: the midpoint rule's two gravity sub-steps are the
+# first seven samples and the last seven.
+_TWO_SUBSTEP_DT, _SUBSTEP_BOUNDS = np.tile(_INTERVAL_DT, 2), [0, 7, 14]
+
+
+def _interval_case(rng, frame, grouping, earth, world, n, dt):
+    """A state (a single one for n None, else a stack of n) and inputs over dt."""
+    if n is None:
+        st, shape = wander(random_nav_state(rng, frame, grouping, earth, world), rng), ()
+    else:
+        st, shape = _stacked_state(rng, frame, grouping, earth, world, n), (n,)
+    L = len(dt)
+    return st, rng.normal(scale=0.2, size=(L, *shape, 3)), rng.normal(scale=3.0, size=(L, *shape, 3))
+
+
 @gravities
 @pytest.mark.parametrize("n", [None, 1, 3], ids=["single", "n1", "n3"])
 @pytest.mark.parametrize("method", ["midpoint", "rk4"])
 @pytest.mark.parametrize("frame,grouping", ALL_COMBOS, ids=lambda c: getattr(c, "value", c))
 def test_integrate_matches_chained_steps(frame, grouping, method, n, grav, earth, world):
-    rng = np.random.default_rng(45)
-    if n is None:
-        st, shape = wander(random_nav_state(rng, frame, grouping, earth, world), rng), ()
-    else:
-        st, shape = _stacked_state(rng, frame, grouping, earth, world, n), (n,)
-    L = len(_INTERVAL_DT)
-    om, f = rng.normal(scale=0.2, size=(L, *shape, 3)), rng.normal(scale=3.0, size=(L, *shape, 3))
+    # rk4's epoch l+1 is step(epoch l, sample l) bit for bit.  The midpoint
+    # rule linearizes gravity once per sub-step, so an interval is the
+    # integrates chained over its sub-steps bit for bit; under uniform
+    # gravity, where the linearization is exact, it is the one-sample steps
+    # chained too.  Either way each element of a stack is its own
+    # one-element stack's integrate.
+    dt = _TWO_SUBSTEP_DT
+    assert mechanization._substeps(dt)[0] == _SUBSTEP_BOUNDS
+    st, om, f = _interval_case(np.random.default_rng(45), frame, grouping, earth, world, n, dt)
+    L = len(dt)
     model = NavModel.of(st, earth, grav, world)
-    blocks = integrate(st, ImuSample(om, f, _INTERVAL_DT), model, method=method)
-    assert blocks.shape == (L + 1, *shape, 3, 5)
+    blocks = integrate(st, ImuSample(om, f, dt), model, method=method)
+    assert blocks.shape == (L + 1, *st.x.K.shape)
     assert np.array_equal(blocks[0], st.x.K)
+    for k in range(n or 0):
+        one = replace(st, x=SE23.packed(st.x.K[k : k + 1]))
+        alone = integrate(one, ImuSample(om[:, k : k + 1], f[:, k : k + 1], dt), model, method=method)
+        assert np.array_equal(alone[:, 0], blocks[:, k]), k
+    if method == "midpoint":
+        x = st
+        for b, e in zip(_SUBSTEP_BOUNDS, _SUBSTEP_BOUNDS[1:]):
+            sub = integrate(x, ImuSample(om[b:e], f[b:e], dt[b:e]), model)
+            assert np.array_equal(blocks[b : e + 1], sub), b
+            x = replace(x, x=SE23.packed(sub[-1]))
+        if isinstance(grav, SphericalGravity):
+            return
     for l in range(L):
-        st = step(st, ImuSample(om[l], f[l], float(_INTERVAL_DT[l])), model, method=method)
+        st = step(st, ImuSample(om[l], f[l], float(dt[l])), model, method=method)
         assert np.array_equal(blocks[l + 1], st.x.K), l
+
+
+@pytest.mark.parametrize("n", [None, 3], ids=["single", "n3"])
+@pytest.mark.parametrize("frame,grouping", ALL_COMBOS, ids=lambda c: getattr(c, "value", c))
+def test_midpoint_sub_steps_stay_within_the_gravity_remainder(frame, grouping, n, earth, world):
+    # Against the one-sample steps, which evaluate gravity at both stage
+    # positions of every sample, the attitude is bit for bit the same and
+    # the velocity differs by at most the second-order remainder of
+    # gravity's expansion about each sub-step's first position p_b: at
+    # most 3 mu d^2 / r^4 per stage input (the central field's second
+    # derivative along a unit direction is at most 6 mu / r^4), d the
+    # stage positions' greatest distance from p_b and r the least radius
+    # within d of it, which enters the velocity over the sub-step's length
+    # D and the position over the interval's, plus one ulp of the largest
+    # value per sample for the rounding.  In the i frame, at 330 m/s, that
+    # is 2.9e-11 m/s; dropping the gradient term would be 3e-6.
+    dt = _TWO_SUBSTEP_DT
+    st, om, f = _interval_case(np.random.default_rng(45), frame, grouping, earth, world, n, dt)
+    L = len(dt)
+    model = NavModel.of(st, earth, SphericalGravity(), world)
+    blocks = integrate(st, ImuSample(om, f, dt), model)
+    ref = [st.x.K]
+    for l in range(L):
+        st = step(st, ImuSample(om[l], f[l], float(dt[l])), model)
+        ref.append(st.x.K)
+    ref = np.stack(ref)
+    assert np.array_equal(blocks[..., 0:3], ref[..., 0:3])
+    remainder = 0.0
+    for b, e in zip(_SUBSTEP_BOUNDS, _SUBSTEP_BOUNDS[1:]):
+        p_b = ref[b, ..., 4]
+        y = np.concatenate((ref[b:e, ..., 3], ref[b:e, ..., 4]), axis=-1)
+        q = np.stack([y[l - b] @ model.midpoint_terms(float(dt[l]))[4] for l in range(b, e)])
+        d = np.linalg.norm(q.reshape(q.shape[:-1] + (2, 3)) - p_b[..., None, :], axis=-1).max()
+        r = np.linalg.norm(model.r_base + p_b, axis=-1).min() - d
+        remainder += np.sum(dt[b:e]) * 3.0 * earth.mu * d * d / r**4
+    for col, bound in ((3, remainder), (4, np.sum(dt) * remainder)):
+        rounding = L * np.spacing(np.abs(ref[..., col]).max())
+        assert np.abs(blocks[..., col] - ref[..., col]).max() <= bound + rounding, col
+
+
+def test_midpoint_evaluates_gravity_once_per_sub_step(earth, world, monkeypatch):
+    # 25 samples of 10 ms are three sub-steps, [0, 8), [8, 16) and [16, 25):
+    # three gravitation calls, each on the stack of the three elements.
+    rng = np.random.default_rng(49)
+    st = _stacked_state(rng, Frame.W, Grouping.PROPOSED, earth, world, 3)
+    om, f = rng.normal(scale=0.2, size=(25, 3, 3)), rng.normal(scale=3.0, size=(25, 3, 3))
+    shapes, real = [], mechanization.gravitation
+
+    def counted(r, *args):
+        shapes.append(np.shape(r))
+        return real(r, *args)
+
+    monkeypatch.setattr(mechanization, "gravitation", counted)
+    integrate(st, ImuSample(om, f, np.full(25, 0.01)), NavModel.of(st, earth, SphericalGravity(), world))
+    assert shapes == [(3, 3)] * 3
 
 
 def _columnwise_midpoint(K, om, f, dts, model):

@@ -672,8 +672,10 @@ def _quiet_cfg(**kw):
 
 
 @pytest.mark.parametrize("module, target, fail, exc, t", [
-    # a batch of one: the failing stack has one element, element 0
-    (mechanization, "_stage_gravity", lambda: gravitation(np.zeros((1, 3)), GRAV, EARTH), SingularRadius, "0.030"),
+    # a batch of one: the failing stack has one element, element 0.  The
+    # midpoint rule guards each 10-sample interval's stage positions once,
+    # so the third guard fails at the third interval's first sample.
+    (mechanization, "_radius", lambda: gravitation(np.zeros((1, 3)), GRAV, EARTH), SingularRadius, "0.210"),
     (sim, "fuse", lambda: check_covariance(-np.eye(15)[None]), CovarianceNotPSD, "0.300"),
 ], ids=["kernel", "filter"])
 def test_stacked_kernel_error_names_the_run(module, target, fail, exc, t, monkeypatch):
@@ -706,6 +708,27 @@ def test_midpoint_stage_gravity_error_names_the_run(monkeypatch):
 
     monkeypatch.setattr(lgekf, "integrate", centered_run_1)
     with pytest.raises(SingularRadius, match=r"^run 1, t=0.010 s: element 1 of the stack: radius") as info:
+        run_monte_carlo(_quiet_cfg(traj=TrajectorySpec((Straight(1.0, 10.0),), 100.0), n_runs=3))
+    assert info.value.element == 1
+
+
+def test_midpoint_failure_inside_a_sub_step_names_its_sample(monkeypatch):
+    # A NaN in run 1's specific force at sample 5 of the first interval
+    # reaches its position at sample 6, inside the interval's one gravity
+    # sub-step: the stage guard names run 1 at the epoch after sample 6,
+    # t = 0.070 s, as evaluating gravity there would.
+    real, calls = lgekf.integrate, []
+
+    def nan_force_once(state, imu, model, method):
+        calls.append(None)
+        if len(calls) == 1:
+            f = np.array(imu.f_ib_b)
+            f[5, 1] = np.nan
+            imu = ImuSample(imu.omega_ib_b, f, imu.dt)
+        return real(state, imu, model, method)
+
+    monkeypatch.setattr(lgekf, "integrate", nan_force_once)
+    with pytest.raises(SingularRadius, match=r"^run 1, t=0.070 s: element \d+ of the stack: radius nan") as info:
         run_monte_carlo(_quiet_cfg(traj=TrajectorySpec((Straight(1.0, 10.0),), 100.0), n_runs=3))
     assert info.value.element == 1
 
