@@ -200,11 +200,7 @@ def predict(
     the steady state forms none of them afresh.  Without it they are new
     arrays.  The returned state holds none of them.
     """
-    corrected = ImuSample(
-        np.asarray(imu.omega_ib_b, dtype=float) - fs.bias[..., 0:3],
-        np.asarray(imu.f_ib_b, dtype=float) - fs.bias[..., 3:6],
-        imu.dt,
-    )
+    corrected = ImuSample(imu.omega_ib_b - fs.bias[..., 0:3], imu.f_ib_b - fs.bias[..., 3:6], imu.dt)
     blocks = integrate(fs.nav, corrected, fs.model, method=method)
     dts = np.asarray(imu.dt, dtype=float)
     bounds, spans = _substeps(dts)

@@ -27,18 +27,19 @@ anchors (NavModel.of) and every kernel reads it: step, derivative,
 error_models.linearized_F_G and exact_error_derivative,
 lgekf.predict/odo_H/fuse (through the FilterState) and
 simulate.inverse_imu.  nav_from_physical builds its own.
-step and body_velocity run one batch-shaped path: a state's
+integrate and body_velocity run one batch-shaped path: a state's
 packed block x.K (see se23.SE23) may carry leading batch axes (one element
 per Monte-Carlo run or per interval, sharing the anchors r0/dv0), with
 inputs of matching shape, and a single state is a stack with no leading
-axis.  step's rk4 also takes one dt per element, which is how inverse_imu
-steps a block of a grid's intervals (the grid's last may be shorter) in
-one call.
-integrate advances a state over the L samples of an interval (inputs
-(L, ..., 3), dt (L,)); lgekf.predict and the autonomy experiment propagate
-with it, and step's midpoint rule is a one-sample integrate.  An interval
-splits into sub-steps of at most _MAX_DT (_substeps), the midpoint rule's
-gravity linearization and predict's covariance step alike.
+axis.  integrate advances a state over the L samples of an interval
+(inputs (L, ..., 3), dt (L,) or, under rk4 only, (L, ...) with one dt per
+sample and element) and is the one place a step is checked and set up:
+step is its one-sample case under both rules.  lgekf.predict and the
+autonomy experiment propagate with integrate, and inverse_imu steps a
+block of a grid's intervals (the grid's last may be shorter) in one step
+call with one dt per element.  An interval splits into sub-steps of at
+most _MAX_DT (_substeps), the midpoint rule's gravity linearization and
+predict's covariance step alike.
 derivative gives the field both as a dense 5x5 matrix, from which
 error_models.exact_error_derivative forms the exact error flow, and as
 its W-decomposition  dX/dt = X W1 + W2 X + W3 X W4  into input, gravity
@@ -124,7 +125,8 @@ class ImuSample:
 
     For a stack of states the inputs are (..., 3) and dt is one float or,
     for step's rk4, an array with one dt per element.  An interval of L
-    samples (integrate, lgekf.predict) has inputs (L, ..., 3) and dt (L,).
+    samples (integrate, lgekf.predict) has inputs (L, ..., 3) and dt (L,)
+    or, for integrate's rk4, (L, ...) with one dt per sample and element.
     """
 
     omega_ib_b: np.ndarray
@@ -405,81 +407,69 @@ def derivative(state: NavState, imu: ImuSample, model: NavModel) -> tuple[np.nda
 
 
 def step(state: NavState, imu: ImuSample, model: NavModel, method: str = "midpoint") -> NavState:
-    """Advance one IMU interval under the state's model.
+    """Advance one IMU interval under the state's model: the one-sample
+    integrate, whose rules and guards it shares.
 
     method="midpoint" is the filter-grade rule: exact attitude exponential
     for the constant inputs plus a midpoint step for velocity/position
-    (O(dt^2) global); it is a one-sample integrate.  method="rk4" is the
-    truth-grade 4-stage Runge-Kutta on the group field itself: it steps the
-    state's packed block x.K = [C | v | p] with NavModel.rate, in stages or,
-    where the gravity column does not depend on the position, as its
-    Taylor polynomial, and puts the attitude of an element that turns by
-    more than _SO3_DRIFT_TURN back on SO(3) (_rk4_update).
+    (O(dt^2) global).  method="rk4" is the truth-grade 4-stage Runge-Kutta
+    on the group field itself: it steps the state's packed block x.K =
+    [C | v | p] with NavModel.rate, in stages or, where the gravity column
+    does not depend on the position, as its Taylor polynomial, and puts the
+    attitude of an element that turns by more than _SO3_DRIFT_TURN back on
+    SO(3) (_rk4_update).
 
     For a stacked state imu.dt is one float for every element or, with
     rk4 only, an array of one dt per element; element k then advances as
     a one-element stack stepped with dt[k] would.
     """
-    model.check(state)
-    dt = longest = imu.dt
-    if isinstance(dt, np.ndarray) and dt.ndim:
-        if method != "rk4":
-            raise ValueError(f"a dt per element needs method='rk4', not {method!r}")
-        dt, longest = dt[..., None, None], dt.max()
-    if method == "rk4":
-        _check_dt(longest)
-        W1 = _input_matrix(imu.omega_ib_b, imu.f_ib_b)
-        turning = _turning(imu.omega_ib_b, imu.dt, state.x.K.shape[:-2])
-        K = _rk4_update(state.x.K, dt, W1, model, np.empty(state.x.K.shape), turning if turning.any() else None)
-    else:
-        om, f = (np.asarray(a, dtype=float)[None] for a in (imu.omega_ib_b, imu.f_ib_b))
-        K = integrate(state, ImuSample(om, f, [dt]), model, method)[1]
+    om, f, dt = (np.asarray(a, dtype=float)[None] for a in (imu.omega_ib_b, imu.f_ib_b, imu.dt))
+    K = integrate(state, ImuSample(om, f, dt), model, method)[1]
     return NavState(state.frame, state.grouping, SE23.packed(K), state.r0, state.dv0)
 
 
 def integrate(state: NavState, imu: ImuSample, model: NavModel, method: str = "midpoint") -> np.ndarray:
     """Advance a state over the L samples of an interval and return its
     packed blocks at the interval's L+1 epochs, (L+1, ..., 3, 5), the first
-    being state.x.K.
+    being state.x.K.  It is the one place a step is checked and set up.
 
     imu holds omega and f (L, ..., 3), the state's leading axes after the
-    sample axis, and dt (L,).  rk4 forms the input matrices once for all L
-    samples and steps the block L times, each step written straight into
-    its epoch of the output, so epoch l+1 is bit for bit step(epoch l,
-    sample l).  The midpoint rule (_midpoint) runs per sample only the
-    attitude product and one (v, p) product; it linearizes gravity once per
-    sub-step of at most _MAX_DT (_substeps), so an interval is bit for bit
-    the integrates chained over its sub-steps, and within a sub-step it
-    differs from the one-sample steps by gravity's second-order remainder.
+    sample axis, and dt (L,) or, with rk4 only, (L, ...): one dt per sample
+    and element.  rk4 forms the input matrices once for all L samples and
+    steps the block L times, each step written straight into its epoch of
+    the output, so epoch l+1 is bit for bit step(epoch l, sample l).  The
+    midpoint rule (_midpoint) runs per sample only the attitude product and
+    one (v, p) product; it linearizes gravity once per sub-step of at most
+    _MAX_DT (_substeps), so an interval is bit for bit the integrates
+    chained over its sub-steps, and within a sub-step it differs from the
+    one-sample steps by gravity's second-order remainder.
     A KernelDomainError raised at sample l names element l*n + i of the
     (L, ...) stack, i the failing element of the n the state holds.
     """
     model.check(state)
-    dt = np.asarray(imu.dt, dtype=float)
-    if dt.ndim != 1:
-        raise ValueError(f"an interval takes one dt per sample, (L,), not an array of shape {dt.shape}")
-    _check_dt(dt.max())
     if method not in _INTEGRATORS:
         raise ValueError(f"unknown integration method {method!r}")
-    if method == "midpoint":
-        return _midpoint(state.x.K, imu, dt, model)
-    W1 = _input_matrix(imu.omega_ib_b, imu.f_ib_b)
+    om, f, dt = (np.asarray(a, dtype=float) for a in (imu.omega_ib_b, imu.f_ib_b, imu.dt))
+    if dt.ndim != 1 and (dt.ndim == 0 or method != "rk4"):
+        raise ValueError(f"an interval takes one dt per sample, (L,), or under rk4 one per element too, not {dt.shape}")
+    longest = dt.max()
+    if longest > _MAX_DT + _DT_ROUNDOFF:
+        raise ValueError(f"dt {longest} exceeds the {_MAX_DT} s piecewise-constant guard")
     K = state.x.K
-    turning = _turning(imu.omega_ib_b, dt.reshape(dt.shape + (1,) * (K.ndim - 2)), (len(dt),) + K.shape[:-2])
+    if method == "midpoint":
+        return _midpoint(K, om, f, dt, model)
+    W1 = _input_matrix(om, f)
+    turning = _turning(om, dt.reshape(dt.shape + (1,) * (K.ndim - 1 - dt.ndim)), (len(dt),) + K.shape[:-2])
     polish = [turning[l] if any_l else None for l, any_l in enumerate(turning.reshape(len(dt), -1).any(axis=1))]
     out = np.empty((len(dt) + 1,) + K.shape)
     out[0] = K
-    for l, dt_l in enumerate(dt.tolist()):
+    # Python floats for one dt per sample, else each sample's (..., 1, 1) block.
+    for l, dt_l in enumerate(dt.tolist() if dt.ndim == 1 else dt[..., None, None]):
         try:
             _rk4_update(out[l], dt_l, W1[l], model, out[l + 1], polish[l])
         except KernelDomainError as exc:
             raise _at_sample(exc, l, K) from exc
     return out
-
-
-def _check_dt(longest) -> None:
-    if longest > _MAX_DT + _DT_ROUNDOFF:
-        raise ValueError(f"dt {longest} exceeds the {_MAX_DT} s piecewise-constant guard")
 
 
 def _at_sample(exc: KernelDomainError, l: int, K: np.ndarray) -> KernelDomainError:
@@ -492,8 +482,10 @@ def _at_sample(exc: KernelDomainError, l: int, K: np.ndarray) -> KernelDomainErr
 
 def _turning(omega: np.ndarray, dt, lead: tuple) -> np.ndarray:
     """Which elements of a stack of leading shape lead an rk4 step of dt
-    turns by more than _SO3_DRIFT_TURN: |omega| dt, per element."""
-    return np.broadcast_to(np.sqrt(np.sum(np.square(omega), axis=-1)) * dt > _SO3_DRIFT_TURN, lead)
+    turns by more than _SO3_DRIFT_TURN: |omega| dt, per element, written
+    into a mask of shape lead (cheaper per call than np.broadcast_to)."""
+    turn = np.sqrt(np.add.reduce(np.square(omega), axis=-1)) * dt
+    return np.greater(turn, _SO3_DRIFT_TURN, out=np.empty(lead, dtype=bool))
 
 
 def _rk4_update(K: np.ndarray, dt, W1, model: NavModel, out: np.ndarray, turning=None) -> np.ndarray:
@@ -574,9 +566,9 @@ def _substeps(dts: np.ndarray) -> tuple[list[int], list[float]]:
         n += 1
 
 
-def _midpoint(K: np.ndarray, imu: ImuSample, dt: np.ndarray, model: NavModel) -> np.ndarray:
-    """integrate's midpoint rule from the packed blocks K over the samples
-    of imu, dt (L,), in the terms of NavModel.midpoint_terms.
+def _midpoint(K: np.ndarray, om: np.ndarray, f: np.ndarray, dt: np.ndarray, model: NavModel) -> np.ndarray:
+    """integrate's midpoint rule from the packed blocks K over the L samples
+    of inputs om and f, dt (L,), in the terms of NavModel.midpoint_terms.
 
     With B = so3_exp(dt/2 omega) the attitude runs C+ = (H^2 C) B^2 sample
     by sample, and C_s f of both stages (C_mid = H C B) is formed for all L
@@ -602,8 +594,6 @@ def _midpoint(K: np.ndarray, imu: ImuSample, dt: np.ndarray, model: NavModel) ->
     index = {d: i for i, d in enumerate(dict.fromkeys(dts))}
     pick = [index[d] for d in dts]  # each sample's distinct dt
     H, H2, Tt, Gt, St = (np.array(a) for a in zip(*map(model.midpoint_terms, index)))
-    om = np.asarray(imu.omega_ib_b, dtype=float)
-    f = np.asarray(imu.f_ib_b, dtype=float)
     B = so3_exp(0.5 * dt.reshape((L,) + (1,) * (om.ndim - 1)) * om)
     B2 = B @ B
     C = np.empty((L + 1,) + lead + (3, 3))

@@ -64,3 +64,14 @@ def test_frame_velocity_is_the_models_alone():
     # physical_from_nav reads NavModel.frame_velocity; the one-caller wrapper is not API.
     assert "frame_velocity" not in navkit.__all__
     assert not hasattr(navkit, "frame_velocity") and not hasattr(mechanization, "frame_velocity")
+
+
+def test_step_is_integrates_one_sample_case():
+    # integrate checks and sets up every step and step forms its one-sample
+    # view, with the signatures unchanged; the separate dt guard is gone.
+    assert not hasattr(mechanization, "_check_dt")
+    for fn, returns in ((mechanization.step, "NavState"), (mechanization.integrate, "np.ndarray")):
+        sig = inspect.signature(fn)
+        assert list(sig.parameters) == ["state", "imu", "model", "method"], fn.__name__
+        assert sig.parameters["method"].default == "midpoint", fn.__name__
+        assert sig.return_annotation == returns, fn.__name__

@@ -492,6 +492,54 @@ def test_integrate_matches_chained_steps(frame, grouping, method, n, grav, earth
         assert np.array_equal(blocks[l + 1], st.x.K), l
 
 
+@gravities
+@pytest.mark.parametrize("frame,grouping", ALL_COMBOS, ids=lambda c: getattr(c, "value", c))
+def test_rk4_integrate_takes_one_dt_per_sample_and_element(frame, grouping, grav, earth, world):
+    # Under rk4 an (L, n) dt steps element k of an n-element stack with
+    # dt[:, k], bit for bit as that element's own integrate does, so the
+    # inverse IMU's per-element dt runs the one stepping path.  The midpoint
+    # rule takes one dt per sample and refuses it.
+    rng = np.random.default_rng(49)
+    n = 3
+    dt = np.stack([_INTERVAL_DT, _INTERVAL_DT[::-1], np.full(len(_INTERVAL_DT), 0.1)], axis=1)
+    st, om, f = _interval_case(rng, frame, grouping, earth, world, n, _INTERVAL_DT)
+    om[:, 1] *= 1e-3  # a slow element beside fast ones
+    turning = np.linalg.norm(om, axis=-1) * dt > mechanization._SO3_DRIFT_TURN
+    assert turning.any() and not turning.all()
+    model = NavModel.of(st, earth, grav, world)
+    blocks = integrate(st, ImuSample(om, f, dt), model, method="rk4")
+    assert blocks.shape == (len(dt) + 1, *st.x.K.shape)
+    for k in range(n):
+        one = replace(st, x=SE23.packed(st.x.K[k]))
+        alone = integrate(one, ImuSample(om[:, k], f[:, k], dt[:, k]), model, method="rk4")
+        assert alone.tobytes() == blocks[:, k].tobytes(), k
+    with pytest.raises(ValueError, match="rk4"):
+        integrate(st, ImuSample(om, f, dt), model, method="midpoint")
+
+
+@gravities
+@pytest.mark.parametrize("method", ["midpoint", "rk4"])
+@pytest.mark.parametrize("frame,grouping", ALL_COMBOS, ids=lambda c: getattr(c, "value", c))
+def test_step_is_the_one_sample_integrate(frame, grouping, method, grav, earth, world):
+    # step forms the one-sample view, a leading axis of 1 on omega, f and
+    # dt, and returns integrate's second epoch bit for bit: for a single
+    # state and for a stack with a shared dt or, under rk4, one per element.
+    rng = np.random.default_rng(50)
+    single = wander(random_nav_state(rng, frame, grouping, earth, world), rng)
+    stack = _stacked_state(rng, frame, grouping, earth, world, 3)
+    cases = [(single, (), 0.01), (stack, (3,), 0.01)]
+    if method == "rk4":
+        cases.append((stack, (3,), np.array([0.1, 0.01, 0.037])))
+    for st, shape, dt in cases:
+        om, f = rng.normal(scale=0.2, size=shape + (3,)), rng.normal(scale=3.0, size=shape + (3,))
+        model = NavModel.of(st, earth, grav, world)
+        stepped = step(st, ImuSample(om, f, dt), model, method=method)
+        blocks = integrate(st, ImuSample(om[None], f[None], np.asarray(dt)[None]), model, method=method)
+        assert stepped.x.K.tobytes() == blocks[1].tobytes(), (shape, dt)
+        assert (stepped.frame, stepped.grouping) == (st.frame, st.grouping)
+        assert stepped.r0 is st.r0 and stepped.dv0 is st.dv0
+
+
 @pytest.mark.parametrize("n", [None, 3], ids=["single", "n3"])
 @pytest.mark.parametrize("frame,grouping", ALL_COMBOS, ids=lambda c: getattr(c, "value", c))
 def test_midpoint_sub_steps_stay_within_the_gravity_remainder(frame, grouping, n, earth, world):
