@@ -7,9 +7,9 @@ Four subcommands, all driven by a JSON config file (see config.py):
   navkit autonomy  twin-trajectory error-flow comparison: autonomy.json
   navkit compare   grouping x convention grid on one scenario: compare.csv
 
-Exit codes: 0 success, 2 config problem, 3 numerical failure or filter
-divergence.  Every output embeds the sha256 of the resolved config, and a
-rerun with the same config and seed reproduces each file byte for byte.
+Exit codes: 0 success, 2 config or usage problem, 3 numerical failure or
+filter divergence.  Every output embeds the sha256 of the resolved config,
+and a rerun with the same config and seed reproduces each file byte for byte.
 """
 
 from __future__ import annotations
@@ -310,6 +310,12 @@ def main(argv=None) -> int:
     except FileNotFoundError:
         print(f"config: {args.config}: no such file", file=sys.stderr)
         return 2
+    except OSError as exc:  # a directory, or a file that cannot be read
+        print(f"config: {args.config}: {exc.strerror}", file=sys.stderr)
+        return 2
+    except UnicodeDecodeError as exc:
+        print(f"config: {args.config}: {exc}", file=sys.stderr)
+        return 2
     except json.JSONDecodeError as exc:
         print(f"config: {args.config}:{exc.lineno}:{exc.colno}: {exc.msg}", file=sys.stderr)
         return 2
@@ -317,7 +323,11 @@ def main(argv=None) -> int:
         print(f"config: {exc}", file=sys.stderr)
         return 2
 
-    os.makedirs(args.out, exist_ok=True)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:  # an existing file, or a path under one
+        print(f"out: {args.out}: {exc.strerror}", file=sys.stderr)
+        return 2
     try:
         return _DISPATCH[args.command](resolved, args.out)
     except ConfigError as exc:  # build_autonomy_inputs: the command needs an autonomy section

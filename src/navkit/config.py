@@ -14,9 +14,12 @@ field defaults of RunConfig, NoiseConfig (odo_noise_var is its odometer
 covariance's diagonal), TrajectorySpec and AutonomySettings; the frame,
 grouping and convention choices are the values of Frame, Grouping and
 ErrorConvention; the integrator choices are mechanization's integration
-methods; and a segment type's keys are its dataclass's fields.  Only JSON
-types are checked here: resolve builds the runtime types, whose own checks
-own every value range, so it accepts exactly the configs the runtime runs.
+methods; and a segment type's keys are its dataclass's fields.  Each of the
+sensors, filter, monte_carlo and autonomy sections is one table of keys,
+defaults and JSON checks, and resolves through one walk of it, so a key is
+allowed, defaulted and checked in one place.  Only JSON types are checked
+here: resolve builds the runtime types, whose own checks own every value
+range, so it accepts exactly the configs the runtime runs.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import copy
 import hashlib
 import json
 from dataclasses import MISSING, fields
+from functools import partial
 
 import numpy as np
 
@@ -201,83 +205,58 @@ def _resolve_gravity(raw, path):
 
 _NOISE_PSDS = ("gyro_noise_psd", "accel_noise_psd", "gyro_bias_rw_psd", "accel_bias_rw_psd")
 _NOISE = NoiseConfig()
-_SENSOR_DEFAULTS = {
-    **{key: getattr(_NOISE, key) for key in _NOISE_PSDS},
-    "odo_noise_var": float(_NOISE.odo_noise_cov[0, 0]),
-    "odo_rate": _RUN["odo_rate"],
-    "gyro_bias": _RUN["gyro_bias"].tolist(),
-    "accel_bias": _RUN["accel_bias"].tolist(),
-    "bias_known": _RUN["bias_known"],
+_vec3 = partial(_expect_vec, n=3)
+
+
+def _num_or_vec3(value, path):
+    return _vec3(value, path) if isinstance(value, list) else _expect_num(value, path)
+
+
+# Each section's table: key -> (default, check(value, path) -> resolved value), walked in
+# order.  The keys are RunConfig and NoiseConfig field names, but for odo_noise_var, the
+# diagonal of NoiseConfig's odo_noise_cov.
+_SECTIONS = {
+    "sensors": {
+        **{key: (getattr(_NOISE, key), _expect_num) for key in _NOISE_PSDS},
+        "odo_noise_var": (float(_NOISE.odo_noise_cov[0, 0]), _num_or_vec3),
+        "odo_rate": (_RUN["odo_rate"], _expect_num),
+        **{key: (_RUN[key].tolist(), _vec3) for key in ("gyro_bias", "accel_bias")},
+        "bias_known": (_RUN["bias_known"], _expect_bool),
+    },
+    "filter": {
+        **{key: (_RUN[key], _expect_num) for key in ("p0_att", "p0_vel", "p0_pos", "p0_gyro_bias", "p0_accel_bias")},
+        "gate_sigma": (_RUN["gate_sigma"], lambda value, path: None if value is None else _expect_num(value, path)),
+        "integrator": (_RUN["integrator"], partial(_expect_choice, options=_INTEGRATORS)),
+    },
+    "monte_carlo": {"n_runs": (_RUN["n_runs"], _expect_int)},
 }
-
-
-def _resolve_sensors(raw, path):
-    obj = _expect_obj(raw, path)
-    _check_keys(obj, path, set(_SENSOR_DEFAULTS))
-    given = {**_SENSOR_DEFAULTS, **obj}
-    out = {}
-    for key in _NOISE_PSDS:
-        out[key] = _expect_num(given[key], f"{path}.{key}")
-    var = given["odo_noise_var"]
-    if isinstance(var, list):
-        out["odo_noise_var"] = _expect_vec(var, f"{path}.odo_noise_var", 3)
-    else:
-        out["odo_noise_var"] = _expect_num(var, f"{path}.odo_noise_var")
-    out["odo_rate"] = _expect_num(given["odo_rate"], f"{path}.odo_rate")
-    for key in ("gyro_bias", "accel_bias"):
-        out[key] = _expect_vec(given[key], f"{path}.{key}", 3)
-    out["bias_known"] = _expect_bool(given["bias_known"], f"{path}.bias_known")
-    return out
-
-
-_P0_KEYS = ("p0_att", "p0_vel", "p0_pos", "p0_gyro_bias", "p0_accel_bias")
-_FILTER_DEFAULTS = {key: _RUN[key] for key in (*_P0_KEYS, "gate_sigma", "integrator")}
 # The JSON key under $ of each RunConfig and NoiseConfig field that a range check names.
-_JSON_KEYS = {**{key: f"sensors.{key}" for key in (*_NOISE_PSDS, "odo_rate")}, "n_runs": "monte_carlo.n_runs",
-              **{key: f"filter.{key}" for key in _FILTER_DEFAULTS}, "odo_noise_cov": "sensors.odo_noise_var"}
+_JSON_KEYS = {"odo_noise_cov": "sensors.odo_noise_var",
+              **{key: f"{name}.{key}" for name, table in _SECTIONS.items() for key in table}}
 
 
-def _resolve_filter(raw, path):
+def _autonomy(trajectory):
+    """The autonomy section's table.  trajectory_b is the primary trajectory by default, and
+    takes the primary's rate, the only one whose grid it can share, unless it gives its own."""
+
+    def twin(raw, path):
+        out = _resolve_trajectory(raw, path, trajectory["imu_rate"])
+        _guard(path, _shared_epochs, build_trajectory(trajectory), build_trajectory(out))
+        return out
+
+    errors = _defaults(AutonomySettings)
+    return {"xi0": ([0.0] * 9, partial(_expect_vec, n=9)), "trajectory_b": (trajectory, twin),
+            **{key: (errors[key].tolist(), _vec3) for key in ("gyro_input_error", "accel_input_error")}}
+
+
+def _walk(raw, path, table):
+    """A section resolved through its table: each key's value, its default when absent, checked in table order."""
     obj = _expect_obj(raw, path)
-    _check_keys(obj, path, set(_FILTER_DEFAULTS))
-    given = {**_FILTER_DEFAULTS, **obj}
-    out = {}
-    for key in _P0_KEYS:
-        out[key] = _expect_num(given[key], f"{path}.{key}")
-    gate = given["gate_sigma"]
-    out["gate_sigma"] = None if gate is None else _expect_num(gate, f"{path}.gate_sigma")
-    out["integrator"] = _expect_choice(given["integrator"], f"{path}.integrator", _INTEGRATORS)
-    return out
+    _check_keys(obj, path, table)
+    return {key: check(obj.get(key, default), f"{path}.{key}") for key, (default, check) in table.items()}
 
 
-def _resolve_autonomy(raw, path, trajectory):
-    defaults = AutonomySettings(origin_e=None, gravity=None)
-    obj = _expect_obj(raw, path)
-    _check_keys(obj, path, {"xi0", "trajectory_b", "gyro_input_error", "accel_input_error"})
-    out = {"xi0": _expect_vec(obj.get("xi0", [0.0] * 9), f"{path}.xi0", 9)}
-    # The primary trajectory by default, and the primary's rate, the only one whose grid it can share.
-    twin, where = obj.get("trajectory_b", trajectory), f"{path}.trajectory_b"
-    out["trajectory_b"] = _resolve_trajectory(twin, where, trajectory["imu_rate"])
-    _guard(where, _shared_epochs, build_trajectory(trajectory), build_trajectory(out["trajectory_b"]))
-    for key in ("gyro_input_error", "accel_input_error"):
-        out[key] = _expect_vec(obj.get(key, getattr(defaults, key).tolist()), f"{path}.{key}", 3)
-    return out
-
-
-_TOP_KEYS = {
-    "schema_version",
-    "frame",
-    "grouping",
-    "convention",
-    "gravity",
-    "origin",
-    "trajectory",
-    "sensors",
-    "filter",
-    "monte_carlo",
-    "seed",
-    "autonomy",
-}
+_TOP_KEYS = {"schema_version", *_MODEL_ENUMS, "gravity", "origin", "trajectory", *_SECTIONS, "seed", "autonomy"}
 
 
 def resolve(raw):
@@ -304,15 +283,12 @@ def resolve(raw):
     out["gravity"] = _resolve_gravity(obj.get("gravity", {"model": "spherical"}), "$.gravity")
     out["origin"] = _resolve_origin(obj["origin"], "$.origin")
     out["trajectory"] = _resolve_trajectory(obj["trajectory"], "$.trajectory", _defaults(TrajectorySpec)["imu_rate"])
-    out["sensors"] = _resolve_sensors(obj.get("sensors", {}), "$.sensors")
-    out["filter"] = _resolve_filter(obj.get("filter", {}), "$.filter")
-    mc = _expect_obj(obj.get("monte_carlo", {}), "$.monte_carlo")
-    _check_keys(mc, "$.monte_carlo", {"n_runs"})
-    out["monte_carlo"] = {"n_runs": _expect_int(mc.get("n_runs", _RUN["n_runs"]), "$.monte_carlo.n_runs")}
+    for name, table in _SECTIONS.items():
+        out[name] = _walk(obj.get(name, {}), f"$.{name}", table)
     out["seed"] = _expect_int(obj.get("seed", _RUN["seed"]), "$.seed")
     _guard("$", build_run_config, out)
     if "autonomy" in obj:
-        out["autonomy"] = _resolve_autonomy(obj["autonomy"], "$.autonomy", out["trajectory"])
+        out["autonomy"] = _walk(obj["autonomy"], "$.autonomy", _autonomy(out["trajectory"]))
     return out
 
 

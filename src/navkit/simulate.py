@@ -217,7 +217,7 @@ class TrajectorySpec:
             raise SpecInvalid("trajectory needs at least one segment", "segments")
         for i, seg in enumerate(self.segments):
             where = f"segments[{i}]"
-            if not isinstance(seg, (Straight, Turn, Climb, Rest)):
+            if not isinstance(seg, Segment):
                 raise SpecInvalid(f"segment {i}: unknown segment type {type(seg).__name__}", where)
             if not seg.duration > 0.0:
                 raise SpecInvalid(f"segment {i}: duration must be positive, got {seg.duration}", where)
@@ -382,10 +382,8 @@ def _grid_times(spec: TrajectorySpec, a: int = 0, z: int | None = None) -> np.nd
 def _shared_epochs(traj_a: TrajectorySpec, traj_b: TrajectorySpec) -> int:
     """The number of epochs of the shorter grid; a SpecInvalid unless the two grids agree on them.  The
     grids drift apart as k grows, and only a grid's last epoch can be off k dt: the last two decide."""
-    grids = [_grid_steps(traj) for traj in (traj_a, traj_b)]
-    m = int(min(n + 1 + (end - n * dt > _GRID_TOL) for n, dt, end in grids))
-    epochs = [[k * dt if k <= n else end for k in (m - 2, m - 1)] for n, dt, end in grids]
-    if np.max(np.abs(np.subtract(*epochs))) > _GRID_TOL:
+    m = min(_interval_count(traj_a), _interval_count(traj_b)) + 1
+    if np.max(np.abs(_grid_times(traj_a, m - 2, m - 1) - _grid_times(traj_b, m - 2, m - 1))) > _GRID_TOL:
         raise SpecInvalid("autonomy trajectories must share their time grid")
     return m
 
@@ -840,22 +838,20 @@ def _scenario_blocks(cfg: RunConfig, spans=None) -> tuple:
     return world, _inverse_blocks(truths, cfg.earth, cfg.gravity, world)
 
 
-def _epochs(spec: TrajectorySpec, odo_rate: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(odometer grid indices, scored grid indices, block ends) of the filter
-    loop on spec's grid: it scores at the odometer's epochs, or at
-    _SCORE_RATE with the odometer off, and takes its grid, each run's
-    sensors and odometer a block of _SCORE_BLOCK scored epochs at a time,
-    up to the grid index of the block's last epoch (the grid's end n for
-    the last block)."""
-    odo_idx = _odo_indices(spec, odo_rate)
+def _epochs(spec: TrajectorySpec, odo_rate: float) -> tuple[np.ndarray, np.ndarray]:
+    """(scored grid indices, block ends) of the filter loop on spec's grid: it
+    scores at the odometer's epochs (RunConfig refuses a rate giving none), or
+    at _SCORE_RATE with the odometer off, and takes its grid, each run's sensors
+    and odometer a block of _SCORE_BLOCK scored epochs at a time, up to the grid
+    index of the block's last epoch (the grid's end n for the last block)."""
     n = _interval_count(spec)
-    if len(odo_idx) > 0:
-        sample_idx = odo_idx
+    if odo_rate > 0.0:
+        sample_idx = _odo_indices(spec, odo_rate)
     else:
         decim = max(1, int(round(spec.imu_rate / _SCORE_RATE)))
         sample_idx = np.arange(decim, n + 1, decim)
     ends = np.append(sample_idx[_SCORE_BLOCK - 1:len(sample_idx) - 1:_SCORE_BLOCK], n)
-    return odo_idx, sample_idx, ends
+    return sample_idx, ends
 
 
 def run_single(cfg: RunConfig, run_index: int = 0) -> RunResult:
@@ -897,7 +893,7 @@ def _run_lockstep(cfg: RunConfig, run_indices: Sequence[int]) -> RunResult:
     row per run in run_indices.
     """
     runs = tuple(int(k) for k in run_indices)
-    odo_idx, sample_idx, ends = _epochs(cfg.traj, cfg.odo_rate)
+    sample_idx, ends = _epochs(cfg.traj, cfg.odo_rate)
     world, blocks = _scenario_blocks(cfg, list(zip([0, *ends[:-1].tolist()], ends.tolist())))
     block0 = next(blocks)
     N, M = len(runs), len(sample_idx)
@@ -957,7 +953,7 @@ def _run_lockstep(cfg: RunConfig, run_indices: Sequence[int]) -> RunResult:
             imu_meas, true_bias = corrupt(imu_g, cfg, k, d.bias0, d)
             omega_meas[:len(dts), i], f_meas[:len(dts), i] = imu_meas.omega_ib_b, imu_meas.f_ib_b
             bias_true[:len(epochs), i] = true_bias[epochs - 1 - a]
-            if len(odo_idx) > 0:
+            if cfg.odo_rate > 0.0:
                 odo_blk[:len(epochs), i] = d.odometer(a, truth_g)[1]
         # The truth at the block's epochs, converted against truth0's anchors,
         # so one model serves the whole loop.
@@ -974,7 +970,7 @@ def _run_lockstep(cfg: RunConfig, run_indices: Sequence[int]) -> RunResult:
                     imu = ImuSample(omega_meas[k0 - a:k1 - a], f_meas[k0 - a:k1 - a], dts[k0 - a:k1 - a])
                     fs = predict(fs, imu, cfg.noise, method=cfg.integrator, buffers=buffers)
                     first = k1
-                    if len(odo_idx) > 0:
+                    if cfg.odo_rate > 0.0:
                         z = OdoSample(odo_blk[j - j0], float(tg[k1 - a]))
                         fs, _, white[:, j], updated[:, j] = fuse(
                             fs, z, cfg.noise, gate_sigma=cfg.gate_sigma, imu_period=float(dts[k1 - 1 - a])

@@ -7,6 +7,7 @@ import json
 import re
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -229,6 +230,20 @@ def test_diverged_filter_exits_3(tmp_path, capsys):
     code = main(["run", "--config", str(path), "--out", str(tmp_path / "out"), "--runs", "2"])
     assert code == 3
     assert "diverged" in capsys.readouterr().err
+
+
+def test_non_finite_mean_nees_exits_3_naming_its_epoch(tmp_path, cfg_file, capsys, monkeypatch):
+    real = cli.run_monte_carlo
+
+    def nan_at_third_epoch(cfg):
+        mc = real(cfg)
+        nees = mc.nees.copy()
+        nees[:, 2] = np.nan
+        return replace(mc, nees=nees)
+
+    monkeypatch.setattr(cli, "run_monte_carlo", nan_at_third_epoch)
+    assert main(["run", "--config", cfg_file, "--out", str(tmp_path / "out"), "--runs", "2"]) == 3
+    assert capsys.readouterr().err == "filter diverged: mean NEES is not finite at t=0.300 s\n"
 
 
 def test_gated_single_run_exits_0(tmp_path):
@@ -523,6 +538,30 @@ def test_malformed_json_exits_2(tmp_path, capsys):
     path.write_text('{"schema_version": 1,,}')
     assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 2
     assert re.search(r"broken\.json:1:\d+:", capsys.readouterr().err)
+
+
+def test_config_directory_exits_2(tmp_path, capsys):
+    # A directory is no config file.
+    assert main(["run", "--config", str(tmp_path), "--out", str(tmp_path / "o")]) == 2
+    assert re.fullmatch(rf"config: {re.escape(str(tmp_path))}: \S.*\n", capsys.readouterr().err)
+
+
+def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"schema_version": 1, "seed": "\u00e9"}'.encode("latin-1"))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config: {path}: ") and "utf-8" in err, err
+
+
+@pytest.mark.parametrize("under", [False, True])
+def test_out_at_or_under_a_file_exits_2(tmp_path, cfg_file, capsys, under):
+    # --out names an existing file, or a directory below one: neither can be made.
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    out = taken / "sub" if under else taken
+    assert main(["simulate", "--config", cfg_file, "--out", str(out)]) == 2
+    assert re.fullmatch(rf"out: {re.escape(str(out))}: \S.*\n", capsys.readouterr().err)
 
 
 def test_trajectory_shorter_than_one_scoring_period_exits_2(tmp_path, capsys):

@@ -375,6 +375,21 @@ def test_twin_without_a_rate_takes_the_primary_rate():
         resolve(cfg)
 
 
+def test_a_section_reports_its_first_bad_key_in_schema_order():
+    # Two bad sensors keys: odo_rate is checked before bias_known, whatever order the file gives.
+    cfg = _replaced(("sensors",), {"bias_known": 1, "odo_rate": "fast"})
+    with pytest.raises(ConfigError, match=r"^\$\.sensors\.odo_rate: expected a number, got str$"):
+        resolve(cfg)
+
+
+def test_twin_grid_is_checked_before_the_input_errors():
+    path, value, where = _PROBES["off-grid twin"]
+    cfg = _replaced(path, value)
+    cfg["autonomy"]["gyro_input_error"] = [0.0, 0.0]
+    with pytest.raises(ConfigError, match=r"^\$\.autonomy\.trajectory_b: autonomy trajectories must share"):
+        resolve(cfg)
+
+
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(path=st.sampled_from(_FULL_PATHS), value=_JSON)
 @example(path=("frame",), value=[])

@@ -119,6 +119,13 @@ def test_frame_transform_identity_at_t0(earth, world):
     assert np.allclose(o, 0.0)
 
 
+def test_frame_transform_refuses_w_without_a_world_and_unknown_frames(earth):
+    with pytest.raises(ValueError, match="^the w frame needs a WorldFrameDef$"):
+        frame_transform("w", "e", earth)
+    with pytest.raises(ValueError, match="^unknown frame 'n'$"):
+        frame_transform("e", "n", earth)
+
+
 def test_frame_transform_i_to_e_sidereal(earth):
     t_sid = 86164.1
     C, _ = frame_transform("i", "e", earth, t=t_sid)

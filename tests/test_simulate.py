@@ -118,6 +118,22 @@ def test_non_finite_rate_names_its_segment():
     assert info.value.field == "segments[1]"
 
 
+def test_unknown_segment_type_names_its_segment():
+    # TrajectorySpec checks each segment against the Segment union it declares.
+    with pytest.raises(SpecInvalid, match="segment 1: unknown segment type tuple") as info:
+        TrajectorySpec((Rest(1.0), (10.0, 5.0)), 100.0)
+    assert info.value.field == "segments[1]"
+
+
+def test_an_error_naming_no_element_passes_through_unchanged():
+    # A single-state kernel error has no element to name a run or epoch by.
+    exc = AngleAtPi("single state")
+    with pytest.raises(AngleAtPi) as info:
+        with sim._naming_elements(lambda e: f"run {e}"):
+            raise exc
+    assert info.value is exc
+
+
 def test_low_imu_rate_rejected():
     for rate in (5.0, np.nan, np.inf):
         with pytest.raises(SpecInvalid, match="imu_rate must be finite and at least 10 Hz"):
