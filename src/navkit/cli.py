@@ -7,8 +7,9 @@ Four subcommands, all driven by a JSON config file (see config.py):
   navkit autonomy  twin-trajectory error-flow comparison: autonomy.json
   navkit compare   grouping x convention grid on one scenario: compare.csv
 
-Exit codes: 0 success, 2 config or usage problem, 3 numerical failure or
-filter divergence.  Every output embeds the sha256 of the resolved config,
+Exit codes: 0 success, 2 config or usage problem (an --out or output file
+that cannot be made or opened included), 3 numerical failure or filter
+divergence.  Every output embeds the sha256 of the resolved config,
 and a rerun with the same config and seed reproduces each file byte for byte.
 """
 
@@ -325,11 +326,10 @@ def main(argv=None) -> int:
 
     try:
         os.makedirs(args.out, exist_ok=True)
-    except OSError as exc:  # an existing file, or a path under one
-        print(f"out: {args.out}: {exc.strerror}", file=sys.stderr)
-        return 2
-    try:
         return _DISPATCH[args.command](resolved, args.out)
+    except OSError as exc:  # --out is a file or under one, or an output file in it cannot be opened
+        print(f"out: {exc.filename or args.out}: {exc.strerror}", file=sys.stderr)
+        return 2
     except ConfigError as exc:  # build_autonomy_inputs: the command needs an autonomy section
         print(f"config: {exc}", file=sys.stderr)
         return 2

@@ -26,8 +26,6 @@ reaches it and drops it: the filter loop (its blocks are its score
 blocks), navkit simulate's CSV writers and the autonomy flows (blocks of
 _GRID_BLOCK intervals).  gen_truth and inverse_imu join _GRID_BLOCK
 blocks into one series, so no result depends on how the grid is cut.
-The autonomy flows' error logs and metric run on blocks of epochs too
-(half as many, as they stack a pair of flows per epoch).
 
 On top of that sit the sensor corrupter (bias + random walk + white
 noise), the odometer synthesizer, and the run harness: one filter loop
@@ -62,7 +60,6 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -301,11 +298,9 @@ class _Profile:
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(5)
 
 
-def _grid_blocks(n: int, width: int = 1) -> list[tuple[int, int]]:
-    """(start, stop) of the blocks that cover n intervals or epochs, each of
-    width stacked elements, _GRID_BLOCK elements to a block."""
-    size = _GRID_BLOCK // width
-    return [(a, min(a + size, n)) for a in range(0, n, size)]
+def _grid_blocks(n: int) -> list[tuple[int, int]]:
+    """(start, stop) of the blocks that cover n intervals or epochs, _GRID_BLOCK to a block."""
+    return [(a, min(a + _GRID_BLOCK, n)) for a in range(0, n, _GRID_BLOCK)]
 
 
 def _positions(profile: _Profile, times: np.ndarray, r0: np.ndarray | None) -> np.ndarray:
@@ -838,6 +833,12 @@ def _scenario_blocks(cfg: RunConfig, spans=None) -> tuple:
     return world, _inverse_blocks(truths, cfg.earth, cfg.gravity, world)
 
 
+def _start(spec: TrajectorySpec, frame: Frame, grouping: Grouping, earth: EarthParams, world: WorldFrameDef):
+    """The truth at spec's first grid epoch in frame and grouping, anchored there (fresh t=0 anchors)."""
+    truth = next(_truth_blocks(spec, [(0, 0)]))[1]
+    return nav_from_physical(frame, grouping, *physical_from_nav(truth.state(0), earth, world), earth, world)
+
+
 def _epochs(spec: TrajectorySpec, odo_rate: float) -> tuple[np.ndarray, np.ndarray]:
     """(scored grid indices, block ends) of the filter loop on spec's grid: it
     scores at the odometer's epochs (RunConfig refuses a rate giving none), or
@@ -871,7 +872,9 @@ def _run_lockstep(cfg: RunConfig, run_indices: Sequence[int]) -> RunResult:
     """The filter loop: every run in run_indices propagated in lock step.
 
     Each run's draws come from its own (seed, channel, run_index)
-    substreams, so a run does not depend on the batch around it.  The loop
+    substreams, so a run does not depend on the batch around it.  Every
+    run starts off truth0, the truth at the grid's first epoch in the
+    filter's frame and grouping (_start), by its drawn error.  The loop
     reads its scenario's grid in order (_scenario_blocks), cut at its
     blocks of _SCORE_BLOCK scored epochs, and drops each block once it has
     passed it: the truth and true IMU over the block's intervals, every
@@ -895,15 +898,12 @@ def _run_lockstep(cfg: RunConfig, run_indices: Sequence[int]) -> RunResult:
     runs = tuple(int(k) for k in run_indices)
     sample_idx, ends = _epochs(cfg.traj, cfg.odo_rate)
     world, blocks = _scenario_blocks(cfg, list(zip([0, *ends[:-1].tolist()], ends.tolist())))
-    block0 = next(blocks)
     N, M = len(runs), len(sample_idx)
     draws = [_RunDraws(cfg, k) for k in runs]
     # One block's measured IMU, stored time-major so each sample is one contiguous (N, 3) slice.
     omega_meas, f_meas = np.empty((2, np.diff(ends, prepend=0).max(), N, 3))
 
-    truth0 = nav_from_physical(
-        cfg.frame, cfg.grouping, *physical_from_nav(block0[1].state(0), cfg.earth, world), cfg.earth, world
-    )
+    truth0 = _start(cfg.traj, cfg.frame, cfg.grouping, cfg.earth, world)
     fs = FilterState(
         nav=apply_correction(truth0, TangentVector.from_vector(-np.stack([d.xi0 for d in draws])), cfg.convention),
         bias=np.stack([d.bias_hat0 for d in draws]),
@@ -944,7 +944,7 @@ def _run_lockstep(cfg: RunConfig, run_indices: Sequence[int]) -> RunResult:
     # epoch) at its last.
     intervals = list(zip([0, *sample_idx[:-1].tolist()], sample_idx.tolist()))
     buffers = {}  # predict's interval stacks, reused by every interval
-    for j0, (a, truth_g, imu_g) in zip(range(0, M, _SCORE_BLOCK), chain([block0], blocks)):
+    for j0, (a, truth_g, imu_g) in zip(range(0, M, _SCORE_BLOCK), blocks):
         # The block's grid, from grid epoch a on, and every run's draws for it.
         epochs = sample_idx[j0:j0 + _SCORE_BLOCK]
         tg, dts = truth_g.t, imu_g.dt
@@ -1073,9 +1073,7 @@ def autonomy_experiment(
     m, dts = len(t), np.diff(t)
     earth, gravity = settings.earth, settings.gravity
     world = ned_world(np.asarray(settings.origin_e, dtype=float), earth)
-    truths = [_truth_blocks(traj) for traj in (traj_a, traj_b)]
-    firsts = [next(blocks) for blocks in truths]
-    streams = [_inverse_blocks(chain([first], blocks), earth, gravity, world) for first, blocks in zip(firsts, truths)]
+    streams = [_inverse_blocks(_truth_blocks(traj), earth, gravity, world) for traj in (traj_a, traj_b)]
     # Each block's inputs, (trajectory a, b): the left pairs are both driven by a's.
     pairs = zip(*streams) if conv is ErrorConvention.RIGHT else ((block, block) for block in streams[0])
 
@@ -1086,11 +1084,7 @@ def autonomy_experiment(
         return ImuSample(np.stack([om, om + settings.gyro_input_error], axis=1),
                          np.stack([f, f + settings.accel_input_error], axis=1), dts[a:z])
 
-    starts = [
-        nav_from_physical(variant.frame, variant.grouping, *physical_from_nav(truth_w.state(0), earth, world, 0.0),
-                          earth, world, t=0.0)
-        for _, truth_w in firsts
-    ]
+    starts = [_start(traj, variant.frame, variant.grouping, earth, world) for traj in (traj_a, traj_b)]
     _check_compatible(*starts)
     x0 = SE23.packed(np.stack([st.x.K for st in starts]))
     eta0_inv = vector_to_error(TangentVector.from_vector(np.asarray(xi0, dtype=float)), conv).inverse()
@@ -1098,10 +1092,10 @@ def autonomy_experiment(
 
     # The four flows advance as one (2, 2) stack: (truth, estimate) x
     # (trajectory a, b), one integrate call per block of intervals, each
-    # from the last epoch of the block before.  Each side's epochs in a
-    # block are a strided (epochs, 2) stack ordered (epoch, trajectory),
-    # whose error logs are taken a block of epochs at a time; a block's
-    # last epoch is logged as the next block's first, into (trajectory, epoch, 9).
+    # from the last epoch of the block before.  Each side's block of epochs
+    # is a strided (epochs, 2) stack ordered (epoch, trajectory), logged in
+    # one pass into (trajectory, epoch, 9); a block's last epoch is logged
+    # as the next block's first, and by the grid's last block itself.
     state = replace(starts[0], x=SE23.packed(np.stack([x0.K, est0.K])))
     model = NavModel.of(state, earth, gravity, world)
     xi = np.empty((2, m, 9))
@@ -1111,12 +1105,12 @@ def autonomy_experiment(
         with _naming_elements(lambda i: f"trajectory {'ab'[i % 2]}, t={t[i // 4 + 1]:.3f} s", offset=4 * a):
             K = integrate(replace(state, x=x), inputs(a, z, pair), model, method=settings.integrator)
         x = SE23.packed(K[-1])
-        for b, y in _grid_blocks(z - a + (z == m - 1), width=2):
-            truth, est = (replace(state, x=SE23.packed(K[b:y, j])) for j in (0, 1))
-            with _naming_elements(lambda i: f"trajectory {'ab'[i % 2]}, t={t[i // 2]:.3f} s", offset=2 * (a + b)):
-                xi_ab = error_to_vector(error_from_states(truth, est, conv), conv).as_vector()
-            xi[:, a + b:a + y] = xi_ab.swapaxes(0, 1)
-            metric = np.maximum(metric, np.max(np.linalg.norm(xi_ab[:, 0] - xi_ab[:, 1], axis=1)))
+        y = z - a + (z == m - 1)
+        truth, est = (replace(state, x=SE23.packed(K[:y, j])) for j in (0, 1))
+        with _naming_elements(lambda i: f"trajectory {'ab'[i % 2]}, t={t[i // 2]:.3f} s", offset=2 * a):
+            xi_ab = error_to_vector(error_from_states(truth, est, conv), conv).as_vector()
+        xi[:, a:a + y] = xi_ab.swapaxes(0, 1)
+        metric = np.maximum(metric, np.max(np.linalg.norm(xi_ab[:, 0] - xi_ab[:, 1], axis=1)))
 
     input_errors = bool(np.any(settings.gyro_input_error) or np.any(settings.accel_input_error))
     return AutonomyResult(classify_autonomy(model, conv, input_errors), float(metric), t, xi[0], xi[1])

@@ -564,6 +564,15 @@ def test_out_at_or_under_a_file_exits_2(tmp_path, cfg_file, capsys, under):
     assert re.fullmatch(rf"out: {re.escape(str(out))}: \S.*\n", capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("command,name", [("simulate", "truth.csv"), ("run", "summary.json")])
+def test_output_file_that_cannot_be_opened_exits_2(tmp_path, cfg_file, capsys, command, name):
+    # --out is a usable directory, but one of the command's files in it is a directory.
+    out = tmp_path / "o"
+    (out / name).mkdir(parents=True)
+    assert main([command, "--config", cfg_file, "--out", str(out), *(["--runs", "1"] if command == "run" else [])]) == 2
+    assert re.fullmatch(rf"out: {re.escape(str(out / name))}: \S.*\n", capsys.readouterr().err)
+
+
 def test_trajectory_shorter_than_one_scoring_period_exits_2(tmp_path, capsys):
     path = tmp_path / "short.json"
     path.write_text(json.dumps(_config(trajectory={"segments": [{"type": "straight", "duration": 0.05, "speed": 10.0}]})))

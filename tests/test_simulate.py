@@ -1201,6 +1201,22 @@ def test_autonomy_unequal_durations_share_the_common_epochs():
     assert np.allclose(res.xi_a, ref[:101], rtol=1e-12, atol=1e-13)
 
 
+@pytest.mark.parametrize("rate", [100.0, 99.5])
+@pytest.mark.parametrize("first", [Rest(12.0), Straight(12.0, 30.0), Turn(12.0, 0.1, 30.0), Climb(12.0, 0.05, 30.0)],
+                         ids=["rest", "straight", "turn", "climb"])
+def test_start_is_the_first_block_truth_in_the_model(first, rate):
+    # _start forms the grid's first epoch alone, yet it is the first streamed
+    # block's epoch 0 converted into each model, bit for bit.
+    spec = TrajectorySpec((first, Turn(3.0, -0.2, 20.0)), rate)
+    truth_w = next(sim._truth_blocks(spec))[1].state(0)
+    for frame, grouping in itertools.product(Frame, Grouping):
+        want = nav_from_physical(frame, grouping, *physical_from_nav(truth_w, EARTH, WORLD), EARTH, WORLD)
+        got = sim._start(spec, frame, grouping, EARTH, WORLD)
+        assert (got.frame, got.grouping) == (frame, grouping)
+        for a, b in ((got.x.K, want.x.K), (got.r0, want.r0), (got.dv0, want.dv0)):
+            assert a.tobytes() == b.tobytes(), (frame, grouping)
+
+
 @pytest.mark.parametrize("frame,grouping", list(itertools.product(Frame, Grouping)), ids=lambda c: c.value)
 def test_log_linear_property_holds_exactly_where_not_weak(frame, grouping):
     # Log-linearity (Barrau and Bonnabel, "The invariant extended Kalman
@@ -1239,9 +1255,9 @@ def test_autonomy_log_error_names_trajectory_and_epoch():
 
 
 def test_autonomy_log_error_in_a_later_block_names_trajectory_and_epoch(monkeypatch):
-    # The error logs run a block of epochs at a time, _GRID_BLOCK elements
-    # of the (m, 2) stack: element 3 of the second (8, 2) block is flat
-    # element 19, epoch 9 of trajectory b.
+    # The error logs run once per integrate block, over the (epochs, 2)
+    # stack of its _GRID_BLOCK intervals' first epochs: element 3 of the
+    # second (16, 2) block is flat element 35, epoch 17 of trajectory b.
     monkeypatch.setattr(sim, "_GRID_BLOCK", 16)
     real_log, calls = sim.error_to_vector, []
 
@@ -1252,27 +1268,30 @@ def test_autonomy_log_error_in_a_later_block_names_trajectory_and_epoch(monkeypa
         return real_log(eta, conv)
 
     monkeypatch.setattr(sim, "error_to_vector", failing_in_second_block)
-    with pytest.raises(AngleAtPi, match=r"^trajectory b, t=0\.090 s: element 3 of the stack") as info:
+    with pytest.raises(AngleAtPi, match=r"^trajectory b, t=0\.170 s: element 3 of the stack") as info:
         autonomy_experiment(ModelVariant(Frame.I, Grouping.TRADITIONAL), ErrorConvention.RIGHT,
                             REST20, FAST20, XI0, UNIFORM)
-    assert info.value.element == 19
+    assert info.value.element == 35
 
 
 @pytest.mark.parametrize("integrator", ["rk4", "midpoint"])
 @pytest.mark.parametrize("conv", ErrorConvention, ids=lambda c: c.value)
 def test_autonomy_flows_do_not_depend_on_the_block(conv, integrator, monkeypatch):
     # The flows run one integrate call per block of intervals, each from
-    # the last epoch of the one before: 2 s at 100 Hz in blocks of 7
-    # intervals is 29 calls, bit for bit the one call of a single block.
+    # the last epoch of the one before, and log each block in one pass:
+    # 2 s at 100 Hz in blocks of 7 intervals is 29 calls of each, bit for
+    # bit the one call of a single block.
     variant = ModelVariant(Frame.W, Grouping.PROPOSED)
     traj_a, traj_b = TrajectorySpec((Rest(2.0),), 100.0), TrajectorySpec((Straight(2.0, 30.0),), 100.0)
     settings = replace(UNIFORM, integrator=integrator, gyro_input_error=np.array([1e-5, -2e-5, 3e-5]))
     whole = autonomy_experiment(variant, conv, traj_a, traj_b, XI0, settings)
-    real_integrate, calls = sim.integrate, []
+    real_integrate, real_log, calls, logs = sim.integrate, sim.error_to_vector, [], []
     monkeypatch.setattr(sim, "integrate", lambda *args, **kw: calls.append(1) or real_integrate(*args, **kw))
+    monkeypatch.setattr(sim, "error_to_vector", lambda *args: logs.append(1) or real_log(*args))
     monkeypatch.setattr(sim, "_GRID_BLOCK", 7)
     blocked = autonomy_experiment(variant, conv, traj_a, traj_b, XI0, settings)
     assert len(calls) == 29
+    assert len(logs) == 29
     assert whole.xi_a.tobytes() == blocked.xi_a.tobytes()
     assert whole.xi_b.tobytes() == blocked.xi_b.tobytes()
     # The metric is a running max over the blocks: the max over the whole grid.
