@@ -27,6 +27,7 @@ import numpy as np
 from . import simulate
 from .config import (
     ConfigError,
+    _field_path,
     apply_overrides,
     build_autonomy_inputs,
     build_run_config,
@@ -34,6 +35,7 @@ from .config import (
     load_config,
 )
 from .error_models import ErrorConvention, ModelVariant
+from .lgekf import SpecInvalid
 from .mechanization import Grouping
 from .se23 import KernelDomainError
 from .simulate import (
@@ -332,6 +334,9 @@ def main(argv=None) -> int:
         return 2
     except ConfigError as exc:  # build_autonomy_inputs: the command needs an autonomy section
         print(f"config: {exc}", file=sys.stderr)
+        return 2
+    except SpecInvalid as exc:  # a scenario the filter's frame cannot share: uniform gravity in i
+        print(f"config: {_field_path('$', exc)}: {exc}", file=sys.stderr)
         return 2
     except _NUMERICAL_FAILURES as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

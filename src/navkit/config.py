@@ -130,14 +130,19 @@ def _expect_vec(value, path, n):
 # section validators; each returns the resolved (defaults-filled) form
 
 
+def _field_path(path, exc):
+    """path, or the field under path a SpecInvalid names (its key there in _JSON_KEYS)."""
+    field = exc.field if isinstance(exc, SpecInvalid) else None
+    return path if field is None else f"{path}.{_JSON_KEYS.get(field, field)}"
+
+
 def _guard(path, check, *args):
-    """The runtime's own check(*args) decides; its ValueError fails path, or
-    the field under path a SpecInvalid names (its key there in _JSON_KEYS)."""
+    """The runtime's own check(*args) decides; its ValueError fails
+    _field_path(path, exc)."""
     try:
         check(*args)
     except ValueError as exc:
-        field = exc.field if isinstance(exc, SpecInvalid) else None
-        _fail(path if field is None else f"{path}.{_JSON_KEYS.get(field, field)}", str(exc))
+        _fail(_field_path(path, exc), str(exc))
 
 
 def _resolve_origin(raw, path):

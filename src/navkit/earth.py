@@ -1,14 +1,16 @@
-"""Earth rotation, gravitation fields, and i/e/w frame transforms.
+"""Earth rotation, gravitation fields, and the i/e/w frame map.
 
 Conventions: the i-frame coincides with the e-frame at t=0 and shares its
 polar (z) axis, so the earth rate is (0, 0, omega_ie) in both; the w-frame
 is an earth-fixed tangent frame given by a WorldFrameDef (NED at a surface
 point by default).  _frame_map is the one place that knows how the three
-sit relative to e; frame_transform, earth_rate, mechanization's
-conversions and NavModel are built on it.  The Uniform gravity variant
+sit relative to e; earth_rate, mechanization's conversions and NavModel
+are built on it.  The Uniform gravity variant
 returns its gamma0 vector unchanged in whichever frame the caller
 mechanizes in — it is a constant test field, not a frame-consistent
-physical one; use Spherical for cross-frame physics.
+physical one; use Spherical for cross-frame physics.  A filtered run's
+w-frame truth takes the filter's gamma0 turned into w, and refuses it in i
+(simulate._scenario_blocks).
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ from typing import Union
 
 import numpy as np
 
-from .se23 import KernelDomainError, _domain_error, matvec, so3_exp, transpose
+from .se23 import KernelDomainError, _domain_error, so3_exp, transpose
 
 __all__ = [
     "SingularRadius",
@@ -30,7 +32,6 @@ __all__ = [
     "earth_rate",
     "gravitation",
     "gravitation_gradient",
-    "frame_transform",
 ]
 
 _MIN_RADIUS = 1e5  # m; spherical field is singular at the center
@@ -152,21 +153,3 @@ def _frame_map(f: str, params: EarthParams, world: WorldFrameDef | None = None, 
         return world.C_e_w.T, world.r_ew_e, np.zeros(3)
     raise ValueError(f"unknown frame {f!r}")
 
-
-def frame_transform(
-    frm: str,
-    to: str,
-    params: EarthParams,
-    world: WorldFrameDef | None = None,
-    t: float | np.ndarray = 0.0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(C, o) with r_to = C @ r_from + o for point positions.
-
-    Positions are earth-centered in i/e and w-origin-relative in w.  An
-    array t gives one i-frame rotation per time, C (..., 3, 3), and an o
-    that broadcasts against it.
-    """
-    C_fe, o_fe, _ = _frame_map(frm, params, world, t)
-    C_te, o_te, _ = _frame_map(to, params, world, t)
-    # x_to = C_te^T (x_e - o_te), x_e = C_fe x_from + o_fe
-    return transpose(C_te) @ C_fe, matvec(transpose(C_te), o_fe - o_te)

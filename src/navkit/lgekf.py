@@ -18,11 +18,11 @@ Every function here also runs a batch of filters in lock step: a
 FilterState whose arrays carry a leading run axis (the pose's packed K
 (N,3,5), bias (N,6), P (N,15,15)) and shares one clock.  predict advances
 every run over the interval (inputs (L, N, 3)); fuse applies each run's
-odometer sample under that run's own gate, and the checks (singular or
-non-finite innovation covariance, covariance health) are made per run.  Their
-failures are KernelDomainErrors that name the failing element of the
-stack, as the group kernels' do; the filter loop adds that element's run
-and epoch.
+odometer sample under that run's own gate (zero gain where it rejects),
+and the checks (singular or non-finite innovation covariance, covariance
+health) are made per run.  Their failures are KernelDomainErrors that
+name the failing element of the stack, as the group kernels' do; the
+filter loop adds that element's run and epoch.
 """
 from __future__ import annotations
 
@@ -311,11 +311,11 @@ def fuse(
     """Fuse one odometer sample (nearest-epoch alignment, no interpolation).
 
     Returns (state, innovation, whitened innovation, applied), the last a
-    bool per run (a 0-d array for a single filter).  A sample the gate
-    rejects leaves its run's state untouched; when every run rejects, the
-    input state itself is returned.  One Cholesky factor L of the
-    innovation covariance S = L L^T gives the whitened innovation L^-1 y,
-    the NIS |L^-1 y|^2 the gate tests, and the gain P H^T L^-T L^-1.
+    bool per run (a 0-d array for a single filter).  A rejected run takes a
+    zero gain, which keeps its estimate, bias and P bit for bit; when every
+    run rejects, the input state itself is returned.  One Cholesky factor L
+    of the innovation covariance S = L L^T gives the whitened innovation
+    L^-1 y, the NIS |L^-1 y|^2 the gate tests, and the gain P H^T L^-T L^-1.
     """
     if abs(z.t - fs.t) > imu_period + 1e-9:
         raise ValueError(f"odo sample at t={z.t} not aligned with filter t={fs.t}")
@@ -349,6 +349,7 @@ def fuse(
             return fs, y, white, applied
 
     K = fs.P @ Ht @ (transpose(Linv) @ Linv)
+    K[~applied] = 0.0  # a rejected run's update is the identity
     dx = matvec(K, y)
     nav = apply_correction(fs.nav, TangentVector.from_vector(dx[..., :9]), fs.conv)
     bias = fs.bias - dx[..., 9:15]
@@ -356,10 +357,5 @@ def fuse(
     A = _I15 - K @ H
     P = A @ fs.P @ transpose(A) + K @ R @ transpose(K)
     P = 0.5 * (P + transpose(P))
-    if not np.all(applied):
-        keep = ~applied
-        nav = replace(nav, x=SE23.packed(np.where(keep[:, None, None], fs.nav.x.K, nav.x.K)))
-        bias = np.where(keep[:, None], fs.bias, bias)
-        P = np.where(keep[:, None, None], fs.P, P)
     check_covariance(P)
     return FilterState(nav, bias, P, fs.conv, fs.model, fs.t), y, white, applied

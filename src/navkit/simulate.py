@@ -68,6 +68,7 @@ from .earth import (
     EarthParams,
     GravityModel,
     SphericalGravity,
+    UniformGravity,
     WorldFrameDef,
     ned_world,
 )
@@ -827,10 +828,19 @@ def _scenario_blocks(cfg: RunConfig, spans=None) -> tuple:
     the origin, and blocks yields (a, truth at epochs a to z, true IMU over
     intervals a to z - 1) for each block [a, z) of spans (_grid_blocks's by
     default): _truth_blocks and _inverse_blocks, so the blocks joined are
-    gen_truth's and inverse_imu's grid, bit for bit."""
+    gen_truth's and inverse_imu's grid, bit for bit.  A uniform field's
+    gamma0 is read in the filter's axes, so the truth, inverted in w, takes
+    it turned into w: in e by C_e_w; in i, whose axes turn against w's,
+    no constant vector is that field, and it is refused."""
     world = ned_world(cfg.origin_e, cfg.earth)
+    gravity = cfg.gravity
+    if isinstance(gravity, UniformGravity) and cfg.frame is not Frame.W:
+        if cfg.frame is Frame.I:
+            raise SpecInvalid("uniform gravity is read in the filter's axes, and i's turn against the "
+                              "truth's w axes: filter in e or w, or use spherical gravity", "gravity")
+        gravity = UniformGravity(matvec(world.C_e_w, gravity.gamma0))
     truths = _truth_blocks(cfg.traj, spans)
-    return world, _inverse_blocks(truths, cfg.earth, cfg.gravity, world)
+    return world, _inverse_blocks(truths, cfg.earth, gravity, world)
 
 
 def _start(spec: TrajectorySpec, frame: Frame, grouping: Grouping, earth: EarthParams, world: WorldFrameDef):

@@ -66,6 +66,12 @@ def test_frame_velocity_is_the_models_alone():
     assert not hasattr(navkit, "frame_velocity") and not hasattr(mechanization, "frame_velocity")
 
 
+def test_frame_map_has_no_second_public_face():
+    # The conversions and NavModel read earth._frame_map; the unused (C, o) wrapper is not API.
+    assert "frame_transform" not in navkit.__all__ and "frame_transform" not in earth.__all__
+    assert not hasattr(navkit, "frame_transform") and not hasattr(earth, "frame_transform")
+
+
 def test_step_is_integrates_one_sample_case():
     # integrate checks and sets up every step and step forms its one-sample
     # view, with the signatures unchanged; the separate dt guard is gone.

@@ -460,6 +460,39 @@ def test_autonomy_twin_takes_the_primary_rate(tmp_path):
     assert main(["autonomy", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
 
 
+def _uniform_straight(frame):
+    """One 20 s straight at 30 m/s under uniform gravity, filtered in frame."""
+    cfg = _config(frame=frame, gravity={"model": "uniform", "gamma0": [0.0, 0.0, 9.8]})
+    cfg["trajectory"]["segments"] = [{"type": "straight", "duration": 20.0, "speed": 30.0}]
+    cfg["autonomy"]["trajectory_b"]["segments"] = [{"type": "rest", "duration": 20.0}]
+    return cfg
+
+
+def test_uniform_gravity_in_e_is_the_truths_field(tmp_path):
+    # gamma0 is read in the filter's axes, and the truth, inverted in w, takes
+    # it turned into w: with gamma0 read in w axes by the truth, the mean NEES
+    # passed 1e6 by t = 0.7 s and the run exited 3.
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(_uniform_straight("e")))
+    out = tmp_path / "run"
+    assert main(["run", "--config", str(path), "--out", str(out), "--runs", "3"]) == 0
+    assert json.loads((out / "summary.json").read_text())["time_avg_nees"] < 20.25
+
+
+@pytest.mark.parametrize("command,code", [("run", 2), ("simulate", 2), ("compare", 2), ("autonomy", 0)])
+def test_uniform_gravity_in_i_is_refused_where_a_truth_is_filtered(tmp_path, capsys, command, code):
+    # i's axes turn against the truth's w axes, so no constant vector is the
+    # filter's field there: run, simulate and compare exit 2 before writing a
+    # file.  The autonomy twins share one model and run.
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(_uniform_straight("i")))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out)]) == code
+    if code == 2:
+        assert capsys.readouterr().err.startswith("config: $.gravity: uniform gravity")
+        assert not any(out.iterdir())
+
+
 def test_autonomy_requires_section(tmp_path):
     cfg = _config()
     del cfg["autonomy"]

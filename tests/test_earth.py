@@ -1,4 +1,4 @@
-"""Earth rate, gravity models, and frame transforms."""
+"""Earth rate, gravity models, and the frame map."""
 from __future__ import annotations
 
 import numpy as np
@@ -12,7 +12,6 @@ from navkit import (
     SphericalGravity,
     UniformGravity,
     earth_rate,
-    frame_transform,
     gravitation,
     gravitation_gradient,
     ned_world,
@@ -110,65 +109,78 @@ def test_ned_world_axes(earth):
         ned_world(np.array([0.0, 0.0, earth.re]), earth)
 
 
-def test_frame_transform_identity_at_t0(earth, world):
-    C, o = frame_transform("i", "e", earth, t=0.0)
-    assert np.allclose(C, np.eye(3))
-    assert np.allclose(o, 0.0)
-    C, o = frame_transform("e", "e", earth)
-    assert np.allclose(C, np.eye(3))
-    assert np.allclose(o, 0.0)
+def _to_e(f, x, earth, world, t=0.0):
+    C, o, _ = _frame_map(f, earth, world, t)
+    return C @ x + o
 
 
-def test_frame_transform_refuses_w_without_a_world_and_unknown_frames(earth):
+def _from_e(f, x_e, earth, world, t=0.0):
+    C, o, _ = _frame_map(f, earth, world, t)
+    return C.T @ (x_e - o)
+
+
+def test_frame_map_identity_at_t0(earth, world):
+    # i coincides with e at t = 0; e is the map's reference.
+    for f in ("i", "e"):
+        C, o, _ = _frame_map(f, earth, world, t=0.0)
+        assert np.allclose(C, np.eye(3))
+        assert np.allclose(o, 0.0)
+
+
+def test_frame_map_refuses_w_without_a_world_and_unknown_frames(earth):
     with pytest.raises(ValueError, match="^the w frame needs a WorldFrameDef$"):
-        frame_transform("w", "e", earth)
+        _frame_map("w", earth)
     with pytest.raises(ValueError, match="^unknown frame 'n'$"):
-        frame_transform("e", "n", earth)
+        _frame_map("n", earth)
 
 
-def test_frame_transform_i_to_e_sidereal(earth):
+def test_frame_map_i_to_e_sidereal(earth):
     t_sid = 86164.1
-    C, _ = frame_transform("i", "e", earth, t=t_sid)
+    C, _, _ = _frame_map("i", earth, t=t_sid)
     angle = np.arccos(np.clip((np.trace(C) - 1) / 2, -1.0, 1.0))
     # One sidereal day ~ full turn: rotation angle is within 1e-4 of 0 mod 2*pi.
     assert angle < 1e-4
     # Quarter day rotates about the polar axis by -omega*t (i -> e).
     t = 0.25 * t_sid
-    C, _ = frame_transform("i", "e", earth, t=t)
+    C, _, _ = _frame_map("i", earth, t=t)
     assert np.allclose(C, so3_exp([0.0, 0.0, -earth.omega_ie * t]), atol=1e-12)
 
 
-def test_frame_transform_takes_an_array_of_times(earth, world):
+def test_frame_map_takes_an_array_of_times(earth, world):
     t = np.array([0.0, 10.0, 4000.0])
-    C, o = frame_transform("i", "w", earth, world, t=t)
+    C, o, w = _frame_map("i", earth, world, t=t)
     assert C.shape == (3, 3, 3)
     for k, tk in enumerate(t):
-        Ck, ok = frame_transform("i", "w", earth, world, t=tk)
-        assert np.array_equal(C[k], Ck) and np.array_equal(np.broadcast_to(o, (3, 3))[k], ok)
+        Ck, ok, wk = _frame_map("i", earth, world, t=tk)
+        assert np.array_equal(C[k], Ck) and np.array_equal(o, ok) and np.array_equal(w, wk)
 
 
-def test_frame_transform_e_w_roundtrip(earth, world):
+def test_frame_map_e_w_roundtrip(earth, world):
     rng = np.random.default_rng(23)
     r_e = world.r_ew_e + rng.normal(scale=1e4, size=3)
-    C_ew, o_ew = frame_transform("e", "w", earth, world)
-    C_we, o_we = frame_transform("w", "e", earth, world)
-    r_w = C_ew @ r_e + o_ew
-    back = C_we @ r_w + o_we
-    assert np.allclose(back, r_e, atol=1e-8)
-    # Point at the world origin maps to zero.
-    assert np.allclose(C_ew @ world.r_ew_e + o_ew, 0.0, atol=1e-8)
+    r_w = _from_e("w", r_e, earth, world)
+    assert np.allclose(_to_e("w", r_w, earth, world), r_e, atol=1e-8)
+    # The w map is the world definition itself, and the world origin maps to zero.
+    C, o, _ = _frame_map("w", earth, world)
+    assert np.array_equal(C, world.C_e_w.T) and np.array_equal(o, world.r_ew_e)
+    assert np.allclose(_from_e("w", world.r_ew_e, earth, world), 0.0, atol=1e-8)
 
 
-def test_frame_transform_composition(earth, world):
+def test_frame_map_composition(earth, world):
+    # i -> w through e and back recovers the point; the i -> w rotation
+    # C_w^T C_i is a proper rotation.
     rng = np.random.default_rng(24)
     t = 1234.5
     r_i = world.r_ew_e + rng.normal(scale=1e4, size=3)
-    C_iw, o_iw = frame_transform("i", "w", earth, world, t=t)
-    C_ie, o_ie = frame_transform("i", "e", earth, t=t)
-    C_ew, o_ew = frame_transform("e", "w", earth, world)
-    direct = C_iw @ r_i + o_iw
-    via_e = C_ew @ (C_ie @ r_i + o_ie) + o_ew
-    assert np.allclose(direct, via_e, atol=1e-10 * max(1.0, np.abs(via_e).max()))
+    r_w = _from_e("w", _to_e("i", r_i, earth, world, t), earth, world, t)
+    back = _from_e("i", _to_e("w", r_w, earth, world, t), earth, world, t)
+    assert np.allclose(back, r_i, atol=1e-10 * np.abs(r_i).max())
+    C_i, o_i, _ = _frame_map("i", earth, world, t)
+    C_w, o_w, _ = _frame_map("w", earth, world, t)
+    C_iw = C_w.T @ C_i
+    assert np.allclose(C_iw @ C_iw.T, np.eye(3), atol=1e-12) and np.isclose(np.linalg.det(C_iw), 1.0)
+    direct = C_iw @ r_i + C_w.T @ (o_i - o_w)
+    assert np.allclose(direct, r_w, atol=1e-10 * max(1.0, np.abs(r_w).max()))
 
 
 def test_frame_map_rate(earth, world):
@@ -182,9 +194,11 @@ def test_frame_map_rate(earth, world):
     for f in ("e", "w"):
         C, o, w = _frame_map(f, earth, world, t=t)
         assert np.array_equal(w, np.zeros(3))
-        # the map agrees with frame_transform's public (C, o)
-        C_fe, o_fe = frame_transform(f, "e", earth, world)
-        assert np.allclose(C, C_fe, atol=1e-15) and np.allclose(o, o_fe, atol=1e-6)
+        # e and w are earth-fixed: their (C, o) do not move with t
+        C0, o0, _ = _frame_map(f, earth, world)
+        assert np.array_equal(C, C0) and np.array_equal(o, o0)
+    # the rate agrees with earth_rate, which the map resolves in each frame
+    assert np.array_equal(_frame_map("i", earth, world)[2], earth_rate("i", earth))
 
 
 def test_default_params_frozen():

@@ -516,9 +516,12 @@ def _stack(fs, n):
     return FilterState(nav, rep(fs.bias), rep(fs.P), fs.conv, fs.model, fs.t)
 
 
-def test_batched_update_gates_each_run(earth, world):
+@pytest.mark.parametrize("conv", CONVS, ids=lambda c: c.value)
+def test_batched_update_gates_each_run(earth, world, conv):
     P0 = np.eye(15) * 1e-6
-    fs = _stack(_surface_filter(earth, world, ErrorConvention.RIGHT, P0), 2)
+    bias = np.random.default_rng(76).normal(scale=1e-3, size=6)
+    single = replace(_surface_filter(earth, world, conv, P0), bias=bias)
+    fs = _stack(single, 2)
     noise = NoiseConfig(odo_noise_cov=np.eye(3) * 1e-4)
     _, vb = odo_H(fs.conv, fs.nav, fs.model)
     v = vb.copy()
@@ -526,12 +529,13 @@ def test_batched_update_gates_each_run(earth, world):
     v[1, 0] += 0.01
     out, innov, white, applied = fuse(fs, OdoSample(v, t=0.0), noise, gate_sigma=5.0)
     assert applied.tolist() == [False, True]
-    assert np.array_equal(out.nav.x.v[0], fs.nav.x.v[0])
+    # the rejected run's zero gain leaves its whole prior state as it was
+    assert np.array_equal(out.nav.x.K[0], fs.nav.x.K[0])
+    assert np.array_equal(out.bias[0], fs.bias[0])
     assert np.array_equal(out.P[0], fs.P[0])
     assert not np.allclose(out.nav.x.v[1], fs.nav.x.v[1])
     assert np.allclose(innov, vb - v)
     # the run that applied its sample matches a filter of its own
-    single = _surface_filter(earth, world, ErrorConvention.RIGHT, P0)
     alone = fuse(single, OdoSample(v[1], t=0.0), noise, gate_sigma=5.0)[0]
     assert np.allclose(out.nav.x.v[1], alone.nav.x.v, atol=1e-12)
     assert np.allclose(out.P[1], alone.P, atol=1e-15)
